@@ -9,8 +9,9 @@ dense construction, and the strict-gap verdict between the two densities.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +22,7 @@ from .arith import (
     RationalSet,
     as_fraction,
     coprime_part_list,
+    count_coprime_part,
     derive_basis,
     enumerate_smooth,
     exact_sum,
@@ -28,7 +30,7 @@ from .arith import (
     smooth_stream,
 )
 from .errors import BudgetError, DomainError
-from .lattice import DEFAULT_SEARCH_CAP, gamma_bracket
+from .lattice import DEFAULT_SEARCH_CAP, _check_coprime_pair, gamma_bracket
 
 DEFAULT_SERIES_BUDGET = 10**6
 LN_PRECISION_DIGITS = 60
@@ -130,57 +132,69 @@ def sigma_series(
     tail keeps at least half of each later prefix, the upper tail allows all
     of it and closes the harmonic remainder of the smooth sequence in closed
     form.  Enumeration stops once the bracket width is within tolerance.
+
+    Every smooth value so far divides D = p^A * q^B (A, B the largest
+    exponents seen), so the partial sum and the prefix reciprocal sum are
+    kept as integer multiples of 1/D; the width test is one cross-multiplied
+    integer comparison per term, and Fractions are built only for the
+    returned (or budget-exhausted) bracket.
     """
-    if not (1 < p < q):
-        raise DomainError(f"need 1 < p < q, got p={p}, q={q}")
-    if gcd(p, q) != 1:
-        raise DomainError(f"elements not pairwise coprime: gcd({p},{q}) > 1")
+    _check_coprime_pair(p, q)
     tolerance = as_fraction(tolerance)
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
     factor = Fraction((p - 1) * (q - 1), p * q)
-    full_recip = Fraction(p * q, (p - 1) * (q - 1))
+    full_recip = 1 / factor
+    f_num, f_den = factor.numerator, factor.denominator
+    tol_num, tol_den = tolerance.numerator, tolerance.denominator
+
+    def bracket() -> DensityBracket:
+        # tails after the last summed prefix: at least ceil/2 of each later
+        # prefix counts, at most all of it plus the harmonic remainder
+        head = Fraction(partial, scale)
+        tail_lower = Fraction((terms + 2) // 2, value)
+        tail_upper = Fraction(terms + 1, value) + (full_recip - Fraction(recip, scale))
+        return DensityBracket(
+            factor * (head + tail_lower),
+            factor * (head + tail_upper),
+            "series-with-tail",
+            {"terms": terms, "next_value": value},
+        )
 
     gen = smooth_stream((p, q))
-    values: list[int] = []
-    partial = Fraction(0)
-    white = black = 0
-    prefix_recip = Fraction(0)
+    value, _ = next(gen)  # 1
+    scale = 1  # D, the lcm of the smooth values so far
+    recip = 1  # prefix reciprocal sum times D
+    partial = 0  # partial sum times D
     prev_parity = 0
-    bracket: Optional[DensityBracket] = None
-    while len(values) < budget:
-        value, exps = next(gen)
-        values.append(value)
-        prefix_recip += Fraction(1, value)
-        if len(values) == 1:
-            prev_parity = sum(exps) % 2
-            continue
-        terms = len(values) - 1
+    white = black = 0
+    terms = 0
+    while terms + 1 < budget:
+        prev_share = scale // value
+        value, (a, b) = next(gen)
+        if scale % value:
+            grow = value // gcd(scale, value)
+            scale *= grow
+            recip *= grow
+            partial *= grow
+            prev_share *= grow
+        share = scale // value
+        recip += share
+        terms += 1
         if prev_parity == 0:
             white += 1
         else:
             black += 1
-        prev_parity = sum(exps) % 2
-        partial += max(white, black) * (
-            Fraction(1, values[-2]) - Fraction(1, value)
-        )
-        # tails after the last summed prefix: at least ceil/2 of each later
-        # prefix counts, at most all of it plus the harmonic remainder
-        tail_lower = Fraction((terms + 2) // 2, value)
-        tail_upper = Fraction(terms + 1, value) + (full_recip - prefix_recip)
-        lower = factor * (partial + tail_lower)
-        upper = factor * (partial + tail_upper)
-        bracket = DensityBracket(
-            lower,
-            upper,
-            "series-with-tail",
-            {"terms": terms, "next_value": value},
-        )
-        if upper - lower <= tolerance:
-            return bracket
+        prev_parity = (a + b) % 2
+        partial += max(white, black) * (prev_share - share)
+        # width = factor * (k / value + full_recip - recip / D), with k the
+        # excess of the upper tail's prefix count over the lower one's
+        k = terms + 1 - (terms + 2) // 2
+        if tol_den * (f_num * (k * share - recip) + f_den * scale) <= tol_num * f_den * scale:
+            return bracket()
     raise BudgetError(
         f"tolerance {tolerance} not reached within {budget} enumerated values",
-        achieved=bracket,
+        achieved=bracket() if terms else None,
     )
 
 
@@ -193,16 +207,28 @@ def max_subset_count(
     """Exact maximal size of a quotient-free subset of {1..n} for pair (p,q).
 
     Sums, over every n-free class representative, the majority color count
-    of the smooth prefix that still fits under the bound; the witness picks
-    that majority class, scaled back into the class (white on ties).
+    of the smooth prefix that still fits under the bound.  That count
+    depends on a representative only through t = #{smooth <= n/rep}, so the
+    count alone is a sum over blocks of t, each weighted by the number of
+    representatives in it (inclusion-exclusion): O(#smooth <= n * 2^s)
+    work.  The witness picks, per representative, that majority class
+    scaled back into the class (white on ties); it visits every
+    representative, O(n), and counts independently of the block sum.
     """
-    if not (1 < p < q):
-        raise DomainError(f"need 1 < p < q, got p={p}, q={q}")
-    if gcd(p, q) != 1:
-        raise DomainError(f"elements not pairwise coprime: gcd({p},{q}) > 1")
+    _check_coprime_pair(p, q)
     if n < 1:
         raise DomainError("the horizon must be at least 1")
     seq = enumerate_smooth((p, q), n)
+    if not with_witness:
+        # reps <= n // m_t see at least t smooth values; the trailing 0 closes
+        # the last block, since no rep sees more than all of them
+        reps_seeing = [count_coprime_part((p, q), n // m) for m in seq.values] + [0]
+        total = white = 0
+        for t, exps in enumerate(seq.exponents, 1):
+            white += sum(exps) % 2 == 0
+            total += max(white, t - white) * (reps_seeing[t - 1] - reps_seeing[t])
+        return total
+
     parities = [sum(e) % 2 for e in seq.exponents]
     white_prefix = [0]
     for parity in parities:
@@ -217,24 +243,39 @@ def max_subset_count(
         w = white_prefix[t]
         b = t - w
         total += max(w, b)
-        if with_witness:
-            keep = 0 if w >= b else 1
-            witness.extend(
-                seq.values[i] * rep for i in range(t) if parities[i] == keep
-            )
-    if with_witness:
-        return total, tuple(sorted(witness))
-    return total
+        keep = 0 if w >= b else 1
+        witness.extend(
+            seq.values[i] * rep for i in range(t) if parities[i] == keep
+        )
+    return total, tuple(sorted(witness))
 
 
 @dataclass(frozen=True)
 class DenseSetSample:
-    """A horizon's worth of the explicit dense quotient-free construction."""
+    """A horizon's worth of the explicit dense quotient-free construction.
+
+    ``smooth_parts`` (the chosen smooth parts) and ``free_parts`` (the
+    basis-free integers up to x) are the factors every member splits into.
+    """
 
     x: int
     members: tuple[int, ...]
     counting_density: Fraction
-    log_density: Optional[Fraction]
+    smooth_parts: Sequence[int] = field(repr=False, compare=False)
+    free_parts: Sequence[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def log_density(self) -> Optional[Fraction]:
+        """Exact reciprocal sum of the members over ln x; None for x < 2.
+
+        Computed on first read only: the sum is the costly part of the
+        construction, and callers that tabulate densities themselves never
+        need it.
+        """
+        if self.x < 2:
+            return None
+        recip = _grouped_reciprocal_sum(self.smooth_parts, self.free_parts, self.x)
+        return recip / _ln_fraction(self.x)
 
 
 def _ln_fraction(x: int, digits: int = LN_PRECISION_DIGITS) -> Fraction:
@@ -295,11 +336,7 @@ def construct_dense_set(
     members.sort()
 
     counting = Fraction(len(members), x)
-    log_density = None
-    if x >= 2:
-        recip = _grouped_reciprocal_sum(smooth_parts, free_parts, x)
-        log_density = recip / _ln_fraction(x)
-    return DenseSetSample(x, tuple(members), counting, log_density)
+    return DenseSetSample(x, tuple(members), counting, smooth_parts, free_parts)
 
 
 def _grouped_reciprocal_sum(

@@ -7,6 +7,8 @@ from direct arithmetic.
 
 from fractions import Fraction
 
+from quotientfree import BudgetError, DensityBracket
+
 
 def naive_smooth(basis, bound):
     """All products of basis powers <= bound by nested loops, sorted."""
@@ -29,6 +31,86 @@ def naive_smooth(basis, bound):
     extend(1, tuple([0] * len(basis)), 0)
     ordered = sorted(values)
     return ordered, [values[v] for v in ordered]
+
+
+def naive_smooth_stream(basis):
+    """Basis-smooth integers ascending, forever: naive_smooth at squaring bounds."""
+    bound, emitted = 2, 0
+    while True:
+        values, exponents = naive_smooth(basis, bound)
+        yield from zip(values[emitted:], exponents[emitted:])
+        bound, emitted = bound * bound, len(values)
+
+
+def naive_max_subset_counts(p, q, n_max):
+    """Class-sum maximum for every horizon 1..n_max, one step at a time.
+
+    Raising the horizon from n-1 to n lets exactly one class see one more
+    smooth value: the class of n's (p, q)-free part.  So only that class's
+    majority color count is updated.  Returns the list indexed by n.
+    """
+    values, exponents = naive_smooth((p, q), n_max)
+    parity = {v: sum(e) % 2 for v, e in zip(values, exponents)}
+    classes = {}  # free part -> (smooth values seen, white ones among them)
+    counts = [0]
+    for n in range(1, n_max + 1):
+        rep = n
+        while rep % p == 0:
+            rep //= p
+        while rep % q == 0:
+            rep //= q
+        seen, white = classes.get(rep, (0, 0))
+        before = max(white, seen - white)
+        seen, white = seen + 1, white + (parity[n // rep] == 0)
+        classes[rep] = (seen, white)
+        counts.append(counts[-1] + max(white, seen - white) - before)
+    return counts
+
+
+def naive_sigma_brackets(p, q):
+    """The majority-color series bracket after each term, one Fraction per term.
+
+    Partial sums and the prefix reciprocal sum are kept as Fractions, and a
+    bracket is built for every term: the straightforward route that
+    sigma_series must agree with exactly.
+    """
+    factor = Fraction((p - 1) * (q - 1), p * q)
+    full_recip = Fraction(p * q, (p - 1) * (q - 1))
+    stream = naive_smooth_stream((p, q))
+    prev, prev_exps = next(stream)
+    prefix_recip = Fraction(1, prev)
+    partial = Fraction(0)
+    white = black = 0
+    for terms, (value, exps) in enumerate(stream, 1):
+        prefix_recip += Fraction(1, value)
+        if sum(prev_exps) % 2 == 0:
+            white += 1
+        else:
+            black += 1
+        partial += max(white, black) * (Fraction(1, prev) - Fraction(1, value))
+        tail_lower = Fraction((terms + 2) // 2, value)
+        tail_upper = Fraction(terms + 1, value) + (full_recip - prefix_recip)
+        yield DensityBracket(
+            factor * (partial + tail_lower),
+            factor * (partial + tail_upper),
+            "series-with-tail",
+            {"terms": terms, "next_value": value},
+        )
+        prev, prev_exps = value, exps
+
+
+def naive_sigma_series(p, q, tolerance, budget=10**6):
+    """sigma_series by the per-term Fraction loop, with the same budget rule."""
+    bracket = None
+    brackets = naive_sigma_brackets(p, q)
+    for _ in range(budget - 1):  # the first enumerated value opens no term
+        bracket = next(brackets)
+        if bracket.width <= tolerance:
+            return bracket
+    raise BudgetError(
+        f"tolerance {tolerance} not reached within {budget} enumerated values",
+        achieved=bracket,
+    )
 
 
 def brute_force_max_difference_free(points, diffs):

@@ -1,7 +1,10 @@
 import math
+import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quotientfree import (
     BudgetError,
@@ -22,7 +25,14 @@ from quotientfree import (
 from quotientfree.rng import CounterRng
 from quotientfree.verify import exhaustive_max_quotient_free
 
-from helpers import quotient_free_violations
+from helpers import (
+    naive_max_subset_counts,
+    naive_sigma_brackets,
+    naive_sigma_series,
+    quotient_free_violations,
+)
+
+BENCH_PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (5, 7)]
 
 
 class TestRhoClosedForm:
@@ -138,6 +148,42 @@ class TestSigmaSeries:
         with pytest.raises(DomainError):
             sigma_series(2, 4, Fraction(1, 100))
 
+    @pytest.mark.parametrize("pair", BENCH_PAIRS)
+    def test_matches_per_term_fraction_loop(self, pair):
+        p, q = pair
+        tolerances = [Fraction(1, 10**k) for k in range(1, 46, 4)]
+        tolerances.append(Fraction(3, 7 * 10**20))
+        # a width met exactly, at the 40th term
+        tolerances.append(list(islice(naive_sigma_brackets(p, q), 40))[-1].width)
+        # the naive loop stops at the first bracket within tolerance; walk it
+        # once, from the loosest tolerance to the tightest
+        brackets = naive_sigma_brackets(p, q)
+        expected = next(brackets)
+        for tol in sorted(tolerances, reverse=True):
+            while expected.width > tol:
+                expected = next(brackets)
+            got = sigma_series(p, q, tol)
+            assert (got.lower, got.upper, got.method, got.detail) == (
+                expected.lower,
+                expected.upper,
+                expected.method,
+                expected.detail,
+            ), (pair, tol)
+
+    @pytest.mark.parametrize("pair", BENCH_PAIRS)
+    @pytest.mark.parametrize("budget", [1, 2, 30])
+    def test_budget_error_matches_per_term_fraction_loop(self, pair, budget):
+        p, q = pair
+        tol = Fraction(1, 10**30)
+        with pytest.raises(BudgetError) as got:
+            sigma_series(p, q, tol, budget)
+        with pytest.raises(BudgetError) as expected:
+            naive_sigma_series(p, q, tol, budget)
+        assert got.value.achieved == expected.value.achieved
+        assert str(got.value) == str(expected.value)
+        if budget == 1:
+            assert got.value.achieved is None
+
     def test_bracket_tightens_with_tolerance(self):
         loose = sigma_series(2, 5, Fraction(1, 100))
         tight = sigma_series(2, 5, Fraction(1, 10**5))
@@ -166,6 +212,35 @@ class TestMaxSubsetCount:
             assert claimed == exhaustive_max_quotient_free(p, q, n), (pair, n)
             assert len(witness) == claimed
             assert not quotient_free_violations(witness, [p, q])
+
+    @pytest.mark.parametrize("pair", BENCH_PAIRS)
+    def test_block_sum_matches_class_by_class_counts(self, pair):
+        p, q = pair
+        expected = naive_max_subset_counts(p, q, 2999)
+        for n in range(1, 3000):
+            assert max_subset_count(p, q, n) == expected[n], (pair, n)
+
+    @pytest.mark.parametrize("pair", BENCH_PAIRS)
+    def test_block_sum_matches_witness_route(self, pair):
+        p, q = pair
+        for n in range(1, 500):
+            claimed, witness = max_subset_count(p, q, n, with_witness=True)
+            assert max_subset_count(p, q, n) == claimed == len(witness), (pair, n)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(pair=st.sampled_from(BENCH_PAIRS), n=st.integers(1, 2 * 10**5))
+    @example(pair=(2, 3), n=2 * 10**5)
+    def test_block_sum_matches_witness_route_sampled(self, pair, n):
+        p, q = pair
+        claimed, witness = max_subset_count(p, q, n, with_witness=True)
+        assert max_subset_count(p, q, n) == claimed == len(witness)
+
+    def test_block_sum_at_astronomical_horizon(self):
+        n = 10**30
+        start = time.perf_counter()
+        count = max_subset_count(2, 3, n)
+        assert time.perf_counter() - start < 1.0
+        assert 6 * n // 10 <= count <= 62 * n // 100
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
