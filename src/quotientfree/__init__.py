@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     InsufficientEnumerationError,
     PrecisionError,
+    SelfCheckError,
     SweepError,
 )
 from .geometry import (
@@ -56,7 +57,6 @@ from .lattice import (
     GammaBracket,
     IndependentSetResult,
     LatticeConfig,
-    Region,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
     Triangle,
     checkerboard_split,

@@ -13,6 +13,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence, Union
@@ -239,17 +240,21 @@ def smooth_index(seq: SmoothSequence, u: RationalLike) -> int:
     return bisect_right(seq.values, u)
 
 
+@lru_cache(maxsize=64)
+def _signed_subset_products(b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(sign, product) over every subset of the basis: the inclusion-exclusion terms."""
+    return tuple(
+        (-1 if k % 2 else 1, prod(combo))
+        for k in range(len(b) + 1)
+        for combo in combinations(b, k)
+    )
+
+
 def count_coprime_part(basis, x: int) -> int:
     """|{n <= x : no basis element divides n}| by inclusion-exclusion."""
     if x < 1:
         raise DomainError("bound must be at least 1")
-    b = _basis_ints(basis)
-    total = 0
-    for k in range(len(b) + 1):
-        sign = -1 if k % 2 else 1
-        for combo in combinations(b, k):
-            total += sign * (x // prod(combo))
-    return total
+    return sum(sign * (x // d) for sign, d in _signed_subset_products(_basis_ints(basis)))
 
 
 def coprime_part_list(basis, x: int) -> list[int]:

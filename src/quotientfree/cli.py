@@ -2,7 +2,7 @@
 
 One subcommand per library operation, JSON/CSV/text output, reproducible
 verification suites.  Exit codes: 0 success, 1 usage, 2 domain error,
-3 budget or precision error, 4 verification-suite failure.
+3 budget or precision error, 4 verification-suite or self-check failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .density import (
     sigma_series,
     strict_gap_check,
 )
-from .errors import BudgetError, DomainError, PrecisionError
+from .errors import BudgetError, DomainError, PrecisionError, SelfCheckError
 from .geometry import (
     SimplexSpec,
     find_black_majority_c,
@@ -600,6 +600,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return EXIT_BUDGET
+    except SelfCheckError as exc:
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SUITE_FAILED
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .arith import (
     phi,
     smooth_stream,
 )
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, SelfCheckError
 from .lattice import DEFAULT_SEARCH_CAP, _check_coprime_pair, gamma_bracket
 
 DEFAULT_SERIES_BUDGET = 10**6
@@ -105,7 +105,7 @@ def rho_general(
     if a_set.is_coprime_integers():
         closed = rho_closed_form([f.numerator for f in a_set.elements])
         if not lower <= closed <= upper:
-            raise AssertionError(
+            raise SelfCheckError(
                 f"bracket [{lower}, {upper}] misses the closed form {closed}"
             )
     return DensityBracket(

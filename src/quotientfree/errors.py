@@ -2,7 +2,8 @@
 
 DomainError (and subclasses) mark precondition violations; BudgetError and
 PrecisionError mark computations that were abandoned rather than answered
-wrongly.  The CLI maps these onto distinct exit codes.
+wrongly; SelfCheckError marks a result that failed its own cross-check.  The
+CLI maps these onto distinct exit codes.
 """
 
 
@@ -40,3 +41,10 @@ class CapError(BudgetError):
 
 class PrecisionError(RuntimeError):
     """An exact comparison could not be decided at maximum precision."""
+
+
+class SelfCheckError(RuntimeError):
+    """A certified result disagreed with an independent second route.
+
+    It marks a defect in the program, not in the input.
+    """

@@ -1,21 +1,28 @@
 """Difference-free lattice combinatorics.
 
 Checkerboard classification of lattice points, exact maximum difference-free
-subsets (cardinality and weighted) by branch and bound on the conflict
-graph, truncated brackets for the optimal weight of a difference-free set,
-and the diagonal sweep that recolors an optimal configuration inside an
-axis-legged triangle to a single color without losing points.
+subsets (cardinality and weighted), truncated brackets for the optimal
+weight of a difference-free set, and the diagonal sweep that recolors an
+optimal configuration inside an axis-legged triangle to a single color
+without losing points.
+
+The optimum is a minimum cut whenever the conflict graph is bipartite,
+which it always is when the difference vectors are linearly independent:
+every pairwise-coprime integer set, {3/2}, {4/3, 9/8}, {2, 3/2} and the
+axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
+set then weighs the total minus the maximum flow, with the weights scaled
+to integer capacities, so the cut is exact.  Only graphs with an odd cycle,
+from dependent vectors such as {2, 3, 6}, fall back to branch and bound.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .arith import CoprimeBasis, as_fraction, first_smooth_entries, enumerate_smooth
+from .arith import CoprimeBasis, as_fraction, first_smooth_entries
 from .errors import CapError, DomainError, SweepError
 
 Point = tuple[int, ...]
@@ -30,23 +37,14 @@ DEFAULT_SEARCH_CAP = 40
 
 
 @dataclass(frozen=True)
-class Region:
-    """How a point set was produced: first-entries t, value-bound n, or explicit."""
-
-    kind: str
-    param: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class LatticeConfig:
-    """A finite set of nonnegative exponent vectors with region metadata.
+    """A finite set of nonnegative exponent vectors.
 
     Points are stored sorted lexicographically; this is the fixed point
     order referenced by witness tie-breaking.
     """
 
     points: tuple[Point, ...]
-    region: Region = field(default=Region("explicit"))
 
     def __post_init__(self):
         pts = self.points
@@ -60,19 +58,13 @@ class LatticeConfig:
 
     @classmethod
     def explicit(cls, points: Iterable[Sequence[int]]) -> "LatticeConfig":
-        return cls(tuple(tuple(p) for p in points), Region("explicit"))
+        return cls(tuple(tuple(p) for p in points))
 
     @classmethod
     def first_entries(cls, basis, t: int) -> "LatticeConfig":
         """Exponent vectors of the first t basis-smooth integers."""
         entries = first_smooth_entries(basis, t)
-        return cls(tuple(e for _, e in entries), Region("first-entries", t))
-
-    @classmethod
-    def value_bound(cls, basis, n: int) -> "LatticeConfig":
-        """Exponent vectors of all basis-smooth integers <= n."""
-        seq = enumerate_smooth(basis, n)
-        return cls(seq.exponents, Region("value-bound", n))
+        return cls(tuple(e for _, e in entries))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -174,51 +166,170 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _solve_max_weight(points, adj, weights, sub_mask):
-    """Exact maximum-weight conflict-free subset of the vertices in sub_mask.
+def _mask_weight(weights, mask: int, zero):
+    total = zero
+    for i in _iter_bits(mask):
+        total += weights[i]
+    return total
 
-    Branch and bound: vertices in descending weight order, include-branch
-    first, incumbent seeded with the best conflict-free parity class, and a
-    greedy-matching clique bound (each matched pair contributes only its
-    heavier endpoint).
+
+def _free_parity_class(points, adj, weights, sub_mask: int, zero):
+    """The heavier nonempty conflict-free parity class of sub_mask, white on ties.
+
+    Returns (weight, mask), or (zero, 0) when neither class qualifies.
     """
-    n = len(points)
-    order = sorted(
-        (i for i in range(n) if (sub_mask >> i) & 1),
-        key=lambda i: (-weights[i], points[i]),
-    )
-    zero = 0 * weights[order[0]] if order else 0
-
-    def class_mask(parity: int) -> int:
-        m = 0
-        for i in order:
-            if sum(points[i]) % 2 == parity:
-                m |= 1 << i
-        return m
-
-    def is_free(mask: int) -> bool:
-        return all(not (adj[i] & mask) for i in _iter_bits(mask))
-
-    def mask_weight(mask: int):
-        total = zero
-        for i in _iter_bits(mask):
-            total += weights[i]
-        return total
-
-    best_mask = 0
-    best = zero
+    best, best_mask = zero, 0
     for parity in (0, 1):
-        cm = class_mask(parity)
-        if cm and is_free(cm):
-            w = mask_weight(cm)
+        cm = 0
+        for i in _iter_bits(sub_mask):
+            if sum(points[i]) % 2 == parity:
+                cm |= 1 << i
+        if cm and all(not (adj[i] & cm) for i in _iter_bits(cm)):
+            w = _mask_weight(weights, cm, zero)
             if w > best or best_mask == 0:
                 best, best_mask = w, cm
-    if best_mask == 0 and order:
+    return best, best_mask
+
+
+def _two_coloring(adj, sub_mask: int) -> Optional[dict[int, int]]:
+    """Side 0 or 1 of each vertex of the graph induced by sub_mask.
+
+    None when the graph has an odd cycle.  The lowest-index vertex of each
+    component is on side 0; the dict lists vertices in discovery order.
+    """
+    side: dict[int, int] = {}
+    for start in _iter_bits(sub_mask):
+        if start in side:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in _iter_bits(adj[v] & sub_mask):
+                if w not in side:
+                    side[w] = side[v] ^ 1
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return None
+    return side
+
+
+def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
+    """Dinic's maximum flow on integer capacities, without recursion.
+
+    ``arcs`` lists (tail, head, capacity).  Returns the flow value and, per
+    node, whether the source still reaches it in the residual graph: the
+    source side of the minimum cut, the same for every maximum flow.
+    """
+    out: list[list[int]] = [[] for _ in range(n)]
+    head: list[int] = []
+    cap: list[int] = []
+    for u, v, c in arcs:
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for e in out[u]:
+                if cap[e] and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    queue.append(head[e])
+        if level[sink] < 0:
+            return flow, [lv >= 0 for lv in level]
+        # blocking flow: advance along level-increasing arcs, retreat from
+        # dead ends, and after each augmentation resume at the first arc
+        # it saturated
+        nxt = [0] * n
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                flow += push
+                del path[next(k for k, e in enumerate(path) if not cap[e]):]
+                u = head[path[-1]] if path else source
+                continue
+            arcs_u = out[u]
+            k = nxt[u]
+            while k < len(arcs_u) and not (
+                cap[arcs_u[k]] and level[head[arcs_u[k]]] == level[u] + 1
+            ):
+                k += 1
+            nxt[u] = k
+            if k < len(arcs_u):
+                path.append(arcs_u[k])
+                u = head[arcs_u[k]]
+            elif u == source:
+                break
+            else:
+                level[u] = -1
+                u = head[path.pop() ^ 1]
+                nxt[u] += 1
+
+
+def _min_cut_optimum(points, adj, weights, sub_mask: int, side: dict[int, int], zero):
+    """Maximum-weight conflict-free subset of a bipartite sub_mask, by a minimum cut.
+
+    The source feeds each side-0 vertex and each side-1 vertex drains to
+    the sink, at its weight scaled by the lcm of the weight denominators;
+    conflict arcs cannot be cut.  A minimum cut is a minimum-weight vertex
+    cover, so the optimum scales to total - flow, attained by the side-0
+    vertices the source still reaches plus the side-1 vertices it does not.
+    """
+    verts = list(side)
+    local = {v: k for k, v in enumerate(verts)}
+    scale = lcm(*(weights[v].denominator for v in verts))
+    caps = [weights[v].numerator * (scale // weights[v].denominator) for v in verts]
+    total = sum(caps)
+    uncuttable = total + 1
+    source, sink = len(verts), len(verts) + 1
+
+    def arcs():
+        for k, v in enumerate(verts):
+            if side[v]:
+                yield k, sink, caps[k]
+            else:
+                yield source, k, caps[k]
+                for w in _iter_bits(adj[v] & sub_mask):
+                    yield k, local[w], uncuttable
+
+    flow, reached = _max_flow(len(verts) + 2, arcs(), source, sink)
+    parity_weight, parity_mask = _free_parity_class(points, adj, weights, sub_mask, zero)
+    if parity_mask and parity_weight * scale == total - flow:
+        return parity_weight, parity_mask
+    mask = 0
+    for k, v in enumerate(verts):
+        if reached[k] != side[v]:
+            mask |= 1 << v
+    return _mask_weight(weights, mask, zero), mask
+
+
+def _branch_and_bound(points, adj, weights, sub_mask: int, zero):
+    """Maximum-weight conflict-free subset of sub_mask by branch and bound.
+
+    Vertices in descending weight order, include-branch first, on an
+    explicit stack; incumbent seeded with the best conflict-free parity
+    class (else a greedy set), and a greedy-matching clique bound (each
+    matched pair contributes only its heavier endpoint).
+    """
+    order = sorted(_iter_bits(sub_mask), key=lambda i: (-weights[i], points[i]))
+    best, best_mask = _free_parity_class(points, adj, weights, sub_mask, zero)
+    if best_mask == 0:
         taken = 0
         for i in order:
             if not (adj[i] & taken):
                 taken |= 1 << i
-        best, best_mask = mask_weight(taken), taken
+        best, best_mask = _mask_weight(weights, taken, zero), taken
 
     def bound(rem: int):
         total = zero
@@ -237,27 +348,37 @@ def _solve_max_weight(points, adj, weights, sub_mask):
             total += weights[i]
         return total
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
-
-    def rec(rem: int, current, chosen: int):
-        nonlocal best, best_mask
+    stack = [(sub_mask, zero, 0)]
+    while stack:
+        rem, current, chosen = stack.pop()
         if not rem:
             if current > best:
                 best, best_mask = current, chosen
-            return
+            continue
         if current + bound(rem) <= best:
-            return
-        for i in order:
-            if (rem >> i) & 1:
-                v = i
-                break
+            continue
+        v = next(i for i in order if (rem >> i) & 1)
         bit = 1 << v
-        rec(rem & ~adj[v] & ~bit, current + weights[v], chosen | bit)
-        rec(rem & ~bit, current, chosen)
-
-    if order:
-        rec(sub_mask, zero, 0)
+        stack.append((rem & ~bit, current, chosen))
+        stack.append((rem & ~adj[v] & ~bit, current + weights[v], chosen | bit))
     return best, best_mask
+
+
+def _solve_max_weight(points, adj, weights, sub_mask: int):
+    """Exact maximum-weight conflict-free subset of the vertices in sub_mask.
+
+    Returns (weight, mask).  A bipartite induced conflict graph is solved by
+    a minimum cut, one with an odd cycle by branch and bound.  Both return a
+    conflict-free parity class when it attains the optimum (white unless
+    black is strictly heavier).
+    """
+    if not sub_mask:
+        return 0, 0
+    zero = 0 * weights[(sub_mask & -sub_mask).bit_length() - 1]
+    side = _two_coloring(adj, sub_mask)
+    if side is None:
+        return _branch_and_bound(points, adj, weights, sub_mask, zero)
+    return _min_cut_optimum(points, adj, weights, sub_mask, side, zero)
 
 
 def _lex_least_optimal(points, adj, weights, target):
@@ -267,7 +388,7 @@ def _lex_least_optimal(points, adj, weights, target):
     still reachable with it in; each test is one exact solve on the residue.
     """
     n = len(points)
-    chosen_weight = 0 * weights[0]
+    chosen_weight = 0
     chosen_mask = 0
     rem = (1 << n) - 1
     for i in range(n):  # points are stored lex-sorted
@@ -275,10 +396,7 @@ def _lex_least_optimal(points, adj, weights, target):
         if not (rem & bit):
             continue
         residue = rem & ~adj[i] & ~bit
-        value = chosen_weight + weights[i]
-        if residue:
-            sub, _ = _solve_max_weight(points, adj, weights, residue)
-            value = value + sub
+        value = chosen_weight + weights[i] + _solve_max_weight(points, adj, weights, residue)[0]
         if value == target:
             chosen_mask |= bit
             chosen_weight += weights[i]
@@ -286,6 +404,24 @@ def _lex_least_optimal(points, adj, weights, target):
         else:
             rem &= ~bit
     return chosen_mask
+
+
+def _conflict_graph(config: LatticeConfig, diffs, cap: int):
+    """Points and conflict masks of a configuration within the search cap."""
+    points = config.points
+    if len(points) > cap:
+        raise CapError(
+            f"instance too large for exact search: {len(points)} points exceed cap {cap}"
+        )
+    if not points:
+        return points, []
+    return points, _conflict_masks(points, _normalize_diffs(diffs))
+
+
+def _max_difference_free_size(config: LatticeConfig, diffs, cap: int = DEFAULT_SEARCH_CAP) -> int:
+    """Size of a maximum difference-free subset, for callers that need no witness."""
+    points, adj = _conflict_graph(config, diffs, cap)
+    return _solve_max_weight(points, adj, [1] * len(points), (1 << len(points)) - 1)[0]
 
 
 def max_difference_free(
@@ -299,17 +435,9 @@ def max_difference_free(
     of the given vectors.  The witness is the lexicographically least
     optimal subset under the sorted point order.
     """
-    points = config.points
-    if len(points) > cap:
-        raise CapError(
-            f"instance too large for exact search: {len(points)} points exceed cap {cap}"
-        )
-    if not points:
-        return IndependentSetResult(0, (), True)
-    diffs = _normalize_diffs(diffs)
-    adj = _conflict_masks(points, diffs)
+    points, adj = _conflict_graph(config, diffs, cap)
     weights = [1] * len(points)
-    best, _ = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)
+    best = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
     mask = _lex_least_optimal(points, adj, weights, best)
     witness = tuple(points[i] for i in _iter_bits(mask))
     return IndependentSetResult(best, witness, True)
@@ -510,10 +638,7 @@ class Triangle:
         return out
 
     def lattice_config(self) -> LatticeConfig:
-        region = (
-            Region("value-bound", self.n) if self.mode == "integer" else Region("explicit")
-        )
-        return LatticeConfig(tuple(self.points()), region)
+        return LatticeConfig(tuple(self.points()))
 
 
 AXIS_DIFFS: tuple[Point, ...] = ((1, 0), (0, 1))
@@ -530,7 +655,7 @@ def _validate_sweep_input(triangle: Triangle, pts: set[Point], cap: int) -> None
             raise DomainError(f"points ({x},{y}) and a neighbor are both present")
     tri_pts = triangle.points(limit=cap + 1)
     if len(tri_pts) <= cap:
-        opt = max_difference_free(LatticeConfig.explicit(tri_pts), AXIS_DIFFS, cap).size
+        opt = _max_difference_free_size(LatticeConfig.explicit(tri_pts), AXIS_DIFFS, cap)
         if len(pts) != opt:
             raise DomainError(
                 f"input has {len(pts)} points but the maximum is {opt}; "

@@ -25,8 +25,8 @@ from .lattice import (
     LatticeConfig,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
     Triangle,
+    _max_difference_free_size,
     checkerboard_split,
-    max_difference_free,
     monochromatize,
 )
 from .rng import CounterRng
@@ -164,7 +164,7 @@ def _random_rational_triangle(rng: CounterRng, max_points: int = 30):
 def _random_optimal_configuration(rng: CounterRng, points, cap: int = 40):
     """A random maximum non-adjacent subset of the given triangle points."""
     config = LatticeConfig.explicit(points)
-    target = max_difference_free(config, AXIS_DIFFS, cap).size
+    target = _max_difference_free_size(config, AXIS_DIFFS, cap)
     order = list(points)
     rng.shuffle(order)
     chosen: list[tuple[int, int]] = []
@@ -179,10 +179,8 @@ def _random_optimal_configuration(rng: CounterRng, points, cap: int = 40):
             continue
         trial = chosen + [candidate]
         rest = [p for p in pool if p != candidate and not conflicts(p, candidate)]
-        achievable = len(trial) + (
-            max_difference_free(LatticeConfig.explicit(rest), AXIS_DIFFS, cap).size
-            if rest
-            else 0
+        achievable = len(trial) + _max_difference_free_size(
+            LatticeConfig.explicit(rest), AXIS_DIFFS, cap
         )
         if achievable == target:
             chosen = trial
@@ -205,7 +203,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
     for i in range(count):
         triangle, pts = _random_rational_triangle(rng)
         config = LatticeConfig.explicit(pts)
-        exact = max_difference_free(config, AXIS_DIFFS).size
+        exact = _max_difference_free_size(config, AXIS_DIFFS)
         majority = checkerboard_split(config).counts.majority()
         report.cases.append(
             CaseResult(
@@ -216,7 +214,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
             )
         )
     config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
-    exact = max_difference_free(config, AXIS_DIFFS).size
+    exact = _max_difference_free_size(config, AXIS_DIFFS)
     majority = checkerboard_split(config).counts.majority()
     report.cases.append(
         CaseResult(

@@ -113,10 +113,16 @@ def naive_sigma_series(p, q, tolerance, budget=10**6):
     )
 
 
-def brute_force_max_difference_free(points, diffs):
-    """Exhaustive maximum conflict-free subset by subset recursion."""
+def brute_force_max_difference_free(points, diffs, weights=None):
+    """Exhaustive maximum size (or total weight) of a conflict-free subset.
+
+    Subset recursion over the points in the given order; ``weights`` lists
+    one positive weight per point and defaults to unit weights.
+    """
     points = list(points)
     n = len(points)
+    if weights is None:
+        weights = [1] * n
     index = {p: i for i, p in enumerate(points)}
     masks = [0] * n
     for i, p in enumerate(points):
@@ -126,22 +132,23 @@ def brute_force_max_difference_free(points, diffs):
             if j is not None and j != i:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[i]
     best = 0
-    best_mask = 0
 
-    def rec(i, allowed, chosen_count, chosen_mask):
-        nonlocal best, best_mask
-        if chosen_count + (n - i) < best:
+    def rec(i, allowed, chosen):
+        nonlocal best
+        if chosen + suffix[i] < best:
             return
         if i == n:
-            if chosen_count > best:
-                best, best_mask = chosen_count, chosen_mask
+            best = max(best, chosen)
             return
         if (allowed >> i) & 1:
-            rec(i + 1, allowed & ~masks[i], chosen_count + 1, chosen_mask | (1 << i))
-        rec(i + 1, allowed, chosen_count, chosen_mask)
+            rec(i + 1, allowed & ~masks[i], chosen + weights[i])
+        rec(i + 1, allowed, chosen)
 
-    rec(0, (1 << n) - 1, 0, 0)
+    rec(0, (1 << n) - 1, 0)
     return best
 
 

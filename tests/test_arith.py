@@ -140,7 +140,8 @@ class TestCountCoprimePart:
     def test_x_one(self):
         assert count_coprime_part((2, 3), 1) == 1
 
-    @pytest.mark.parametrize("basis", [(2, 3), (2, 3, 5), (3, 4, 5)])
+    # a list basis, too: the per-basis inclusion-exclusion terms are cached
+    @pytest.mark.parametrize("basis", [(2, 3), (2, 3, 5), (3, 4, 5), [2, 5, 7]])
     def test_matches_sieve(self, basis):
         for x in (1, 7, 50, 360, 1001):
             sieved = sum(1 for n in range(1, x + 1) if all(n % b for b in basis))

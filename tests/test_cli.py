@@ -203,3 +203,16 @@ class TestExitCodes:
         from quotientfree.cli import EXIT_SUITE_FAILED
 
         assert EXIT_SUITE_FAILED == 4
+
+    def test_rho_general_self_check_failure_exits_4(self, capsys, monkeypatch):
+        # a closed form outside the bracket is a program defect, reported in
+        # one line with the suite-failure code rather than a traceback
+        import quotientfree.density as density
+
+        monkeypatch.setattr(density, "rho_closed_form", lambda values: 2)
+        code, out, err = run(capsys, "rho-general", "--a", "2,3", "--depth", "4", "--json")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: self-check failed: bracket [")
+        assert "misses the closed form 2" in err

@@ -1,6 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quotientfree import (
     AXIS_DIFFS,
@@ -20,7 +22,19 @@ from quotientfree import (
     RationalSet,
     white_weight_value,
 )
-from quotientfree.lattice import total_weight_mass, truncated_weight_mass
+from quotientfree import lattice
+from quotientfree.lattice import (
+    _branch_and_bound,
+    _conflict_masks,
+    _max_difference_free_size,
+    _min_cut_optimum,
+    _point_weight,
+    _simplex_lattice,
+    _solve_max_weight,
+    _two_coloring,
+    total_weight_mass,
+    truncated_weight_mass,
+)
 from quotientfree.rng import CounterRng
 
 from helpers import brute_force_all_optima, brute_force_max_difference_free
@@ -115,6 +129,25 @@ class TestMaxDifferenceFree:
             optima = brute_force_all_optima(pts, AXIS_DIFFS)
             assert tuple(sorted(result.witness)) == min(optima)
 
+    def test_witness_is_lexicographically_least_for_general_vectors(self):
+        # bipartite and odd-cycle conflict graphs alike
+        rng = CounterRng(17)
+        vector_sets = (
+            ((1, 0), (0, 1), (1, 1)),
+            ((-1, 1),),
+            ((1, 0), (-1, 2)),
+            ((2, 1), (1, -1), (1, 2)),
+        )
+        for case in range(60):
+            diffs = vector_sets[case % len(vector_sets)]
+            pts = set()
+            for _ in range(rng.randint(2, 10)):
+                pts.add((rng.randint(0, 3), rng.randint(0, 3)))
+            result = max_difference_free(LatticeConfig.explicit(pts), diffs)
+            optima = brute_force_all_optima(pts, diffs)
+            assert result.size == len(optima[0])
+            assert tuple(sorted(result.witness)) == min(optima)
+
     def test_general_difference_vectors(self):
         # conflicts along (-1, 1): value ratio 3/2 on the pair basis
         basis = derive_basis(RationalSet.of(["3/2"]))
@@ -123,6 +156,147 @@ class TestMaxDifferenceFree:
         assert result.size == brute_force_max_difference_free(
             sorted(config.points), basis.diffs
         )
+
+
+def _rank(vectors):
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def independent_instances(draw):
+    """Points in a small box with linearly independent difference vectors."""
+    dim = draw(st.integers(2, 3))
+    coord = st.integers(-1, 1)
+    diffs = draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim, unique=True)
+    )
+    assume(_rank(diffs) == len(diffs))
+    box = st.tuples(*[st.integers(0, 5 - dim)] * dim)
+    points = sorted(draw(st.sets(box, min_size=1, max_size=14)))
+    return points, tuple(diffs)
+
+
+def _gamma_problem(a, depth):
+    """The points, weights and conflict masks that gamma_bracket searches."""
+    basis = derive_basis(RationalSet.of(a.split(",")))
+    points = sorted(_simplex_lattice(basis.size, depth))
+    weights = [_point_weight(basis.basis, p) for p in points]
+    return points, weights, _conflict_masks(points, basis.diffs)
+
+
+def _is_conflict_free(adj, mask):
+    return all(not (adj[i] & mask) for i in range(len(adj)) if (mask >> i) & 1)
+
+
+class TestMinCutOptimum:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(instance=independent_instances(), data=st.data())
+    def test_matches_brute_force(self, instance, data):
+        points, diffs = instance
+        adj = _conflict_masks(points, diffs)
+        full = (1 << len(points)) - 1
+        # independent difference vectors give a bipartite graph: the flow route
+        assert _two_coloring(adj, full) is not None
+        config = LatticeConfig.explicit(points)
+        unit = brute_force_max_difference_free(points, diffs)
+        assert _max_difference_free_size(config, diffs) == unit
+        assert max_difference_free(config, diffs).size == unit
+        weights = data.draw(
+            st.lists(
+                st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
+                min_size=len(points),
+                max_size=len(points),
+            )
+        )
+        best, mask = _solve_max_weight(points, adj, weights, full)
+        assert best == brute_force_max_difference_free(points, diffs, weights)
+        assert _is_conflict_free(adj, mask)
+        assert sum((weights[i] for i in range(len(points)) if (mask >> i) & 1), Fraction(0)) == best
+
+    def test_witness_is_the_majority_class_on_axis_triangles(self):
+        # axis-legged triangles: the majority class is optimal (Theorem 6),
+        # and the witness is that class, white on ties, as branch and bound's
+        # incumbent rule gives
+        rng = CounterRng(29)
+        for _ in range(40):
+            triangle = Triangle.rational(
+                Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(1, 40), rng.randint(1, 3)),
+            )
+            points = triangle.points()
+            adj = _conflict_masks(points, AXIS_DIFFS)
+            split = checkerboard_split(LatticeConfig.explicit(points))
+            majority = split.white if split.counts.white >= split.counts.black else split.black
+            best, mask = _solve_max_weight(points, adj, [1] * len(points), (1 << len(points)) - 1)
+            assert best == len(majority)
+            assert tuple(points[i] for i in range(len(points)) if (mask >> i) & 1) == majority
+
+    # one shape per bipartite search family at a reduced depth: four primes,
+    # three primes, pairwise products, one rational, two rationals, and an
+    # integer with a rational
+    @pytest.mark.parametrize(
+        "a,depth",
+        [
+            ("2,3,5,7", 5),
+            ("2,5,11,13", 4),
+            ("2,3,5", 8),
+            ("3,5,11", 7),
+            ("6,10,15", 7),
+            ("10,14,35", 6),
+            ("3/2", 18),
+            ("5/3", 16),
+            ("4/3,9/8", 9),
+            ("2,3/2", 12),
+            ("3,5/3", 11),
+        ],
+    )
+    def test_value_and_witness_match_branch_and_bound(self, a, depth):
+        points, weights, adj = _gamma_problem(a, depth)
+        full = (1 << len(points)) - 1
+        side = _two_coloring(adj, full)
+        assert side is not None
+        zero = Fraction(0)
+        assert _min_cut_optimum(points, adj, weights, full, side, zero) == _branch_and_bound(
+            points, adj, weights, full, zero
+        )
+
+    def test_dependent_vectors_take_branch_and_bound(self, monkeypatch):
+        points, _, adj = _gamma_problem("2,3,6", 6)
+        assert _two_coloring(adj, (1 << len(points)) - 1) is None
+
+        def refuse(*args):
+            raise AssertionError("wrong route")
+
+        basis = derive_basis(RationalSet.of(["2", "3", "6"]))
+        expected = gamma_bracket(basis, 6)
+        monkeypatch.setattr(lattice, "_min_cut_optimum", refuse)
+        assert gamma_bracket(basis, 6) == expected
+        monkeypatch.undo()
+        monkeypatch.setattr(lattice, "_branch_and_bound", refuse)
+        with pytest.raises(AssertionError, match="wrong route"):
+            gamma_bracket(basis, 6)
+        # an independent set never reaches branch and bound
+        gamma_bracket(CoprimeBasis.from_coprime_integers([2, 3, 5]), 4)
+
+    def test_branch_and_bound_leaves_recursion_limit_alone(self):
+        limit = sys.getrecursionlimit()
+        basis = derive_basis(RationalSet.of(["2", "3", "6"]))
+        bracket = gamma_bracket(basis, 16, cap=200)
+        assert sys.getrecursionlimit() == limit
+        assert bracket.lower <= bracket.upper
 
 
 class TestFViaCheckerboard:
