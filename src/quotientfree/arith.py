@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -258,9 +258,13 @@ def count_coprime_part(basis, x: int) -> int:
 
 
 def coprime_part_list(basis, x: int) -> list[int]:
-    """Ascending list of n <= x divisible by no basis element."""
-    b = _basis_ints(basis)
-    return [n for n in range(1, x + 1) if all(n % bj for bj in b)]
+    """Ascending list of n <= x divisible by no basis element (a bytearray sieve)."""
+    if x < 1:
+        return []
+    mask = bytearray([1]) * (x + 1)
+    for b in _basis_ints(basis):
+        mask[::b] = bytes(x // b + 1)  # 0 and every multiple of b
+    return list(compress(range(x + 1), mask))
 
 
 def phi(basis) -> Fraction:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One subcommand per library operation, JSON/CSV/text output, reproducible
-verification suites.  Exit codes: 0 success, 1 usage, 2 domain error,
-3 budget or precision error, 4 verification-suite or self-check failure.
+verification suites.  Exit codes: 0 success, 1 usage (or stdout closed
+early by its reader), 2 domain error, 3 budget or precision error,
+4 verification-suite or self-check failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 from . import verify as verify_mod
 from .arith import RationalSet, as_fraction, enumerate_smooth
@@ -105,6 +107,7 @@ def _bracket_json(bracket) -> dict:
 
 
 def _emit(args, params: dict, result, provenance: str, text_lines) -> None:
+    """Print the JSON payload, or the text lines (any iterable, read only here)."""
     if args.format == "json":
         payload = {"params": params, "result": result, "provenance": provenance}
         print(json.dumps(payload, sort_keys=True))
@@ -119,7 +122,9 @@ def _emit_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process and shared by every ``main`` call."""
     parser = _Parser(prog="quotientfree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
 
@@ -216,8 +221,8 @@ def build_parser() -> _Parser:
     p = add("verify", "run a seeded property suite")
     p.add_argument("--suite", required=True,
                    choices=list(verify_mod.SUITES) + ["all"])
-    p.add_argument("--budget", default=os.environ.get("QUOTIENTFREE_BUDGET", "default"),
-                   choices=sorted(verify_mod.BUDGET_TIERS))
+    p.add_argument("--budget", choices=sorted(verify_mod.BUDGET_TIERS),
+                   help="work tier (default: $QUOTIENTFREE_BUDGET, else 'default')")
 
     return parser
 
@@ -308,13 +313,10 @@ def _cmd_max_subset(args) -> int:
     if args.witness:
         count, witness = max_subset_count(args.p, args.q, args.n, with_witness=True)
         result = {"count": count, "witness": list(witness)}
-        lines = [f"count = {count}", f"witness = {list(witness)}"]
     else:
-        count = max_subset_count(args.p, args.q, args.n)
-        result = {"count": count}
-        lines = [f"count = {count}"]
+        result = {"count": max_subset_count(args.p, args.q, args.n)}
     _emit(args, {"p": args.p, "q": args.q, "n": args.n}, result,
-          "coprime-class-majority-sum", lines)
+          "coprime-class-majority-sum", (f"{key} = {value}" for key, value in result.items()))
     return EXIT_OK
 
 
@@ -407,7 +409,7 @@ def _cmd_enumerate(args) -> int:
         {"basis": list(basis.basis), "bound": args.bound},
         result,
         "smooth-enumeration",
-        [f"{v} {list(e)}" for v, e in seq.entries()],
+        (f"{v} {list(e)}" for v, e in seq.entries()),
     )
     return EXIT_OK
 
@@ -529,7 +531,14 @@ def _cmd_slope_profile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify_mod.run_suite(args.suite, seed=args.seed, budget=args.budget)
+    # the environment is read per call, so in-process callers may change it
+    budget = args.budget or os.environ.get("QUOTIENTFREE_BUDGET") or "default"
+    if budget not in verify_mod.BUDGET_TIERS:
+        print(f"error: unknown budget tier {budget!r} in QUOTIENTFREE_BUDGET "
+              f"(choose from {', '.join(sorted(verify_mod.BUDGET_TIERS))})",
+              file=sys.stderr)
+        return EXIT_USAGE
+    reports = verify_mod.run_suite(args.suite, seed=args.seed, budget=budget)
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         result = []
@@ -546,7 +555,7 @@ def _cmd_verify(args) -> int:
                 }
             )
         payload = {
-            "params": {"suite": args.suite, "seed": args.seed, "budget": args.budget},
+            "params": {"suite": args.suite, "seed": args.seed, "budget": budget},
             "result": result,
             "provenance": "seeded-property-suite",
         }
@@ -581,9 +590,26 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say `| head`): stop quietly, and
+        # point stdout at os.devnull so the flush at exit cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_USAGE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_USAGE
+    return code
+
+
+def _run(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

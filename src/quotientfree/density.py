@@ -211,9 +211,11 @@ def max_subset_count(
     depends on a representative only through t = #{smooth <= n/rep}, so the
     count alone is a sum over blocks of t, each weighted by the number of
     representatives in it (inclusion-exclusion): O(#smooth <= n * 2^s)
-    work.  The witness picks, per representative, that majority class
-    scaled back into the class (white on ties); it visits every
-    representative, O(n), and counts independently of the block sum.
+    work.  The witness cuts the sieved list of representatives into the
+    same blocks (one bisection per smooth value) and scales each block by
+    the values of its majority class (white on ties): O(#smooth^2) steps
+    in Python plus list work proportional to the witness.  Its size is
+    counted from that explicit list, independently of the block sum.
     """
     _check_coprime_pair(p, q)
     if n < 1:
@@ -229,25 +231,25 @@ def max_subset_count(
             total += max(white, t - white) * (reps_seeing[t - 1] - reps_seeing[t])
         return total
 
-    parities = [sum(e) % 2 for e in seq.exponents]
-    white_prefix = [0]
-    for parity in parities:
-        white_prefix.append(white_prefix[-1] + (1 if parity == 0 else 0))
-
+    # the same blocks over an explicit list of representatives: reps in
+    # (n // m_{t+1}, n // m_t] see exactly the first t smooth values
+    reps = coprime_part_list((p, q), n)
+    cuts = [bisect_right(reps, n // m) for m in seq.values] + [0]
     total = 0
     witness: list[int] = []
-    for rep in range(1, n + 1):
-        if rep % p == 0 or rep % q == 0:
+    classes: tuple[list[int], list[int]] = ([], [])  # white, black values so far
+    for t, (m, exps) in enumerate(seq.entries(), 1):
+        classes[sum(exps) % 2].append(m)
+        block = reps[cuts[t]:cuts[t - 1]]
+        if not block:
             continue
-        t = bisect_right(seq.values, n // rep)  # m_t * rep <= n, integers only
-        w = white_prefix[t]
-        b = t - w
-        total += max(w, b)
-        keep = 0 if w >= b else 1
-        witness.extend(
-            seq.values[i] * rep for i in range(t) if parities[i] == keep
-        )
-    return total, tuple(sorted(witness))
+        white, black = classes
+        kept = white if len(white) >= len(black) else black
+        total += len(kept) * len(block)
+        for m_i in kept:
+            witness.extend([m_i * r for r in block])
+    witness.sort()
+    return total, tuple(witness)
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,7 @@ def construct_dense_set(
     members: list[int] = []
     for m in smooth_parts:
         top = bisect_right(free_parts, x // m)
-        members.extend(m * free_parts[i] for i in range(top))
+        members.extend([m * n for n in free_parts[:top]])
     members.sort()
 
     counting = Fraction(len(members), x)

@@ -5,6 +5,7 @@ from nested loops, maxima from exhaustive subset enumeration, memberships
 from direct arithmetic.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from quotientfree import BudgetError, DensityBracket
@@ -65,6 +66,31 @@ def naive_max_subset_counts(p, q, n_max):
         classes[rep] = (seen, white)
         counts.append(counts[-1] + max(white, seen - white) - before)
     return counts
+
+
+def naive_max_subset_witness(p, q, n):
+    """(count, witness) of the maximal quotient-free subset of {1..n}, rep by rep.
+
+    Every (p, q)-free representative sees the first t smooth values, those
+    with m * rep <= n, and keeps the majority parity class among them (white
+    on ties), scaled back by rep.
+    """
+    values, exponents = naive_smooth((p, q), n)
+    parities = [sum(e) % 2 for e in exponents]
+    white_prefix = [0]
+    for parity in parities:
+        white_prefix.append(white_prefix[-1] + (parity == 0))
+    total = 0
+    witness = []
+    for rep in range(1, n + 1):
+        if rep % p == 0 or rep % q == 0:
+            continue
+        t = bisect_right(values, n // rep)
+        white = white_prefix[t]
+        total += max(white, t - white)
+        keep = 0 if white >= t - white else 1
+        witness.extend(values[i] * rep for i in range(t) if parities[i] == keep)
+    return total, tuple(sorted(witness))
 
 
 def naive_sigma_brackets(p, q):

@@ -8,6 +8,7 @@ from quotientfree import (
     DomainError,
     InsufficientEnumerationError,
     RationalSet,
+    coprime_part_list,
     count_coprime_part,
     derive_basis,
     enumerate_smooth,
@@ -153,6 +154,18 @@ class TestCountCoprimePart:
         limit = 2 ** len(basis)
         for x in range(1, 10**4 + 1):
             assert abs(count_coprime_part(basis, x) - density * x) < limit
+
+
+class TestCoprimePartList:
+    def test_example(self):
+        assert coprime_part_list((2, 3), 12) == [1, 5, 7, 11]
+
+    # (4, 6) is not coprime: the sieve must still strike multiples of each
+    @pytest.mark.parametrize("basis", [(2,), (2, 3), (3, 4), (2, 3, 5, 7), (4, 6)])
+    def test_matches_direct_remainders(self, basis):
+        full = [n for n in range(1, 2001) if all(n % b for b in basis)]
+        for x in range(-1, 2001):
+            assert coprime_part_list(basis, x) == [n for n in full if n <= x], x
 
 
 class TestPhi:

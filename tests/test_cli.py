@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quotientfree
 from quotientfree.cli import main
 
 
@@ -123,6 +127,56 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "verify", "--suite", "lemma2")
         assert code == 0
         assert "budget=small" in out
+
+    def test_budget_env_read_per_call(self, capsys, monkeypatch):
+        # one process, one parser: the tier follows the environment of each call
+        monkeypatch.setenv("QUOTIENTFREE_BUDGET", "small")
+        code, out, _ = run(capsys, "verify", "--suite", "lemma2", "--json")
+        assert code == 0
+        assert json.loads(out)["params"]["budget"] == "small"
+        monkeypatch.delenv("QUOTIENTFREE_BUDGET")
+        code, out, _ = run(capsys, "verify", "--suite", "lemma2", "--json")
+        assert code == 0
+        assert json.loads(out)["params"]["budget"] == "default"
+
+    def test_unknown_budget_tier_in_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUOTIENTFREE_BUDGET", "bogus")
+        code, out, err = run(capsys, "verify", "--suite", "lemma2")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: unknown budget tier 'bogus'")
+        # an explicit flag wins over the environment
+        code, out, _ = run(capsys, "verify", "--suite", "lemma2", "--budget", "small")
+        assert code == 0
+        assert "budget=small" in out
+
+    def test_text_lines(self, capsys):
+        _, out, _ = run(capsys, "max-subset", "--p", "2", "--q", "3", "--n", "12", "--witness")
+        assert out == "count = 7\nwitness = [1, 4, 5, 6, 7, 9, 11]\n"
+        _, out, _ = run(capsys, "max-subset", "--p", "2", "--q", "3", "--n", "12")
+        assert out == "count = 7\n"
+        _, out, _ = run(capsys, "enumerate", "--a", "2,3", "--bound", "4")
+        assert out == "1 [0, 0]\n2 [1, 0]\n3 [0, 1]\n4 [2, 0]\n"
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_ends_quietly(self):
+        # ~13,000 smooth values, far more than a pipe buffers, so the writer
+        # is still writing when the reader goes away
+        src = os.path.dirname(os.path.dirname(quotientfree.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quotientfree.cli", "enumerate", "--a", "2,3",
+             "--bound", str(10**60)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"1 [0, 0]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestDeterminism:

@@ -27,6 +27,7 @@ from quotientfree.verify import exhaustive_max_quotient_free
 
 from helpers import (
     naive_max_subset_counts,
+    naive_max_subset_witness,
     naive_sigma_brackets,
     naive_sigma_series,
     quotient_free_violations,
@@ -234,6 +235,21 @@ class TestMaxSubsetCount:
         p, q = pair
         claimed, witness = max_subset_count(p, q, n, with_witness=True)
         assert max_subset_count(p, q, n) == claimed == len(witness)
+
+    @pytest.mark.parametrize("pair", BENCH_PAIRS)
+    def test_witness_matches_per_representative_loop(self, pair):
+        p, q = pair
+        for n in range(1, 1500):
+            assert max_subset_count(p, q, n, with_witness=True) == \
+                naive_max_subset_witness(p, q, n), (pair, n)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(pair=st.sampled_from(BENCH_PAIRS), n=st.integers(1, 2 * 10**5))
+    @example(pair=(2, 3), n=2 * 10**5)
+    def test_witness_matches_per_representative_loop_sampled(self, pair, n):
+        p, q = pair
+        assert max_subset_count(p, q, n, with_witness=True) == \
+            naive_max_subset_witness(p, q, n)
 
     def test_block_sum_at_astronomical_horizon(self):
         n = 10**30
