@@ -42,7 +42,9 @@ from .errors import (
 )
 from .geometry import (
     BlackMajoritySearch,
+    ColorCount,
     ExactReal,
+    LatticeConfig,
     ProfileRow,
     SimplexSpec,
     find_black_majority_c,
@@ -53,12 +55,9 @@ from .geometry import (
 from .lattice import (
     AXIS_DIFFS,
     CheckerboardSplit,
-    ColorCount,
     GammaBracket,
     IndependentSetResult,
-    LatticeConfig,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
-    Triangle,
     checkerboard_split,
     f_via_checkerboard,
     gamma_bracket,

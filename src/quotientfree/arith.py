@@ -63,6 +63,23 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
+def _require_coprime(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple, once checked to be a nonempty, strictly
+    increasing sequence of pairwise-coprime integers greater than 1."""
+    vals = tuple(values)
+    if not vals:
+        raise DomainError("the set must be nonempty")
+    for v in vals:
+        if not isinstance(v, int) or v <= 1:
+            raise DomainError(f"elements must be integers greater than 1, got {v}")
+    if any(x >= y for x, y in zip(vals, vals[1:])):
+        raise DomainError(f"elements must be strictly increasing, got {vals}")
+    for a, b in combinations(vals, 2):
+        if gcd(a, b) != 1:
+            raise DomainError(f"elements not pairwise coprime: gcd({a},{b}) > 1")
+    return vals
+
+
 @dataclass(frozen=True)
 class RationalSet:
     """A finite set of forbidden quotients, stored as reduced fractions.
@@ -110,14 +127,7 @@ class CoprimeBasis:
     diffs: tuple[Vector, ...]
 
     def __post_init__(self):
-        if not self.basis:
-            raise DomainError("basis must be nonempty")
-        if any(b <= 1 for b in self.basis):
-            raise DomainError("basis entries must exceed 1")
-        if any(x >= y for x, y in zip(self.basis, self.basis[1:])):
-            raise DomainError("basis must be strictly increasing")
-        if any(gcd(a, b) != 1 for a, b in combinations(self.basis, 2)):
-            raise DomainError("basis entries must be pairwise coprime")
+        _require_coprime(self.basis)
         for vec in self.diffs:
             if len(vec) != len(self.basis):
                 raise DomainError("difference vector length must match basis size")
@@ -127,12 +137,10 @@ class CoprimeBasis:
     @classmethod
     def from_coprime_integers(cls, values: Sequence[int]) -> "CoprimeBasis":
         """Basis equal to the integer set itself, one unit vector per element."""
-        vals = list(values)
-        if sorted(vals) != vals or len(set(vals)) != len(vals):
-            raise DomainError("elements must be strictly increasing")
+        vals = tuple(values)
         s = len(vals)
         units = tuple(tuple(1 if j == i else 0 for j in range(s)) for i in range(s))
-        return cls(tuple(vals), units)
+        return cls(vals, units)
 
     @property
     def size(self) -> int:

@@ -30,13 +30,13 @@ from .density import (
 )
 from .errors import BudgetError, DomainError, PrecisionError, SelfCheckError
 from .geometry import (
+    ExactReal,
     SimplexSpec,
     find_black_majority_c,
     rational_slope_profile,
     simplex_points,
 )
 from .lattice import (
-    Triangle,
     checkerboard_split,
     f_via_checkerboard,
     gamma_bracket,
@@ -449,12 +449,20 @@ def _cmd_monochromatize(args) -> int:
     if args.p is not None or args.q is not None or args.n is not None:
         if None in (args.p, args.q, args.n):
             raise DomainError("integer mode needs --p, --q and --n together")
-        triangle = Triangle.integer(args.p, args.q, args.n)
+        if not (1 < args.p < args.q):
+            raise DomainError(f"need 1 < p < q, got p={args.p}, q={args.q}")
+        if args.n < 1:
+            raise DomainError("bound must be at least 1")
+        triangle = SimplexSpec(
+            (ExactReal.log(args.p), ExactReal.log(args.q)), ExactReal.log(args.n)
+        )
         params = {"p": args.p, "q": args.q, "n": args.n}
     else:
         if None in (args.ta, args.tb, args.tc):
             raise DomainError("rational mode needs --ta, --tb and --tc together")
-        triangle = Triangle.rational(args.ta, args.tb, args.tc)
+        triangle = SimplexSpec.of(
+            [as_fraction(args.ta), as_fraction(args.tb)], as_fraction(args.tc)
+        )
         params = {"a": args.ta, "b": args.tb, "c": args.tc}
     try:
         raw = json.loads(args.points)

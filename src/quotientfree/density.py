@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-import mpmath
+from mpmath.libmp import dps_to_prec, from_int, mpf_log, round_nearest
 
 from .arith import (
     CoprimeBasis,
@@ -28,9 +28,11 @@ from .arith import (
     exact_sum,
     phi,
     smooth_stream,
+    _require_coprime,
 )
 from .errors import BudgetError, DomainError, SelfCheckError
-from .lattice import DEFAULT_SEARCH_CAP, _check_coprime_pair, gamma_bracket
+from .geometry import _libmp_to_fraction
+from .lattice import DEFAULT_SEARCH_CAP, gamma_bracket
 
 DEFAULT_SERIES_BUDGET = 10**6
 LN_PRECISION_DIGITS = 60
@@ -61,25 +63,12 @@ class DensityBracket:
         return self.lower <= value <= self.upper
 
 
-def _check_coprime_integers(values: Sequence[int]) -> tuple[int, ...]:
-    vals = tuple(values)
-    if not vals:
-        raise DomainError("the set must be nonempty")
-    if any(not isinstance(v, int) or v <= 1 for v in vals):
-        raise DomainError("elements must be integers greater than 1")
-    if any(x >= y for x, y in zip(vals, vals[1:])):
-        raise DomainError("elements must be strictly increasing")
-    if any(gcd(a, b) != 1 for i, a in enumerate(vals) for b in vals[i + 1:]):
-        raise DomainError("elements not pairwise coprime")
-    return vals
-
-
 def rho_closed_form(values: Sequence[int]) -> Fraction:
     """Best asymptotic density for pairwise-coprime integer quotients.
 
     Exactly (1 + product of (a-1)/(a+1)) / 2.
     """
-    vals = _check_coprime_integers(values)
+    vals = _require_coprime(values)
     product = Fraction(1)
     for a in vals:
         product *= Fraction(a - 1, a + 1)
@@ -139,7 +128,7 @@ def sigma_series(
     integer comparison per term, and Fractions are built only for the
     returned (or budget-exhausted) bracket.
     """
-    _check_coprime_pair(p, q)
+    _require_coprime((p, q))
     tolerance = as_fraction(tolerance)
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
@@ -217,7 +206,7 @@ def max_subset_count(
     in Python plus list work proportional to the witness.  Its size is
     counted from that explicit list, independently of the block sum.
     """
-    _check_coprime_pair(p, q)
+    _require_coprime((p, q))
     if n < 1:
         raise DomainError("the horizon must be at least 1")
     seq = enumerate_smooth((p, q), n)
@@ -281,12 +270,8 @@ class DenseSetSample:
 
 
 def _ln_fraction(x: int, digits: int = LN_PRECISION_DIGITS) -> Fraction:
-    """ln(x) as an exact dyadic rational of ~digits precision."""
-    with mpmath.workdps(digits):
-        value = mpmath.ln(x)
-    sign, man, exp, _ = value._mpf_
-    result = Fraction(int(man), 1) * (Fraction(2) ** int(exp))
-    return -result if sign else result
+    """ln(x) as an exact dyadic rational of ~digits precision, rounded to nearest."""
+    return _libmp_to_fraction(mpf_log(from_int(x), dps_to_prec(digits), round_nearest))
 
 
 def construct_dense_set(

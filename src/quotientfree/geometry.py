@@ -1,31 +1,86 @@
-"""Simplex lattice coloring in r dimensions.
+"""Lattice regions, their points, and simplex coloring in r dimensions.
 
-Enumerates nonnegative lattice points under an exact linear constraint
-whose coefficients may be rationals, logarithms of integers, or square
-roots of integers; counts checkerboard colors; scans thresholds for a
-black majority; and tabulates the white-minus-black profile for integer
-slopes.  Comparisons are decided exactly where the atoms allow it and by
-certified interval refinement otherwise; an undecided comparison is an
-error, never a guess.
+The one region type is ``SimplexSpec``: the nonnegative integer points
+under an exact linear constraint alpha . x <= c, whose coefficients may be
+rationals, logarithms of integers, or square roots of integers, and whose
+bound may be a sum of such terms.  The paper's axis-legged triangles are
+its two-dimensional case: p^x q^y <= n is ln p, ln q under ln n.
+``simplex_points`` is the one walk over a region.  This module also holds
+the point types (``Point``, ``LatticeConfig``, ``ColorCount``), counts
+checkerboard colors, scans thresholds for a black majority, and tabulates
+the white-minus-black profile for integer slopes.  Comparisons are decided
+exactly where the atoms allow it and by certified interval refinement
+otherwise; an undecided comparison is an error, never a guess.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
-from typing import Iterable, Optional, Sequence
+from math import ceil, lcm, prod
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
-import mpmath
+from mpmath.libmp import from_int, mpi_log, mpi_sqrt, round_ceiling, round_floor
 
-from .arith import as_fraction, smooth_stream
-from .errors import DomainError, PrecisionError
-from .lattice import ColorCount, LatticeConfig, Point
+from .arith import as_fraction, first_smooth_entries, smooth_stream
+from .errors import DomainError, PrecisionError, SelfCheckError
+
+Point = tuple[int, ...]
 
 DEFAULT_PREC_CAP_BITS = 4096
 _SORT_KEY_BITS = 200
+
+
+@dataclass(frozen=True)
+class LatticeConfig:
+    """A finite set of nonnegative exponent vectors.
+
+    Points are stored sorted lexicographically; this is the fixed point
+    order referenced by witness tie-breaking.
+    """
+
+    points: tuple[Point, ...]
+
+    def __post_init__(self):
+        pts = self.points
+        if any(any(c < 0 for c in p) for p in pts):
+            raise DomainError("all coordinates must be nonnegative")
+        if len(set(pts)) != len(pts):
+            raise DomainError("points must be distinct")
+        if len(set(len(p) for p in pts)) > 1:
+            raise DomainError("points must share one dimension")
+        object.__setattr__(self, "points", tuple(sorted(pts)))
+
+    @classmethod
+    def explicit(cls, points: Iterable[Sequence[int]]) -> "LatticeConfig":
+        return cls(tuple(tuple(p) for p in points))
+
+    @classmethod
+    def first_entries(cls, basis, t: int) -> "LatticeConfig":
+        """Exponent vectors of the first t basis-smooth integers."""
+        entries = first_smooth_entries(basis, t)
+        return cls(tuple(e for _, e in entries))
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+@dataclass(frozen=True)
+class ColorCount:
+    """Checkerboard tallies: white = even coordinate sum, black = odd."""
+
+    white: int
+    black: int
+
+    @property
+    def total(self) -> int:
+        return self.white + self.black
+
+    def majority(self) -> int:
+        return max(self.white, self.black)
 
 
 def _libmp_to_fraction(raw) -> Fraction:
@@ -86,12 +141,17 @@ class ExactReal:
     def parse(cls, text: str) -> "ExactReal":
         """Accepts '3', '3/2', 'ln2', 'ln(12)', 'sqrt2', 'sqrt(8)'."""
         text = text.strip()
-        m = re.fullmatch(r"ln\(?(\d+)\)?", text)
-        if m:
-            return cls.log(int(m.group(1)))
-        m = re.fullmatch(r"sqrt\(?(\d+)\)?", text)
-        if m:
-            return cls.sqrt(int(m.group(1)))
+        for name, make in (("ln", cls.log), ("sqrt", cls.sqrt)):
+            m = re.fullmatch(name + r"\(?(\d+)\)?", text)
+            if m:
+                digits = m.group(1)
+                try:
+                    arg = int(digits)
+                except ValueError as exc:  # past the interpreter's int-string limit
+                    raise DomainError(
+                        f"{name} argument has {len(digits)} digits, too many to convert"
+                    ) from exc
+                return make(arg)
         return cls.of(text)
 
     @property
@@ -102,13 +162,9 @@ class ExactReal:
         """Certified enclosure of the value at the given working precision."""
         if self.kind == "rational":
             return self.rational, self.rational
-        old = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec_bits
-            z = mpmath.iv.ln(self.arg) if self.kind == "log" else mpmath.iv.sqrt(self.arg)
-        finally:
-            mpmath.iv.prec = old
-        raw_lo, raw_hi = z._mpi_
+        arg = (from_int(self.arg, prec_bits, round_floor),
+               from_int(self.arg, prec_bits, round_ceiling))
+        raw_lo, raw_hi = (mpi_log if self.kind == "log" else mpi_sqrt)(arg, prec_bits)
         lo, hi = _libmp_to_fraction(raw_lo), _libmp_to_fraction(raw_hi)
         return self.scale * lo, self.scale * hi
 
@@ -204,10 +260,19 @@ def _sign_of_terms(
 
 @dataclass(frozen=True)
 class SimplexSpec:
-    """The region alpha . x <= c over nonnegative integer vectors x."""
+    """The region alpha . x <= c over nonnegative integer vectors x.
+
+    ``c`` is an exact real or a sum of (atom, rational coefficient) terms,
+    and is stored as terms.  Construction picks how ``contains`` decides,
+    once: integer products when every atom is a logarithm and c's
+    coefficients are whole numbers, one integer dot product when every atom
+    is rational, and certified signs of the whole combination otherwise.
+    """
 
     alphas: tuple[ExactReal, ...]
-    c: ExactReal
+    c: Union[ExactReal, tuple[tuple[ExactReal, Fraction], ...]]
+    # (route, coefficients, bound) read by ``contains``
+    _route: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.alphas:
@@ -215,27 +280,44 @@ class SimplexSpec:
         for a in self.alphas:
             if a.is_rational and a.rational <= 0:
                 raise DomainError("all coefficients must be positive")
+        if isinstance(self.c, ExactReal):
+            terms = ((self.c, Fraction(1)),)
+        else:
+            terms = tuple((atom, Fraction(k)) for atom, k in self.c)
+        object.__setattr__(self, "c", terms)
+        used = [(atom, k) for atom, k in terms if k]
+        if all(a.kind == "log" for a in self.alphas) and all(
+            atom.kind == "log" and k.denominator == 1 and k > 0 for atom, k in used
+        ):
+            route = ("log", tuple(a.arg for a in self.alphas),
+                     prod(atom.arg ** k.numerator for atom, k in used))
+        elif all(a.is_rational for a in self.alphas) and all(atom.is_rational for atom, _ in used):
+            bound = sum((k * atom.rational for atom, k in used), Fraction(0))
+            scale = lcm(bound.denominator, *(a.rational.denominator for a in self.alphas))
+            route = ("dot", tuple(a.rational.numerator * (scale // a.rational.denominator)
+                                  for a in self.alphas),
+                     bound.numerator * (scale // bound.denominator))
+        else:
+            route = ("signs", None, tuple((atom, -k) for atom, k in terms))
+        object.__setattr__(self, "_route", route)
 
     @classmethod
     def of(cls, alphas: Iterable, c) -> "SimplexSpec":
         return cls(tuple(_as_exact(a) for a in alphas), _as_exact(c))
 
-    def all_log_integer(self) -> bool:
-        return all(a.kind == "log" for a in self.alphas) and self.c.kind == "log"
-
     def contains(self, point: Sequence[int], prec_cap: int = DEFAULT_PREC_CAP_BITS) -> bool:
         """Boundary-inclusive membership, decided exactly."""
         if len(point) != len(self.alphas):
             raise DomainError("point dimension mismatch")
-        if any(x < 0 for x in point):
+        if min(point) < 0:
             return False
-        if self.all_log_integer():
-            value = 1
-            for a, x in zip(self.alphas, point):
-                value *= a.arg ** x
-            return value <= self.c.arg
+        route, coeffs, bound = self._route
+        if route == "log":
+            return prod(map(pow, coeffs, point)) <= bound
+        if route == "dot":
+            return sum(map(mul, coeffs, point)) <= bound
         terms = [(a, Fraction(x)) for a, x in zip(self.alphas, point)]
-        terms.append((self.c, Fraction(-1)))
+        terms += bound
         return _sign_of_terms(terms, prec_cap, f"membership of point {tuple(point)}") <= 0
 
 
@@ -248,27 +330,32 @@ def _as_exact(value) -> ExactReal:
 
 
 def simplex_points(
-    spec: SimplexSpec, prec_cap: int = DEFAULT_PREC_CAP_BITS
+    spec: SimplexSpec,
+    prec_cap: int = DEFAULT_PREC_CAP_BITS,
+    limit: Optional[int] = None,
 ) -> LatticeConfig:
-    """All nonnegative integer points satisfying the constraint, lex order."""
+    """All nonnegative integer points of the region, in lex order.
+
+    The last coordinate grows until the point leaves the region; then it
+    drops to zero and the coordinate before it grows, so each point is
+    tested once, plus one failed test per row end.  With ``limit``, the walk
+    stops once it holds ``limit`` points.
+    """
     r = len(spec.alphas)
     points: list[Point] = []
-
-    def rec(prefix: tuple[int, ...]):
-        i = len(prefix)
-        k = 0
-        while True:
-            candidate = prefix + (k,) + (0,) * (r - i - 1)
-            if not spec.contains(candidate, prec_cap):
+    x = [0] * r
+    point = tuple(x)
+    inside = spec.contains(point, prec_cap)
+    while inside and len(points) != limit:
+        points.append(point)
+        for i in range(r - 1, -1, -1):
+            x[i] += 1
+            point = tuple(x)
+            inside = spec.contains(point, prec_cap)
+            if inside:
                 break
-            if i + 1 == r:
-                points.append(prefix + (k,))
-            else:
-                rec(prefix + (k,))
-            k += 1
-
-    rec(())
-    return LatticeConfig.explicit(points)
+            x[i] = 0
+    return LatticeConfig(tuple(points))
 
 
 def simplex_color_counts(
@@ -375,7 +462,7 @@ def find_black_majority_c(
     tested = 0
     for idx, (terms, _) in enumerate(candidates):
         tested += 1
-        counts = _count_colors_under_terms(alpha_atoms, terms, prec_cap)
+        counts = simplex_color_counts(SimplexSpec(alpha_atoms, terms), prec_cap)
         if counts.black > counts.white:
             if all(a.is_rational for a in alpha_atoms):
                 value = sum(a.rational * c for a, c in terms) or Fraction(0)
@@ -399,8 +486,9 @@ def find_black_majority_c(
                     SimplexSpec(alpha_atoms, ExactReal.of(threshold)), prec_cap
                 )
                 if recounted != counts:
-                    raise AssertionError(
-                        "recount at canonical threshold disagrees with the scan"
+                    raise SelfCheckError(
+                        f"recount at the canonical threshold {threshold} gives "
+                        f"{recounted}, the scan gave {counts}"
                     )
             return BlackMajoritySearch(True, threshold, display, None, counts, tested)
     return BlackMajoritySearch(False, None, None, None, None, tested)
@@ -427,37 +515,6 @@ def _attained_values(alpha_atoms, budget: int, prec_cap: int):
                 seen.add(child)
                 heapq.heappush(heap, (key + keys[j], child))
     return out
-
-
-def _count_colors_under_terms(alpha_atoms, c_terms, prec_cap: int) -> ColorCount:
-    """Color counts of {x >= 0 : alpha . x <= value(c_terms)}."""
-    r = len(alpha_atoms)
-    white = black = 0
-
-    def inside(point: Point) -> bool:
-        terms = [(alpha_atoms[j], Fraction(point[j])) for j in range(r)]
-        terms += [(a, -c) for a, c in c_terms]
-        return _sign_of_terms(terms, prec_cap, f"membership of point {point}") <= 0
-
-    def rec(prefix: tuple[int, ...]):
-        nonlocal white, black
-        i = len(prefix)
-        k = 0
-        while True:
-            candidate = prefix + (k,) + (0,) * (r - i - 1)
-            if not inside(candidate):
-                break
-            if i + 1 == r:
-                if sum(candidate) % 2 == 0:
-                    white += 1
-                else:
-                    black += 1
-            else:
-                rec(prefix + (k,))
-            k += 1
-
-    rec(())
-    return ColorCount(white, black)
 
 
 @dataclass(frozen=True)

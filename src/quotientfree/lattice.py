@@ -4,7 +4,9 @@ Checkerboard classification of lattice points, exact maximum difference-free
 subsets (cardinality and weighted), truncated brackets for the optimal
 weight of a difference-free set, and the diagonal sweep that recolors an
 optimal configuration inside an axis-legged triangle to a single color
-without losing points.
+without losing points.  The points and the regions come from ``geometry``:
+a triangle is a two-dimensional ``SimplexSpec`` and its points are walked
+by ``simplex_points``.
 
 The optimum is a minimum cut whenever the conflict graph is bipartite,
 which it always is when the difference vectors are linearly independent:
@@ -19,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import comb, lcm
+from typing import Optional, Sequence
 
-from .arith import CoprimeBasis, as_fraction, first_smooth_entries
+from .arith import CoprimeBasis, _require_coprime, first_smooth_entries
 from .errors import CapError, DomainError, SweepError
-
-Point = tuple[int, ...]
+from .geometry import ColorCount, LatticeConfig, Point, SimplexSpec, simplex_points
 
 # Two non-adjacent lattice points of a triangle whose legs do NOT lie on the
 # coordinate axes; they are differently colored, so the majority color
@@ -34,55 +35,6 @@ Point = tuple[int, ...]
 SKEW_TRIANGLE_COUNTEREXAMPLE: tuple[Point, ...] = ((1, 0), (0, 2))
 
 DEFAULT_SEARCH_CAP = 40
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    """A finite set of nonnegative exponent vectors.
-
-    Points are stored sorted lexicographically; this is the fixed point
-    order referenced by witness tie-breaking.
-    """
-
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        pts = self.points
-        if any(any(c < 0 for c in p) for p in pts):
-            raise DomainError("all coordinates must be nonnegative")
-        if len(set(pts)) != len(pts):
-            raise DomainError("points must be distinct")
-        if len(set(len(p) for p in pts)) > 1:
-            raise DomainError("points must share one dimension")
-        object.__setattr__(self, "points", tuple(sorted(pts)))
-
-    @classmethod
-    def explicit(cls, points: Iterable[Sequence[int]]) -> "LatticeConfig":
-        return cls(tuple(tuple(p) for p in points))
-
-    @classmethod
-    def first_entries(cls, basis, t: int) -> "LatticeConfig":
-        """Exponent vectors of the first t basis-smooth integers."""
-        entries = first_smooth_entries(basis, t)
-        return cls(tuple(e for _, e in entries))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class ColorCount:
-    """Checkerboard tallies: white = even coordinate sum, black = odd."""
-
-    white: int
-    black: int
-
-    @property
-    def total(self) -> int:
-        return self.white + self.black
-
-    def majority(self) -> int:
-        return max(self.white, self.black)
 
 
 @dataclass(frozen=True)
@@ -445,19 +397,12 @@ def max_difference_free(
 
 def f_via_checkerboard(p: int, q: int, t: int) -> int:
     """Majority color count over the first t smooth integers of the pair basis."""
-    _check_coprime_pair(p, q)
+    _require_coprime((p, q))
     if t < 1:
         raise DomainError("t must be at least 1")
     entries = first_smooth_entries((p, q), t)
     white = sum(1 for _, e in entries if sum(e) % 2 == 0)
     return max(white, t - white)
-
-
-def _check_coprime_pair(p: int, q: int) -> None:
-    if not (1 < p < q):
-        raise DomainError(f"need 1 < p < q, got p={p}, q={q}")
-    if gcd(p, q) != 1:
-        raise DomainError(f"elements not pairwise coprime: gcd({p},{q}) > 1")
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +502,7 @@ def white_weight_value(values: Sequence[int]) -> Fraction:
     Equals half of (product of b/(b-1)) plus half of (product of b/(b+1)):
     the even-parity part of the full geometric product.
     """
-    vals = list(values)
-    if not vals or any(v <= 1 for v in vals):
-        raise DomainError("elements must be integers greater than 1")
-    if sorted(vals) != vals or len(set(vals)) != len(vals):
-        raise DomainError("elements must be strictly increasing")
-    if any(gcd(a, b) != 1 for i, a in enumerate(vals) for b in vals[i + 1:]):
-        raise DomainError("elements not pairwise coprime")
+    vals = _require_coprime(values)
     all_mass = Fraction(1)
     signed_mass = Fraction(1)
     for v in vals:
@@ -577,85 +516,23 @@ def white_weight_value(values: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Axis-legged triangle x >= 0, y >= 0 with an exact membership test.
-
-    Rational mode: a*x + b*y <= c in exact rationals.  Integer mode:
-    p^x * q^y <= n on big integers, which is the same triangle with
-    logarithmic coefficients but decided without any logarithms.
-    """
-
-    mode: str
-    a: Optional[Fraction] = None
-    b: Optional[Fraction] = None
-    c: Optional[Fraction] = None
-    p: Optional[int] = None
-    q: Optional[int] = None
-    n: Optional[int] = None
-
-    @classmethod
-    def rational(cls, a, b, c) -> "Triangle":
-        a, b, c = as_fraction(a), as_fraction(b), as_fraction(c)
-        if a <= 0 or b <= 0:
-            raise DomainError("triangle coefficients must be positive")
-        return cls("rational", a=a, b=b, c=c)
-
-    @classmethod
-    def integer(cls, p: int, q: int, n: int) -> "Triangle":
-        if not (1 < p < q):
-            raise DomainError(f"need 1 < p < q, got p={p}, q={q}")
-        if n < 1:
-            raise DomainError("bound must be at least 1")
-        return cls("integer", p=p, q=q, n=n)
-
-    def contains(self, x: int, y: int) -> bool:
-        if x < 0 or y < 0:
-            return False
-        if self.mode == "rational":
-            return self.a * x + self.b * y <= self.c
-        return self.p ** x * self.q ** y <= self.n
-
-    def max_diagonal(self) -> int:
-        """Largest coordinate sum of any lattice point inside, -1 if empty."""
-        d = 0
-        while self.contains(d, 0) or self.contains(0, d):
-            d += 1
-        return d - 1
-
-    def points(self, limit: Optional[int] = None) -> list[Point]:
-        """All lattice points inside, lex order; abort past ``limit`` points."""
-        out: list[Point] = []
-        x = 0
-        while self.contains(x, 0):
-            y = 0
-            while self.contains(x, y):
-                out.append((x, y))
-                if limit is not None and len(out) > limit:
-                    return out
-                y += 1
-            x += 1
-        return out
-
-    def lattice_config(self) -> LatticeConfig:
-        return LatticeConfig(tuple(self.points()))
-
-
 AXIS_DIFFS: tuple[Point, ...] = ((1, 0), (0, 1))
 
 
-def _validate_sweep_input(triangle: Triangle, pts: set[Point], cap: int) -> None:
+def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> None:
+    if len(triangle.alphas) != 2:
+        raise DomainError("the sweep works on plane triangles")
     for p in pts:
         if len(p) != 2:
             raise DomainError("the sweep works on plane configurations")
-        if not triangle.contains(*p):
+        if not triangle.contains(p):
             raise DomainError(f"point {p} lies outside the triangle")
     for x, y in pts:
         if (x + 1, y) in pts or (x, y + 1) in pts:
             raise DomainError(f"points ({x},{y}) and a neighbor are both present")
-    tri_pts = triangle.points(limit=cap + 1)
+    tri_pts = simplex_points(triangle, limit=cap + 1)
     if len(tri_pts) <= cap:
-        opt = _max_difference_free_size(LatticeConfig.explicit(tri_pts), AXIS_DIFFS, cap)
+        opt = _max_difference_free_size(tri_pts, AXIS_DIFFS, cap)
         if len(pts) != opt:
             raise DomainError(
                 f"input has {len(pts)} points but the maximum is {opt}; "
@@ -665,13 +542,14 @@ def _validate_sweep_input(triangle: Triangle, pts: set[Point], cap: int) -> None
 
 
 def monochromatize(
-    triangle: Triangle,
+    triangle: SimplexSpec,
     config,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> LatticeConfig:
     """Recolor an optimal non-adjacent configuration to a single color.
 
-    Sweeps diagonals x+y = d upward, keeping everything at or below the
+    ``triangle`` is a two-dimensional ``SimplexSpec``; any other raises
+    ``DomainError``.  Sweeps diagonals x+y = d upward, keeping everything at or below the
     current diagonal one color.  Three moves, by case: a diagonal cut by the
     hypotenuse shifts its points toward the cut; a vacant spot on a full-
     width diagonal splits the shifts around it; a fully occupied diagonal
@@ -685,7 +563,11 @@ def monochromatize(
     size = len(current)
     _validate_sweep_input(triangle, current, cap)
 
-    for d in range(triangle.max_diagonal() + 1):
+    # one past the largest coordinate sum of a point inside
+    top = 0
+    while triangle.contains((top, 0)) or triangle.contains((0, top)):
+        top += 1
+    for d in range(top):
         diag = sorted(p for p in current if p[0] + p[1] == d)
         below = [p for p in current if p[0] + p[1] < d]
         if not diag or not below:
@@ -697,8 +579,8 @@ def monochromatize(
         if color_below == d % 2:
             continue
 
-        left_out = not triangle.contains(0, d)
-        right_out = not triangle.contains(d, 0)
+        left_out = not triangle.contains((0, d))
+        right_out = not triangle.contains((d, 0))
         if left_out and right_out:
             raise SweepError(d, "diagonal lies outside the triangle yet carries points")
 
@@ -708,7 +590,7 @@ def monochromatize(
             moved = []
             for x, y in diag:
                 nx, ny = x + step[0], y + step[1]
-                if nx < 0 or ny < 0 or not triangle.contains(nx, ny):
+                if nx < 0 or ny < 0 or not triangle.contains((nx, ny)):
                     raise SweepError(d, f"shift target ({nx},{ny}) leaves the triangle")
                 if (nx, ny) in current and (nx, ny) not in diag:
                     raise SweepError(d, f"shift target ({nx},{ny}) is occupied")
@@ -724,7 +606,7 @@ def monochromatize(
                 moved = []
                 for x, y in diag:
                     nx, ny = (x, y - 1) if x < px else (x - 1, y)
-                    if nx < 0 or ny < 0 or not triangle.contains(nx, ny):
+                    if nx < 0 or ny < 0 or not triangle.contains((nx, ny)):
                         raise SweepError(d, f"shift target ({nx},{ny}) leaves the triangle")
                     if (nx, ny) in current and (nx, ny) not in diag:
                         raise SweepError(d, f"shift target ({nx},{ny}) is occupied")
@@ -738,7 +620,7 @@ def monochromatize(
                 moved = []
                 for x, y in below:
                     nx, ny = x, y + 1
-                    if not triangle.contains(nx, ny):
+                    if not triangle.contains((nx, ny)):
                         raise SweepError(d, f"upward target ({nx},{ny}) leaves the triangle")
                     if (nx, ny) in current and (nx, ny) not in below:
                         raise SweepError(d, f"upward target ({nx},{ny}) is occupied")
@@ -751,7 +633,7 @@ def monochromatize(
     result = sorted(current)
     if len(result) != size:
         raise SweepError(None, "output size differs from input size")
-    if any(not triangle.contains(*p) for p in result):
+    if any(not triangle.contains(p) for p in result):
         raise SweepError(None, "output leaves the triangle")
     out_set = set(result)
     for x, y in result:

@@ -24,7 +24,6 @@ from .lattice import (
     AXIS_DIFFS,
     LatticeConfig,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
-    Triangle,
     _max_difference_free_size,
     checkerboard_split,
     monochromatize,
@@ -155,10 +154,9 @@ def _random_rational_triangle(rng: CounterRng, max_points: int = 30):
         a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         c = Fraction(rng.randint(1, 48), rng.randint(1, 4))
-        triangle = Triangle.rational(a, b, c)
-        pts = triangle.points(limit=max_points + 1)
+        pts = simplex_points(SimplexSpec.of([a, b], c), limit=max_points + 1).points
         if 1 <= len(pts) <= max_points:
-            return triangle, pts
+            return (a, b, c), pts
 
 
 def _random_optimal_configuration(rng: CounterRng, points, cap: int = 40):
@@ -201,7 +199,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
     rng = CounterRng(seed)
     count = BUDGET_TIERS[budget]["triangles"]
     for i in range(count):
-        triangle, pts = _random_rational_triangle(rng)
+        (a, b, c), pts = _random_rational_triangle(rng)
         config = LatticeConfig.explicit(pts)
         exact = _max_difference_free_size(config, AXIS_DIFFS)
         majority = checkerboard_split(config).counts.majority()
@@ -209,7 +207,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
             CaseResult(
                 f"triangle[{i}]",
                 exact == majority,
-                f"a={triangle.a} b={triangle.b} c={triangle.c} "
+                f"a={a} b={b} c={c} "
                 f"points={len(pts)} exact={exact} majority={majority}",
             )
         )
@@ -305,15 +303,15 @@ def suite_monochromatize(seed: int, budget: str) -> SuiteReport:
     for i in range(cases):
         p, q = pairs[rng.randint(0, len(pairs) - 1)]
         n = rng.randint(1, 200)
-        triangle = Triangle.integer(p, q, n)
-        points = triangle.points()
+        triangle = SimplexSpec.of([f"ln{p}", f"ln{q}"], f"ln{n}")
+        points = simplex_points(triangle).points
         chosen, target = _random_optimal_configuration(rng, points)
         result = monochromatize(triangle, chosen)
         out = set(result.points)
         colors = {sum(pt) % 2 for pt in out}
         ok = (
             len(out) == target
-            and all(triangle.contains(*pt) for pt in out)
+            and all(triangle.contains(pt) for pt in out)
             and len(colors) == 1
         )
         report.cases.append(

@@ -222,3 +222,36 @@ def quotient_free_violations(members, quotients):
 
 def random_fraction(rng, max_num, max_den):
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
+
+
+def _mpf_to_fraction(raw):
+    sign, man, exp, _ = raw
+    value = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -value if sign else value
+
+
+def context_interval(kind, k, prec_bits):
+    """Enclosure of ln(k) or sqrt(k) from mpmath's interval context at prec_bits.
+
+    The context route the library used before it called libmp directly;
+    it sets the context precision and restores it.
+    """
+    import mpmath
+
+    old = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = prec_bits
+        z = mpmath.iv.ln(k) if kind == "log" else mpmath.iv.sqrt(k)
+    finally:
+        mpmath.iv.prec = old
+    lo, hi = z._mpi_
+    return _mpf_to_fraction(lo), _mpf_to_fraction(hi)
+
+
+def context_ln(x, digits):
+    """ln(x) at `digits` decimal digits from mpmath's global context, exactly."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        value = mpmath.ln(x)
+    return _mpf_to_fraction(value._mpf_)

@@ -12,10 +12,15 @@ from quotientfree import (
     count_coprime_part,
     derive_basis,
     enumerate_smooth,
+    f_via_checkerboard,
     factor_decompose,
     harmonic_coprime_sum,
+    max_subset_count,
     phi,
+    rho_closed_form,
+    sigma_series,
     smooth_index,
+    white_weight_value,
 )
 from quotientfree.rng import CounterRng
 
@@ -236,3 +241,41 @@ class TestCoprimeBasisValidation:
     def test_rejects_zero_diff_vector(self):
         with pytest.raises(DomainError):
             CoprimeBasis((2, 3), ((0, 0),))
+
+
+SET_CHECKS = [
+    CoprimeBasis.from_coprime_integers,
+    rho_closed_form,
+    white_weight_value,
+]
+PAIR_CHECKS = [
+    lambda p, q: f_via_checkerboard(p, q, 5),
+    lambda p, q: max_subset_count(p, q, 10),
+    lambda p, q: sigma_series(p, q, "1/10"),
+]
+BAD_PAIRS = [
+    ((1, 3), "integers greater than 1"),
+    ((3, 2), "strictly increasing"),
+    ((2, 2), "strictly increasing"),
+    ((2, 4), "not pairwise coprime: gcd\\(2,4\\) > 1"),
+]
+
+
+class TestOneCoprimeValidator:
+    # every caller that needs a pairwise-coprime set rejects a bad one with
+    # the same message
+    @pytest.mark.parametrize("values,message", BAD_PAIRS + [
+        ((), "nonempty"),
+        ((2, 3, 9), "not pairwise coprime: gcd\\(3,9\\) > 1"),
+        ((2, Fraction(3)), "integers greater than 1"),
+    ])
+    @pytest.mark.parametrize("check", SET_CHECKS)
+    def test_sets(self, check, values, message):
+        with pytest.raises(DomainError, match=message):
+            check(list(values))
+
+    @pytest.mark.parametrize("values,message", BAD_PAIRS)
+    @pytest.mark.parametrize("check", PAIR_CHECKS)
+    def test_pairs(self, check, values, message):
+        with pytest.raises(DomainError, match=message):
+            check(*values)

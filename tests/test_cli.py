@@ -231,6 +231,10 @@ MALFORMED = [
     (("gamma", "--a", "2,3", "--depth", "12"), 3),  # exceeds default cap
     (("sigma", "--p", "2", "--q", "3", "--tol", "1/10000000000",
       "--budget", "20"), 3),
+    (("monochromatize", "--p", "3", "--q", "2", "--n", "12", "--points", "[]"), 2),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "0", "--points", "[]"), 2),
+    (("monochromatize", "--ta", "0", "--tb", "1", "--tc", "4", "--points", "[]"), 2),
+    (("monochromatize", "--ta", "1", "--tb", "1", "--tc", "ln4", "--points", "[]"), 2),
 ]
 
 
@@ -270,3 +274,34 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error: self-check failed: bracket [")
         assert "misses the closed form 2" in err
+
+    def test_black_majority_recount_disagreement_exits_4(self, capsys, monkeypatch):
+        # the recount at the canonical threshold is the scan's second route;
+        # make it disagree and the query ends in one stderr line, exit 4
+        import quotientfree.geometry as geometry
+
+        counts = geometry.simplex_color_counts
+
+        def disagreeing(spec, prec_cap=geometry.DEFAULT_PREC_CAP_BITS):
+            found = counts(spec, prec_cap)
+            if len(spec.c) == 1:  # the recount's bound is one rational
+                return geometry.ColorCount(found.white + 1, found.black)
+            return found
+
+        monkeypatch.setattr(geometry, "simplex_color_counts", disagreeing)
+        code, out, err = run(capsys, "black-majority", "--alphas", "1,sqrt2", "--json")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: self-check failed: recount at the canonical threshold 3/2")
+
+    @pytest.mark.parametrize("name,argv", [
+        ("ln", ("simplex", "--alphas", "ln2,ln3", "--c", "ln(" + "7" * 5001 + ")")),
+        ("sqrt", ("simplex", "--alphas", "sqrt(" + "7" * 5001 + "),1", "--c", "4")),
+    ])
+    def test_overlong_log_and_sqrt_arguments_are_domain_errors(self, capsys, name, argv):
+        # Python refuses int strings past 4300 digits; that is bad input
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} argument has 5001 digits, too many to convert\n"

@@ -22,10 +22,12 @@ from quotientfree import (
     strict_gap_check,
     white_weight_value,
 )
+from quotientfree.density import LN_PRECISION_DIGITS, _ln_fraction
 from quotientfree.rng import CounterRng
 from quotientfree.verify import exhaustive_max_quotient_free
 
 from helpers import (
+    context_ln,
     naive_max_subset_counts,
     naive_max_subset_witness,
     naive_sigma_brackets,
@@ -385,3 +387,12 @@ class TestStrictGapCheck:
     def test_report_rho_values(self):
         assert strict_gap_check(2, 5).rho == Fraction(11, 18)
         assert strict_gap_check(3, 5).rho == Fraction(2, 3)
+
+
+class TestLnFraction:
+    def test_matches_the_context_route(self):
+        # past 2^203, x has more bits than the 203-bit working precision, so
+        # it must be converted exactly, as the context route converts it
+        xs = list(range(2, 5000)) + [2**203 - 1, 2**203 + 1, 3**200, 10**100 + 7, 7**400 + 2]
+        for x in xs:
+            assert _ln_fraction(x) == context_ln(x, LN_PRECISION_DIGITS), x

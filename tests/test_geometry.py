@@ -14,6 +14,9 @@ from quotientfree import (
     simplex_points,
 )
 from quotientfree.rng import CounterRng
+from quotientfree.verify import run_suite
+
+from helpers import context_interval
 
 
 class TestExactReal:
@@ -223,3 +226,34 @@ class TestPrecisionHandling:
         spec = SimplexSpec.of(["ln2", "ln3"], "ln6")
         assert spec.contains((1, 1))
         assert not spec.contains((2, 1))
+
+
+# arguments wider than some of the working precisions below (53 to 1329
+# bits), where converting the argument itself rounds outward
+BIG_ARGS = [10**12 + 39, 2**61 - 1, 3**40, 7**90, 10**400 + 1]
+
+
+class TestNoMpmathGlobalState:
+    @pytest.mark.parametrize("prec", [53, 64, 200, 256, 1024])
+    def test_interval_matches_the_context_route(self, prec):
+        for k in list(range(2, 300)) + BIG_ARGS:
+            for kind in ("log", "sqrt"):
+                assert ExactReal(kind, arg=k).interval(prec) == context_interval(kind, k, prec)
+
+    def test_interval_matches_the_context_route_at_the_cap(self):
+        for k in list(range(2, 40)) + BIG_ARGS:
+            for kind in ("log", "sqrt"):
+                assert ExactReal(kind, arg=k).interval(4096) == context_interval(kind, k, 4096)
+
+    def test_suites_leave_the_precisions_alone(self):
+        import mpmath
+
+        iv_prec, mp_prec = mpmath.iv.prec, mpmath.mp.prec
+        try:
+            # odd settings, so a route that read them would show up as a failure
+            mpmath.iv.prec, mpmath.mp.prec = 17, 23
+            reports = run_suite("all", budget="small")
+            assert (mpmath.iv.prec, mpmath.mp.prec) == (17, 23)
+        finally:
+            mpmath.iv.prec, mpmath.mp.prec = iv_prec, mp_prec
+        assert all(r.passed == len(r.cases) for r in reports)

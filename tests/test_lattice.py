@@ -9,9 +9,10 @@ from quotientfree import (
     CapError,
     CoprimeBasis,
     DomainError,
+    ExactReal,
     LatticeConfig,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
-    Triangle,
+    SimplexSpec,
     checkerboard_split,
     derive_basis,
     f_via_checkerboard,
@@ -19,6 +20,7 @@ from quotientfree import (
     max_difference_free,
     monochromatize,
     rho_closed_form,
+    simplex_points,
     RationalSet,
     white_weight_value,
 )
@@ -231,12 +233,12 @@ class TestMinCutOptimum:
         # incumbent rule gives
         rng = CounterRng(29)
         for _ in range(40):
-            triangle = Triangle.rational(
-                Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+            triangle = SimplexSpec.of(
+                [Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                 Fraction(rng.randint(1, 9), rng.randint(1, 9))],
                 Fraction(rng.randint(1, 40), rng.randint(1, 3)),
             )
-            points = triangle.points()
+            points = simplex_points(triangle).points
             adj = _conflict_masks(points, AXIS_DIFFS)
             split = checkerboard_split(LatticeConfig.explicit(points))
             majority = split.white if split.counts.white >= split.counts.black else split.black
@@ -432,35 +434,35 @@ class TestWhiteWeightValue:
 
 class TestMonochromatize:
     def test_already_monochromatic_unchanged(self):
-        triangle = Triangle.integer(2, 3, 3)
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(3))
         result = monochromatize(triangle, [(1, 0), (0, 1)])
         assert result.points == ((0, 1), (1, 0))
 
     def test_mixed_optimal_set_becomes_white(self):
-        triangle = Triangle.integer(2, 3, 12)
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
         mixed = [(0, 0), (0, 2), (2, 1), (3, 0)]
         result = monochromatize(triangle, mixed)
         assert len(result.points) == 4
         assert {sum(p) % 2 for p in result.points} == {0}
 
     def test_rejects_non_maximal_input(self):
-        triangle = Triangle.integer(2, 3, 12)
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
         with pytest.raises(DomainError, match="maximum"):
             monochromatize(triangle, [(0, 0), (2, 1)])
 
     def test_rejects_adjacent_input(self):
-        triangle = Triangle.integer(2, 3, 12)
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
         with pytest.raises(DomainError, match="neighbor"):
             monochromatize(triangle, [(0, 0), (1, 0), (0, 2), (2, 1)])
 
     def test_rejects_outside_point(self):
-        triangle = Triangle.integer(2, 3, 3)
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(3))
         with pytest.raises(DomainError, match="outside"):
             monochromatize(triangle, [(5, 5)])
 
     def test_rational_mode(self):
-        triangle = Triangle.rational(Fraction(1), Fraction(3, 2), Fraction(9, 2))
-        pts = triangle.points()
+        triangle = SimplexSpec.of([Fraction(1), Fraction(3, 2)], Fraction(9, 2))
+        pts = simplex_points(triangle).points
         target = max_difference_free(LatticeConfig.explicit(pts), AXIS_DIFFS).size
         witness = max_difference_free(LatticeConfig.explicit(pts), AXIS_DIFFS).witness
         result = monochromatize(triangle, witness)
@@ -470,8 +472,8 @@ class TestMonochromatize:
     def test_steep_triangle_shifts_down(self):
         # mirrored orientation: the steep side cuts the diagonal on the
         # right, so its points shift down instead of left
-        triangle = Triangle.rational(Fraction(317, 200), 1, Fraction(717, 200))
-        assert sorted(triangle.points()) == [
+        triangle = SimplexSpec.of([Fraction(317, 200), 1], Fraction(717, 200))
+        assert sorted(simplex_points(triangle).points) == [
             (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0),
         ]
         mixed = [(0, 0), (2, 0), (1, 2), (0, 3)]
@@ -483,7 +485,7 @@ class TestMonochromatize:
         # a fully occupied diagonal forces the row under it empty, and the
         # sweep lifts everything below by one; reachable only through the
         # trusted path (the configuration is valid but not maximum)
-        triangle = Triangle.rational(1, 1, Fraction(121, 2))
+        triangle = SimplexSpec.of([1, 1], Fraction(121, 2))
         full_diagonal = [(3, 0), (2, 1), (1, 2), (0, 3)]
         config = [(0, 0)] + full_diagonal
         result = monochromatize(triangle, config, cap=30)
@@ -497,15 +499,15 @@ class TestMonochromatize:
         for _ in range(25):
             p, q = pairs[rng.randint(0, 2)]
             n = rng.randint(1, 150)
-            triangle = Triangle.integer(p, q, n)
-            pts = triangle.points()
+            triangle = SimplexSpec((ExactReal.log(p), ExactReal.log(q)), ExactReal.log(n))
+            pts = simplex_points(triangle).points
             config = LatticeConfig.explicit(pts)
             result = max_difference_free(config, AXIS_DIFFS)
             out = monochromatize(triangle, result.witness)
             assert len(out.points) == result.size
             out_set = set(out.points)
             for x, y in out_set:
-                assert triangle.contains(x, y)
+                assert triangle.contains((x, y))
                 assert (x + 1, y) not in out_set
                 assert (x, y + 1) not in out_set
             assert len({sum(pt) % 2 for pt in out_set}) == 1
@@ -519,8 +521,8 @@ class TestTriangleEquivalence:
             a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
             b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
             c = Fraction(rng.randint(1, 48), rng.randint(1, 4))
-            triangle = Triangle.rational(a, b, c)
-            pts = triangle.points(limit=31)
+            triangle = SimplexSpec.of([a, b], c)
+            pts = simplex_points(triangle, limit=31).points
             if not 1 <= len(pts) <= 30:
                 continue
             done += 1
