@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -34,6 +34,7 @@ from .geometry import (
     SimplexSpec,
     find_black_majority_c,
     rational_slope_profile,
+    simplex_color_counts,
     simplex_points,
 )
 from .lattice import (
@@ -66,10 +67,41 @@ def frac_str(value: Fraction) -> str:
 
 
 def dec12(value: Fraction) -> str:
-    """12-significant-digit decimal rendering for plotting columns."""
-    with localcontext() as ctx:
-        ctx.prec = 12
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    """12-significant-digit decimal rendering for plotting columns.
+
+    The string a 12-digit ``Decimal`` division rounding half-even gives,
+    exponent included: an exact quotient keeps the exponent closest to 0
+    that its digits allow (1/4 prints 0.25, 3/1 prints 3), an inexact one
+    has 12 digits.  It is computed by one integer divmod, so numerators and
+    denominators of tens of thousands of digits are never converted.
+    """
+    num, den = value.numerator, value.denominator
+    if not num:
+        return "0"
+    sign, num = int(num < 0), abs(num)
+    # num/den >= 10**low (30103/100000 bounds log10(2) from above, and the
+    # final -1 absorbs that excess), so the quotient below has >= 13 digits
+    low = (num.bit_length() - 1 - den.bit_length()) * 30103 // 100000 - 1
+    exp = low - 12
+    if exp <= 0:
+        coeff, rest = divmod(num * 10**-exp, den)
+    else:
+        coeff, rest = divmod(num, den * 10**exp)
+    if not rest:
+        while exp < 0 and coeff % 10 == 0:
+            coeff //= 10
+            exp += 1
+    drop = len(str(coeff)) - 12
+    if drop > 0:
+        coeff, tail = divmod(coeff, 10**drop)
+        half = 5 * 10 ** (drop - 1)
+        if tail > half or (tail == half and (rest or coeff % 2)):
+            coeff += 1
+            if coeff == 10**12:
+                coeff //= 10
+                drop += 1
+        exp += drop
+    return str(Decimal(f"{'-' if sign else ''}{coeff}E{exp}"))
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -484,16 +516,16 @@ def _cmd_monochromatize(args) -> int:
 
 def _cmd_simplex(args) -> int:
     spec = SimplexSpec.of(_parse_alphas(args.alphas), args.c)
-    config = simplex_points(spec)
-    split = checkerboard_split(config)
-    result = {
-        "white": split.counts.white,
-        "black": split.counts.black,
-    }
-    if not args.counts_only:
-        result["points"] = [list(p) for p in config.points]
-    lines = [f"points = {len(config.points)}",
-             f"white = {split.counts.white}", f"black = {split.counts.black}"]
+    if args.counts_only:
+        counts = simplex_color_counts(spec)
+        result = {"white": counts.white, "black": counts.black}
+    else:
+        config = simplex_points(spec)
+        counts = checkerboard_split(config).counts
+        result = {"white": counts.white, "black": counts.black,
+                  "points": [list(p) for p in config.points]}
+    lines = [f"points = {counts.total}",
+             f"white = {counts.white}", f"black = {counts.black}"]
     _emit(args, {"alphas": _parse_alphas(args.alphas), "c": args.c}, result,
           "simplex-lattice-enumeration", lines)
     return EXIT_OK

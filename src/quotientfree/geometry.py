@@ -9,7 +9,8 @@ its two-dimensional case: p^x q^y <= n is ln p, ln q under ln n.
 the point types (``Point``, ``LatticeConfig``, ``ColorCount``), counts
 checkerboard colors, scans thresholds for a black majority, and tabulates
 the white-minus-black profile for integer slopes.  Comparisons are decided
-exactly where the atoms allow it and by certified interval refinement
+exactly where the atoms allow it, by integer enclosures fixed once per
+region where those suffice, and by certified interval refinement
 otherwise; an undecided comparison is an error, never a guess.
 """
 
@@ -19,7 +20,8 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm, prod
+from itertools import chain, pairwise
+from math import ceil, floor, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -32,6 +34,10 @@ Point = tuple[int, ...]
 
 DEFAULT_PREC_CAP_BITS = 4096
 _SORT_KEY_BITS = 200
+# fractional bits of the integer enclosures that decide most memberships
+_FILTER_BITS = 64
+# largest trial divisor when square factors are pulled out of a radicand
+_SQRT_TRIAL_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -97,9 +103,12 @@ def _libmp_to_fraction(raw) -> Fraction:
 class ExactReal:
     """A nonnegative real coefficient: rational, scale*sqrt(k), or ln(k).
 
-    Square parts of radicands are extracted at construction, so every sqrt
-    atom has a square-free argument and atoms with equal values compare
-    equal structurally.
+    Square parts of radicands are extracted at construction: square factors
+    of trial divisors up to 10**4, and a cofactor left over that is itself
+    a perfect square.  So sqrt atoms with equal values compare equal
+    structurally, unless a radicand has a square factor whose root exceeds
+    10**4 and is not all of what is left; an exact tie between two such
+    atoms is then undecided (a ``PrecisionError``), never a hang.
     """
 
     kind: str  # "rational" | "log" | "sqrt"
@@ -128,13 +137,14 @@ class ExactReal:
         scale = 1
         rest = k
         d = 2
-        while d * d <= rest:
+        while d <= _SQRT_TRIAL_LIMIT and d * d <= rest:
             while rest % (d * d) == 0:
                 rest //= d * d
                 scale *= d
             d += 1
-        if rest == 1:
-            return cls("rational", rational=Fraction(scale))
+        root = isqrt(rest)
+        if root * root == rest:
+            return cls("rational", rational=Fraction(scale * root))
         return cls("sqrt", arg=rest, scale=scale)
 
     @classmethod
@@ -189,7 +199,7 @@ def _sign_of_terms(
     """Sign of a finite rational combination of exact-real atoms.
 
     Exact routes: all-rational; all-log with zero rational part (integer
-    power comparison); a single square-free radicand (square comparison).
+    power comparison); a single non-square radicand (square comparison).
     Anything else refines certified intervals up to the precision cap.
     """
     const = Fraction(0)
@@ -267,11 +277,16 @@ class SimplexSpec:
     once: integer products when every atom is a logarithm and c's
     coefficients are whole numbers, one integer dot product when every atom
     is rational, and certified signs of the whole combination otherwise.
+    The signs route first tries integer enclosures of each alpha and of c,
+    scaled by 2**64 and taken once here: two integer dot products settle
+    every point not within the enclosures' width of the boundary, in O(r)
+    work, and only the rest (exact ties, say) refine intervals.
     """
 
     alphas: tuple[ExactReal, ...]
     c: Union[ExactReal, tuple[tuple[ExactReal, Fraction], ...]]
-    # (route, coefficients, bound) read by ``contains``
+    # (route, coefficients, bound) read by ``contains``; the signs route keeps
+    # its integer enclosures (or None) where the others keep coefficients
     _route: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -298,7 +313,8 @@ class SimplexSpec:
                                   for a in self.alphas),
                      bound.numerator * (scale // bound.denominator))
         else:
-            route = ("signs", None, tuple((atom, -k) for atom, k in terms))
+            route = ("signs", _enclosures(self.alphas, terms),
+                     tuple((atom, -k) for atom, k in terms))
         object.__setattr__(self, "_route", route)
 
     @classmethod
@@ -316,9 +332,72 @@ class SimplexSpec:
             return prod(map(pow, coeffs, point)) <= bound
         if route == "dot":
             return sum(map(mul, coeffs, point)) <= bound
+        if coeffs is not None and prec_cap >= _FILTER_BITS:
+            lo, hi, c_lo, c_hi = coeffs
+            if sum(map(mul, hi, point)) <= c_lo:
+                return True
+            if sum(map(mul, lo, point)) > c_hi:
+                return False
         terms = [(a, Fraction(x)) for a, x in zip(self.alphas, point)]
         terms += bound
         return _sign_of_terms(terms, prec_cap, f"membership of point {tuple(point)}") <= 0
+
+    def _row_end(self, head: list[int], prec_cap: int) -> int:
+        """Largest z with ``head + [z]`` in the region, or -1 when there is none.
+
+        ``head`` fixes every coordinate but the last.  Rational coefficients
+        give z by one integer division and logarithms by an integer loop on
+        the product; the signs route narrows z with its enclosures to one
+        or two candidates and tests them with ``contains``.
+        """
+        route, coeffs, bound = self._route
+        if route == "dot":
+            room = bound - sum(map(mul, coeffs, head))
+            return room // coeffs[-1] if room >= 0 else -1
+        if route == "log":
+            room = bound // prod(map(pow, coeffs, head))
+            z, power = -1, 1
+            while power <= room:
+                power *= coeffs[-1]
+                z += 1
+            return z
+        if coeffs is None or prec_cap < _FILTER_BITS:
+            z = 0  # no enclosures to narrow by: walk the row up
+            while self.contains(head + [z], prec_cap):
+                z += 1
+            return z - 1
+        lo, hi, c_lo, c_hi = coeffs
+        # every z above `top` fails the filter, every z up to `sure` passes it
+        top = (c_hi - sum(map(mul, lo, head))) // lo[-1]
+        sure = max((c_lo - sum(map(mul, hi, head))) // hi[-1], -1)
+        while top > sure and not self.contains(head + [top], prec_cap):
+            top -= 1
+        return max(top, -1)
+
+
+def _enclosures(alphas, c_terms):
+    """Integer enclosures scaled by 2**_FILTER_BITS: (lo, hi, c_lo, c_hi).
+
+    lo[i] <= 2**64 * alpha_i <= hi[i] and c_lo <= 2**64 * c <= c_hi.  None
+    when some alpha is too small for its lower end to be positive, since
+    the row ends divide by it.
+    """
+    def enclose(terms) -> tuple[int, int]:
+        lo = hi = Fraction(0)
+        for atom, k in terms:
+            # enough bits that the error stays well below 2**-64 absolute
+            bits = 2 * _FILTER_BITS + (0 if atom.is_rational else atom.arg.bit_length())
+            alo, ahi = atom.interval(bits)
+            if k >= 0:
+                lo, hi = lo + k * alo, hi + k * ahi
+            else:
+                lo, hi = lo + k * ahi, hi + k * alo
+        return floor(lo * 2**_FILTER_BITS), ceil(hi * 2**_FILTER_BITS)
+
+    lo, hi = zip(*(enclose(((a, 1),)) for a in alphas))
+    if min(lo) <= 0:
+        return None
+    return lo, hi, *enclose(c_terms)
 
 
 def _as_exact(value) -> ExactReal:
@@ -361,14 +440,32 @@ def simplex_points(
 def simplex_color_counts(
     spec: SimplexSpec, prec_cap: int = DEFAULT_PREC_CAP_BITS
 ) -> ColorCount:
-    """Checkerboard tallies of the simplex lattice points."""
-    white = black = 0
-    for p in simplex_points(spec, prec_cap).points:
-        if sum(p) % 2 == 0:
-            white += 1
+    """Checkerboard tallies of the simplex lattice points, row by row.
+
+    A row fixes every coordinate but the last, so its points have last
+    coordinates 0..L, where L is the row end, and its color split is
+    closed-form.  The cost is one row-end decision per row (see
+    ``SimplexSpec._row_end``), not one membership test per point; the rows
+    are walked in lex order the way ``simplex_points`` walks points.
+    """
+    head = [0] * (len(spec.alphas) - 1)
+    row_end = spec._row_end
+    coords = range(len(head) - 1, -1, -1)
+    parity = white = total = 0
+    end = row_end(head, prec_cap)
+    while end >= 0:
+        total += end + 1
+        white += (end + 2 - parity) // 2  # last coordinates of head's parity
+        for i in coords:
+            head[i] += 1
+            end = row_end(head, prec_cap)
+            if end >= 0:
+                break
+            head[i] = 0
         else:
-            black += 1
-    return ColorCount(white, black)
+            break
+        parity = sum(head) % 2
+    return ColorCount(white, total - white)
 
 
 @dataclass(frozen=True)
@@ -458,9 +555,10 @@ def find_black_majority_c(
                 )
         return BlackMajoritySearch(False, None, None, None, None, tested)
 
-    candidates = _attained_values(alpha_atoms, budget, prec_cap)
+    # one candidate of lookahead: the window of a black majority ends there
+    candidates = chain(_attained_values(alpha_atoms, budget), [None])
     tested = 0
-    for idx, (terms, _) in enumerate(candidates):
+    for terms, following in pairwise(candidates):
         tested += 1
         counts = simplex_color_counts(SimplexSpec(alpha_atoms, terms), prec_cap)
         if counts.black > counts.white:
@@ -470,10 +568,8 @@ def find_black_majority_c(
                 display = str(threshold)
             else:
                 threshold = None
-                if idx + 1 < len(candidates):
-                    threshold = _simplest_rational_at_least(
-                        terms, candidates[idx + 1][0], prec_cap
-                    )
+                if following is not None:
+                    threshold = _simplest_rational_at_least(terms, following, prec_cap)
                 if threshold is None:
                     display = " + ".join(
                         f"{c}*{a}" for a, c in terms if c
@@ -494,27 +590,32 @@ def find_black_majority_c(
     return BlackMajoritySearch(False, None, None, None, None, tested)
 
 
-def _attained_values(alpha_atoms, budget: int, prec_cap: int):
-    """First ``budget`` distinct values alpha . x, ascending by certified midpoints."""
+def _attained_values(alpha_atoms, budget: int):
+    """Up to ``budget`` distinct values alpha . x, as terms, produced lazily.
+
+    Values are ordered, and told apart, by their 200-bit interval midpoints
+    (``ExactReal.sort_key``).  Those midpoints are not certified: two
+    distinct values closer than about 2**-200 could swap or merge.  Rational
+    alphas have exact keys.
+    """
     r = len(alpha_atoms)
     keys = [a.sort_key() for a in alpha_atoms]
     start = (0,) * r
     heap: list[tuple[Fraction, Point]] = [(Fraction(0), start)]
     seen = {start}
-    out = []
-    out_keys: set[Fraction] = set()
-    while heap and len(out) < budget:
+    emitted = 0
+    last_key = None
+    while heap and emitted < budget:
         key, x = heapq.heappop(heap)
-        if key not in out_keys:
-            out_keys.add(key)
-            terms = tuple((alpha_atoms[j], Fraction(x[j])) for j in range(r))
-            out.append((terms, key))
+        if key != last_key:  # keys pop in order, so equal keys are adjacent
+            last_key = key
+            emitted += 1
+            yield tuple((alpha_atoms[j], Fraction(x[j])) for j in range(r))
         for j in range(r):
             child = x[:j] + (x[j] + 1,) + x[j + 1:]
             if child not in seen:
                 seen.add(child)
                 heapq.heappush(heap, (key + keys[j], child))
-    return out
 
 
 @dataclass(frozen=True)
@@ -528,25 +629,29 @@ class ProfileRow:
 def rational_slope_profile(a1: int, a2: int, c_max: int) -> list[ProfileRow]:
     """White-minus-black per integer threshold for integer coefficients.
 
-    Row counting is closed-form per horizontal lattice row, so the profile
-    is exact and fast for any positive integer slopes.
+    The points on the line a1*x + a2*y = j number n(j), the coefficient of
+    t**j in 1/((1 - t**a1)(1 - t**a2)), and their white-minus-black balance
+    d(j) is the coefficient in 1/((1 + t**a1)(1 + t**a2)).  Both follow
+    three-term recurrences, and row c holds their sums over j <= c, so the
+    whole profile costs O(c_max) integer steps.
     """
     if a1 < 1 or a2 < 1:
         raise DomainError("coefficients must be positive integers")
     if c_max < 1:
         raise DomainError("the horizon must be at least 1")
+    n = [0] * (c_max + 1)
+    d = [0] * (c_max + 1)
+    total = diff = 0
     rows = []
-    for c in range(1, c_max + 1):
-        white = black = 0
-        for y in range(c // a2 + 1):
-            top = (c - a2 * y) // a1  # x ranges over 0..top
-            evens = top // 2 + 1
-            odds = top + 1 - evens
-            if y % 2 == 0:
-                white += evens
-                black += odds
-            else:
-                white += odds
-                black += evens
-        rows.append(ProfileRow(c, white, black, white - black))
+    for j in range(c_max + 1):
+        nj = dj = int(j == 0)
+        for step, sign in ((a1, 1), (a2, 1), (a1 + a2, -1)):
+            if j >= step:
+                nj += sign * n[j - step]
+                dj -= d[j - step]
+        n[j], d[j] = nj, dj
+        total += nj
+        diff += dj
+        if j:
+            rows.append(ProfileRow(j, (total + diff) // 2, (total - diff) // 2, diff))
     return rows

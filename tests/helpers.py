@@ -5,10 +5,22 @@ from nested loops, maxima from exhaustive subset enumeration, memberships
 from direct arithmetic.
 """
 
+import heapq
 from bisect import bisect_right
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from quotientfree import BudgetError, DensityBracket
+from quotientfree.arith import smooth_stream
+from quotientfree.geometry import (
+    BlackMajoritySearch,
+    ColorCount,
+    ExactReal,
+    SimplexSpec,
+    _as_exact,
+    _simplest_rational_at_least,
+    simplex_points,
+)
 
 
 def naive_smooth(basis, bound):
@@ -255,3 +267,93 @@ def context_ln(x, digits):
     with mpmath.workdps(digits):
         value = mpmath.ln(x)
     return _mpf_to_fraction(value._mpf_)
+
+
+def decimal_dec12(value):
+    """dec12 by a 12-digit Decimal division of the full numerator and denominator."""
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+def tallied_color_counts(spec, prec_cap=4096):
+    """Color counts by testing and tallying every point of simplex_points."""
+    white = black = 0
+    for p in simplex_points(spec, prec_cap).points:
+        if sum(p) % 2 == 0:
+            white += 1
+        else:
+            black += 1
+    return ColorCount(white, black)
+
+
+def double_loop_slope_profile(a1, a2, c_max):
+    """(c, white, black, diff) per threshold, each row summed over its lines y."""
+    rows = []
+    for c in range(1, c_max + 1):
+        white = black = 0
+        for y in range(c // a2 + 1):
+            top = (c - a2 * y) // a1  # x ranges over 0..top
+            evens = top // 2 + 1
+            odds = top + 1 - evens
+            if y % 2 == 0:
+                white += evens
+                black += odds
+            else:
+                white += odds
+                black += evens
+        rows.append((c, white, black, white - black))
+    return rows
+
+
+def eager_black_majority(alphas, budget=64, prec_cap=4096):
+    """The black-majority scan with every candidate computed before any test.
+
+    All ``budget`` attained values come off the midpoint heap first, and
+    each count tallies the points of simplex_points.  Otherwise the scan
+    follows find_black_majority_c, threshold canonicalization included.
+    """
+    atoms = tuple(_as_exact(a) for a in alphas)
+    if all(a.kind == "log" for a in atoms):
+        tested, previous = 0, None
+        for value, _ in smooth_stream([a.arg for a in atoms]):
+            if tested >= budget:
+                break
+            if value == previous:
+                continue
+            previous = value
+            tested += 1
+            counts = tallied_color_counts(SimplexSpec(atoms, ExactReal.log(value)), prec_cap)
+            if counts.black > counts.white:
+                return BlackMajoritySearch(True, None, f"ln({value})", value, counts, tested)
+        return BlackMajoritySearch(False, None, None, None, None, tested)
+
+    keys = [a.sort_key() for a in atoms]
+    start = (0,) * len(atoms)
+    heap, seen, candidates, taken = [(Fraction(0), start)], {start}, [], set()
+    while len(candidates) < budget:
+        key, x = heapq.heappop(heap)
+        if key not in taken:
+            taken.add(key)
+            candidates.append(tuple(zip(atoms, map(Fraction, x))))
+        for j in range(len(atoms)):
+            child = x[:j] + (x[j] + 1,) + x[j + 1:]
+            if child not in seen:
+                seen.add(child)
+                heapq.heappush(heap, (key + keys[j], child))
+
+    for idx, terms in enumerate(candidates):
+        counts = tallied_color_counts(SimplexSpec(atoms, terms), prec_cap)
+        if counts.black <= counts.white:
+            continue
+        if all(a.is_rational for a in atoms):
+            threshold = Fraction(sum(a.rational * c for a, c in terms))
+            display = str(threshold)
+        else:
+            threshold = None
+            if idx + 1 < len(candidates):
+                threshold = _simplest_rational_at_least(terms, candidates[idx + 1], prec_cap)
+            display = (" + ".join(f"{c}*{a}" for a, c in terms if c) or "0"
+                       if threshold is None else str(threshold))
+        return BlackMajoritySearch(True, threshold, display, None, counts, idx + 1)
+    return BlackMajoritySearch(False, None, None, None, None, len(candidates))

@@ -1,12 +1,18 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quotientfree
-from quotientfree.cli import main
+from quotientfree.cli import dec12, main
+
+from helpers import decimal_dec12
 
 
 def run(capsys, *argv):
@@ -102,6 +108,36 @@ class TestBasicCommands:
         assert payload["result"]["white"] == 5
         assert payload["result"]["black"] == 4
 
+    def test_simplex_counts_only_by_row_sums(self, capsys):
+        code, out, _ = run(capsys, "simplex", "--alphas", "1,1", "--c", "100000",
+                           "--counts-only")
+        assert code == 0
+        assert out == "points = 5000150001\nwhite = 2500100001\nblack = 2500050000\n"
+
+    @pytest.mark.parametrize("alphas,c", [("1,2", "9"), ("ln2,ln3,ln5", "ln900"),
+                                          ("1,sqrt2,sqrt3", "sqrt50"), ("sqrt2", "1/3")])
+    def test_simplex_counts_only_matches_the_listing(self, capsys, alphas, c):
+        _, listed, _ = run(capsys, "simplex", "--alphas", alphas, "--c", c, "--json")
+        _, counted, _ = run(capsys, "simplex", "--alphas", alphas, "--c", c, "--json",
+                            "--counts-only")
+        listed, counted = json.loads(listed), json.loads(counted)
+        del listed["result"]["points"]
+        assert counted == listed
+        for fmt in ((), ("--counts-only",)):
+            _, text, _ = run(capsys, "simplex", "--alphas", alphas, "--c", c, *fmt)
+            assert text.splitlines() == [
+                f"points = {counted['result']['white'] + counted['result']['black']}",
+                f"white = {counted['result']['white']}",
+                f"black = {counted['result']['black']}",
+            ]
+
+    def test_simplex_radicand_past_the_trial_divisors(self, capsys):
+        # trial division stops at 10**4, so a 21-digit radicand parses at once
+        code, out, _ = run(capsys, "simplex", "--alphas", "1,sqrt(100000000000000000039)",
+                           "--c", "4")
+        assert code == 0
+        assert out == "points = 5\nwhite = 3\nblack = 2\n"
+
     def test_black_majority(self, capsys):
         code, out, _ = run(capsys, "black-majority", "--alphas", "ln2,ln3", "--json")
         assert code == 0
@@ -115,6 +151,16 @@ class TestBasicCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "c,white,black,diff"
         assert lines[4] == "4,5,4,1"
+
+    def test_slope_profile_at_one_hundred_thousand(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "slope-profile", "--a1", "1", "--a2", "1",
+                           "--cmax", "100000", "--csv")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 100001
+        assert lines[-1] == "100000,2500100001,2500050000,50001"
 
     def test_verify_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemma2",
@@ -197,6 +243,52 @@ class TestDeterminism:
             _, out, _ = run(capsys, *argv)
             payload = json.loads(out)
             assert json.dumps(payload, sort_keys=True) + "\n" == out
+
+
+def _big_fraction(seed, num_bits, den_bits, negative, exact):
+    """A Fraction from a seeded generator: num_bits over den_bits, or over 2**a * 5**b."""
+    rng = random.Random(seed)
+    num = rng.getrandbits(num_bits) | 1 << (num_bits - 1)
+    if exact:
+        den = 2 ** rng.randrange(den_bits) * 5 ** rng.randrange(den_bits // 2 + 1)
+    else:
+        den = rng.getrandbits(den_bits) | 1 << (den_bits - 1)
+    return Fraction(-num if negative else num, den)
+
+
+class TestDec12:
+    @pytest.mark.parametrize("value", [
+        Fraction(0), Fraction(1, 4), Fraction(3), Fraction(-3), Fraction(1200),
+        Fraction(10**20), Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3),
+        Fraction(10**12 - 1), Fraction(10**13 - 1), Fraction(10**12 + 5),
+        Fraction(999999999999500, 1000), Fraction(1234567890125, 10**13),
+        Fraction(1, 10**30), Fraction(7, 2**40), Fraction(123456789012, 10**5),
+    ])
+    def test_known_values(self, value):
+        assert dec12(value) == decimal_dec12(value)
+
+    def test_exact_quotients_keep_the_ideal_exponent(self):
+        assert dec12(Fraction(1, 4)) == "0.25"
+        assert dec12(Fraction(3, 1)) == "3"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32), num_bits=st.integers(1, 10**5),
+           den_bits=st.integers(1, 10**5), negative=st.booleans(), exact=st.booleans())
+    @example(seed=0, num_bits=86900, den_bits=86900, negative=False, exact=False)
+    @example(seed=1, num_bits=40, den_bits=30, negative=True, exact=True)
+    def test_matches_the_decimal_division(self, seed, num_bits, den_bits, negative, exact):
+        value = _big_fraction(seed, num_bits, den_bits, negative, exact)
+        assert dec12(value) == decimal_dec12(value)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(-10**14, 10**14), k=st.integers(0, 30),
+           a=st.integers(0, 60), b=st.integers(0, 30))
+    @example(m=25, k=0, a=2, b=2)  # 1/4
+    @example(m=12, k=2, a=0, b=0)  # 1200
+    def test_short_decimals_match_the_decimal_division(self, m, k, a, b):
+        # quotients with few digits: exact results keep their ideal exponent
+        value = Fraction(m * 10**k, 2**a * 5**b)
+        assert dec12(value) == decimal_dec12(value)
 
 
 MALFORMED = [

@@ -13,10 +13,16 @@ from quotientfree import (
     simplex_color_counts,
     simplex_points,
 )
+import quotientfree.geometry as geometry
 from quotientfree.rng import CounterRng
 from quotientfree.verify import run_suite
 
-from helpers import context_interval
+from helpers import (
+    context_interval,
+    double_loop_slope_profile,
+    eager_black_majority,
+    tallied_color_counts,
+)
 
 
 class TestExactReal:
@@ -140,7 +146,99 @@ class TestSimplexColorCounts:
             assert after.black - before.black == new_black
 
 
+# (alphas, c) for each membership route in one to four dimensions, with
+# empty regions and bounds that some points meet exactly
+ROW_SUM_SPECS = [
+    # log route
+    (["ln2"], "ln100"),
+    (["ln2", "ln3"], "ln1000"),
+    (["ln2", "ln3"], "ln6"),
+    (["ln3", "ln2", "ln5"], "ln5000"),
+    (["ln2", "ln3", "ln5", "ln7"], "ln100000"),
+    # dot route
+    ([3], 10),
+    ([1, 2], 4),
+    ([1, 2], "1/2"),
+    ([1, 2], -1),
+    (["1/2", "2/3", "3/4"], 5),
+    ([1, 1, 1, 1], 6),
+    # signs route
+    (["sqrt2"], "sqrt50"),
+    ([1, "sqrt2"], "sqrt8"),
+    ([1, "sqrt2"], "3/2"),
+    (["sqrt2", 1], "-1/2"),
+    (["1/2", "sqrt5"], 20),
+    ([1, "sqrt2", "sqrt3"], "15/2"),
+    (["ln2", "ln3", "sqrt2"], 6),
+    (["sqrt2", "sqrt3", "sqrt5", "sqrt7"], 9),
+    (["sqrt2", "sqrt3"], "ln1000"),
+    # an alpha below 2**-64: no enclosure filter, rows are walked up
+    (["1/100000000000000000000000", "sqrt2"], "3/100000000000000000000000"),
+]
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("alphas,c", ROW_SUM_SPECS)
+    def test_counts_match_the_point_tally(self, alphas, c):
+        spec = SimplexSpec.of(alphas, c)
+        assert simplex_color_counts(spec) == tallied_color_counts(spec)
+
+    def test_attained_bounds_match_the_point_tally(self):
+        # black-majority candidates: c = alpha . x, so x lies on the boundary
+        alphas = tuple(ExactReal.parse(a) for a in ("1", "sqrt2", "sqrt3"))
+        for x in ((2, 1, 1), (0, 3, 0), (1, 0, 2), (4, 2, 1)):
+            spec = SimplexSpec(alphas, tuple(zip(alphas, map(Fraction, x))))
+            assert spec.contains(x)
+            assert simplex_color_counts(spec) == tallied_color_counts(spec), x
+
+    @pytest.mark.parametrize("shift", [Fraction(-1, 10**25), Fraction(1, 10**25)])
+    def test_bounds_within_the_enclosure_width(self, shift):
+        # c = 1 + sqrt(2) + shift: the filter cannot place (1, 1), which is
+        # inside exactly when shift >= 0
+        alphas = (ExactReal.of(1), ExactReal.sqrt(2))
+        spec = SimplexSpec(alphas, ((ExactReal.of(1 + shift), Fraction(1)),
+                                    (alphas[1], Fraction(1))))
+        assert spec.contains((1, 1)) == (shift >= 0)
+        assert simplex_color_counts(spec) == tallied_color_counts(spec)
+
+    def test_filter_falls_back_only_on_ties(self, monkeypatch):
+        calls = []
+        sign_of_terms = geometry._sign_of_terms
+
+        def counting(terms, prec_cap, what):
+            calls.append(what)
+            return sign_of_terms(terms, prec_cap, what)
+
+        monkeypatch.setattr(geometry, "_sign_of_terms", counting)
+        spec = SimplexSpec.of([1, "sqrt2"], "sqrt8")
+        assert spec.contains((2, 0)) and not spec.contains((3, 0)) and not spec.contains((0, 3))
+        assert calls == []
+        assert spec.contains((0, 2))  # 2*sqrt(2) == sqrt(8)
+        assert calls == ["membership of point (0, 2)"]
+
+
+# the bench's black-majority families at its six scales, and the verify inputs
+_SCALES = ((1, 1), (1, 2), (2, 3), (3, 2), (5, 7), (4, 5))
+BLACK_MAJORITY_FAMILIES = [
+    family
+    for index, (num, den) in enumerate(_SCALES)
+    for m in (index + 1,)
+    for family in (
+        tuple(f"{j * num}/{den}" for j in (1, 2, 3)),
+        tuple(f"{j * num}/{den}" for j in (2, 3)),
+        (str(m), f"sqrt{2 * m * m}"),
+        (f"sqrt{2 * m * m}", f"sqrt{3 * m * m}"),
+        (f"ln{2 ** m}", f"ln{3 ** m}"),
+        (f"ln{2 ** m}", f"ln{3 ** m}", f"ln{5 ** m}"),
+    )
+] + [("ln2", "ln3"), ("1", "sqrt2"), ("1", "2")]
+
+
 class TestFindBlackMajority:
+    @pytest.mark.parametrize("alphas", BLACK_MAJORITY_FAMILIES)
+    def test_lazy_scan_matches_the_eager_one(self, alphas):
+        assert find_black_majority_c(alphas) == eager_black_majority(alphas)
+
     def test_log_pair_finds_three(self):
         result = find_black_majority_c(["ln2", "ln3"])
         assert result.found
@@ -206,6 +304,13 @@ class TestRationalSlopeProfile:
         with pytest.raises(DomainError):
             rational_slope_profile(0, 2, 5)
 
+    def test_recurrence_matches_the_double_loop(self):
+        for a1 in range(1, 8):
+            for a2 in range(1, 8):
+                rows = [(r.c, r.white, r.black, r.diff)
+                        for r in rational_slope_profile(a1, a2, 300)]
+                assert rows == double_loop_slope_profile(a1, a2, 300), (a1, a2)
+
 
 class TestPrecisionHandling:
     def test_undecidable_at_tiny_precision_cap(self):
@@ -221,6 +326,14 @@ class TestPrecisionHandling:
         spec = SimplexSpec.of([1, "sqrt2"], "sqrt8")
         assert spec.contains((0, 2))
         assert not spec.contains((0, 3))
+
+    def test_sqrt_radicand_past_the_trial_divisors(self):
+        # 10**20 + 39 keeps its form; a square cofactor is still pulled out
+        atom = ExactReal.sqrt(10**20 + 39)
+        assert (atom.kind, atom.arg, atom.scale) == ("sqrt", 10**20 + 39, 1)
+        assert ExactReal.sqrt(4 * 1000003**2).rational == 2 * 1000003
+        atom = ExactReal.sqrt(3 * 1000003**2)  # root of the square factor > 10**4
+        assert (atom.arg, atom.scale) == (3 * 1000003**2, 1)
 
     def test_exact_equality_on_boundary_via_logs(self):
         spec = SimplexSpec.of(["ln2", "ln3"], "ln6")
