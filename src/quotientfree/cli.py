@@ -16,9 +16,10 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from typing import Callable, Iterable, NamedTuple
 
 from . import verify as verify_mod
-from .arith import RationalSet, as_fraction, enumerate_smooth
+from .arith import CoprimeBasis, RationalSet, as_fraction, derive_basis, enumerate_smooth
 from .density import (
     construct_dense_set,
     empirical_densities,
@@ -44,7 +45,6 @@ from .lattice import (
     monochromatize,
     point_color,
 )
-from .arith import CoprimeBasis, derive_basis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,12 +120,27 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _coprime_int_values(text: str) -> list[int]:
     values = _parse_rational_list(text)
-    out = []
     for v in values:
         if v.denominator != 1:
             raise DomainError(f"expected integers, got {v}")
-        out.append(v.numerator)
-    return out
+    return [v.numerator for v in values]
+
+
+def _parse_alphas(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _parse_points(text: str) -> list[list[int]]:
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"could not parse --points: {exc}") from exc
+    # JSON integers only: a float, string or bool coordinate is not converted
+    if not isinstance(raw, list) or not all(
+        isinstance(p, list) and all(type(c) is int for c in p) for p in raw
+    ):
+        raise DomainError("--points must be a JSON array of arrays of integers")
+    return raw
 
 
 def _bracket_json(bracket) -> dict:
@@ -138,187 +153,101 @@ def _bracket_json(bracket) -> dict:
     }
 
 
-def _emit(args, params: dict, result, provenance: str, text_lines) -> None:
-    """Print the JSON payload, or the text lines (any iterable, read only here)."""
-    if args.format == "json":
-        payload = {"params": params, "result": result, "provenance": provenance}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _emit_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-@cache
-def build_parser() -> _Parser:
-    """The CLI's parser, built once per process and shared by every ``main`` call."""
-    parser = _Parser(prog="quotientfree", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-
-    def add(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", dest="format", action="store_const", const="json",
-                       default="text", help="emit a single JSON object")
-        p.add_argument("--csv", dest="format", action="store_const", const="csv",
-                       help="emit CSV (table subcommands only)")
-        p.add_argument("--exact", action="store_true",
-                       help="print exact rationals only in text mode")
-        p.add_argument("--seed", type=int, default=0)
-        return p
-
-    p = add("rho", "closed-form best density for pairwise-coprime integers")
-    p.add_argument("--a", required=True, help="comma-separated integers, e.g. 2,3")
-
-    p = add("rho-general", "bracket the best density of any quotient set")
-    p.add_argument("--a", required=True, help="comma-separated rationals, e.g. 3/2")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--cap", type=int, default=40)
-
-    p = add("sigma", "certified series bracket for a coprime pair")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--tol", default="1/10000")
-    p.add_argument("--budget", type=int, default=10**6)
-
-    p = add("gap", "prove the strict gap between the two density optima")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
-
-    p = add("max-subset", "exact maximal quotient-free subset count of {1..N}")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--witness", action="store_true")
-
-    p = add("dense-set", "members of the dense construction up to a horizon")
-    p.add_argument("--a", required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--cap", type=int, default=40)
-    p.add_argument("--members", action="store_true",
-                   help="include the member list in text mode")
-
-    p = add("densities", "density table of the dense construction at checkpoints")
-    p.add_argument("--a", required=True)
-    p.add_argument("--checkpoints", required=True, help="e.g. 1000,10000,100000")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--cap", type=int, default=40)
-
-    p = add("enumerate", "smooth integers of a basis up to a bound")
-    p.add_argument("--a", required=True, help="basis integers, e.g. 2,3")
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("f", "majority color count over the first t smooth integers")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = add("gamma", "bracket the optimal difference-free weight")
-    p.add_argument("--a", required=True, help="comma-separated rationals")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--cap", type=int, default=40)
-
-    p = add("monochromatize", "recolor an optimal triangle configuration")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ta", help="rational coefficient a")
-    p.add_argument("--tb", help="rational coefficient b")
-    p.add_argument("--tc", help="rational bound c")
-    p.add_argument("--points", required=True,
-                   help='JSON array of coordinate pairs, e.g. "[[0,0],[2,1]]"')
-    p.add_argument("--cap", type=int, default=40)
-
-    p = add("simplex", "lattice points and colors under alpha . x <= c")
-    p.add_argument("--alphas", required=True,
-                   help="comma-separated coefficients, e.g. 1,2 or ln2,ln3 or 1,sqrt2")
-    p.add_argument("--c", required=True, help="bound, e.g. 4 or ln12 or 3/2")
-    p.add_argument("--counts-only", action="store_true")
-
-    p = add("black-majority", "scan thresholds for a black-majority simplex")
-    p.add_argument("--alphas", required=True)
-    p.add_argument("--budget", type=int, default=64)
-
-    p = add("slope-profile", "white-minus-black per integer threshold")
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--cmax", type=int, required=True)
-
-    p = add("verify", "run a seeded property suite")
-    p.add_argument("--suite", required=True,
-                   choices=list(verify_mod.SUITES) + ["all"])
-    p.add_argument("--budget", choices=sorted(verify_mod.BUDGET_TIERS),
-                   help="work tier (default: $QUOTIENTFREE_BUDGET, else 'default')")
-
-    return parser
-
-
-def _parse_alphas(text: str):
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _with_dec(args, value: Fraction) -> str:
+    """The exact rational, followed by its 12-digit decimal unless --exact."""
+    return frac_str(value) + ("" if args.exact else f" = {dec12(value)}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# The subcommand table
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rho(args) -> int:
+class _Output(NamedTuple):
+    """A subcommand's answer in each output mode.  ``lines`` (text) and ``rows``
+    (CSV, table subcommands only) may be generators, read only when printed;
+    ``result`` may be a function of no arguments, called only in JSON mode."""
+
+    params: dict
+    result: object
+    lines: Iterable[str]
+    header: tuple[str, ...] = ()
+    rows: Iterable[tuple] = ()
+    code: int = EXIT_OK
+
+
+class _Command(NamedTuple):
+    help: str
+    provenance: str
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+    compute: Callable[[argparse.Namespace], _Output]
+
+
+_COMMANDS: dict[str, _Command] = {}  # the table: one row per subcommand
+
+
+def _command(name: str, help_text: str, provenance: str, *arguments):
+    """Enter the decorated compute function in the table as the row ``name``."""
+    def register(compute):
+        _COMMANDS[name] = _Command(help_text, provenance, arguments, compute)
+        return compute
+    return register
+
+
+def _arg(*flags: str, **options):
+    return flags, options
+
+
+_CSV = _arg("--csv", dest="format", action="store_const", const="csv", help="emit CSV")
+_EXACT = _arg("--exact", action="store_true", help="print exact rationals only in text mode")
+_RATIONALS = _arg("--a", required=True, help="comma-separated rationals, e.g. 3/2")
+_P = _arg("--p", type=int, required=True)
+_Q = _arg("--q", type=int, required=True)
+_DEPTH = _arg("--depth", type=int, default=6)
+_CAP = _arg("--cap", type=int, default=40)
+
+
+@_command("rho", "closed-form best density for pairwise-coprime integers",
+          "pairwise-coprime-closed-form",
+          _arg("--a", required=True, help="comma-separated integers, e.g. 2,3"), _EXACT)
+def _rho(args) -> _Output:
     values = _coprime_int_values(args.a)
     result = rho_closed_form(values)
-    _emit(
-        args,
-        {"a": [str(v) for v in values]},
-        frac_str(result),
-        "pairwise-coprime-closed-form",
-        [f"rho = {frac_str(result)}" + ("" if args.exact else f" = {dec12(result)}")],
-    )
-    return EXIT_OK
+    return _Output({"a": [str(v) for v in values]}, frac_str(result),
+                   [f"rho = {_with_dec(args, result)}"])
 
 
-def _cmd_rho_general(args) -> int:
+@_command("rho-general", "bracket the best density of any quotient set",
+          "phi-times-gamma-bracket", _RATIONALS, _DEPTH, _CAP, _EXACT)
+def _rho_general(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
     bracket = rho_general(a_set, args.depth, args.cap)
-    lines = [
-        f"lower = {frac_str(bracket.lower)}",
-        f"upper = {frac_str(bracket.upper)}",
-        f"width = {frac_str(bracket.width)}"
-        + ("" if args.exact else f" = {dec12(bracket.width)}"),
-    ]
-    _emit(
-        args,
+    return _Output(
         {"a": [frac_str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
         _bracket_json(bracket),
-        "phi-times-gamma-bracket",
-        lines,
+        [f"lower = {frac_str(bracket.lower)}", f"upper = {frac_str(bracket.upper)}",
+         f"width = {_with_dec(args, bracket.width)}"],
     )
-    return EXIT_OK
 
 
-def _cmd_sigma(args) -> int:
+@_command("sigma", "certified series bracket for a coprime pair",
+          "majority-color-series-bracket",
+          _P, _Q, _arg("--tol", default="1/10000"), _arg("--budget", type=int, default=10**6),
+          _EXACT)
+def _sigma(args) -> _Output:
     bracket = sigma_series(args.p, args.q, as_fraction(args.tol), args.budget)
-    _emit(
-        args,
+    return _Output(
         {"p": args.p, "q": args.q, "tol": str(args.tol), "budget": args.budget},
         _bracket_json(bracket),
-        "majority-color-series-bracket",
-        [
-            f"lower = {frac_str(bracket.lower)}"
-            + ("" if args.exact else f" = {dec12(bracket.lower)}"),
-            f"upper = {frac_str(bracket.upper)}"
-            + ("" if args.exact else f" = {dec12(bracket.upper)}"),
-            f"terms = {bracket.detail['terms']}",
-        ],
+        [f"lower = {_with_dec(args, bracket.lower)}", f"upper = {_with_dec(args, bracket.upper)}",
+         f"terms = {bracket.detail['terms']}"],
     )
-    return EXIT_OK
 
 
-def _cmd_gap(args) -> int:
+@_command("gap", "prove the strict gap between the two density optima",
+          "series-lower-versus-closed-form",
+          _P, _Q, _arg("--budget", type=int, default=10**6), _EXACT)
+def _gap(args) -> _Output:
     report = strict_gap_check(args.p, args.q, args.budget)
     result = {
         "rho": frac_str(report.rho),
@@ -330,68 +259,62 @@ def _cmd_gap(args) -> int:
     }
     lines = [f"rho = {frac_str(report.rho)}"]
     if report.sigma is not None:
-        lines.append(
-            f"sigma in [{dec12(report.sigma.lower)}, {dec12(report.sigma.upper)}]"
-            if not args.exact
-            else f"sigma in [{frac_str(report.sigma.lower)}, {frac_str(report.sigma.upper)}]"
-        )
+        show = frac_str if args.exact else dec12
+        lines.append(f"sigma in [{show(report.sigma.lower)}, {show(report.sigma.upper)}]")
     lines.append(f"gap proven: {report.gap_proven}")
-    _emit(args, {"p": args.p, "q": args.q, "budget": args.budget}, result,
-          "series-lower-versus-closed-form", lines)
-    return EXIT_OK
+    return _Output({"p": args.p, "q": args.q, "budget": args.budget}, result, lines)
 
 
-def _cmd_max_subset(args) -> int:
+@_command("max-subset", "exact maximal quotient-free subset count of {1..N}",
+          "coprime-class-majority-sum",
+          _P, _Q, _arg("--n", type=int, required=True), _arg("--witness", action="store_true"))
+def _max_subset(args) -> _Output:
     if args.witness:
         count, witness = max_subset_count(args.p, args.q, args.n, with_witness=True)
         result = {"count": count, "witness": list(witness)}
     else:
         result = {"count": max_subset_count(args.p, args.q, args.n)}
-    _emit(args, {"p": args.p, "q": args.q, "n": args.n}, result,
-          "coprime-class-majority-sum", (f"{key} = {value}" for key, value in result.items()))
-    return EXIT_OK
+    return _Output({"p": args.p, "q": args.q, "n": args.n}, result,
+                   (f"{key} = {value}" for key, value in result.items()))
 
 
-def _cmd_dense_set(args) -> int:
+@_command("dense-set", "members of the dense construction up to a horizon",
+          "smooth-times-free-construction",
+          _RATIONALS, _arg("--x", type=int, required=True), _DEPTH, _CAP,
+          _arg("--members", action="store_true", help="include the member list in text mode"),
+          _EXACT)
+def _dense_set(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
     sample = construct_dense_set(a_set, args.x, depth=args.depth, cap=args.cap)
+    log_dec = None if sample.log_density is None else dec12(sample.log_density)
     result = {
         "x": sample.x,
         "count": len(sample.members),
         "counting_density": frac_str(sample.counting_density),
         "counting_density_dec": dec12(sample.counting_density),
-        "log_density_dec": None
-        if sample.log_density is None
-        else dec12(sample.log_density),
-        "members": list(sample.members),
+        "log_density_dec": log_dec,
+        "members": sample.members,
     }
-    lines = [
-        f"x = {sample.x}",
-        f"count = {len(sample.members)}",
-        f"counting density = {frac_str(sample.counting_density)}"
-        + ("" if args.exact else f" = {dec12(sample.counting_density)}"),
-    ]
-    if sample.log_density is not None:
-        lines.append(f"log density ~ {dec12(sample.log_density)}")
+    lines = [f"x = {sample.x}", f"count = {len(sample.members)}",
+             f"counting density = {_with_dec(args, sample.counting_density)}"]
+    if log_dec is not None:
+        lines.append(f"log density ~ {log_dec}")
     if args.members:
         lines.append(f"members = {list(sample.members)}")
-    _emit(
-        args,
-        {"a": [frac_str(f) for f in a_set.elements], "x": args.x, "depth": args.depth},
-        result,
-        "smooth-times-free-construction",
-        lines,
-    )
-    return EXIT_OK
+    return _Output({"a": [frac_str(f) for f in a_set.elements], "x": args.x,
+                    "depth": args.depth}, result, lines)
 
 
-def _cmd_densities(args) -> int:
+@_command("densities", "density table of the dense construction at checkpoints",
+          "counting-and-log-density-table",
+          _RATIONALS, _arg("--checkpoints", required=True, help="e.g. 1000,10000,100000"),
+          _DEPTH, _CAP, _CSV)
+def _densities(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
     checkpoints = _parse_int_list(args.checkpoints)
     if not checkpoints:
         raise DomainError("at least one checkpoint is required")
     sample = construct_dense_set(a_set, max(checkpoints), depth=args.depth, cap=args.cap)
-    rows = empirical_densities(sample.members, checkpoints)
     table = [
         (
             row.x,
@@ -400,86 +323,77 @@ def _cmd_densities(args) -> int:
             dec12(row.counting_density),
             "" if row.log_density is None else dec12(row.log_density),
         )
-        for row in rows
+        for row in empirical_densities(sample.members, checkpoints)
     ]
-    if args.format == "csv":
-        # count_density is exact; the _dec12 column and log_density (a ratio
-        # against a 60-digit ln X) are 12-significant-digit decimals
-        _emit_csv(("X", "count", "count_density", "count_density_dec12", "log_density"),
-                  table)
-        return EXIT_OK
-    result = [
-        {
-            "x": row.x,
-            "count": row.count,
-            "counting_density": frac_str(row.counting_density),
-            "counting_density_dec": dec12(row.counting_density),
-            "log_density_dec": None if row.log_density is None else dec12(row.log_density),
-        }
-        for row in rows
-    ]
-    _emit(
-        args,
+    keys = ("x", "count", "counting_density", "counting_density_dec", "log_density_dec")
+    # JSON has null where the CSV's log_density column is empty
+    result = [dict(zip(keys, (*row[:4], row[4] or None))) for row in table]
+    return _Output(
         {"a": [frac_str(f) for f in a_set.elements], "checkpoints": checkpoints},
         result,
-        "counting-and-log-density-table",
-        [f"X={r[0]} count={r[1]} density={r[2]} ({r[3]}) log={r[4]}" for r in table],
+        (f"X={r[0]} count={r[1]} density={r[2]} ({r[3]}) log={r[4]}" for r in table),
+        # count_density is exact; the _dec12 column and log_density (a ratio
+        # against a 60-digit ln X) are 12-significant-digit decimals
+        ("X", "count", "count_density", "count_density_dec12", "log_density"),
+        table,
     )
-    return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
+@_command("enumerate", "smooth integers of a basis up to a bound", "smooth-enumeration",
+          _arg("--a", required=True, help="basis integers, e.g. 2,3"),
+          _arg("--bound", type=int, required=True), _CSV)
+def _enumerate(args) -> _Output:
     basis = CoprimeBasis.from_coprime_integers(sorted(_coprime_int_values(args.a)))
     seq = enumerate_smooth(basis, args.bound)
-    if args.format == "csv":
-        _emit_csv(("value", "exponents"),
-                  [(v, " ".join(map(str, e))) for v, e in seq.entries()])
-        return EXIT_OK
-    result = {"values": list(seq.values), "exponents": [list(e) for e in seq.exponents]}
-    _emit(
-        args,
+    return _Output(
         {"basis": list(basis.basis), "bound": args.bound},
-        result,
-        "smooth-enumeration",
+        {"values": seq.values, "exponents": seq.exponents},
         (f"{v} {list(e)}" for v, e in seq.entries()),
+        ("value", "exponents"),
+        ((v, " ".join(map(str, e))) for v, e in seq.entries()),
     )
-    return EXIT_OK
 
 
-def _cmd_f(args) -> int:
+@_command("f", "majority color count over the first t smooth integers",
+          "checkerboard-majority", _P, _Q, _arg("--t", type=int, required=True))
+def _f(args) -> _Output:
     value = f_via_checkerboard(args.p, args.q, args.t)
-    _emit(args, {"p": args.p, "q": args.q, "t": args.t}, value,
-          "checkerboard-majority", [f"f = {value}"])
-    return EXIT_OK
+    return _Output({"p": args.p, "q": args.q, "t": args.t}, value, [f"f = {value}"])
 
 
-def _cmd_gamma(args) -> int:
+@_command("gamma", "bracket the optimal difference-free weight", "truncated-weighted-search",
+          _RATIONALS, _DEPTH, _CAP)
+def _gamma(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
-    basis = derive_basis(a_set)
-    bracket = gamma_bracket(basis, args.depth, args.cap)
+    bracket = gamma_bracket(derive_basis(a_set), args.depth, args.cap)
     result = {
         "lower": frac_str(bracket.lower),
         "upper": frac_str(bracket.upper),
         "depth": bracket.depth,
         "witness": [list(p) for p in bracket.witness],
     }
-    _emit(
-        args,
+    return _Output(
         {"a": [frac_str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
         result,
-        "truncated-weighted-search",
-        [
-            f"lower = {frac_str(bracket.lower)}",
-            f"upper = {frac_str(bracket.upper)}",
-            f"witness size = {len(bracket.witness)}",
-        ],
+        [f"lower = {frac_str(bracket.lower)}", f"upper = {frac_str(bracket.upper)}",
+         f"witness size = {len(bracket.witness)}"],
     )
-    return EXIT_OK
 
 
-def _cmd_monochromatize(args) -> int:
-    if args.p is not None or args.q is not None or args.n is not None:
-        if None in (args.p, args.q, args.n):
+@_command("monochromatize", "recolor an optimal triangle configuration", "diagonal-sweep",
+          _arg("--p", type=int), _arg("--q", type=int), _arg("--n", type=int),
+          _arg("--ta", help="rational coefficient a"), _arg("--tb", help="rational coefficient b"),
+          _arg("--tc", help="rational bound c"),
+          _arg("--points", required=True,
+               help='JSON array of coordinate pairs, e.g. "[[0,0],[2,1]]"'),
+          _CAP)
+def _monochromatize(args) -> _Output:
+    integer_mode = (args.p, args.q, args.n)
+    rational_mode = (args.ta, args.tb, args.tc)
+    if integer_mode != (None, None, None):
+        if rational_mode != (None, None, None):
+            raise DomainError("give --p, --q, --n or --ta, --tb, --tc, not both")
+        if None in integer_mode:
             raise DomainError("integer mode needs --p, --q and --n together")
         if not (1 < args.p < args.q):
             raise DomainError(f"need 1 < p < q, got p={args.p}, q={args.q}")
@@ -490,49 +404,50 @@ def _cmd_monochromatize(args) -> int:
         )
         params = {"p": args.p, "q": args.q, "n": args.n}
     else:
-        if None in (args.ta, args.tb, args.tc):
+        if None in rational_mode:
             raise DomainError("rational mode needs --ta, --tb and --tc together")
         triangle = SimplexSpec.of(
             [as_fraction(args.ta), as_fraction(args.tb)], as_fraction(args.tc)
         )
         params = {"a": args.ta, "b": args.tb, "c": args.tc}
-    try:
-        raw = json.loads(args.points)
-        points = [tuple(int(c) for c in p) for p in raw]
-    except (ValueError, TypeError) as exc:
-        raise DomainError(f"could not parse --points: {exc}") from exc
-    result_config = monochromatize(triangle, points, cap=args.cap)
-    color = point_color(result_config.points[0]) if result_config.points else "white"
-    result = {"points": [list(p) for p in result_config.points], "color": color}
-    _emit(
-        args,
-        {**params, "points": [list(p) for p in points]},
-        result,
-        "diagonal-sweep",
-        [f"points = {[list(p) for p in result_config.points]}", f"color = {color}"],
+    points = _parse_points(args.points)
+    recolored = [list(p) for p in monochromatize(triangle, points, cap=args.cap).points]
+    color = point_color(recolored[0]) if recolored else "white"
+    return _Output(
+        {**params, "points": points},
+        {"points": recolored, "color": color},
+        [f"points = {recolored}", f"color = {color}"],
     )
-    return EXIT_OK
 
 
-def _cmd_simplex(args) -> int:
-    spec = SimplexSpec.of(_parse_alphas(args.alphas), args.c)
+@_command("simplex", "lattice points and colors under alpha . x <= c",
+          "simplex-lattice-enumeration",
+          _arg("--alphas", required=True,
+               help="comma-separated coefficients, e.g. 1,2 or ln2,ln3 or 1,sqrt2"),
+          _arg("--c", required=True, help="bound, e.g. 4 or ln12 or 3/2"),
+          _arg("--counts-only", action="store_true"))
+def _simplex(args) -> _Output:
+    alphas = _parse_alphas(args.alphas)
+    spec = SimplexSpec.of(alphas, args.c)
     if args.counts_only:
-        counts = simplex_color_counts(spec)
-        result = {"white": counts.white, "black": counts.black}
+        counts, listing = simplex_color_counts(spec), {}
     else:
         config = simplex_points(spec)
         counts = checkerboard_split(config).counts
-        result = {"white": counts.white, "black": counts.black,
-                  "points": [list(p) for p in config.points]}
-    lines = [f"points = {counts.total}",
-             f"white = {counts.white}", f"black = {counts.black}"]
-    _emit(args, {"alphas": _parse_alphas(args.alphas), "c": args.c}, result,
-          "simplex-lattice-enumeration", lines)
-    return EXIT_OK
+        listing = {"points": [list(p) for p in config.points]}
+    return _Output(
+        {"alphas": alphas, "c": args.c},
+        {"white": counts.white, "black": counts.black, **listing},
+        [f"points = {counts.total}", f"white = {counts.white}", f"black = {counts.black}"],
+    )
 
 
-def _cmd_black_majority(args) -> int:
-    search = find_black_majority_c(_parse_alphas(args.alphas), budget=args.budget)
+@_command("black-majority", "scan thresholds for a black-majority simplex",
+          "ascending-threshold-scan",
+          _arg("--alphas", required=True), _arg("--budget", type=int, default=64))
+def _black_majority(args) -> _Output:
+    alphas = _parse_alphas(args.alphas)
+    search = find_black_majority_c(alphas, budget=args.budget)
     result = {
         "found": search.found,
         "c": search.threshold_display,
@@ -548,85 +463,78 @@ def _cmd_black_majority(args) -> int:
         ]
     else:
         lines = [f"none found within budget ({search.candidates_tested} thresholds tested)"]
-    _emit(args, {"alphas": _parse_alphas(args.alphas), "budget": args.budget}, result,
-          "ascending-threshold-scan", lines)
-    return EXIT_OK
+    return _Output({"alphas": alphas, "budget": args.budget}, result, lines)
 
 
-def _cmd_slope_profile(args) -> int:
+@_command("slope-profile", "white-minus-black per integer threshold",
+          "integer-slope-parity-profile",
+          _arg("--a1", type=int, required=True), _arg("--a2", type=int, required=True),
+          _arg("--cmax", type=int, required=True), _CSV)
+def _slope_profile(args) -> _Output:
     rows = rational_slope_profile(args.a1, args.a2, args.cmax)
-    if args.format == "csv":
-        _emit_csv(("c", "white", "black", "diff"),
-                  [(r.c, r.white, r.black, r.diff) for r in rows])
-        return EXIT_OK
-    result = [{"c": r.c, "white": r.white, "black": r.black, "diff": r.diff} for r in rows]
-    _emit(
-        args,
+    return _Output(
         {"a1": args.a1, "a2": args.a2, "cmax": args.cmax},
-        result,
-        "integer-slope-parity-profile",
-        [f"c={r.c} white={r.white} black={r.black} diff={r.diff}" for r in rows],
+        lambda: [{"c": r.c, "white": r.white, "black": r.black, "diff": r.diff} for r in rows],
+        (f"c={r.c} white={r.white} black={r.black} diff={r.diff}" for r in rows),
+        ("c", "white", "black", "diff"),
+        ((r.c, r.white, r.black, r.diff) for r in rows),
     )
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+@_command("verify", "run a seeded property suite", "seeded-property-suite",
+          _arg("--suite", required=True, choices=list(verify_mod.SUITES) + ["all"]),
+          _arg("--budget", choices=sorted(verify_mod.BUDGET_TIERS),
+               help="work tier (default: $QUOTIENTFREE_BUDGET, else 'default')"),
+          _arg("--seed", type=int, default=0))
+def _verify(args) -> _Output:
     # the environment is read per call, so in-process callers may change it
     budget = args.budget or os.environ.get("QUOTIENTFREE_BUDGET") or "default"
     if budget not in verify_mod.BUDGET_TIERS:
-        print(f"error: unknown budget tier {budget!r} in QUOTIENTFREE_BUDGET "
-              f"(choose from {', '.join(sorted(verify_mod.BUDGET_TIERS))})",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise argparse.ArgumentError(
+            None, f"unknown budget tier {budget!r} in QUOTIENTFREE_BUDGET "
+                  f"(choose from {', '.join(sorted(verify_mod.BUDGET_TIERS))})")
     reports = verify_mod.run_suite(args.suite, seed=args.seed, budget=budget)
-    all_ok = all(r.ok for r in reports)
-    if args.format == "json":
-        result = []
-        for r in reports:
-            failure = r.first_failure()
-            result.append(
-                {
-                    "suite": r.suite,
-                    "passed": r.passed,
-                    "failed": r.failed,
-                    "first_failure": None
-                    if failure is None
-                    else {"case": failure.name, "detail": failure.detail},
-                }
-            )
-        payload = {
-            "params": {"suite": args.suite, "seed": args.seed, "budget": budget},
-            "result": result,
-            "provenance": "seeded-property-suite",
-        }
+    result, lines = [], []
+    for r in reports:
+        failure = r.first_failure()
+        result.append({"suite": r.suite, "passed": r.passed, "failed": r.failed,
+                       "first_failure": None if failure is None
+                       else {"case": failure.name, "detail": failure.detail}})
+        lines.append(f"suite {r.suite}: {r.passed}/{len(r.cases)} passed "
+                     f"(seed={r.seed}, budget={r.budget})")
+        if failure is not None:
+            lines.append(f"  FIRST FAILURE {failure.name}: {failure.detail}")
+    return _Output({"suite": args.suite, "seed": args.seed, "budget": budget}, result, lines,
+                   code=EXIT_OK if all(r.ok for r in reports) else EXIT_SUITE_FAILED)
+
+
+@cache
+def build_parser() -> _Parser:
+    """The CLI's parser, built once per process from the subcommand table."""
+    parser = _Parser(prog="quotientfree", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--json", dest="format", action="store_const", const="json",
+                       default="text", help="emit a single JSON object")
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
+    return parser
+
+
+def _emit(fmt: str, provenance: str, out: _Output) -> None:
+    """Print a subcommand's output as JSON, CSV (table subcommands) or text lines."""
+    if fmt == "json":
+        result = out.result() if callable(out.result) else out.result
+        payload = {"params": out.params, "result": result, "provenance": provenance}
         print(json.dumps(payload, sort_keys=True))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
     else:
-        for r in reports:
-            print(f"suite {r.suite}: {r.passed}/{len(r.cases)} passed "
-                  f"(seed={r.seed}, budget={r.budget})")
-            failure = r.first_failure()
-            if failure is not None:
-                print(f"  FIRST FAILURE {failure.name}: {failure.detail}")
-    return EXIT_OK if all_ok else EXIT_SUITE_FAILED
-
-
-_HANDLERS = {
-    "rho": _cmd_rho,
-    "rho-general": _cmd_rho_general,
-    "sigma": _cmd_sigma,
-    "gap": _cmd_gap,
-    "max-subset": _cmd_max_subset,
-    "dense-set": _cmd_dense_set,
-    "densities": _cmd_densities,
-    "enumerate": _cmd_enumerate,
-    "f": _cmd_f,
-    "gamma": _cmd_gamma,
-    "monochromatize": _cmd_monochromatize,
-    "simplex": _cmd_simplex,
-    "black-majority": _cmd_black_majority,
-    "slope-profile": _cmd_slope_profile,
-    "verify": _cmd_verify,
-}
+        for line in out.lines:
+            print(line)
 
 
 def main(argv=None) -> int:
@@ -652,11 +560,15 @@ def _run(argv) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    command = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
-    except DomainError as exc:
+        out = command.compute(args)
+        _emit(args.format, command.provenance, out)
+        return out.code
+    except (argparse.ArgumentError, DomainError) as exc:
+        # ArgumentError: a usage problem found after parsing (a bad QUOTIENTFREE_BUDGET)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_USAGE
     except (BudgetError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, BudgetError) and exc.achieved is not None:

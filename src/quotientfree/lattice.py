@@ -549,17 +549,20 @@ def monochromatize(
     """Recolor an optimal non-adjacent configuration to a single color.
 
     ``triangle`` is a two-dimensional ``SimplexSpec``; any other raises
-    ``DomainError``.  Sweeps diagonals x+y = d upward, keeping everything at or below the
+    ``DomainError``.  ``config`` is a ``LatticeConfig`` or a list of points,
+    which ``LatticeConfig.explicit`` checks (distinct, nonnegative, one
+    dimension), so a repeated point is an error, not dropped.
+
+    Sweeps diagonals x+y = d upward, keeping everything at or below the
     current diagonal one color.  Three moves, by case: a diagonal cut by the
     hypotenuse shifts its points toward the cut; a vacant spot on a full-
     width diagonal splits the shifts around it; a fully occupied diagonal
     forces the row below empty and everything under it shifts up.  Each move
     lands on vacant cells of the opposite parity, so no adjacencies appear.
     """
-    points = config.points if isinstance(config, LatticeConfig) else tuple(
-        tuple(p) for p in config
-    )
-    current = set(points)
+    if not isinstance(config, LatticeConfig):
+        config = LatticeConfig.explicit(config)
+    current = set(config.points)
     size = len(current)
     _validate_sweep_input(triangle, current, cap)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quotientfree
+from quotientfree import verify
 from quotientfree.cli import dec12, main
 
 from helpers import decimal_dec12
@@ -245,6 +246,216 @@ class TestDeterminism:
             assert json.dumps(payload, sort_keys=True) + "\n" == out
 
 
+# One small query per subcommand, in every output mode it has (text, --exact
+# text where it changes the text, --json, and --csv for tables), pinned byte
+# for byte with its exit code.  The last rows are flags a subcommand does not
+# read: they are not registered there, so they are usage errors.
+GOLDEN = [
+    (("rho", "--a", "2,3"),
+     0, "rho = 7/12 = 0.583333333333\n"),
+    (("rho", "--a", "2,3", "--exact"),
+     0, "rho = 7/12\n"),
+    (("rho", "--a", "2,3", "--json"),
+     0, '{"params": {"a": ["2", "3"]}, "provenance": "pairwise-coprime-closed-form", '
+        '"result": "7/12"}\n'),
+    (("rho-general", "--a", "3/2", "--depth", "3"),
+     0, "lower = 49/72\n"
+        "upper = 257/324\n"
+        "width = 73/648 = 0.112654320988\n"),
+    (("rho-general", "--a", "3/2", "--depth", "3", "--exact"),
+     0, "lower = 49/72\n"
+        "upper = 257/324\n"
+        "width = 73/648\n"),
+    (("rho-general", "--a", "3/2", "--depth", "3", "--json"),
+     0, '{"params": {"a": ["3/2"], "cap": 40, "depth": 3}, '
+        '"provenance": "phi-times-gamma-bracket", "result": {"detail": {"basis": [2, 3], '
+        '"depth": 3, "witness_size": 6}, "lower": "49/72", "method": "truncated-gamma", '
+        '"upper": "257/324", "width": "73/648"}}\n'),
+    (("sigma", "--p", "2", "--q", "3", "--tol", "1/100"),
+     0, "lower = 1370113/2239488 = 0.611797428698\n"
+        "upper = 231817/373248 = 0.621080354081\n"
+        "terms = 41\n"),
+    (("sigma", "--p", "2", "--q", "3", "--tol", "1/100", "--exact"),
+     0, "lower = 1370113/2239488\n"
+        "upper = 231817/373248\n"
+        "terms = 41\n"),
+    (("sigma", "--p", "2", "--q", "3", "--tol", "1/100", "--json"),
+     0, '{"params": {"budget": 1000000, "p": 2, "q": 3, "tol": "1/100"}, '
+        '"provenance": "majority-color-series-bracket", '
+        '"result": {"detail": {"next_value": 1152, "terms": 41}, "lower": "1370113/2239488", '
+        '"method": "series-with-tail", "upper": "231817/373248", "width": "20789/2239488"}}\n'),
+    (("gap", "--p", "2", "--q", "3"),
+     0, "rho = 7/12\n"
+        "sigma in [0.598443930041, 0.660879629630]\n"
+        "gap proven: True\n"),
+    (("gap", "--p", "2", "--q", "3", "--exact"),
+     0, "rho = 7/12\n"
+        "sigma in [9307/15552, 571/864]\n"
+        "gap proven: True\n"),
+    (("gap", "--p", "2", "--q", "3", "--json"),
+     0, '{"params": {"budget": 1000000, "p": 2, "q": 3}, '
+        '"provenance": "series-lower-versus-closed-form", "result": {"gap_proven": true, '
+        '"rho": "7/12", "rounds": 1, "sigma": {"lower": "9307/15552", "upper": "571/864"}}}\n'),
+    (("max-subset", "--p", "2", "--q", "3", "--n", "12", "--witness"),
+     0, "count = 7\n"
+        "witness = [1, 4, 5, 6, 7, 9, 11]\n"),
+    (("max-subset", "--p", "2", "--q", "3", "--n", "12", "--witness", "--json"),
+     0, '{"params": {"n": 12, "p": 2, "q": 3}, "provenance": "coprime-class-majority-sum", '
+        '"result": {"count": 7, "witness": [1, 4, 5, 6, 7, 9, 11]}}\n'),
+    (("dense-set", "--a", "2,3", "--x", "20", "--members"),
+     0, "x = 20\n"
+        "count = 12\n"
+        "counting density = 3/5 = 0.6\n"
+        "log density ~ 0.755215082736\n"
+        "members = [1, 4, 5, 6, 7, 9, 11, 13, 16, 17, 19, 20]\n"),
+    (("dense-set", "--a", "2,3", "--x", "20", "--exact"),
+     0, "x = 20\n"
+        "count = 12\n"
+        "counting density = 3/5\n"
+        "log density ~ 0.755215082736\n"),
+    (("dense-set", "--a", "2,3", "--x", "20", "--json"),
+     0, '{"params": {"a": ["2", "3"], "depth": 6, "x": 20}, '
+        '"provenance": "smooth-times-free-construction", "result": {"count": 12, '
+        '"counting_density": "3/5", "counting_density_dec": "0.6", '
+        '"log_density_dec": "0.755215082736", "members": [1, 4, 5, 6, 7, 9, 11, 13, 16, 17, '
+        '19, 20], "x": 20}}\n'),
+    (("densities", "--a", "2,3", "--checkpoints", "10,100"),
+     0, "X=10 count=6 density=3/5 (0.6) log=0.812406423687\n"
+        "X=100 count=59 density=59/100 (0.59) log=0.689907582166\n"),
+    (("densities", "--a", "2,3", "--checkpoints", "10,100", "--json"),
+     0, '{"params": {"a": ["2", "3"], "checkpoints": [10, 100]}, '
+        '"provenance": "counting-and-log-density-table", "result": [{"count": 6, '
+        '"counting_density": "3/5", "counting_density_dec": "0.6", '
+        '"log_density_dec": "0.812406423687", "x": 10}, {"count": 59, '
+        '"counting_density": "59/100", "counting_density_dec": "0.59", '
+        '"log_density_dec": "0.689907582166", "x": 100}]}\n'),
+    (("densities", "--a", "2,3", "--checkpoints", "10,100", "--csv"),
+     0, "X,count,count_density,count_density_dec12,log_density\n"
+        "10,6,3/5,0.6,0.812406423687\n"
+        "100,59,59/100,0.59,0.689907582166\n"),
+    (("enumerate", "--a", "2,3", "--bound", "9"),
+     0, "1 [0, 0]\n"
+        "2 [1, 0]\n"
+        "3 [0, 1]\n"
+        "4 [2, 0]\n"
+        "6 [1, 1]\n"
+        "8 [3, 0]\n"
+        "9 [0, 2]\n"),
+    (("enumerate", "--a", "2,3", "--bound", "9", "--json"),
+     0, '{"params": {"basis": [2, 3], "bound": 9}, "provenance": "smooth-enumeration", '
+        '"result": {"exponents": [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [3, 0], [0, 2]], '
+        '"values": [1, 2, 3, 4, 6, 8, 9]}}\n'),
+    (("enumerate", "--a", "2,3", "--bound", "9", "--csv"),
+     0, "value,exponents\n"
+        "1,0 0\n"
+        "2,1 0\n"
+        "3,0 1\n"
+        "4,2 0\n"
+        "6,1 1\n"
+        "8,3 0\n"
+        "9,0 2\n"),
+    (("f", "--p", "2", "--q", "3", "--t", "8"),
+     0, "f = 4\n"),
+    (("f", "--p", "2", "--q", "3", "--t", "8", "--json"),
+     0, '{"params": {"p": 2, "q": 3, "t": 8}, "provenance": "checkerboard-majority", '
+        '"result": 4}\n'),
+    (("gamma", "--a", "2,3", "--depth", "2"),
+     0, "lower = 55/36\n"
+        "upper = 13/6\n"
+        "witness size = 4\n"),
+    (("gamma", "--a", "2,3", "--depth", "2", "--json"),
+     0, '{"params": {"a": ["2", "3"], "cap": 40, "depth": 2}, '
+        '"provenance": "truncated-weighted-search", "result": {"depth": 2, "lower": "55/36", '
+        '"upper": "13/6", "witness": [[0, 0], [0, 2], [1, 1], [2, 0]]}}\n'),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12", "--points",
+      "[[0,0],[0,2],[2,1],[3,0]]"),
+     0, "points = [[0, 0], [0, 2], [1, 1], [2, 0]]\n"
+        "color = white\n"),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12", "--points",
+      "[[0,0],[0,2],[2,1],[3,0]]", "--json"),
+     0, '{"params": {"n": 12, "p": 2, "points": [[0, 0], [0, 2], [2, 1], [3, 0]], "q": 3}, '
+        '"provenance": "diagonal-sweep", "result": {"color": "white", "points": [[0, 0], [0, '
+        "2], [1, 1], [2, 0]]}}\n"),
+    (("monochromatize", "--ta", "1", "--tb", "1", "--tc", "2", "--points",
+      "[[0,0],[2,0],[1,1],[0,2]]", "--json"),
+     0, '{"params": {"a": "1", "b": "1", "c": "2", "points": [[0, 0], [2, 0], [1, 1], [0, '
+        '2]]}, "provenance": "diagonal-sweep", "result": {"color": "white", "points": [[0, '
+        "0], [0, 2], [1, 1], [2, 0]]}}\n"),
+    (("simplex", "--alphas", "1,sqrt2", "--c", "3/2"),
+     0, "points = 3\n"
+        "white = 1\n"
+        "black = 2\n"),
+    (("simplex", "--alphas", "1,sqrt2", "--c", "3/2", "--json"),
+     0, '{"params": {"alphas": ["1", "sqrt2"], "c": "3/2"}, '
+        '"provenance": "simplex-lattice-enumeration", "result": {"black": 2, "points": [[0, '
+        '0], [0, 1], [1, 0]], "white": 1}}\n'),
+    (("simplex", "--alphas", "1,sqrt2", "--c", "3/2", "--counts-only", "--json"),
+     0, '{"params": {"alphas": ["1", "sqrt2"], "c": "3/2"}, '
+        '"provenance": "simplex-lattice-enumeration", "result": {"black": 2, "white": 1}}\n'),
+    (("black-majority", "--alphas", "1,sqrt2"),
+     0, "c = 3/2\n"
+        "white = 1, black = 2\n"),
+    (("black-majority", "--alphas", "1,sqrt2", "--json"),
+     0, '{"params": {"alphas": ["1", "sqrt2"], "budget": 64}, '
+        '"provenance": "ascending-threshold-scan", "result": {"black": 2, "c": "3/2", '
+        '"candidates_tested": 3, "found": true, "n": null, "white": 1}}\n'),
+    (("black-majority", "--alphas", "1,2", "--budget", "3"),
+     0, "none found within budget (3 thresholds tested)\n"),
+    (("slope-profile", "--a1", "1", "--a2", "2", "--cmax", "4"),
+     0, "c=1 white=1 black=1 diff=0\n"
+        "c=2 white=2 black=2 diff=0\n"
+        "c=3 white=3 black=3 diff=0\n"
+        "c=4 white=5 black=4 diff=1\n"),
+    (("slope-profile", "--a1", "1", "--a2", "2", "--cmax", "4", "--json"),
+     0, '{"params": {"a1": 1, "a2": 2, "cmax": 4}, '
+        '"provenance": "integer-slope-parity-profile", "result": [{"black": 1, "c": 1, '
+        '"diff": 0, "white": 1}, {"black": 2, "c": 2, "diff": 0, "white": 2}, {"black": 3, '
+        '"c": 3, "diff": 0, "white": 3}, {"black": 4, "c": 4, "diff": 1, "white": 5}]}\n'),
+    (("slope-profile", "--a1", "1", "--a2", "2", "--cmax", "4", "--csv"),
+     0, "c,white,black,diff\n"
+        "1,1,1,0\n"
+        "2,2,2,0\n"
+        "3,3,3,0\n"
+        "4,5,4,1\n"),
+    (("verify", "--suite", "lemma2", "--budget", "small", "--seed", "3"),
+     0, "suite lemma2: 3/3 passed (seed=3, budget=small)\n"),
+    (("verify", "--suite", "lemma2", "--budget", "small", "--seed", "3", "--json"),
+     0, '{"params": {"budget": "small", "seed": 3, "suite": "lemma2"}, '
+        '"provenance": "seeded-property-suite", "result": [{"failed": 0, '
+        '"first_failure": null, "passed": 3, "suite": "lemma2"}]}\n'),
+    (("rho", "--a", "2,3", "--csv"), 1, ""),
+    (("f", "--p", "2", "--q", "3", "--t", "8", "--seed", "1"), 1, ""),
+    (("max-subset", "--p", "2", "--q", "3", "--n", "12", "--exact"), 1, ""),
+]
+
+
+def _failing_lemma2(seed, budget):
+    cases = [verify.CaseResult("x=1", True), verify.CaseResult("x=2", False, "count 3 > bound")]
+    return verify.SuiteReport("lemma2", seed, budget, cases)
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv,expected_code,expected_out", GOLDEN,
+                             ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+    def test_stdout_and_exit_code(self, capsys, argv, expected_code, expected_out):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (expected_code, expected_out)
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ((), "suite lemma2: 1/2 passed (seed=0, budget=small)\n"
+             "  FIRST FAILURE x=2: count 3 > bound\n"),
+        (("--json",), '{"params": {"budget": "small", "seed": 0, "suite": "lemma2"}, '
+                      '"provenance": "seeded-property-suite", "result": [{"failed": 1, '
+                      '"first_failure": {"case": "x=2", "detail": "count 3 > bound"}, '
+                      '"passed": 1, "suite": "lemma2"}]}\n'),
+    ])
+    def test_failed_suite_prints_its_report_and_exits_4(self, capsys, monkeypatch, fmt,
+                                                        expected):
+        monkeypatch.setitem(verify._SUITE_FUNCS, "lemma2", _failing_lemma2)
+        code, out, err = run(capsys, "verify", "--suite", "lemma2", "--budget", "small", *fmt)
+        assert (code, out, err) == (4, expected, "")
+
+
 def _big_fraction(seed, num_bits, den_bits, negative, exact):
     """A Fraction from a seeded generator: num_bits over den_bits, or over 2**a * 5**b."""
     rng = random.Random(seed)
@@ -327,6 +538,17 @@ MALFORMED = [
     (("monochromatize", "--p", "2", "--q", "3", "--n", "0", "--points", "[]"), 2),
     (("monochromatize", "--ta", "0", "--tb", "1", "--tc", "4", "--points", "[]"), 2),
     (("monochromatize", "--ta", "1", "--tb", "1", "--tc", "ln4", "--points", "[]"), 2),
+    # coordinates must be JSON integers: no float, string or bool conversion
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
+      "--points", "[[0,0],[0,2],[2,1.9],[3,0]]"), 2),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
+      "--points", '[[0,0],[0,2],[2,"1"],[3,0]]'), 2),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
+      "--points", "[[0,0],[0,2],[2,true],[3,0]]"), 2),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
+      "--points", "[[0,0],[0,0],[0,2],[2,1],[3,0]]"), 2),  # a duplicate point
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12", "--tc", "5",
+      "--points", "[[0,0],[0,2],[2,1],[3,0]]"), 2),  # integer and rational modes mixed
 ]
 
 

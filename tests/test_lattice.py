@@ -460,6 +460,12 @@ class TestMonochromatize:
         with pytest.raises(DomainError, match="outside"):
             monochromatize(triangle, [(5, 5)])
 
+    def test_rejects_duplicate_points(self):
+        # a plain list goes through LatticeConfig, so a repeat is not dropped
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
+        with pytest.raises(DomainError, match="distinct"):
+            monochromatize(triangle, [(0, 0), (0, 0), (0, 2), (2, 1), (3, 0)])
+
     def test_rational_mode(self):
         triangle = SimplexSpec.of([Fraction(1), Fraction(3, 2)], Fraction(9, 2))
         pts = simplex_points(triangle).points
