@@ -16,13 +16,13 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import verify as verify_mod
 from .arith import CoprimeBasis, RationalSet, as_fraction, derive_basis, enumerate_smooth
 from .density import (
+    DensityBracket,
     construct_dense_set,
-    empirical_densities,
     max_subset_count,
     rho_closed_form,
     rho_general,
@@ -151,6 +151,24 @@ def _bracket_json(bracket) -> dict:
         "method": bracket.method,
         "detail": bracket.detail,
     }
+
+
+def _log_dec(bracket: Optional[DensityBracket], exact: Callable[[], Fraction]) -> Optional[str]:
+    """``dec12`` of a log density from its certified bracket; None without one.
+
+    When both ends print the same 12 digits and the decimal they name lies
+    outside the bracket, the value inside prints the same: it rounds to
+    that decimal and is not equal to it, so its quotient is inexact and
+    keeps all 12 digits.  Otherwise (a bracket across a rounding boundary,
+    or around a short decimal such as 1/4, whose exact quotient would print
+    trimmed) ``exact()`` is computed and printed.
+    """
+    if bracket is None:
+        return None
+    text = dec12(bracket.lower)
+    if text == dec12(bracket.upper) and not bracket.contains(Fraction(text)):
+        return text
+    return dec12(exact())
 
 
 def _with_dec(args, value: Fraction) -> str:
@@ -286,7 +304,7 @@ def _max_subset(args) -> _Output:
 def _dense_set(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
     sample = construct_dense_set(a_set, args.x, depth=args.depth, cap=args.cap)
-    log_dec = None if sample.log_density is None else dec12(sample.log_density)
+    log_dec = _log_dec(sample.log_density_bracket(), lambda: sample.log_density)
     result = {
         "x": sample.x,
         "count": len(sample.members),
@@ -314,17 +332,17 @@ def _densities(args) -> _Output:
     checkpoints = _parse_int_list(args.checkpoints)
     if not checkpoints:
         raise DomainError("at least one checkpoint is required")
+    # one sample at the last checkpoint answers every row from its factor
+    # lists; its member list is never built
     sample = construct_dense_set(a_set, max(checkpoints), depth=args.depth, cap=args.cap)
-    table = [
-        (
-            row.x,
-            row.count,
-            frac_str(row.counting_density),
-            dec12(row.counting_density),
-            "" if row.log_density is None else dec12(row.log_density),
-        )
-        for row in empirical_densities(sample.members, checkpoints)
-    ]
+    if min(checkpoints) < 1:
+        raise DomainError("checkpoints must be positive")
+    table = []
+    for x in sorted(set(checkpoints)):
+        count = sample.count(x)
+        density = Fraction(count, x)
+        log_dec = _log_dec(sample.log_density_bracket(x), lambda: sample.log_density_at(x))
+        table.append((x, count, frac_str(density), dec12(density), log_dec or ""))
     keys = ("x", "count", "counting_density", "counting_density_dec", "log_density_dec")
     # JSON has null where the CSV's log_density column is empty
     result = [dict(zip(keys, (*row[:4], row[4] or None))) for row in table]

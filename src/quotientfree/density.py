@@ -12,6 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -36,6 +37,8 @@ from .lattice import DEFAULT_SEARCH_CAP, gamma_bracket
 
 DEFAULT_SERIES_BUDGET = 10**6
 LN_PRECISION_DIGITS = 60
+# K: log density brackets scale each reciprocal by 2^K and round to integers
+FIXED_POINT_BITS = 96
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,11 @@ def rho_general(
     )
 
 
+def _require_budget(budget: int) -> None:
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
+
+
 def sigma_series(
     p: int,
     q: int,
@@ -132,6 +140,7 @@ def sigma_series(
     tolerance = as_fraction(tolerance)
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
+    _require_budget(budget)
     factor = Fraction((p - 1) * (q - 1), p * q)
     full_recip = 1 / factor
     f_num, f_den = factor.numerator, factor.denominator
@@ -245,28 +254,95 @@ def max_subset_count(
 class DenseSetSample:
     """A horizon's worth of the explicit dense quotient-free construction.
 
-    ``smooth_parts`` (the chosen smooth parts) and ``free_parts`` (the
-    basis-free integers up to x) are the factors every member splits into.
+    Every member is a chosen smooth part times a free part (a basis-free
+    integer), and a product up to x has its free part among the first
+    c_m = #{free <= x // m} of them.  So the sample keeps just the two
+    ascending factor lists; the member list, counts and densities are
+    computed from them on first read, at any horizon up to ``x``.
     """
 
     x: int
-    members: tuple[int, ...]
-    counting_density: Fraction
-    smooth_parts: Sequence[int] = field(repr=False, compare=False)
-    free_parts: Sequence[int] = field(repr=False, compare=False)
+    smooth_parts: tuple[int, ...] = field(repr=False)
+    free_parts: tuple[int, ...] = field(repr=False)
+
+    def _horizon(self, x: Optional[int]) -> int:
+        if x is None:
+            return self.x
+        if not 1 <= x <= self.x:
+            raise DomainError(f"the horizon must lie in [1, {self.x}]")
+        return x
+
+    def _cuts(self, x: int) -> list[int]:
+        """c_m for each chosen smooth part m <= x, in the order of the parts."""
+        free = self.free_parts
+        return [bisect_right(free, x // m) for m in self.smooth_parts if m <= x]
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        """Every member up to x, ascending."""
+        members: list[int] = []
+        for m, top in zip(self.smooth_parts, self._cuts(self.x)):
+            members.extend([m * n for n in self.free_parts[:top]])
+        members.sort()
+        return tuple(members)
+
+    def count(self, x: Optional[int] = None) -> int:
+        """Number of members up to x (default: the horizon), the sum of the c_m."""
+        return sum(self._cuts(self._horizon(x)))
+
+    @cached_property
+    def counting_density(self) -> Fraction:
+        return Fraction(self.count(), self.x)
 
     @cached_property
     def log_density(self) -> Optional[Fraction]:
-        """Exact reciprocal sum of the members over ln x; None for x < 2.
+        """Exact reciprocal sum of the members over ln x; None for x < 2."""
+        return self.log_density_at(self.x)
 
-        Computed on first read only: the sum is the costly part of the
-        construction, and callers that tabulate densities themselves never
-        need it.
+    def log_density_at(self, x: int) -> Optional[Fraction]:
+        """Exact reciprocal sum of the members up to x over ln x; None for x < 2.
+
+        The reciprocal sum is exact, and its denominator grows by about
+        1.44 x bits, so this is the slow route; ``log_density_bracket``
+        encloses the same value with integers of fixed size.
         """
-        if self.x < 2:
+        x = self._horizon(x)
+        if x < 2:
             return None
-        recip = _grouped_reciprocal_sum(self.smooth_parts, self.free_parts, self.x)
-        return recip / _ln_fraction(self.x)
+        smooth = [m for m in self.smooth_parts if m <= x]
+        return _grouped_reciprocal_sum(smooth, self.free_parts, x) / _ln_fraction(x)
+
+    @cached_property
+    def _reciprocal_prefix(self) -> list[int]:
+        """P[c]: the sum of floor(2^K / n) over the first c free parts."""
+        one = 1 << FIXED_POINT_BITS
+        return list(accumulate((one // n for n in self.free_parts), initial=0))
+
+    def log_density_bracket(self, x: Optional[int] = None) -> Optional[DensityBracket]:
+        """Certified enclosure of ``log_density_at(x)``; None for x < 2.
+
+        The reciprocal sum is the sum over chosen m of (1/m) H(c_m), where
+        H(c) sums 1/n over the first c free parts.  Scaled by 2^K, each 1/n
+        lies in [floor(2^K/n), floor(2^K/n) + 1), so 2^K H(c) lies in
+        [P[c], P[c] + c], and 2^K/m lies between its floor and its ceiling.
+        The products of the bounds bracket 2^2K times the sum in integers,
+        and both ends are divided by the same ln x as the exact value.
+        """
+        x = self._horizon(x)
+        if x < 2:
+            return None
+        one = 1 << FIXED_POINT_BITS
+        prefix = self._reciprocal_prefix
+        low = high = 0
+        for m, c in zip(self.smooth_parts, self._cuts(x)):
+            floor, rest = divmod(one, m)
+            low += floor * prefix[c]
+            high += (floor + (rest > 0)) * (prefix[c] + c)
+        scale = _ln_fraction(x) * (one * one)
+        return DensityBracket(
+            low / scale, high / scale, "fixed-point-reciprocal-sum",
+            {"bits": FIXED_POINT_BITS},
+        )
 
 
 def _ln_fraction(x: int, digits: int = LN_PRECISION_DIGITS) -> Fraction:
@@ -281,7 +357,7 @@ def construct_dense_set(
     depth: int = 6,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> DenseSetSample:
-    """Members up to x of the dense construction: chosen smooth part times free part.
+    """The dense construction up to x: chosen smooth parts times free parts.
 
     For pairwise-coprime integer quotients the chosen smooth parts are the
     even-parity (white) ones over the set itself; otherwise a truncated
@@ -315,15 +391,7 @@ def construct_dense_set(
     else:
         smooth_parts = [v for v, e in seq.entries() if e in chosen]
     free_parts = coprime_part_list(basis, x)
-
-    members: list[int] = []
-    for m in smooth_parts:
-        top = bisect_right(free_parts, x // m)
-        members.extend([m * n for n in free_parts[:top]])
-    members.sort()
-
-    counting = Fraction(len(members), x)
-    return DenseSetSample(x, tuple(members), counting, smooth_parts, free_parts)
+    return DenseSetSample(x, tuple(smooth_parts), tuple(free_parts))
 
 
 def _grouped_reciprocal_sum(
@@ -405,6 +473,7 @@ def strict_gap_check(
     exhaustion yields an inconclusive report, never a false positive.
     """
     rho = rho_closed_form([p, q])
+    _require_budget(budget)
     tolerance = Fraction(1, 16)
     sigma: Optional[DensityBracket] = None
     for round_no in range(1, max_rounds + 1):

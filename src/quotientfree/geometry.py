@@ -528,6 +528,8 @@ def find_black_majority_c(
     integer, the attained rational for rational coefficients, and otherwise
     the simplest rational inside the black-majority window.
     """
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
     if len(alpha_atoms) < 2:
         raise DomainError("at least two coefficients are required")

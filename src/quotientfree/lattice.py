@@ -480,6 +480,8 @@ def gamma_bracket(
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
+    if cap < 1:
+        raise DomainError(f"cap must be at least 1, got {cap}")
     s = basis.size
     count = comb(depth + s, s)
     if count > cap:

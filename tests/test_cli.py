@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quotientfree
-from quotientfree import verify
-from quotientfree.cli import dec12, main
+from quotientfree import cli, density, verify
+from quotientfree.cli import _log_dec, dec12, main
+from quotientfree.density import DensityBracket
 
 from helpers import decimal_dec12
 
@@ -333,6 +335,18 @@ GOLDEN = [
      0, "X,count,count_density,count_density_dec12,log_density\n"
         "10,6,3/5,0.6,0.812406423687\n"
         "100,59,59/100,0.59,0.689907582166\n"),
+    # duplicate, unsorted checkpoints, and X = 1 with no log density
+    (("densities", "--a", "3/2", "--checkpoints", "10,1,10", "--json"),
+     0, '{"params": {"a": ["3/2"], "checkpoints": [10, 1, 10]}, '
+        '"provenance": "counting-and-log-density-table", "result": [{"count": 1, '
+        '"counting_density": "1", "counting_density_dec": "1", "log_density_dec": null, '
+        '"x": 1}, {"count": 8, "counting_density": "4/5", "counting_density_dec": "0.8", '
+        '"log_density_dec": "1.05488750942", "x": 10}]}\n'),
+    (("densities", "--a", "2,3", "--checkpoints", "1000,10000,60000", "--csv"),
+     0, "X,count,count_density,count_density_dec12,log_density\n"
+        "1000,580,29/50,0.58,0.652723072427\n"
+        "10000,5835,1167/2000,0.5835,0.635730622846\n"
+        "60000,35001,11667/20000,0.58335,0.627180362662\n"),
     (("enumerate", "--a", "2,3", "--bound", "9"),
      0, "1 [0, 0]\n"
         "2 [1, 0]\n"
@@ -502,6 +516,83 @@ class TestDec12:
         assert dec12(value) == decimal_dec12(value)
 
 
+def _bracket(lower, upper):
+    return DensityBracket(lower, upper, "test", {})
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the exact route was taken")
+
+
+class TestLogDensityDecimal:
+    def test_a_narrow_bracket_decides_alone(self):
+        eps = Fraction(1, 2**100)
+        bracket = _bracket(Fraction(1, 3) - eps, Fraction(1, 3) + eps)
+        assert _log_dec(bracket, _unreachable) == "0.333333333333"
+
+    def test_no_bracket_prints_nothing(self):
+        assert _log_dec(None, _unreachable) is None
+
+    def test_a_bracket_across_a_rounding_boundary_takes_the_exact_route(self):
+        # 0.1234567890125 is a half-even tie: the ends round apart
+        tie, eps = Fraction(1234567890125, 10**13), Fraction(1, 2**100)
+        bracket = _bracket(tie - eps, tie + eps)
+        assert dec12(bracket.lower) != dec12(bracket.upper)
+        calls = []
+        assert _log_dec(bracket, lambda: calls.append(1) or tie) == "0.123456789012"
+        assert calls == [1]
+
+    def test_a_bracket_around_its_named_decimal_takes_the_exact_route(self):
+        # both ends print 0.250000000000, but 1/4 itself prints trimmed
+        eps = Fraction(1, 2**100)
+        bracket = _bracket(Fraction(1, 4) - eps, Fraction(1, 4) + eps)
+        assert dec12(bracket.lower) == dec12(bracket.upper) == "0.250000000000"
+        calls = []
+        assert _log_dec(bracket, lambda: calls.append(1) or Fraction(1, 4)) == "0.25"
+        assert calls == [1]
+
+
+class TestDensityTables:
+    def test_dense_set_digest(self, capsys):
+        code, out, _ = run(capsys, "dense-set", "--a", "4/3", "--x", "20000", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "97d631dec6a25f359118c1b6678a04cfe9b31cdb6761ee41182c1deec9514be4")
+
+    @pytest.mark.parametrize("checkpoints,message", [
+        ("-5", "error: the horizon must be at least 1\n"),
+        ("0,10", "error: checkpoints must be positive\n"),
+    ])
+    def test_bad_checkpoints(self, capsys, checkpoints, message):
+        code, out, err = run(capsys, "densities", "--a", "2,3", "--checkpoints", checkpoints)
+        assert (code, out, err) == (2, "", message)
+
+    def test_no_exact_sum_on_bench_inputs(self, capsys, monkeypatch):
+        # the fixed-point bracket decides every log density here; the exact
+        # routes are fallbacks only, and densities never lists the members
+        for name in ("_grouped_reciprocal_sum", "empirical_densities", "exact_sum"):
+            monkeypatch.setattr(density, name, _unreachable)
+        monkeypatch.setattr(density.DenseSetSample, "log_density",
+                            property(_unreachable))
+        samples = []
+
+        def recording(*args, **kwargs):
+            samples.append(density.construct_dense_set(*args, **kwargs))
+            return samples[-1]
+
+        monkeypatch.setattr(cli, "construct_dense_set", recording)
+        for a_set in ("2,3", "3/2", "4/3"):
+            for x in (15000, 60000):
+                code, out, _ = run(capsys, "dense-set", "--a", a_set, "--x", str(x), "--json")
+                assert code == 0
+                assert json.loads(out)["result"]["log_density_dec"] is not None
+            code, out, _ = run(capsys, "densities", "--a", a_set,
+                               "--checkpoints", "1000,15000,60000", "--csv")
+            assert code == 0
+            assert len(out.splitlines()) == 4
+            assert "members" not in samples[-1].__dict__
+
+
 MALFORMED = [
     (("definitely-not-a-subcommand",), 1),
     (("rho",), 1),  # missing required --a
@@ -549,6 +640,12 @@ MALFORMED = [
       "--points", "[[0,0],[0,0],[0,2],[2,1],[3,0]]"), 2),  # a duplicate point
     (("monochromatize", "--p", "2", "--q", "3", "--n", "12", "--tc", "5",
       "--points", "[[0,0],[0,2],[2,1],[3,0]]"), 2),  # integer and rational modes mixed
+    # work budgets and caps below 1 are bad input, not exhausted work
+    (("gap", "--p", "2", "--q", "3", "--budget", "-1"), 2),
+    (("sigma", "--p", "2", "--q", "3", "--budget", "0"), 2),
+    (("black-majority", "--alphas", "1,2", "--budget", "-1"), 2),
+    (("rho-general", "--a", "3/2", "--cap", "-1"), 2),
+    (("gamma", "--a", "2,3", "--cap", "0"), 2),
 ]
 
 

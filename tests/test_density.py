@@ -22,6 +22,7 @@ from quotientfree import (
     strict_gap_check,
     white_weight_value,
 )
+from quotientfree.cli import dec12
 from quotientfree.density import LN_PRECISION_DIGITS, _ln_fraction
 from quotientfree.rng import CounterRng
 from quotientfree.verify import exhaustive_max_quotient_free
@@ -311,6 +312,66 @@ class TestConstructDenseSet:
             deviation = abs(Fraction(count, x) - target)
             envelope = 3 * math.log(x) ** 2 / x + 0.005
             assert float(deviation) < envelope, x
+
+
+BRACKET_SETS = [("2", "3"), ("2",), ("3/2",), ("4/3",)]
+
+
+class TestLazySample:
+    def test_members_are_built_on_first_read(self):
+        sample = construct_dense_set([2, 3], 1000)
+        assert sample.count() == 580
+        assert sample.counting_density == Fraction(29, 50)
+        assert "members" not in sample.__dict__
+        assert len(sample.members) == 580
+
+    @pytest.mark.parametrize("a_set", BRACKET_SETS)
+    def test_counts_and_exact_logs_match_the_member_list(self, a_set):
+        sample = construct_dense_set(list(a_set), 5000)
+        checkpoints = [1, 2, 3, 10, 99, 1000, 4999, 5000]
+        for row in empirical_densities(sample.members, checkpoints):
+            assert sample.count(row.x) == row.count
+            assert sample.log_density_at(row.x) == row.log_density
+        assert sample.log_density == sample.log_density_at(5000)
+
+    def test_sub_horizons_match_a_fresh_construction(self):
+        sample = construct_dense_set(["3/2"], 2000)
+        for x in (1, 2, 77, 1999):
+            fresh = construct_dense_set(["3/2"], x)
+            assert sample.count(x) == fresh.count() == len(fresh.members)
+            assert sample.log_density_at(x) == fresh.log_density
+            assert sample.log_density_bracket(x) == fresh.log_density_bracket()
+
+    @pytest.mark.parametrize("x", [0, 1001])
+    def test_rejects_horizons_outside_the_sample(self, x):
+        sample = construct_dense_set([2, 3], 1000)
+        for read in (sample.count, sample.log_density_at, sample.log_density_bracket):
+            with pytest.raises(DomainError):
+                read(x)
+
+
+class TestLogDensityBracket:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a_set=st.sampled_from(BRACKET_SETS), x=st.integers(1, 3000))
+    @example(a_set=("2", "3"), x=1)
+    @example(a_set=("2",), x=2)
+    def test_contains_the_exact_log_density(self, a_set, x):
+        sample = construct_dense_set(list(a_set), x)
+        bracket = sample.log_density_bracket()
+        if x < 2:
+            assert bracket is None and sample.log_density is None
+            return
+        assert bracket.contains(sample.log_density)
+        assert bracket.width < Fraction(1, 2**80)
+
+    def test_contains_the_exact_log_density_at_two_hundred_thousand(self):
+        sample = construct_dense_set([2, 3], 2 * 10**5)
+        bracket = sample.log_density_bracket()
+        assert bracket.method == "fixed-point-reciprocal-sum"
+        assert bracket.contains(sample.log_density)
+        assert 0 < bracket.width < Fraction(1, 10**24)
+        assert dec12(bracket.lower) == dec12(bracket.upper) == dec12(sample.log_density)
+        assert dec12(sample.log_density) == "0.622854425031"
 
 
 class TestEmpiricalDensities:
