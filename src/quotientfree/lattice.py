@@ -333,17 +333,18 @@ def _solve_max_weight(points, adj, weights, sub_mask: int):
     return _min_cut_optimum(points, adj, weights, sub_mask, side, zero)
 
 
-def _lex_least_optimal(points, adj, weights, target):
-    """Lexicographically least optimum under the fixed (sorted) point order.
+def _greedy_optimum(points, adj, weights, target, order):
+    """An optimum of weight ``target``, completed greedily in the given order.
 
-    Greedy inclusion: commit each point in order iff the target value is
-    still reachable with it in; each test is one exact solve on the residue.
+    ``order`` lists every point index once.  Visit them in that order and
+    commit each iff the target is still reachable with it in; each test is
+    one exact solve on the residue.
+    The sorted order gives the lexicographically least optimum.
     """
-    n = len(points)
     chosen_weight = 0
     chosen_mask = 0
-    rem = (1 << n) - 1
-    for i in range(n):  # points are stored lex-sorted
+    rem = (1 << len(points)) - 1
+    for i in order:
         bit = 1 << i
         if not (rem & bit):
             continue
@@ -390,7 +391,7 @@ def max_difference_free(
     points, adj = _conflict_graph(config, diffs, cap)
     weights = [1] * len(points)
     best = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
-    mask = _lex_least_optimal(points, adj, weights, best)
+    mask = _greedy_optimum(points, adj, weights, best, range(len(points)))
     witness = tuple(points[i] for i in _iter_bits(mask))
     return IndependentSetResult(best, witness, True)
 
@@ -521,7 +522,17 @@ def white_weight_value(values: Sequence[int]) -> Fraction:
 AXIS_DIFFS: tuple[Point, ...] = ((1, 0), (0, 1))
 
 
+def _adjacent_point(pts: set[Point]) -> Optional[Point]:
+    """A point of pts whose right or upper neighbor is also in pts, else None."""
+    for x, y in pts:
+        if (x + 1, y) in pts or (x, y + 1) in pts:
+            return (x, y)
+    return None
+
+
 def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> None:
+    if cap < 1:
+        raise DomainError(f"cap must be at least 1, got {cap}")
     if len(triangle.alphas) != 2:
         raise DomainError("the sweep works on plane triangles")
     for p in pts:
@@ -529,9 +540,9 @@ def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> N
             raise DomainError("the sweep works on plane configurations")
         if not triangle.contains(p):
             raise DomainError(f"point {p} lies outside the triangle")
-    for x, y in pts:
-        if (x + 1, y) in pts or (x, y + 1) in pts:
-            raise DomainError(f"points ({x},{y}) and a neighbor are both present")
+    adjacent = _adjacent_point(pts)
+    if adjacent is not None:
+        raise DomainError(f"points ({adjacent[0]},{adjacent[1]}) and a neighbor are both present")
     tri_pts = simplex_points(triangle, limit=cap + 1)
     if len(tri_pts) <= cap:
         opt = _max_difference_free_size(tri_pts, AXIS_DIFFS, cap)
@@ -541,6 +552,18 @@ def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> N
                 "the sweep requires a maximum configuration"
             )
     # beyond the cap the maximality of the input is trusted
+
+
+def _move(triangle: SimplexSpec, current: set[Point], group, targets, d: int, kind: str) -> None:
+    """Replace group by targets in current, each target inside and not held outside group."""
+    group = set(group)
+    for nx, ny in targets:
+        if not triangle.contains((nx, ny)):
+            raise SweepError(d, f"{kind} target ({nx},{ny}) leaves the triangle")
+        if (nx, ny) in current and (nx, ny) not in group:
+            raise SweepError(d, f"{kind} target ({nx},{ny}) is occupied")
+    current.difference_update(group)
+    current.update(targets)
 
 
 def monochromatize(
@@ -591,47 +614,20 @@ def monochromatize(
 
         if left_out or right_out:
             # hypotenuse cuts the diagonal: shift its points toward the cut
-            step = (-1, 0) if left_out else (0, -1)
-            moved = []
-            for x, y in diag:
-                nx, ny = x + step[0], y + step[1]
-                if nx < 0 or ny < 0 or not triangle.contains((nx, ny)):
-                    raise SweepError(d, f"shift target ({nx},{ny}) leaves the triangle")
-                if (nx, ny) in current and (nx, ny) not in diag:
-                    raise SweepError(d, f"shift target ({nx},{ny}) is occupied")
-                moved.append((nx, ny))
-            current.difference_update(diag)
-            current.update(moved)
+            dx, dy = (-1, 0) if left_out else (0, -1)
+            _move(triangle, current, diag, [(x + dx, y + dy) for x, y in diag], d, "shift")
         else:
-            full_diag = [(x, d - x) for x in range(d + 1)]
-            vacant = [pt for pt in full_diag if pt not in current]
+            vacant = [x for x in range(d + 1) if (x, d - x) not in current]
             if vacant:
                 # split shifts around the vacant spot: left part down, right part left
-                px = vacant[0][0]
-                moved = []
-                for x, y in diag:
-                    nx, ny = (x, y - 1) if x < px else (x - 1, y)
-                    if nx < 0 or ny < 0 or not triangle.contains((nx, ny)):
-                        raise SweepError(d, f"shift target ({nx},{ny}) leaves the triangle")
-                    if (nx, ny) in current and (nx, ny) not in diag:
-                        raise SweepError(d, f"shift target ({nx},{ny}) is occupied")
-                    moved.append((nx, ny))
-                current.difference_update(diag)
-                current.update(moved)
+                px = vacant[0]
+                targets = [(x, y - 1) if x < px else (x - 1, y) for x, y in diag]
+                _move(triangle, current, diag, targets, d, "shift")
             else:
                 # full diagonal: its neighbors are free, so row d-1 must be empty
                 if any(p[0] + p[1] == d - 1 for p in current):
                     raise SweepError(d, "row below a full diagonal is occupied")
-                moved = []
-                for x, y in below:
-                    nx, ny = x, y + 1
-                    if not triangle.contains((nx, ny)):
-                        raise SweepError(d, f"upward target ({nx},{ny}) leaves the triangle")
-                    if (nx, ny) in current and (nx, ny) not in below:
-                        raise SweepError(d, f"upward target ({nx},{ny}) is occupied")
-                    moved.append((nx, ny))
-                current.difference_update(below)
-                current.update(moved)
+                _move(triangle, current, below, [(x, y + 1) for x, y in below], d, "upward")
         if len(current) != size:
             raise SweepError(d, "moves collided and lost a point")
 
@@ -640,10 +636,8 @@ def monochromatize(
         raise SweepError(None, "output size differs from input size")
     if any(not triangle.contains(p) for p in result):
         raise SweepError(None, "output leaves the triangle")
-    out_set = set(result)
-    for x, y in result:
-        if (x + 1, y) in out_set or (x, y + 1) in out_set:
-            raise SweepError(None, "output contains adjacent points")
+    if _adjacent_point(current) is not None:
+        raise SweepError(None, "output contains adjacent points")
     if len({(x + y) % 2 for x, y in result}) > 1:
         raise SweepError(None, "output is not monochromatic")
     return LatticeConfig.explicit(result)

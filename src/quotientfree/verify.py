@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .arith import count_coprime_part, enumerate_smooth, phi
 from .density import max_subset_count, strict_gap_check
@@ -24,13 +25,14 @@ from .lattice import (
     AXIS_DIFFS,
     LatticeConfig,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
+    _conflict_graph,
+    _greedy_optimum,
     _max_difference_free_size,
+    _solve_max_weight,
     checkerboard_split,
     monochromatize,
 )
 from .rng import CounterRng
-
-SUITES = ("theorem6", "lemma2", "corollary", "gap", "monochromatize", "geometry")
 
 BUDGET_TIERS = {
     "small": {
@@ -160,32 +162,18 @@ def _random_rational_triangle(rng: CounterRng, max_points: int = 30):
 
 
 def _random_optimal_configuration(rng: CounterRng, points, cap: int = 40):
-    """A random maximum non-adjacent subset of the given triangle points."""
-    config = LatticeConfig.explicit(points)
-    target = _max_difference_free_size(config, AXIS_DIFFS, cap)
-    order = list(points)
+    """A random maximum non-adjacent subset of the given triangle points.
+
+    The greedy completion visits the points in an order shuffled by ``rng``;
+    the chosen points are listed in that order.
+    """
+    points, adj = _conflict_graph(LatticeConfig.explicit(points), AXIS_DIFFS, cap)
+    weights = [1] * len(points)
+    target = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
+    order = list(range(len(points)))
     rng.shuffle(order)
-    chosen: list[tuple[int, int]] = []
-    pool = set(points)
-
-    def conflicts(p, qpt):
-        dx, dy = abs(p[0] - qpt[0]), abs(p[1] - qpt[1])
-        return (dx, dy) in ((1, 0), (0, 1))
-
-    for candidate in order:
-        if candidate not in pool:
-            continue
-        trial = chosen + [candidate]
-        rest = [p for p in pool if p != candidate and not conflicts(p, candidate)]
-        achievable = len(trial) + _max_difference_free_size(
-            LatticeConfig.explicit(rest), AXIS_DIFFS, cap
-        )
-        if achievable == target:
-            chosen = trial
-            pool = set(rest)
-        else:
-            pool.discard(candidate)
-    return chosen, target
+    mask = _greedy_optimum(points, adj, weights, target, order)
+    return [points[i] for i in order if (mask >> i) & 1], target
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +318,6 @@ def suite_geometry(seed: int, budget: str) -> SuiteReport:
     report = SuiteReport("geometry", seed, budget)
     rng = CounterRng(seed)
     cases = BUDGET_TIERS[budget]["geometry_cases"]
-
-    from math import gcd
-
     done = 0
     while done < cases:
         p = rng.randint(2, 12)
@@ -403,6 +388,7 @@ _SUITE_FUNCS = {
     "monochromatize": suite_monochromatize,
     "geometry": suite_geometry,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str, seed: int = 0, budget: str = "default") -> list[SuiteReport]:

@@ -646,6 +646,10 @@ MALFORMED = [
     (("black-majority", "--alphas", "1,2", "--budget", "-1"), 2),
     (("rho-general", "--a", "3/2", "--cap", "-1"), 2),
     (("gamma", "--a", "2,3", "--cap", "0"), 2),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
+      "--points", "[[0,0],[0,2]]", "--cap", "0"), 2),
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
+      "--points", "[[0,0],[0,2]]", "--cap", "-1"), 2),
 ]
 
 

@@ -460,6 +460,14 @@ class TestMonochromatize:
         with pytest.raises(DomainError, match="outside"):
             monochromatize(triangle, [(5, 5)])
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_a_cap_below_one(self, cap):
+        # a cap below 1 would skip the maximality check and recolor this
+        # non-maximal input
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
+        with pytest.raises(DomainError, match=f"cap must be at least 1, got {cap}"):
+            monochromatize(triangle, [(0, 0), (0, 2)], cap=cap)
+
     def test_rejects_duplicate_points(self):
         # a plain list goes through LatticeConfig, so a repeat is not dropped
         triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))

@@ -1,0 +1,109 @@
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quotientfree import AXIS_DIFFS, LatticeConfig, max_difference_free
+from quotientfree.lattice import _conflict_graph, _greedy_optimum, _iter_bits, _solve_max_weight
+from quotientfree.rng import CounterRng
+from quotientfree.verify import (
+    SUITES,
+    _random_optimal_configuration,
+    _random_rational_triangle,
+    run_suite,
+)
+
+from helpers import brute_force_all_optima, brute_force_max_difference_free
+
+
+def case_digest(name, seed, budget):
+    (report,) = run_suite(name, seed, budget)
+    rows = [[c.name, c.passed, c.detail] for c in report.cases]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# every case (name, passed, detail) of the seeded suites, pinned so that a
+# change to how random optimal configurations are drawn cannot go unseen
+PINNED = {
+    ("monochromatize", "small", 0): "daf6a48fb066e1e83111132a477d01bb130d8cd2086483c926525c0fac5367f1",
+    ("monochromatize", "small", 1): "d8aad918e07b2361009cd3584fa987dead2a0b0740a28fe21889f8074cd5bb3a",
+    ("monochromatize", "small", 2): "e238056df9ee79d1d8675066639a8215a429327252ce8d3684e6ec51a18fd04a",
+    ("monochromatize", "small", 3): "46216660c3274b20317473691dc3d62644f6ec4f4bbfa22383c25c54bb6f468d",
+    ("monochromatize", "small", 4): "9d18434c7ddf9c117776e49b8f52747ea0c8f671700155acbb450eb837e265aa",
+    ("monochromatize", "default", 0): "19dd739025b66f75927262d3fdf94318938ed67f069d0cd59e7573e2f56d09a3",
+    ("monochromatize", "default", 1): "85ea0ae32b94924b1fb897d3e4574c5db123a4ed974ec140e0e444eb08749cb2",
+    ("monochromatize", "default", 2): "8d7d35c2c68028f73acf08f6936c81501716b269ef5f41dc42b106754a3edfbe",
+    ("monochromatize", "default", 3): "f221416093932103e1b27d73ec0719aa12ccaea80079dbce417352a0f1800173",
+    ("monochromatize", "default", 4): "37f8dc37a5122966ffc2e26fb2ed12af9dd1248f5be3ef6abb1a447cd257aec3",
+    ("theorem6", "small", 0): "8f76c972a2c8cdda2a392cf3665797cce9aebd5aa94c94bb535e71b552b332c1",
+    ("theorem6", "small", 1): "b480a13f7460e97262d8b0651761f89d244c7e033ee9c185f8e69e686eaf44ee",
+    ("theorem6", "small", 2): "f1a998dc08176d78c0bb0f4c650194af6e41151ce8bfae735aaceda5588e4178",
+}
+
+
+class TestPinnedSuites:
+    @pytest.mark.parametrize("name,budget,seed", sorted(PINNED))
+    def test_cases_match_the_pinned_digest(self, name, budget, seed):
+        assert case_digest(name, seed, budget) == PINNED[name, budget, seed]
+
+    def test_random_optimal_configurations_are_pinned(self):
+        # the configurations themselves, in the order they were drawn
+        drawn = []
+        for seed in range(3):
+            rng = CounterRng(seed)
+            for _ in range(10):
+                _, pts = _random_rational_triangle(rng)
+                chosen, target = _random_optimal_configuration(rng, pts)
+                drawn.append([[list(p) for p in chosen], target])
+        digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+        assert digest == "a2750dfa31669716104c09e98c7b1380cb84739d4d52d0d5b544a8c6dce468f6"
+
+    def test_suite_names_and_order(self):
+        assert SUITES == ("theorem6", "lemma2", "corollary", "gap", "monochromatize", "geometry")
+
+
+def _conflict_free(chosen):
+    held = set(chosen)
+    return all(
+        tuple(a + b for a, b in zip(p, d)) not in held for p in held for d in AXIS_DIFFS
+    )
+
+
+class TestGreedyCompletion:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_order_completes_an_optimum(self, seed, data):
+        _, pts = _random_rational_triangle(CounterRng(seed))
+        points, adj = _conflict_graph(LatticeConfig.explicit(pts), AXIS_DIFFS, 40)
+        weights = [1] * len(points)
+        target = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
+        order = data.draw(st.permutations(range(len(points))))
+        mask = _greedy_optimum(points, adj, weights, target, order)
+        chosen = [points[i] for i in _iter_bits(mask)]
+        assert _conflict_free(chosen)
+        assert len(chosen) == brute_force_max_difference_free(points, AXIS_DIFFS)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_optimal_configuration_is_optimal(self, seed):
+        rng = CounterRng(seed)
+        _, pts = _random_rational_triangle(rng)
+        chosen, target = _random_optimal_configuration(rng, pts)
+        assert set(chosen) <= set(pts)
+        assert _conflict_free(chosen)
+        assert len(chosen) == target == brute_force_max_difference_free(pts, AXIS_DIFFS)
+
+    def test_sorted_order_gives_the_lex_least_witness(self):
+        rng = CounterRng(31)
+        for case in range(40):
+            diffs = AXIS_DIFFS if case % 2 else ((1, 0), (0, 1), (1, 1))
+            pts = {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 10))}
+            config = LatticeConfig.explicit(pts)
+            points, adj = _conflict_graph(config, diffs, 40)
+            weights = [1] * len(points)
+            target = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
+            mask = _greedy_optimum(points, adj, weights, target, range(len(points)))
+            witness = tuple(points[i] for i in _iter_bits(mask))
+            assert witness == max_difference_free(config, diffs).witness
+            assert witness == min(brute_force_all_optima(pts, diffs))
