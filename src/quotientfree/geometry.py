@@ -292,9 +292,7 @@ class SimplexSpec:
     def __post_init__(self):
         if not self.alphas:
             raise DomainError("at least one coefficient is required")
-        for a in self.alphas:
-            if a.is_rational and a.rational <= 0:
-                raise DomainError("all coefficients must be positive")
+        _require_positive(self.alphas)
         if isinstance(self.c, ExactReal):
             terms = ((self.c, Fraction(1)),)
         else:
@@ -398,6 +396,12 @@ def _enclosures(alphas, c_terms):
     if min(lo) <= 0:
         return None
     return lo, hi, *enclose(c_terms)
+
+
+def _require_positive(alphas: Sequence[ExactReal]) -> None:
+    # ln 1 and sqrt 0 are rational zeros, so only rational atoms can fail
+    if any(a.is_rational and a.rational <= 0 for a in alphas):
+        raise DomainError("all coefficients must be positive")
 
 
 def _as_exact(value) -> ExactReal:
@@ -533,6 +537,8 @@ def find_black_majority_c(
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
     if len(alpha_atoms) < 2:
         raise DomainError("at least two coefficients are required")
+    # a zero coefficient would make the scan repeat one threshold forever
+    _require_positive(alpha_atoms)
     for left, right in zip(alpha_atoms, alpha_atoms[1:]):
         if _sign_of_terms([(right, Fraction(1)), (left, Fraction(-1))], prec_cap,
                           "coefficient ordering") < 0:

@@ -15,13 +15,20 @@ axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
 set then weighs the total minus the maximum flow, with the weights scaled
 to integer capacities, so the cut is exact.  Only graphs with an odd cycle,
 from dependent vectors such as {2, 3, 6}, fall back to branch and bound.
+
+``gamma_bracket`` solves on integer weights: over the common denominator
+prod b**depth, the point u weighs prod b**(depth - u_i).  Branch and bound
+and the cut then add and compare ints, one Fraction is built for the
+optimum, and the tail mass is the closed-form total minus the solved
+points' weight sum over that denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
+from operator import add
 from typing import Optional, Sequence
 
 from .arith import CoprimeBasis, _require_coprime, first_smooth_entries
@@ -103,8 +110,7 @@ def _conflict_masks(points: Sequence[Point], diffs: Sequence[Point]) -> list[int
     adj = [0] * len(points)
     for i, p in enumerate(points):
         for d in diffs:
-            q = tuple(a + b for a, b in zip(p, d))
-            j = index.get(q)
+            j = index.get(tuple(map(add, p, d)))
             if j is not None and j != i:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
@@ -173,15 +179,17 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
     node, whether the source still reaches it in the residual graph: the
     source side of the minimum cut, the same for every maximum flow.
     """
+    # arc e and its residual twin e ^ 1
     out: list[list[int]] = [[] for _ in range(n)]
     head: list[int] = []
     cap: list[int] = []
     for u, v, c in arcs:
-        out[u].append(len(head))
+        e = len(head)
+        out[u].append(e)
+        out[v].append(e + 1)
         head.append(v)
-        cap.append(c)
-        out[v].append(len(head))
         head.append(u)
+        cap.append(c)
         cap.append(0)
     flow = 0
     while True:
@@ -189,10 +197,15 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
         level[source] = 0
         queue = [source]
         for u in queue:
+            if level[sink] >= 0:  # nodes past the sink's level lead nowhere
+                break
+            next_level = level[u] + 1
             for e in out[u]:
-                if cap[e] and level[head[e]] < 0:
-                    level[head[e]] = level[u] + 1
-                    queue.append(head[e])
+                if cap[e]:
+                    v = head[e]
+                    if level[v] < 0:
+                        level[v] = next_level
+                        queue.append(v)
         if level[sink] < 0:
             return flow, [lv >= 0 for lv in level]
         # blocking flow: advance along level-increasing arcs, retreat from
@@ -203,27 +216,32 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
         u = source
         while True:
             if u == sink:
-                push = min(cap[e] for e in path)
+                push = cap[path[0]]
                 for e in path:
+                    if cap[e] < push:
+                        push = cap[e]
+                first = -1
+                for k, e in enumerate(path):
                     cap[e] -= push
                     cap[e ^ 1] += push
+                    if first < 0 and not cap[e]:
+                        first = k
                 flow += push
-                del path[next(k for k, e in enumerate(path) if not cap[e]):]
+                del path[first:]
                 u = head[path[-1]] if path else source
                 continue
             arcs_u = out[u]
-            k = nxt[u]
-            while k < len(arcs_u) and not (
-                cap[arcs_u[k]] and level[head[arcs_u[k]]] == level[u] + 1
-            ):
-                k += 1
-            nxt[u] = k
-            if k < len(arcs_u):
-                path.append(arcs_u[k])
-                u = head[arcs_u[k]]
-            elif u == source:
-                break
+            want = level[u] + 1
+            for k in range(nxt[u], len(arcs_u)):
+                e = arcs_u[k]
+                if cap[e] and level[head[e]] == want:
+                    nxt[u] = k
+                    path.append(e)
+                    u = head[e]
+                    break
             else:
+                if u == source:
+                    break
                 level[u] = -1
                 u = head[path.pop() ^ 1]
                 nxt[u] += 1
@@ -491,12 +509,17 @@ def gamma_bracket(
             f"largest feasible depth is {max_feasible_depth(s, cap)}"
         )
     points = sorted(_simplex_lattice(s, depth))
-    weights = [_point_weight(basis.basis, p) for p in points]
+    # integer weights over scale = prod b**depth: u weighs prod b**(depth - u_i)
+    powers = [[b**k for k in range(depth + 1)] for b in basis.basis]
+    scale = prod(row[depth] for row in powers)
+    weights = [prod(row[depth - e] for row, e in zip(powers, p)) for p in points]
     adj = _conflict_masks(points, basis.diffs)
     best, mask = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)
     witness = tuple(sorted(points[i] for i in _iter_bits(mask)))
-    tail = total_weight_mass(basis.basis) - truncated_weight_mass(basis.basis, depth)
-    return GammaBracket(best, best + tail, depth, witness)
+    lower = Fraction(best, scale)
+    # the truncated region is exactly the solved points
+    tail = total_weight_mass(basis.basis) - Fraction(sum(weights), scale)
+    return GammaBracket(lower, lower + tail, depth, witness)
 
 
 def white_weight_value(values: Sequence[int]) -> Fraction:

@@ -217,22 +217,25 @@ def suite_lemma2(seed: int, budget: str) -> SuiteReport:
     report = SuiteReport("lemma2", seed, budget)
     x_max = BUDGET_TIERS[budget]["lemma2_x"]
     for basis in ((2, 3), (2, 3, 5), (3, 4, 5)):
+        # deviations scaled by the density's denominator: |count*den - num*X|
         density = phi(basis)
-        limit = Fraction(2 ** len(basis))
-        worst = Fraction(0)
+        num, den = density.numerator, density.denominator
+        limit = 2 ** len(basis)
+        worst = 0
         ok = True
         for x in range(1, x_max + 1):
-            deviation = abs(count_coprime_part(basis, x) - density * x)
+            deviation = abs(count_coprime_part(basis, x) * den - num * x)
             if deviation > worst:
                 worst = deviation
-            if deviation >= limit:
+            if deviation >= limit * den:
                 ok = False
                 break
         report.cases.append(
             CaseResult(
                 f"basis={basis}",
                 ok,
-                f"max |count - density*X| = {float(worst):.4f} < {limit} over X<={x_max}",
+                f"max |count - density*X| = {float(Fraction(worst, den)):.4f} < {limit} "
+                f"over X<={x_max}",
             )
         )
     return report

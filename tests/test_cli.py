@@ -650,6 +650,9 @@ MALFORMED = [
       "--points", "[[0,0],[0,2]]", "--cap", "0"), 2),
     (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
       "--points", "[[0,0],[0,2]]", "--cap", "-1"), 2),
+    # a rational zero coefficient: ln 1 and 0
+    (("black-majority", "--alphas", "ln1,ln2"), 2),
+    (("black-majority", "--alphas", "0,1"), 2),
 ]
 
 

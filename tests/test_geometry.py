@@ -270,6 +270,13 @@ class TestFindBlackMajority:
         with pytest.raises(DomainError):
             find_black_majority_c([2, 1])
 
+    @pytest.mark.parametrize("alphas", [["ln1", "ln2"], [0, 1], ["sqrt0", "sqrt2"]])
+    def test_rejects_a_zero_coefficient(self, alphas):
+        # ln 1, 0 and sqrt 0 are rational zeros: the scan would repeat one
+        # threshold forever
+        with pytest.raises(DomainError, match="all coefficients must be positive"):
+            find_black_majority_c(alphas)
+
 
 class TestRationalSlopeProfile:
     def test_unit_double_slope_small(self):

@@ -1,8 +1,10 @@
+import hashlib
+import json
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quotientfree import (
     AXIS_DIFFS,
@@ -29,6 +31,7 @@ from quotientfree.lattice import (
     _branch_and_bound,
     _conflict_masks,
     _max_difference_free_size,
+    _max_flow,
     _min_cut_optimum,
     _point_weight,
     _simplex_lattice,
@@ -299,6 +302,137 @@ class TestMinCutOptimum:
         bracket = gamma_bracket(basis, 16, cap=200)
         assert sys.getrecursionlimit() == limit
         assert bracket.lower <= bracket.upper
+
+
+# The (quotient set, depth) schedule of the bench's search workload, family
+# by family, and four rational sets at depth 6: gamma_bracket's lower, upper
+# and witness on each, pinned so that a change of arithmetic cannot move them
+SEARCH_SCHEDULE = {
+    "four-primes-a": [(a, 8) for a in ("2,3,5,7", "2,3,5,11", "2,3,5,13", "2,3,7,11",
+                                       "2,5,7,11", "3,5,7,11")],
+    "four-primes-b": [(a, 8) for a in ("2,3,7,13", "2,5,7,13", "2,3,11,13", "3,5,7,13",
+                                       "2,5,11,13", "2,7,11,13")],
+    "three-primes": [(a, 13) for a in ("2,3,5", "2,3,7", "2,3,11", "2,5,7", "3,5,7", "3,5,11")],
+    "products": [(a, d) for a in ("6,10,15", "6,14,21", "10,14,35") for d in (9, 10)],
+    "one-rational": [(a, d) for a in ("3/2", "5/2", "5/3") for d in (28, 30)],
+    "two-rationals": [("4/3,9/8", d) for d in range(7, 13)],
+    "integer-and-rational": [(a, d) for a in ("2,3/2", "2,5/2", "3,5/3") for d in (18, 20)],
+    "dependent": [(a, d) for a in ("2,3,6", "2,5,10", "3,5,15") for d in (15, 16)],
+    "rationals-depth-6": [(a, 6) for a in ("3/2", "4/3", "2,3/2", "4/9,6")],
+}
+
+PINNED_BRACKETS = {
+    "four-primes-a":
+        "d12445541946bb224be3889b4f4f44c0c24f4ee3b4122bba351ecb85425f69ed",
+    "four-primes-b":
+        "812f7c46ea89e828257bb8053efefa046b203586bc6e01d429dea50acc7c304f",
+    "three-primes":
+        "5812d95d29a15e349504a99987ff9ba6b321fd54c326430b821e6f5ae7ffaea3",
+    "products":
+        "fa51c871219efbb98306c6f3dc86b71a137b8634792b7de48e2e2ea68801a7fc",
+    "one-rational":
+        "9e0320d839b53d715b964e9be3b3a994709089d752799b9512e22a68d78761ec",
+    "two-rationals":
+        "04113b9dd57141bcc28e899415a4e1953b9732225abaf4b615f32bec7561534e",
+    "integer-and-rational":
+        "60535fb63dc77108b852c23478822cf5ad07a6f071cda1ef0e0936ce985fbbb9",
+    "dependent":
+        "59ac40e47dda2dc5c58c0a2fb9ce1c5de360de5686abfe96797a5e5696d55aa6",
+    "rationals-depth-6":
+        "8328f997cde649fb03415344758a849b7a2a6a1bbf80258d49e22665ffe38558",
+}
+
+# the shapes of TestMinCutOptimum.test_value_and_witness_match_branch_and_bound,
+# and one odd-cycle set for branch and bound
+SCALED_SHAPES = [
+    ("2,3,5,7", 5),
+    ("2,5,11,13", 4),
+    ("2,3,5", 8),
+    ("3,5,11", 7),
+    ("6,10,15", 7),
+    ("10,14,35", 6),
+    ("3/2", 18),
+    ("5/3", 16),
+    ("4/3,9/8", 9),
+    ("2,3/2", 12),
+    ("3,5/3", 11),
+    ("2,3,6", 10),
+]
+
+
+class TestIntegerWeights:
+    @pytest.mark.parametrize("family", sorted(SEARCH_SCHEDULE))
+    def test_brackets_match_the_pinned_digest(self, family):
+        rows = []
+        for a, depth in SEARCH_SCHEDULE[family]:
+            bracket = gamma_bracket(derive_basis(RationalSet.of(a.split(","))), depth, 100_000)
+            rows.append([a, depth, str(bracket.lower), str(bracket.upper),
+                         [list(p) for p in bracket.witness]])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == PINNED_BRACKETS[family]
+
+    @pytest.mark.parametrize("basis", [(2, 3), (2, 3, 5), (2, 3, 5, 7)])
+    def test_width_is_the_tail_mass(self, basis):
+        coprime = CoprimeBasis.from_coprime_integers(list(basis))
+        for depth in range(13):
+            bracket = gamma_bracket(coprime, depth, 100_000)
+            assert bracket.width == total_weight_mass(basis) - truncated_weight_mass(basis, depth)
+
+    @pytest.mark.parametrize("a,depth", SCALED_SHAPES)
+    def test_scaled_integer_weights_give_the_scaled_optimum(self, a, depth):
+        points, weights, adj = _gamma_problem(a, depth)
+        scale = 1
+        for b in derive_basis(RationalSet.of(a.split(","))).basis:
+            scale *= b**depth
+        scaled = [w.numerator * scale // w.denominator for w in weights]
+        assert all(w * scale == k for w, k in zip(weights, scaled))
+        full = (1 << len(points)) - 1
+        best, mask = _solve_max_weight(points, adj, weights, full)
+        assert _solve_max_weight(points, adj, scaled, full) == (best * scale, mask)
+
+
+@st.composite
+def flow_networks(draw):
+    """A digraph of at most 12 nodes, capacities 0-20, no parallel arcs."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    # each ordered pair is absent (None) or one arc
+    caps = draw(st.lists(st.one_of(st.none(), st.integers(0, 20)),
+                         min_size=len(pairs), max_size=len(pairs)))
+    return n, [(u, v, c) for (u, v), c in zip(pairs, caps) if c is not None]
+
+
+class TestMaxFlow:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(network=flow_networks())
+    # two networks that need the residual twins: the first for its value,
+    # the second for the nodes the source reaches (1, back through 2-4-1)
+    @example(network=(11, [(0, 5, 16), (0, 7, 1), (5, 6, 2), (5, 9, 1), (5, 10, 14),
+                           (6, 10, 2), (7, 6, 1), (9, 10, 1)]))
+    @example(network=(6, [(0, 1, 1), (0, 2, 1), (1, 4, 1), (2, 4, 1), (4, 5, 1)]))
+    def test_value_and_source_side_match_networkx(self, network):
+        nx = pytest.importorskip("networkx")
+        n, arcs = network
+        source, sink = 0, n - 1
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_weighted_edges_from(arcs, weight="capacity")
+        value, reached = _max_flow(n, arcs, source, sink)
+        assert value == nx.maximum_flow_value(graph, source, sink)
+        # the nodes the source reaches in the residual graph of networkx's flow
+        _, flow = nx.maximum_flow(graph, source, sink)
+        residual = {u: set() for u in range(n)}
+        for u, v, c in arcs:
+            if flow[u][v] < c:
+                residual[u].add(v)
+            if flow[u][v] > 0:
+                residual[v].add(u)
+        seen, stack = {source}, [source]
+        while stack:
+            for v in residual[stack.pop()] - seen:
+                seen.add(v)
+                stack.append(v)
+        assert {u for u in range(n) if reached[u]} == seen
 
 
 class TestFViaCheckerboard:

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quotientfree import AXIS_DIFFS, LatticeConfig, max_difference_free
+from quotientfree import AXIS_DIFFS, LatticeConfig, max_difference_free, verify
+from quotientfree.arith import count_coprime_part, phi
 from quotientfree.lattice import _conflict_graph, _greedy_optimum, _iter_bits, _solve_max_weight
 from quotientfree.rng import CounterRng
 from quotientfree.verify import (
@@ -62,6 +64,42 @@ class TestPinnedSuites:
     def test_suite_names_and_order(self):
         assert SUITES == ("theorem6", "lemma2", "corollary", "gap", "monochromatize", "geometry")
 
+
+# the lemma2 suite draws nothing at random, so every seed gives one digest
+LEMMA2_PINNED = {
+    ("small", 0): "d71a91057d5a423571d5f4bd6cacb760d5c53fa6cd3fa382846f0f6523e9fae8",
+    ("small", 1): "d71a91057d5a423571d5f4bd6cacb760d5c53fa6cd3fa382846f0f6523e9fae8",
+    ("small", 2): "d71a91057d5a423571d5f4bd6cacb760d5c53fa6cd3fa382846f0f6523e9fae8",
+    ("default", 0): "ba96394ed97b89bd33e91bf329b74778d7a5c65cfcf4743a14c6a1b71693585d",
+    ("default", 1): "ba96394ed97b89bd33e91bf329b74778d7a5c65cfcf4743a14c6a1b71693585d",
+    ("default", 2): "ba96394ed97b89bd33e91bf329b74778d7a5c65cfcf4743a14c6a1b71693585d",
+}
+
+
+class TestLemma2Suite:
+    @pytest.mark.parametrize("budget,seed", sorted(LEMMA2_PINNED))
+    def test_cases_match_the_pinned_digest(self, budget, seed):
+        assert case_digest("lemma2", seed, budget) == LEMMA2_PINNED[budget, seed]
+
+    def test_a_count_off_by_two_to_the_s_fails_the_case(self, monkeypatch):
+        basis, bad_x = (2, 3), 777
+        density = phi(basis)
+
+        def off_count(b, x):
+            count = count_coprime_part(b, x)
+            if tuple(b) == basis and x == bad_x:
+                # away from the density line, so the deviation reaches 2^s
+                return count + 4 if count >= density * x else count - 4
+            return count
+
+        monkeypatch.setattr(verify, "count_coprime_part", off_count)
+        (report,) = run_suite("lemma2", 0, "small")
+        worst = max(abs(off_count(basis, x) - density * x) for x in range(1, bad_x + 1))
+        assert worst >= 4
+        case = report.cases[0]
+        assert (case.name, case.passed) == ("basis=(2, 3)", False)
+        assert case.detail == f"max |count - density*X| = {float(worst):.4f} < 4 over X<=2000"
+        assert all(c.passed for c in report.cases[1:])
 
 def _conflict_free(chosen):
     held = set(chosen)
