@@ -8,13 +8,24 @@ without losing points.  The points and the regions come from ``geometry``:
 a triangle is a two-dimensional ``SimplexSpec`` and its points are walked
 by ``simplex_points``.
 
-The optimum is a minimum cut whenever the conflict graph is bipartite,
-which it always is when the difference vectors are linearly independent:
-every pairwise-coprime integer set, {3/2}, {4/3, 9/8}, {2, 3/2} and the
+Each region gets one conflict graph: its points, ascending neighbor lists
+and a side per point, found by one breadth-first search in index order
+(no side when the graph has an odd cycle).  Every solve runs on it.  The
+optimum is a minimum cut whenever the graph is bipartite, which it always
+is when the difference vectors are linearly independent: every
+pairwise-coprime integer set, {3/2}, {4/3, 9/8}, {2, 3/2} and the
 axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
 set then weighs the total minus the maximum flow, with the weights scaled
-to integer capacities, so the cut is exact.  Only graphs with an odd cycle,
-from dependent vectors such as {2, 3, 6}, fall back to branch and bound.
+to integer capacities, so the cut is exact; its arcs come straight from the
+neighbor lists.  Only graphs with an odd cycle, from dependent vectors such
+as {2, 3, 6}, fall back to branch and bound, the one place that builds
+bitmasks.
+
+The lexicographically least maximum set, and ``verify``'s random ones, are
+completed greedily.  On a bipartite graph each greedy test asks whether a
+maximum matching survives the removal of a point and its neighbors, and
+is answered by a search for augmenting paths from the partners that the
+removal frees, not by a fresh solve.
 
 ``gamma_bracket`` solves on integer weights: over the common denominator
 prod b**depth, the point u weighs prod b**(depth - u_i).  Branch and bound
@@ -104,80 +115,108 @@ def _normalize_diffs(diffs) -> tuple[Point, ...]:
     return out
 
 
-def _conflict_masks(points: Sequence[Point], diffs: Sequence[Point]) -> list[int]:
-    """Bit-adjacency: i ~ j iff their difference (either way) is a diff vector."""
-    index = {p: i for i, p in enumerate(points)}
-    adj = [0] * len(points)
-    for i, p in enumerate(points):
-        for d in diffs:
-            j = index.get(tuple(map(add, p, d)))
-            if j is not None and j != i:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+class _ConflictGraph:
+    """The conflict graph of one region: points, neighbor lists and sides.
 
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask_weight(weights, mask: int, zero):
-    total = zero
-    for i in _iter_bits(mask):
-        total += weights[i]
-    return total
-
-
-def _free_parity_class(points, adj, weights, sub_mask: int, zero):
-    """The heavier nonempty conflict-free parity class of sub_mask, white on ties.
-
-    Returns (weight, mask), or (zero, 0) when neither class qualifies.
+    Two points conflict when their difference, in either direction, is one
+    of the difference vectors.  ``nbrs[i]`` lists the neighbors of point i
+    ascending.  ``side`` is a two-coloring found by one breadth-first search
+    in index order, so the lowest-index point of each component is on side
+    0; it is None when the graph has an odd cycle.  ``color`` is each
+    point's checkerboard color, 0 (white) for an even coordinate sum.
     """
-    best, best_mask = zero, 0
-    for parity in (0, 1):
-        cm = 0
-        for i in _iter_bits(sub_mask):
-            if sum(points[i]) % 2 == parity:
-                cm |= 1 << i
-        if cm and all(not (adj[i] & cm) for i in _iter_bits(cm)):
-            w = _mask_weight(weights, cm, zero)
-            if w > best or best_mask == 0:
-                best, best_mask = w, cm
-    return best, best_mask
+
+    __slots__ = ("points", "nbrs", "side", "color")
+
+    def __init__(self, points: Sequence[Point], diffs: Sequence[Point]):
+        if points and any(len(d) != len(points[0]) for d in diffs):
+            raise DomainError(
+                f"difference vectors must have the points' dimension {len(points[0])}"
+            )
+        index = {p: i for i, p in enumerate(points)}
+        # d and -d give the same conflicts: walk one of each pair
+        vectors = {max(d, tuple(-c for c in d)) for d in diffs}
+        nbrs: list[list[int]] = [[] for _ in points]
+        for i, p in enumerate(points):
+            for d in vectors:
+                j = index.get(tuple(map(add, p, d)))
+                if j is not None:
+                    nbrs[i].append(j)
+                    nbrs[j].append(i)
+        for row in nbrs:
+            row.sort()
+        self.points = points
+        self.nbrs = nbrs
+        self.side = _two_sides(nbrs)
+        self.color = [sum(p) % 2 for p in points]
 
 
-def _two_coloring(adj, sub_mask: int) -> Optional[dict[int, int]]:
-    """Side 0 or 1 of each vertex of the graph induced by sub_mask.
+def _two_sides(nbrs) -> Optional[list[int]]:
+    """Side 0 or 1 of each vertex, by breadth-first search in index order.
 
-    None when the graph has an odd cycle.  The lowest-index vertex of each
-    component is on side 0; the dict lists vertices in discovery order.
+    None when the graph has an odd cycle.
     """
-    side: dict[int, int] = {}
-    for start in _iter_bits(sub_mask):
-        if start in side:
+    side = [-1] * len(nbrs)
+    for start in range(len(nbrs)):
+        if side[start] >= 0:
             continue
         side[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in _iter_bits(adj[v] & sub_mask):
-                if w not in side:
-                    side[w] = side[v] ^ 1
-                    stack.append(w)
-                elif side[w] == side[v]:
+        queue = [start]
+        for v in queue:
+            other = side[v] ^ 1
+            for w in nbrs[v]:
+                if side[w] < 0:
+                    side[w] = other
+                    queue.append(w)
+                elif side[w] != other:
                     return None
     return side
 
 
-def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
+def _members(n: int, verts):
+    """``verts`` and a membership list, or every point and None when verts is None."""
+    if verts is None:
+        return range(n), None
+    live = [False] * n
+    for v in verts:
+        live[v] = True
+    return verts, live
+
+
+def _free_parity_class(graph: _ConflictGraph, weights, verts, live):
+    """The heavier nonempty conflict-free color class of verts, white on ties.
+
+    ``live`` marks the members of verts, or is None when verts is every
+    point.  Returns (weight, indices), or (0, []) when neither class
+    qualifies.
+    """
+    nbrs, color = graph.nbrs, graph.color
+    classes: tuple[list[int], list[int]] = ([], [])
+    free = [True, True]
+    for v in verts:
+        c = color[v]
+        classes[c].append(v)
+        if free[c]:
+            for w in nbrs[v]:
+                if color[w] == c and (live is None or live[w]):
+                    free[c] = False
+                    break
+    best, best_class = 0, []
+    for c in (0, 1):
+        if classes[c] and free[c]:
+            weight = sum(weights[v] for v in classes[c])
+            if weight > best or not best_class:
+                best, best_class = weight, classes[c]
+    return best, best_class
+
+
+def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool], list[int]]:
     """Dinic's maximum flow on integer capacities, without recursion.
 
-    ``arcs`` lists (tail, head, capacity).  Returns the flow value and, per
-    node, whether the source still reaches it in the residual graph: the
-    source side of the minimum cut, the same for every maximum flow.
+    ``arcs`` lists (tail, head, capacity).  Returns the flow value; per
+    node, whether the source still reaches it in the residual graph (the
+    source side of the minimum cut, the same for every maximum flow); and
+    the residual capacities, arc k of ``arcs`` at index 2k.
     """
     # arc e and its residual twin e ^ 1
     out: list[list[int]] = [[] for _ in range(n)]
@@ -207,7 +246,7 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
                         level[v] = next_level
                         queue.append(v)
         if level[sink] < 0:
-            return flow, [lv >= 0 for lv in level]
+            return flow, [lv >= 0 for lv in level], cap
         # blocking flow: advance along level-increasing arcs, retreat from
         # dead ends, and after each augmentation resume at the first arc
         # it saturated
@@ -247,62 +286,77 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
                 nxt[u] += 1
 
 
-def _min_cut_optimum(points, adj, weights, sub_mask: int, side: dict[int, int], zero):
-    """Maximum-weight conflict-free subset of a bipartite sub_mask, by a minimum cut.
+def _min_cut_optimum(graph: _ConflictGraph, weights, verts=None):
+    """Maximum-weight conflict-free subset of verts in a bipartite graph, by a minimum cut.
 
-    The source feeds each side-0 vertex and each side-1 vertex drains to
-    the sink, at its weight scaled by the lcm of the weight denominators;
-    conflict arcs cannot be cut.  A minimum cut is a minimum-weight vertex
-    cover, so the optimum scales to total - flow, attained by the side-0
-    vertices the source still reaches plus the side-1 vertices it does not.
+    ``verts`` lists point indices ascending, every point when None.  The
+    source feeds each side-0 vertex and each side-1 vertex drains to the
+    sink, at its weight scaled by the lcm of the weight denominators;
+    conflict arcs, taken from the neighbor lists, cannot be cut.  A minimum
+    cut is a minimum-weight vertex cover, so the optimum scales to
+    total - flow, attained by the side-0 vertices the source still reaches
+    plus the side-1 vertices it does not.  Returns (weight, indices).
     """
-    verts = list(side)
-    local = {v: k for k, v in enumerate(verts)}
+    nbrs, side = graph.nbrs, graph.side
+    n = len(nbrs)
+    verts, live = _members(n, verts)
+    if not verts:
+        return 0, []
     scale = lcm(*(weights[v].denominator for v in verts))
-    caps = [weights[v].numerator * (scale // weights[v].denominator) for v in verts]
-    total = sum(caps)
+    caps = [w.numerator * (scale // w.denominator) for w in weights]
+    total = sum(caps[v] for v in verts)
     uncuttable = total + 1
-    source, sink = len(verts), len(verts) + 1
-
-    def arcs():
-        for k, v in enumerate(verts):
-            if side[v]:
-                yield k, sink, caps[k]
-            else:
-                yield source, k, caps[k]
-                for w in _iter_bits(adj[v] & sub_mask):
-                    yield k, local[w], uncuttable
-
-    flow, reached = _max_flow(len(verts) + 2, arcs(), source, sink)
-    parity_weight, parity_mask = _free_parity_class(points, adj, weights, sub_mask, zero)
-    if parity_mask and parity_weight * scale == total - flow:
-        return parity_weight, parity_mask
-    mask = 0
-    for k, v in enumerate(verts):
-        if reached[k] != side[v]:
-            mask |= 1 << v
-    return _mask_weight(weights, mask, zero), mask
+    source, sink = n, n + 1
+    arcs = []
+    for v in verts:
+        if side[v]:
+            arcs.append((v, sink, caps[v]))
+        else:
+            arcs.append((source, v, caps[v]))
+            arcs.extend((v, w, uncuttable) for w in nbrs[v] if live is None or live[w])
+    flow, reached, _ = _max_flow(n + 2, arcs, source, sink)
+    parity_weight, parity_class = _free_parity_class(graph, weights, verts, live)
+    if parity_class and parity_weight * scale == total - flow:
+        return parity_weight, parity_class
+    chosen = [v for v in verts if reached[v] != side[v]]
+    return sum(weights[v] for v in chosen), chosen
 
 
-def _branch_and_bound(points, adj, weights, sub_mask: int, zero):
-    """Maximum-weight conflict-free subset of sub_mask by branch and bound.
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _branch_and_bound(graph: _ConflictGraph, weights, verts=None):
+    """Maximum-weight conflict-free subset of verts by branch and bound.
 
     Vertices in descending weight order, include-branch first, on an
-    explicit stack; incumbent seeded with the best conflict-free parity
+    explicit stack; incumbent seeded with the best conflict-free color
     class (else a greedy set), and a greedy-matching clique bound (each
-    matched pair contributes only its heavier endpoint).
+    matched pair contributes only its heavier endpoint).  The search works
+    on bitmasks built here from the neighbor lists.  Returns (weight,
+    indices).
     """
-    order = sorted(_iter_bits(sub_mask), key=lambda i: (-weights[i], points[i]))
-    best, best_mask = _free_parity_class(points, adj, weights, sub_mask, zero)
+    points, nbrs = graph.points, graph.nbrs
+    verts, live = _members(len(points), verts)
+    if not verts:
+        return 0, []
+    adj = [sum(1 << w for w in row) for row in nbrs]
+    sub_mask = sum(1 << v for v in verts)
+    order = sorted(verts, key=lambda i: (-weights[i], points[i]))
+    best, best_class = _free_parity_class(graph, weights, verts, live)
+    best_mask = sum(1 << v for v in best_class)
     if best_mask == 0:
         taken = 0
         for i in order:
             if not (adj[i] & taken):
                 taken |= 1 << i
-        best, best_mask = _mask_weight(weights, taken, zero), taken
+        best, best_mask = sum(weights[i] for i in _iter_bits(taken)), taken
 
     def bound(rem: int):
-        total = zero
+        total = 0
         r = rem
         for i in order:
             bit = 1 << i
@@ -318,7 +372,7 @@ def _branch_and_bound(points, adj, weights, sub_mask: int, zero):
             total += weights[i]
         return total
 
-    stack = [(sub_mask, zero, 0)]
+    stack = [(sub_mask, 0, 0)]
     while stack:
         rem, current, chosen = stack.pop()
         if not rem:
@@ -331,68 +385,147 @@ def _branch_and_bound(points, adj, weights, sub_mask: int, zero):
         bit = 1 << v
         stack.append((rem & ~bit, current, chosen))
         stack.append((rem & ~adj[v] & ~bit, current + weights[v], chosen | bit))
-    return best, best_mask
+    return best, list(_iter_bits(best_mask))
 
 
-def _solve_max_weight(points, adj, weights, sub_mask: int):
-    """Exact maximum-weight conflict-free subset of the vertices in sub_mask.
+def _solve(graph: _ConflictGraph, weights, verts=None):
+    """Exact maximum-weight conflict-free subset of verts, every point when None.
 
-    Returns (weight, mask).  A bipartite induced conflict graph is solved by
-    a minimum cut, one with an odd cycle by branch and bound.  Both return a
-    conflict-free parity class when it attains the optimum (white unless
+    Returns (weight, indices ascending).  A bipartite graph is solved by a
+    minimum cut, one with an odd cycle by branch and bound.  Both return a
+    conflict-free color class when it attains the optimum (white unless
     black is strictly heavier).
     """
-    if not sub_mask:
-        return 0, 0
-    zero = 0 * weights[(sub_mask & -sub_mask).bit_length() - 1]
-    side = _two_coloring(adj, sub_mask)
-    if side is None:
-        return _branch_and_bound(points, adj, weights, sub_mask, zero)
-    return _min_cut_optimum(points, adj, weights, sub_mask, side, zero)
+    if graph.side is None:
+        return _branch_and_bound(graph, weights, verts)
+    return _min_cut_optimum(graph, weights, verts)
 
 
-def _greedy_optimum(points, adj, weights, target, order):
-    """An optimum of weight ``target``, completed greedily in the given order.
+def _maximum_matching(graph: _ConflictGraph) -> list[int]:
+    """Each point's partner in a maximum matching of the bipartite graph, or -1.
 
-    ``order`` lists every point index once.  Visit them in that order and
-    commit each iff the target is still reachable with it in; each test is
-    one exact solve on the residue.
-    The sorted order gives the lexicographically least optimum.
+    Read off a unit-capacity flow from side 0 to side 1.
     """
-    chosen_weight = 0
-    chosen_mask = 0
-    rem = (1 << len(points)) - 1
-    for i in order:
-        bit = 1 << i
-        if not (rem & bit):
-            continue
-        residue = rem & ~adj[i] & ~bit
-        value = chosen_weight + weights[i] + _solve_max_weight(points, adj, weights, residue)[0]
-        if value == target:
-            chosen_mask |= bit
-            chosen_weight += weights[i]
-            rem = residue
+    nbrs, side = graph.nbrs, graph.side
+    n = len(nbrs)
+    source, sink = n, n + 1
+    arcs = []
+    for v in range(n):
+        if side[v]:
+            arcs.append((v, sink, 1))
         else:
-            rem &= ~bit
-    return chosen_mask
+            arcs.append((source, v, 1))
+            arcs.extend((v, w, 1) for w in nbrs[v])
+    _, _, residual = _max_flow(n + 2, arcs, source, sink)
+    mate = [-1] * n
+    for k, (u, w, _) in enumerate(arcs):
+        if u != source and w != sink and not residual[2 * k]:
+            mate[u] = w
+            mate[w] = u
+    return mate
 
 
-def _conflict_graph(config: LatticeConfig, diffs, cap: int):
-    """Points and conflict masks of a configuration within the search cap."""
+def _augmenting_path(nbrs, live, mate, root: int, seen: list[int], stamp: int) -> bool:
+    """Whether an alternating path leads from the free vertex root to another free vertex.
+
+    Depth first over live vertices, back to root's side through matched
+    edges.  Vertices marked ``stamp`` in ``seen`` were explored by an
+    earlier search against the same matching and lead nowhere.
+    """
+    stack = [iter(nbrs[root])]
+    while stack:
+        for w in stack[-1]:
+            if live[w] and seen[w] != stamp:
+                seen[w] = stamp
+                if mate[w] < 0:
+                    return True
+                stack.append(iter(nbrs[mate[w]]))
+                break
+        else:
+            stack.pop()
+    return False
+
+
+def _greedy_optimum(graph: _ConflictGraph, order) -> list[int]:
+    """A maximum conflict-free set, completed greedily in the given order.
+
+    ``order`` lists every point index once.  Visit the points in that order
+    and keep each iff some maximum set holds it and every point kept so
+    far; the sorted order gives the lexicographically least maximum set.
+    Returns the kept indices in visiting order.
+
+    On a bipartite graph a maximum set has one point less per edge of a
+    maximum matching (Konig), so keep a maximum matching M of the live
+    points.  Point i is kept iff removing i and its live neighbors, N[i],
+    costs M exactly |N[i]| - 1 edges: that fails at once when i is matched
+    and a neighbor is not, and holds at once when i is unmatched.
+    Otherwise every point of N[i] is matched, and i is dropped iff a
+    partner that the removal frees has an augmenting path.  A dropped point
+    is matched in every maximum matching, so M without its edge stays
+    maximum.  A graph with an odd cycle makes one exact solve per point.
+    """
+    nbrs = graph.nbrs
+    n = len(nbrs)
+    live = [True] * n
+    kept: list[int] = []
+    if graph.side is None:
+        ones = [1] * n
+        target = _solve(graph, ones)[0]
+        for i in order:
+            if not live[i]:
+                continue
+            live[i] = False
+            near = nbrs[i]
+            residue = [v for v in range(n) if live[v] and v not in near]
+            if len(kept) + 1 + _solve(graph, ones, residue)[0] == target:
+                kept.append(i)
+                for w in near:
+                    live[w] = False
+        return kept
+    mate = _maximum_matching(graph)
+    seen = [0] * n
+    for stamp, i in enumerate(order, 1):
+        if not live[i]:
+            continue
+        live[i] = False
+        partner = mate[i]
+        near = [w for w in nbrs[i] if live[w]]
+        if partner >= 0 and any(mate[w] < 0 for w in near):
+            mate[partner] = -1
+            continue
+        for w in near:
+            live[w] = False
+        # the trial's log: each partner the removal frees, with its old mate
+        freed = [(mate[w], w) for w in near if w != partner]
+        for u, _ in freed:
+            mate[u] = -1
+        if partner >= 0 and any(
+            _augmenting_path(nbrs, live, mate, u, seen, stamp) for u, _ in freed
+        ):
+            for u, w in freed:
+                mate[u] = w
+            for w in near:
+                live[w] = True
+            mate[partner] = -1
+            continue
+        kept.append(i)
+    return kept
+
+
+def _conflict_graph(config: LatticeConfig, diffs, cap: int) -> _ConflictGraph:
+    """The conflict graph of a configuration within the search cap."""
     points = config.points
     if len(points) > cap:
         raise CapError(
             f"instance too large for exact search: {len(points)} points exceed cap {cap}"
         )
-    if not points:
-        return points, []
-    return points, _conflict_masks(points, _normalize_diffs(diffs))
+    return _ConflictGraph(points, _normalize_diffs(diffs) if points else ())
 
 
 def _max_difference_free_size(config: LatticeConfig, diffs, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Size of a maximum difference-free subset, for callers that need no witness."""
-    points, adj = _conflict_graph(config, diffs, cap)
-    return _solve_max_weight(points, adj, [1] * len(points), (1 << len(points)) - 1)[0]
+    graph = _conflict_graph(config, diffs, cap)
+    return _solve(graph, [1] * len(graph.points))[0]
 
 
 def max_difference_free(
@@ -403,15 +536,13 @@ def max_difference_free(
     """Exact maximum difference-free subset of the configured points.
 
     Two points conflict when their difference, in either direction, is one
-    of the given vectors.  The witness is the lexicographically least
-    optimal subset under the sorted point order.
+    of the given vectors, which must have the points' dimension.  The
+    witness is the lexicographically least optimal subset under the sorted
+    point order.
     """
-    points, adj = _conflict_graph(config, diffs, cap)
-    weights = [1] * len(points)
-    best = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
-    mask = _greedy_optimum(points, adj, weights, best, range(len(points)))
-    witness = tuple(points[i] for i in _iter_bits(mask))
-    return IndependentSetResult(best, witness, True)
+    graph = _conflict_graph(config, diffs, cap)
+    kept = _greedy_optimum(graph, range(len(graph.points)))
+    return IndependentSetResult(len(kept), tuple(graph.points[i] for i in kept), True)
 
 
 def f_via_checkerboard(p: int, q: int, t: int) -> int:
@@ -447,13 +578,6 @@ def _simplex_lattice(s: int, depth: int) -> list[Point]:
     return pts
 
 
-def _point_weight(basis: Sequence[int], u: Point) -> Fraction:
-    den = 1
-    for b, e in zip(basis, u):
-        den *= b ** e
-    return Fraction(1, den)
-
-
 def truncated_weight_mass(basis: Sequence[int], depth: int) -> Fraction:
     """Exact total weight of all points with coordinate sum <= depth."""
     layer = [Fraction(1)] + [Fraction(0)] * depth
@@ -479,11 +603,26 @@ def total_weight_mass(basis: Sequence[int]) -> Fraction:
 
 
 def max_feasible_depth(s: int, cap: int) -> int:
-    """Largest depth whose lattice simplex stays within the point cap."""
-    depth = -1
-    while comb(depth + 1 + s, s) <= cap:
-        depth += 1
-    return depth
+    """Largest depth whose lattice simplex stays within the point cap, else -1.
+
+    The simplex of depth d in s >= 1 dimensions has comb(d + s, s) points,
+    which grows with d, so doubling brackets the depth and bisection finds
+    it.
+    """
+    if s < 1:
+        raise DomainError(f"dimension must be at least 1, got {s}")
+    if cap < 1:
+        return -1
+    lo, hi = 0, 1  # comb(lo + s, s) <= cap < comb(hi + s, s) once doubling stops
+    while comb(hi + s, s) <= cap:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid + s, s) <= cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def gamma_bracket(
@@ -513,9 +652,8 @@ def gamma_bracket(
     powers = [[b**k for k in range(depth + 1)] for b in basis.basis]
     scale = prod(row[depth] for row in powers)
     weights = [prod(row[depth - e] for row, e in zip(powers, p)) for p in points]
-    adj = _conflict_masks(points, basis.diffs)
-    best, mask = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)
-    witness = tuple(sorted(points[i] for i in _iter_bits(mask)))
+    best, chosen = _solve(_ConflictGraph(points, basis.diffs), weights)
+    witness = tuple(points[i] for i in chosen)
     lower = Fraction(best, scale)
     # the truncated region is exactly the solved points
     tail = total_weight_mass(basis.basis) - Fraction(sum(weights), scale)

@@ -28,7 +28,6 @@ from .lattice import (
     _conflict_graph,
     _greedy_optimum,
     _max_difference_free_size,
-    _solve_max_weight,
     checkerboard_split,
     monochromatize,
 )
@@ -167,13 +166,11 @@ def _random_optimal_configuration(rng: CounterRng, points, cap: int = 40):
     The greedy completion visits the points in an order shuffled by ``rng``;
     the chosen points are listed in that order.
     """
-    points, adj = _conflict_graph(LatticeConfig.explicit(points), AXIS_DIFFS, cap)
-    weights = [1] * len(points)
-    target = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
-    order = list(range(len(points)))
+    graph = _conflict_graph(LatticeConfig.explicit(points), AXIS_DIFFS, cap)
+    order = list(range(len(graph.points)))
     rng.shuffle(order)
-    mask = _greedy_optimum(points, adj, weights, target, order)
-    return [points[i] for i in order if (mask >> i) & 1], target
+    kept = _greedy_optimum(graph, order)
+    return [graph.points[i] for i in kept], len(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,85 @@ def brute_force_all_optima(points, diffs):
     return optima
 
 
+def point_weight(basis, u):
+    """The geometric weight 1 / prod b**u_i of a lattice point, as a Fraction."""
+    den = 1
+    for b, e in zip(basis, u):
+        den *= b**e
+    return Fraction(1, den)
+
+
+def iter_bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def conflict_masks(points, diffs):
+    """Bit adjacency: i ~ j iff their difference (either way) is a diff vector."""
+    index = {p: i for i, p in enumerate(points)}
+    adj = [0] * len(points)
+    for i, p in enumerate(points):
+        for d in diffs:
+            j = index.get(tuple(a + b for a, b in zip(p, d)))
+            if j is not None and j != i:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def two_coloring(adj, sub_mask):
+    """Side 0 or 1 of each vertex of the graph induced by sub_mask, by depth-first search.
+
+    None when the graph has an odd cycle.  The lowest-index vertex of each
+    component is on side 0.
+    """
+    side = {}
+    for start in iter_bits(sub_mask):
+        if start in side:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in iter_bits(adj[v] & sub_mask):
+                if w not in side:
+                    side[w] = side[v] ^ 1
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return None
+    return side
+
+
+def greedy_by_solves(graph, order):
+    """The greedy optimum completion with one exact solve per point.
+
+    Visit the points in ``order`` and keep each iff the kept points plus it
+    plus a maximum set of the live points off its neighbors still reach the
+    maximum size.  The matching route's oracle; returns the kept indices in
+    visiting order.
+    """
+    from quotientfree.lattice import _solve
+
+    n = len(graph.points)
+    ones = [1] * n
+    target = _solve(graph, ones)[0]
+    live = [True] * n
+    kept = []
+    for i in order:
+        if not live[i]:
+            continue
+        live[i] = False
+        residue = [v for v in range(n) if live[v] and v not in graph.nbrs[i]]
+        if len(kept) + 1 + _solve(graph, ones, residue)[0] == target:
+            kept.append(i)
+            for w in graph.nbrs[i]:
+                live[w] = False
+    return kept
+
+
 def quotient_free_violations(members, quotients):
     """Pairs (x, y) in members with x/y among the quotients, via partners."""
     member_set = set(members)

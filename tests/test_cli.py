@@ -653,6 +653,9 @@ MALFORMED = [
     # a rational zero coefficient: ln 1 and 0
     (("black-majority", "--alphas", "ln1,ln2"), 2),
     (("black-majority", "--alphas", "0,1"), 2),
+    # depths far past the cap: the largest feasible depth is found by bisection
+    (("rho-general", "--a", "2", "--depth", "10000000000000", "--cap", "1000000000000"), 3),
+    (("gamma", "--a", "3", "--depth", "100000000000", "--cap", "10000000000"), 3),
 ]
 
 

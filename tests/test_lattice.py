@@ -1,7 +1,9 @@
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,21 +30,30 @@ from quotientfree import (
 )
 from quotientfree import lattice
 from quotientfree.lattice import (
+    _ConflictGraph,
     _branch_and_bound,
-    _conflict_masks,
+    _greedy_optimum,
     _max_difference_free_size,
     _max_flow,
     _min_cut_optimum,
-    _point_weight,
     _simplex_lattice,
-    _solve_max_weight,
-    _two_coloring,
+    _solve,
+    max_feasible_depth,
     total_weight_mass,
     truncated_weight_mass,
 )
 from quotientfree.rng import CounterRng
+from quotientfree.verify import _random_rational_triangle
 
-from helpers import brute_force_all_optima, brute_force_max_difference_free
+from helpers import (
+    brute_force_all_optima,
+    brute_force_max_difference_free,
+    conflict_masks,
+    greedy_by_solves,
+    iter_bits,
+    point_weight,
+    two_coloring,
+)
 
 
 def smooth_values(basis, config):
@@ -194,15 +205,15 @@ def independent_instances(draw):
 
 
 def _gamma_problem(a, depth):
-    """The points, weights and conflict masks that gamma_bracket searches."""
+    """The points, weights and conflict graph that gamma_bracket searches."""
     basis = derive_basis(RationalSet.of(a.split(",")))
     points = sorted(_simplex_lattice(basis.size, depth))
-    weights = [_point_weight(basis.basis, p) for p in points]
-    return points, weights, _conflict_masks(points, basis.diffs)
+    weights = [point_weight(basis.basis, p) for p in points]
+    return points, weights, _ConflictGraph(points, basis.diffs)
 
 
-def _is_conflict_free(adj, mask):
-    return all(not (adj[i] & mask) for i in range(len(adj)) if (mask >> i) & 1)
+def _is_conflict_free(graph, chosen):
+    return all(not set(graph.nbrs[i]).intersection(chosen) for i in chosen)
 
 
 class TestMinCutOptimum:
@@ -210,10 +221,9 @@ class TestMinCutOptimum:
     @given(instance=independent_instances(), data=st.data())
     def test_matches_brute_force(self, instance, data):
         points, diffs = instance
-        adj = _conflict_masks(points, diffs)
-        full = (1 << len(points)) - 1
+        graph = _ConflictGraph(points, diffs)
         # independent difference vectors give a bipartite graph: the flow route
-        assert _two_coloring(adj, full) is not None
+        assert graph.side is not None
         config = LatticeConfig.explicit(points)
         unit = brute_force_max_difference_free(points, diffs)
         assert _max_difference_free_size(config, diffs) == unit
@@ -225,10 +235,10 @@ class TestMinCutOptimum:
                 max_size=len(points),
             )
         )
-        best, mask = _solve_max_weight(points, adj, weights, full)
+        best, chosen = _solve(graph, weights)
         assert best == brute_force_max_difference_free(points, diffs, weights)
-        assert _is_conflict_free(adj, mask)
-        assert sum((weights[i] for i in range(len(points)) if (mask >> i) & 1), Fraction(0)) == best
+        assert _is_conflict_free(graph, chosen)
+        assert sum((weights[i] for i in chosen), Fraction(0)) == best
 
     def test_witness_is_the_majority_class_on_axis_triangles(self):
         # axis-legged triangles: the majority class is optimal (Theorem 6),
@@ -242,12 +252,12 @@ class TestMinCutOptimum:
                 Fraction(rng.randint(1, 40), rng.randint(1, 3)),
             )
             points = simplex_points(triangle).points
-            adj = _conflict_masks(points, AXIS_DIFFS)
+            graph = _ConflictGraph(points, AXIS_DIFFS)
             split = checkerboard_split(LatticeConfig.explicit(points))
             majority = split.white if split.counts.white >= split.counts.black else split.black
-            best, mask = _solve_max_weight(points, adj, [1] * len(points), (1 << len(points)) - 1)
+            best, chosen = _solve(graph, [1] * len(points))
             assert best == len(majority)
-            assert tuple(points[i] for i in range(len(points)) if (mask >> i) & 1) == majority
+            assert tuple(points[i] for i in chosen) == majority
 
     # one shape per bipartite search family at a reduced depth: four primes,
     # three primes, pairwise products, one rational, two rationals, and an
@@ -269,18 +279,13 @@ class TestMinCutOptimum:
         ],
     )
     def test_value_and_witness_match_branch_and_bound(self, a, depth):
-        points, weights, adj = _gamma_problem(a, depth)
-        full = (1 << len(points)) - 1
-        side = _two_coloring(adj, full)
-        assert side is not None
-        zero = Fraction(0)
-        assert _min_cut_optimum(points, adj, weights, full, side, zero) == _branch_and_bound(
-            points, adj, weights, full, zero
-        )
+        _, weights, graph = _gamma_problem(a, depth)
+        assert graph.side is not None
+        assert _min_cut_optimum(graph, weights) == _branch_and_bound(graph, weights)
 
     def test_dependent_vectors_take_branch_and_bound(self, monkeypatch):
-        points, _, adj = _gamma_problem("2,3,6", 6)
-        assert _two_coloring(adj, (1 << len(points)) - 1) is None
+        _, _, graph = _gamma_problem("2,3,6", 6)
+        assert graph.side is None
 
         def refuse(*args):
             raise AssertionError("wrong route")
@@ -380,15 +385,14 @@ class TestIntegerWeights:
 
     @pytest.mark.parametrize("a,depth", SCALED_SHAPES)
     def test_scaled_integer_weights_give_the_scaled_optimum(self, a, depth):
-        points, weights, adj = _gamma_problem(a, depth)
+        _, weights, graph = _gamma_problem(a, depth)
         scale = 1
         for b in derive_basis(RationalSet.of(a.split(","))).basis:
             scale *= b**depth
         scaled = [w.numerator * scale // w.denominator for w in weights]
         assert all(w * scale == k for w, k in zip(weights, scaled))
-        full = (1 << len(points)) - 1
-        best, mask = _solve_max_weight(points, adj, weights, full)
-        assert _solve_max_weight(points, adj, scaled, full) == (best * scale, mask)
+        best, chosen = _solve(graph, weights)
+        assert _solve(graph, scaled) == (best * scale, chosen)
 
 
 @st.composite
@@ -417,7 +421,7 @@ class TestMaxFlow:
         graph = nx.DiGraph()
         graph.add_nodes_from(range(n))
         graph.add_weighted_edges_from(arcs, weight="capacity")
-        value, reached = _max_flow(n, arcs, source, sink)
+        value, reached, _ = _max_flow(n, arcs, source, sink)
         assert value == nx.maximum_flow_value(graph, source, sink)
         # the nodes the source reaches in the residual graph of networkx's flow
         _, flow = nx.maximum_flow(graph, source, sink)
@@ -433,6 +437,120 @@ class TestMaxFlow:
                 seen.add(v)
                 stack.append(v)
         assert {u for u in range(n) if reached[u]} == seen
+
+
+@st.composite
+def conflict_instances(draw):
+    """Points in a small box and any nonzero difference vectors, odd cycles included."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    diffs = draw(st.lists(st.tuples(*[coord] * dim).filter(any), min_size=1, max_size=3))
+    box = st.tuples(*[st.integers(0, 6 - dim)] * dim)
+    points = sorted(draw(st.sets(box, min_size=0, max_size=20)))
+    return points, tuple(diffs)
+
+
+@st.composite
+def bipartite_instances(draw):
+    """Any subset of a 7 x 7 box, with two independent difference vectors."""
+    diffs = draw(st.sampled_from([AXIS_DIFFS, ((1, 0), (1, 1)), ((1, -1), (0, 1)),
+                                  ((2, 1), (1, -1)), ((1, 2), (0, 1))]))
+    keep = draw(st.lists(st.booleans(), min_size=49, max_size=49))
+    points = [(x, y) for x in range(7) for y in range(7) if keep[7 * x + y]]
+    return points, diffs
+
+
+class TestConflictGraph:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(instance=conflict_instances())
+    def test_neighbors_and_sides_match_masks_and_coloring(self, instance):
+        points, diffs = instance
+        graph = _ConflictGraph(points, diffs)
+        adj = conflict_masks(points, diffs)
+        assert graph.nbrs == [list(iter_bits(mask)) for mask in adj]
+        coloring = two_coloring(adj, (1 << len(points)) - 1)
+        if coloring is None:
+            assert graph.side is None
+        else:
+            assert graph.side == [coloring[i] for i in range(len(points))]
+
+    @pytest.mark.parametrize("a,depth", SCALED_SHAPES)
+    def test_gamma_problems_match_masks_and_coloring(self, a, depth):
+        points, _, graph = _gamma_problem(a, depth)
+        adj = conflict_masks(points, derive_basis(RationalSet.of(a.split(","))).diffs)
+        assert graph.nbrs == [list(iter_bits(mask)) for mask in adj]
+        coloring = two_coloring(adj, (1 << len(points)) - 1)
+        assert (graph.side is None) == (coloring is None) == (a == "2,3,6")
+        if coloring is not None:
+            assert graph.side == [coloring[i] for i in range(len(points))]
+
+    @pytest.mark.parametrize("diff", [(1, 0, 5), (1,)])
+    def test_rejects_a_difference_vector_of_another_dimension(self, diff):
+        # a 3-D vector was once cut to (1, 0), which conflicts the two points
+        config = LatticeConfig.explicit([(0, 0), (1, 0)])
+        with pytest.raises(DomainError, match="dimension 2"):
+            max_difference_free(config, [diff])
+        with pytest.raises(DomainError, match="dimension 2"):
+            _max_difference_free_size(config, [(0, 1), diff])
+
+
+# sha256 of the lex-least witness of the 244 points (x, y) with 2^x 3^y <= 10^8
+PINNED_TRIANGLE_WITNESS = "4c7878e9c44fbdf40ed20bf1df2708c0949f304becafb3c2b521b82fcbae515f"
+
+
+class TestGreedyMatching:
+    def test_triangle_witness_matches_the_pinned_digest(self):
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(10**8))
+        points = simplex_points(triangle).points
+        assert len(points) == 244
+        result = max_difference_free(LatticeConfig.explicit(points), AXIS_DIFFS, cap=300)
+        assert result.size == 122
+        digest = hashlib.sha256(json.dumps([list(p) for p in result.witness]).encode()).hexdigest()
+        assert digest == PINNED_TRIANGLE_WITNESS
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(instance=bipartite_instances(), data=st.data())
+    def test_matching_greedy_equals_one_solve_per_point(self, instance, data):
+        points, diffs = instance
+        graph = _ConflictGraph(points, diffs)
+        assert graph.side is not None
+        order = data.draw(st.permutations(range(len(points))))
+        assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
+        assert _greedy_optimum(graph, range(len(points))) == greedy_by_solves(
+            graph, range(len(points)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matching_greedy_equals_one_solve_per_point_on_triangles(self, seed, data):
+        _, pts = _random_rational_triangle(CounterRng(seed))
+        graph = _ConflictGraph(LatticeConfig.explicit(pts).points, AXIS_DIFFS)
+        order = data.draw(st.permutations(range(len(pts))))
+        assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_odd_cycles_take_one_solve_per_point(self, data):
+        box = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        points = sorted(data.draw(st.sets(box, min_size=3, max_size=14)))
+        graph = _ConflictGraph(points, ((1, 0), (0, 1), (1, 1)))
+        assume(graph.side is None)
+        order = data.draw(st.permutations(range(len(points))))
+
+        def refuse(*args):
+            raise AssertionError("wrong route")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "_maximum_matching", refuse)
+            patch.setattr(lattice, "_augmenting_path", refuse)
+            assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
+
+    def test_path_witness_is_every_other_point(self):
+        config = LatticeConfig.explicit([(k,) for k in range(20_000)])
+        start = time.perf_counter()
+        result = max_difference_free(config, [(1,)], cap=20_000)
+        elapsed = time.perf_counter() - start
+        assert result.witness == tuple((k,) for k in range(0, 20_000, 2))
+        assert elapsed < 2.0
 
 
 class TestFViaCheckerboard:
@@ -518,6 +636,22 @@ class TestGammaBracket:
         basis = CoprimeBasis.from_coprime_integers([2, 3])
         with pytest.raises(CapError, match="largest feasible depth is 7"):
             gamma_bracket(basis, 12, cap=40)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_feasible_depth_matches_the_linear_scan(self, s):
+        # the scan is monotone in the cap, so one walk serves every cap
+        depth = -1
+        for cap in range(1, 3001):
+            while comb(depth + 1 + s, s) <= cap:
+                depth += 1
+            assert max_feasible_depth(s, cap) == depth, cap
+        assert max_feasible_depth(s, 0) == max_feasible_depth(s, -5) == -1
+
+    def test_feasible_depth_of_a_huge_cap(self):
+        assert max_feasible_depth(1, 10**12) == 10**12 - 1
+        assert max_feasible_depth(2, 10**12) == 1_414_212
+        with pytest.raises(DomainError, match="dimension must be at least 1"):
+            max_feasible_depth(0, 10)
 
     def test_tail_mass_closed_form(self):
         # geometric series identity for the two-base truncation

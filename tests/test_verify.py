@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from quotientfree import AXIS_DIFFS, LatticeConfig, max_difference_free, verify
 from quotientfree.arith import count_coprime_part, phi
-from quotientfree.lattice import _conflict_graph, _greedy_optimum, _iter_bits, _solve_max_weight
+from quotientfree.lattice import _conflict_graph, _greedy_optimum
 from quotientfree.rng import CounterRng
 from quotientfree.verify import (
     SUITES,
@@ -113,12 +113,10 @@ class TestGreedyCompletion:
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_any_order_completes_an_optimum(self, seed, data):
         _, pts = _random_rational_triangle(CounterRng(seed))
-        points, adj = _conflict_graph(LatticeConfig.explicit(pts), AXIS_DIFFS, 40)
-        weights = [1] * len(points)
-        target = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
+        graph = _conflict_graph(LatticeConfig.explicit(pts), AXIS_DIFFS, 40)
+        points = graph.points
         order = data.draw(st.permutations(range(len(points))))
-        mask = _greedy_optimum(points, adj, weights, target, order)
-        chosen = [points[i] for i in _iter_bits(mask)]
+        chosen = [points[i] for i in _greedy_optimum(graph, order)]
         assert _conflict_free(chosen)
         assert len(chosen) == brute_force_max_difference_free(points, AXIS_DIFFS)
 
@@ -138,10 +136,8 @@ class TestGreedyCompletion:
             diffs = AXIS_DIFFS if case % 2 else ((1, 0), (0, 1), (1, 1))
             pts = {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 10))}
             config = LatticeConfig.explicit(pts)
-            points, adj = _conflict_graph(config, diffs, 40)
-            weights = [1] * len(points)
-            target = _solve_max_weight(points, adj, weights, (1 << len(points)) - 1)[0]
-            mask = _greedy_optimum(points, adj, weights, target, range(len(points)))
-            witness = tuple(points[i] for i in _iter_bits(mask))
+            graph = _conflict_graph(config, diffs, 40)
+            points = graph.points
+            witness = tuple(points[i] for i in sorted(_greedy_optimum(graph, range(len(points)))))
             assert witness == max_difference_free(config, diffs).witness
             assert witness == min(brute_force_all_optima(pts, diffs))
