@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, islice
 from math import gcd, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, InsufficientEnumerationError
@@ -194,37 +195,47 @@ class SmoothSequence:
 def smooth_stream(basis) -> Iterator[tuple[int, Vector]]:
     """Yield (value, exponents) of basis-smooth integers in ascending order.
 
-    Breadth expansion of exponent vectors merged through a heap; vectors are
-    deduplicated, so each smooth integer appears exactly once.
+    Equal values (a basis with common factors) come out in exponent order.
+    Exponent vectors are merged through a heap in which each vector has one
+    parent: the vector less one in its last nonzero coordinate.  So a popped
+    vector pushes only the children that raise a coordinate at or after that
+    one, each vector is pushed exactly once, and no seen-set is kept.  Heap
+    items carry that coordinate third; it is never compared, since the
+    (value, exponents) pairs are distinct.
     """
     b = _basis_ints(basis)
     s = len(b)
-    start = (0,) * s
-    heap: list[tuple[int, Vector]] = [(1, start)]
-    seen = {start}
+    heap: list[tuple[int, Vector, int]] = [(1, (0,) * s, 0)]
     while heap:
-        value, exps = heapq.heappop(heap)
+        value, exps, low = heapq.heappop(heap)
         yield value, exps
-        for j, bj in enumerate(b):
-            child = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-            if child not in seen:
-                seen.add(child)
-                heapq.heappush(heap, (value * bj, child))
+        for j in range(low, s):
+            heapq.heappush(heap, (value * b[j], exps[:j] + (exps[j] + 1,) + exps[j + 1:], j))
 
 
 def enumerate_smooth(basis, bound: int) -> SmoothSequence:
-    """All basis-smooth integers <= bound with their exponent vectors."""
+    """All basis-smooth integers <= bound with their exponent vectors.
+
+    Built by nested products, one basis element at a time, which lists the
+    exponent vectors in lexicographic order; one stable sort by value then
+    gives the order of ``smooth_stream``, equal values in exponent order.
+    """
     if bound < 1:
         raise DomainError("bound must be at least 1")
     b = _basis_ints(basis)
-    values: list[int] = []
-    exponents: list[Vector] = []
-    for value, exps in smooth_stream(b):
-        if value > bound:
-            break
-        values.append(value)
-        exponents.append(exps)
-    return SmoothSequence(tuple(values), tuple(exponents), bound, b)
+    entries: list[tuple[int, Vector]] = [(1, ())]
+    for bj in b:
+        grown = []
+        for value, exps in entries:
+            k = 0
+            while value <= bound:
+                grown.append((value, exps + (k,)))
+                value *= bj
+                k += 1
+        entries = grown
+    entries.sort(key=itemgetter(0))
+    values, exponents = zip(*entries)
+    return SmoothSequence(values, exponents, bound, b)
 
 
 def first_smooth_entries(basis, count: int) -> list[tuple[int, Vector]]:

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -209,45 +209,66 @@ def max_subset_count(
     depends on a representative only through t = #{smooth <= n/rep}, so the
     count alone is a sum over blocks of t, each weighted by the number of
     representatives in it (inclusion-exclusion): O(#smooth <= n * 2^s)
-    work.  The witness cuts the sieved list of representatives into the
-    same blocks (one bisection per smooth value) and scales each block by
-    the values of its majority class (white on ties): O(#smooth^2) steps
-    in Python plus list work proportional to the witness.  Its size is
-    counted from that explicit list, independently of the block sum.
+    work.  The witness comes from a sieve by smooth parts (see
+    ``_witness_mask``): about n * p/(p-1) * q/(q-1) byte writes done in C,
+    plus O(#smooth * #runs) Python steps.  With a witness the count is the
+    witness's length, checked against the block sum.
     """
     _require_coprime((p, q))
     if n < 1:
         raise DomainError("the horizon must be at least 1")
     seq = enumerate_smooth((p, q), n)
+    colors = [sum(exps) % 2 for exps in seq.exponents]
+    # reps <= n // m_t see at least t smooth values; the trailing 0 closes
+    # the last block, since no rep sees more than all of them
+    reps_seeing = [count_coprime_part((p, q), n // m) for m in seq.values] + [0]
+    total = white = 0
+    for t, color in enumerate(colors, 1):
+        white += color == 0
+        total += max(white, t - white) * (reps_seeing[t - 1] - reps_seeing[t])
     if not with_witness:
-        # reps <= n // m_t see at least t smooth values; the trailing 0 closes
-        # the last block, since no rep sees more than all of them
-        reps_seeing = [count_coprime_part((p, q), n // m) for m in seq.values] + [0]
-        total = white = 0
-        for t, exps in enumerate(seq.exponents, 1):
-            white += sum(exps) % 2 == 0
-            total += max(white, t - white) * (reps_seeing[t - 1] - reps_seeing[t])
         return total
+    witness = tuple(compress(range(n + 1), _witness_mask(seq.values, colors, n)))
+    if len(witness) != total:
+        raise SelfCheckError(f"witness of {len(witness)} elements, block sum {total}")
+    return len(witness), witness
 
-    # the same blocks over an explicit list of representatives: reps in
-    # (n // m_{t+1}, n // m_t] see exactly the first t smooth values
-    reps = coprime_part_list((p, q), n)
-    cuts = [bisect_right(reps, n // m) for m in seq.values] + [0]
-    total = 0
-    witness: list[int] = []
-    classes: tuple[list[int], list[int]] = ([], [])  # white, black values so far
-    for t, (m, exps) in enumerate(seq.entries(), 1):
-        classes[sum(exps) % 2].append(m)
-        block = reps[cuts[t]:cuts[t - 1]]
-        if not block:
-            continue
-        white, black = classes
-        kept = white if len(white) >= len(black) else black
-        total += len(kept) * len(block)
-        for m_i in kept:
-            witness.extend([m_i * r for r in block])
-    witness.sort()
-    return total, tuple(witness)
+
+def _witness_mask(values: Sequence[int], colors: Sequence[int], n: int) -> bytearray:
+    """mask[k] = 1 exactly for the k <= n in the maximal quotient-free subset.
+
+    k = m_i * r, with m_i its smooth part and r free, is kept when m_i has
+    the majority color of the first t(r) = #{smooth <= n // r} values (white
+    on ties).  For each m_i, ascending, the sieve writes that verdict at
+    every multiple m_i * r, r <= n // m_i, free or not: the last write to k
+    comes from its largest smooth divisor, its smooth part, so the verdicts
+    for r that are not free are all overwritten.  The r with t(r) = t fill
+    (n // m_{t+1}, n // m_t], so a run of t with one majority color is one
+    slice assignment per smooth value.
+    """
+    # runs of the majority color over t: the 0-based first t of each run
+    firsts: list[int] = []
+    majors: list[int] = []
+    white = 0
+    for i, color in enumerate(colors):
+        white += color == 0
+        major = 0 if 2 * white > i else 1
+        if not majors or majors[-1] != major:
+            firsts.append(i)
+            majors.append(major)
+    # a run's r lie above n // (the first value after the run)
+    runs = list(zip([n // values[i] for i in firsts[1:]] + [0], majors))
+    fills = (memoryview(bytes(n)), memoryview(b"\x01" * n))
+    mask = bytearray(n + 1)
+    k = 0
+    for i, (m, color) in enumerate(zip(values, colors)):
+        if k + 1 < len(firsts) and firsts[k + 1] == i:
+            k += 1
+        hi = n // m
+        for lo, major in runs[k:]:
+            mask[m * (lo + 1):m * hi + 1:m] = fills[major == color][:hi - lo]
+            hi = lo
+    return mask
 
 
 @dataclass(frozen=True)

@@ -519,7 +519,7 @@ def _conflict_graph(config: LatticeConfig, diffs, cap: int) -> _ConflictGraph:
         raise CapError(
             f"instance too large for exact search: {len(points)} points exceed cap {cap}"
         )
-    return _ConflictGraph(points, _normalize_diffs(diffs) if points else ())
+    return _ConflictGraph(points, _normalize_diffs(diffs))
 
 
 def _max_difference_free_size(config: LatticeConfig, diffs, cap: int = DEFAULT_SEARCH_CAP) -> int:

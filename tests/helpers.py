@@ -55,6 +55,25 @@ def naive_smooth_stream(basis):
         bound, emitted = bound * bound, len(values)
 
 
+def seen_set_smooth_stream(basis):
+    """Basis-smooth (value, exponents) ascending, forever: a heap of exponent
+    vectors with a seen-set, so every vector is pushed by each of its parents
+    and kept once.  Ties between equal values (non-coprime bases) come out in
+    exponent order."""
+    s = len(basis)
+    start = (0,) * s
+    heap = [(1, start)]
+    seen = {start}
+    while heap:
+        value, exps = heapq.heappop(heap)
+        yield value, exps
+        for j, bj in enumerate(basis):
+            child = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            if child not in seen:
+                seen.add(child)
+                heapq.heappush(heap, (value * bj, child))
+
+
 def naive_max_subset_counts(p, q, n_max):
     """Class-sum maximum for every horizon 1..n_max, one step at a time.
 

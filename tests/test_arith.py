@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
+from itertools import islice, takewhile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quotientfree import (
     CoprimeBasis,
@@ -20,11 +22,12 @@ from quotientfree import (
     rho_closed_form,
     sigma_series,
     smooth_index,
+    smooth_stream,
     white_weight_value,
 )
 from quotientfree.rng import CounterRng
 
-from helpers import naive_smooth
+from helpers import naive_smooth, seen_set_smooth_stream
 
 
 class TestDeriveBasis:
@@ -99,6 +102,39 @@ class TestEnumerateSmooth:
         seq = enumerate_smooth((2, 3, 5), 500)
         for v, e in seq.entries():
             assert v == 2 ** e[0] * 3 ** e[1] * 5 ** e[2]
+
+
+# 1 to 5 basis elements, repeats and common factors allowed: on (2, 4) or
+# (6, 10, 15) values repeat, and ties come out in exponent order
+SMOOTH_BASES = st.one_of(
+    st.sampled_from([(2, 4), (4, 9), (6, 10, 15), (2, 3, 5, 7, 11), (2, 2)]),
+    st.lists(st.integers(2, 40), min_size=1, max_size=5).map(tuple),
+)
+
+
+class TestSmoothStream:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(basis=SMOOTH_BASES, count=st.integers(1, 3000))
+    @example(basis=(2, 4), count=3000)
+    @example(basis=(6, 10, 15), count=3000)
+    def test_prefix_matches_seen_set_heap(self, basis, count):
+        assert list(islice(smooth_stream(basis), count)) == \
+            list(islice(seen_set_smooth_stream(basis), count))
+
+    def test_repeated_values_in_exponent_order(self):
+        assert list(islice(smooth_stream((2, 4)), 6)) == [
+            (1, (0, 0)), (2, (1, 0)), (4, (0, 1)), (4, (2, 0)), (8, (1, 1)), (8, (3, 0))]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(basis=SMOOTH_BASES, bound=st.integers(1, 10**5))
+    @example(basis=(2, 3), bound=1)
+    @example(basis=(4, 9), bound=10**5)
+    @example(basis=(6, 10, 15), bound=10**5)
+    def test_bounded_matches_seen_set_heap_prefix(self, basis, bound):
+        expected = list(takewhile(lambda e: e[0] <= bound, seen_set_smooth_stream(basis)))
+        seq = enumerate_smooth(basis, bound)
+        assert list(seq.entries()) == expected
+        assert seq.bound == bound and seq.basis == basis
 
 
 class TestSmoothIndex:

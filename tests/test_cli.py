@@ -559,6 +559,13 @@ class TestDensityTables:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "97d631dec6a25f359118c1b6678a04cfe9b31cdb6761ee41182c1deec9514be4")
 
+    def test_max_subset_witness_digest(self, capsys):
+        code, out, _ = run(capsys, "max-subset", "--p", "2", "--q", "3", "--n", "200000",
+                           "--witness", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c0ee661dd0992edde2b9810c472dbd75c4d54229dc3d8ea30c71a9ff50625eb7")
+
     @pytest.mark.parametrize("checkpoints,message", [
         ("-5", "error: the horizon must be at least 1\n"),
         ("0,10", "error: checkpoints must be positive\n"),
@@ -715,6 +722,19 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: self-check failed: recount at the canonical threshold 3/2")
+
+    def test_max_subset_witness_recount_disagreement_exits_4(self, capsys, monkeypatch):
+        # the witness is counted by its length and checked against the block
+        # sum; skew the block sum and the query ends in one stderr line, exit 4
+        import quotientfree.density as density
+
+        counts = density.count_coprime_part
+        monkeypatch.setattr(density, "count_coprime_part", lambda basis, x: counts(basis, x) + 1)
+        code, out, err = run(capsys, "max-subset", "--p", "2", "--q", "3", "--n", "100",
+                             "--witness", "--json")
+        assert code == 4
+        assert out == ""
+        assert err == "error: self-check failed: witness of 61 elements, block sum 72\n"
 
     @pytest.mark.parametrize("name,argv", [
         ("ln", ("simplex", "--alphas", "ln2,ln3", "--c", "ln(" + "7" * 5001 + ")")),

@@ -10,6 +10,7 @@ from quotientfree import (
     BudgetError,
     CoprimeBasis,
     DomainError,
+    SelfCheckError,
     construct_dense_set,
     empirical_densities,
     enumerate_smooth,
@@ -22,6 +23,7 @@ from quotientfree import (
     strict_gap_check,
     white_weight_value,
 )
+from quotientfree import density
 from quotientfree.cli import dec12
 from quotientfree.density import LN_PRECISION_DIGITS, _ln_fraction
 from quotientfree.rng import CounterRng
@@ -253,6 +255,14 @@ class TestMaxSubsetCount:
         p, q = pair
         assert max_subset_count(p, q, n, with_witness=True) == \
             naive_max_subset_witness(p, q, n)
+
+    def test_witness_length_is_checked_against_the_block_sum(self, monkeypatch):
+        # the count returned with a witness is the witness's length; a block
+        # sum that disagrees with it is a failed self-check
+        counts = density.count_coprime_part
+        monkeypatch.setattr(density, "count_coprime_part", lambda basis, x: counts(basis, x) + 1)
+        with pytest.raises(SelfCheckError, match="^witness of 61 elements, block sum 72$"):
+            max_subset_count(2, 3, 100, with_witness=True)
 
     def test_block_sum_at_astronomical_horizon(self):
         n = 10**30

@@ -94,6 +94,17 @@ class TestMaxDifferenceFree:
         assert result.size == 1
         assert result.witness == ((0, 0),)
 
+    def test_empty_configuration_checks_its_difference_vectors(self):
+        # a zero vector is rejected whatever the configuration, as with one point
+        with pytest.raises(DomainError, match="difference vectors must be nonzero"):
+            max_difference_free(LatticeConfig.explicit([]), [(0, 0)])
+        with pytest.raises(DomainError, match="difference vectors must be nonzero"):
+            max_difference_free(LatticeConfig.explicit([(0, 0)]), [(0, 0)])
+
+    def test_empty_configuration_has_the_empty_optimum(self):
+        result = max_difference_free(LatticeConfig.explicit([]), [(1, 0)])
+        assert (result.size, result.witness) == (0, ())
+
     def test_skew_counterexample_beats_majority(self):
         config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
         result = max_difference_free(config, AXIS_DIFFS)
