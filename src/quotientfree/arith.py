@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, islice
-from math import gcd, prod
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -260,10 +260,14 @@ def smooth_index(seq: SmoothSequence, u: RationalLike) -> int:
 
 
 @lru_cache(maxsize=64)
-def _signed_subset_products(b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(sign, product) over every subset of the basis: the inclusion-exclusion terms."""
+def _signed_subset_lcms(b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(sign, lcm) over every subset of the basis: the inclusion-exclusion terms.
+
+    The integers up to x divisible by every element of a subset are the
+    multiples of its lcm, which is the product only for coprime elements.
+    """
     return tuple(
-        (-1 if k % 2 else 1, prod(combo))
+        (-1 if k % 2 else 1, lcm(*combo))
         for k in range(len(b) + 1)
         for combo in combinations(b, k)
     )
@@ -273,7 +277,7 @@ def count_coprime_part(basis, x: int) -> int:
     """|{n <= x : no basis element divides n}| by inclusion-exclusion."""
     if x < 1:
         raise DomainError("bound must be at least 1")
-    return sum(sign * (x // d) for sign, d in _signed_subset_products(_basis_ints(basis)))
+    return sum(sign * (x // d) for sign, d in _signed_subset_lcms(_basis_ints(basis)))
 
 
 def coprime_part_list(basis, x: int) -> list[int]:
@@ -287,11 +291,12 @@ def coprime_part_list(basis, x: int) -> list[int]:
 
 
 def phi(basis) -> Fraction:
-    """Product of (1 - 1/b) over the basis: the density of its coprime part."""
-    result = Fraction(1)
-    for b in _basis_ints(basis):
-        result *= Fraction(b - 1, b)
-    return result
+    """The density of the integers divisible by no basis element.
+
+    The sum of sign/lcm over the inclusion-exclusion terms: the product of
+    (1 - 1/b) over the basis when its elements are pairwise coprime.
+    """
+    return sum(Fraction(sign, d) for sign, d in _signed_subset_lcms(_basis_ints(basis)))
 
 
 def harmonic_coprime_sum(basis, x: int) -> Fraction:

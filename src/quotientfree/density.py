@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from mpmath.libmp import dps_to_prec, from_int, mpf_log, round_nearest
@@ -28,7 +27,6 @@ from .arith import (
     enumerate_smooth,
     exact_sum,
     phi,
-    smooth_stream,
     _require_coprime,
 )
 from .errors import BudgetError, DomainError, SelfCheckError
@@ -130,11 +128,18 @@ def sigma_series(
     of it and closes the harmonic remainder of the smooth sequence in closed
     form.  Enumeration stops once the bracket width is within tolerance.
 
-    Every smooth value so far divides D = p^A * q^B (A, B the largest
-    exponents seen), so the partial sum and the prefix reciprocal sum are
-    kept as integer multiples of 1/D; the width test is one cross-multiplied
-    integer comparison per term, and Fractions are built only for the
-    returned (or budget-exhausted) bracket.
+    The smooth values come from a two-pointer merge: every value above 1 is
+    p or q times an earlier one, and only the window above the lagging
+    pointer is kept.  Every value so far divides D = p^A * q^B (A, B the
+    largest exponents seen), so sums are kept as integer multiples of 1/D,
+    and each share D/m = p^(A-a) * q^(B-b) is one product of two power
+    table entries.  The partial sum is kept in Abel form: the shares of the
+    values at which the prefix majority count grows, less maj(t) * D/m_t.
+    The width exceeds factor * k/m_t (k the excess of the upper tail's
+    prefix count over the lower one's), so while that alone exceeds the
+    tolerance, which one product with m_t decides, the cross-multiplied
+    width test is skipped: it runs on a handful of terms per call.
+    Fractions are built only for the returned (or budget-exhausted) bracket.
     """
     _require_coprime((p, q))
     tolerance = as_fraction(tolerance)
@@ -142,57 +147,105 @@ def sigma_series(
         raise DomainError("tolerance must be positive")
     _require_budget(budget)
     factor = Fraction((p - 1) * (q - 1), p * q)
-    full_recip = 1 / factor
     f_num, f_den = factor.numerator, factor.denominator
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
+    # factor * k / m > tolerance exactly when k * screen_k > m * screen_m
+    screen_k, screen_m = f_num * tol_den, tol_num * f_den
 
-    def bracket() -> DensityBracket:
-        # tails after the last summed prefix: at least ceil/2 of each later
-        # prefix counts, at most all of it plus the harmonic remainder
-        head = Fraction(partial, scale)
-        tail_lower = Fraction((terms + 2) // 2, value)
-        tail_upper = Fraction(terms + 1, value) + (full_recip - Fraction(recip, scale))
-        return DensityBracket(
-            factor * (head + tail_lower),
-            factor * (head + tail_upper),
-            "series-with-tail",
-            {"terms": terms, "next_value": value},
-        )
-
-    gen = smooth_stream((p, q))
-    value, _ = next(gen)  # 1
-    scale = 1  # D, the lcm of the smooth values so far
+    # window[i] * p and window[j] * q are the next candidates, j <= i since
+    # p < q; an entry (m, a, b) is m = p^a * q^b
+    window = [(1, 0, 0)]
+    i = j = 0
+    next_p, next_q = p, q
+    p_pow, q_pow = [1], [1]  # p^e for e <= A, q^e for e <= B
+    big_a = big_b = 0
+    scale = 1  # D
+    value, color, share = 1, 0, 1  # m_t, its parity, D / m_t
     recip = 1  # prefix reciprocal sum times D
-    partial = 0  # partial sum times D
-    prev_parity = 0
-    white = black = 0
+    abel = 0  # the shares at which the prefix majority count grew
+    lead = major = 0  # white less black count, and the larger of the two
     terms = 0
     while terms + 1 < budget:
-        prev_share = scale // value
-        value, (a, b) = next(gen)
-        if scale % value:
-            grow = value // gcd(scale, value)
-            scale *= grow
-            recip *= grow
-            partial *= grow
-            prev_share *= grow
-        share = scale // value
+        # count the color of m_t into the prefix majority
+        if color:
+            lead -= 1
+            if lead < 0:
+                major += 1
+                abel += share
+        else:
+            lead += 1
+            if lead > 0:
+                major += 1
+                abel += share
+        if next_p < next_q:
+            value = next_p
+            _, a, b = window[i]
+            a += 1
+            window.append((value, a, b))
+            i += 1
+            next_p = window[i][0] * p
+        else:
+            value = next_q
+            _, a, b = window[j]
+            b += 1
+            window.append((value, a, b))
+            if next_p == value:
+                i += 1
+                next_p = window[i][0] * p
+            j += 1
+            next_q = window[j][0] * q
+            # no pointer reads below j again: drop those values once they
+            # are half the list, so it stays near the merge window
+            if 2 * j > len(window):
+                del window[:j]
+                i -= j
+                j = 0
+        if a > big_a:
+            big_a = a
+            p_pow.append(p_pow[-1] * p)
+            scale *= p
+            recip *= p
+            abel *= p
+        if b > big_b:
+            big_b = b
+            q_pow.append(q_pow[-1] * q)
+            scale *= q
+            recip *= q
+            abel *= q
+        color = (a + b) & 1
+        share = p_pow[big_a - a] * q_pow[big_b - b]
         recip += share
         terms += 1
-        if prev_parity == 0:
-            white += 1
-        else:
-            black += 1
-        prev_parity = (a + b) % 2
-        partial += max(white, black) * (prev_share - share)
-        # width = factor * (k / value + full_recip - recip / D), with k the
-        # excess of the upper tail's prefix count over the lower one's
-        k = terms + 1 - (terms + 2) // 2
+        k = (terms + 1) // 2  # terms + 1 - (terms + 2) // 2
+        if k * screen_k > value * screen_m:
+            continue
+        # width = factor * (k / m_t + 1 / factor - recip / D)
         if tol_den * (f_num * (k * share - recip) + f_den * scale) <= tol_num * f_den * scale:
-            return bracket()
+            return _series_bracket(factor, terms, value, abel - major * share, recip, scale)
     raise BudgetError(
         f"tolerance {tolerance} not reached within {budget} enumerated values",
-        achieved=bracket() if terms else None,
+        achieved=(_series_bracket(factor, terms, value, abel - major * share, recip, scale)
+                  if terms else None),
+    )
+
+
+def _series_bracket(
+    factor: Fraction, terms: int, value: int, partial: int, recip: int, scale: int
+) -> DensityBracket:
+    """The series bracket after ``terms`` terms, the last smooth value ``value``.
+
+    ``partial`` and ``recip`` are the partial sum and the prefix reciprocal
+    sum times ``scale``.  After the last summed prefix, at least ceil/2 of
+    each later prefix counts, at most all of it plus the harmonic remainder.
+    """
+    head = Fraction(partial, scale)
+    tail_lower = Fraction((terms + 2) // 2, value)
+    tail_upper = Fraction(terms + 1, value) + (1 / factor - Fraction(recip, scale))
+    return DensityBracket(
+        factor * (head + tail_lower),
+        factor * (head + tail_upper),
+        "series-with-tail",
+        {"terms": terms, "next_value": value},
     )
 
 
@@ -495,6 +548,8 @@ def strict_gap_check(
     """
     rho = rho_closed_form([p, q])
     _require_budget(budget)
+    if max_rounds < 1:
+        raise DomainError(f"max_rounds must be at least 1, got {max_rounds}")
     tolerance = Fraction(1, 16)
     sigma: Optional[DensityBracket] = None
     for round_no in range(1, max_rounds + 1):

@@ -189,6 +189,15 @@ class TestCountCoprimePart:
             sieved = sum(1 for n in range(1, x + 1) if all(n % b for b in basis))
             assert count_coprime_part(basis, x) == sieved
 
+    def test_common_factor_example(self):
+        # 1, 3, 5, 7: the multiples of 2 and of 4 overlap in those of 4
+        assert count_coprime_part((2, 4), 8) == 4
+
+    @pytest.mark.parametrize("basis", [(2, 4), (6, 10), (4, 6, 9)])
+    def test_common_factor_bases_match_the_sieve(self, basis):
+        for x in range(1, 2001):
+            assert count_coprime_part(basis, x) == len(coprime_part_list(basis, x)), x
+
     @pytest.mark.parametrize("basis", [(2, 3), (2, 3, 5), (3, 4, 5)])
     def test_density_deviation_strictly_below_power(self, basis):
         density = phi(basis)
@@ -214,6 +223,14 @@ class TestPhi:
         assert phi((2, 3)) == Fraction(1, 3)
         assert phi((2,)) == Fraction(1, 2)
         assert phi((2, 3, 5)) == Fraction(4, 15)
+
+    @pytest.mark.parametrize("basis", [(2, 4), (6, 10), (4, 6, 9)])
+    def test_common_factor_bases(self, basis):
+        # divisibility by the basis repeats with period lcm(basis), so the
+        # density is the share of one period that the sieve keeps
+        period = math.lcm(*basis)
+        assert phi(basis) == Fraction(len(coprime_part_list(basis, period)), period)
+        assert phi((2, 4)) == Fraction(1, 2)
 
 
 class TestHarmonicCoprimeSum:

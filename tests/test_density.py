@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -25,7 +26,7 @@ from quotientfree import (
 )
 from quotientfree import density
 from quotientfree.cli import dec12
-from quotientfree.density import LN_PRECISION_DIGITS, _ln_fraction
+from quotientfree.density import DEFAULT_SERIES_BUDGET, LN_PRECISION_DIGITS, _ln_fraction
 from quotientfree.rng import CounterRng
 from quotientfree.verify import exhaustive_max_quotient_free
 
@@ -113,6 +114,26 @@ class TestRhoGeneral:
         assert factor * gamma.lower <= target <= factor * gamma.upper
 
 
+def assert_same_sigma_outcome(pair, tol, budget):
+    """sigma_series and the per-term Fraction loop return the same bracket,
+    or raise the same BudgetError with the same achieved bracket."""
+    try:
+        expected = naive_sigma_series(*pair, tol, budget)
+    except BudgetError as exc:
+        with pytest.raises(BudgetError) as got:
+            sigma_series(*pair, tol, budget)
+        assert str(got.value) == str(exc)
+        assert got.value.achieved == exc.achieved
+        return
+    got = sigma_series(*pair, tol, budget)
+    assert (got.lower, got.upper, got.method, got.detail) == (
+        expected.lower,
+        expected.upper,
+        expected.method,
+        expected.detail,
+    ), (pair, tol, budget)
+
+
 class TestSigmaSeries:
     def test_hand_checkable_partial_sum(self):
         # prefix of the series through the 21st smooth value (108), before
@@ -196,6 +217,44 @@ class TestSigmaSeries:
         assert tight.width < loose.width
         assert loose.lower <= tight.lower
         assert tight.upper <= loose.upper
+
+    @pytest.mark.parametrize("pair", [(4, 9), (7, 11), (2, 9)])
+    def test_matches_per_term_fraction_loop_off_the_bench(self, pair):
+        for k in (1, 3, 8, 15, 24):
+            tol = Fraction(1, 10**k)
+            assert_same_sigma_outcome(pair, tol, DEFAULT_SERIES_BUDGET)
+
+    @pytest.mark.parametrize("pair", BENCH_PAIRS + [(4, 9), (7, 11), (2, 9)])
+    @pytest.mark.parametrize("tol", [Fraction(1, 64), Fraction(1, 10**12), Fraction(2, 3 * 10**20)])
+    def test_budget_at_the_stop_term(self, pair, tol):
+        # a budget of the stop's term count leaves the last term out, one
+        # more reaches it
+        stop = naive_sigma_series(*pair, tol).detail["terms"]
+        with pytest.raises(BudgetError):
+            sigma_series(*pair, tol, stop)
+        assert_same_sigma_outcome(pair, tol, stop)
+        assert_same_sigma_outcome(pair, tol, stop + 1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        pair=st.tuples(st.integers(2, 30), st.integers(2, 30)).filter(
+            lambda t: t[0] < t[1] and math.gcd(*t) == 1
+        ),
+        tol=st.fractions(Fraction(1, 10**12), 1).filter(lambda f: f > 0),
+        budget=st.integers(1, 200),
+    )
+    def test_matches_per_term_fraction_loop_property(self, pair, tol, budget):
+        assert_same_sigma_outcome(pair, tol, budget)
+
+    def test_memory_stays_at_the_merge_window(self):
+        # about 38,000 terms: a list of every value would take megabytes
+        tracemalloc.start()
+        try:
+            sigma_series(2, 3, Fraction(1, 10**100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestMaxSubsetCount:
@@ -454,6 +513,11 @@ class TestStrictGapCheck:
     def test_budget_exhaustion_is_inconclusive_not_false(self):
         report = strict_gap_check(2, 3, budget=3)
         assert not report.gap_proven
+
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_rejects_fewer_than_one_round(self, max_rounds):
+        with pytest.raises(DomainError, match="max_rounds"):
+            strict_gap_check(2, 3, max_rounds=max_rounds)
 
     def test_report_rho_values(self):
         assert strict_gap_check(2, 5).rho == Fraction(11, 18)
