@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, islice
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, InsufficientEnumerationError
@@ -31,6 +31,12 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DomainError(f"not a rational number: {value!r}") from exc
+
+
+def _require_work_bound(name: str, value: int) -> None:
+    """Reject a budget, cap or round limit below 1."""
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1, got {value}")
 
 
 def exact_sum(fractions: Iterable[Fraction]) -> Fraction:
@@ -171,9 +177,18 @@ def derive_basis(a_set: RationalSet) -> CoprimeBasis:
 
 
 def _basis_ints(basis) -> tuple[int, ...]:
+    """The basis as a tuple of integers, each at least 2.
+
+    Common factors are allowed; a unit, zero or negative element is not,
+    since its powers never grow.
+    """
     if isinstance(basis, CoprimeBasis):
         return basis.basis
-    return tuple(basis)
+    b = tuple(basis)
+    for v in b:
+        if not isinstance(v, int) or v < 2:
+            raise DomainError(f"basis elements must be integers greater than 1, got {v!r}")
+    return b
 
 
 @dataclass(frozen=True)
@@ -192,25 +207,34 @@ class SmoothSequence:
         return zip(self.values, self.exponents)
 
 
+def _ascending_walk(start, steps, combine) -> Iterator[tuple]:
+    """Yield (key, exponents) over every exponent vector, ascending by that pair.
+
+    The origin has key ``start``; raising coordinate j maps a key k to
+    ``combine(k, steps[j])``, which must exceed k.  Vectors are merged
+    through a heap in which each vector has one parent: the vector less one
+    in its last nonzero coordinate.  So a popped vector pushes only the
+    children that raise a coordinate at or after that one, each vector is
+    pushed exactly once, and no seen-set is kept.  Heap items carry that
+    coordinate third; it is never compared, since the (key, exponents)
+    pairs are distinct.
+    """
+    s = len(steps)
+    heap: list[tuple] = [(start, (0,) * s, 0)]
+    while heap:
+        key, exps, low = heapq.heappop(heap)
+        yield key, exps
+        for j in range(low, s):
+            child = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            heapq.heappush(heap, (combine(key, steps[j]), child, j))
+
+
 def smooth_stream(basis) -> Iterator[tuple[int, Vector]]:
     """Yield (value, exponents) of basis-smooth integers in ascending order.
 
     Equal values (a basis with common factors) come out in exponent order.
-    Exponent vectors are merged through a heap in which each vector has one
-    parent: the vector less one in its last nonzero coordinate.  So a popped
-    vector pushes only the children that raise a coordinate at or after that
-    one, each vector is pushed exactly once, and no seen-set is kept.  Heap
-    items carry that coordinate third; it is never compared, since the
-    (value, exponents) pairs are distinct.
     """
-    b = _basis_ints(basis)
-    s = len(b)
-    heap: list[tuple[int, Vector, int]] = [(1, (0,) * s, 0)]
-    while heap:
-        value, exps, low = heapq.heappop(heap)
-        yield value, exps
-        for j in range(low, s):
-            heapq.heappush(heap, (value * b[j], exps[:j] + (exps[j] + 1,) + exps[j + 1:], j))
+    yield from _ascending_walk(1, _basis_ints(basis), mul)
 
 
 def enumerate_smooth(basis, bound: int) -> SmoothSequence:
@@ -282,10 +306,11 @@ def count_coprime_part(basis, x: int) -> int:
 
 def coprime_part_list(basis, x: int) -> list[int]:
     """Ascending list of n <= x divisible by no basis element (a bytearray sieve)."""
+    basis = _basis_ints(basis)
     if x < 1:
         return []
     mask = bytearray([1]) * (x + 1)
-    for b in _basis_ints(basis):
+    for b in basis:
         mask[::b] = bytes(x // b + 1)  # 0 and every multiple of b
     return list(compress(range(x + 1), mask))
 

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import verify as verify_mod
 from .arith import CoprimeBasis, RationalSet, as_fraction, derive_basis, enumerate_smooth
 from .density import (
+    DEFAULT_SERIES_BUDGET,
     DensityBracket,
     construct_dense_set,
     max_subset_count,
@@ -31,6 +32,7 @@ from .density import (
 )
 from .errors import BudgetError, DomainError, PrecisionError, SelfCheckError
 from .geometry import (
+    DEFAULT_SCAN_BUDGET,
     ExactReal,
     SimplexSpec,
     find_black_majority_c,
@@ -39,6 +41,7 @@ from .geometry import (
     simplex_points,
 )
 from .lattice import (
+    DEFAULT_SEARCH_CAP,
     checkerboard_split,
     f_via_checkerboard,
     gamma_bracket,
@@ -222,7 +225,8 @@ _RATIONALS = _arg("--a", required=True, help="comma-separated rationals, e.g. 3/
 _P = _arg("--p", type=int, required=True)
 _Q = _arg("--q", type=int, required=True)
 _DEPTH = _arg("--depth", type=int, default=6)
-_CAP = _arg("--cap", type=int, default=40)
+_CAP = _arg("--cap", type=int, default=DEFAULT_SEARCH_CAP)
+_SERIES_BUDGET = _arg("--budget", type=int, default=DEFAULT_SERIES_BUDGET)
 
 
 @_command("rho", "closed-form best density for pairwise-coprime integers",
@@ -250,8 +254,7 @@ def _rho_general(args) -> _Output:
 
 @_command("sigma", "certified series bracket for a coprime pair",
           "majority-color-series-bracket",
-          _P, _Q, _arg("--tol", default="1/10000"), _arg("--budget", type=int, default=10**6),
-          _EXACT)
+          _P, _Q, _arg("--tol", default="1/10000"), _SERIES_BUDGET, _EXACT)
 def _sigma(args) -> _Output:
     bracket = sigma_series(args.p, args.q, as_fraction(args.tol), args.budget)
     return _Output(
@@ -264,7 +267,7 @@ def _sigma(args) -> _Output:
 
 @_command("gap", "prove the strict gap between the two density optima",
           "series-lower-versus-closed-form",
-          _P, _Q, _arg("--budget", type=int, default=10**6), _EXACT)
+          _P, _Q, _SERIES_BUDGET, _EXACT)
 def _gap(args) -> _Output:
     report = strict_gap_check(args.p, args.q, args.budget)
     result = {
@@ -462,7 +465,8 @@ def _simplex(args) -> _Output:
 
 @_command("black-majority", "scan thresholds for a black-majority simplex",
           "ascending-threshold-scan",
-          _arg("--alphas", required=True), _arg("--budget", type=int, default=64))
+          _arg("--alphas", required=True),
+          _arg("--budget", type=int, default=DEFAULT_SCAN_BUDGET))
 def _black_majority(args) -> _Output:
     alphas = _parse_alphas(args.alphas)
     search = find_black_majority_c(alphas, budget=args.budget)

@@ -28,6 +28,7 @@ from .arith import (
     exact_sum,
     phi,
     _require_coprime,
+    _require_work_bound,
 )
 from .errors import BudgetError, DomainError, SelfCheckError
 from .geometry import _libmp_to_fraction
@@ -110,11 +111,6 @@ def rho_general(
     )
 
 
-def _require_budget(budget: int) -> None:
-    if budget < 1:
-        raise DomainError(f"budget must be at least 1, got {budget}")
-
-
 def sigma_series(
     p: int,
     q: int,
@@ -145,7 +141,7 @@ def sigma_series(
     tolerance = as_fraction(tolerance)
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
-    _require_budget(budget)
+    _require_work_bound("budget", budget)
     factor = Fraction((p - 1) * (q - 1), p * q)
     f_num, f_den = factor.numerator, factor.denominator
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
@@ -547,9 +543,8 @@ def strict_gap_check(
     exhaustion yields an inconclusive report, never a false positive.
     """
     rho = rho_closed_form([p, q])
-    _require_budget(budget)
-    if max_rounds < 1:
-        raise DomainError(f"max_rounds must be at least 1, got {max_rounds}")
+    _require_work_bound("budget", budget)
+    _require_work_bound("max_rounds", max_rounds)
     tolerance = Fraction(1, 16)
     sigma: Optional[DensityBracket] = None
     for round_no in range(1, max_rounds + 1):

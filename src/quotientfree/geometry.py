@@ -16,23 +16,23 @@ otherwise; an undecided comparison is an error, never a guess.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, pairwise
+from itertools import chain, islice, pairwise
 from math import ceil, floor, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from mpmath.libmp import from_int, mpi_log, mpi_sqrt, round_ceiling, round_floor
 
-from .arith import as_fraction, first_smooth_entries, smooth_stream
+from .arith import _ascending_walk, _require_work_bound, as_fraction, first_smooth_entries
 from .errors import DomainError, PrecisionError, SelfCheckError
 
 Point = tuple[int, ...]
 
 DEFAULT_PREC_CAP_BITS = 4096
+DEFAULT_SCAN_BUDGET = 64
 _SORT_KEY_BITS = 200
 # fractional bits of the integer enclosures that decide most memberships
 _FILTER_BITS = 64
@@ -521,7 +521,7 @@ def _simplest_rational_at_least(value_terms, strict_upper_terms, prec_cap: int, 
 
 def find_black_majority_c(
     alphas: Iterable,
-    budget: int = 64,
+    budget: int = DEFAULT_SCAN_BUDGET,
     prec_cap: int = DEFAULT_PREC_CAP_BITS,
 ) -> BlackMajoritySearch:
     """Scan attained threshold values, ascending, for a black majority.
@@ -532,8 +532,7 @@ def find_black_majority_c(
     integer, the attained rational for rational coefficients, and otherwise
     the simplest rational inside the black-majority window.
     """
-    if budget < 1:
-        raise DomainError(f"budget must be at least 1, got {budget}")
+    _require_work_bound("budget", budget)
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
     if len(alpha_atoms) < 2:
         raise DomainError("at least two coefficients are required")
@@ -544,86 +543,61 @@ def find_black_majority_c(
                           "coefficient ordering") < 0:
             raise DomainError("coefficients must be sorted ascending")
 
-    if all(a.kind == "log" for a in alpha_atoms):
-        ks = [a.arg for a in alpha_atoms]
-        tested = 0
-        previous = None
-        for value, _ in smooth_stream(ks):
-            if tested >= budget:
-                break
-            if value == previous:  # non-coprime bases can repeat a value
-                continue
-            previous = value
-            tested += 1
-            spec = SimplexSpec(alpha_atoms, ExactReal.log(value))
-            counts = simplex_color_counts(spec, prec_cap)
-            if counts.black > counts.white:
-                return BlackMajoritySearch(
-                    True, None, f"ln({value})", value, counts, tested
-                )
-        return BlackMajoritySearch(False, None, None, None, None, tested)
-
+    all_logs = all(a.kind == "log" for a in alpha_atoms)
+    all_rational = all(a.is_rational for a in alpha_atoms)
     # one candidate of lookahead: the window of a black majority ends there
-    candidates = chain(_attained_values(alpha_atoms, budget), [None])
+    candidates = chain(islice(_attained_values(alpha_atoms), budget), [None])
     tested = 0
-    for terms, following in pairwise(candidates):
+    for (key, terms), following in pairwise(candidates):
         tested += 1
         counts = simplex_color_counts(SimplexSpec(alpha_atoms, terms), prec_cap)
-        if counts.black > counts.white:
-            if all(a.is_rational for a in alpha_atoms):
-                value = sum(a.rational * c for a, c in terms) or Fraction(0)
-                threshold = Fraction(value)
-                display = str(threshold)
-            else:
-                threshold = None
-                if following is not None:
-                    threshold = _simplest_rational_at_least(terms, following, prec_cap)
-                if threshold is None:
-                    display = " + ".join(
-                        f"{c}*{a}" for a, c in terms if c
-                    ) or "0"
-                else:
-                    display = str(threshold)
+        if counts.black <= counts.white:
+            continue
+        if all_logs:
+            return BlackMajoritySearch(True, None, f"ln({key})", key, counts, tested)
+        if all_rational:
+            threshold = key
+        elif following is None:
+            threshold = None
+        else:
+            threshold = _simplest_rational_at_least(terms, following[1], prec_cap)
+        if threshold is None:
+            display = " + ".join(f"{c}*{a}" for a, c in terms if c) or "0"
+        else:
+            display = str(threshold)
             # re-verify by direct recount at the canonical threshold
-            if threshold is not None:
-                recounted = simplex_color_counts(
-                    SimplexSpec(alpha_atoms, ExactReal.of(threshold)), prec_cap
+            recounted = simplex_color_counts(
+                SimplexSpec(alpha_atoms, ExactReal.of(threshold)), prec_cap
+            )
+            if recounted != counts:
+                raise SelfCheckError(
+                    f"recount at the canonical threshold {threshold} gives "
+                    f"{recounted}, the scan gave {counts}"
                 )
-                if recounted != counts:
-                    raise SelfCheckError(
-                        f"recount at the canonical threshold {threshold} gives "
-                        f"{recounted}, the scan gave {counts}"
-                    )
-            return BlackMajoritySearch(True, threshold, display, None, counts, tested)
+        return BlackMajoritySearch(True, threshold, display, None, counts, tested)
     return BlackMajoritySearch(False, None, None, None, None, tested)
 
 
-def _attained_values(alpha_atoms, budget: int):
-    """Up to ``budget`` distinct values alpha . x, as terms, produced lazily.
+def _attained_values(alpha_atoms):
+    """The distinct values alpha . x, ascending, as (key, terms), produced lazily.
 
-    Values are ordered, and told apart, by their 200-bit interval midpoints
-    (``ExactReal.sort_key``).  Those midpoints are not certified: two
-    distinct values closer than about 2**-200 could swap or merge.  Rational
-    alphas have exact keys.
+    When every alpha is a logarithm, the key is the integer product of
+    k_i**x_i, so values are ordered and told apart exactly.  Otherwise the
+    key is the sum of x_i times the 200-bit interval midpoint of alpha_i
+    (``ExactReal.sort_key``), which is exact for rational alphas.  Those
+    midpoints are not certified: two distinct values closer than about
+    2**-200 could swap or merge.  Each value comes with the least x
+    attaining its key.
     """
-    r = len(alpha_atoms)
-    keys = [a.sort_key() for a in alpha_atoms]
-    start = (0,) * r
-    heap: list[tuple[Fraction, Point]] = [(Fraction(0), start)]
-    seen = {start}
-    emitted = 0
+    if all(a.kind == "log" for a in alpha_atoms):
+        walk = _ascending_walk(1, tuple(a.arg for a in alpha_atoms), mul)
+    else:
+        walk = _ascending_walk(Fraction(0), tuple(a.sort_key() for a in alpha_atoms), add)
     last_key = None
-    while heap and emitted < budget:
-        key, x = heapq.heappop(heap)
-        if key != last_key:  # keys pop in order, so equal keys are adjacent
+    for key, x in walk:
+        if key != last_key:  # keys come in order, so equal keys are adjacent
             last_key = key
-            emitted += 1
-            yield tuple((alpha_atoms[j], Fraction(x[j])) for j in range(r))
-        for j in range(r):
-            child = x[:j] + (x[j] + 1,) + x[j + 1:]
-            if child not in seen:
-                seen.add(child)
-                heapq.heappush(heap, (key + keys[j], child))
+            yield key, tuple(zip(alpha_atoms, map(Fraction, x)))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from math import comb, lcm, prod
 from operator import add
 from typing import Optional, Sequence
 
-from .arith import CoprimeBasis, _require_coprime, first_smooth_entries
+from .arith import CoprimeBasis, _require_coprime, _require_work_bound, first_smooth_entries
 from .errors import CapError, DomainError, SweepError
 from .geometry import ColorCount, LatticeConfig, Point, SimplexSpec, simplex_points
 
@@ -75,11 +75,10 @@ def checkerboard_split(config: LatticeConfig) -> CheckerboardSplit:
 
 @dataclass(frozen=True)
 class IndependentSetResult:
-    """Exact maximum difference-free subset: size, witness, and optimality flag."""
+    """Exact maximum difference-free subset: its size and a witness."""
 
     size: int
     witness: tuple[Point, ...]
-    optimal: bool
 
 
 @dataclass(frozen=True)
@@ -514,6 +513,7 @@ def _greedy_optimum(graph: _ConflictGraph, order) -> list[int]:
 
 def _conflict_graph(config: LatticeConfig, diffs, cap: int) -> _ConflictGraph:
     """The conflict graph of a configuration within the search cap."""
+    _require_work_bound("cap", cap)
     points = config.points
     if len(points) > cap:
         raise CapError(
@@ -542,7 +542,7 @@ def max_difference_free(
     """
     graph = _conflict_graph(config, diffs, cap)
     kept = _greedy_optimum(graph, range(len(graph.points)))
-    return IndependentSetResult(len(kept), tuple(graph.points[i] for i in kept), True)
+    return IndependentSetResult(len(kept), tuple(graph.points[i] for i in kept))
 
 
 def f_via_checkerboard(p: int, q: int, t: int) -> int:
@@ -561,7 +561,7 @@ def f_via_checkerboard(p: int, q: int, t: int) -> int:
 
 
 def _simplex_lattice(s: int, depth: int) -> list[Point]:
-    """All u in Z_+^s with coordinate sum <= depth."""
+    """All u in Z_+^s with coordinate sum <= depth, in lexicographic order."""
     pts: list[Point] = []
 
     def rec(prefix: tuple[int, ...], budget: int):
@@ -572,8 +572,6 @@ def _simplex_lattice(s: int, depth: int) -> list[Point]:
         for k in range(budget + 1):
             rec(prefix + (k,), budget - k)
 
-    if s == 0:
-        return [()]
     rec((), depth)
     return pts
 
@@ -638,8 +636,7 @@ def gamma_bracket(
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    if cap < 1:
-        raise DomainError(f"cap must be at least 1, got {cap}")
+    _require_work_bound("cap", cap)
     s = basis.size
     count = comb(depth + s, s)
     if count > cap:
@@ -647,7 +644,7 @@ def gamma_bracket(
             f"truncation region has {count} points, exceeding cap {cap}; "
             f"largest feasible depth is {max_feasible_depth(s, cap)}"
         )
-    points = sorted(_simplex_lattice(s, depth))
+    points = _simplex_lattice(s, depth)
     # integer weights over scale = prod b**depth: u weighs prod b**(depth - u_i)
     powers = [[b**k for k in range(depth + 1)] for b in basis.basis]
     scale = prod(row[depth] for row in powers)
@@ -692,8 +689,7 @@ def _adjacent_point(pts: set[Point]) -> Optional[Point]:
 
 
 def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> None:
-    if cap < 1:
-        raise DomainError(f"cap must be at least 1, got {cap}")
+    _require_work_bound("cap", cap)
     if len(triangle.alphas) != 2:
         raise DomainError("the sweep works on plane triangles")
     for p in pts:

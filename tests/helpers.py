@@ -11,7 +11,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from quotientfree import BudgetError, DensityBracket
-from quotientfree.arith import smooth_stream
 from quotientfree.geometry import (
     BlackMajoritySearch,
     ColorCount,
@@ -407,14 +406,16 @@ def double_loop_slope_profile(a1, a2, c_max):
 def eager_black_majority(alphas, budget=64, prec_cap=4096):
     """The black-majority scan with every candidate computed before any test.
 
-    All ``budget`` attained values come off the midpoint heap first, and
-    each count tallies the points of simplex_points.  Otherwise the scan
-    follows find_black_majority_c, threshold canonicalization included.
+    All ``budget`` attained values come off a seen-set heap first (integer
+    products for logarithms, midpoints otherwise), so no walk is shared
+    with the library, and each count tallies the points of simplex_points.
+    Otherwise the scan follows find_black_majority_c, threshold
+    canonicalization included.
     """
     atoms = tuple(_as_exact(a) for a in alphas)
     if all(a.kind == "log" for a in atoms):
         tested, previous = 0, None
-        for value, _ in smooth_stream([a.arg for a in atoms]):
+        for value, _ in seen_set_smooth_stream([a.arg for a in atoms]):
             if tested >= budget:
                 break
             if value == previous:

@@ -16,6 +16,7 @@ from quotientfree import (
     enumerate_smooth,
     f_via_checkerboard,
     factor_decompose,
+    first_smooth_entries,
     harmonic_coprime_sum,
     max_subset_count,
     phi,
@@ -135,6 +136,43 @@ class TestSmoothStream:
         seq = enumerate_smooth(basis, bound)
         assert list(seq.entries()) == expected
         assert seq.bound == bound and seq.basis == basis
+
+
+# a unit, zero or negative element: the smooth walks never ended on these,
+# (-2,) gave negative values and (0,) divided by zero
+DEGENERATE_BASES = [(1,), (0,), (-1,), (2, 1), (-2,), (True,), (2, 3.0), (2, "3")]
+
+
+class TestDegenerateBases:
+    @pytest.mark.parametrize("basis", DEGENERATE_BASES)
+    @pytest.mark.parametrize("call", [
+        lambda b: enumerate_smooth(b, 10),
+        lambda b: next(smooth_stream(b)),
+        lambda b: first_smooth_entries(b, 3),
+        lambda b: count_coprime_part(b, 10),
+        lambda b: coprime_part_list(b, 10),
+        lambda b: phi(b),
+    ], ids=["enumerate_smooth", "smooth_stream", "first_smooth_entries",
+            "count_coprime_part", "coprime_part_list", "phi"])
+    def test_rejected(self, basis, call):
+        with pytest.raises(DomainError, match="basis elements must be integers greater than 1"):
+            call(basis)
+
+    def test_common_factors_keep_their_results(self):
+        assert enumerate_smooth((2, 2), 4).exponents == (
+            (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+        assert first_smooth_entries((2, 4), 4) == [
+            (1, (0, 0)), (2, (1, 0)), (4, (0, 1)), (4, (2, 0))]
+        assert count_coprime_part((2, 2), 10) == 5
+        assert coprime_part_list((2, 4), 10) == [1, 3, 5, 7, 9]
+        assert phi((2, 2)) == Fraction(1, 2)
+
+    def test_the_empty_basis_keeps_its_results(self):
+        seq = enumerate_smooth((), 8)
+        assert (seq.values, seq.exponents) == ((1,), ((),))
+        assert list(smooth_stream(())) == [(1, ())]
+        assert count_coprime_part((), 10) == 10
+        assert phi(()) == 1
 
 
 class TestSmoothIndex:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quotientfree
-from quotientfree import cli, density, verify
-from quotientfree.cli import _log_dec, dec12, main
+from quotientfree import cli, density, geometry, lattice, verify
+from quotientfree.cli import _log_dec, build_parser, dec12, main
 from quotientfree.density import DensityBracket
 
 from helpers import decimal_dec12
@@ -207,6 +208,37 @@ class TestBasicCommands:
         assert out == "count = 7\n"
         _, out, _ = run(capsys, "enumerate", "--a", "2,3", "--bound", "4")
         assert out == "1 [0, 0]\n2 [1, 0]\n3 [0, 1]\n4 [2, 0]\n"
+
+
+class TestDefaults:
+    # each CLI default is read from the library, so the two cannot drift
+    @pytest.mark.parametrize("argv,name,constant", [
+        (["rho-general", "--a", "3/2"], "cap", lattice.DEFAULT_SEARCH_CAP),
+        (["dense-set", "--a", "3/2", "--x", "10"], "cap", lattice.DEFAULT_SEARCH_CAP),
+        (["densities", "--a", "3/2", "--checkpoints", "10"], "cap", lattice.DEFAULT_SEARCH_CAP),
+        (["gamma", "--a", "2,3"], "cap", lattice.DEFAULT_SEARCH_CAP),
+        (["monochromatize", "--points", "[]"], "cap", lattice.DEFAULT_SEARCH_CAP),
+        (["sigma", "--p", "2", "--q", "3"], "budget", density.DEFAULT_SERIES_BUDGET),
+        (["gap", "--p", "2", "--q", "3"], "budget", density.DEFAULT_SERIES_BUDGET),
+        (["black-majority", "--alphas", "1,2"], "budget", geometry.DEFAULT_SCAN_BUDGET),
+    ])
+    def test_cli_default_is_the_library_constant(self, argv, name, constant):
+        assert getattr(build_parser().parse_args(argv), name) == constant
+
+    @pytest.mark.parametrize("function,name,constant", [
+        (density.rho_general, "cap", lattice.DEFAULT_SEARCH_CAP),
+        (lattice.gamma_bracket, "cap", lattice.DEFAULT_SEARCH_CAP),
+        (lattice.monochromatize, "cap", lattice.DEFAULT_SEARCH_CAP),
+        (density.sigma_series, "budget", density.DEFAULT_SERIES_BUDGET),
+        (density.strict_gap_check, "budget", density.DEFAULT_SERIES_BUDGET),
+        (geometry.find_black_majority_c, "budget", geometry.DEFAULT_SCAN_BUDGET),
+    ])
+    def test_library_default_is_the_constant(self, function, name, constant):
+        assert inspect.signature(function).parameters[name].default == constant
+
+    def test_constants(self):
+        assert (lattice.DEFAULT_SEARCH_CAP, density.DEFAULT_SERIES_BUDGET,
+                geometry.DEFAULT_SCAN_BUDGET) == (40, 10**6, 64)
 
 
 class TestBrokenPipe:

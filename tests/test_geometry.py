@@ -1,6 +1,8 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quotientfree import (
     DomainError,
@@ -14,6 +16,7 @@ from quotientfree import (
     simplex_points,
 )
 import quotientfree.geometry as geometry
+from quotientfree.cli import main
 from quotientfree.rng import CounterRng
 from quotientfree.verify import run_suite
 
@@ -234,10 +237,28 @@ BLACK_MAJORITY_FAMILIES = [
 ] + [("ln2", "ln3"), ("1", "sqrt2"), ("1", "2")]
 
 
+# coefficient atoms: rationals, logarithms with common factors, square roots
+_RATIONAL_ATOMS = st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 9))
+_LOG_ATOMS = st.integers(2, 30).map("ln{}".format)
+_SQRT_ATOMS = st.integers(2, 50).map("sqrt{}".format)
+_ALPHA_LISTS = st.one_of(
+    *(st.lists(atoms, min_size=2, max_size=3)
+      for atoms in (_RATIONAL_ATOMS, _LOG_ATOMS, _SQRT_ATOMS,
+                    st.one_of(_RATIONAL_ATOMS, _LOG_ATOMS, _SQRT_ATOMS)))
+)
+
+
 class TestFindBlackMajority:
     @pytest.mark.parametrize("alphas", BLACK_MAJORITY_FAMILIES)
     def test_lazy_scan_matches_the_eager_one(self, alphas):
         assert find_black_majority_c(alphas) == eager_black_majority(alphas)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_ALPHA_LISTS, st.integers(1, 100))
+    def test_lazy_scan_matches_the_eager_one_on_random_alphas(self, texts, budget):
+        alphas = sorted(map(ExactReal.parse, texts), key=ExactReal.sort_key)
+        assert (find_black_majority_c(alphas, budget)
+                == eager_black_majority(alphas, budget))
 
     def test_log_pair_finds_three(self):
         result = find_black_majority_c(["ln2", "ln3"])
@@ -269,6 +290,17 @@ class TestFindBlackMajority:
     def test_rejects_descending(self):
         with pytest.raises(DomainError):
             find_black_majority_c([2, 1])
+
+    def test_cli_output_digest(self, capsys):
+        # every family, plus logarithms with common factors, at three budgets
+        digest = hashlib.sha256()
+        for alphas in BLACK_MAJORITY_FAMILIES + [("ln2", "ln4"), ("ln2", "ln4", "ln8")]:
+            for budget in (5, 64, 200):
+                code = main(["black-majority", "--alphas", ",".join(alphas),
+                             "--budget", str(budget), "--json"])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == (
+            "fd47f3bbbe2fabd95d96994e20f630e7422c4606f07e00bd7657e6cade19bf6f")
 
     @pytest.mark.parametrize("alphas", [["ln1", "ln2"], [0, 1], ["sqrt0", "sqrt2"]])
     def test_rejects_a_zero_coefficient(self, alphas):

@@ -121,6 +121,11 @@ class TestMaxDifferenceFree:
             assert (x + 1, y) not in witness
             assert (x, y + 1) not in witness
 
+    @pytest.mark.parametrize("points,cap", [([(0, 0), (1, 0)], 0), ([], -1)])
+    def test_cap_below_one_is_a_domain_error(self, points, cap):
+        with pytest.raises(DomainError, match=f"cap must be at least 1, got {cap}"):
+            max_difference_free(LatticeConfig.explicit(points), AXIS_DIFFS, cap=cap)
+
     def test_cap_exceeded(self):
         config = LatticeConfig.first_entries((2, 3), 30)
         with pytest.raises(CapError, match="too large for exact search"):
