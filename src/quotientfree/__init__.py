@@ -2,7 +2,6 @@
 
 from .arith import (
     CoprimeBasis,
-    Factorization,
     RationalSet,
     SmoothSequence,
     as_fraction,
@@ -11,11 +10,8 @@ from .arith import (
     derive_basis,
     enumerate_smooth,
     exact_sum,
-    factor_decompose,
     first_smooth_entries,
-    harmonic_coprime_sum,
     phi,
-    smooth_index,
     smooth_stream,
 )
 from .density import (
@@ -35,7 +31,6 @@ from .errors import (
     BudgetError,
     CapError,
     DomainError,
-    InsufficientEnumerationError,
     PrecisionError,
     SelfCheckError,
     SweepError,

@@ -1,16 +1,14 @@
 """Exact integer and rational foundations.
 
 Pairwise-coprime bases for sets of forbidden quotients, smooth-number
-enumeration, counting of integers coprime to a basis, and the unique
-smooth-times-coprime factorization.  Every membership and ordering decision
-here is made in exact integer arithmetic; floating point never decides
-anything.
+enumeration, and counting of integers coprime to a basis.  Every membership
+and ordering decision here is made in exact integer arithmetic; floating
+point never decides anything.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +17,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DomainError, InsufficientEnumerationError
+from .errors import DomainError
 
 RationalLike = Union[int, str, Fraction]
 Vector = tuple[int, ...]
@@ -193,12 +191,10 @@ def _basis_ints(basis) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SmoothSequence:
-    """All basis-smooth integers up to ``bound``, ascending, with exponents."""
+    """All basis-smooth integers up to a bound, ascending, with exponents."""
 
     values: tuple[int, ...]
     exponents: tuple[Vector, ...]
-    bound: int
-    basis: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -259,7 +255,7 @@ def enumerate_smooth(basis, bound: int) -> SmoothSequence:
         entries = grown
     entries.sort(key=itemgetter(0))
     values, exponents = zip(*entries)
-    return SmoothSequence(values, exponents, bound, b)
+    return SmoothSequence(values, exponents)
 
 
 def first_smooth_entries(basis, count: int) -> list[tuple[int, Vector]]:
@@ -267,20 +263,6 @@ def first_smooth_entries(basis, count: int) -> list[tuple[int, Vector]]:
     if count < 1:
         raise DomainError("count must be at least 1")
     return list(islice(smooth_stream(basis), count))
-
-
-def smooth_index(seq: SmoothSequence, u: RationalLike) -> int:
-    """The 1-based index t with m_t <= u < m_{t+1} in the smooth sequence."""
-    u = as_fraction(u)
-    if u < 1:
-        raise DomainError(f"argument must be at least 1, got {u}")
-    # Completeness below floor(u) pins the successor: there is no integer in
-    # (bound, u) once bound >= floor(u), so the next smooth value exceeds u.
-    if seq.bound < u.numerator // u.denominator:
-        raise InsufficientEnumerationError(
-            f"sequence enumerated to {seq.bound}, need at least {u.numerator // u.denominator}"
-        )
-    return bisect_right(seq.values, u)
 
 
 @lru_cache(maxsize=64)
@@ -310,8 +292,9 @@ def coprime_part_list(basis, x: int) -> list[int]:
     if x < 1:
         return []
     mask = bytearray([1]) * (x + 1)
+    mask[0] = 0
     for b in basis:
-        mask[::b] = bytes(x // b + 1)  # 0 and every multiple of b
+        mask[::b] = bytes(x // b + 1)  # every multiple of b
     return list(compress(range(x + 1), mask))
 
 
@@ -323,30 +306,3 @@ def phi(basis) -> Fraction:
     """
     return sum(Fraction(sign, d) for sign, d in _signed_subset_lcms(_basis_ints(basis)))
 
-
-def harmonic_coprime_sum(basis, x: int) -> Fraction:
-    """Exact sum of 1/n over n <= x with n divisible by no basis element."""
-    if x < 1:
-        raise DomainError("bound must be at least 1")
-    return exact_sum(Fraction(1, n) for n in coprime_part_list(basis, x))
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """The unique split k = m * n with m basis-smooth and n basis-free."""
-
-    m: int
-    n: int
-
-
-def factor_decompose(k: int, basis) -> Factorization:
-    """Strip all basis divisors from k: the smooth part times the free part."""
-    if k < 1:
-        raise DomainError("argument must be a positive integer")
-    m = 1
-    rest = k
-    for b in _basis_ints(basis):
-        while rest % b == 0:
-            rest //= b
-            m *= b
-    return Factorization(m, rest)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from mpmath.libmp import dps_to_prec, from_int, mpf_log, round_nearest
 
@@ -415,15 +415,16 @@ class DenseSetSample:
         )
 
 
-def _ln_fraction(x: int, digits: int = LN_PRECISION_DIGITS) -> Fraction:
-    """ln(x) as an exact dyadic rational of ~digits precision, rounded to nearest."""
-    return _libmp_to_fraction(mpf_log(from_int(x), dps_to_prec(digits), round_nearest))
+def _ln_fraction(x: int) -> Fraction:
+    """ln(x) as an exact dyadic rational of ~LN_PRECISION_DIGITS digits, rounded to nearest."""
+    return _libmp_to_fraction(
+        mpf_log(from_int(x), dps_to_prec(LN_PRECISION_DIGITS), round_nearest)
+    )
 
 
 def construct_dense_set(
     a_set,
     x: int,
-    witness_exponents: Optional[Iterable[Sequence[int]]] = None,
     depth: int = 6,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> DenseSetSample:
@@ -431,22 +432,14 @@ def construct_dense_set(
 
     For pairwise-coprime integer quotients the chosen smooth parts are the
     even-parity (white) ones over the set itself; otherwise a truncated
-    optimal witness over the derived prime basis is used (or an explicit
-    exponent set passed by the caller).
+    optimal witness over the derived prime basis is used.
     """
     if not isinstance(a_set, RationalSet):
         a_set = RationalSet.of(a_set)
     if x < 1:
         raise DomainError("the horizon must be at least 1")
 
-    if witness_exponents is not None:
-        basis = derive_basis(a_set)
-        chosen = {tuple(e) for e in witness_exponents}
-        if any(len(e) != basis.size or any(c < 0 for c in e) for e in chosen):
-            raise DomainError(
-                f"witness exponent vectors must be nonnegative of length {basis.size}"
-            )
-    elif a_set.is_coprime_integers():
+    if a_set.is_coprime_integers():
         basis = CoprimeBasis.from_coprime_integers(
             [f.numerator for f in a_set.elements]
         )

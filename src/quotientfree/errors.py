@@ -11,10 +11,6 @@ class DomainError(ValueError):
     """Input violates an operation's stated precondition."""
 
 
-class InsufficientEnumerationError(DomainError):
-    """A smooth sequence was not enumerated far enough for the query."""
-
-
 class SweepError(DomainError):
     """The diagonal sweep reached a state its preconditions exclude."""
 

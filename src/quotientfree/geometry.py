@@ -31,9 +31,12 @@ from .errors import DomainError, PrecisionError, SelfCheckError
 
 Point = tuple[int, ...]
 
-DEFAULT_PREC_CAP_BITS = 4096
+# certified intervals are refined up to this many bits before giving up
+PREC_CAP_BITS = 4096
 DEFAULT_SCAN_BUDGET = 64
 _SORT_KEY_BITS = 200
+# largest denominator tried for a canonical black-majority threshold
+_MAX_THRESHOLD_DEN = 512
 # fractional bits of the integer enclosures that decide most memberships
 _FILTER_BITS = 64
 # largest trial divisor when square factors are pulled out of a radicand
@@ -108,7 +111,8 @@ class ExactReal:
     a perfect square.  So sqrt atoms with equal values compare equal
     structurally, unless a radicand has a square factor whose root exceeds
     10**4 and is not all of what is left; an exact tie between two such
-    atoms is then undecided (a ``PrecisionError``), never a hang.
+    atoms is then undecided (a ``PrecisionError`` once certified intervals
+    reach the fixed 4096-bit ``PREC_CAP_BITS``), never a hang.
     """
 
     kind: str  # "rational" | "log" | "sqrt"
@@ -191,16 +195,13 @@ class ExactReal:
         return f"{prefix}sqrt({self.arg})"
 
 
-def _sign_of_terms(
-    terms: Sequence[tuple[ExactReal, Fraction]],
-    prec_cap: int,
-    what: str,
-) -> int:
+def _sign_of_terms(terms: Sequence[tuple[ExactReal, Fraction]], what: str) -> int:
     """Sign of a finite rational combination of exact-real atoms.
 
     Exact routes: all-rational; all-log with zero rational part (integer
     power comparison); a single non-square radicand (square comparison).
-    Anything else refines certified intervals up to the precision cap.
+    Anything else refines certified intervals up to a fixed ``PREC_CAP_BITS``
+    (4096) bits.
     """
     const = Fraction(0)
     logs: dict[int, Fraction] = {}
@@ -248,7 +249,7 @@ def _sign_of_terms(
     atoms = [(ExactReal("log", arg=k), c) for k, c in logs.items()]
     atoms += [(ExactReal("sqrt", arg=k), c) for k, c in sqrts.items()]
     bits = 64
-    while bits <= prec_cap:
+    while bits <= PREC_CAP_BITS:
         lo = hi = const
         for atom, coeff in atoms:
             alo, ahi = atom.interval(bits)
@@ -264,7 +265,7 @@ def _sign_of_terms(
             return 1
         bits *= 2
     raise PrecisionError(
-        f"comparison undecided at {prec_cap} bits while testing {what}"
+        f"comparison undecided at {PREC_CAP_BITS} bits while testing {what}"
     )
 
 
@@ -319,7 +320,7 @@ class SimplexSpec:
     def of(cls, alphas: Iterable, c) -> "SimplexSpec":
         return cls(tuple(_as_exact(a) for a in alphas), _as_exact(c))
 
-    def contains(self, point: Sequence[int], prec_cap: int = DEFAULT_PREC_CAP_BITS) -> bool:
+    def contains(self, point: Sequence[int]) -> bool:
         """Boundary-inclusive membership, decided exactly."""
         if len(point) != len(self.alphas):
             raise DomainError("point dimension mismatch")
@@ -330,7 +331,7 @@ class SimplexSpec:
             return prod(map(pow, coeffs, point)) <= bound
         if route == "dot":
             return sum(map(mul, coeffs, point)) <= bound
-        if coeffs is not None and prec_cap >= _FILTER_BITS:
+        if coeffs is not None:
             lo, hi, c_lo, c_hi = coeffs
             if sum(map(mul, hi, point)) <= c_lo:
                 return True
@@ -338,9 +339,9 @@ class SimplexSpec:
                 return False
         terms = [(a, Fraction(x)) for a, x in zip(self.alphas, point)]
         terms += bound
-        return _sign_of_terms(terms, prec_cap, f"membership of point {tuple(point)}") <= 0
+        return _sign_of_terms(terms, f"membership of point {tuple(point)}") <= 0
 
-    def _row_end(self, head: list[int], prec_cap: int) -> int:
+    def _row_end(self, head: list[int]) -> int:
         """Largest z with ``head + [z]`` in the region, or -1 when there is none.
 
         ``head`` fixes every coordinate but the last.  Rational coefficients
@@ -359,16 +360,16 @@ class SimplexSpec:
                 power *= coeffs[-1]
                 z += 1
             return z
-        if coeffs is None or prec_cap < _FILTER_BITS:
+        if coeffs is None:
             z = 0  # no enclosures to narrow by: walk the row up
-            while self.contains(head + [z], prec_cap):
+            while self.contains(head + [z]):
                 z += 1
             return z - 1
         lo, hi, c_lo, c_hi = coeffs
         # every z above `top` fails the filter, every z up to `sure` passes it
         top = (c_hi - sum(map(mul, lo, head))) // lo[-1]
         sure = max((c_lo - sum(map(mul, hi, head))) // hi[-1], -1)
-        while top > sure and not self.contains(head + [top], prec_cap):
+        while top > sure and not self.contains(head + [top]):
             top -= 1
         return max(top, -1)
 
@@ -412,11 +413,7 @@ def _as_exact(value) -> ExactReal:
     return ExactReal.of(value)
 
 
-def simplex_points(
-    spec: SimplexSpec,
-    prec_cap: int = DEFAULT_PREC_CAP_BITS,
-    limit: Optional[int] = None,
-) -> LatticeConfig:
+def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeConfig:
     """All nonnegative integer points of the region, in lex order.
 
     The last coordinate grows until the point leaves the region; then it
@@ -428,22 +425,20 @@ def simplex_points(
     points: list[Point] = []
     x = [0] * r
     point = tuple(x)
-    inside = spec.contains(point, prec_cap)
+    inside = spec.contains(point)
     while inside and len(points) != limit:
         points.append(point)
         for i in range(r - 1, -1, -1):
             x[i] += 1
             point = tuple(x)
-            inside = spec.contains(point, prec_cap)
+            inside = spec.contains(point)
             if inside:
                 break
             x[i] = 0
     return LatticeConfig(tuple(points))
 
 
-def simplex_color_counts(
-    spec: SimplexSpec, prec_cap: int = DEFAULT_PREC_CAP_BITS
-) -> ColorCount:
+def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
     """Checkerboard tallies of the simplex lattice points, row by row.
 
     A row fixes every coordinate but the last, so its points have last
@@ -456,13 +451,13 @@ def simplex_color_counts(
     row_end = spec._row_end
     coords = range(len(head) - 1, -1, -1)
     parity = white = total = 0
-    end = row_end(head, prec_cap)
+    end = row_end(head)
     while end >= 0:
         total += end + 1
         white += (end + 2 - parity) // 2  # last coordinates of head's parity
         for i in coords:
             head[i] += 1
-            end = row_end(head, prec_cap)
+            end = row_end(head)
             if end >= 0:
                 break
             head[i] = 0
@@ -484,34 +479,31 @@ class BlackMajoritySearch:
     candidates_tested: int
 
 
-def _rational_ceil(value_terms, den: int, prec_cap: int) -> int:
+def _rational_ceil(value_terms, den: int) -> int:
     """Smallest integer num with num/den >= the combination value."""
     mid = sum((a.sort_key() * c for a, c in value_terms), Fraction(0))
     guess = ceil(mid * den)
     # settle the guess with exact comparisons in a short walk
     while _sign_of_terms(
         list(value_terms) + [(ExactReal.of(Fraction(guess, den)), Fraction(-1))],
-        prec_cap,
         "ceiling search",
     ) > 0:
         guess += 1
     while guess >= 1 and _sign_of_terms(
         list(value_terms) + [(ExactReal.of(Fraction(guess - 1, den)), Fraction(-1))],
-        prec_cap,
         "ceiling search",
     ) <= 0:
         guess -= 1
     return guess
 
 
-def _simplest_rational_at_least(value_terms, strict_upper_terms, prec_cap: int, max_den: int = 512):
+def _simplest_rational_at_least(value_terms, strict_upper_terms):
     """Simplest p/q with value <= p/q < next value, by denominator sweep."""
-    for den in range(1, max_den + 1):
-        num = _rational_ceil(value_terms, den, prec_cap)
+    for den in range(1, _MAX_THRESHOLD_DEN + 1):
+        num = _rational_ceil(value_terms, den)
         candidate = Fraction(num, den)
         below_next = _sign_of_terms(
             list(strict_upper_terms) + [(ExactReal.of(candidate), Fraction(-1))],
-            prec_cap,
             "simplest rational search",
         ) > 0
         if below_next:
@@ -520,9 +512,7 @@ def _simplest_rational_at_least(value_terms, strict_upper_terms, prec_cap: int, 
 
 
 def find_black_majority_c(
-    alphas: Iterable,
-    budget: int = DEFAULT_SCAN_BUDGET,
-    prec_cap: int = DEFAULT_PREC_CAP_BITS,
+    alphas: Iterable, budget: int = DEFAULT_SCAN_BUDGET
 ) -> BlackMajoritySearch:
     """Scan attained threshold values, ascending, for a black majority.
 
@@ -539,8 +529,7 @@ def find_black_majority_c(
     # a zero coefficient would make the scan repeat one threshold forever
     _require_positive(alpha_atoms)
     for left, right in zip(alpha_atoms, alpha_atoms[1:]):
-        if _sign_of_terms([(right, Fraction(1)), (left, Fraction(-1))], prec_cap,
-                          "coefficient ordering") < 0:
+        if _sign_of_terms([(right, Fraction(1)), (left, Fraction(-1))], "coefficient ordering") < 0:
             raise DomainError("coefficients must be sorted ascending")
 
     all_logs = all(a.kind == "log" for a in alpha_atoms)
@@ -550,7 +539,7 @@ def find_black_majority_c(
     tested = 0
     for (key, terms), following in pairwise(candidates):
         tested += 1
-        counts = simplex_color_counts(SimplexSpec(alpha_atoms, terms), prec_cap)
+        counts = simplex_color_counts(SimplexSpec(alpha_atoms, terms))
         if counts.black <= counts.white:
             continue
         if all_logs:
@@ -560,15 +549,13 @@ def find_black_majority_c(
         elif following is None:
             threshold = None
         else:
-            threshold = _simplest_rational_at_least(terms, following[1], prec_cap)
+            threshold = _simplest_rational_at_least(terms, following[1])
         if threshold is None:
             display = " + ".join(f"{c}*{a}" for a, c in terms if c) or "0"
         else:
             display = str(threshold)
             # re-verify by direct recount at the canonical threshold
-            recounted = simplex_color_counts(
-                SimplexSpec(alpha_atoms, ExactReal.of(threshold)), prec_cap
-            )
+            recounted = simplex_color_counts(SimplexSpec(alpha_atoms, ExactReal.of(threshold)))
             if recounted != counts:
                 raise SelfCheckError(
                     f"recount at the canonical threshold {threshold} gives "

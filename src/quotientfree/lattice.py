@@ -576,22 +576,6 @@ def _simplex_lattice(s: int, depth: int) -> list[Point]:
     return pts
 
 
-def truncated_weight_mass(basis: Sequence[int], depth: int) -> Fraction:
-    """Exact total weight of all points with coordinate sum <= depth."""
-    layer = [Fraction(1)] + [Fraction(0)] * depth
-    for b in basis:
-        nxt = [Fraction(0)] * (depth + 1)
-        for total, w in enumerate(layer):
-            if w == 0:
-                continue
-            power = Fraction(1)
-            for k in range(depth - total + 1):
-                nxt[total + k] += w * power
-                power /= b
-        layer = nxt
-    return sum(layer, Fraction(0))
-
-
 def total_weight_mass(basis: Sequence[int]) -> Fraction:
     """Sum of the geometric weights over the entire nonnegative lattice."""
     result = Fraction(1)

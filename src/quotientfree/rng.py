@@ -37,9 +37,6 @@ class CounterRng:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

@@ -244,6 +244,22 @@ def point_weight(basis, u):
     return Fraction(1, den)
 
 
+def truncated_weight_mass(basis, depth):
+    """Exact total weight of all points with coordinate sum <= depth."""
+    layer = [Fraction(1)] + [Fraction(0)] * depth
+    for b in basis:
+        nxt = [Fraction(0)] * (depth + 1)
+        for total, w in enumerate(layer):
+            if w == 0:
+                continue
+            power = Fraction(1)
+            for k in range(depth - total + 1):
+                nxt[total + k] += w * power
+                power /= b
+        layer = nxt
+    return sum(layer, Fraction(0))
+
+
 def iter_bits(mask):
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -373,10 +389,10 @@ def decimal_dec12(value):
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def tallied_color_counts(spec, prec_cap=4096):
+def tallied_color_counts(spec):
     """Color counts by testing and tallying every point of simplex_points."""
     white = black = 0
-    for p in simplex_points(spec, prec_cap).points:
+    for p in simplex_points(spec).points:
         if sum(p) % 2 == 0:
             white += 1
         else:
@@ -403,7 +419,7 @@ def double_loop_slope_profile(a1, a2, c_max):
     return rows
 
 
-def eager_black_majority(alphas, budget=64, prec_cap=4096):
+def eager_black_majority(alphas, budget=64):
     """The black-majority scan with every candidate computed before any test.
 
     All ``budget`` attained values come off a seen-set heap first (integer
@@ -422,7 +438,7 @@ def eager_black_majority(alphas, budget=64, prec_cap=4096):
                 continue
             previous = value
             tested += 1
-            counts = tallied_color_counts(SimplexSpec(atoms, ExactReal.log(value)), prec_cap)
+            counts = tallied_color_counts(SimplexSpec(atoms, ExactReal.log(value)))
             if counts.black > counts.white:
                 return BlackMajoritySearch(True, None, f"ln({value})", value, counts, tested)
         return BlackMajoritySearch(False, None, None, None, None, tested)
@@ -442,7 +458,7 @@ def eager_black_majority(alphas, budget=64, prec_cap=4096):
                 heapq.heappush(heap, (key + keys[j], child))
 
     for idx, terms in enumerate(candidates):
-        counts = tallied_color_counts(SimplexSpec(atoms, terms), prec_cap)
+        counts = tallied_color_counts(SimplexSpec(atoms, terms))
         if counts.black <= counts.white:
             continue
         if all(a.is_rational for a in atoms):
@@ -451,7 +467,7 @@ def eager_black_majority(alphas, budget=64, prec_cap=4096):
         else:
             threshold = None
             if idx + 1 < len(candidates):
-                threshold = _simplest_rational_at_least(terms, candidates[idx + 1], prec_cap)
+                threshold = _simplest_rational_at_least(terms, candidates[idx + 1])
             display = (" + ".join(f"{c}*{a}" for a, c in terms if c) or "0"
                        if threshold is None else str(threshold))
         return BlackMajoritySearch(True, threshold, display, None, counts, idx + 1)

@@ -8,25 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 from quotientfree import (
     CoprimeBasis,
     DomainError,
-    InsufficientEnumerationError,
     RationalSet,
     coprime_part_list,
     count_coprime_part,
     derive_basis,
     enumerate_smooth,
     f_via_checkerboard,
-    factor_decompose,
     first_smooth_entries,
-    harmonic_coprime_sum,
     max_subset_count,
     phi,
     rho_closed_form,
     sigma_series,
-    smooth_index,
     smooth_stream,
     white_weight_value,
 )
-from quotientfree.rng import CounterRng
 
 from helpers import naive_smooth, seen_set_smooth_stream
 
@@ -135,7 +130,6 @@ class TestSmoothStream:
         expected = list(takewhile(lambda e: e[0] <= bound, seen_set_smooth_stream(basis)))
         seq = enumerate_smooth(basis, bound)
         assert list(seq.entries()) == expected
-        assert seq.bound == bound and seq.basis == basis
 
 
 # a unit, zero or negative element: the smooth walks never ended on these,
@@ -173,41 +167,6 @@ class TestDegenerateBases:
         assert list(smooth_stream(())) == [(1, ())]
         assert count_coprime_part((), 10) == 10
         assert phi(()) == 1
-
-
-class TestSmoothIndex:
-    def test_fractional_argument(self):
-        seq = enumerate_smooth((2, 3), 20)
-        assert smooth_index(seq, Fraction(12, 5)) == 2
-
-    def test_one(self):
-        seq = enumerate_smooth((2, 3), 20)
-        assert smooth_index(seq, 1) == 1
-
-    def test_twelve(self):
-        seq = enumerate_smooth((2, 3), 20)
-        assert smooth_index(seq, 12) == 8
-
-    def test_below_one_rejected(self):
-        seq = enumerate_smooth((2, 3), 20)
-        with pytest.raises(DomainError):
-            smooth_index(seq, Fraction(1, 2))
-
-    def test_insufficient_enumeration(self):
-        seq = enumerate_smooth((2, 3), 20)
-        with pytest.raises(InsufficientEnumerationError):
-            smooth_index(seq, 25)
-
-    def test_bracketing_property_random(self):
-        seq = enumerate_smooth((2, 3), 3000)
-        rng = CounterRng(7)
-        for _ in range(1000):
-            u = Fraction(rng.randint(1, 2000 * 7), rng.randint(1, 7))
-            if u < 1 or u > 2000:
-                continue
-            t = smooth_index(seq, u)
-            assert seq.values[t - 1] <= u
-            assert t == len(seq.values) or seq.values[t] > u
 
 
 class TestCountCoprimePart:
@@ -255,6 +214,12 @@ class TestCoprimePartList:
         for x in range(-1, 2001):
             assert coprime_part_list(basis, x) == [n for n in full if n <= x], x
 
+    # the empty basis divides nothing, so it keeps 1..x, never 0
+    @pytest.mark.parametrize("basis", [(), (2,), (2, 3), (2, 4), (6, 10, 15)])
+    def test_length_is_the_count(self, basis):
+        for x in range(1, 201):
+            assert len(coprime_part_list(basis, x)) == count_coprime_part(basis, x), x
+
 
 class TestPhi:
     def test_values(self):
@@ -269,55 +234,6 @@ class TestPhi:
         period = math.lcm(*basis)
         assert phi(basis) == Fraction(len(coprime_part_list(basis, period)), period)
         assert phi((2, 4)) == Fraction(1, 2)
-
-
-class TestHarmonicCoprimeSum:
-    def test_example(self):
-        # 1 + 1/5 + 1/7 + 1/11
-        assert harmonic_coprime_sum((2, 3), 12) == Fraction(552, 385)
-
-    def test_small(self):
-        assert harmonic_coprime_sum((2,), 3) == Fraction(4, 3)
-
-    def test_x_one(self):
-        assert harmonic_coprime_sum((2, 3), 1) == 1
-
-    def test_logarithmic_growth_has_bounded_spread(self):
-        # deviations from the density line stay inside a window of width 1
-        density = phi((2, 3))
-        deviations = []
-        for exp in range(1, 6):
-            x = 10**exp
-            value = harmonic_coprime_sum((2, 3), x)
-            deviations.append(float(value) - float(density) * math.log(x))
-        assert max(deviations) - min(deviations) < 1.0
-
-
-class TestFactorDecompose:
-    def test_example(self):
-        f = factor_decompose(40, (2, 3))
-        assert (f.m, f.n) == (8, 5)
-
-    def test_free_input(self):
-        f = factor_decompose(7, (2, 3))
-        assert (f.m, f.n) == (1, 7)
-
-    def test_smooth_input(self):
-        f = factor_decompose(36, (2, 3))
-        assert (f.m, f.n) == (36, 1)
-
-    def test_recomposition_everywhere(self):
-        basis = (2, 3)
-        for k in range(1, 10**4 + 1):
-            f = factor_decompose(k, basis)
-            assert f.m * f.n == k
-            assert all(f.n % b for b in basis)
-            again = factor_decompose(f.m * f.n, basis)
-            assert (again.m, again.n) == (f.m, f.n)
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            factor_decompose(0, (2, 3))
 
 
 class TestCoprimeBasisValidation:

@@ -37,6 +37,7 @@ from helpers import (
     naive_sigma_brackets,
     naive_sigma_series,
     quotient_free_violations,
+    truncated_weight_mass,
 )
 
 BENCH_PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (5, 7)]
@@ -94,7 +95,7 @@ class TestRhoGeneral:
         assert 0 < bracket.lower <= bracket.upper
         # width is exactly the scaled tail mass of the truncation
         basis = phi((2, 3))
-        from quotientfree.lattice import total_weight_mass, truncated_weight_mass
+        from quotientfree.lattice import total_weight_mass
 
         tail = total_weight_mass((2, 3)) - truncated_weight_mass((2, 3), 6)
         assert bracket.width == basis * tail
@@ -362,16 +363,6 @@ class TestConstructDenseSet:
         sample = construct_dense_set(["3/2"], 300, depth=7)
         assert not quotient_free_violations(sample.members, [Fraction(3, 2)])
         assert sample.members[0] == 1
-
-    def test_explicit_witness_exponents(self):
-        # even powers of two only
-        sample = construct_dense_set(
-            [2], 32, witness_exponents=[(0,), (2,), (4,)]
-        )
-        assert all(
-            n % 2 or (n // (n & -n)) for n in sample.members
-        )  # sanity: members exist
-        assert not quotient_free_violations(sample.members, [2])
 
     def test_witness_growth_envelope(self):
         sample = construct_dense_set([2, 3], 10**5)

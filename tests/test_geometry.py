@@ -208,9 +208,9 @@ class TestRowSums:
         calls = []
         sign_of_terms = geometry._sign_of_terms
 
-        def counting(terms, prec_cap, what):
+        def counting(terms, what):
             calls.append(what)
-            return sign_of_terms(terms, prec_cap, what)
+            return sign_of_terms(terms, what)
 
         monkeypatch.setattr(geometry, "_sign_of_terms", counting)
         spec = SimplexSpec.of([1, "sqrt2"], "sqrt8")
@@ -352,13 +352,13 @@ class TestRationalSlopeProfile:
 
 
 class TestPrecisionHandling:
-    def test_undecidable_at_tiny_precision_cap(self):
-        # two distinct radicands force the interval route, and a cap below
-        # the starting precision leaves the comparison undecided
-        spec = SimplexSpec.of(["sqrt2", "sqrt3"], 4)
-        assert spec.contains((1, 1))  # decidable at the default cap
+    def test_undecidable_tie_at_the_fixed_cap(self):
+        # 200280098 = 2 * 10007**2 and 10007 is past the trial divisors, so
+        # sqrt(200280098) keeps its radicand, and the exact tie with
+        # 10007 * sqrt(2) stays undecided at every precision up to the cap
+        spec = SimplexSpec.of([1, "sqrt2"], "sqrt200280098")
         with pytest.raises(PrecisionError, match="membership"):
-            spec.contains((1, 1), prec_cap=1)
+            spec.contains((0, 10007))
 
     def test_exact_equality_on_boundary_via_sqrt(self):
         # 2*sqrt(2) <= sqrt(8) is an exact tie after square extraction

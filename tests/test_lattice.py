@@ -40,7 +40,6 @@ from quotientfree.lattice import (
     _solve,
     max_feasible_depth,
     total_weight_mass,
-    truncated_weight_mass,
 )
 from quotientfree.rng import CounterRng
 from quotientfree.verify import _random_rational_triangle
@@ -52,6 +51,7 @@ from helpers import (
     greedy_by_solves,
     iter_bits,
     point_weight,
+    truncated_weight_mass,
     two_coloring,
 )
 
