@@ -10,7 +10,6 @@ from .arith import (
     derive_basis,
     enumerate_smooth,
     exact_sum,
-    first_smooth_entries,
     phi,
     smooth_stream,
 )

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, islice
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
@@ -258,11 +258,52 @@ def enumerate_smooth(basis, bound: int) -> SmoothSequence:
     return SmoothSequence(values, exponents)
 
 
-def first_smooth_entries(basis, count: int) -> list[tuple[int, Vector]]:
-    """The first ``count`` basis-smooth integers in ascending order."""
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    return list(islice(smooth_stream(basis), count))
+def _pair_prefix(p: int, q: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (m_t, a, b, lead_t) for t = 1, 2, ... for a coprime pair p < q.
+
+    m_t = p^a * q^b is the t-th {p, q}-smooth integer, and lead_t the white
+    (even a + b) count less the black count among the first t.  So the
+    prefix majority maj(t) = (t + |lead_t|) / 2 has the color white unless
+    lead_t < 0, and grows at t exactly when m_t's color is then ahead.
+
+    A two-pointer merge: every value above 1 is p or q times an earlier
+    one, and only the window above the lagging pointer is kept.
+    """
+    # window[i] * p and window[j] * q are the next candidates, j <= i since
+    # p < q; an entry (m, a, b) is m = p^a * q^b
+    window = [(1, 0, 0)]
+    i = j = 0
+    next_p, next_q = p, q
+    value, a, b, lead = 1, 0, 0, 1
+    while True:
+        yield value, a, b, lead
+        if next_p < next_q:
+            value = next_p
+            _, a, b = window[i]
+            a += 1
+            window.append((value, a, b))
+            i += 1
+            next_p = window[i][0] * p
+        else:
+            value = next_q
+            _, a, b = window[j]
+            b += 1
+            window.append((value, a, b))
+            if next_p == value:
+                i += 1
+                next_p = window[i][0] * p
+            j += 1
+            next_q = window[j][0] * q
+            # no pointer reads below j again: drop those values once they
+            # are half the list, so it stays near the merge window
+            if 2 * j > len(window):
+                del window[:j]
+                i -= j
+                j = 0
+        if (a + b) & 1:
+            lead -= 1
+        else:
+            lead += 1
 
 
 @lru_cache(maxsize=64)

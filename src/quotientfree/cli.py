@@ -335,11 +335,13 @@ def _densities(args) -> _Output:
     checkpoints = _parse_int_list(args.checkpoints)
     if not checkpoints:
         raise DomainError("at least one checkpoint is required")
+    # with no checkpoint above 0, construct_dense_set rejects the horizon
+    # before any work; otherwise a bad one is rejected before the sample
+    if min(checkpoints) < 1 <= max(checkpoints):
+        raise DomainError("checkpoints must be positive")
     # one sample at the last checkpoint answers every row from its factor
     # lists; its member list is never built
     sample = construct_dense_set(a_set, max(checkpoints), depth=args.depth, cap=args.cap)
-    if min(checkpoints) < 1:
-        raise DomainError("checkpoints must be positive")
     table = []
     for x in sorted(set(checkpoints)):
         count = sample.count(x)

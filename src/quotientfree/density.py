@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice, takewhile
 from typing import Optional, Sequence
 
 from mpmath.libmp import dps_to_prec, from_int, mpf_log, round_nearest
@@ -27,6 +27,7 @@ from .arith import (
     enumerate_smooth,
     exact_sum,
     phi,
+    _pair_prefix,
     _require_coprime,
     _require_work_bound,
 )
@@ -124,18 +125,17 @@ def sigma_series(
     of it and closes the harmonic remainder of the smooth sequence in closed
     form.  Enumeration stops once the bracket width is within tolerance.
 
-    The smooth values come from a two-pointer merge: every value above 1 is
-    p or q times an earlier one, and only the window above the lagging
-    pointer is kept.  Every value so far divides D = p^A * q^B (A, B the
-    largest exponents seen), so sums are kept as integer multiples of 1/D,
-    and each share D/m = p^(A-a) * q^(B-b) is one product of two power
-    table entries.  The partial sum is kept in Abel form: the shares of the
-    values at which the prefix majority count grows, less maj(t) * D/m_t.
-    The width exceeds factor * k/m_t (k the excess of the upper tail's
-    prefix count over the lower one's), so while that alone exceeds the
-    tolerance, which one product with m_t decides, the cross-multiplied
-    width test is skipped: it runs on a handful of terms per call.
-    Fractions are built only for the returned (or budget-exhausted) bracket.
+    The values and the prefix majority come from ``_pair_prefix``.  Every
+    value so far divides D = p^A * q^B (A, B the largest exponents seen), so
+    sums are kept as integer multiples of 1/D, and each share D/m = p^(A-a)
+    * q^(B-b) is one product of two power table entries.  The partial sum
+    is kept in Abel form: the shares of the values at which the prefix
+    majority count grows, less maj(t) * D/m_t.  The width exceeds factor *
+    k/m_t (k the excess of the upper tail's prefix count over the lower
+    one's), so while that alone exceeds the tolerance, which one product
+    with m_t decides, the cross-multiplied width test is skipped: it runs on
+    a handful of terms per call.  Fractions are built only for the returned
+    (or budget-exhausted) bracket.
     """
     _require_coprime((p, q))
     tolerance = as_fraction(tolerance)
@@ -148,54 +148,14 @@ def sigma_series(
     # factor * k / m > tolerance exactly when k * screen_k > m * screen_m
     screen_k, screen_m = f_num * tol_den, tol_num * f_den
 
-    # window[i] * p and window[j] * q are the next candidates, j <= i since
-    # p < q; an entry (m, a, b) is m = p^a * q^b
-    window = [(1, 0, 0)]
-    i = j = 0
-    next_p, next_q = p, q
     p_pow, q_pow = [1], [1]  # p^e for e <= A, q^e for e <= B
     big_a = big_b = 0
     scale = 1  # D
-    value, color, share = 1, 0, 1  # m_t, its parity, D / m_t
-    recip = 1  # prefix reciprocal sum times D
-    abel = 0  # the shares at which the prefix majority count grew
-    lead = major = 0  # white less black count, and the larger of the two
-    terms = 0
-    while terms + 1 < budget:
-        # count the color of m_t into the prefix majority
-        if color:
-            lead -= 1
-            if lead < 0:
-                major += 1
-                abel += share
-        else:
-            lead += 1
-            if lead > 0:
-                major += 1
-                abel += share
-        if next_p < next_q:
-            value = next_p
-            _, a, b = window[i]
-            a += 1
-            window.append((value, a, b))
-            i += 1
-            next_p = window[i][0] * p
-        else:
-            value = next_q
-            _, a, b = window[j]
-            b += 1
-            window.append((value, a, b))
-            if next_p == value:
-                i += 1
-                next_p = window[i][0] * p
-            j += 1
-            next_q = window[j][0] * q
-            # no pointer reads below j again: drop those values once they
-            # are half the list, so it stays near the merge window
-            if 2 * j > len(window):
-                del window[:j]
-                i -= j
-                j = 0
+    recip = 0  # prefix reciprocal sum times D
+    abel = 0  # the shares at which maj grew
+    # value is m_t, t = terms + 1: the partial sum covers the first terms
+    # prefixes, and m_t closes the last of them
+    for terms, (value, a, b, lead) in enumerate(islice(_pair_prefix(p, q), budget)):
         if a > big_a:
             big_a = a
             p_pow.append(p_pow[-1] * p)
@@ -208,20 +168,24 @@ def sigma_series(
             scale *= q
             recip *= q
             abel *= q
-        color = (a + b) & 1
-        share = p_pow[big_a - a] * q_pow[big_b - b]
+        share = p_pow[big_a - a] * q_pow[big_b - b]  # D / m_t
         recip += share
-        terms += 1
+        # maj grows at t when m_t's color is then ahead; that share cancels
+        # in abel - maj(t) * share, so counting m_t now leaves the sum as is
+        if (lead < 0) if (a + b) & 1 else (lead > 0):
+            abel += share
         k = (terms + 1) // 2  # terms + 1 - (terms + 2) // 2
-        if k * screen_k > value * screen_m:
-            continue
         # width = factor * (k / m_t + 1 / factor - recip / D)
-        if tol_den * (f_num * (k * share - recip) + f_den * scale) <= tol_num * f_den * scale:
-            return _series_bracket(factor, terms, value, abel - major * share, recip, scale)
+        if terms and k * screen_k <= value * screen_m and (
+            tol_den * (f_num * (k * share - recip) + f_den * scale)
+            <= tol_num * f_den * scale
+        ):
+            partial = abel - (terms + 1 + abs(lead)) // 2 * share  # maj(t) = (t + |lead|)/2
+            return _series_bracket(factor, terms, value, partial, recip, scale)
+    partial = abel - (terms + 1 + abs(lead)) // 2 * share
     raise BudgetError(
         f"tolerance {tolerance} not reached within {budget} enumerated values",
-        achieved=(_series_bracket(factor, terms, value, abel - major * share, recip, scale)
-                  if terms else None),
+        achieved=_series_bracket(factor, terms, value, partial, recip, scale) if terms else None,
     )
 
 
@@ -256,36 +220,33 @@ def max_subset_count(
     Sums, over every n-free class representative, the majority color count
     of the smooth prefix that still fits under the bound.  That count
     depends on a representative only through t = #{smooth <= n/rep}, so the
-    count alone is a sum over blocks of t, each weighted by the number of
-    representatives in it (inclusion-exclusion): O(#smooth <= n * 2^s)
-    work.  The witness comes from a sieve by smooth parts (see
-    ``_witness_mask``): about n * p/(p-1) * q/(q-1) byte writes done in C,
-    plus O(#smooth * #runs) Python steps.  With a witness the count is the
-    witness's length, checked against the block sum.
+    count alone is a sum over blocks of t; in Abel form, the number of
+    representatives up to n // m_t (inclusion-exclusion) summed over the t
+    at which the majority count grows: O(#smooth <= n * 2^s) work.  The
+    witness comes from a sieve by smooth parts (see ``_witness_mask``):
+    about n * p/(p-1) * q/(q-1) byte writes done in C, plus O(#smooth *
+    #runs) Python steps.  With a witness the count is the witness's length,
+    checked against the block sum.
     """
     _require_coprime((p, q))
     if n < 1:
         raise DomainError("the horizon must be at least 1")
-    seq = enumerate_smooth((p, q), n)
-    colors = [sum(exps) % 2 for exps in seq.exponents]
-    # reps <= n // m_t see at least t smooth values; the trailing 0 closes
-    # the last block, since no rep sees more than all of them
-    reps_seeing = [count_coprime_part((p, q), n // m) for m in seq.values] + [0]
-    total = white = 0
-    for t, color in enumerate(colors, 1):
-        white += color == 0
-        total += max(white, t - white) * (reps_seeing[t - 1] - reps_seeing[t])
+    prefix = list(takewhile(lambda entry: entry[0] <= n, _pair_prefix(p, q)))
+    # maj grows at t exactly when the color of m_t is then strictly ahead
+    total = sum(count_coprime_part((p, q), n // m) for m, a, b, lead in prefix
+                if ((lead < 0) if (a + b) & 1 else (lead > 0)))
     if not with_witness:
         return total
-    witness = tuple(compress(range(n + 1), _witness_mask(seq.values, colors, n)))
+    witness = tuple(compress(range(n + 1), _witness_mask(prefix, n)))
     if len(witness) != total:
         raise SelfCheckError(f"witness of {len(witness)} elements, block sum {total}")
     return len(witness), witness
 
 
-def _witness_mask(values: Sequence[int], colors: Sequence[int], n: int) -> bytearray:
+def _witness_mask(prefix: Sequence[tuple[int, int, int, int]], n: int) -> bytearray:
     """mask[k] = 1 exactly for the k <= n in the maximal quotient-free subset.
 
+    ``prefix`` lists ``_pair_prefix`` up to the last smooth value <= n.
     k = m_i * r, with m_i its smooth part and r free, is kept when m_i has
     the majority color of the first t(r) = #{smooth <= n // r} values (white
     on ties).  For each m_i, ascending, the sieve writes that verdict at
@@ -298,21 +259,20 @@ def _witness_mask(values: Sequence[int], colors: Sequence[int], n: int) -> bytea
     # runs of the majority color over t: the 0-based first t of each run
     firsts: list[int] = []
     majors: list[int] = []
-    white = 0
-    for i, color in enumerate(colors):
-        white += color == 0
-        major = 0 if 2 * white > i else 1
+    for i, (_, _, _, lead) in enumerate(prefix):
+        major = int(lead < 0)
         if not majors or majors[-1] != major:
             firsts.append(i)
             majors.append(major)
     # a run's r lie above n // (the first value after the run)
-    runs = list(zip([n // values[i] for i in firsts[1:]] + [0], majors))
+    runs = list(zip([n // prefix[i][0] for i in firsts[1:]] + [0], majors))
     fills = (memoryview(bytes(n)), memoryview(b"\x01" * n))
     mask = bytearray(n + 1)
     k = 0
-    for i, (m, color) in enumerate(zip(values, colors)):
+    for i, (m, a, b, _) in enumerate(prefix):
         if k + 1 < len(firsts) and firsts[k + 1] == i:
             k += 1
+        color = (a + b) & 1
         hi = n // m
         for lo, major in runs[k:]:
             mask[m * (lo + 1):m * hi + 1:m] = fills[major == color][:hi - lo]

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from mpmath.libmp import from_int, mpi_log, mpi_sqrt, round_ceiling, round_floor
 
-from .arith import _ascending_walk, _require_work_bound, as_fraction, first_smooth_entries
+from .arith import _ascending_walk, _require_work_bound, as_fraction
 from .errors import DomainError, PrecisionError, SelfCheckError
 
 Point = tuple[int, ...]
@@ -66,12 +66,6 @@ class LatticeConfig:
     @classmethod
     def explicit(cls, points: Iterable[Sequence[int]]) -> "LatticeConfig":
         return cls(tuple(tuple(p) for p in points))
-
-    @classmethod
-    def first_entries(cls, basis, t: int) -> "LatticeConfig":
-        """Exponent vectors of the first t basis-smooth integers."""
-        entries = first_smooth_entries(basis, t)
-        return cls(tuple(e for _, e in entries))
 
     def __len__(self) -> int:
         return len(self.points)

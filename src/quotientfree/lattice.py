@@ -38,11 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm, prod
 from operator import add
 from typing import Optional, Sequence
 
-from .arith import CoprimeBasis, _require_coprime, _require_work_bound, first_smooth_entries
+from .arith import CoprimeBasis, _pair_prefix, _require_coprime, _require_work_bound
 from .errors import CapError, DomainError, SweepError
 from .geometry import ColorCount, LatticeConfig, Point, SimplexSpec, simplex_points
 
@@ -550,9 +551,8 @@ def f_via_checkerboard(p: int, q: int, t: int) -> int:
     _require_coprime((p, q))
     if t < 1:
         raise DomainError("t must be at least 1")
-    entries = first_smooth_entries((p, q), t)
-    white = sum(1 for _, e in entries if sum(e) % 2 == 0)
-    return max(white, t - white)
+    _, _, _, lead = next(islice(_pair_prefix(p, q), t - 1, None))
+    return (t + abs(lead)) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -606,6 +606,15 @@ class TestDensityTables:
         code, out, err = run(capsys, "densities", "--a", "2,3", "--checkpoints", checkpoints)
         assert (code, out, err) == (2, "", message)
 
+    def test_bad_checkpoint_is_rejected_before_the_sample(self, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("the sample was built")
+
+        monkeypatch.setattr(cli, "construct_dense_set", build)
+        code, out, err = run(capsys, "densities", "--a", "2,3",
+                             "--checkpoints", "0,10000000", "--csv")
+        assert (code, out, err) == (2, "", "error: checkpoints must be positive\n")
+
     def test_no_exact_sum_on_bench_inputs(self, capsys, monkeypatch):
         # the fixed-point bracket decides every log density here; the exact
         # routes are fallbacks only, and densities never lists the members

@@ -2,7 +2,9 @@ import hashlib
 import json
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
@@ -50,10 +52,16 @@ from helpers import (
     conflict_masks,
     greedy_by_solves,
     iter_bits,
+    naive_smooth_stream,
     point_weight,
     truncated_weight_mass,
     two_coloring,
 )
+
+
+def first_entries(basis, t):
+    """The exponent vectors of the first t basis-smooth integers."""
+    return LatticeConfig.explicit(e for _, e in islice(naive_smooth_stream(basis), t))
 
 
 def smooth_values(basis, config):
@@ -68,7 +76,7 @@ def smooth_values(basis, config):
 
 class TestCheckerboardSplit:
     def test_first_eight_pair_entries(self):
-        config = LatticeConfig.first_entries((2, 3), 8)
+        config = first_entries((2, 3), 8)
         split = checkerboard_split(config)
         assert (split.counts.white, split.counts.black) == (4, 4)
         assert smooth_values((2, 3), split.white) == [1, 4, 6, 9]
@@ -79,17 +87,17 @@ class TestCheckerboardSplit:
         assert (split.counts.white, split.counts.black) == (1, 0)
 
     def test_first_three(self):
-        split = checkerboard_split(LatticeConfig.first_entries((2, 3), 3))
+        split = checkerboard_split(first_entries((2, 3), 3))
         assert (split.counts.white, split.counts.black) == (1, 2)
 
 
 class TestMaxDifferenceFree:
     def test_first_eight_entries(self):
-        config = LatticeConfig.first_entries((2, 3), 8)
+        config = first_entries((2, 3), 8)
         assert max_difference_free(config, AXIS_DIFFS).size == 4
 
     def test_single_point(self):
-        config = LatticeConfig.first_entries((2, 3), 1)
+        config = first_entries((2, 3), 1)
         result = max_difference_free(config, AXIS_DIFFS)
         assert result.size == 1
         assert result.witness == ((0, 0),)
@@ -113,7 +121,7 @@ class TestMaxDifferenceFree:
         assert split.counts.majority() == 1
 
     def test_witness_is_valid_and_optimal(self):
-        config = LatticeConfig.first_entries((2, 3), 14)
+        config = first_entries((2, 3), 14)
         result = max_difference_free(config, AXIS_DIFFS)
         witness = set(result.witness)
         assert len(witness) == result.size
@@ -127,7 +135,7 @@ class TestMaxDifferenceFree:
             max_difference_free(LatticeConfig.explicit(points), AXIS_DIFFS, cap=cap)
 
     def test_cap_exceeded(self):
-        config = LatticeConfig.first_entries((2, 3), 30)
+        config = first_entries((2, 3), 30)
         with pytest.raises(CapError, match="too large for exact search"):
             max_difference_free(config, AXIS_DIFFS, cap=20)
 
@@ -593,10 +601,28 @@ class TestFViaCheckerboard:
 
     def test_agrees_with_exact_search(self):
         for t in range(1, 19):
-            config = LatticeConfig.first_entries((2, 3), t)
+            config = first_entries((2, 3), t)
             assert f_via_checkerboard(2, 3, t) == max_difference_free(
                 config, AXIS_DIFFS
             ).size
+
+    # the pairs that perfbench/workloads.py schedules
+    @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (5, 7)])
+    def test_matches_a_parity_tally(self, p, q):
+        white = 0
+        for t, (_, exps) in enumerate(islice(naive_smooth_stream((p, q)), 2000), 1):
+            white += sum(exps) % 2 == 0
+            assert f_via_checkerboard(p, q, t) == max(white, t - white)
+
+    def test_memory_stays_at_the_merge_window(self):
+        # a list of the first 50,000 values would take megabytes
+        tracemalloc.start()
+        try:
+            f_via_checkerboard(2, 3, 50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestGammaBracket:
