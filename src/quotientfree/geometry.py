@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, pairwise
+from itertools import islice, pairwise
 from math import ceil, floor, isqrt, lcm, prod
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
@@ -306,13 +306,30 @@ class SimplexSpec:
                                   for a in self.alphas),
                      bound.numerator * (scale // bound.denominator))
         else:
-            route = ("signs", _enclosures(self.alphas, terms),
-                     tuple((atom, -k) for atom, k in terms))
+            route = _signs_route(_alpha_enclosures(self.alphas, _filter_interval),
+                                 terms, _filter_interval)
         object.__setattr__(self, "_route", route)
 
     @classmethod
     def of(cls, alphas: Iterable, c) -> "SimplexSpec":
         return cls(tuple(_as_exact(a) for a in alphas), _as_exact(c))
+
+    @classmethod
+    def _enclosed(cls, alphas, terms, alpha_box, interval) -> "SimplexSpec":
+        """``cls(alphas, terms)`` on the signs route, from enclosures taken before.
+
+        For a scan over many bounds of alphas that are neither all
+        logarithms nor all rational: ``alpha_box`` is
+        ``_alpha_enclosures(alphas, interval)``, and ``interval`` encloses
+        each atom of ``terms``, so no region of the scan encloses an alpha
+        again.  ``alphas`` and ``terms`` must already be in the normalized
+        form that construction stores.
+        """
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "alphas", alphas)
+        object.__setattr__(spec, "c", terms)
+        object.__setattr__(spec, "_route", _signs_route(alpha_box, terms, interval))
+        return spec
 
     def contains(self, point: Sequence[int]) -> bool:
         """Boundary-inclusive membership, decided exactly."""
@@ -368,29 +385,41 @@ class SimplexSpec:
         return max(top, -1)
 
 
-def _enclosures(alphas, c_terms):
-    """Integer enclosures scaled by 2**_FILTER_BITS: (lo, hi, c_lo, c_hi).
+def _filter_interval(atom: ExactReal) -> tuple[Fraction, Fraction]:
+    """An enclosure of the atom whose error stays well below 2**-64 absolute."""
+    bits = 2 * _FILTER_BITS + (0 if atom.is_rational else atom.arg.bit_length())
+    return atom.interval(bits)
 
-    lo[i] <= 2**64 * alpha_i <= hi[i] and c_lo <= 2**64 * c <= c_hi.  None
-    when some alpha is too small for its lower end to be positive, since
-    the row ends divide by it.
+
+def _enclose(terms, interval) -> tuple[int, int]:
+    """Floor and ceiling of 2**_FILTER_BITS times a combination of atoms.
+
+    ``interval(atom)`` encloses one atom (see ``_filter_interval``).
     """
-    def enclose(terms) -> tuple[int, int]:
-        lo = hi = Fraction(0)
-        for atom, k in terms:
-            # enough bits that the error stays well below 2**-64 absolute
-            bits = 2 * _FILTER_BITS + (0 if atom.is_rational else atom.arg.bit_length())
-            alo, ahi = atom.interval(bits)
-            if k >= 0:
-                lo, hi = lo + k * alo, hi + k * ahi
-            else:
-                lo, hi = lo + k * ahi, hi + k * alo
-        return floor(lo * 2**_FILTER_BITS), ceil(hi * 2**_FILTER_BITS)
+    lo = hi = Fraction(0)
+    for atom, k in terms:
+        alo, ahi = interval(atom)
+        if k >= 0:
+            lo, hi = lo + k * alo, hi + k * ahi
+        else:
+            lo, hi = lo + k * ahi, hi + k * alo
+    return floor(lo * 2**_FILTER_BITS), ceil(hi * 2**_FILTER_BITS)
 
-    lo, hi = zip(*(enclose(((a, 1),)) for a in alphas))
-    if min(lo) <= 0:
-        return None
-    return lo, hi, *enclose(c_terms)
+
+def _alpha_enclosures(alphas, interval):
+    """(lo, hi) with lo[i] <= 2**64 * alpha_i <= hi[i], all integers.
+
+    None when some alpha is too small for its lower end to be positive,
+    since the row ends divide by it.
+    """
+    lo, hi = zip(*(_enclose(((a, 1),), interval) for a in alphas))
+    return None if min(lo) <= 0 else (lo, hi)
+
+
+def _signs_route(alpha_box, terms, interval) -> tuple:
+    """The signs route: its filter (lo, hi, c_lo, c_hi), or None, and -c's terms."""
+    box = None if alpha_box is None else (*alpha_box, *_enclose(terms, interval))
+    return "signs", box, tuple((atom, -k) for atom, k in terms)
 
 
 def _require_positive(alphas: Sequence[ExactReal]) -> None:
@@ -473,9 +502,11 @@ class BlackMajoritySearch:
     candidates_tested: int
 
 
-def _rational_ceil(value_terms, den: int) -> int:
-    """Smallest integer num with num/den >= the combination value."""
-    mid = sum((a.sort_key() * c for a, c in value_terms), Fraction(0))
+def _rational_ceil(value_terms, mid: Fraction, den: int) -> int:
+    """Smallest integer num with num/den >= the combination value.
+
+    ``mid`` is the value's midpoint key, which proposes the first guess.
+    """
     guess = ceil(mid * den)
     # settle the guess with exact comparisons in a short walk
     while _sign_of_terms(
@@ -491,10 +522,13 @@ def _rational_ceil(value_terms, den: int) -> int:
     return guess
 
 
-def _simplest_rational_at_least(value_terms, strict_upper_terms):
-    """Simplest p/q with value <= p/q < next value, by denominator sweep."""
+def _simplest_rational_at_least(value_terms, strict_upper_terms, mid: Fraction):
+    """Simplest p/q with value <= p/q < next value, by denominator sweep.
+
+    ``mid`` is the value's midpoint key, the one the scan ordered it by.
+    """
     for den in range(1, _MAX_THRESHOLD_DEN + 1):
-        num = _rational_ceil(value_terms, den)
+        num = _rational_ceil(value_terms, mid, den)
         candidate = Fraction(num, den)
         below_next = _sign_of_terms(
             list(strict_upper_terms) + [(ExactReal.of(candidate), Fraction(-1))],
@@ -511,10 +545,16 @@ def find_black_majority_c(
     """Scan attained threshold values, ascending, for a black majority.
 
     Counts only change at attained values of the form alpha . x, so the scan
-    is complete up to the budget.  The returned threshold is canonical: the
-    integer bound itself when every coefficient is a logarithm of an
-    integer, the attained rational for rational coefficients, and otherwise
-    the simplest rational inside the black-majority window.
+    is complete up to the budget.  When every coefficient is rational, or
+    every one is a logarithm, the walk's keys are exact, and a candidate's
+    counts are the tally that the walk yields with the next value: no
+    region is built per candidate.  Otherwise each candidate's region is
+    counted by ``simplex_color_counts``, from alpha enclosures taken once
+    per scan.  The returned threshold is canonical: the integer bound
+    itself when every coefficient is a logarithm of an integer, the attained
+    rational for rational coefficients, and otherwise the simplest rational
+    inside the black-majority window.  ``simplex_color_counts`` recounts the
+    region at a canonical threshold as a second route.
     """
     _require_work_bound("budget", budget)
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
@@ -528,57 +568,79 @@ def find_black_majority_c(
 
     all_logs = all(a.kind == "log" for a in alpha_atoms)
     all_rational = all(a.is_rational for a in alpha_atoms)
-    # one candidate of lookahead: the window of a black majority ends there
-    candidates = chain(islice(_attained_values(alpha_atoms), budget), [None])
-    tested = 0
-    for (key, terms), following in pairwise(candidates):
-        tested += 1
-        counts = simplex_color_counts(SimplexSpec(alpha_atoms, terms))
+    exact = all_logs or all_rational
+    if not exact:  # enclose each alpha once for every candidate's region
+        interval = {a: _filter_interval(a) for a in alpha_atoms}.__getitem__
+        alpha_box = _alpha_enclosures(alpha_atoms, interval)
+
+    def as_terms(x):
+        return tuple(zip(alpha_atoms, map(Fraction, x)))
+
+    # one value of lookahead: its tally counts the region up to this value,
+    # and the window of a black majority ends there
+    values = pairwise(islice(_attained_values(alpha_atoms), budget + 1))
+    for tested, ((key, x, _), (_, following, tally)) in enumerate(values, 1):
+        if exact:
+            counts = ColorCount(*tally)
+        else:
+            spec = SimplexSpec._enclosed(alpha_atoms, as_terms(x), alpha_box, interval)
+            counts = simplex_color_counts(spec)
         if counts.black <= counts.white:
             continue
         if all_logs:
-            return BlackMajoritySearch(True, None, f"ln({key})", key, counts, tested)
-        if all_rational:
-            threshold = key
-        elif following is None:
-            threshold = None
+            threshold, bound, display = None, ExactReal.log(key), f"ln({key})"
         else:
-            threshold = _simplest_rational_at_least(terms, following[1])
-        if threshold is None:
-            display = " + ".join(f"{c}*{a}" for a, c in terms if c) or "0"
-        else:
-            display = str(threshold)
+            if all_rational:
+                threshold = key
+            elif tested < budget:
+                threshold = _simplest_rational_at_least(as_terms(x), as_terms(following), key)
+            else:  # the window's end lies past the budget
+                threshold = None
+            bound = None if threshold is None else ExactReal.of(threshold)
+            display = (" + ".join(f"{c}*{a}" for a, c in as_terms(x) if c) or "0"
+                       if threshold is None else str(threshold))
+        if bound is not None:
             # re-verify by direct recount at the canonical threshold
-            recounted = simplex_color_counts(SimplexSpec(alpha_atoms, ExactReal.of(threshold)))
+            recounted = simplex_color_counts(SimplexSpec(alpha_atoms, bound))
             if recounted != counts:
                 raise SelfCheckError(
-                    f"recount at the canonical threshold {threshold} gives "
+                    f"recount at the canonical threshold {display} gives "
                     f"{recounted}, the scan gave {counts}"
                 )
-        return BlackMajoritySearch(True, threshold, display, None, counts, tested)
-    return BlackMajoritySearch(False, None, None, None, None, tested)
+        integer_bound = key if all_logs else None
+        return BlackMajoritySearch(True, threshold, display, integer_bound, counts, tested)
+    return BlackMajoritySearch(False, None, None, None, None, budget)
 
 
 def _attained_values(alpha_atoms):
-    """The distinct values alpha . x, ascending, as (key, terms), produced lazily.
+    """The distinct values alpha . x, ascending, as (key, x, tally), lazily.
 
-    When every alpha is a logarithm, the key is the integer product of
-    k_i**x_i, so values are ordered and told apart exactly.  Otherwise the
-    key is the sum of x_i times the 200-bit interval midpoint of alpha_i
-    (``ExactReal.sort_key``), which is exact for rational alphas.  Those
-    midpoints are not certified: two distinct values closer than about
+    The walk runs on integers.  When every alpha is a logarithm, the key is
+    the integer product of k_i**x_i, so values are ordered and told apart
+    exactly.  Otherwise it is the sum of x_i times the 200-bit interval
+    midpoint of alpha_i (``ExactReal.sort_key``), walked as an integer
+    multiple of 1/L, L the lcm of the midpoints' denominators, and yielded
+    as a Fraction.  It is exact for rational alphas; for the rest the
+    midpoints are not certified, and two distinct values closer than about
     2**-200 could swap or merge.  Each value comes with the least x
-    attaining its key.
+    attaining its key and the (white, black) tally of every vector popped
+    before it.  With exact keys that tally counts the region up to the
+    previous value.
     """
     if all(a.kind == "log" for a in alpha_atoms):
-        walk = _ascending_walk(1, tuple(a.arg for a in alpha_atoms), mul)
+        scale, walk = None, _ascending_walk(1, tuple(a.arg for a in alpha_atoms), mul)
     else:
-        walk = _ascending_walk(Fraction(0), tuple(a.sort_key() for a in alpha_atoms), add)
+        keys = [a.sort_key() for a in alpha_atoms]
+        scale = lcm(*(k.denominator for k in keys))
+        steps = tuple(k.numerator * (scale // k.denominator) for k in keys)
+        walk = _ascending_walk(0, steps, add)
+    tally = [0, 0]  # white (even coordinate sum), black
     last_key = None
     for key, x in walk:
         if key != last_key:  # keys come in order, so equal keys are adjacent
             last_key = key
-            yield key, tuple(zip(alpha_atoms, map(Fraction, x)))
+            yield (key if scale is None else Fraction(key, scale)), x, tuple(tally)
+        tally[sum(x) % 2] += 1
 
 
 @dataclass(frozen=True)

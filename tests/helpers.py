@@ -450,14 +450,14 @@ def eager_black_majority(alphas, budget=64):
         key, x = heapq.heappop(heap)
         if key not in taken:
             taken.add(key)
-            candidates.append(tuple(zip(atoms, map(Fraction, x))))
+            candidates.append((key, tuple(zip(atoms, map(Fraction, x)))))
         for j in range(len(atoms)):
             child = x[:j] + (x[j] + 1,) + x[j + 1:]
             if child not in seen:
                 seen.add(child)
                 heapq.heappush(heap, (key + keys[j], child))
 
-    for idx, terms in enumerate(candidates):
+    for idx, (key, terms) in enumerate(candidates):
         counts = tallied_color_counts(SimplexSpec(atoms, terms))
         if counts.black <= counts.white:
             continue
@@ -467,7 +467,7 @@ def eager_black_majority(alphas, budget=64):
         else:
             threshold = None
             if idx + 1 < len(candidates):
-                threshold = _simplest_rational_at_least(terms, candidates[idx + 1])
+                threshold = _simplest_rational_at_least(terms, candidates[idx + 1][1], key)
             display = (" + ".join(f"{c}*{a}" for a, c in terms if c) or "0"
                        if threshold is None else str(threshold))
         return BlackMajoritySearch(True, threshold, display, None, counts, idx + 1)

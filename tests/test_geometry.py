@@ -1,13 +1,16 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotientfree import (
+    ColorCount,
     DomainError,
     ExactReal,
     PrecisionError,
+    SelfCheckError,
     SimplexSpec,
     enumerate_smooth,
     find_black_majority_c,
@@ -248,10 +251,84 @@ _ALPHA_LISTS = st.one_of(
 )
 
 
+# scans that find their black majority at the budget-th candidate, whose
+# lookahead value lies past the budget
+_FOUND_AT_THE_BUDGET = [(("ln2", "ln3"), 3), (("1", "3"), 4), (("1", "sqrt2"), 3)]
+
+
 class TestFindBlackMajority:
-    @pytest.mark.parametrize("alphas", BLACK_MAJORITY_FAMILIES)
-    def test_lazy_scan_matches_the_eager_one(self, alphas):
-        assert find_black_majority_c(alphas) == eager_black_majority(alphas)
+    @pytest.mark.parametrize("alphas, budget", [
+        *(pytest.param(alphas, 64, id=f"alphas{i}")
+          for i, alphas in enumerate(BLACK_MAJORITY_FAMILIES)),
+        *(pytest.param(alphas, budget, id=f"{','.join(alphas)}-at-{budget}")
+          for alphas, budget in _FOUND_AT_THE_BUDGET),
+    ])
+    def test_lazy_scan_matches_the_eager_one(self, alphas, budget):
+        assert find_black_majority_c(alphas, budget) == eager_black_majority(alphas, budget)
+
+    @pytest.mark.parametrize("alphas, budget", _FOUND_AT_THE_BUDGET)
+    def test_found_at_the_budget(self, alphas, budget):
+        result = find_black_majority_c(alphas, budget)
+        assert (result.found, result.candidates_tested) == (True, budget)
+        assert not find_black_majority_c(alphas, budget - 1).found
+
+    def test_window_past_the_budget_has_no_threshold(self):
+        # the window of a black majority ends at the next value, which the
+        # budget does not reach, so the attained value is shown as it is
+        result = find_black_majority_c([1, "sqrt2"], 3)
+        assert result.threshold is None
+        assert result.threshold_display == "1*sqrt(2)"
+
+    @pytest.mark.parametrize("alphas, calls", [
+        (("ln2", "ln3"), 1),
+        (("1", "3"), 1),
+        (("1", "2"), 0),
+    ])
+    def test_exact_scans_count_from_the_walk(self, alphas, calls, monkeypatch):
+        # with exact keys the counts come from the walk's tally, so the only
+        # region counted is the recount at a found threshold
+        regions = []
+        counts = geometry.simplex_color_counts
+
+        def counted(spec):
+            regions.append(spec)
+            return counts(spec)
+
+        monkeypatch.setattr(geometry, "simplex_color_counts", counted)
+        find_black_majority_c(alphas, 64)
+        assert len(regions) == calls
+
+    def test_mixed_scans_enclose_each_alpha_once(self, monkeypatch):
+        enclosed = []
+        interval = geometry._filter_interval
+
+        def counted(atom):
+            enclosed.append(atom)
+            return interval(atom)
+
+        monkeypatch.setattr(geometry, "_filter_interval", counted)
+        result = find_black_majority_c(["1", "sqrt2"], 2)
+        assert not result.found
+        assert enclosed == [ExactReal.of(1), ExactReal.sqrt(2)]
+
+    @pytest.mark.parametrize("alphas, threshold", [
+        (("ln2", "ln3"), "ln(3)"),
+        (("1", "3"), "3"),
+        (("1", "sqrt2"), "3/2"),
+    ])
+    def test_every_route_recounts_its_threshold(self, alphas, threshold, monkeypatch):
+        counts = geometry.simplex_color_counts
+
+        def off_by_one(spec):
+            found = counts(spec)
+            if len(spec.c) == 1:  # the recount's bound is one atom
+                return ColorCount(found.white + 1, found.black)
+            return found
+
+        monkeypatch.setattr(geometry, "simplex_color_counts", off_by_one)
+        with pytest.raises(SelfCheckError, match="^recount at the canonical threshold "
+                           + re.escape(threshold) + " gives"):
+            find_black_majority_c(alphas)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_ALPHA_LISTS, st.integers(1, 100))
