@@ -335,9 +335,8 @@ def _densities(args) -> _Output:
     checkpoints = _parse_int_list(args.checkpoints)
     if not checkpoints:
         raise DomainError("at least one checkpoint is required")
-    # with no checkpoint above 0, construct_dense_set rejects the horizon
-    # before any work; otherwise a bad one is rejected before the sample
-    if min(checkpoints) < 1 <= max(checkpoints):
+    # a bad checkpoint is rejected before the sample is built
+    if min(checkpoints) < 1:
         raise DomainError("checkpoints must be positive")
     # one sample at the last checkpoint answers every row from its factor
     # lists; its member list is never built

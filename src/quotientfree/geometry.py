@@ -5,7 +5,9 @@ under an exact linear constraint alpha . x <= c, whose coefficients may be
 rationals, logarithms of integers, or square roots of integers, and whose
 bound may be a sum of such terms.  The paper's axis-legged triangles are
 its two-dimensional case: p^x q^y <= n is ln p, ln q under ln n.
-``simplex_points`` is the one walk over a region.  This module also holds
+The region is walked by rows, one row-end decision each: ``simplex_points``
+lists the rows' points and ``simplex_color_counts`` tallies their colors
+in closed form.  This module also holds
 the point types (``Point``, ``LatticeConfig``, ``ColorCount``), counts
 checkerboard colors, scans thresholds for a black majority, and tabulates
 the white-minus-black profile for integer slopes.  Comparisons are decided
@@ -436,48 +438,23 @@ def _as_exact(value) -> ExactReal:
     return ExactReal.of(value)
 
 
-def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeConfig:
-    """All nonnegative integer points of the region, in lex order.
+def _rows(spec: SimplexSpec):
+    """(head, end) for each row of the region that holds a point, in lex order.
 
-    The last coordinate grows until the point leaves the region; then it
-    drops to zero and the coordinate before it grows, so each point is
-    tested once, plus one failed test per row end.  With ``limit``, the walk
-    stops once it holds ``limit`` points.
-    """
-    r = len(spec.alphas)
-    points: list[Point] = []
-    x = [0] * r
-    point = tuple(x)
-    inside = spec.contains(point)
-    while inside and len(points) != limit:
-        points.append(point)
-        for i in range(r - 1, -1, -1):
-            x[i] += 1
-            point = tuple(x)
-            inside = spec.contains(point)
-            if inside:
-                break
-            x[i] = 0
-    return LatticeConfig(tuple(points))
-
-
-def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
-    """Checkerboard tallies of the simplex lattice points, row by row.
-
-    A row fixes every coordinate but the last, so its points have last
-    coordinates 0..L, where L is the row end, and its color split is
-    closed-form.  The cost is one row-end decision per row (see
-    ``SimplexSpec._row_end``), not one membership test per point; the rows
-    are walked in lex order the way ``simplex_points`` walks points.
+    A row fixes every coordinate but the last, ``head``, and holds the
+    points ``(*head, z)`` for z = 0..end, where end is the row end (see
+    ``SimplexSpec._row_end``).  The last coordinate of the head grows until
+    its row is empty; then it drops to zero and the coordinate before it
+    grows, so each row costs one row-end decision, plus one per empty row
+    that ends a run.  ``head`` is the walk's own list, changed when the
+    next row is drawn.
     """
     head = [0] * (len(spec.alphas) - 1)
     row_end = spec._row_end
     coords = range(len(head) - 1, -1, -1)
-    parity = white = total = 0
     end = row_end(head)
     while end >= 0:
-        total += end + 1
-        white += (end + 2 - parity) // 2  # last coordinates of head's parity
+        yield head, end
         for i in coords:
             head[i] += 1
             end = row_end(head)
@@ -485,8 +462,38 @@ def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
                 break
             head[i] = 0
         else:
+            return
+
+
+def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeConfig:
+    """All nonnegative integer points of the region, in lex order.
+
+    The points are read off the rows of ``_rows``: one row-end decision
+    per row, not one membership test per point.  With ``limit``, the
+    listing stops once it holds ``limit`` points, the last row cut short
+    before it is built.
+    """
+    points: list[Point] = []
+    for head, end in _rows(spec):
+        if limit is not None and limit - len(points) <= end + 1:
+            points += [(*head, z) for z in range(limit - len(points))]
             break
-        parity = sum(head) % 2
+        points += [(*head, z) for z in range(end + 1)]
+    return LatticeConfig(tuple(points))
+
+
+def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
+    """Checkerboard tallies of the simplex lattice points, row by row.
+
+    The rows are those of ``_rows``, the walk ``simplex_points`` lists: a
+    row's last coordinates are 0..end, so its color split is closed-form,
+    and the cost is one row-end decision per row, not one membership test
+    per point.
+    """
+    white = total = 0
+    for head, end in _rows(spec):
+        total += end + 1
+        white += (end + 2 - sum(head) % 2) // 2  # last coordinates of head's parity
     return ColorCount(white, total - white)
 
 

@@ -17,9 +17,12 @@ pairwise-coprime integer set, {3/2}, {4/3, 9/8}, {2, 3/2} and the
 axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
 set then weighs the total minus the maximum flow, with the weights scaled
 to integer capacities, so the cut is exact; its arcs come straight from the
-neighbor lists.  Only graphs with an odd cycle, from dependent vectors such
-as {2, 3, 6}, fall back to branch and bound, the one place that builds
-bitmasks.
+neighbor lists.  The flow starts from a greedy, first-fit matching.  When
+a parity class is optimal, as in every axis-legged triangle, some matching
+saturates the smaller color (Konig), and first-fit most often finds one,
+so Dinic's phases only confirm or repair it.  Only graphs with an odd
+cycle, from dependent vectors such as {2, 3, 6}, fall back to branch and
+bound, the one place that builds bitmasks.
 
 The lexicographically least maximum set, and ``verify``'s random ones, are
 completed greedily.  On a bipartite graph each greedy test asks whether a
@@ -217,6 +220,14 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool], li
     node, whether the source still reaches it in the residual graph (the
     source side of the minimum cut, the same for every maximum flow); and
     the residual capacities, arc k of ``arcs`` at index 2k.
+
+    The phases start from a greedy flow: each path source -> u -> v ->
+    sink, u in the order of the source's arcs, v in the order of u's, and
+    one arc from v into the sink, carries what its arcs still hold.  On the
+    conflict networks that is a first-fit matching, most often already
+    maximum, so the phases that follow only confirm it or repair a few
+    greedy choices.  Any starting flow gives the same value and the same
+    source side.
     """
     # arc e and its residual twin e ^ 1
     out: list[list[int]] = [[] for _ in range(n)]
@@ -230,7 +241,35 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool], li
         head.append(u)
         cap.append(c)
         cap.append(0)
+    # one arc into the sink per tail, neither the source nor the sink: the
+    # twin of an odd arc out of the sink
+    into_sink: dict[int, int] = {}
+    for e in out[sink]:
+        if e & 1 and head[e] != source and head[e] != sink:
+            into_sink.setdefault(head[e], e ^ 1)
     flow = 0
+    for e1 in out[source]:
+        u = head[e1]
+        if not cap[e1] or u == source or u == sink:
+            continue
+        for e2 in out[u]:
+            e3 = into_sink.get(head[e2])
+            if e3 is None or not cap[e3] or not cap[e2] or head[e2] == u:
+                continue
+            push = cap[e3]
+            if cap[e1] < push:
+                push = cap[e1]
+            if cap[e2] < push:
+                push = cap[e2]
+            cap[e1] -= push
+            cap[e1 ^ 1] += push
+            cap[e2] -= push
+            cap[e2 ^ 1] += push
+            cap[e3] -= push
+            cap[e3 ^ 1] += push
+            flow += push
+            if not cap[e1]:
+                break
     while True:
         level = [-1] * n
         level[source] = 0

@@ -18,7 +18,6 @@ from quotientfree.geometry import (
     SimplexSpec,
     _as_exact,
     _simplest_rational_at_least,
-    simplex_points,
 )
 
 
@@ -389,10 +388,34 @@ def decimal_dec12(value):
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
+def walked_points(spec, limit=None):
+    """The region's points in lex order, by one membership test per point.
+
+    The last coordinate grows until the point leaves the region; then it
+    drops to zero and the coordinate before it grows.  With ``limit``, the
+    walk stops once it holds ``limit`` points.  No row end is read.
+    """
+    r = len(spec.alphas)
+    points = []
+    x = [0] * r
+    point = tuple(x)
+    inside = spec.contains(point)
+    while inside and len(points) != limit:
+        points.append(point)
+        for i in range(r - 1, -1, -1):
+            x[i] += 1
+            point = tuple(x)
+            inside = spec.contains(point)
+            if inside:
+                break
+            x[i] = 0
+    return tuple(points)
+
+
 def tallied_color_counts(spec):
-    """Color counts by testing and tallying every point of simplex_points."""
+    """Color counts by testing and tallying every point of walked_points."""
     white = black = 0
-    for p in simplex_points(spec).points:
+    for p in walked_points(spec):
         if sum(p) % 2 == 0:
             white += 1
         else:
@@ -424,7 +447,7 @@ def eager_black_majority(alphas, budget=64):
 
     All ``budget`` attained values come off a seen-set heap first (integer
     products for logarithms, midpoints otherwise), so no walk is shared
-    with the library, and each count tallies the points of simplex_points.
+    with the library, and each count tallies the points of walked_points.
     Otherwise the scan follows find_black_majority_c, threshold
     canonicalization included.
     """

@@ -599,7 +599,7 @@ class TestDensityTables:
             "c0ee661dd0992edde2b9810c472dbd75c4d54229dc3d8ea30c71a9ff50625eb7")
 
     @pytest.mark.parametrize("checkpoints,message", [
-        ("-5", "error: the horizon must be at least 1\n"),
+        ("-5", "error: checkpoints must be positive\n"),
         ("0,10", "error: checkpoints must be positive\n"),
     ])
     def test_bad_checkpoints(self, capsys, checkpoints, message):

@@ -28,6 +28,7 @@ from helpers import (
     double_loop_slope_profile,
     eager_black_majority,
     tallied_color_counts,
+    walked_points,
 )
 
 
@@ -58,6 +59,28 @@ class TestExactReal:
             lo, hi = atom.interval(64)
             assert float(lo) <= value <= float(hi)
             assert float(hi - lo) < 1e-15
+
+
+# one to three dimensions on each route: integer division, the integer
+# product loop, and the certified signs with and without enclosures
+ROW_WALK_SPECS = [
+    (["3/2"], "7"),
+    (["1", "2"], "4"),
+    (["1/2", "1", "3/2"], "3"),
+    (["ln2"], "ln100"),
+    (["ln2", "ln3"], "ln100"),
+    (["ln2", "ln3", "ln5"], "ln60"),
+    (["sqrt2"], "5"),
+    (["1", "sqrt2"], "4"),
+    (["1", "sqrt2", "sqrt3"], "3"),
+    (["sqrt2", "sqrt3"], "sqrt8"),  # a point on the boundary: (2, 0)
+    # an alpha below 2**-64 leaves the signs route without enclosures, so
+    # each row is walked up by membership tests: five rows of one point,
+    # then one row of five
+    ([Fraction(1, 2**70), "sqrt2"], Fraction(1, 2**68)),
+    (["sqrt2", Fraction(1, 2**70)], Fraction(1, 2**68)),
+    (["1", "2"], "-1"),  # no points
+]
 
 
 class TestSimplexPoints:
@@ -102,6 +125,27 @@ class TestSimplexPoints:
         config = simplex_points(SimplexSpec.of([1, 2], 2))
         assert (2, 0) in config.points
         assert (0, 1) in config.points
+
+    @pytest.mark.parametrize("alphas,c", ROW_WALK_SPECS)
+    def test_rows_match_the_point_walk(self, alphas, c):
+        spec = SimplexSpec.of(alphas, c)
+        full = walked_points(spec)
+        # every cut: none, 0, 1, mid-row, at each row end, and past the size
+        for limit in [None, *range(len(full) + 3)]:
+            assert simplex_points(spec, limit).points == walked_points(spec, limit), limit
+
+    def test_rows_need_no_membership_test(self, monkeypatch):
+        def refuse(self, point):
+            raise AssertionError(f"membership of {point} was tested")
+
+        monkeypatch.setattr(SimplexSpec, "contains", refuse)
+        config = simplex_points(SimplexSpec.of(["ln2", "ln3"], f"ln{10**10}"))
+        smooth = tuple(sorted(enumerate_smooth((2, 3), 10**10).exponents))
+        assert config.points == smooth
+        config = simplex_points(SimplexSpec.of(["1/3", "1/2"], "7"))
+        assert config.points == tuple(
+            (x, y) for x in range(22) for y in range(15) if 2 * x + 3 * y <= 42
+        )
 
 
 class TestSimplexColorCounts:

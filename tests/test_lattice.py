@@ -438,6 +438,14 @@ class TestMaxFlow:
     @example(network=(11, [(0, 5, 16), (0, 7, 1), (5, 6, 2), (5, 9, 1), (5, 10, 14),
                            (6, 10, 2), (7, 6, 1), (9, 10, 1)]))
     @example(network=(6, [(0, 1, 1), (0, 2, 1), (1, 4, 1), (2, 4, 1), (4, 5, 1)]))
+    # first-fit keeps 1-3 and leaves 2 unmatched, so a phase must reverse a
+    # greedy arc: 0-2-3, back along 3-1, then 1-4-5
+    @example(network=(6, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 3, 1),
+                          (3, 5, 1), (4, 5, 1)]))
+    # arcs the greedy start skips: source to sink, out of the sink, into the
+    # source, and into the sink from the source's own neighbor
+    @example(network=(5, [(0, 4, 3), (4, 1, 2), (1, 0, 4), (0, 1, 5), (1, 4, 2),
+                          (1, 2, 3), (2, 0, 1), (2, 4, 4), (4, 3, 1), (3, 2, 2)]))
     def test_value_and_source_side_match_networkx(self, network):
         nx = pytest.importorskip("networkx")
         n, arcs = network
