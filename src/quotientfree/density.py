@@ -39,6 +39,8 @@ DEFAULT_SERIES_BUDGET = 10**6
 LN_PRECISION_DIGITS = 60
 # K: log density brackets scale each reciprocal by 2^K and round to integers
 FIXED_POINT_BITS = 96
+# the strict-gap check tightens its tolerance at most this many times
+_GAP_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -488,7 +490,6 @@ def strict_gap_check(
     p: int,
     q: int,
     budget: int = DEFAULT_SERIES_BUDGET,
-    max_rounds: int = 10,
 ) -> GapReport:
     """Try to certify that the series value strictly exceeds the closed form.
 
@@ -497,10 +498,9 @@ def strict_gap_check(
     """
     rho = rho_closed_form([p, q])
     _require_work_bound("budget", budget)
-    _require_work_bound("max_rounds", max_rounds)
     tolerance = Fraction(1, 16)
     sigma: Optional[DensityBracket] = None
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, _GAP_ROUNDS + 1):
         try:
             sigma = sigma_series(p, q, tolerance, budget)
         except BudgetError as exc:
@@ -510,4 +510,4 @@ def strict_gap_check(
         if sigma.lower > rho:
             return GapReport(p, q, rho, sigma, True, round_no)
         tolerance /= 4
-    return GapReport(p, q, rho, sigma, False, max_rounds)
+    return GapReport(p, q, rho, sigma, False, _GAP_ROUNDS)

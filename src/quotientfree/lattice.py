@@ -25,10 +25,9 @@ cycle, from dependent vectors such as {2, 3, 6}, fall back to branch and
 bound, the one place that builds bitmasks.
 
 The lexicographically least maximum set, and ``verify``'s random ones, are
-completed greedily.  On a bipartite graph each greedy test asks whether a
-maximum matching survives the removal of a point and its neighbors, and
-is answered by a search for augmenting paths from the partners that the
-removal frees, not by a fresh solve.
+greedy completions in a visiting order, and each is one solve: every point
+weighs 2**n plus a bit that falls with its place in the order, so the one
+optimum is the greedy set.
 
 ``gamma_bracket`` solves on integer weights: over the common denominator
 prod b**depth, the point u weighs prod b**(depth - u_i).  Branch and bound
@@ -213,21 +212,20 @@ def _free_parity_class(graph: _ConflictGraph, weights, verts, live):
     return best, best_class
 
 
-def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool], list[int]]:
+def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
     """Dinic's maximum flow on integer capacities, without recursion.
 
-    ``arcs`` lists (tail, head, capacity).  Returns the flow value; per
-    node, whether the source still reaches it in the residual graph (the
-    source side of the minimum cut, the same for every maximum flow); and
-    the residual capacities, arc k of ``arcs`` at index 2k.
+    ``arcs`` lists (tail, head, capacity).  Returns the flow value and,
+    per node, whether the source still reaches it in the residual graph:
+    the source side of the minimum cut, the same for every maximum flow.
 
     The phases start from a greedy flow: each path source -> u -> v ->
     sink, u in the order of the source's arcs, v in the order of u's, and
-    one arc from v into the sink, carries what its arcs still hold.  On the
-    conflict networks that is a first-fit matching, most often already
-    maximum, so the phases that follow only confirm it or repair a few
-    greedy choices.  Any starting flow gives the same value and the same
-    source side.
+    one arc from v into the sink, carries what its arcs still hold.  On
+    unit-weight conflict networks that is a first-fit matching, most often
+    already maximum, so the phases that follow only confirm it or repair a
+    few greedy choices.  Any starting flow gives the same value and the
+    same source side.
     """
     # arc e and its residual twin e ^ 1
     out: list[list[int]] = [[] for _ in range(n)]
@@ -285,7 +283,7 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool], li
                         level[v] = next_level
                         queue.append(v)
         if level[sink] < 0:
-            return flow, [lv >= 0 for lv in level], cap
+            return flow, [lv >= 0 for lv in level]
         # blocking flow: advance along level-increasing arcs, retreat from
         # dead ends, and after each augmentation resume at the first arc
         # it saturated
@@ -353,7 +351,7 @@ def _min_cut_optimum(graph: _ConflictGraph, weights, verts=None):
         else:
             arcs.append((source, v, caps[v]))
             arcs.extend((v, w, uncuttable) for w in nbrs[v] if live is None or live[w])
-    flow, reached, _ = _max_flow(n + 2, arcs, source, sink)
+    flow, reached = _max_flow(n + 2, arcs, source, sink)
     parity_weight, parity_class = _free_parity_class(graph, weights, verts, live)
     if parity_class and parity_weight * scale == total - flow:
         return parity_weight, parity_class
@@ -440,51 +438,6 @@ def _solve(graph: _ConflictGraph, weights, verts=None):
     return _min_cut_optimum(graph, weights, verts)
 
 
-def _maximum_matching(graph: _ConflictGraph) -> list[int]:
-    """Each point's partner in a maximum matching of the bipartite graph, or -1.
-
-    Read off a unit-capacity flow from side 0 to side 1.
-    """
-    nbrs, side = graph.nbrs, graph.side
-    n = len(nbrs)
-    source, sink = n, n + 1
-    arcs = []
-    for v in range(n):
-        if side[v]:
-            arcs.append((v, sink, 1))
-        else:
-            arcs.append((source, v, 1))
-            arcs.extend((v, w, 1) for w in nbrs[v])
-    _, _, residual = _max_flow(n + 2, arcs, source, sink)
-    mate = [-1] * n
-    for k, (u, w, _) in enumerate(arcs):
-        if u != source and w != sink and not residual[2 * k]:
-            mate[u] = w
-            mate[w] = u
-    return mate
-
-
-def _augmenting_path(nbrs, live, mate, root: int, seen: list[int], stamp: int) -> bool:
-    """Whether an alternating path leads from the free vertex root to another free vertex.
-
-    Depth first over live vertices, back to root's side through matched
-    edges.  Vertices marked ``stamp`` in ``seen`` were explored by an
-    earlier search against the same matching and lead nowhere.
-    """
-    stack = [iter(nbrs[root])]
-    while stack:
-        for w in stack[-1]:
-            if live[w] and seen[w] != stamp:
-                seen[w] = stamp
-                if mate[w] < 0:
-                    return True
-                stack.append(iter(nbrs[mate[w]]))
-                break
-        else:
-            stack.pop()
-    return False
-
-
 def _greedy_optimum(graph: _ConflictGraph, order) -> list[int]:
     """A maximum conflict-free set, completed greedily in the given order.
 
@@ -493,62 +446,20 @@ def _greedy_optimum(graph: _ConflictGraph, order) -> list[int]:
     far; the sorted order gives the lexicographically least maximum set.
     Returns the kept indices in visiting order.
 
-    On a bipartite graph a maximum set has one point less per edge of a
-    maximum matching (Konig), so keep a maximum matching M of the live
-    points.  Point i is kept iff removing i and its live neighbors, N[i],
-    costs M exactly |N[i]| - 1 edges: that fails at once when i is matched
-    and a neighbor is not, and holds at once when i is unmatched.
-    Otherwise every point of N[i] is matched, and i is dropped iff a
-    partner that the removal frees has an augmenting path.  A dropped point
-    is matched in every maximum matching, so M without its edge stays
-    maximum.  A graph with an odd cycle makes one exact solve per point.
+    The kept set is the maximum set whose indicator vector, read in
+    visiting order, is lexicographically greatest, and one solve finds it:
+    the point at place r of n weighs 2**n + 2**(n - 1 - r).  Any larger set
+    outweighs all the place bits together, which sum below 2**n, and among
+    maximum sets the first place where two differ outweighs every later
+    one.  So the optimum is unique and is the greedy set.
     """
-    nbrs = graph.nbrs
-    n = len(nbrs)
-    live = [True] * n
-    kept: list[int] = []
-    if graph.side is None:
-        ones = [1] * n
-        target = _solve(graph, ones)[0]
-        for i in order:
-            if not live[i]:
-                continue
-            live[i] = False
-            near = nbrs[i]
-            residue = [v for v in range(n) if live[v] and v not in near]
-            if len(kept) + 1 + _solve(graph, ones, residue)[0] == target:
-                kept.append(i)
-                for w in near:
-                    live[w] = False
-        return kept
-    mate = _maximum_matching(graph)
-    seen = [0] * n
-    for stamp, i in enumerate(order, 1):
-        if not live[i]:
-            continue
-        live[i] = False
-        partner = mate[i]
-        near = [w for w in nbrs[i] if live[w]]
-        if partner >= 0 and any(mate[w] < 0 for w in near):
-            mate[partner] = -1
-            continue
-        for w in near:
-            live[w] = False
-        # the trial's log: each partner the removal frees, with its old mate
-        freed = [(mate[w], w) for w in near if w != partner]
-        for u, _ in freed:
-            mate[u] = -1
-        if partner >= 0 and any(
-            _augmenting_path(nbrs, live, mate, u, seen, stamp) for u, _ in freed
-        ):
-            for u, w in freed:
-                mate[u] = w
-            for w in near:
-                live[w] = True
-            mate[partner] = -1
-            continue
-        kept.append(i)
-    return kept
+    n = len(graph.points)
+    rank = [0] * n
+    weights = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+        weights[i] = (1 << n) | (1 << (n - 1 - r))
+    return sorted(_solve(graph, weights)[1], key=rank.__getitem__)
 
 
 def _conflict_graph(config: LatticeConfig, diffs, cap: int) -> _ConflictGraph:

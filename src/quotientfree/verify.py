@@ -23,6 +23,7 @@ from .geometry import (
 )
 from .lattice import (
     AXIS_DIFFS,
+    DEFAULT_SEARCH_CAP,
     LatticeConfig,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
     _conflict_graph,
@@ -32,6 +33,9 @@ from .lattice import (
     monochromatize,
 )
 from .rng import CounterRng
+
+# the theorem6 suite's random triangles hold at most this many lattice points
+_TRIANGLE_POINTS = 30
 
 BUDGET_TIERS = {
     "small": {
@@ -149,24 +153,24 @@ def exhaustive_max_quotient_free(p: int, q: int, n: int) -> int:
     return total
 
 
-def _random_rational_triangle(rng: CounterRng, max_points: int = 30):
-    """A random axis-legged triangle with 1..max_points lattice points."""
+def _random_rational_triangle(rng: CounterRng):
+    """A random axis-legged triangle with 1.._TRIANGLE_POINTS lattice points."""
     while True:
         a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         c = Fraction(rng.randint(1, 48), rng.randint(1, 4))
-        pts = simplex_points(SimplexSpec.of([a, b], c), limit=max_points + 1).points
-        if 1 <= len(pts) <= max_points:
+        pts = simplex_points(SimplexSpec.of([a, b], c), limit=_TRIANGLE_POINTS + 1).points
+        if 1 <= len(pts) <= _TRIANGLE_POINTS:
             return (a, b, c), pts
 
 
-def _random_optimal_configuration(rng: CounterRng, points, cap: int = 40):
+def _random_optimal_configuration(rng: CounterRng, points):
     """A random maximum non-adjacent subset of the given triangle points.
 
     The greedy completion visits the points in an order shuffled by ``rng``;
     the chosen points are listed in that order.
     """
-    graph = _conflict_graph(LatticeConfig.explicit(points), AXIS_DIFFS, cap)
+    graph = _conflict_graph(LatticeConfig.explicit(points), AXIS_DIFFS, DEFAULT_SEARCH_CAP)
     order = list(range(len(graph.points)))
     rng.shuffle(order)
     kept = _greedy_optimum(graph, order)

@@ -308,8 +308,8 @@ def greedy_by_solves(graph, order):
 
     Visit the points in ``order`` and keep each iff the kept points plus it
     plus a maximum set of the live points off its neighbors still reach the
-    maximum size.  The matching route's oracle; returns the kept indices in
-    visiting order.
+    maximum size.  The oracle for the one-solve route; returns the kept
+    indices in visiting order.
     """
     from quotientfree.lattice import _solve
 

@@ -453,7 +453,7 @@ class TestMaxFlow:
         graph = nx.DiGraph()
         graph.add_nodes_from(range(n))
         graph.add_weighted_edges_from(arcs, weight="capacity")
-        value, reached, _ = _max_flow(n, arcs, source, sink)
+        value, reached = _max_flow(n, arcs, source, sink)
         assert value == nx.maximum_flow_value(graph, source, sink)
         # the nodes the source reaches in the residual graph of networkx's flow
         _, flow = nx.maximum_flow(graph, source, sink)
@@ -559,22 +559,28 @@ class TestGreedyMatching:
         order = data.draw(st.permutations(range(len(pts))))
         assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
 
+    @pytest.mark.parametrize("diffs,bipartite", [(AXIS_DIFFS, True),
+                                                 (((1, 0), (0, 1), (1, 1)), False)],
+                             ids=["bipartite", "odd-cycle"])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def test_odd_cycles_take_one_solve_per_point(self, data):
+    def test_one_solve_per_greedy_optimum(self, diffs, bipartite, data):
         box = st.tuples(st.integers(0, 4), st.integers(0, 4))
         points = sorted(data.draw(st.sets(box, min_size=3, max_size=14)))
-        graph = _ConflictGraph(points, ((1, 0), (0, 1), (1, 1)))
-        assume(graph.side is None)
+        graph = _ConflictGraph(points, diffs)
+        assume((graph.side is not None) == bipartite)
         order = data.draw(st.permutations(range(len(points))))
+        expected = greedy_by_solves(graph, order)
+        calls = []
 
-        def refuse(*args):
-            raise AssertionError("wrong route")
+        def counted(*args):
+            calls.append(args)
+            return _solve(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lattice, "_maximum_matching", refuse)
-            patch.setattr(lattice, "_augmenting_path", refuse)
-            assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
+            patch.setattr(lattice, "_solve", counted)
+            assert _greedy_optimum(graph, order) == expected
+        assert len(calls) == 1
 
     def test_path_witness_is_every_other_point(self):
         config = LatticeConfig.explicit([(k,) for k in range(20_000)])
