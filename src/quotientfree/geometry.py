@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import chain, islice, pairwise
 from math import ceil, floor, isqrt, lcm, prod
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
@@ -57,17 +57,28 @@ class LatticeConfig:
 
     def __post_init__(self):
         pts = self.points
-        if any(any(c < 0 for c in p) for p in pts):
+        if min(chain.from_iterable(pts), default=0) < 0:
             raise DomainError("all coordinates must be nonnegative")
-        if len(set(pts)) != len(pts):
+        distinct = set(pts)
+        if len(distinct) != len(pts):
             raise DomainError("points must be distinct")
-        if len(set(len(p) for p in pts)) > 1:
+        if len(set(map(len, distinct))) > 1:
             raise DomainError("points must share one dimension")
-        object.__setattr__(self, "points", tuple(sorted(pts)))
+        object.__setattr__(self, "points", tuple(sorted(distinct)))
 
     @classmethod
     def explicit(cls, points: Iterable[Sequence[int]]) -> "LatticeConfig":
         return cls(tuple(tuple(p) for p in points))
+
+    @classmethod
+    def _trusted(cls, points: tuple[Point, ...]) -> "LatticeConfig":
+        """A config of points already distinct, nonnegative, of one dimension and sorted.
+
+        The points are stored as given, without the checks of construction.
+        """
+        config = object.__new__(cls)
+        object.__setattr__(config, "points", points)
+        return config
 
     def __len__(self) -> int:
         return len(self.points)
@@ -479,7 +490,8 @@ def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeCon
             points += [(*head, z) for z in range(limit - len(points))]
             break
         points += [(*head, z) for z in range(end + 1)]
-    return LatticeConfig(tuple(points))
+    # distinct, nonnegative and in lex order by construction
+    return LatticeConfig._trusted(tuple(points))
 
 
 def simplex_color_counts(spec: SimplexSpec) -> ColorCount:

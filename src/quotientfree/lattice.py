@@ -373,43 +373,43 @@ def _branch_and_bound(graph: _ConflictGraph, weights, verts=None):
     explicit stack; incumbent seeded with the best conflict-free color
     class (else a greedy set), and a greedy-matching clique bound (each
     matched pair contributes only its heavier endpoint).  The search works
-    on bitmasks built here from the neighbor lists.  Returns (weight,
+    on rank bits built here from the neighbor lists: bit r stands for the
+    vertex at place r of the weight order, so the next vertex to branch on
+    is the lowest set bit, and the bound pairs it with its lowest set
+    neighbor bit, a neighbor no heavier than itself.  Any valid bound
+    returns the same optimum, the first in search order.  Returns (weight,
     indices).
     """
     points, nbrs = graph.points, graph.nbrs
     verts, live = _members(len(points), verts)
     if not verts:
         return 0, []
-    adj = [sum(1 << w for w in row) for row in nbrs]
-    sub_mask = sum(1 << v for v in verts)
     order = sorted(verts, key=lambda i: (-weights[i], points[i]))
+    rank = {v: r for r, v in enumerate(order)}
+    adj = [sum(1 << rank[w] for w in nbrs[v] if w in rank) for v in order]
+    weight = [weights[v] for v in order]
     best, best_class = _free_parity_class(graph, weights, verts, live)
-    best_mask = sum(1 << v for v in best_class)
+    best_mask = sum(1 << rank[v] for v in best_class)
     if best_mask == 0:
-        taken = 0
-        for i in order:
-            if not (adj[i] & taken):
-                taken |= 1 << i
-        best, best_mask = sum(weights[i] for i in _iter_bits(taken)), taken
+        for r in range(len(order)):
+            if not (adj[r] & best_mask):
+                best_mask |= 1 << r
+        best = sum(weight[r] for r in _iter_bits(best_mask))
 
     def bound(rem: int):
         total = 0
-        r = rem
-        for i in order:
-            bit = 1 << i
-            if not (r & bit):
-                continue
-            r ^= bit
-            nb = adj[i] & r
+        while rem:
+            low = rem & -rem
+            r = low.bit_length() - 1
+            rem ^= low
+            nb = adj[r] & rem
             if nb:
-                # pair i with its heaviest remaining neighbor; the pair is a
-                # clique, so it contributes at most w[i] (order is descending)
-                j = max(_iter_bits(nb), key=lambda k: weights[k])
-                r ^= 1 << j
-            total += weights[i]
+                # a clique pair: it contributes at most weight[r]
+                rem ^= nb & -nb
+            total += weight[r]
         return total
 
-    stack = [(sub_mask, 0, 0)]
+    stack = [((1 << len(order)) - 1, 0, 0)]
     while stack:
         rem, current, chosen = stack.pop()
         if not rem:
@@ -418,11 +418,11 @@ def _branch_and_bound(graph: _ConflictGraph, weights, verts=None):
             continue
         if current + bound(rem) <= best:
             continue
-        v = next(i for i in order if (rem >> i) & 1)
-        bit = 1 << v
-        stack.append((rem & ~bit, current, chosen))
-        stack.append((rem & ~adj[v] & ~bit, current + weights[v], chosen | bit))
-    return best, list(_iter_bits(best_mask))
+        low = rem & -rem
+        r = low.bit_length() - 1
+        stack.append((rem ^ low, current, chosen))
+        stack.append(((rem ^ low) & ~adj[r], current + weight[r], chosen | low))
+    return best, sorted(order[r] for r in _iter_bits(best_mask))
 
 
 def _solve(graph: _ConflictGraph, weights, verts=None):
@@ -645,16 +645,21 @@ def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> N
     # beyond the cap the maximality of the input is trusted
 
 
-def _move(triangle: SimplexSpec, current: set[Point], group, targets, d: int, kind: str) -> None:
-    """Replace group by targets in current, each target inside and not held outside group."""
+def _move(triangle: SimplexSpec, diagonals, group, targets, d: int, kind: str) -> None:
+    """Replace group by targets, each target inside and not held outside group.
+
+    ``diagonals[s]`` holds the current points with coordinate sum s.
+    """
     group = set(group)
     for nx, ny in targets:
         if not triangle.contains((nx, ny)):
             raise SweepError(d, f"{kind} target ({nx},{ny}) leaves the triangle")
-        if (nx, ny) in current and (nx, ny) not in group:
+        if (nx, ny) in diagonals[nx + ny] and (nx, ny) not in group:
             raise SweepError(d, f"{kind} target ({nx},{ny}) is occupied")
-    current.difference_update(group)
-    current.update(targets)
+    for x, y in group:
+        diagonals[x + y].discard((x, y))
+    for x, y in targets:
+        diagonals[x + y].add((x, y))
 
 
 def monochromatize(
@@ -679,19 +684,30 @@ def monochromatize(
     if not isinstance(config, LatticeConfig):
         config = LatticeConfig.explicit(config)
     current = set(config.points)
-    size = len(current)
     _validate_sweep_input(triangle, current, cap)
+    return _sweep(triangle, current)
 
+
+def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
+    """The diagonal sweep of ``monochromatize`` on a configuration known valid.
+
+    ``current`` is a maximum non-adjacent set of the plane triangle's
+    points, and is not changed.  The points are kept by diagonal, so each
+    step reads its own diagonal and which diagonals below it are occupied.
+    """
+    size = len(current)
     # one past the largest coordinate sum of a point inside
     top = 0
     while triangle.contains((top, 0)) or triangle.contains((0, top)):
         top += 1
+    diagonals: list[set[Point]] = [set() for _ in range(top)]
+    for x, y in current:
+        diagonals[x + y].add((x, y))
     for d in range(top):
-        diag = sorted(p for p in current if p[0] + p[1] == d)
-        below = [p for p in current if p[0] + p[1] < d]
-        if not diag or not below:
+        diag = sorted(diagonals[d])
+        below_colors = {s % 2 for s in range(d) if diagonals[s]}
+        if not diag or not below_colors:
             continue
-        below_colors = {(x + y) % 2 for x, y in below}
         if len(below_colors) != 1:
             raise SweepError(d, "points below the diagonal are not one color")
         color_below = below_colors.pop()
@@ -706,28 +722,29 @@ def monochromatize(
         if left_out or right_out:
             # hypotenuse cuts the diagonal: shift its points toward the cut
             dx, dy = (-1, 0) if left_out else (0, -1)
-            _move(triangle, current, diag, [(x + dx, y + dy) for x, y in diag], d, "shift")
+            _move(triangle, diagonals, diag, [(x + dx, y + dy) for x, y in diag], d, "shift")
         else:
-            vacant = [x for x in range(d + 1) if (x, d - x) not in current]
+            vacant = [x for x in range(d + 1) if (x, d - x) not in diagonals[d]]
             if vacant:
                 # split shifts around the vacant spot: left part down, right part left
                 px = vacant[0]
                 targets = [(x, y - 1) if x < px else (x - 1, y) for x, y in diag]
-                _move(triangle, current, diag, targets, d, "shift")
+                _move(triangle, diagonals, diag, targets, d, "shift")
             else:
                 # full diagonal: its neighbors are free, so row d-1 must be empty
-                if any(p[0] + p[1] == d - 1 for p in current):
+                if diagonals[d - 1]:
                     raise SweepError(d, "row below a full diagonal is occupied")
-                _move(triangle, current, below, [(x, y + 1) for x, y in below], d, "upward")
-        if len(current) != size:
+                below = [p for s in range(d) for p in diagonals[s]]
+                _move(triangle, diagonals, below, [(x, y + 1) for x, y in below], d, "upward")
+        if sum(map(len, diagonals)) != size:
             raise SweepError(d, "moves collided and lost a point")
 
-    result = sorted(current)
+    result = sorted(p for diag in diagonals for p in diag)
     if len(result) != size:
         raise SweepError(None, "output size differs from input size")
     if any(not triangle.contains(p) for p in result):
         raise SweepError(None, "output leaves the triangle")
-    if _adjacent_point(current) is not None:
+    if _adjacent_point(set(result)) is not None:
         raise SweepError(None, "output contains adjacent points")
     if len({(x + y) % 2 for x, y in result}) > 1:
         raise SweepError(None, "output is not monochromatic")

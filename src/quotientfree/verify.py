@@ -29,8 +29,8 @@ from .lattice import (
     _conflict_graph,
     _greedy_optimum,
     _max_difference_free_size,
+    _sweep,
     checkerboard_split,
-    monochromatize,
 )
 from .rng import CounterRng
 
@@ -159,18 +159,18 @@ def _random_rational_triangle(rng: CounterRng):
         a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         c = Fraction(rng.randint(1, 48), rng.randint(1, 4))
-        pts = simplex_points(SimplexSpec.of([a, b], c), limit=_TRIANGLE_POINTS + 1).points
-        if 1 <= len(pts) <= _TRIANGLE_POINTS:
-            return (a, b, c), pts
+        config = simplex_points(SimplexSpec.of([a, b], c), limit=_TRIANGLE_POINTS + 1)
+        if 1 <= len(config) <= _TRIANGLE_POINTS:
+            return (a, b, c), config
 
 
-def _random_optimal_configuration(rng: CounterRng, points):
-    """A random maximum non-adjacent subset of the given triangle points.
+def _random_optimal_configuration(rng: CounterRng, config: LatticeConfig):
+    """A random maximum non-adjacent subset of the given triangle's points.
 
     The greedy completion visits the points in an order shuffled by ``rng``;
     the chosen points are listed in that order.
     """
-    graph = _conflict_graph(LatticeConfig.explicit(points), AXIS_DIFFS, DEFAULT_SEARCH_CAP)
+    graph = _conflict_graph(config, AXIS_DIFFS, DEFAULT_SEARCH_CAP)
     order = list(range(len(graph.points)))
     rng.shuffle(order)
     kept = _greedy_optimum(graph, order)
@@ -188,8 +188,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
     rng = CounterRng(seed)
     count = BUDGET_TIERS[budget]["triangles"]
     for i in range(count):
-        (a, b, c), pts = _random_rational_triangle(rng)
-        config = LatticeConfig.explicit(pts)
+        (a, b, c), config = _random_rational_triangle(rng)
         exact = _max_difference_free_size(config, AXIS_DIFFS)
         majority = checkerboard_split(config).counts.majority()
         report.cases.append(
@@ -197,7 +196,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
                 f"triangle[{i}]",
                 exact == majority,
                 f"a={a} b={b} c={c} "
-                f"points={len(pts)} exact={exact} majority={majority}",
+                f"points={len(config)} exact={exact} majority={majority}",
             )
         )
     config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
@@ -296,9 +295,10 @@ def suite_monochromatize(seed: int, budget: str) -> SuiteReport:
         p, q = pairs[rng.randint(0, len(pairs) - 1)]
         n = rng.randint(1, 200)
         triangle = SimplexSpec.of([f"ln{p}", f"ln{q}"], f"ln{n}")
-        points = simplex_points(triangle).points
-        chosen, target = _random_optimal_configuration(rng, points)
-        result = monochromatize(triangle, chosen)
+        chosen, target = _random_optimal_configuration(rng, simplex_points(triangle))
+        # the greedy completion is a maximum configuration, so the sweep
+        # needs no check of its input
+        result = _sweep(triangle, set(chosen))
         out = set(result.points)
         colors = {sum(pt) % 2 for pt in out}
         ok = (

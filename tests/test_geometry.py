@@ -134,6 +134,32 @@ class TestSimplexPoints:
         for limit in [None, *range(len(full) + 3)]:
             assert simplex_points(spec, limit).points == walked_points(spec, limit), limit
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_points_come_distinct_and_sorted(self, data):
+        # simplex_points builds its config without the checks of
+        # construction, so its points must already be what they would give
+        kind = data.draw(st.sampled_from(["rational", "log", "sqrt"]))
+        dim = data.draw(st.integers(1, 3))
+        if kind == "rational":
+            alphas = data.draw(st.lists(
+                st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)),
+                min_size=dim, max_size=dim))
+            c = data.draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 3)))
+        elif kind == "log":
+            alphas = [f"ln{k}" for k in data.draw(
+                st.lists(st.integers(2, 12), min_size=dim, max_size=dim))]
+            c = f"ln{data.draw(st.integers(1, 500))}"
+        else:
+            alphas = [f"sqrt{k}" for k in data.draw(
+                st.lists(st.integers(1, 12), min_size=dim, max_size=dim))]
+            c = data.draw(st.integers(0, 8))
+        spec = SimplexSpec.of(alphas, c)
+        limit = data.draw(st.one_of(st.none(), st.integers(0, 60)))
+        points = simplex_points(spec, limit).points
+        assert points == tuple(sorted(set(points)))
+        assert all(min(p) >= 0 and len(p) == dim for p in points)
+
     def test_rows_need_no_membership_test(self, monkeypatch):
         def refuse(self, point):
             raise AssertionError(f"membership of {point} was tested")

@@ -419,6 +419,29 @@ class TestIntegerWeights:
         assert _solve(graph, scaled) == (best * scale, chosen)
 
 
+ODD_CYCLE_DIFFS = ((1, 0), (0, 1), (1, 1))
+
+
+class TestBranchAndBound:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_brute_force_on_odd_cycle_graphs(self, data):
+        box = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        points = sorted(data.draw(st.sets(box, min_size=3, max_size=14)))
+        graph = _ConflictGraph(points, ODD_CYCLE_DIFFS)
+        assume(graph.side is None)
+        n = len(points)
+        weights = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+        verts = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1)).map(sorted)))
+        inside = range(n) if verts is None else verts
+        best, chosen = _branch_and_bound(graph, weights, verts)
+        assert best == brute_force_max_difference_free(
+            [points[v] for v in inside], ODD_CYCLE_DIFFS, [weights[v] for v in inside])
+        assert chosen == sorted(chosen) and set(chosen) <= set(inside)
+        assert _is_conflict_free(graph, chosen)
+        assert sum(weights[v] for v in chosen) == best
+
+
 @st.composite
 def flow_networks(draw):
     """A digraph of at most 12 nodes, capacities 0-20, no parallel arcs."""
@@ -554,9 +577,9 @@ class TestGreedyMatching:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_matching_greedy_equals_one_solve_per_point_on_triangles(self, seed, data):
-        _, pts = _random_rational_triangle(CounterRng(seed))
-        graph = _ConflictGraph(LatticeConfig.explicit(pts).points, AXIS_DIFFS)
-        order = data.draw(st.permutations(range(len(pts))))
+        _, config = _random_rational_triangle(CounterRng(seed))
+        graph = _ConflictGraph(config.points, AXIS_DIFFS)
+        order = data.draw(st.permutations(range(len(config))))
         assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
 
     @pytest.mark.parametrize("diffs,bipartite", [(AXIS_DIFFS, True),

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quotientfree import AXIS_DIFFS, LatticeConfig, max_difference_free, verify
+from quotientfree import AXIS_DIFFS, LatticeConfig, lattice, max_difference_free, verify
 from quotientfree.arith import count_coprime_part, phi
 from quotientfree.lattice import _conflict_graph, _greedy_optimum
 from quotientfree.rng import CounterRng
 from quotientfree.verify import (
+    BUDGET_TIERS,
     SUITES,
     _random_optimal_configuration,
     _random_rational_triangle,
@@ -55,14 +56,32 @@ class TestPinnedSuites:
         for seed in range(3):
             rng = CounterRng(seed)
             for _ in range(10):
-                _, pts = _random_rational_triangle(rng)
-                chosen, target = _random_optimal_configuration(rng, pts)
+                _, config = _random_rational_triangle(rng)
+                chosen, target = _random_optimal_configuration(rng, config)
                 drawn.append([[list(p) for p in chosen], target])
         digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
         assert digest == "a2750dfa31669716104c09e98c7b1380cb84739d4d52d0d5b544a8c6dce468f6"
 
     def test_suite_names_and_order(self):
         assert SUITES == ("theorem6", "lemma2", "corollary", "gap", "monochromatize", "geometry")
+
+
+class TestMonochromatizeSuite:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_solve_per_case(self, seed, monkeypatch):
+        # the suite's configurations are maximum by construction, so the
+        # sweep is not asked to solve the triangle again
+        calls = []
+        solve = lattice._solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lattice, "_solve", counted)
+        report = verify.suite_monochromatize(seed, "small")
+        assert report.ok
+        assert len(calls) == len(report.cases) == BUDGET_TIERS["small"]["mono_cases"]
 
 
 # the lemma2 suite draws nothing at random, so every seed gives one digest
@@ -112,8 +131,8 @@ class TestGreedyCompletion:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_any_order_completes_an_optimum(self, seed, data):
-        _, pts = _random_rational_triangle(CounterRng(seed))
-        graph = _conflict_graph(LatticeConfig.explicit(pts), AXIS_DIFFS, 40)
+        _, config = _random_rational_triangle(CounterRng(seed))
+        graph = _conflict_graph(config, AXIS_DIFFS, 40)
         points = graph.points
         order = data.draw(st.permutations(range(len(points))))
         chosen = [points[i] for i in _greedy_optimum(graph, order)]
@@ -124,8 +143,9 @@ class TestGreedyCompletion:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_optimal_configuration_is_optimal(self, seed):
         rng = CounterRng(seed)
-        _, pts = _random_rational_triangle(rng)
-        chosen, target = _random_optimal_configuration(rng, pts)
+        _, config = _random_rational_triangle(rng)
+        chosen, target = _random_optimal_configuration(rng, config)
+        pts = config.points
         assert set(chosen) <= set(pts)
         assert _conflict_free(chosen)
         assert len(chosen) == target == brute_force_max_difference_free(pts, AXIS_DIFFS)
