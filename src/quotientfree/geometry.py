@@ -494,18 +494,21 @@ def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeCon
     return LatticeConfig._trusted(tuple(points))
 
 
-def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
+def simplex_color_counts(spec: SimplexSpec, limit: Optional[int] = None) -> ColorCount:
     """Checkerboard tallies of the simplex lattice points, row by row.
 
     The rows are those of ``_rows``, the walk ``simplex_points`` lists: a
     row's last coordinates are 0..end, so its color split is closed-form,
     and the cost is one row-end decision per row, not one membership test
-    per point.
+    per point.  With ``limit``, it counts only the rows up to the one that
+    brings the total to ``limit`` or more.
     """
     white = total = 0
     for head, end in _rows(spec):
         total += end + 1
         white += (end + 2 - sum(head) % 2) // 2  # last coordinates of head's parity
+        if limit is not None and total >= limit:
+            break
     return ColorCount(white, total - white)
 
 

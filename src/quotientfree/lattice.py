@@ -5,8 +5,8 @@ subsets (cardinality and weighted), truncated brackets for the optimal
 weight of a difference-free set, and the diagonal sweep that recolors an
 optimal configuration inside an axis-legged triangle to a single color
 without losing points.  The points and the regions come from ``geometry``:
-a triangle is a two-dimensional ``SimplexSpec`` and its points are walked
-by ``simplex_points``.
+a triangle is a two-dimensional ``SimplexSpec``, and its majority color,
+the sweep input's required size, comes from ``simplex_color_counts``.
 
 Each region gets one conflict graph: its points, ascending neighbor lists
 and a side per point, found by one breadth-first search in index order
@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 
 from .arith import CoprimeBasis, _pair_prefix, _require_coprime, _require_work_bound
 from .errors import CapError, DomainError, SweepError
-from .geometry import ColorCount, LatticeConfig, Point, SimplexSpec, simplex_points
+from .geometry import ColorCount, LatticeConfig, Point, SimplexSpec, simplex_color_counts
 
 # Two non-adjacent lattice points of a triangle whose legs do NOT lie on the
 # coordinate axes; they are differently colored, so the majority color
@@ -626,6 +626,8 @@ def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> N
     _require_work_bound("cap", cap)
     if len(triangle.alphas) != 2:
         raise DomainError("the sweep works on plane triangles")
+    if len(pts) > cap:
+        raise CapError(f"input has {len(pts)} points, exceeding cap {cap}")
     for p in pts:
         if len(p) != 2:
             raise DomainError("the sweep works on plane configurations")
@@ -634,32 +636,16 @@ def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> N
     adjacent = _adjacent_point(pts)
     if adjacent is not None:
         raise DomainError(f"points ({adjacent[0]},{adjacent[1]}) and a neighbor are both present")
-    tri_pts = simplex_points(triangle, limit=cap + 1)
-    if len(tri_pts) <= cap:
-        opt = _max_difference_free_size(tri_pts, AXIS_DIFFS, cap)
-        if len(pts) != opt:
-            raise DomainError(
-                f"input has {len(pts)} points but the maximum is {opt}; "
-                "the sweep requires a maximum configuration"
-            )
-    # beyond the cap the maximality of the input is trusted
-
-
-def _move(triangle: SimplexSpec, diagonals, group, targets, d: int, kind: str) -> None:
-    """Replace group by targets, each target inside and not held outside group.
-
-    ``diagonals[s]`` holds the current points with coordinate sum s.
-    """
-    group = set(group)
-    for nx, ny in targets:
-        if not triangle.contains((nx, ny)):
-            raise SweepError(d, f"{kind} target ({nx},{ny}) leaves the triangle")
-        if (nx, ny) in diagonals[nx + ny] and (nx, ny) not in group:
-            raise SweepError(d, f"{kind} target ({nx},{ny}) is occupied")
-    for x, y in group:
-        diagonals[x + y].discard((x, y))
-    for x, y in targets:
-        diagonals[x + y].add((x, y))
+    # the maximum is the majority color (the paper's theorem); it is at
+    # least half the points, so past 2 * cap points it exceeds the cap
+    counts = simplex_color_counts(triangle, limit=2 * cap + 1)
+    opt = counts.majority()
+    if len(pts) != opt:
+        at_least = "at least " if counts.total > 2 * cap else ""
+        raise DomainError(
+            f"input has {len(pts)} points but the maximum is {at_least}{opt}; "
+            "the sweep requires a maximum configuration"
+        )
 
 
 def monochromatize(
@@ -674,12 +660,17 @@ def monochromatize(
     which ``LatticeConfig.explicit`` checks (distinct, nonnegative, one
     dimension), so a repeated point is an error, not dropped.
 
+    The input must be a maximum non-adjacent set: as many points as the
+    majority checkerboard color, by the paper's theorem (``verify --suite
+    theorem6`` checks it by an exact solve), and at most ``cap`` points,
+    else ``CapError``.
+
     Sweeps diagonals x+y = d upward, keeping everything at or below the
-    current diagonal one color.  Three moves, by case: a diagonal cut by the
+    current diagonal one color.  Two moves, by case: a diagonal cut by the
     hypotenuse shifts its points toward the cut; a vacant spot on a full-
-    width diagonal splits the shifts around it; a fully occupied diagonal
-    forces the row below empty and everything under it shifts up.  Each move
-    lands on vacant cells of the opposite parity, so no adjacencies appear.
+    width diagonal splits the shifts around it (a maximum set fills no such
+    diagonal).  Each move lands on vacant cells of the opposite parity, so
+    no adjacencies appear.
     """
     if not isinstance(config, LatticeConfig):
         config = LatticeConfig.explicit(config)
@@ -710,8 +701,7 @@ def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
             continue
         if len(below_colors) != 1:
             raise SweepError(d, "points below the diagonal are not one color")
-        color_below = below_colors.pop()
-        if color_below == d % 2:
+        if below_colors.pop() == d % 2:
             continue
 
         left_out = not triangle.contains((0, d))
@@ -719,23 +709,29 @@ def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
         if left_out and right_out:
             raise SweepError(d, "diagonal lies outside the triangle yet carries points")
 
-        if left_out or right_out:
-            # hypotenuse cuts the diagonal: shift its points toward the cut
-            dx, dy = (-1, 0) if left_out else (0, -1)
-            _move(triangle, diagonals, diag, [(x + dx, y + dy) for x, y in diag], d, "shift")
+        # shift toward a vacant cell px, the points left of it down and the
+        # rest left; a diagonal cut by the hypotenuse shifts toward the cut
+        if left_out:
+            px = -1
+        elif right_out:
+            px = d + 1
         else:
             vacant = [x for x in range(d + 1) if (x, d - x) not in diagonals[d]]
-            if vacant:
-                # split shifts around the vacant spot: left part down, right part left
-                px = vacant[0]
-                targets = [(x, y - 1) if x < px else (x - 1, y) for x, y in diag]
-                _move(triangle, diagonals, diag, targets, d, "shift")
-            else:
-                # full diagonal: its neighbors are free, so row d-1 must be empty
-                if diagonals[d - 1]:
-                    raise SweepError(d, "row below a full diagonal is occupied")
-                below = [p for s in range(d) for p in diagonals[s]]
-                _move(triangle, diagonals, below, [(x, y + 1) for x, y in below], d, "upward")
+            # No maximum set fills a diagonal d with both ends inside: then
+            # {x+y <= d} is inside, d-1 and d+1 are empty, and the points
+            # below lie on d-3, d-5, ...; all of d-2, d-4, ..., one more cell
+            # each, would replace them by more points, still non-adjacent.
+            if not vacant:
+                raise SweepError(d, "a full diagonal: the input is not maximum")
+            px = vacant[0]
+        targets = [(x, y - 1) if x < px else (x - 1, y) for x, y in diag]
+        for nx, ny in targets:
+            if not triangle.contains((nx, ny)):
+                raise SweepError(d, f"shift target ({nx},{ny}) leaves the triangle")
+            if (nx, ny) in diagonals[d - 1]:
+                raise SweepError(d, f"shift target ({nx},{ny}) is occupied")
+        diagonals[d] = set()
+        diagonals[d - 1].update(targets)
         if sum(map(len, diagonals)) != size:
             raise SweepError(d, "moves collided and lost a point")
 

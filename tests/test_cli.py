@@ -105,6 +105,22 @@ class TestBasicCommands:
         assert payload["result"]["color"] == "white"
         assert len(payload["result"]["points"]) == 4
 
+    def test_monochromatize_majority_class_past_the_default_cap(self, capsys):
+        # every maximum input is checked by the majority count, whatever its
+        # size: the white class of 2^x 3^y <= 10^30 has 1,607 of 3,214 points
+        n = 10**30
+        points = [[x, y] for x in range(100) for y in range(63)
+                  if 2**x * 3**y <= n and (x + y) % 2 == 0]
+        assert len(points) == 1607
+        argv = ("monochromatize", "--p", "2", "--q", "3", "--n", str(n), "--cap", "5000",
+                "--points", json.dumps(points), "--json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["result"] == {"color": "white", "points": sorted(points)}
+        code, _, err = run(capsys, *argv[:-2], json.dumps(points[1:]), "--json")
+        assert code == 2
+        assert "input has 1606 points but the maximum is 1607;" in err
+
     def test_simplex(self, capsys):
         code, out, _ = run(capsys, "simplex", "--alphas", "1,2", "--c", "4", "--json")
         assert code == 0
@@ -706,6 +722,13 @@ MALFORMED = [
     (("gamma", "--a", "3", "--depth", "100000000000", "--cap", "10000000000"), 3),
     # an exact tie that square extraction misses: 200280098 = 2 * 10007**2
     (("simplex", "--alphas", "1,sqrt2", "--c", "sqrt200280098", "--counts-only"), 3),
+    # the cap bounds the input's point count
+    (("monochromatize", "--p", "2", "--q", "3", "--n", "12",
+      "--points", "[[0,0],[0,2],[2,1],[3,0]]", "--cap", "1"), 3),
+    # a non-maximum input on a triangle past the cap: rejected, not trusted
+    (("monochromatize", "--p", "2", "--q", "3", "--n", str(10**30), "--points", "[[0,0]]"), 2),
+    # 10**12 + 1 points on one row: the majority walk stops past twice the cap
+    (("monochromatize", "--ta", "1", "--tb", "1", "--tc", str(10**12), "--points", "[]"), 2),
 ]
 
 

@@ -19,6 +19,7 @@ from quotientfree import (
     LatticeConfig,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
     SimplexSpec,
+    SweepError,
     checkerboard_split,
     derive_basis,
     f_via_checkerboard,
@@ -40,6 +41,7 @@ from quotientfree.lattice import (
     _min_cut_optimum,
     _simplex_lattice,
     _solve,
+    _sweep,
     max_feasible_depth,
     total_weight_mass,
 )
@@ -779,6 +781,23 @@ class TestWhiteWeightValue:
             assert bracket.lower <= target <= bracket.upper
 
 
+def _independent_sets(points, size):
+    """Every set of size points among the given ones with no two adjacent."""
+    out = []
+
+    def extend(start, chosen):
+        if len(chosen) == size:
+            out.append(list(chosen))
+            return
+        for i in range(start, len(points) - (size - len(chosen)) + 1):
+            x, y = points[i]
+            if not any(abs(x - u) + abs(y - v) == 1 for u, v in chosen):
+                extend(i + 1, chosen + [points[i]])
+
+    extend(0, [])
+    return out
+
+
 class TestMonochromatize:
     def test_already_monochromatic_unchanged(self):
         triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(3))
@@ -809,8 +828,8 @@ class TestMonochromatize:
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_rejects_a_cap_below_one(self, cap):
-        # a cap below 1 would skip the maximality check and recolor this
-        # non-maximal input
+        # a cap bounds the input's point count, so one below 1 is bad input
+        # whatever the configuration
         triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
         with pytest.raises(DomainError, match=f"cap must be at least 1, got {cap}"):
             monochromatize(triangle, [(0, 0), (0, 2)], cap=cap)
@@ -842,17 +861,75 @@ class TestMonochromatize:
         assert len(result.points) == 4
         assert {sum(p) % 2 for p in result.points} == {0}
 
-    def test_full_diagonal_pushes_interior_up(self):
-        # a fully occupied diagonal forces the row under it empty, and the
-        # sweep lifts everything below by one; reachable only through the
-        # trusted path (the configuration is valid but not maximum)
-        triangle = SimplexSpec.of([1, 1], Fraction(121, 2))
-        full_diagonal = [(3, 0), (2, 1), (1, 2), (0, 3)]
-        config = [(0, 0)] + full_diagonal
-        result = monochromatize(triangle, config, cap=30)
-        assert len(result.points) == 5
-        assert {sum(p) % 2 for p in result.points} == {1}
-        assert (0, 1) in result.points  # the origin moved up
+    # a full diagonal over the origin: valid, but not maximum, since
+    # diagonal 1 holds two points where the origin is one
+    FULL_DIAGONAL_TRIANGLE = SimplexSpec.of([1, 1], Fraction(121, 2))
+    FULL_DIAGONAL_CONFIG = [(0, 0), (3, 0), (2, 1), (1, 2), (0, 3)]
+
+    def test_rejects_a_full_diagonal_input_under_the_default_cap(self):
+        # the majority check covers every triangle size: this 1,891-point
+        # triangle is past the default cap
+        with pytest.raises(DomainError, match="the sweep requires a maximum configuration"):
+            monochromatize(self.FULL_DIAGONAL_TRIANGLE, self.FULL_DIAGONAL_CONFIG)
+
+    def test_sweep_stops_at_a_full_diagonal(self):
+        with pytest.raises(SweepError, match="not maximum") as excinfo:
+            _sweep(self.FULL_DIAGONAL_TRIANGLE, set(self.FULL_DIAGONAL_CONFIG))
+        assert excinfo.value.diagonal == 3
+
+    def test_more_points_than_the_cap_is_a_cap_error(self):
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
+        pts = [(0, 0), (0, 2), (2, 1), (3, 0)]
+        assert monochromatize(triangle, pts, cap=len(pts)).points == (
+            (0, 0), (0, 2), (1, 1), (2, 0))
+        with pytest.raises(CapError, match="input has 4 points, exceeding cap 3"):
+            monochromatize(triangle, pts, cap=len(pts) - 1)
+
+    def test_validation_lists_no_points_and_solves_nothing(self, monkeypatch):
+        import quotientfree.geometry as geometry
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("monochromatize must not list or solve the triangle")
+
+        monkeypatch.setattr(geometry, "simplex_points", forbidden)
+        monkeypatch.setattr(lattice, "_ConflictGraph", forbidden)
+        monkeypatch.setattr(lattice, "_solve", forbidden)
+        triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))
+        assert len(monochromatize(triangle, [(0, 0), (0, 2), (2, 1), (3, 0)]).points) == 4
+        with pytest.raises(DomainError, match="input has 2 points but the maximum is 4;"):
+            monochromatize(triangle, [(0, 0), (2, 1)])
+
+    def test_majority_walk_stops_past_twice_the_cap(self):
+        # 10**12 + 1 points on the first row: the maximum is reported as a
+        # lower bound, not counted
+        triangle = SimplexSpec.of([1, 1], 10**12)
+        with pytest.raises(DomainError, match="the maximum is at least 500000000001;"):
+            monochromatize(triangle, [])
+
+    def test_every_maximum_configuration_of_small_triangles_sweeps(self):
+        # census: every axis-legged triangle a x + b y <= c/2 with a, b <= 8
+        # and at most 16 points, and every maximum non-adjacent set of it (by
+        # the exact solve, not the majority), sweeps to one color without
+        # reaching a full diagonal
+        seen = set()
+        configurations = 0
+        for a in range(1, 9):
+            for b in range(1, 9):
+                for c in range(0, 2 * 8 * 16):
+                    triangle = SimplexSpec.of([a, b], Fraction(c, 2))
+                    pts = simplex_points(triangle, limit=17).points
+                    if len(pts) > 16:
+                        break
+                    if pts in seen:
+                        continue
+                    seen.add(pts)
+                    size = _max_difference_free_size(LatticeConfig.explicit(pts), AXIS_DIFFS)
+                    for chosen in _independent_sets(pts, size):
+                        result = _sweep(triangle, set(chosen))
+                        assert len(result.points) == size
+                        assert len({sum(p) % 2 for p in result.points}) == 1
+                        configurations += 1
+        assert (len(seen), configurations) == (139, 385)
 
     def test_preserves_size_validity_and_color_on_seeded_cases(self):
         rng = CounterRng(23)
