@@ -47,7 +47,7 @@ _SQRT_TRIAL_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """A finite set of nonnegative exponent vectors.
+    """A finite set of nonnegative integer exponent vectors.
 
     Points are stored sorted lexicographically; this is the fixed point
     order referenced by witness tie-breaking.
@@ -57,6 +57,9 @@ class LatticeConfig:
 
     def __post_init__(self):
         pts = self.points
+        # exactly int: a float, string or bool coordinate is not converted
+        if not set(map(type, chain.from_iterable(pts))) <= {int}:
+            raise DomainError("coordinates must be integers")
         if min(chain.from_iterable(pts), default=0) < 0:
             raise DomainError("all coordinates must be nonnegative")
         distinct = set(pts)

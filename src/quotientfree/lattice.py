@@ -15,9 +15,9 @@ optimum is a minimum cut whenever the graph is bipartite, which it always
 is when the difference vectors are linearly independent: every
 pairwise-coprime integer set, {3/2}, {4/3, 9/8}, {2, 3/2} and the
 axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
-set then weighs the total minus the maximum flow, with the weights scaled
-to integer capacities, so the cut is exact; its arcs come straight from the
-neighbor lists.  The flow starts from a greedy, first-fit matching.  When
+set then weighs the total minus the maximum flow, with the weights as the
+capacities, so the cut is exact; its arcs come straight from the neighbor
+lists.  The flow starts from a greedy, first-fit matching.  When
 a parity class is optimal, as in every axis-legged triangle, some matching
 saturates the smaller color (Konig), and first-fit most often finds one,
 so Dinic's phases only confirm or repair it.  Only graphs with an odd
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import add
 from typing import Optional, Sequence
 
@@ -175,32 +175,19 @@ def _two_sides(nbrs) -> Optional[list[int]]:
     return side
 
 
-def _members(n: int, verts):
-    """``verts`` and a membership list, or every point and None when verts is None."""
-    if verts is None:
-        return range(n), None
-    live = [False] * n
-    for v in verts:
-        live[v] = True
-    return verts, live
+def _free_parity_class(graph: _ConflictGraph, weights):
+    """The heavier nonempty conflict-free color class, white on ties.
 
-
-def _free_parity_class(graph: _ConflictGraph, weights, verts, live):
-    """The heavier nonempty conflict-free color class of verts, white on ties.
-
-    ``live`` marks the members of verts, or is None when verts is every
-    point.  Returns (weight, indices), or (0, []) when neither class
-    qualifies.
+    Returns (weight, indices), or (0, []) when neither class qualifies.
     """
     nbrs, color = graph.nbrs, graph.color
     classes: tuple[list[int], list[int]] = ([], [])
     free = [True, True]
-    for v in verts:
-        c = color[v]
+    for v, c in enumerate(color):
         classes[c].append(v)
         if free[c]:
             for w in nbrs[v]:
-                if color[w] == c and (live is None or live[w]):
+                if color[w] == c:
                     free[c] = False
                     break
     best, best_class = 0, []
@@ -213,7 +200,7 @@ def _free_parity_class(graph: _ConflictGraph, weights, verts, live):
 
 
 def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
-    """Dinic's maximum flow on integer capacities, without recursion.
+    """Dinic's maximum flow on exact capacities, without recursion.
 
     ``arcs`` lists (tail, head, capacity).  Returns the flow value and,
     per node, whether the source still reaches it in the residual graph:
@@ -323,39 +310,33 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
                 nxt[u] += 1
 
 
-def _min_cut_optimum(graph: _ConflictGraph, weights, verts=None):
-    """Maximum-weight conflict-free subset of verts in a bipartite graph, by a minimum cut.
+def _min_cut_optimum(graph: _ConflictGraph, weights):
+    """Maximum-weight conflict-free subset of a bipartite graph, by a minimum cut.
 
-    ``verts`` lists point indices ascending, every point when None.  The
-    source feeds each side-0 vertex and each side-1 vertex drains to the
-    sink, at its weight scaled by the lcm of the weight denominators;
-    conflict arcs, taken from the neighbor lists, cannot be cut.  A minimum
-    cut is a minimum-weight vertex cover, so the optimum scales to
-    total - flow, attained by the side-0 vertices the source still reaches
-    plus the side-1 vertices it does not.  Returns (weight, indices).
+    The source feeds each side-0 vertex and each side-1 vertex drains to the
+    sink, at its weight; conflict arcs, taken from the neighbor lists,
+    cannot be cut.  A minimum cut is a minimum-weight vertex cover, so the
+    optimum is total - flow, attained by the side-0 vertices the source
+    still reaches plus the side-1 vertices it does not.  Returns (weight,
+    indices).
     """
     nbrs, side = graph.nbrs, graph.side
     n = len(nbrs)
-    verts, live = _members(n, verts)
-    if not verts:
-        return 0, []
-    scale = lcm(*(weights[v].denominator for v in verts))
-    caps = [w.numerator * (scale // w.denominator) for w in weights]
-    total = sum(caps[v] for v in verts)
+    total = sum(weights)
     uncuttable = total + 1
     source, sink = n, n + 1
     arcs = []
-    for v in verts:
+    for v in range(n):
         if side[v]:
-            arcs.append((v, sink, caps[v]))
+            arcs.append((v, sink, weights[v]))
         else:
-            arcs.append((source, v, caps[v]))
-            arcs.extend((v, w, uncuttable) for w in nbrs[v] if live is None or live[w])
+            arcs.append((source, v, weights[v]))
+            arcs.extend((v, w, uncuttable) for w in nbrs[v])
     flow, reached = _max_flow(n + 2, arcs, source, sink)
-    parity_weight, parity_class = _free_parity_class(graph, weights, verts, live)
-    if parity_class and parity_weight * scale == total - flow:
+    parity_weight, parity_class = _free_parity_class(graph, weights)
+    if parity_class and parity_weight == total - flow:
         return parity_weight, parity_class
-    chosen = [v for v in verts if reached[v] != side[v]]
+    chosen = [v for v in range(n) if reached[v] != side[v]]
     return sum(weights[v] for v in chosen), chosen
 
 
@@ -366,8 +347,8 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _branch_and_bound(graph: _ConflictGraph, weights, verts=None):
-    """Maximum-weight conflict-free subset of verts by branch and bound.
+def _branch_and_bound(graph: _ConflictGraph, weights):
+    """Maximum-weight conflict-free subset by branch and bound.
 
     Vertices in descending weight order, include-branch first, on an
     explicit stack; incumbent seeded with the best conflict-free color
@@ -381,14 +362,11 @@ def _branch_and_bound(graph: _ConflictGraph, weights, verts=None):
     indices).
     """
     points, nbrs = graph.points, graph.nbrs
-    verts, live = _members(len(points), verts)
-    if not verts:
-        return 0, []
-    order = sorted(verts, key=lambda i: (-weights[i], points[i]))
+    order = sorted(range(len(points)), key=lambda i: (-weights[i], points[i]))
     rank = {v: r for r, v in enumerate(order)}
-    adj = [sum(1 << rank[w] for w in nbrs[v] if w in rank) for v in order]
+    adj = [sum(1 << rank[w] for w in nbrs[v]) for v in order]
     weight = [weights[v] for v in order]
-    best, best_class = _free_parity_class(graph, weights, verts, live)
+    best, best_class = _free_parity_class(graph, weights)
     best_mask = sum(1 << rank[v] for v in best_class)
     if best_mask == 0:
         for r in range(len(order)):
@@ -425,8 +403,8 @@ def _branch_and_bound(graph: _ConflictGraph, weights, verts=None):
     return best, sorted(order[r] for r in _iter_bits(best_mask))
 
 
-def _solve(graph: _ConflictGraph, weights, verts=None):
-    """Exact maximum-weight conflict-free subset of verts, every point when None.
+def _solve(graph: _ConflictGraph, weights):
+    """Exact maximum-weight conflict-free subset of the graph's points.
 
     Returns (weight, indices ascending).  A bipartite graph is solved by a
     minimum cut, one with an odd cycle by branch and bound.  Both return a
@@ -434,8 +412,8 @@ def _solve(graph: _ConflictGraph, weights, verts=None):
     black is strictly heavier).
     """
     if graph.side is None:
-        return _branch_and_bound(graph, weights, verts)
-    return _min_cut_optimum(graph, weights, verts)
+        return _branch_and_bound(graph, weights)
+    return _min_cut_optimum(graph, weights)
 
 
 def _greedy_optimum(graph: _ConflictGraph, order) -> list[int]:
@@ -657,8 +635,8 @@ def monochromatize(
 
     ``triangle`` is a two-dimensional ``SimplexSpec``; any other raises
     ``DomainError``.  ``config`` is a ``LatticeConfig`` or a list of points,
-    which ``LatticeConfig.explicit`` checks (distinct, nonnegative, one
-    dimension), so a repeated point is an error, not dropped.
+    which ``LatticeConfig.explicit`` checks (integer, distinct, nonnegative,
+    one dimension), so a repeated point is an error, not dropped.
 
     The input must be a maximum non-adjacent set: as many points as the
     majority checkerboard color, by the paper's theorem (``verify --suite

@@ -303,19 +303,19 @@ def two_coloring(adj, sub_mask):
     return side
 
 
-def greedy_by_solves(graph, order):
+def greedy_by_solves(graph, diffs, order):
     """The greedy optimum completion with one exact solve per point.
 
     Visit the points in ``order`` and keep each iff the kept points plus it
     plus a maximum set of the live points off its neighbors still reach the
-    maximum size.  The oracle for the one-solve route; returns the kept
-    indices in visiting order.
+    maximum size.  Each residue is solved as the conflict graph of its own
+    points under ``diffs``, the induced subgraph.  The oracle for the
+    one-solve route; returns the kept indices in visiting order.
     """
-    from quotientfree.lattice import _solve
+    from quotientfree.lattice import _ConflictGraph, _solve
 
     n = len(graph.points)
-    ones = [1] * n
-    target = _solve(graph, ones)[0]
+    target = _solve(graph, [1] * n)[0]
     live = [True] * n
     kept = []
     for i in order:
@@ -323,7 +323,8 @@ def greedy_by_solves(graph, order):
             continue
         live[i] = False
         residue = [v for v in range(n) if live[v] and v not in graph.nbrs[i]]
-        if len(kept) + 1 + _solve(graph, ones, residue)[0] == target:
+        sub = _ConflictGraph([graph.points[v] for v in residue], diffs)
+        if len(kept) + 1 + _solve(sub, [1] * len(residue))[0] == target:
             kept.append(i)
             for w in graph.nbrs[i]:
                 live[w] = False

@@ -5,7 +5,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -114,6 +114,16 @@ class TestMaxDifferenceFree:
     def test_empty_configuration_has_the_empty_optimum(self):
         result = max_difference_free(LatticeConfig.explicit([]), [(1, 0)])
         assert (result.size, result.witness) == (0, ())
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(0.5,), (1.5,)], [("a", 1)], [(True, 0)], [(0, 0), (1.0, 2)]],
+        ids=["float", "str", "bool", "float-after-int"],
+    )
+    def test_rejects_non_integer_coordinates(self, points):
+        # the CLI's --points rule: exactly int, no float, string or bool
+        with pytest.raises(DomainError, match="coordinates must be integers"):
+            LatticeConfig.explicit(points)
 
     def test_skew_counterexample_beats_majority(self):
         config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
@@ -265,6 +275,11 @@ class TestMinCutOptimum:
         assert best == brute_force_max_difference_free(points, diffs, weights)
         assert _is_conflict_free(graph, chosen)
         assert sum((weights[i] for i in chosen), Fraction(0)) == best
+        # rational and integer capacities give the same cut: the weights
+        # over their common denominator give the optimum scaled, same set
+        scale = lcm(*(w.denominator for w in weights))
+        scaled = [w.numerator * (scale // w.denominator) for w in weights]
+        assert _solve(graph, scaled) == (best * scale, chosen)
 
     def test_witness_is_the_majority_class_on_axis_triangles(self):
         # axis-legged triangles: the majority class is optimal (Theorem 6),
@@ -434,12 +449,9 @@ class TestBranchAndBound:
         assume(graph.side is None)
         n = len(points)
         weights = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
-        verts = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1)).map(sorted)))
-        inside = range(n) if verts is None else verts
-        best, chosen = _branch_and_bound(graph, weights, verts)
-        assert best == brute_force_max_difference_free(
-            [points[v] for v in inside], ODD_CYCLE_DIFFS, [weights[v] for v in inside])
-        assert chosen == sorted(chosen) and set(chosen) <= set(inside)
+        best, chosen = _branch_and_bound(graph, weights)
+        assert best == brute_force_max_difference_free(points, ODD_CYCLE_DIFFS, weights)
+        assert chosen == sorted(chosen)
         assert _is_conflict_free(graph, chosen)
         assert sum(weights[v] for v in chosen) == best
 
@@ -572,9 +584,9 @@ class TestGreedyMatching:
         graph = _ConflictGraph(points, diffs)
         assert graph.side is not None
         order = data.draw(st.permutations(range(len(points))))
-        assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
+        assert _greedy_optimum(graph, order) == greedy_by_solves(graph, diffs, order)
         assert _greedy_optimum(graph, range(len(points))) == greedy_by_solves(
-            graph, range(len(points)))
+            graph, diffs, range(len(points)))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -582,7 +594,7 @@ class TestGreedyMatching:
         _, config = _random_rational_triangle(CounterRng(seed))
         graph = _ConflictGraph(config.points, AXIS_DIFFS)
         order = data.draw(st.permutations(range(len(config))))
-        assert _greedy_optimum(graph, order) == greedy_by_solves(graph, order)
+        assert _greedy_optimum(graph, order) == greedy_by_solves(graph, AXIS_DIFFS, order)
 
     @pytest.mark.parametrize("diffs,bipartite", [(AXIS_DIFFS, True),
                                                  (((1, 0), (0, 1), (1, 1)), False)],
@@ -595,7 +607,7 @@ class TestGreedyMatching:
         graph = _ConflictGraph(points, diffs)
         assume((graph.side is not None) == bipartite)
         order = data.draw(st.permutations(range(len(points))))
-        expected = greedy_by_solves(graph, order)
+        expected = greedy_by_solves(graph, diffs, order)
         calls = []
 
         def counted(*args):
