@@ -48,16 +48,13 @@ from .geometry import (
 )
 from .lattice import (
     AXIS_DIFFS,
-    CheckerboardSplit,
     GammaBracket,
     IndependentSetResult,
     SKEW_TRIANGLE_COUNTEREXAMPLE,
-    checkerboard_split,
     f_via_checkerboard,
     gamma_bracket,
     max_difference_free,
     monochromatize,
-    point_color,
     white_weight_value,
 )
 from .rng import CounterRng, splitmix64

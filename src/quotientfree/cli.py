@@ -33,6 +33,7 @@ from .density import (
 from .errors import BudgetError, DomainError, PrecisionError, SelfCheckError
 from .geometry import (
     DEFAULT_SCAN_BUDGET,
+    ColorCount,
     ExactReal,
     SimplexSpec,
     find_black_majority_c,
@@ -42,11 +43,9 @@ from .geometry import (
 )
 from .lattice import (
     DEFAULT_SEARCH_CAP,
-    checkerboard_split,
     f_via_checkerboard,
     gamma_bracket,
     monochromatize,
-    point_color,
 )
 
 EXIT_OK = 0
@@ -434,7 +433,7 @@ def _monochromatize(args) -> _Output:
         params = {"a": args.ta, "b": args.tb, "c": args.tc}
     points = _parse_points(args.points)
     recolored = [list(p) for p in monochromatize(triangle, points, cap=args.cap).points]
-    color = point_color(recolored[0]) if recolored else "white"
+    color = "black" if ColorCount.of(recolored).black else "white"
     return _Output(
         {**params, "points": points},
         {"points": recolored, "color": color},
@@ -455,7 +454,7 @@ def _simplex(args) -> _Output:
         counts, listing = simplex_color_counts(spec), {}
     else:
         config = simplex_points(spec)
-        counts = checkerboard_split(config).counts
+        counts = ColorCount.of(config.points)
         listing = {"points": [list(p) for p in config.points]}
     return _Output(
         {"alphas": alphas, "c": args.c},

@@ -94,6 +94,13 @@ class ColorCount:
     white: int
     black: int
 
+    @classmethod
+    def of(cls, points: Iterable[Sequence[int]]) -> "ColorCount":
+        """Tally the points by the parity of their coordinate sum."""
+        parities = [sum(p) % 2 for p in points]
+        black = sum(parities)
+        return cls(len(parities) - black, black)
+
     @property
     def total(self) -> int:
         return self.white + self.black

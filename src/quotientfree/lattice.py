@@ -1,12 +1,13 @@
 """Difference-free lattice combinatorics.
 
-Checkerboard classification of lattice points, exact maximum difference-free
-subsets (cardinality and weighted), truncated brackets for the optimal
-weight of a difference-free set, and the diagonal sweep that recolors an
-optimal configuration inside an axis-legged triangle to a single color
-without losing points.  The points and the regions come from ``geometry``:
-a triangle is a two-dimensional ``SimplexSpec``, and its majority color,
-the sweep input's required size, comes from ``simplex_color_counts``.
+Exact maximum difference-free subsets (cardinality and weighted),
+truncated brackets for the optimal weight of a difference-free set, and the
+diagonal sweep that recolors an optimal configuration inside an
+axis-legged triangle to a single color without losing points.  The points
+and the regions come from ``geometry``: a triangle is a two-dimensional
+``SimplexSpec``, its majority color, the sweep input's required size,
+comes from ``simplex_color_counts``, and the bracket's truncation region
+is the simplex of unit coefficients listed by ``simplex_points``.
 
 Each region gets one conflict graph: its points, ascending neighbor lists
 and a side per point, found by one breadth-first search in index order
@@ -15,14 +16,17 @@ optimum is a minimum cut whenever the graph is bipartite, which it always
 is when the difference vectors are linearly independent: every
 pairwise-coprime integer set, {3/2}, {4/3, 9/8}, {2, 3/2} and the
 axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
-set then weighs the total minus the maximum flow, with the weights as the
-capacities, so the cut is exact; its arcs come straight from the neighbor
-lists.  The flow starts from a greedy, first-fit matching.  When
-a parity class is optimal, as in every axis-legged triangle, some matching
-saturates the smaller color (Konig), and first-fit most often finds one,
-so Dinic's phases only confirm or repair it.  Only graphs with an odd
-cycle, from dependent vectors such as {2, 3, 6}, fall back to branch and
-bound, the one place that builds bitmasks.
+set then weighs the total minus the maximum flow of the conflict network:
+the source feeds each side-0 point and each side-1 point drains to the
+sink, at its weight, and each side-0 point has an uncuttable arc to each
+neighbor.  The flow's arrays are laid out straight from the neighbor lists
+and the sides, one terminal arc per point.  Dinic starts from a first-fit
+flow: side-0 points by index, each pushing to its neighbors in ascending
+order.  When a parity class is optimal, as in every axis-legged triangle,
+some matching saturates the smaller color (Konig), and first-fit most
+often finds one, so Dinic's phases only confirm or repair it.  Only
+graphs with an odd cycle, from dependent vectors such as {2, 3, 6}, fall
+back to branch and bound, the one place that builds bitmasks.
 
 The lexicographically least maximum set, and ``verify``'s random ones, are
 greedy completions in a visiting order, and each is one solve: every point
@@ -47,7 +51,7 @@ from typing import Optional, Sequence
 
 from .arith import CoprimeBasis, _pair_prefix, _require_coprime, _require_work_bound
 from .errors import CapError, DomainError, SweepError
-from .geometry import ColorCount, LatticeConfig, Point, SimplexSpec, simplex_color_counts
+from .geometry import LatticeConfig, Point, SimplexSpec, simplex_color_counts, simplex_points
 
 # Two non-adjacent lattice points of a triangle whose legs do NOT lie on the
 # coordinate axes; they are differently colored, so the majority color
@@ -56,24 +60,6 @@ from .geometry import ColorCount, LatticeConfig, Point, SimplexSpec, simplex_col
 SKEW_TRIANGLE_COUNTEREXAMPLE: tuple[Point, ...] = ((1, 0), (0, 2))
 
 DEFAULT_SEARCH_CAP = 40
-
-
-@dataclass(frozen=True)
-class CheckerboardSplit:
-    counts: ColorCount
-    white: tuple[Point, ...]
-    black: tuple[Point, ...]
-
-
-def point_color(p: Sequence[int]) -> str:
-    return "white" if sum(p) % 2 == 0 else "black"
-
-
-def checkerboard_split(config: LatticeConfig) -> CheckerboardSplit:
-    """Partition the points by parity of their coordinate sum."""
-    white = tuple(p for p in config.points if sum(p) % 2 == 0)
-    black = tuple(p for p in config.points if sum(p) % 2 == 1)
-    return CheckerboardSplit(ColorCount(len(white), len(black)), white, black)
 
 
 @dataclass(frozen=True)
@@ -199,64 +185,69 @@ def _free_parity_class(graph: _ConflictGraph, weights):
     return best, best_class
 
 
-def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
-    """Dinic's maximum flow on exact capacities, without recursion.
+def _max_flow(graph: _ConflictGraph, weights) -> tuple[int, list[bool]]:
+    """Dinic's maximum flow on the conflict network of a bipartite graph.
 
-    ``arcs`` lists (tail, head, capacity).  Returns the flow value and,
-    per node, whether the source still reaches it in the residual graph:
-    the source side of the minimum cut, the same for every maximum flow.
+    The source feeds each side-0 vertex and each side-1 vertex drains to
+    the sink, at its weight; each side-0 vertex has an uncuttable arc to
+    each neighbor.  Exact on any capacities, without recursion.  Returns
+    the flow value and, per vertex, whether the source still reaches it in
+    the residual graph: the source side of the minimum cut, the same for
+    every maximum flow.
 
-    The phases start from a greedy flow: each path source -> u -> v ->
-    sink, u in the order of the source's arcs, v in the order of u's, and
-    one arc from v into the sink, carries what its arcs still hold.  On
-    unit-weight conflict networks that is a first-fit matching, most often
-    already maximum, so the phases that follow only confirm it or repair a
-    few greedy choices.  Any starting flow gives the same value and the
-    same source side.
+    The phases start from a first-fit flow: side-0 vertices by index, each
+    pushing to its neighbors in ascending order the smaller of the two
+    terminal remainders.  On unit weights that is a first-fit matching,
+    most often already maximum, so the phases that follow only confirm it
+    or repair a few greedy choices.
     """
-    # arc e and its residual twin e ^ 1
-    out: list[list[int]] = [[] for _ in range(n)]
+    nbrs, side = graph.nbrs, graph.side
+    n = len(nbrs)
+    source, sink = n, n + 1
+    uncuttable = sum(weights) + 1
+    # arc e and its residual twin e ^ 1; term[v] is v's one terminal arc,
+    # and a side-0 vertex's conflict arcs follow it, neighbors ascending.
+    # Nothing leaves the sink: the search stops there.
+    out: list[list[int]] = [[] for _ in range(n + 2)]
     head: list[int] = []
-    cap: list[int] = []
-    for u, v, c in arcs:
-        e = len(head)
-        out[u].append(e)
-        out[v].append(e + 1)
-        head.append(v)
-        head.append(u)
-        cap.append(c)
-        cap.append(0)
-    # one arc into the sink per tail, neither the source nor the sink: the
-    # twin of an odd arc out of the sink
-    into_sink: dict[int, int] = {}
-    for e in out[sink]:
-        if e & 1 and head[e] != source and head[e] != sink:
-            into_sink.setdefault(head[e], e ^ 1)
-    flow = 0
-    for e1 in out[source]:
-        u = head[e1]
-        if not cap[e1] or u == source or u == sink:
+    cap: list = []
+    term = [0] * n
+    for v in range(n):
+        e = term[v] = len(head)
+        cap += (weights[v], 0)
+        if side[v]:
+            out[v].append(e)
+            head += (sink, v)
             continue
-        for e2 in out[u]:
-            e3 = into_sink.get(head[e2])
-            if e3 is None or not cap[e3] or not cap[e2] or head[e2] == u:
-                continue
-            push = cap[e3]
-            if cap[e1] < push:
-                push = cap[e1]
-            if cap[e2] < push:
-                push = cap[e2]
-            cap[e1] -= push
-            cap[e1 ^ 1] += push
-            cap[e2] -= push
-            cap[e2 ^ 1] += push
-            cap[e3] -= push
-            cap[e3 ^ 1] += push
-            flow += push
+        out[source].append(e)
+        out[v].append(e + 1)
+        head += (v, source)
+        for w in nbrs[v]:
+            out[v].append(len(head))
+            out[w].append(len(head) + 1)
+            head += (w, v)
+            cap += (uncuttable, 0)
+    flow = 0
+    for u in range(n):
+        if side[u]:
+            continue
+        e1 = term[u]
+        for k, w in enumerate(nbrs[u]):
             if not cap[e1]:
                 break
+            e3 = term[w]
+            push = cap[e3] if cap[e3] < cap[e1] else cap[e1]
+            if push:
+                e2 = e1 + 2 + 2 * k
+                cap[e1] -= push
+                cap[e1 ^ 1] += push
+                cap[e2] -= push
+                cap[e2 ^ 1] += push
+                cap[e3] -= push
+                cap[e3 ^ 1] += push
+                flow += push
     while True:
-        level = [-1] * n
+        level = [-1] * (n + 2)
         level[source] = 0
         queue = [source]
         for u in queue:
@@ -270,11 +261,11 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
                         level[v] = next_level
                         queue.append(v)
         if level[sink] < 0:
-            return flow, [lv >= 0 for lv in level]
+            return flow, [lv >= 0 for lv in level[:n]]
         # blocking flow: advance along level-increasing arcs, retreat from
         # dead ends, and after each augmentation resume at the first arc
         # it saturated
-        nxt = [0] * n
+        nxt = [0] * (n + 2)
         path: list[int] = []
         u = source
         while True:
@@ -313,30 +304,17 @@ def _max_flow(n: int, arcs, source: int, sink: int) -> tuple[int, list[bool]]:
 def _min_cut_optimum(graph: _ConflictGraph, weights):
     """Maximum-weight conflict-free subset of a bipartite graph, by a minimum cut.
 
-    The source feeds each side-0 vertex and each side-1 vertex drains to the
-    sink, at its weight; conflict arcs, taken from the neighbor lists,
-    cannot be cut.  A minimum cut is a minimum-weight vertex cover, so the
-    optimum is total - flow, attained by the side-0 vertices the source
-    still reaches plus the side-1 vertices it does not.  Returns (weight,
-    indices).
+    A minimum cut of the conflict network (see ``_max_flow``) is a
+    minimum-weight vertex cover, so the optimum is total - flow, attained
+    by the side-0 vertices the source still reaches plus the side-1
+    vertices it does not.  Returns (weight, indices).
     """
-    nbrs, side = graph.nbrs, graph.side
-    n = len(nbrs)
+    flow, reached = _max_flow(graph, weights)
     total = sum(weights)
-    uncuttable = total + 1
-    source, sink = n, n + 1
-    arcs = []
-    for v in range(n):
-        if side[v]:
-            arcs.append((v, sink, weights[v]))
-        else:
-            arcs.append((source, v, weights[v]))
-            arcs.extend((v, w, uncuttable) for w in nbrs[v])
-    flow, reached = _max_flow(n + 2, arcs, source, sink)
     parity_weight, parity_class = _free_parity_class(graph, weights)
     if parity_class and parity_weight == total - flow:
         return parity_weight, parity_class
-    chosen = [v for v in range(n) if reached[v] != side[v]]
+    chosen = [v for v, s in enumerate(graph.side) if reached[v] != s]
     return sum(weights[v] for v in chosen), chosen
 
 
@@ -488,22 +466,6 @@ def f_via_checkerboard(p: int, q: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_lattice(s: int, depth: int) -> list[Point]:
-    """All u in Z_+^s with coordinate sum <= depth, in lexicographic order."""
-    pts: list[Point] = []
-
-    def rec(prefix: tuple[int, ...], budget: int):
-        if len(prefix) == s - 1:
-            for k in range(budget + 1):
-                pts.append(prefix + (k,))
-            return
-        for k in range(budget + 1):
-            rec(prefix + (k,), budget - k)
-
-    rec((), depth)
-    return pts
-
-
 def total_weight_mass(basis: Sequence[int]) -> Fraction:
     """Sum of the geometric weights over the entire nonnegative lattice."""
     result = Fraction(1)
@@ -556,7 +518,7 @@ def gamma_bracket(
             f"truncation region has {count} points, exceeding cap {cap}; "
             f"largest feasible depth is {max_feasible_depth(s, cap)}"
         )
-    points = _simplex_lattice(s, depth)
+    points = simplex_points(SimplexSpec.of((1,) * s, depth)).points
     # integer weights over scale = prod b**depth: u weighs prod b**(depth - u_i)
     powers = [[b**k for k in range(depth + 1)] for b in basis.basis]
     scale = prod(row[depth] for row in powers)
@@ -665,10 +627,9 @@ def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
     step reads its own diagonal and which diagonals below it are occupied.
     """
     size = len(current)
-    # one past the largest coordinate sum of a point inside
-    top = 0
-    while triangle.contains((top, 0)) or triangle.contains((0, top)):
-        top += 1
+    # one past the input's largest coordinate sum: moves only go from a
+    # diagonal to the one below it, so no higher diagonal is ever read
+    top = max((x + y for x, y in current), default=-1) + 1
     diagonals: list[set[Point]] = [set() for _ in range(top)]
     for x, y in current:
         diagonals[x + y].add((x, y))

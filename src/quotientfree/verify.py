@@ -15,6 +15,7 @@ from math import gcd
 from .arith import count_coprime_part, enumerate_smooth, phi
 from .density import max_subset_count, strict_gap_check
 from .geometry import (
+    ColorCount,
     SimplexSpec,
     find_black_majority_c,
     rational_slope_profile,
@@ -30,7 +31,6 @@ from .lattice import (
     _greedy_optimum,
     _max_difference_free_size,
     _sweep,
-    checkerboard_split,
 )
 from .rng import CounterRng
 
@@ -190,7 +190,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
     for i in range(count):
         (a, b, c), config = _random_rational_triangle(rng)
         exact = _max_difference_free_size(config, AXIS_DIFFS)
-        majority = checkerboard_split(config).counts.majority()
+        majority = ColorCount.of(config.points).majority()
         report.cases.append(
             CaseResult(
                 f"triangle[{i}]",
@@ -201,7 +201,7 @@ def suite_theorem6(seed: int, budget: str) -> SuiteReport:
         )
     config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
     exact = _max_difference_free_size(config, AXIS_DIFFS)
-    majority = checkerboard_split(config).counts.majority()
+    majority = ColorCount.of(config.points).majority()
     report.cases.append(
         CaseResult(
             "skew-counterexample",

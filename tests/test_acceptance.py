@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from quotientfree import (
+    ColorCount,
     LatticeConfig,
-    checkerboard_split,
     construct_dense_set,
     empirical_densities,
     enumerate_smooth,
@@ -73,7 +73,7 @@ def test_criterion_3_triangle_equivalence_suite():
     assert len(suite.cases) == 201  # 200 triangles plus the skew guard
     config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
     assert max_difference_free(config, AXIS_DIFFS).size == 2
-    assert checkerboard_split(config).counts.majority() == 1
+    assert ColorCount.of(config.points).majority() == 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
     report(3, ok, f"200 seeded triangles + skew guard (2 > 1) in {elapsed:.2f}s")

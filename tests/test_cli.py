@@ -443,6 +443,13 @@ GOLDEN = [
      0, '{"params": {"a": "1", "b": "1", "c": "2", "points": [[0, 0], [2, 0], [1, 1], [0, '
         '2]]}, "provenance": "diagonal-sweep", "result": {"color": "white", "points": [[0, '
         "0], [0, 2], [1, 1], [2, 0]]}}\n"),
+    # the color is black when any point is black, and white for no points
+    (("monochromatize", "--ta", "1", "--tb", "1", "--tc", "1", "--points", "[[0,1],[1,0]]"),
+     0, "points = [[0, 1], [1, 0]]\n"
+        "color = black\n"),
+    (("monochromatize", "--ta", "1", "--tb", "1", "--tc", "-1", "--points", "[]"),
+     0, "points = []\n"
+        "color = white\n"),
     (("simplex", "--alphas", "1,sqrt2", "--c", "3/2"),
      0, "points = 3\n"
         "white = 1\n"

@@ -5,7 +5,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
-from math import comb, lcm
+from math import comb, inf, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from quotientfree import (
     AXIS_DIFFS,
     CapError,
+    ColorCount,
     CoprimeBasis,
     DomainError,
     ExactReal,
@@ -20,7 +21,6 @@ from quotientfree import (
     SKEW_TRIANGLE_COUNTEREXAMPLE,
     SimplexSpec,
     SweepError,
-    checkerboard_split,
     derive_basis,
     f_via_checkerboard,
     gamma_bracket,
@@ -39,7 +39,6 @@ from quotientfree.lattice import (
     _max_difference_free_size,
     _max_flow,
     _min_cut_optimum,
-    _simplex_lattice,
     _solve,
     _sweep,
     max_feasible_depth,
@@ -79,18 +78,18 @@ def smooth_values(basis, config):
 class TestCheckerboardSplit:
     def test_first_eight_pair_entries(self):
         config = first_entries((2, 3), 8)
-        split = checkerboard_split(config)
-        assert (split.counts.white, split.counts.black) == (4, 4)
-        assert smooth_values((2, 3), split.white) == [1, 4, 6, 9]
-        assert smooth_values((2, 3), split.black) == [2, 3, 8, 12]
+        assert ColorCount.of(config.points) == ColorCount(4, 4)
+        by_value = {smooth_values((2, 3), [e])[0]: e for e in config.points}
+        assert ColorCount.of(by_value[v] for v in (1, 4, 6, 9)) == ColorCount(4, 0)
+        assert ColorCount.of(by_value[v] for v in (2, 3, 8, 12)) == ColorCount(0, 4)
 
     def test_origin_is_white(self):
-        split = checkerboard_split(LatticeConfig.explicit([(0, 0)]))
-        assert (split.counts.white, split.counts.black) == (1, 0)
+        assert ColorCount.of([(0, 0)]) == ColorCount(1, 0)
+        # and no points tally nothing: the CLI calls an empty sweep white
+        assert ColorCount.of([]) == ColorCount(0, 0)
 
     def test_first_three(self):
-        split = checkerboard_split(first_entries((2, 3), 3))
-        assert (split.counts.white, split.counts.black) == (1, 2)
+        assert ColorCount.of(first_entries((2, 3), 3).points) == ColorCount(1, 2)
 
 
 class TestMaxDifferenceFree:
@@ -128,9 +127,8 @@ class TestMaxDifferenceFree:
     def test_skew_counterexample_beats_majority(self):
         config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
         result = max_difference_free(config, AXIS_DIFFS)
-        split = checkerboard_split(config)
         assert result.size == 2
-        assert split.counts.majority() == 1
+        assert ColorCount.of(config.points).majority() == 1
 
     def test_witness_is_valid_and_optimal(self):
         config = first_entries((2, 3), 14)
@@ -243,7 +241,7 @@ def independent_instances(draw):
 def _gamma_problem(a, depth):
     """The points, weights and conflict graph that gamma_bracket searches."""
     basis = derive_basis(RationalSet.of(a.split(",")))
-    points = sorted(_simplex_lattice(basis.size, depth))
+    points = simplex_points(SimplexSpec.of((1,) * basis.size, depth)).points
     weights = [point_weight(basis.basis, p) for p in points]
     return points, weights, _ConflictGraph(points, basis.diffs)
 
@@ -294,11 +292,11 @@ class TestMinCutOptimum:
             )
             points = simplex_points(triangle).points
             graph = _ConflictGraph(points, AXIS_DIFFS)
-            split = checkerboard_split(LatticeConfig.explicit(points))
-            majority = split.white if split.counts.white >= split.counts.black else split.black
+            counts = ColorCount.of(points)
+            parity = 0 if counts.white >= counts.black else 1
             best, chosen = _solve(graph, [1] * len(points))
-            assert best == len(majority)
-            assert tuple(points[i] for i in chosen) == majority
+            assert best == counts.majority()
+            assert [i for i, p in enumerate(points) if sum(p) % 2 == parity] == chosen
 
     # one shape per bipartite search family at a reduced depth: four primes,
     # three primes, pairwise products, one rational, two rationals, and an
@@ -457,58 +455,6 @@ class TestBranchAndBound:
 
 
 @st.composite
-def flow_networks(draw):
-    """A digraph of at most 12 nodes, capacities 0-20, no parallel arcs."""
-    n = draw(st.integers(2, 12))
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    # each ordered pair is absent (None) or one arc
-    caps = draw(st.lists(st.one_of(st.none(), st.integers(0, 20)),
-                         min_size=len(pairs), max_size=len(pairs)))
-    return n, [(u, v, c) for (u, v), c in zip(pairs, caps) if c is not None]
-
-
-class TestMaxFlow:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(network=flow_networks())
-    # two networks that need the residual twins: the first for its value,
-    # the second for the nodes the source reaches (1, back through 2-4-1)
-    @example(network=(11, [(0, 5, 16), (0, 7, 1), (5, 6, 2), (5, 9, 1), (5, 10, 14),
-                           (6, 10, 2), (7, 6, 1), (9, 10, 1)]))
-    @example(network=(6, [(0, 1, 1), (0, 2, 1), (1, 4, 1), (2, 4, 1), (4, 5, 1)]))
-    # first-fit keeps 1-3 and leaves 2 unmatched, so a phase must reverse a
-    # greedy arc: 0-2-3, back along 3-1, then 1-4-5
-    @example(network=(6, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 3, 1),
-                          (3, 5, 1), (4, 5, 1)]))
-    # arcs the greedy start skips: source to sink, out of the sink, into the
-    # source, and into the sink from the source's own neighbor
-    @example(network=(5, [(0, 4, 3), (4, 1, 2), (1, 0, 4), (0, 1, 5), (1, 4, 2),
-                          (1, 2, 3), (2, 0, 1), (2, 4, 4), (4, 3, 1), (3, 2, 2)]))
-    def test_value_and_source_side_match_networkx(self, network):
-        nx = pytest.importorskip("networkx")
-        n, arcs = network
-        source, sink = 0, n - 1
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        graph.add_weighted_edges_from(arcs, weight="capacity")
-        value, reached = _max_flow(n, arcs, source, sink)
-        assert value == nx.maximum_flow_value(graph, source, sink)
-        # the nodes the source reaches in the residual graph of networkx's flow
-        _, flow = nx.maximum_flow(graph, source, sink)
-        residual = {u: set() for u in range(n)}
-        for u, v, c in arcs:
-            if flow[u][v] < c:
-                residual[u].add(v)
-            if flow[u][v] > 0:
-                residual[v].add(u)
-        seen, stack = {source}, [source]
-        while stack:
-            for v in residual[stack.pop()] - seen:
-                seen.add(v)
-                stack.append(v)
-        assert {u for u in range(n) if reached[u]} == seen
-
-
-@st.composite
 def conflict_instances(draw):
     """Points in a small box and any nonzero difference vectors, odd cycles included."""
     dim = draw(st.integers(1, 3))
@@ -527,6 +473,65 @@ def bipartite_instances(draw):
     keep = draw(st.lists(st.booleans(), min_size=49, max_size=49))
     points = [(x, y) for x in range(7) for y in range(7) if keep[7 * x + y]]
     return points, diffs
+
+
+@st.composite
+def conflict_networks(draw):
+    """A bipartite instance with weights: integers, Fractions or the witness weights.
+
+    The witness weights are ``_greedy_optimum``'s, 2**n + 2**(n - 1 - r)
+    for the point at place r of a drawn visiting order.
+    """
+    points, diffs = draw(bipartite_instances())
+    n = len(points)
+    kind = draw(st.sampled_from(["int", "fraction", "lexicographic"]))
+    if kind == "lexicographic":
+        order = draw(st.permutations(range(n)))
+        weights = [0] * n
+        for r, v in enumerate(order):
+            weights[v] = 2**n + 2 ** (n - 1 - r)
+    else:
+        weight = (st.integers(0, 20) if kind == "int"
+                  else st.builds(Fraction, st.integers(0, 40), st.integers(1, 40)))
+        weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return points, diffs, weights
+
+
+class TestMaxFlow:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(network=conflict_networks())
+    # first-fit sends (0,0) to (0,1) and strands (0,2), so a phase must
+    # reverse a greedy push: first-fit gives 1, the maximum is 2
+    @example(network=([(0, 0), (0, 1), (0, 2), (1, 0)], AXIS_DIFFS, [1, 1, 1, 1]))
+    def test_value_and_source_side_match_networkx(self, network):
+        nx = pytest.importorskip("networkx")
+        points, diffs, weights = network
+        graph = _ConflictGraph(points, diffs)
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(["s", "t", *range(len(points))])
+        for v, w in enumerate(weights):
+            if graph.side[v]:
+                digraph.add_edge(v, "t", capacity=w)
+            else:
+                digraph.add_edge("s", v, capacity=w)
+                # no capacity: networkx takes a conflict arc as uncuttable
+                digraph.add_edges_from((v, u) for u in graph.nbrs[v])
+        value, reached = _max_flow(graph, weights)
+        nx_value, flow = nx.maximum_flow(digraph, "s", "t")
+        assert value == nx_value
+        # the nodes the source reaches in the residual graph of networkx's flow
+        residual = {u: set() for u in digraph}
+        for u, v, capacity in digraph.edges(data="capacity", default=inf):
+            if flow[u][v] < capacity:
+                residual[u].add(v)
+            if flow[u][v] > 0:
+                residual[v].add(u)
+        seen, stack = {"s"}, ["s"]
+        while stack:
+            for v in residual[stack.pop()] - seen:
+                seen.add(v)
+                stack.append(v)
+        assert {v for v in range(len(points)) if reached[v]} == seen - {"s"}
 
 
 class TestConflictGraph:
@@ -978,5 +983,5 @@ class TestTriangleEquivalence:
             done += 1
             config = LatticeConfig.explicit(pts)
             exact = max_difference_free(config, AXIS_DIFFS).size
-            majority = checkerboard_split(config).counts.majority()
+            majority = ColorCount.of(config.points).majority()
             assert exact == majority, (a, b, c)

@@ -1,10 +1,12 @@
-"""Source lint by the standard library's ``ast``: no unused import, no orphaned helper.
+"""Source lint by the standard library's ``ast``: no unused import, no orphaned definition.
 
 Covers the modules of ``src/quotientfree``.  An imported name must be used
 by its module (``__init__`` re-exports and ``__future__`` are exempt).  An
-undecorated private top-level function or class must be referenced by some
-module other than through its own body; decorated ones, such as the CLI's
-registered command handlers, are reached through their decorator.
+undecorated top-level function or class, private or public, must be
+referenced by some module other than through its own body, and a name
+that ``__init__`` re-exports counts as referenced; decorated ones, such as
+the CLI's registered command handlers, are reached through their
+decorator.
 """
 
 import ast
@@ -22,13 +24,17 @@ def _tree(path: Path) -> ast.Module:
 
 
 def _references(node: ast.AST) -> Counter:
-    """Names read under node: bare names, attribute names and quoted names."""
+    """Names read under node: bare, attribute, quoted and imported-from names."""
     refs: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            # such as a re-export by __init__
+            for alias in sub.names:
+                refs[alias.name] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             # a quoted annotation such as "LatticeConfig"
             if sub.value.isidentifier():
@@ -65,8 +71,12 @@ def test_every_import_is_used(path):
     assert unused == [], f"{path.name} imports but never uses {unused}"
 
 
-def test_every_private_helper_is_referenced():
-    trees = {path.name: _tree(path) for path in MODULES}
+def _orphans(trees: dict[str, ast.Module], private: bool) -> list[str]:
+    """Undecorated top-level functions and classes that no module references.
+
+    ``private`` picks the underscore names (dunders aside), else the public
+    ones.  A reference through a definition's own body does not count.
+    """
     refs: Counter = Counter()
     for tree in trees.values():
         refs += _references(tree)
@@ -75,13 +85,27 @@ def test_every_private_helper_is_referenced():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
+            if node.name.startswith("__") or node.name.startswith("_") != private:
                 continue
             if node.decorator_list:
                 continue
             if refs[node.name] - _references(node)[node.name] == 0:
                 orphans.append(f"{name}:{node.name}")
+    return orphans
+
+
+def _module_trees() -> dict[str, ast.Module]:
+    return {path.name: _tree(path) for path in MODULES}
+
+
+def test_every_private_helper_is_referenced():
+    orphans = _orphans(_module_trees(), private=True)
     assert orphans == [], f"private helpers that no module references: {orphans}"
+
+
+def test_every_public_definition_is_referenced_or_exported():
+    orphans = _orphans(_module_trees(), private=False)
+    assert orphans == [], f"public definitions that no module references or exports: {orphans}"
 
 
 def test_the_lint_sees_an_unused_import_and_an_orphan():
@@ -89,3 +113,10 @@ def test_the_lint_sees_an_unused_import_and_an_orphan():
     assert [n for n in _imported_names(tree) if n not in _used_names(tree)] == ["lcm"]
     helper = tree.body[1]
     assert _references(tree)["_helper"] - _references(helper)["_helper"] == 0
+    assert _orphans({"m.py": tree}, private=True) == ["m.py:_helper"]
+    # a public function is an orphan once __init__ no longer re-exports it
+    layer = ast.parse("def point_color(p):\n    return sum(p) % 2\n")
+    exported = ast.parse("from .lattice import point_color\n")
+    assert _orphans({"lattice.py": layer, "__init__.py": ast.parse("")}, private=False) == [
+        "lattice.py:point_color"]
+    assert _orphans({"lattice.py": layer, "__init__.py": exported}, private=False) == []
