@@ -11,8 +11,8 @@ in closed form.  This module also holds
 the point types (``Point``, ``LatticeConfig``, ``ColorCount``), counts
 checkerboard colors, scans thresholds for a black majority, and tabulates
 the white-minus-black profile for integer slopes.  Comparisons are decided
-exactly where the atoms allow it, by integer enclosures fixed once per
-region where those suffice, and by certified interval refinement
+exactly where the atoms allow it, by integer enclosures taken once per
+atom where those suffice, and by certified interval refinement
 otherwise; an undecided comparison is an error, never a guess.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice, pairwise
 from math import ceil, floor, isqrt, lcm, prod
 from operator import add, mul
@@ -130,6 +131,9 @@ class ExactReal:
     10**4 and is not all of what is left; an exact tie between two such
     atoms is then undecided (a ``PrecisionError`` once certified intervals
     reach the fixed 4096-bit ``PREC_CAP_BITS``), never a hang.
+
+    An atom memoizes its ``SimplexSpec`` filter enclosure on first use;
+    equality, hashing and repr read only the fields.
     """
 
     kind: str  # "rational" | "log" | "sqrt"
@@ -170,12 +174,15 @@ class ExactReal:
 
     @classmethod
     def parse(cls, text: str) -> "ExactReal":
-        """Accepts '3', '3/2', 'ln2', 'ln(12)', 'sqrt2', 'sqrt(8)'."""
+        """Accepts '3', '3/2', 'ln2', 'ln(12)', 'sqrt2', 'sqrt(8)'.
+
+        Parentheses come in pairs: 'ln(2' and 'sqrt8)' are not numbers.
+        """
         text = text.strip()
         for name, make in (("ln", cls.log), ("sqrt", cls.sqrt)):
-            m = re.fullmatch(name + r"\(?(\d+)\)?", text)
+            m = re.fullmatch(name + r"(?:(\d+)|\((\d+)\))", text)
             if m:
-                digits = m.group(1)
+                digits = m[1] or m[2]
                 try:
                     arg = int(digits)
                 except ValueError as exc:  # past the interpreter's int-string limit
@@ -198,6 +205,17 @@ class ExactReal:
         raw_lo, raw_hi = (mpi_log if self.kind == "log" else mpi_sqrt)(arg, prec_bits)
         lo, hi = _libmp_to_fraction(raw_lo), _libmp_to_fraction(raw_hi)
         return self.scale * lo, self.scale * hi
+
+    @cached_property
+    def _filter_enclosure(self) -> tuple[Fraction, Fraction]:
+        """An enclosure whose error stays well below 2**-64 absolute, taken once per atom."""
+        bits = 2 * _FILTER_BITS + (0 if self.is_rational else self.arg.bit_length())
+        return self.interval(bits)
+
+    @cached_property
+    def _filter_pair(self) -> tuple[int, int]:
+        """Floor and ceiling of 2**64 times the atom, taken once per atom."""
+        return _enclose(((self, 1),))
 
     def sort_key(self) -> Fraction:
         lo, hi = self.interval(_SORT_KEY_BITS)
@@ -296,9 +314,10 @@ class SimplexSpec:
     coefficients are whole numbers, one integer dot product when every atom
     is rational, and certified signs of the whole combination otherwise.
     The signs route first tries integer enclosures of each alpha and of c,
-    scaled by 2**64 and taken once here: two integer dot products settle
-    every point not within the enclosures' width of the boundary, in O(r)
-    work, and only the rest (exact ties, say) refine intervals.
+    scaled by 2**64, from each atom's memoized enclosure: two integer dot
+    products settle every point not within the enclosures' width of the
+    boundary, in O(r) work, and only the rest (exact ties, say) refine
+    intervals.  Every spec, ``of``'s too, is built this one way.
     """
 
     alphas: tuple[ExactReal, ...]
@@ -329,30 +348,15 @@ class SimplexSpec:
                                   for a in self.alphas),
                      bound.numerator * (scale // bound.denominator))
         else:
-            route = _signs_route(_alpha_enclosures(self.alphas, _filter_interval),
-                                 terms, _filter_interval)
+            lo, hi = zip(*(a._filter_pair for a in self.alphas))
+            # the row ends divide by lo, so an alpha below 2**-64 leaves no filter
+            box = None if min(lo) <= 0 else (lo, hi, *_enclose(terms))
+            route = "signs", box, tuple((atom, -k) for atom, k in terms)
         object.__setattr__(self, "_route", route)
 
     @classmethod
     def of(cls, alphas: Iterable, c) -> "SimplexSpec":
         return cls(tuple(_as_exact(a) for a in alphas), _as_exact(c))
-
-    @classmethod
-    def _enclosed(cls, alphas, terms, alpha_box, interval) -> "SimplexSpec":
-        """``cls(alphas, terms)`` on the signs route, from enclosures taken before.
-
-        For a scan over many bounds of alphas that are neither all
-        logarithms nor all rational: ``alpha_box`` is
-        ``_alpha_enclosures(alphas, interval)``, and ``interval`` encloses
-        each atom of ``terms``, so no region of the scan encloses an alpha
-        again.  ``alphas`` and ``terms`` must already be in the normalized
-        form that construction stores.
-        """
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "alphas", alphas)
-        object.__setattr__(spec, "c", terms)
-        object.__setattr__(spec, "_route", _signs_route(alpha_box, terms, interval))
-        return spec
 
     def contains(self, point: Sequence[int]) -> bool:
         """Boundary-inclusive membership, decided exactly."""
@@ -381,7 +385,9 @@ class SimplexSpec:
         ``head`` fixes every coordinate but the last.  Rational coefficients
         give z by one integer division and logarithms by an integer loop on
         the product; the signs route narrows z with its enclosures to one
-        or two candidates and tests them with ``contains``.
+        or two candidates and tests them with ``contains``, or without
+        enclosures finds the last member by doubling z and then bisecting,
+        O(log z) tests.
         """
         route, coeffs, bound = self._route
         if route == "dot":
@@ -395,10 +401,17 @@ class SimplexSpec:
                 z += 1
             return z
         if coeffs is None:
-            z = 0  # no enclosures to narrow by: walk the row up
-            while self.contains(head + [z]):
-                z += 1
-            return z - 1
+            # membership falls as z grows, since alpha's last coordinate is positive
+            inside, outside = -1, 0
+            while self.contains(head + [outside]):
+                inside, outside = outside, 2 * outside + 1
+            while outside - inside > 1:
+                mid = (inside + outside) // 2
+                if self.contains(head + [mid]):
+                    inside = mid
+                else:
+                    outside = mid
+            return inside
         lo, hi, c_lo, c_hi = coeffs
         # every z above `top` fails the filter, every z up to `sure` passes it
         top = (c_hi - sum(map(mul, lo, head))) // lo[-1]
@@ -408,41 +421,16 @@ class SimplexSpec:
         return max(top, -1)
 
 
-def _filter_interval(atom: ExactReal) -> tuple[Fraction, Fraction]:
-    """An enclosure of the atom whose error stays well below 2**-64 absolute."""
-    bits = 2 * _FILTER_BITS + (0 if atom.is_rational else atom.arg.bit_length())
-    return atom.interval(bits)
-
-
-def _enclose(terms, interval) -> tuple[int, int]:
-    """Floor and ceiling of 2**_FILTER_BITS times a combination of atoms.
-
-    ``interval(atom)`` encloses one atom (see ``_filter_interval``).
-    """
+def _enclose(terms) -> tuple[int, int]:
+    """Floor and ceiling of 2**_FILTER_BITS times a combination of atoms."""
     lo = hi = Fraction(0)
     for atom, k in terms:
-        alo, ahi = interval(atom)
+        alo, ahi = atom._filter_enclosure
         if k >= 0:
             lo, hi = lo + k * alo, hi + k * ahi
         else:
             lo, hi = lo + k * ahi, hi + k * alo
     return floor(lo * 2**_FILTER_BITS), ceil(hi * 2**_FILTER_BITS)
-
-
-def _alpha_enclosures(alphas, interval):
-    """(lo, hi) with lo[i] <= 2**64 * alpha_i <= hi[i], all integers.
-
-    None when some alpha is too small for its lower end to be positive,
-    since the row ends divide by it.
-    """
-    lo, hi = zip(*(_enclose(((a, 1),), interval) for a in alphas))
-    return None if min(lo) <= 0 else (lo, hi)
-
-
-def _signs_route(alpha_box, terms, interval) -> tuple:
-    """The signs route: its filter (lo, hi, c_lo, c_hi), or None, and -c's terms."""
-    box = None if alpha_box is None else (*alpha_box, *_enclose(terms, interval))
-    return "signs", box, tuple((atom, -k) for atom, k in terms)
 
 
 def _require_positive(alphas: Sequence[ExactReal]) -> None:
@@ -581,12 +569,13 @@ def find_black_majority_c(
     every one is a logarithm, the walk's keys are exact, and a candidate's
     counts are the tally that the walk yields with the next value: no
     region is built per candidate.  Otherwise each candidate's region is
-    counted by ``simplex_color_counts``, from alpha enclosures taken once
-    per scan.  The returned threshold is canonical: the integer bound
-    itself when every coefficient is a logarithm of an integer, the attained
-    rational for rational coefficients, and otherwise the simplest rational
-    inside the black-majority window.  ``simplex_color_counts`` recounts the
-    region at a canonical threshold as a second route.
+    built and counted by ``simplex_color_counts``; every region shares the
+    scan's alpha atoms, so each alpha is enclosed once per scan.  The
+    returned threshold is canonical: the integer bound itself when every
+    coefficient is a logarithm of an integer, the attained rational for
+    rational coefficients, and otherwise the simplest rational inside the
+    black-majority window.  ``simplex_color_counts`` recounts the region at
+    a canonical threshold as a second route.
     """
     _require_work_bound("budget", budget)
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
@@ -601,9 +590,6 @@ def find_black_majority_c(
     all_logs = all(a.kind == "log" for a in alpha_atoms)
     all_rational = all(a.is_rational for a in alpha_atoms)
     exact = all_logs or all_rational
-    if not exact:  # enclose each alpha once for every candidate's region
-        interval = {a: _filter_interval(a) for a in alpha_atoms}.__getitem__
-        alpha_box = _alpha_enclosures(alpha_atoms, interval)
 
     def as_terms(x):
         return tuple(zip(alpha_atoms, map(Fraction, x)))
@@ -615,8 +601,7 @@ def find_black_majority_c(
         if exact:
             counts = ColorCount(*tally)
         else:
-            spec = SimplexSpec._enclosed(alpha_atoms, as_terms(x), alpha_box, interval)
-            counts = simplex_color_counts(spec)
+            counts = simplex_color_counts(SimplexSpec(alpha_atoms, as_terms(x)))
         if counts.black <= counts.white:
             continue
         if all_logs:

@@ -151,6 +151,16 @@ class TestBasicCommands:
                 f"black = {counted['result']['black']}",
             ]
 
+    def test_simplex_counts_a_long_filterless_row_at_once(self, capsys):
+        # the last alpha is 2**-70, below the filter's 2**-64, and the one
+        # row of 2**70 + 1 points is ended by doubling and bisection
+        code, out, _ = run(capsys, "simplex", "--alphas", f"sqrt2,1/{2**70}", "--c", "1",
+                           "--counts-only")
+        assert code == 0
+        assert out == ("points = 1180591620717411303425\n"
+                       "white = 590295810358705651713\n"
+                       "black = 590295810358705651712\n")
+
     def test_simplex_radicand_past_the_trial_divisors(self, capsys):
         # trial division stops at 10**4, so a 21-digit radicand parses at once
         code, out, _ = run(capsys, "simplex", "--alphas", "1,sqrt(100000000000000000039)",
@@ -736,6 +746,11 @@ MALFORMED = [
     (("monochromatize", "--p", "2", "--q", "3", "--n", str(10**30), "--points", "[[0,0]]"), 2),
     # 10**12 + 1 points on one row: the majority walk stops past twice the cap
     (("monochromatize", "--ta", "1", "--tb", "1", "--tc", str(10**12), "--points", "[]"), 2),
+    # a coefficient's parentheses must come in pairs
+    (("simplex", "--alphas", "ln(2", "--c", "1"), 2),
+    (("simplex", "--alphas", "1,ln2)", "--c", "1"), 2),
+    (("simplex", "--alphas", "1,sqrt(8", "--c", "4"), 2),
+    (("black-majority", "--alphas", "1,sqrt8)"), 2),
 ]
 
 

@@ -75,8 +75,8 @@ ROW_WALK_SPECS = [
     (["1", "sqrt2", "sqrt3"], "3"),
     (["sqrt2", "sqrt3"], "sqrt8"),  # a point on the boundary: (2, 0)
     # an alpha below 2**-64 leaves the signs route without enclosures, so
-    # each row is walked up by membership tests: five rows of one point,
-    # then one row of five
+    # each row end is found by membership tests, doubling then bisecting:
+    # five rows of one point, then one row of five
     ([Fraction(1, 2**70), "sqrt2"], Fraction(1, 2**68)),
     (["sqrt2", Fraction(1, 2**70)], Fraction(1, 2**68)),
     (["1", "2"], "-1"),  # no points
@@ -159,6 +159,22 @@ class TestSimplexPoints:
         points = simplex_points(spec, limit).points
         assert points == tuple(sorted(set(points)))
         assert all(min(p) >= 0 and len(p) == dim for p in points)
+
+    def test_a_filterless_row_takes_logarithmically_many_tests(self, monkeypatch):
+        # an alpha below 2**-64 leaves no enclosures, and the one row holds
+        # 10**6 + 1 points; its end is found by doubling and bisection
+        calls = []
+        contains = SimplexSpec.contains
+
+        def counted(spec, point):
+            calls.append(tuple(point))
+            return contains(spec, point)
+
+        monkeypatch.setattr(SimplexSpec, "contains", counted)
+        spec = SimplexSpec.of(["sqrt2", Fraction(1, 2**70)], Fraction(10**6, 2**70))
+        assert spec._route[1] is None
+        assert simplex_color_counts(spec) == ColorCount(500_001, 500_000)
+        assert 0 < len(calls) <= 2 * (10**6).bit_length() + 4
 
     def test_rows_need_no_membership_test(self, monkeypatch):
         def refuse(self, point):
@@ -248,7 +264,7 @@ ROW_SUM_SPECS = [
     (["ln2", "ln3", "sqrt2"], 6),
     (["sqrt2", "sqrt3", "sqrt5", "sqrt7"], 9),
     (["sqrt2", "sqrt3"], "ln1000"),
-    # an alpha below 2**-64: no enclosure filter, rows are walked up
+    # an alpha below 2**-64: no enclosure filter, row ends by membership tests
     (["1/100000000000000000000000", "sqrt2"], "3/100000000000000000000000"),
 ]
 
@@ -326,6 +342,42 @@ _ALPHA_LISTS = st.one_of(
 _FOUND_AT_THE_BUDGET = [(("ln2", "ln3"), 3), (("1", "3"), 4), (("1", "sqrt2"), 3)]
 
 
+def _count_filter_enclosures(monkeypatch) -> list:
+    """The atoms that ``ExactReal.interval`` encloses at filter precision, as they come."""
+    enclosed = []
+    interval = ExactReal.interval
+
+    def counted(atom, prec_bits):
+        bits = 2 * geometry._FILTER_BITS + (0 if atom.is_rational else atom.arg.bit_length())
+        if prec_bits == bits:
+            enclosed.append(atom)
+        return interval(atom, prec_bits)
+
+    monkeypatch.setattr(ExactReal, "interval", counted)
+    return enclosed
+
+
+class TestFilterMemo:
+    def test_an_atom_is_enclosed_once_across_specs(self, monkeypatch):
+        enclosed = _count_filter_enclosures(monkeypatch)
+        alphas = (ExactReal.of(1), ExactReal.sqrt(2))
+        c = ExactReal.log(10)
+        first = SimplexSpec(alphas, c)
+        assert enclosed == [*alphas, c]
+        second = SimplexSpec(alphas, tuple(zip(alphas, map(Fraction, (2, 1)))))
+        assert second.contains((1, 1)) and not first.contains((1, 2))
+        assert enclosed == [*alphas, c]
+
+    @pytest.mark.parametrize("text", ["3/2", "ln10", "sqrt8", "sqrt(100000000000000000039)"])
+    def test_a_filled_memo_leaves_equality_hash_and_repr_alone(self, text):
+        used = ExactReal.parse(text)
+        SimplexSpec((ExactReal.sqrt(3), used), used)
+        assert "_filter_pair" in vars(used)
+        fresh = ExactReal.parse(text)
+        assert "_filter_pair" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
 class TestFindBlackMajority:
     @pytest.mark.parametrize("alphas, budget", [
         *(pytest.param(alphas, 64, id=f"alphas{i}")
@@ -369,14 +421,7 @@ class TestFindBlackMajority:
         assert len(regions) == calls
 
     def test_mixed_scans_enclose_each_alpha_once(self, monkeypatch):
-        enclosed = []
-        interval = geometry._filter_interval
-
-        def counted(atom):
-            enclosed.append(atom)
-            return interval(atom)
-
-        monkeypatch.setattr(geometry, "_filter_interval", counted)
+        enclosed = _count_filter_enclosures(monkeypatch)
         result = find_black_majority_c(["1", "sqrt2"], 2)
         assert not result.found
         assert enclosed == [ExactReal.of(1), ExactReal.sqrt(2)]

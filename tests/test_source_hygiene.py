@@ -6,7 +6,9 @@ undecorated top-level function or class, private or public, must be
 referenced by some module other than through its own body, and a name
 that ``__init__`` re-exports counts as referenced; decorated ones, such as
 the CLI's registered command handlers, are reached through their
-decorator.
+decorator.  A private method of a top-level class, plain or a
+classmethod, staticmethod, property or cached_property, must be read as
+an attribute by some module outside its own body.
 """
 
 import ast
@@ -94,6 +96,40 @@ def _orphans(trees: dict[str, ast.Module], private: bool) -> list[str]:
     return orphans
 
 
+_METHOD_DECORATORS = {"classmethod", "staticmethod", "property", "cached_property"}
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _orphan_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Private methods of top-level classes whose name no module reads as an attribute.
+
+    Plain methods and those decorated by ``_METHOD_DECORATORS`` are
+    covered, dunders aside; a read inside the method's own body does not
+    count.
+    """
+    reads: Counter = Counter()
+    for tree in trees.values():
+        reads += _attribute_reads(tree)
+    orphans = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                private = (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                           and not node.name.startswith("__"))
+                if not private or not all(isinstance(d, ast.Name) and d.id in _METHOD_DECORATORS
+                                          for d in node.decorator_list):
+                    continue
+                if reads[node.name] - _attribute_reads(node)[node.name] == 0:
+                    orphans.append(f"{name}:{cls.name}.{node.name}")
+    return orphans
+
+
 def _module_trees() -> dict[str, ast.Module]:
     return {path.name: _tree(path) for path in MODULES}
 
@@ -101,6 +137,11 @@ def _module_trees() -> dict[str, ast.Module]:
 def test_every_private_helper_is_referenced():
     orphans = _orphans(_module_trees(), private=True)
     assert orphans == [], f"private helpers that no module references: {orphans}"
+
+
+def test_every_private_method_is_read():
+    orphans = _orphan_methods(_module_trees())
+    assert orphans == [], f"private methods that no module reads: {orphans}"
 
 
 def test_every_public_definition_is_referenced_or_exported():
@@ -120,3 +161,18 @@ def test_the_lint_sees_an_unused_import_and_an_orphan():
     assert _orphans({"lattice.py": layer, "__init__.py": ast.parse("")}, private=False) == [
         "lattice.py:point_color"]
     assert _orphans({"lattice.py": layer, "__init__.py": exported}, private=False) == []
+    # a private method read only by itself is an orphan, whatever its decorator
+    spec = ast.parse(
+        "class SimplexSpec:\n"
+        "    @classmethod\n"
+        "    def _enclosed(cls, terms):\n"
+        "        return cls._enclosed(terms[1:])\n"
+        "    @cached_property\n"
+        "    def _box(self):\n"
+        "        return 1\n"
+        "    def _row_end(self):\n"
+        "        return self._box\n"
+        "    def contains(self, x):\n"
+        "        return x <= self._row_end()\n"
+    )
+    assert _orphan_methods({"geometry.py": spec}) == ["geometry.py:SimplexSpec._enclosed"]
