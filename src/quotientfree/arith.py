@@ -324,7 +324,12 @@ def count_coprime_part(basis, x: int) -> int:
     """|{n <= x : no basis element divides n}| by inclusion-exclusion."""
     if x < 1:
         raise DomainError("bound must be at least 1")
-    return sum(sign * (x // d) for sign, d in _signed_subset_lcms(_basis_ints(basis)))
+    # the basis is checked before the cache sees it: (2, 3.0) hashes and
+    # compares equal to (2, 3); a plain loop costs less than a generator sum
+    total = 0
+    for sign, d in _signed_subset_lcms(_basis_ints(basis)):
+        total += sign * (x // d)
+    return total
 
 
 def coprime_part_list(basis, x: int) -> list[int]:

@@ -4,6 +4,8 @@ Each suite replays a module's invariants against independent oracles with a
 counter-based generator, so a (suite, seed, budget) triple is reproducible
 anywhere.  Oracles here are deliberately naive: exhaustive subset search on
 conflict-graph components, double-loop smooth enumeration, direct recounts.
+The subset search answers every horizon N of a pair in one upward sweep,
+re-searching only the component that N joins.
 """
 
 from __future__ import annotations
@@ -100,57 +102,66 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_max_quotient_free(p: int, q: int, n: int) -> int:
-    """Exhaustive maximum quotient-free subset size over {1..n}.
+def exhaustive_max_quotient_free(p: int, q: int, n_max: int) -> list[int]:
+    """Exhaustive maximum quotient-free subset sizes over {1..N}, N = 1..n_max.
 
-    Builds the conflict graph (edges between k and k*p, k and k*q), splits
-    it into connected components, and enumerates every subset of each
-    component.  No smoothness structure is used.
+    One upward sweep over the conflict graph (edges between k and k*p, k and
+    k*q).  Adding k links it only to k/p and k/q, when those divide: its
+    larger neighbours k*p and k*q are not yet present.  So k merges the
+    components of those neighbours into one, and the running total loses
+    their maxima and gains the new component's, found by enumerating every
+    subset of it.  No smoothness structure is used.  Entry N - 1 of the
+    returned list is the maximum over {1..N}.
     """
-    neighbors: dict[int, set[int]] = {k: set() for k in range(1, n + 1)}
-    for k in range(1, n + 1):
-        for ratio in (p, q):
-            if k * ratio <= n:
-                neighbors[k].add(k * ratio)
-                neighbors[k * ratio].add(k)
-    seen: set[int] = set()
+    neighbors: dict[int, list[int]] = {}
+    label: dict[int, int] = {}  # vertex -> the newest vertex of its component
+    members: dict[int, list[int]] = {}  # label -> the component's vertices
+    best: dict[int, int] = {}  # label -> the component's maximum
     total = 0
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        component = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        component.sort()
-        index = {v: i for i, v in enumerate(component)}
-        masks = [0] * len(component)
+    maxima = []
+    for k in range(1, n_max + 1):
+        below = [k // r for r in (p, q) if k % r == 0]
+        neighbors[k] = below
+        component = [k]
+        for w in below:
+            neighbors[w].append(k)
+            old = label[w]
+            if old in members:  # else merged already, through the other neighbour
+                component += members.pop(old)
+                total -= best.pop(old)
         for v in component:
-            for w in neighbors[v]:
-                masks[index[v]] |= 1 << index[w]
-        size = len(component)
-        best = 0
+            label[v] = k
+        members[k] = component
+        best[k] = _component_maximum(component, neighbors)
+        total += best[k]
+        maxima.append(total)
+    return maxima
 
-        def descend(i: int, allowed: int, current: int):
-            nonlocal best
-            if current + (size - i) <= best:
-                return
-            if i == size:
-                best = max(best, current)
-                return
-            if (allowed >> i) & 1:
-                descend(i + 1, allowed & ~masks[i], current + 1)
-            descend(i + 1, allowed, current)
 
-        descend(0, (1 << size) - 1, 0)
-        total += best
-    return total
+def _component_maximum(component: list[int], neighbors: dict[int, list[int]]) -> int:
+    """The largest independent set of one component, by enumerating its subsets."""
+    component = sorted(component)
+    index = {v: i for i, v in enumerate(component)}
+    masks = [0] * len(component)
+    for v in component:
+        for w in neighbors[v]:
+            masks[index[v]] |= 1 << index[w]
+    size = len(component)
+    best = 0
+
+    def descend(i: int, allowed: int, current: int):
+        nonlocal best
+        if current + (size - i) <= best:
+            return
+        if i == size:
+            best = max(best, current)
+            return
+        if (allowed >> i) & 1:
+            descend(i + 1, allowed & ~masks[i], current + 1)
+        descend(i + 1, allowed, current)
+
+    descend(0, (1 << size) - 1, 0)
+    return best
 
 
 def _random_rational_triangle(rng: CounterRng):
@@ -246,10 +257,11 @@ def suite_corollary(seed: int, budget: str) -> SuiteReport:
     report = SuiteReport("corollary", seed, budget)
     n_max = BUDGET_TIERS[budget]["corollary_n"]
     for p, q in ((2, 3), (2, 5), (3, 4)):
+        oracles = exhaustive_max_quotient_free(p, q, n_max)
         mismatch = None
         for n in range(1, n_max + 1):
             claimed, witness = max_subset_count(p, q, n, with_witness=True)
-            oracle = exhaustive_max_quotient_free(p, q, n)
+            oracle = oracles[n - 1]
             member_set = set(witness)
             valid = len(witness) == claimed and all(
                 k * r not in member_set for k in witness for r in (p, q)

@@ -58,8 +58,9 @@ def test_criterion_1_closed_forms_and_brackets():
 def test_criterion_2_subset_counts_match_exhaustive_search():
     start = time.perf_counter()
     assert max_subset_count(2, 3, 12) == 7
+    oracles = exhaustive_max_quotient_free(2, 3, 60)
     for n in range(1, 61):
-        assert max_subset_count(2, 3, n) == exhaustive_max_quotient_free(2, 3, n), n
+        assert max_subset_count(2, 3, n) == oracles[n - 1], n
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0
     report(2, ok, f"all N <= 60 agree with exhaustive search in {elapsed:.2f}s")

@@ -184,6 +184,16 @@ class TestCountCoprimePart:
             sieved = sum(1 for n in range(1, x + 1) if all(n % b for b in basis))
             assert count_coprime_part(basis, x) == sieved
 
+    def test_a_cached_basis_still_rejects_its_look_alikes(self):
+        # (2, 3.0) and [2, 3.0] hash and compare equal to (2, 3), and (True,)
+        # to (1,): the basis is checked before the term cache is asked
+        assert count_coprime_part((2, 3), 100) == 33
+        for basis in [(2, 3.0), [2, 3.0], (True,)]:
+            with pytest.raises(DomainError, match="basis elements must be integers greater than 1"):
+                count_coprime_part(basis, 100)
+        assert count_coprime_part([2, 3], 100) == 33
+        assert count_coprime_part(CoprimeBasis.from_coprime_integers([2, 3]), 100) == 33
+
     def test_common_factor_example(self):
         # 1, 3, 5, 7: the multiples of 2 and of 4 overlap in those of 4
         assert count_coprime_part((2, 4), 8) == 4

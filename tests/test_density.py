@@ -273,9 +273,10 @@ class TestMaxSubsetCount:
     @pytest.mark.parametrize("pair", [(2, 3), (2, 5), (3, 4)])
     def test_matches_exhaustive_search(self, pair):
         p, q = pair
+        oracles = exhaustive_max_quotient_free(p, q, 60)
         for n in range(1, 61):
             claimed, witness = max_subset_count(p, q, n, with_witness=True)
-            assert claimed == exhaustive_max_quotient_free(p, q, n), (pair, n)
+            assert claimed == oracles[n - 1], (pair, n)
             assert len(witness) == claimed
             assert not quotient_free_violations(witness, [p, q])
 

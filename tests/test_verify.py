@@ -1,11 +1,19 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quotientfree import AXIS_DIFFS, LatticeConfig, lattice, max_difference_free, verify
+from quotientfree import (
+    AXIS_DIFFS,
+    LatticeConfig,
+    lattice,
+    max_difference_free,
+    max_subset_count,
+    verify,
+)
 from quotientfree.arith import count_coprime_part, phi
 from quotientfree.lattice import _conflict_graph, _greedy_optimum
 from quotientfree.rng import CounterRng
@@ -14,10 +22,15 @@ from quotientfree.verify import (
     SUITES,
     _random_optimal_configuration,
     _random_rational_triangle,
+    exhaustive_max_quotient_free,
     run_suite,
 )
 
-from helpers import brute_force_all_optima, brute_force_max_difference_free
+from helpers import (
+    brute_force_all_optima,
+    brute_force_max_difference_free,
+    naive_max_subset_counts,
+)
 
 
 def case_digest(name, seed, budget):
@@ -161,3 +174,90 @@ class TestGreedyCompletion:
             witness = tuple(points[i] for i in sorted(_greedy_optimum(graph, range(len(points)))))
             assert witness == max_difference_free(config, diffs).witness
             assert witness == min(brute_force_all_optima(pts, diffs))
+
+
+# the corollary suite draws nothing at random either
+COROLLARY_PINNED = {
+    ("small", 0): "04932d9b23d3fadf70d5885d9125d88ef8c53c470ab16b58d776711a6e8aa7c1",
+    ("small", 1): "04932d9b23d3fadf70d5885d9125d88ef8c53c470ab16b58d776711a6e8aa7c1",
+    ("small", 2): "04932d9b23d3fadf70d5885d9125d88ef8c53c470ab16b58d776711a6e8aa7c1",
+    ("default", 0): "727276012dea2f4c9384696fe3128d0f90873f3e6121fcb427b6f87b26c90a73",
+    ("default", 1): "727276012dea2f4c9384696fe3128d0f90873f3e6121fcb427b6f87b26c90a73",
+    ("default", 2): "727276012dea2f4c9384696fe3128d0f90873f3e6121fcb427b6f87b26c90a73",
+    ("large", 0): "9c269a6c1b1051378c41302de1e3349a074b1041e77c1ab8768c42d5ae37ec4f",
+    ("large", 1): "9c269a6c1b1051378c41302de1e3349a074b1041e77c1ab8768c42d5ae37ec4f",
+    ("large", 2): "9c269a6c1b1051378c41302de1e3349a074b1041e77c1ab8768c42d5ae37ec4f",
+}
+
+SWEEP_PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5)]
+
+
+def brute_force_maxima(p, q, n_max):
+    """Largest quotient-free subset of {1..N} for N = 1..n_max, over all 2^n_max subsets.
+
+    A subset is a bitmask, bit k - 1 for k.  Taken with its largest element
+    k, it is quotient-free exactly when the rest is and holds neither k/p
+    nor k/q; and k is the least N whose range holds it.
+    """
+    below = [0] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        for r in (p, q):
+            if k % r == 0:
+                below[k] |= 1 << (k // r - 1)
+    free = bytearray(1 << n_max)
+    free[0] = 1
+    best = [0] * (n_max + 1)  # best[k]: the largest free subset with top element k
+    for mask in range(1, 1 << n_max):
+        k = mask.bit_length()
+        rest = mask ^ (1 << (k - 1))
+        if free[rest] and not rest & below[k]:
+            free[mask] = 1
+            best[k] = max(best[k], mask.bit_count())
+    return list(accumulate(best[1:], max))
+
+
+class TestCorollarySuite:
+    @pytest.mark.parametrize("budget,seed", sorted(COROLLARY_PINNED))
+    def test_cases_match_the_pinned_digest(self, budget, seed):
+        assert case_digest("corollary", seed, budget) == COROLLARY_PINNED[budget, seed]
+
+    def test_one_oracle_sweep_per_pair(self, monkeypatch):
+        calls = []
+        sweep = verify.exhaustive_max_quotient_free
+
+        def counted(p, q, n_max):
+            calls.append((p, q, n_max))
+            return sweep(p, q, n_max)
+
+        monkeypatch.setattr(verify, "exhaustive_max_quotient_free", counted)
+        assert run_suite("corollary", 0, "small")[0].ok
+        assert calls == [(2, 3, 30), (2, 5, 30), (3, 4, 30)]
+
+    def test_a_count_off_by_one_fails_only_its_pair(self, monkeypatch):
+        pair, bad_n = (2, 5), 17
+        true_count = max_subset_count(*pair, bad_n)
+
+        def off_count(p, q, n, with_witness):
+            count, witness = max_subset_count(p, q, n, with_witness=with_witness)
+            if (p, q) == pair and n == bad_n:
+                count += 1
+            return count, witness
+
+        monkeypatch.setattr(verify, "max_subset_count", off_count)
+        (report,) = run_suite("corollary", 0, "small")
+        assert [(c.name, c.passed) for c in report.cases] == [
+            ("pair=(2,3)", True), ("pair=(2,5)", False), ("pair=(3,4)", True)]
+        assert report.cases[1].detail == (
+            f"N={bad_n}: claimed={true_count + 1} oracle={true_count} witness_valid=False")
+        assert report.cases[0].detail == "all N<=30 agree with exhaustive search"
+
+
+class TestExhaustiveSweep:
+    @pytest.mark.parametrize("pair", SWEEP_PAIRS)
+    def test_matches_every_subset_up_to_sixteen(self, pair):
+        assert exhaustive_max_quotient_free(*pair, 16) == brute_force_maxima(*pair, 16)
+
+    @pytest.mark.parametrize("pair", SWEEP_PAIRS)
+    def test_matches_class_by_class_counts(self, pair):
+        # naive_max_subset_counts is indexed by N from 0
+        assert exhaustive_max_quotient_free(*pair, 300) == naive_max_subset_counts(*pair, 300)[1:]
