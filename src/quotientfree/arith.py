@@ -258,13 +258,16 @@ def enumerate_smooth(basis, bound: int) -> SmoothSequence:
     return SmoothSequence(values, exponents)
 
 
-def _pair_prefix(p: int, q: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (m_t, a, b, lead_t) for t = 1, 2, ... for a coprime pair p < q.
+def _pair_prefix(p: int, q: int) -> Iterator[tuple[int, int, int, bool, bool]]:
+    """Yield (m_t, a, b, gain_t, kept_t) for t = 1, 2, ... for a coprime pair p < q.
 
-    m_t = p^a * q^b is the t-th {p, q}-smooth integer, and lead_t the white
-    (even a + b) count less the black count among the first t.  So the
-    prefix majority maj(t) = (t + |lead_t|) / 2 has the color white unless
-    lead_t < 0, and grows at t exactly when m_t's color is then ahead.
+    m_t = p^a * q^b is the t-th {p, q}-smooth integer.  By the paper's
+    theorem, f(t), the largest quotient-free subset of the first t values,
+    is the larger of the two exponent-sum parity classes among them.
+    ``gain_t`` is f(t) - f(t-1), so True exactly when m_t's class is then
+    strictly ahead, and ``kept_t`` is True when a maximum set of the first
+    t keeps the black (odd a + b) class, white on ties.  Only this stream
+    decides the majority and its ties; consumers read the two flags.
 
     A two-pointer merge: every value above 1 is p or q times an earlier
     one, and only the window above the lagging pointer is kept.
@@ -274,9 +277,9 @@ def _pair_prefix(p: int, q: int) -> Iterator[tuple[int, int, int, int]]:
     window = [(1, 0, 0)]
     i = j = 0
     next_p, next_q = p, q
-    value, a, b, lead = 1, 0, 0, 1
+    value, a, b, lead, gain = 1, 0, 0, 1, True  # lead: white less black count
     while True:
-        yield value, a, b, lead
+        yield value, a, b, gain, lead < 0
         if next_p < next_q:
             value = next_p
             _, a, b = window[i]
@@ -302,8 +305,10 @@ def _pair_prefix(p: int, q: int) -> Iterator[tuple[int, int, int, int]]:
                 j = 0
         if (a + b) & 1:
             lead -= 1
+            gain = lead < 0
         else:
             lead += 1
+            gain = lead > 0
 
 
 @lru_cache(maxsize=64)

@@ -451,7 +451,12 @@ def _simplex(args) -> _Output:
     alphas = _parse_alphas(args.alphas)
     spec = SimplexSpec.of(alphas, args.c)
     if args.counts_only:
-        counts, listing = simplex_color_counts(spec), {}
+        # the order of the alphas leaves the parity counts as they are, and the
+        # rows walk all coordinates but the last, so the smallest alpha goes last
+        smallest = min(spec.alphas, key=ExactReal.sort_key)
+        rest = list(spec.alphas)
+        rest.remove(smallest)
+        counts, listing = simplex_color_counts(SimplexSpec((*rest, smallest), spec.c)), {}
     else:
         config = simplex_points(spec)
         counts = ColorCount.of(config.points)

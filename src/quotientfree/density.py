@@ -127,16 +127,16 @@ def sigma_series(
     of it and closes the harmonic remainder of the smooth sequence in closed
     form.  Enumeration stops once the bracket width is within tolerance.
 
-    The values and the prefix majority come from ``_pair_prefix``.  Every
-    value so far divides D = p^A * q^B (A, B the largest exponents seen), so
-    sums are kept as integer multiples of 1/D, and each share D/m = p^(A-a)
-    * q^(B-b) is one product of two power table entries.  The partial sum
-    is kept in Abel form: the shares of the values at which the prefix
-    majority count grows, less maj(t) * D/m_t.  The width exceeds factor *
-    k/m_t (k the excess of the upper tail's prefix count over the lower
-    one's), so while that alone exceeds the tolerance, which one product
-    with m_t decides, the cross-multiplied width test is skipped: it runs on
-    a handful of terms per call.  Fractions are built only for the returned
+    The values and f's gains come from ``_pair_prefix``, which alone
+    decides the majority and its ties.  Every value so far divides D = p^A
+    * q^B (A, B the largest exponents seen), so sums are kept as integer
+    multiples of 1/D, and each share D/m = p^(A-a) * q^(B-b) is one product
+    of two power table entries.  The partial sum is kept in Abel form: the
+    shares of the values at which f grows, less f(t) * D/m_t.  The width
+    exceeds factor * k/m_t (k the excess of the upper tail's prefix count
+    over the lower one's), so while that alone exceeds the tolerance, which
+    one product with m_t decides, the cross-multiplied width test is
+    skipped: it runs on a handful of terms per call.  Fractions are built only for the returned
     (or budget-exhausted) bracket.
     """
     _require_coprime((p, q))
@@ -154,10 +154,11 @@ def sigma_series(
     big_a = big_b = 0
     scale = 1  # D
     recip = 0  # prefix reciprocal sum times D
-    abel = 0  # the shares at which maj grew
+    abel = 0  # the shares at which f grew
+    f = 0  # f(t), the largest quotient-free subset of the first t values
     # value is m_t, t = terms + 1: the partial sum covers the first terms
     # prefixes, and m_t closes the last of them
-    for terms, (value, a, b, lead) in enumerate(islice(_pair_prefix(p, q), budget)):
+    for terms, (value, a, b, gain, _) in enumerate(islice(_pair_prefix(p, q), budget)):
         if a > big_a:
             big_a = a
             p_pow.append(p_pow[-1] * p)
@@ -172,19 +173,20 @@ def sigma_series(
             abel *= q
         share = p_pow[big_a - a] * q_pow[big_b - b]  # D / m_t
         recip += share
-        # maj grows at t when m_t's color is then ahead; that share cancels
-        # in abel - maj(t) * share, so counting m_t now leaves the sum as is
-        if (lead < 0) if (a + b) & 1 else (lead > 0):
+        # a gain's share cancels in abel - f(t) * share, so counting m_t now
+        # leaves the sum as is
+        if gain:
             abel += share
+            f += 1
         k = (terms + 1) // 2  # terms + 1 - (terms + 2) // 2
         # width = factor * (k / m_t + 1 / factor - recip / D)
         if terms and k * screen_k <= value * screen_m and (
             tol_den * (f_num * (k * share - recip) + f_den * scale)
             <= tol_num * f_den * scale
         ):
-            partial = abel - (terms + 1 + abs(lead)) // 2 * share  # maj(t) = (t + |lead|)/2
+            partial = abel - f * share
             return _series_bracket(factor, terms, value, partial, recip, scale)
-    partial = abel - (terms + 1 + abs(lead)) // 2 * share
+    partial = abel - f * share
     raise BudgetError(
         f"tolerance {tolerance} not reached within {budget} enumerated values",
         achieved=_series_bracket(factor, terms, value, partial, recip, scale) if terms else None,
@@ -219,24 +221,22 @@ def max_subset_count(
 ):
     """Exact maximal size of a quotient-free subset of {1..n} for pair (p,q).
 
-    Sums, over every n-free class representative, the majority color count
-    of the smooth prefix that still fits under the bound.  That count
-    depends on a representative only through t = #{smooth <= n/rep}, so the
+    Sums, over every n-free class representative, f(t) for the smooth
+    prefix that still fits under the bound, t = #{smooth <= n/rep}.  So the
     count alone is a sum over blocks of t; in Abel form, the number of
     representatives up to n // m_t (inclusion-exclusion) summed over the t
-    at which the majority count grows: O(#smooth <= n * 2^s) work.  The
-    witness comes from a sieve by smooth parts (see ``_witness_mask``):
-    about n * p/(p-1) * q/(q-1) byte writes done in C, plus O(#smooth *
-    #runs) Python steps.  With a witness the count is the witness's length,
-    checked against the block sum.
+    at which ``_pair_prefix``, which alone decides the majority and its
+    ties, reports a gain: O(#smooth <= n * 2^s) work.  The witness comes
+    from a sieve by smooth parts (see ``_witness_mask``): about n * p/(p-1)
+    * q/(q-1) byte writes done in C, plus O(#smooth * #runs) Python steps.
+    With a witness the count is the witness's length, checked against the
+    block sum.
     """
     _require_coprime((p, q))
     if n < 1:
         raise DomainError("the horizon must be at least 1")
     prefix = list(takewhile(lambda entry: entry[0] <= n, _pair_prefix(p, q)))
-    # maj grows at t exactly when the color of m_t is then strictly ahead
-    total = sum(count_coprime_part((p, q), n // m) for m, a, b, lead in prefix
-                if ((lead < 0) if (a + b) & 1 else (lead > 0)))
+    total = sum(count_coprime_part((p, q), n // m) for m, _, _, gain, _ in prefix if gain)
     if not with_witness:
         return total
     witness = tuple(compress(range(n + 1), _witness_mask(prefix, n)))
@@ -245,39 +245,39 @@ def max_subset_count(
     return len(witness), witness
 
 
-def _witness_mask(prefix: Sequence[tuple[int, int, int, int]], n: int) -> bytearray:
+def _witness_mask(prefix: Sequence[tuple[int, int, int, bool, bool]], n: int) -> bytearray:
     """mask[k] = 1 exactly for the k <= n in the maximal quotient-free subset.
 
     ``prefix`` lists ``_pair_prefix`` up to the last smooth value <= n.
     k = m_i * r, with m_i its smooth part and r free, is kept when m_i has
-    the majority color of the first t(r) = #{smooth <= n // r} values (white
-    on ties).  For each m_i, ascending, the sieve writes that verdict at
-    every multiple m_i * r, r <= n // m_i, free or not: the last write to k
-    comes from its largest smooth divisor, its smooth part, so the verdicts
-    for r that are not free are all overwritten.  The r with t(r) = t fill
-    (n // m_{t+1}, n // m_t], so a run of t with one majority color is one
-    slice assignment per smooth value.
+    the class ``kept_t`` that the stream, which alone decides the majority
+    and its ties, keeps for the first t(r) = #{smooth <= n // r} values.
+    For each m_i, ascending, the sieve writes that verdict at every multiple
+    m_i * r, r <= n // m_i, free or not: the last write to k comes from its
+    largest smooth divisor, its smooth part, so the verdicts for r that are
+    not free are all overwritten.  The r with t(r) = t fill (n // m_{t+1},
+    n // m_t], so a run of t with one kept class is one slice assignment per
+    smooth value.
     """
-    # runs of the majority color over t: the 0-based first t of each run
+    # runs of the kept class over t: the 0-based first t of each run
     firsts: list[int] = []
-    majors: list[int] = []
-    for i, (_, _, _, lead) in enumerate(prefix):
-        major = int(lead < 0)
-        if not majors or majors[-1] != major:
+    classes: list[bool] = []
+    for i, (_, _, _, _, kept) in enumerate(prefix):
+        if not classes or classes[-1] != kept:
             firsts.append(i)
-            majors.append(major)
+            classes.append(kept)
     # a run's r lie above n // (the first value after the run)
-    runs = list(zip([n // prefix[i][0] for i in firsts[1:]] + [0], majors))
+    runs = list(zip([n // prefix[i][0] for i in firsts[1:]] + [0], classes))
     fills = (memoryview(bytes(n)), memoryview(b"\x01" * n))
     mask = bytearray(n + 1)
     k = 0
-    for i, (m, a, b, _) in enumerate(prefix):
+    for i, (m, a, b, _, _) in enumerate(prefix):
         if k + 1 < len(firsts) and firsts[k + 1] == i:
             k += 1
         color = (a + b) & 1
         hi = n // m
-        for lo, major in runs[k:]:
-            mask[m * (lo + 1):m * hi + 1:m] = fills[major == color][:hi - lo]
+        for lo, kept in runs[k:]:
+            mask[m * (lo + 1):m * hi + 1:m] = fills[kept == color][:hi - lo]
             hi = lo
     return mask
 

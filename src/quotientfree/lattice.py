@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, prod
-from operator import add
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .arith import CoprimeBasis, _pair_prefix, _require_coprime, _require_work_bound
@@ -251,7 +251,7 @@ def _max_flow(graph: _ConflictGraph, weights) -> tuple[int, list[bool]]:
         level[source] = 0
         queue = [source]
         for u in queue:
-            if level[sink] >= 0:  # nodes past the sink's level lead nowhere
+            if level[sink] >= 0:  # nodes past the sink's level reach nothing
                 break
             next_level = level[u] + 1
             for e in out[u]:
@@ -453,12 +453,11 @@ def max_difference_free(
 
 
 def f_via_checkerboard(p: int, q: int, t: int) -> int:
-    """Majority color count over the first t smooth integers of the pair basis."""
+    """f(t), the majority color count over the first t smooth integers: the stream's gains."""
     _require_coprime((p, q))
     if t < 1:
         raise DomainError("t must be at least 1")
-    _, _, _, lead = next(islice(_pair_prefix(p, q), t - 1, None))
-    return (t + abs(lead)) // 2
+    return sum(map(itemgetter(3), islice(_pair_prefix(p, q), t)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from quotientfree import (
     white_weight_value,
 )
 
-from helpers import naive_smooth, seen_set_smooth_stream
+from quotientfree.arith import _pair_prefix
+
+from helpers import naive_smooth, naive_smooth_stream, seen_set_smooth_stream
 
 
 class TestDeriveBasis:
@@ -129,6 +131,24 @@ class TestSmoothStream:
         expected = list(takewhile(lambda e: e[0] <= bound, seen_set_smooth_stream(basis)))
         seq = enumerate_smooth(basis, bound)
         assert list(seq.entries()) == expected
+
+
+class TestPairPrefix:
+    # the pairs that perfbench/workloads.py schedules
+    @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (5, 7)])
+    def test_matches_a_naive_tally(self, p, q):
+        f = white = black = 0
+        pairs = zip(_pair_prefix(p, q), naive_smooth_stream((p, q)))
+        for (value, a, b, gain, kept), (expected, exps) in islice(pairs, 2000):
+            assert (value, (a, b)) == (expected, exps)
+            if (a + b) % 2:
+                black += 1
+            else:
+                white += 1
+            f += gain
+            assert f == max(white, black)
+            # black is kept only while it is strictly ahead
+            assert kept is (black > white)
 
 
 # a unit, zero or negative element: the smooth walks never ended on these,

@@ -161,6 +161,23 @@ class TestBasicCommands:
                        "white = 590295810358705651713\n"
                        "black = 590295810358705651712\n")
 
+    @pytest.mark.parametrize("alphas,white,black", [
+        (f"1/{2**70},sqrt2", 590295810358705651713, 590295810358705651712),
+        (f"1/{2**60},1", 576460752303423489, 576460752303423489),
+    ])
+    def test_simplex_counts_with_a_small_alpha_first(self, alphas, white, black):
+        # rows along the small alpha would number 2**60 and more; a separate
+        # process, so that a slow walk fails instead of hanging
+        src = os.path.dirname(os.path.dirname(quotientfree.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quotientfree.cli", "simplex", "--alphas", alphas,
+             "--c", "1", "--counts-only"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == (
+            f"points = {white + black}\nwhite = {white}\nblack = {black}\n")
+
     def test_simplex_radicand_past_the_trial_divisors(self, capsys):
         # trial division stops at 10**4, so a 21-digit radicand parses at once
         code, out, _ = run(capsys, "simplex", "--alphas", "1,sqrt(100000000000000000039)",
