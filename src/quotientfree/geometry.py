@@ -132,8 +132,9 @@ class ExactReal:
     atoms is then undecided (a ``PrecisionError`` once certified intervals
     reach the fixed 4096-bit ``PREC_CAP_BITS``), never a hang.
 
-    An atom memoizes its ``SimplexSpec`` filter enclosure on first use;
-    equality, hashing and repr read only the fields.
+    An atom memoizes its ``SimplexSpec`` filter pair, the floor and ceiling
+    of 2**64 times its value, on first use; equality, hashing and repr read
+    only the fields.
     """
 
     kind: str  # "rational" | "log" | "sqrt"
@@ -207,15 +208,11 @@ class ExactReal:
         return self.scale * lo, self.scale * hi
 
     @cached_property
-    def _filter_enclosure(self) -> tuple[Fraction, Fraction]:
-        """An enclosure whose error stays well below 2**-64 absolute, taken once per atom."""
-        bits = 2 * _FILTER_BITS + (0 if self.is_rational else self.arg.bit_length())
-        return self.interval(bits)
-
-    @cached_property
     def _filter_pair(self) -> tuple[int, int]:
-        """Floor and ceiling of 2**64 times the atom, taken once per atom."""
-        return _enclose(((self, 1),))
+        """Floor and ceiling of 2**64 times the atom, from one enclosure far finer than 2**-64."""
+        bits = 2 * _FILTER_BITS + (0 if self.is_rational else self.arg.bit_length())
+        lo, hi = self.interval(bits)
+        return floor(lo * 2**_FILTER_BITS), ceil(hi * 2**_FILTER_BITS)
 
     def sort_key(self) -> Fraction:
         lo, hi = self.interval(_SORT_KEY_BITS)
@@ -314,10 +311,11 @@ class SimplexSpec:
     coefficients are whole numbers, one integer dot product when every atom
     is rational, and certified signs of the whole combination otherwise.
     The signs route first tries integer enclosures of each alpha and of c,
-    scaled by 2**64, from each atom's memoized enclosure: two integer dot
-    products settle every point not within the enclosures' width of the
-    boundary, in O(r) work, and only the rest (exact ties, say) refine
-    intervals.  Every spec, ``of``'s too, is built this one way.
+    scaled by 2**64: each atom's memoized pair, and for c their integer sums
+    weighted by c's coefficients.  Two integer dot products settle every
+    point not within the enclosures' width of the boundary, in O(r) work,
+    and only the rest (exact ties, say) refine intervals.  Every spec,
+    ``of``'s too, is built this one way.
     """
 
     alphas: tuple[ExactReal, ...]
@@ -350,7 +348,15 @@ class SimplexSpec:
         else:
             lo, hi = zip(*(a._filter_pair for a in self.alphas))
             # the row ends divide by lo, so an alpha below 2**-64 leaves no filter
-            box = None if min(lo) <= 0 else (lo, hi, *_enclose(terms))
+            box = None
+            if min(lo) > 0:
+                # k * atom lies between k times the atom's pair ends, swapped when k < 0
+                c_lo = c_hi = 0
+                for atom, k in terms:
+                    a_lo, a_hi = atom._filter_pair[::1 if k >= 0 else -1]
+                    c_lo += k.numerator * a_lo // k.denominator
+                    c_hi -= -k.numerator * a_hi // k.denominator
+                box = lo, hi, c_lo, c_hi
             route = "signs", box, tuple((atom, -k) for atom, k in terms)
         object.__setattr__(self, "_route", route)
 
@@ -419,18 +425,6 @@ class SimplexSpec:
         while top > sure and not self.contains(head + [top]):
             top -= 1
         return max(top, -1)
-
-
-def _enclose(terms) -> tuple[int, int]:
-    """Floor and ceiling of 2**_FILTER_BITS times a combination of atoms."""
-    lo = hi = Fraction(0)
-    for atom, k in terms:
-        alo, ahi = atom._filter_enclosure
-        if k >= 0:
-            lo, hi = lo + k * alo, hi + k * ahi
-        else:
-            lo, hi = lo + k * ahi, hi + k * alo
-    return floor(lo * 2**_FILTER_BITS), ceil(hi * 2**_FILTER_BITS)
 
 
 def _require_positive(alphas: Sequence[ExactReal]) -> None:

@@ -610,6 +610,10 @@ def monochromatize(
     width diagonal splits the shifts around it (a maximum set fills no such
     diagonal).  Each move lands on vacant cells of the opposite parity, so
     no adjacencies appear.
+
+    The result is the whole checkerboard class of the input's lowest
+    occupied diagonal: moves go only one diagonal down, onto its color, and
+    a one-color non-adjacent set of the majority size is the whole class.
     """
     if not isinstance(config, LatticeConfig):
         config = LatticeConfig.explicit(config)

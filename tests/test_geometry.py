@@ -293,6 +293,28 @@ class TestRowSums:
         assert spec.contains((1, 1)) == (shift >= 0)
         assert simplex_color_counts(spec) == tallied_color_counts(spec)
 
+    @pytest.mark.parametrize("c_terms", [
+        (("5", 1), ("sqrt2", -1)),
+        (("ln5", Fraction(7, 3)), ("sqrt3", Fraction(-1, 2)), ("1/7", 1)),
+        (("sqrt3", 2), ("ln7", 0), ("1", 1)),
+    ], ids=["5-sqrt2", "mixed-signs", "zero-coefficient"])
+    def test_box_brackets_c_whatever_the_signs(self, c_terms):
+        # c's box sums k times its atoms' integer pairs, the ends swapped
+        # when k < 0; a 512-bit enclosure of c must lie inside it
+        alphas = (ExactReal.of(1), ExactReal.sqrt(2))
+        terms = tuple((ExactReal.parse(text), Fraction(k)) for text, k in c_terms)
+        spec = SimplexSpec(alphas, terms)
+        _, _, c_lo, c_hi = spec._route[1]
+        lo = hi = Fraction(0)
+        for atom, k in terms:
+            a_lo, a_hi = atom.interval(512)
+            lo += k * (a_lo if k >= 0 else a_hi)
+            hi += k * (a_hi if k >= 0 else a_lo)
+        assert c_lo <= lo * 2**64 and hi * 2**64 <= c_hi
+        for point in ((x, y) for x in range(6) for y in range(6)):
+            signed = list(zip(alphas, map(Fraction, point))) + [(a, -k) for a, k in terms]
+            assert spec.contains(point) == (geometry._sign_of_terms(signed, "grid") <= 0)
+
     def test_filter_falls_back_only_on_ties(self, monkeypatch):
         calls = []
         sign_of_terms = geometry._sign_of_terms
@@ -343,7 +365,11 @@ _FOUND_AT_THE_BUDGET = [(("ln2", "ln3"), 3), (("1", "3"), 4), (("1", "sqrt2"), 3
 
 
 def _count_filter_enclosures(monkeypatch) -> list:
-    """The atoms that ``ExactReal.interval`` encloses at filter precision, as they come."""
+    """The atoms whose integer filter pair is computed, as they come.
+
+    Each pair is read off one ``ExactReal.interval`` call at filter
+    precision, and those calls are what this lists.
+    """
     enclosed = []
     interval = ExactReal.interval
 

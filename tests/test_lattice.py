@@ -945,6 +945,9 @@ class TestMonochromatize:
                         result = _sweep(triangle, set(chosen))
                         assert len(result.points) == size
                         assert len({sum(p) % 2 for p in result.points}) == 1
+                        # the whole class of the lowest occupied diagonal's parity
+                        parity = min(map(sum, chosen)) % 2
+                        assert result.points == tuple(p for p in pts if sum(p) % 2 == parity)
                         configurations += 1
         assert (len(seen), configurations) == (139, 385)
 
@@ -966,6 +969,8 @@ class TestMonochromatize:
                 assert (x + 1, y) not in out_set
                 assert (x, y + 1) not in out_set
             assert len({sum(pt) % 2 for pt in out_set}) == 1
+            parity = min(map(sum, result.witness)) % 2
+            assert out.points == tuple(pt for pt in pts if sum(pt) % 2 == parity)
 
 
 class TestTriangleEquivalence:

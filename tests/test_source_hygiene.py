@@ -8,7 +8,8 @@ that ``__init__`` re-exports counts as referenced; decorated ones, such as
 the CLI's registered command handlers, are reached through their
 decorator.  A private method of a top-level class, plain or a
 classmethod, staticmethod, property or cached_property, must be read as
-an attribute by some module outside its own body.
+an attribute by some module outside its own body.  A private name
+assigned at module level, such as a constant, must be read by some module.
 """
 
 import ast
@@ -130,6 +131,33 @@ def _orphan_methods(trees: dict[str, ast.Module]) -> list[str]:
     return orphans
 
 
+def _unread_assignments(trees: dict[str, ast.Module]) -> list[str]:
+    """Private names assigned at module level that no module reads.
+
+    A read is a bare name in load context, an attribute read or an
+    imported-from name; dunders aside.
+    """
+    reads: Counter = Counter()
+    for tree in trees.values():
+        reads += _attribute_reads(tree)
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                reads[sub.id] += 1
+            elif isinstance(sub, ast.ImportFrom):
+                reads.update(alias.name for alias in sub.names)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Name) and sub.id.startswith("_")
+                            and not sub.id.startswith("__") and reads[sub.id] == 0):
+                        unread.append(f"{name}:{sub.id}")
+    return unread
+
+
 def _module_trees() -> dict[str, ast.Module]:
     return {path.name: _tree(path) for path in MODULES}
 
@@ -142,6 +170,11 @@ def test_every_private_helper_is_referenced():
 def test_every_private_method_is_read():
     orphans = _orphan_methods(_module_trees())
     assert orphans == [], f"private methods that no module reads: {orphans}"
+
+
+def test_every_private_module_name_is_read():
+    unread = _unread_assignments(_module_trees())
+    assert unread == [], f"private module-level names that no module reads: {unread}"
 
 
 def test_every_public_definition_is_referenced_or_exported():
@@ -176,3 +209,6 @@ def test_the_lint_sees_an_unused_import_and_an_orphan():
         "        return x <= self._row_end()\n"
     )
     assert _orphan_methods({"geometry.py": spec}) == ["geometry.py:SimplexSpec._enclosed"]
+    # a private constant that nothing reads, beside one that is read
+    constants = ast.parse("_CONSTANT = 64\n_USED: int = 2\n\ndef scale(x):\n    return x * _USED\n")
+    assert _unread_assignments({"geometry.py": constants}) == ["geometry.py:_CONSTANT"]
