@@ -6,6 +6,7 @@ from .arith import (
     SmoothSequence,
     as_fraction,
     coprime_part_list,
+    coprime_part_mask,
     count_coprime_part,
     derive_basis,
     enumerate_smooth,
@@ -21,6 +22,7 @@ from .density import (
     construct_dense_set,
     empirical_densities,
     max_subset_count,
+    max_subset_mask,
     rho_closed_form,
     rho_general,
     sigma_series,

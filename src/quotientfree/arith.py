@@ -337,16 +337,23 @@ def count_coprime_part(basis, x: int) -> int:
     return total
 
 
-def coprime_part_list(basis, x: int) -> list[int]:
-    """Ascending list of n <= x divisible by no basis element (a bytearray sieve)."""
+def coprime_part_mask(basis, x: int) -> bytearray:
+    """mask[n] = 1 exactly for the n <= x divisible by no basis element (a sieve).
+
+    The mask has x + 1 bytes (one for x < 1), and mask[0] = 0.
+    """
     basis = _basis_ints(basis)
-    if x < 1:
-        return []
+    x = max(x, 0)
     mask = bytearray([1]) * (x + 1)
     mask[0] = 0
     for b in basis:
         mask[::b] = bytes(x // b + 1)  # every multiple of b
-    return list(compress(range(x + 1), mask))
+    return mask
+
+
+def coprime_part_list(basis, x: int) -> list[int]:
+    """Ascending list of n <= x divisible by no basis element."""
+    return list(compress(range(x + 1), coprime_part_mask(basis, x)))
 
 
 def phi(basis) -> Fraction:

@@ -16,6 +16,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import verify as verify_mod
@@ -25,6 +26,7 @@ from .density import (
     DensityBracket,
     construct_dense_set,
     max_subset_count,
+    max_subset_mask,
     rho_closed_form,
     rho_general,
     sigma_series,
@@ -178,6 +180,36 @@ def _with_dec(args, value: Fraction) -> str:
     return frac_str(value) + ("" if args.exact else f" = {dec12(value)}")
 
 
+_DIGITS = tuple(map(str, range(1000)))  # "0" to "999"
+_SUFFIX3 = tuple(f"{n:03d}" for n in range(1000))  # "000" to "999"
+
+
+class _MaskList:
+    """The ascending k with mask[k] = 1 for a 0/1 byte mask, as one list.
+
+    ``str`` gives the text that both ``str`` and ``json.dumps`` give for the
+    list of those k, "[a, b, ...]", without an int per member: the k in
+    block B (1000B <= k < 1000B + 1000) are str(B) before a three-digit
+    suffix, and block 0 takes its numbers whole from a table.  ``_emit``
+    splices the text into the JSON output.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def __str__(self) -> str:
+        mask, parts = self.mask, []
+        for start in range(0, len(mask), 1000):
+            block = mask[start:start + 1000]
+            if 1 in block:
+                head = str(start // 1000) if start else ""
+                parts.append(head + (", " + head).join(
+                    compress(_SUFFIX3 if start else _DIGITS, block)))
+        return "[" + ", ".join(parts) + "]"
+
+
 # ---------------------------------------------------------------------------
 # The subcommand table
 # ---------------------------------------------------------------------------
@@ -290,8 +322,8 @@ def _gap(args) -> _Output:
           _P, _Q, _arg("--n", type=int, required=True), _arg("--witness", action="store_true"))
 def _max_subset(args) -> _Output:
     if args.witness:
-        count, witness = max_subset_count(args.p, args.q, args.n, with_witness=True)
-        result = {"count": count, "witness": list(witness)}
+        mask = max_subset_mask(args.p, args.q, args.n)
+        result = {"count": mask.count(1), "witness": _MaskList(mask)}
     else:
         result = {"count": max_subset_count(args.p, args.q, args.n)}
     return _Output({"p": args.p, "q": args.q, "n": args.n}, result,
@@ -306,23 +338,32 @@ def _max_subset(args) -> _Output:
 def _dense_set(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
     sample = construct_dense_set(a_set, args.x, depth=args.depth, cap=args.cap)
+    count = sample.count()
     log_dec = _log_dec(sample.log_density_bracket(), lambda: sample.log_density)
-    result = {
-        "x": sample.x,
-        "count": len(sample.members),
-        "counting_density": frac_str(sample.counting_density),
-        "counting_density_dec": dec12(sample.counting_density),
-        "log_density_dec": log_dec,
-        "members": sample.members,
-    }
-    lines = [f"x = {sample.x}", f"count = {len(sample.members)}",
-             f"counting density = {_with_dec(args, sample.counting_density)}"]
-    if log_dec is not None:
-        lines.append(f"log density ~ {log_dec}")
-    if args.members:
-        lines.append(f"members = {list(sample.members)}")
+
+    # each mode reads only its own output, so the member mask is built for
+    # JSON and for text with --members alone
+    def result() -> dict:
+        return {
+            "x": sample.x,
+            "count": count,
+            "counting_density": frac_str(sample.counting_density),
+            "counting_density_dec": dec12(sample.counting_density),
+            "log_density_dec": log_dec,
+            "members": _MaskList(sample.member_mask),
+        }
+
+    def lines():
+        yield f"x = {sample.x}"
+        yield f"count = {count}"
+        yield f"counting density = {_with_dec(args, sample.counting_density)}"
+        if log_dec is not None:
+            yield f"log density ~ {log_dec}"
+        if args.members:
+            yield f"members = {_MaskList(sample.member_mask)}"
+
     return _Output({"a": [frac_str(f) for f in a_set.elements], "x": args.x,
-                    "depth": args.depth}, result, lines)
+                    "depth": args.depth}, result, lines())
 
 
 @_command("densities", "density table of the dense construction at checkpoints",
@@ -553,8 +594,21 @@ def _emit(fmt: str, provenance: str, out: _Output) -> None:
     """Print a subcommand's output as JSON, CSV (table subcommands) or text lines."""
     if fmt == "json":
         result = out.result() if callable(out.result) else out.result
+        # a mask list goes in as the placeholder "\0<key>", which no argv
+        # can carry, and its text is spliced in for the placeholder's JSON
+        lists = {key: value for key, value in result.items()
+                 if isinstance(value, _MaskList)} if isinstance(result, dict) else {}
+        if lists:
+            result = {**result, **{key: "\0" + key for key in lists}}
         payload = {"params": out.params, "result": result, "provenance": provenance}
-        print(json.dumps(payload, sort_keys=True))
+        text = json.dumps(payload, sort_keys=True)
+        for key, value in lists.items():
+            placeholder = json.dumps("\0" + key)
+            found = text.count(placeholder)
+            if found != 1:
+                raise SelfCheckError(f"placeholder {placeholder} found {found} times in the JSON")
+            text = text.replace(placeholder, str(value))
+        print(text)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(out.header)

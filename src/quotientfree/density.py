@@ -21,7 +21,7 @@ from .arith import (
     CoprimeBasis,
     RationalSet,
     as_fraction,
-    coprime_part_list,
+    coprime_part_mask,
     count_coprime_part,
     derive_basis,
     enumerate_smooth,
@@ -227,22 +227,38 @@ def max_subset_count(
     representatives up to n // m_t (inclusion-exclusion) summed over the t
     at which ``_pair_prefix``, which alone decides the majority and its
     ties, reports a gain: O(#smooth <= n * 2^s) work.  The witness comes
-    from a sieve by smooth parts (see ``_witness_mask``): about n * p/(p-1)
-    * q/(q-1) byte writes done in C, plus O(#smooth * #runs) Python steps.
-    With a witness the count is the witness's length, checked against the
-    block sum.
+    from ``max_subset_mask``, and with it the count is the witness's
+    length, checked against the block sum.
     """
+    if with_witness:
+        witness = tuple(compress(range(n + 1), max_subset_mask(p, q, n)))
+        return len(witness), witness
+    return _block_sum(p, q, n)[1]
+
+
+def max_subset_mask(p: int, q: int, n: int) -> bytearray:
+    """mask[k] = 1 exactly for the k <= n in ``max_subset_count``'s witness.
+
+    A sieve by smooth parts (see ``_witness_mask``): about n * p/(p-1)
+    * q/(q-1) byte writes done in C, plus O(#smooth * #runs) Python steps.
+    Its number of ones is checked against the block sum.
+    """
+    prefix, total = _block_sum(p, q, n)
+    mask = _witness_mask(prefix, n)
+    size = mask.count(1)
+    if size != total:
+        raise SelfCheckError(f"witness of {size} elements, block sum {total}")
+    return mask
+
+
+def _block_sum(p: int, q: int, n: int) -> tuple[list[tuple[int, int, int, bool, bool]], int]:
+    """``_pair_prefix`` up to the last smooth value <= n, and the count it gives."""
     _require_coprime((p, q))
     if n < 1:
         raise DomainError("the horizon must be at least 1")
     prefix = list(takewhile(lambda entry: entry[0] <= n, _pair_prefix(p, q)))
     total = sum(count_coprime_part((p, q), n // m) for m, _, _, gain, _ in prefix if gain)
-    if not with_witness:
-        return total
-    witness = tuple(compress(range(n + 1), _witness_mask(prefix, n)))
-    if len(witness) != total:
-        raise SelfCheckError(f"witness of {len(witness)} elements, block sum {total}")
-    return len(witness), witness
+    return prefix, total
 
 
 def _witness_mask(prefix: Sequence[tuple[int, int, int, bool, bool]], n: int) -> bytearray:
@@ -288,14 +304,20 @@ class DenseSetSample:
 
     Every member is a chosen smooth part times a free part (a basis-free
     integer), and a product up to x has its free part among the first
-    c_m = #{free <= x // m} of them.  So the sample keeps just the two
-    ascending factor lists; the member list, counts and densities are
-    computed from them on first read, at any horizon up to ``x``.
+    c_m = #{free <= x // m} of them.  So the sample keeps just the
+    ascending chosen smooth parts and the 0/1 mask of the free parts over
+    0..x; the member list, counts and densities are computed from them on
+    first read, at any horizon up to ``x``.
     """
 
     x: int
     smooth_parts: tuple[int, ...] = field(repr=False)
-    free_parts: tuple[int, ...] = field(repr=False)
+    free_mask: bytes = field(repr=False)
+
+    @cached_property
+    def free_parts(self) -> tuple[int, ...]:
+        """The free parts up to x, ascending."""
+        return tuple(compress(range(self.x + 1), self.free_mask))
 
     def _horizon(self, x: Optional[int]) -> int:
         if x is None:
@@ -310,13 +332,26 @@ class DenseSetSample:
         return [bisect_right(free, x // m) for m in self.smooth_parts if m <= x]
 
     @cached_property
+    def member_mask(self) -> bytes:
+        """mask[k] = 1 exactly for the members k <= x.
+
+        For each chosen smooth part m, ascending, the free mask is written
+        at the multiples of m: mask[m * r] = free[r].  The smooth divisors
+        of k all divide its smooth part s, so the last write to k comes from
+        the largest chosen one.  That is s when s is chosen, and writes
+        free[k // s] = 1; a smaller one leaves a basis element in k // m,
+        which is not free.
+        """
+        x, free = self.x, self.free_mask
+        mask = bytearray(x + 1)
+        for m in self.smooth_parts:
+            mask[m::m] = free[1:x // m + 1]
+        return bytes(mask)
+
+    @cached_property
     def members(self) -> tuple[int, ...]:
         """Every member up to x, ascending."""
-        members: list[int] = []
-        for m, top in zip(self.smooth_parts, self._cuts(self.x)):
-            members.extend([m * n for n in self.free_parts[:top]])
-        members.sort()
-        return tuple(members)
+        return tuple(compress(range(self.x + 1), self.member_mask))
 
     def count(self, x: Optional[int] = None) -> int:
         """Number of members up to x (default: the horizon), the sum of the c_m."""
@@ -415,8 +450,7 @@ def construct_dense_set(
         smooth_parts = [v for v, e in seq.entries() if sum(e) % 2 == 0]
     else:
         smooth_parts = [v for v, e in seq.entries() if e in chosen]
-    free_parts = coprime_part_list(basis, x)
-    return DenseSetSample(x, tuple(smooth_parts), tuple(free_parts))
+    return DenseSetSample(x, tuple(smooth_parts), bytes(coprime_part_mask(basis, x)))
 
 
 def _grouped_reciprocal_sum(

@@ -122,6 +122,18 @@ def naive_max_subset_witness(p, q, n):
     return total, tuple(sorted(witness))
 
 
+def extend_then_sort_members(x, smooth_parts, free_parts):
+    """The dense set's members up to x: for each chosen smooth m <= x, the
+    products m * n over the ascending free n <= x // m are appended to one
+    list, which is sorted at the end."""
+    members = []
+    for m in smooth_parts:
+        if m <= x:
+            members.extend(m * n for n in free_parts[:bisect_right(free_parts, x // m)])
+    members.sort()
+    return tuple(members)
+
+
 def naive_sigma_brackets(p, q):
     """The majority-color series bracket after each term, one Fraction per term.
 

@@ -10,6 +10,7 @@ from quotientfree import (
     DomainError,
     RationalSet,
     coprime_part_list,
+    coprime_part_mask,
     count_coprime_part,
     derive_basis,
     enumerate_smooth,
@@ -163,9 +164,10 @@ class TestDegenerateBases:
         lambda b: next(smooth_stream(b)),
         lambda b: count_coprime_part(b, 10),
         lambda b: coprime_part_list(b, 10),
+        lambda b: coprime_part_mask(b, 10),
         lambda b: phi(b),
     ], ids=["enumerate_smooth", "smooth_stream", "count_coprime_part",
-            "coprime_part_list", "phi"])
+            "coprime_part_list", "coprime_part_mask", "phi"])
     def test_rejected(self, basis, call):
         with pytest.raises(DomainError, match="basis elements must be integers greater than 1"):
             call(basis)
@@ -234,6 +236,9 @@ class TestCountCoprimePart:
 class TestCoprimePartList:
     def test_example(self):
         assert coprime_part_list((2, 3), 12) == [1, 5, 7, 11]
+        assert coprime_part_mask((2, 3), 12) == bytearray(
+            [0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0])
+        assert coprime_part_mask((2, 3), 0) == coprime_part_mask((2, 3), -5) == bytearray(1)
 
     # (4, 6) is not coprime: the sieve must still strike multiples of each
     @pytest.mark.parametrize("basis", [(2,), (2, 3), (3, 4), (2, 3, 5, 7), (4, 6)])

@@ -7,14 +7,16 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quotientfree
 from quotientfree import cli, density, geometry, lattice, verify
-from quotientfree.cli import _log_dec, build_parser, dec12, main
+from quotientfree.cli import _MaskList, _Output, _emit, _log_dec, build_parser, dec12, main
 from quotientfree.density import DensityBracket
+from quotientfree.errors import SelfCheckError
 
 from helpers import decimal_dec12
 
@@ -689,6 +691,110 @@ class TestDensityTables:
             assert code == 0
             assert len(out.splitlines()) == 4
             assert "members" not in samples[-1].__dict__
+
+
+# set bits at block edges, and at the 10^6 and 10^7 edges
+_EDGES = sorted({max(0, 1000 * block + d) for block in (0, 1, 2, 999, 1000, 1001, 9999, 10000)
+                 for d in (-1, 0, 1)} | {999})
+
+
+@st.composite
+def _sparse_masks(draw):
+    """A mask and its set positions, ascending: the list that compress reads
+    off the mask, without a walk over 10^7 positions."""
+    ones = draw(st.sets(st.sampled_from(_EDGES) | st.integers(0, 10**7 + 1), max_size=12))
+    mask = bytearray(max(ones, default=0) + 1 + draw(st.integers(0, 1001)))
+    for k in ones:
+        mask[k] = 1
+    return bytes(mask), sorted(ones)
+
+
+def _mask_payload(mask):
+    """The JSON ``_emit`` prints for one mask list, and the list it stands for."""
+    members = list(compress(range(len(mask)), mask))
+    return {"params": {"n": len(mask)}, "result": {"count": len(members), "witness": members},
+            "provenance": "test"}
+
+
+class TestMaskList:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mask=st.binary(max_size=5000).map(lambda raw: bytes(b & 1 for b in raw)))
+    @example(mask=b"")
+    @example(mask=b"\0" * 1000 + b"\1")
+    def test_random_masks_render_as_the_list(self, mask):
+        members = list(compress(range(len(mask)), mask))
+        assert str(_MaskList(mask)) == json.dumps(members) == str(members)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(sparse=_sparse_masks())
+    def test_sparse_masks_render_as_the_list(self, sparse):
+        mask, members = sparse
+        assert str(_MaskList(mask)) == json.dumps(members) == str(members)
+
+    @pytest.mark.parametrize("mask", [b"", b"\0\1\1", b"\0" * 1000 + b"\1" * 1001])
+    def test_emit_splices_the_list_into_the_json(self, capsys, mask):
+        payload = _mask_payload(mask)
+        result = {**payload["result"], "witness": _MaskList(mask)}
+        _emit("json", "test", _Output(payload["params"], result, []))
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_a_placeholder_met_twice_is_a_failed_self_check(self, capsys):
+        # "\0witness" cannot come from argv, but a crafted output can carry it
+        out = _Output({"n": "\0witness"}, {"witness": _MaskList(b"\0\1")}, [])
+        with pytest.raises(SelfCheckError, match="found 2 times"):
+            _emit("json", "test", out)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 12345, 200000])
+    def test_max_subset_witness_is_the_library_tuple(self, capsys, n):
+        count, witness = quotientfree.max_subset_count(2, 3, n, with_witness=True)
+        argv = ("max-subset", "--p", "2", "--q", "3", "--n", str(n), "--witness")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "params": {"p": 2, "q": 3, "n": n},
+            "result": {"count": count, "witness": list(witness)},
+            "provenance": "coprime-class-majority-sum",
+        }, sort_keys=True) + "\n"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == f"count = {count}\nwitness = {list(witness)}\n"
+
+    @pytest.mark.parametrize("a_set", ["2,3", "3/2", "4/3", "2,3,5"])
+    @pytest.mark.parametrize("x", [1, 999, 1000, 1001, 12345])
+    def test_dense_set_members_are_the_library_tuple(self, capsys, a_set, x):
+        members = list(quotientfree.construct_dense_set(a_set.split(","), x).members)
+        code, out, _ = run(capsys, "dense-set", "--a", a_set, "--x", str(x), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["result"]["members"] == members
+        assert payload["result"]["count"] == len(members)
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+        code, out, _ = run(capsys, "dense-set", "--a", a_set, "--x", str(x), "--members")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == f"count = {len(members)}"
+        assert lines[-1] == f"members = {members}"
+
+    def test_dense_set_json_renders_the_members_once(self, capsys, monkeypatch):
+        # with --json, the text line that --members asks for is never rendered
+        calls = []
+        render = _MaskList.__str__
+        monkeypatch.setattr(_MaskList, "__str__", lambda self: calls.append(1) or render(self))
+        code, _, _ = run(capsys, "dense-set", "--a", "2,3", "--x", "1000", "--json", "--members")
+        assert code == 0
+        assert calls == [1]
+
+    def test_dense_set_text_without_members_builds_no_member_list(self, capsys, monkeypatch):
+        # the count comes from the sample's cuts
+        counts = {a_set: len(quotientfree.construct_dense_set(a_set.split(","), 1000).members)
+                  for a_set in ("2,3", "3/2")}
+        for name in ("member_mask", "members"):
+            monkeypatch.setattr(density.DenseSetSample, name, property(_unreachable))
+        for a_set, count in counts.items():
+            code, out, _ = run(capsys, "dense-set", "--a", a_set, "--x", "1000")
+            assert code == 0
+            assert out.splitlines()[1] == f"count = {count}"
 
 
 MALFORMED = [

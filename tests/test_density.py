@@ -17,6 +17,7 @@ from quotientfree import (
     enumerate_smooth,
     gamma_bracket,
     max_subset_count,
+    max_subset_mask,
     phi,
     rho_closed_form,
     rho_general,
@@ -32,6 +33,7 @@ from quotientfree.verify import exhaustive_max_quotient_free
 
 from helpers import (
     context_ln,
+    extend_then_sort_members,
     naive_max_subset_counts,
     naive_max_subset_witness,
     naive_sigma_brackets,
@@ -325,6 +327,21 @@ class TestMaxSubsetCount:
         with pytest.raises(SelfCheckError, match="^witness of 61 elements, block sum 72$"):
             max_subset_count(2, 3, 100, with_witness=True)
 
+    @pytest.mark.parametrize("pair", BENCH_PAIRS)
+    def test_mask_marks_the_witness(self, pair):
+        p, q = pair
+        for n in (1, 2, 12, 999, 1000, 1001, 12345):
+            mask = max_subset_mask(p, q, n)
+            assert len(mask) == n + 1 and set(mask) <= {0, 1}, (pair, n)
+            assert tuple(k for k in range(n + 1) if mask[k]) == \
+                max_subset_count(p, q, n, with_witness=True)[1], (pair, n)
+
+    def test_mask_is_checked_against_the_block_sum(self, monkeypatch):
+        counts = density.count_coprime_part
+        monkeypatch.setattr(density, "count_coprime_part", lambda basis, x: counts(basis, x) - 1)
+        with pytest.raises(SelfCheckError, match="^witness of 61 elements, block sum 50$"):
+            max_subset_mask(2, 3, 100)
+
     def test_block_sum_at_astronomical_horizon(self):
         n = 10**30
         start = time.perf_counter()
@@ -376,6 +393,28 @@ class TestConstructDenseSet:
 
 
 BRACKET_SETS = [("2", "3"), ("2",), ("3/2",), ("4/3",)]
+MEMBER_SETS = [("2", "3"), ("3/2",), ("4/3",), ("2", "3", "5")]
+
+
+class TestMemberSieve:
+    @pytest.mark.parametrize("a_set", MEMBER_SETS)
+    def test_matches_extend_then_sort_at_every_horizon(self, a_set):
+        # one set of chosen smooth parts up to 2000 at every horizon x <= 2000,
+        # so most horizons see chosen parts above x
+        top = construct_dense_set(list(a_set), 2000)
+        for x in range(1, 2001):
+            sample = density.DenseSetSample(x, top.smooth_parts, top.free_mask[:x + 1])
+            expected = extend_then_sort_members(x, top.smooth_parts, top.free_parts)
+            assert sample.members == expected, (a_set, x)
+            assert sample.count() == len(expected), (a_set, x)
+
+    @pytest.mark.parametrize("a_set", MEMBER_SETS)
+    def test_a_fresh_construction_agrees(self, a_set):
+        for x in (1, 2, 12, 999, 1000, 1001, 2000):
+            sample = construct_dense_set(list(a_set), x)
+            assert sample.members == extend_then_sort_members(
+                x, sample.smooth_parts, sample.free_parts), (a_set, x)
+
 
 
 class TestLazySample:
