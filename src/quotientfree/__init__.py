@@ -12,6 +12,7 @@ from .arith import (
     enumerate_smooth,
     exact_sum,
     phi,
+    smooth_exponent_rows,
     smooth_stream,
 )
 from .density import (

@@ -233,29 +233,56 @@ def smooth_stream(basis) -> Iterator[tuple[int, Vector]]:
     yield from _ascending_walk(1, _basis_ints(basis), mul)
 
 
-def enumerate_smooth(basis, bound: int) -> SmoothSequence:
-    """All basis-smooth integers <= bound with their exponent vectors.
+@lru_cache(maxsize=8)
+def _exponent_labels(size: int) -> tuple[tuple[Vector, ...], tuple[str, ...], tuple[str, ...]]:
+    """Three labels of each exponent k < size: (k,), "k" and ", k"."""
+    digits = tuple(map(str, range(size)))
+    return tuple((k,) for k in range(size)), digits, tuple(", " + d for d in digits)
 
-    Built by nested products, one basis element at a time, which lists the
-    exponent vectors in lexicographic order; one stable sort by value then
-    gives the order of ``smooth_stream``, equal values in exponent order.
+
+def _nested_products(b: tuple[int, ...], bound: int, start, first, later) -> tuple[tuple, tuple]:
+    """(values, labels) of the b-smooth integers <= bound, ascending.
+
+    The integer with exponents (k_1, ..., k_s) is labelled ``start +
+    first[k_1] + later[k_2] + ... + later[k_s]``; every k has 2^k <= bound,
+    so tables of ``bound.bit_length()`` entries are enough.  Built by
+    nested products, one basis element at a time, which lists the exponent
+    vectors in lexicographic order; one stable sort by value then gives the
+    order of ``smooth_stream``, equal values in exponent order.
     """
     if bound < 1:
         raise DomainError("bound must be at least 1")
-    b = _basis_ints(basis)
-    entries: list[tuple[int, Vector]] = [(1, ())]
+    entries, tail = [(1, start)], first
     for bj in b:
         grown = []
-        for value, exps in entries:
+        for value, label in entries:
             k = 0
             while value <= bound:
-                grown.append((value, exps + (k,)))
+                grown.append((value, label + tail[k]))
                 value *= bj
                 k += 1
-        entries = grown
+        entries, tail = grown, later
     entries.sort(key=itemgetter(0))
-    values, exponents = zip(*entries)
-    return SmoothSequence(values, exponents)
+    values, labels = zip(*entries)
+    return values, labels
+
+
+def enumerate_smooth(basis, bound: int) -> SmoothSequence:
+    """All basis-smooth integers <= bound with their exponent vectors."""
+    b = _basis_ints(basis)
+    singletons = _exponent_labels(int(bound).bit_length())[0]
+    return SmoothSequence(*_nested_products(b, bound, (), singletons, singletons))
+
+
+def smooth_exponent_rows(basis, bound: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """``enumerate_smooth``'s values, and each exponent vector as decimal text.
+
+    Row i is ``", ".join(map(str, exponents[i]))``, grown label by label in
+    the same walk, so no exponent tuple is built.
+    """
+    b = _basis_ints(basis)
+    _, digits, later = _exponent_labels(int(bound).bit_length())
+    return _nested_products(b, bound, "", digits, later)
 
 
 def _pair_prefix(p: int, q: int) -> Iterator[tuple[int, int, int, bool, bool]]:

@@ -20,7 +20,7 @@ from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import verify as verify_mod
-from .arith import CoprimeBasis, RationalSet, as_fraction, derive_basis, enumerate_smooth
+from .arith import CoprimeBasis, RationalSet, as_fraction, derive_basis, smooth_exponent_rows
 from .density import (
     DEFAULT_SERIES_BUDGET,
     DensityBracket,
@@ -184,14 +184,23 @@ _DIGITS = tuple(map(str, range(1000)))  # "0" to "999"
 _SUFFIX3 = tuple(f"{n:03d}" for n in range(1000))  # "000" to "999"
 
 
-class _MaskList:
+class _Rendered:
+    """A list whose JSON text is built without ``json.dumps``.
+
+    ``str`` gives the text that ``json.dumps`` gives for the list; ``_emit``
+    splices it into the JSON output.
+    """
+
+    __slots__ = ()
+
+
+class _MaskList(_Rendered):
     """The ascending k with mask[k] = 1 for a 0/1 byte mask, as one list.
 
-    ``str`` gives the text that both ``str`` and ``json.dumps`` give for the
-    list of those k, "[a, b, ...]", without an int per member: the k in
-    block B (1000B <= k < 1000B + 1000) are str(B) before a three-digit
-    suffix, and block 0 takes its numbers whole from a table.  ``_emit``
-    splices the text into the JSON output.
+    Its text, "[a, b, ...]", is also what ``str`` gives for the list of
+    those k, and is built without an int per member: the k in block B
+    (1000B <= k < 1000B + 1000) are str(B) before a three-digit suffix, and
+    block 0 takes its numbers whole from a table.
     """
 
     __slots__ = ("mask",)
@@ -208,6 +217,18 @@ class _MaskList:
                 parts.append(head + (", " + head).join(
                     compress(_SUFFIX3 if start else _DIGITS, block)))
         return "[" + ", ".join(parts) + "]"
+
+
+class _RowList(_Rendered):
+    """A nonempty list of integer lists from rows of text, "a, b, ..." for [a, b, ...]."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __str__(self) -> str:
+        return "[[" + "], [".join(self.rows) + "]]"
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +427,13 @@ def _densities(args) -> _Output:
           _arg("--bound", type=int, required=True), _CSV)
 def _enumerate(args) -> _Output:
     basis = CoprimeBasis.from_coprime_integers(sorted(_coprime_int_values(args.a)))
-    seq = enumerate_smooth(basis, args.bound)
+    values, rows = smooth_exponent_rows(basis, args.bound)
     return _Output(
         {"basis": list(basis.basis), "bound": args.bound},
-        {"values": seq.values, "exponents": seq.exponents},
-        (f"{v} {list(e)}" for v, e in seq.entries()),
+        {"values": values, "exponents": _RowList(rows)},
+        (f"{v} [{row}]" for v, row in zip(values, rows)),
         ("value", "exponents"),
-        ((v, " ".join(map(str, e))) for v, e in seq.entries()),
+        ((v, row.replace(", ", " ")) for v, row in zip(values, rows)),
     )
 
 
@@ -594,10 +615,10 @@ def _emit(fmt: str, provenance: str, out: _Output) -> None:
     """Print a subcommand's output as JSON, CSV (table subcommands) or text lines."""
     if fmt == "json":
         result = out.result() if callable(out.result) else out.result
-        # a mask list goes in as the placeholder "\0<key>", which no argv
-        # can carry, and its text is spliced in for the placeholder's JSON
+        # a rendered list goes in as the placeholder "\0<key>", which no
+        # argv can carry, and its text is spliced in for the placeholder's JSON
         lists = {key: value for key, value in result.items()
-                 if isinstance(value, _MaskList)} if isinstance(result, dict) else {}
+                 if isinstance(value, _Rendered)} if isinstance(result, dict) else {}
         if lists:
             result = {**result, **{key: "\0" + key for key in lists}}
         payload = {"params": out.params, "result": result, "provenance": provenance}

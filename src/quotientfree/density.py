@@ -253,11 +253,12 @@ def max_subset_mask(p: int, q: int, n: int) -> bytearray:
 
 def _block_sum(p: int, q: int, n: int) -> tuple[list[tuple[int, int, int, bool, bool]], int]:
     """``_pair_prefix`` up to the last smooth value <= n, and the count it gives."""
-    _require_coprime((p, q))
+    # checked once here, so the count below skips its per-element check
+    basis = CoprimeBasis.from_coprime_integers((p, q))
     if n < 1:
         raise DomainError("the horizon must be at least 1")
     prefix = list(takewhile(lambda entry: entry[0] <= n, _pair_prefix(p, q)))
-    total = sum(count_coprime_part((p, q), n // m) for m, _, _, gain, _ in prefix if gain)
+    total = sum(count_coprime_part(basis, n // m) for m, _, _, gain, _ in prefix if gain)
     return prefix, total
 
 

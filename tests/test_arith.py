@@ -19,6 +19,7 @@ from quotientfree import (
     phi,
     rho_closed_form,
     sigma_series,
+    smooth_exponent_rows,
     smooth_stream,
     white_weight_value,
 )
@@ -134,6 +135,40 @@ class TestSmoothStream:
         assert list(seq.entries()) == expected
 
 
+# a basis with its largest bound: 2^1200 for one element, less for more,
+# so that a bound keeps its enumeration small
+@st.composite
+def _rows_cases(draw):
+    basis = draw(SMOOTH_BASES)
+    bits = {1: 1200, 2: 120, 3: 40, 4: 30, 5: 24}[len(basis)]
+    return basis, draw(st.integers(1, 2**bits))
+
+
+class TestSmoothExponentRows:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=_rows_cases())
+    @example(case=((2,), 2**1200))
+    @example(case=((3,), 3**1000))  # exponents above 999
+    @example(case=((2, 4), 2**120))
+    @example(case=((2, 2), 2**120))
+    @example(case=((2, 3, 5, 7, 11), 1))
+    def test_rows_are_the_joined_exponents(self, case):
+        basis, bound = case
+        seq = enumerate_smooth(basis, bound)
+        values, rows = smooth_exponent_rows(basis, bound)
+        assert values == seq.values
+        assert rows == tuple(", ".join(map(str, e)) for e in seq.exponents)
+
+    def test_example(self):
+        assert smooth_exponent_rows((2, 3), 9) == (
+            (1, 2, 3, 4, 6, 8, 9), ("0, 0", "1, 0", "0, 1", "2, 0", "1, 1", "3, 0", "0, 2"))
+        assert smooth_exponent_rows((), 8) == ((1,), ("",))
+
+    def test_rejects_bound_zero(self):
+        with pytest.raises(DomainError, match="bound must be at least 1"):
+            smooth_exponent_rows((2, 3), 0)
+
+
 class TestPairPrefix:
     # the pairs that perfbench/workloads.py schedules
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (5, 7)])
@@ -161,12 +196,13 @@ class TestDegenerateBases:
     @pytest.mark.parametrize("basis", DEGENERATE_BASES)
     @pytest.mark.parametrize("call", [
         lambda b: enumerate_smooth(b, 10),
+        lambda b: smooth_exponent_rows(b, 10),
         lambda b: next(smooth_stream(b)),
         lambda b: count_coprime_part(b, 10),
         lambda b: coprime_part_list(b, 10),
         lambda b: coprime_part_mask(b, 10),
         lambda b: phi(b),
-    ], ids=["enumerate_smooth", "smooth_stream", "count_coprime_part",
+    ], ids=["enumerate_smooth", "smooth_exponent_rows", "smooth_stream", "count_coprime_part",
             "coprime_part_list", "coprime_part_mask", "phi"])
     def test_rejected(self, basis, call):
         with pytest.raises(DomainError, match="basis elements must be integers greater than 1"):

@@ -14,7 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import quotientfree
 from quotientfree import cli, density, geometry, lattice, verify
-from quotientfree.cli import _MaskList, _Output, _emit, _log_dec, build_parser, dec12, main
+from quotientfree.cli import (
+    _MaskList,
+    _Output,
+    _RowList,
+    _emit,
+    _log_dec,
+    build_parser,
+    dec12,
+    main,
+)
 from quotientfree.density import DensityBracket
 from quotientfree.errors import SelfCheckError
 
@@ -445,6 +454,62 @@ GOLDEN = [
         "6,1 1\n"
         "8,3 0\n"
         "9,0 2\n"),
+    # one basis element, five of them, and the bound 1 that only 1 meets
+    (("enumerate", "--a", "7", "--bound", "400"),
+     0, "1 [0]\n"
+        "7 [1]\n"
+        "49 [2]\n"
+        "343 [3]\n"),
+    (("enumerate", "--a", "7", "--bound", "400", "--json"),
+     0, '{"params": {"basis": [7], "bound": 400}, "provenance": "smooth-enumeration", '
+        '"result": {"exponents": [[0], [1], [2], [3]], "values": [1, 7, 49, 343]}}\n'),
+    (("enumerate", "--a", "7", "--bound", "400", "--csv"),
+     0, "value,exponents\n"
+        "1,0\n"
+        "7,1\n"
+        "49,2\n"
+        "343,3\n"),
+    (("enumerate", "--a", "2,3,5,7,11", "--bound", "12"),
+     0, "1 [0, 0, 0, 0, 0]\n"
+        "2 [1, 0, 0, 0, 0]\n"
+        "3 [0, 1, 0, 0, 0]\n"
+        "4 [2, 0, 0, 0, 0]\n"
+        "5 [0, 0, 1, 0, 0]\n"
+        "6 [1, 1, 0, 0, 0]\n"
+        "7 [0, 0, 0, 1, 0]\n"
+        "8 [3, 0, 0, 0, 0]\n"
+        "9 [0, 2, 0, 0, 0]\n"
+        "10 [1, 0, 1, 0, 0]\n"
+        "11 [0, 0, 0, 0, 1]\n"
+        "12 [2, 1, 0, 0, 0]\n"),
+    (("enumerate", "--a", "2,3,5,7,11", "--bound", "12", "--json"),
+     0, '{"params": {"basis": [2, 3, 5, 7, 11], "bound": 12}, "provenance": '
+        '"smooth-enumeration", "result": {"exponents": [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], '
+        '[0, 1, 0, 0, 0], [2, 0, 0, 0, 0], [0, 0, 1, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 1, 0], '
+        '[3, 0, 0, 0, 0], [0, 2, 0, 0, 0], [1, 0, 1, 0, 0], [0, 0, 0, 0, 1], [2, 1, 0, 0, 0]], '
+        '"values": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]}}\n'),
+    (("enumerate", "--a", "2,3,5,7,11", "--bound", "12", "--csv"),
+     0, "value,exponents\n"
+        "1,0 0 0 0 0\n"
+        "2,1 0 0 0 0\n"
+        "3,0 1 0 0 0\n"
+        "4,2 0 0 0 0\n"
+        "5,0 0 1 0 0\n"
+        "6,1 1 0 0 0\n"
+        "7,0 0 0 1 0\n"
+        "8,3 0 0 0 0\n"
+        "9,0 2 0 0 0\n"
+        "10,1 0 1 0 0\n"
+        "11,0 0 0 0 1\n"
+        "12,2 1 0 0 0\n"),
+    (("enumerate", "--a", "2,3", "--bound", "1"),
+     0, "1 [0, 0]\n"),
+    (("enumerate", "--a", "2,3", "--bound", "1", "--json"),
+     0, '{"params": {"basis": [2, 3], "bound": 1}, "provenance": "smooth-enumeration", '
+        '"result": {"exponents": [[0, 0]], "values": [1]}}\n'),
+    (("enumerate", "--a", "2,3", "--bound", "1", "--csv"),
+     0, "value,exponents\n"
+        "1,0 0\n"),
     (("f", "--p", "2", "--q", "3", "--t", "8"),
      0, "f = 4\n"),
     (("f", "--p", "2", "--q", "3", "--t", "8", "--json"),
@@ -738,12 +803,34 @@ class TestMaskList:
         _emit("json", "test", _Output(payload["params"], result, []))
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
 
-    def test_a_placeholder_met_twice_is_a_failed_self_check(self, capsys):
-        # "\0witness" cannot come from argv, but a crafted output can carry it
-        out = _Output({"n": "\0witness"}, {"witness": _MaskList(b"\0\1")}, [])
+    @pytest.mark.parametrize("key,value", [("witness", _MaskList(b"\0\1")),
+                                           ("exponents", _RowList(("0, 0", "1, 0")))])
+    def test_a_placeholder_met_twice_is_a_failed_self_check(self, capsys, key, value):
+        # "\0<key>" cannot come from argv, but a crafted output can carry it
+        out = _Output({"n": "\0" + key}, {key: value}, [])
         with pytest.raises(SelfCheckError, match="found 2 times"):
             _emit("json", "test", out)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rows", [("",), ("0",), ("0, 0", "1, 0", "0, 1000")])
+    def test_emit_splices_the_rows_into_the_json(self, capsys, rows):
+        lists = [json.loads(f"[{row}]") for row in rows]
+        payload = {"params": {}, "result": {"exponents": lists, "values": []},
+                   "provenance": "test"}
+        _emit("json", "test", _Output({}, {"exponents": _RowList(rows), "values": []}, []))
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_enumerate_is_the_library_tuple(self, capsys):
+        # exponents up to 1100 in the rows, and values of 332 digits
+        bound = 2**1100
+        seq = quotientfree.enumerate_smooth((2,), bound)
+        code, out, _ = run(capsys, "enumerate", "--a", "2", "--bound", str(bound), "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "params": {"basis": [2], "bound": bound},
+            "result": {"values": seq.values, "exponents": seq.exponents},
+            "provenance": "smooth-enumeration",
+        }, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 12345, 200000])
     def test_max_subset_witness_is_the_library_tuple(self, capsys, n):

@@ -282,6 +282,15 @@ class TestMaxSubsetCount:
             assert len(witness) == claimed
             assert not quotient_free_violations(witness, [p, q])
 
+    def test_the_block_sum_counts_over_a_checked_basis(self, monkeypatch):
+        # the pair is checked once, not once per count
+        bases = []
+        count = density.count_coprime_part
+        monkeypatch.setattr(density, "count_coprime_part",
+                            lambda basis, x: bases.append(basis) or count(basis, x))
+        assert max_subset_count(2, 3, 1000) == naive_max_subset_counts(2, 3, 1000)[1000]
+        assert bases and all(b == CoprimeBasis.from_coprime_integers((2, 3)) for b in bases)
+
     @pytest.mark.parametrize("pair", BENCH_PAIRS)
     def test_block_sum_matches_class_by_class_counts(self, pair):
         p, q = pair

@@ -14,7 +14,7 @@ from quotientfree import (
     max_subset_count,
     verify,
 )
-from quotientfree.arith import count_coprime_part, phi
+from quotientfree.arith import CoprimeBasis, count_coprime_part, phi
 from quotientfree.lattice import _conflict_graph, _greedy_optimum
 from quotientfree.rng import CounterRng
 from quotientfree.verify import (
@@ -119,14 +119,16 @@ class TestLemma2Suite:
 
         def off_count(b, x):
             count = count_coprime_part(b, x)
-            if tuple(b) == basis and x == bad_x:
+            # the suite passes a CoprimeBasis, checked once per basis
+            if b.basis == basis and x == bad_x:
                 # away from the density line, so the deviation reaches 2^s
                 return count + 4 if count >= density * x else count - 4
             return count
 
         monkeypatch.setattr(verify, "count_coprime_part", off_count)
         (report,) = run_suite("lemma2", 0, "small")
-        worst = max(abs(off_count(basis, x) - density * x) for x in range(1, bad_x + 1))
+        coprime = CoprimeBasis.from_coprime_integers(basis)
+        worst = max(abs(off_count(coprime, x) - density * x) for x in range(1, bad_x + 1))
         assert worst >= 4
         case = report.cases[0]
         assert (case.name, case.passed) == ("basis=(2, 3)", False)
