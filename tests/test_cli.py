@@ -803,11 +803,15 @@ class TestMaskList:
         _emit("json", "test", _Output(payload["params"], result, []))
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("key,value", [("witness", _MaskList(b"\0\1")),
-                                           ("exponents", _RowList(("0, 0", "1, 0")))])
-    def test_a_placeholder_met_twice_is_a_failed_self_check(self, capsys, key, value):
-        # "\0<key>" cannot come from argv, but a crafted output can carry it
-        out = _Output({"n": "\0" + key}, {key: value}, [])
+    def test_a_placeholder_met_twice_is_a_failed_self_check(self, capsys):
+        # "\0witness" cannot come from argv, but a crafted output can carry it
+        out = _Output({"n": "\0witness"}, {"witness": _MaskList(b"\0\1")}, [])
+        with pytest.raises(SelfCheckError, match="found 2 times"):
+            _emit("json", "test", out)
+        assert capsys.readouterr().out == ""
+
+    def test_a_row_placeholder_met_twice_is_a_failed_self_check(self, capsys):
+        out = _Output({"n": "\0exponents"}, {"exponents": _RowList(("0, 0", "1, 0"))}, [])
         with pytest.raises(SelfCheckError, match="found 2 times"):
             _emit("json", "test", out)
         assert capsys.readouterr().out == ""
