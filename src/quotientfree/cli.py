@@ -165,7 +165,8 @@ def _log_dec(bracket: Optional[DensityBracket], exact: Callable[[], Fraction]) -
     that decimal and is not equal to it, so its quotient is inexact and
     keeps all 12 digits.  Otherwise (a bracket across a rounding boundary,
     or around a short decimal such as 1/4, whose exact quotient would print
-    trimmed) ``exact()`` is computed and printed.
+    trimmed) ``exact()`` is computed and printed; the dense set's exact
+    route raises ``BudgetError`` (exit 3) above its horizon bound.
     """
     if bracket is None:
         return None
@@ -399,8 +400,10 @@ def _densities(args) -> _Output:
     # a bad checkpoint is rejected before the sample is built
     if min(checkpoints) < 1:
         raise DomainError("checkpoints must be positive")
-    # one sample at the last checkpoint answers every row from its factor
-    # lists; its member list is never built
+    # one sample at the last checkpoint answers every row from its smooth
+    # parts and basis by inclusion-exclusion: no O(X) list is built, so X
+    # may reach 10^18; only a bracket across a rounding boundary falls back
+    # to the exact sum, which raises BudgetError above its bound
     sample = construct_dense_set(a_set, max(checkpoints), depth=args.depth, cap=args.cap)
     table = []
     for x in sorted(set(checkpoints)):

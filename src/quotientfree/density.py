@@ -11,16 +11,27 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, compress, islice, takewhile
 from typing import Optional, Sequence
 
-from mpmath.libmp import dps_to_prec, from_int, mpf_log, round_nearest
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    mpf_euler,
+    mpf_log,
+    mpf_neg,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_fixed,
+)
 
 from .arith import (
     CoprimeBasis,
     RationalSet,
     as_fraction,
+    coprime_part_list,
     coprime_part_mask,
     count_coprime_part,
     derive_basis,
@@ -30,6 +41,7 @@ from .arith import (
     _pair_prefix,
     _require_coprime,
     _require_work_bound,
+    _signed_subset_lcms,
 )
 from .errors import BudgetError, DomainError, SelfCheckError
 from .geometry import _libmp_to_fraction
@@ -39,6 +51,13 @@ DEFAULT_SERIES_BUDGET = 10**6
 LN_PRECISION_DIGITS = 60
 # K: log density brackets scale each reciprocal by 2^K and round to integers
 FIXED_POINT_BITS = 96
+# Z0: harmonic numbers H(z) come from a table up to it, by Euler-Maclaurin
+# above it, where the remainder 1/(240 z^8) is below 2^-K / 240
+HARMONIC_TABLE_MAX = 4096
+# G: the Euler-Maclaurin terms are summed at 2^(K + G) before rounding to 2^K
+_HARMONIC_GUARD_BITS = 16
+# the exact log density (an O(x) rational sum) raises BudgetError above this x
+EXACT_LOG_DENSITY_MAX_X = 500_000
 # the strict-gap check tightens its tolerance at most this many times
 _GAP_ROUNDS = 10
 
@@ -303,22 +322,24 @@ def _witness_mask(prefix: Sequence[tuple[int, int, int, bool, bool]], n: int) ->
 class DenseSetSample:
     """A horizon's worth of the explicit dense quotient-free construction.
 
-    Every member is a chosen smooth part times a free part (a basis-free
-    integer), and a product up to x has its free part among the first
-    c_m = #{free <= x // m} of them.  So the sample keeps just the
-    ascending chosen smooth parts and the 0/1 mask of the free parts over
-    0..x; the member list, counts and densities are computed from them on
-    first read, at any horizon up to ``x``.
+    Every member is a chosen smooth part m times a free part (an integer
+    divisible by no basis element), and a product up to x has its free part
+    among the c_m = #{free <= x // m} of them, an O(2^s) inclusion-exclusion
+    count.  So the sample keeps just the ascending chosen smooth parts and
+    the ``CoprimeBasis``; counts and log-density brackets come from them at
+    any horizon up to ``x`` without listing the free parts.  The byte mask
+    of the free parts over 0..x is built only for the member list, and the
+    exact log density lists the free parts up to its own horizon.
     """
 
     x: int
     smooth_parts: tuple[int, ...] = field(repr=False)
-    free_mask: bytes = field(repr=False)
+    basis: CoprimeBasis = field(repr=False)
 
     @cached_property
-    def free_parts(self) -> tuple[int, ...]:
-        """The free parts up to x, ascending."""
-        return tuple(compress(range(self.x + 1), self.free_mask))
+    def free_mask(self) -> bytes:
+        """mask[n] = 1 exactly for the free parts n <= x."""
+        return bytes(coprime_part_mask(self.basis, self.x))
 
     def _horizon(self, x: Optional[int]) -> int:
         if x is None:
@@ -328,9 +349,12 @@ class DenseSetSample:
         return x
 
     def _cuts(self, x: int) -> list[int]:
-        """c_m for each chosen smooth part m <= x, in the order of the parts."""
-        free = self.free_parts
-        return [bisect_right(free, x // m) for m in self.smooth_parts if m <= x]
+        """c_m for each chosen smooth part m <= x, in the order of the parts.
+
+        c_m = #{free <= x // m}, counted by inclusion-exclusion over the basis.
+        """
+        basis = self.basis
+        return [count_coprime_part(basis, x // m) for m in self.smooth_parts if m <= x]
 
     @cached_property
     def member_mask(self) -> bytes:
@@ -372,45 +396,122 @@ class DenseSetSample:
 
         The reciprocal sum is exact, and its denominator grows by about
         1.44 x bits, so this is the slow route; ``log_density_bracket``
-        encloses the same value with integers of fixed size.
+        encloses the same value with integers of fixed size.  Above
+        ``EXACT_LOG_DENSITY_MAX_X`` it raises ``BudgetError`` instead.
         """
         x = self._horizon(x)
         if x < 2:
             return None
+        if x > EXACT_LOG_DENSITY_MAX_X:
+            raise BudgetError(
+                f"the exact log density at x = {x} is an O(x) rational sum; "
+                f"it is computed up to x = {EXACT_LOG_DENSITY_MAX_X}"
+            )
         smooth = [m for m in self.smooth_parts if m <= x]
-        return _grouped_reciprocal_sum(smooth, self.free_parts, x) / _ln_fraction(x)
-
-    @cached_property
-    def _reciprocal_prefix(self) -> list[int]:
-        """P[c]: the sum of floor(2^K / n) over the first c free parts."""
-        one = 1 << FIXED_POINT_BITS
-        return list(accumulate((one // n for n in self.free_parts), initial=0))
+        free = coprime_part_list(self.basis, x)
+        return _grouped_reciprocal_sum(smooth, free, x) / _ln_fraction(x)
 
     def log_density_bracket(self, x: Optional[int] = None) -> Optional[DensityBracket]:
         """Certified enclosure of ``log_density_at(x)``; None for x < 2.
 
-        The reciprocal sum is the sum over chosen m of (1/m) H(c_m), where
-        H(c) sums 1/n over the first c free parts.  Scaled by 2^K, each 1/n
-        lies in [floor(2^K/n), floor(2^K/n) + 1), so 2^K H(c) lies in
-        [P[c], P[c] + c], and 2^K/m lies between its floor and its ceiling.
-        The products of the bounds bracket 2^2K times the sum in integers,
-        and both ends are divided by the same ln x as the exact value.
+        The reciprocal sum is the sum over chosen m <= x of (1/m) H_free(x // m),
+        where H_free(y) sums 1/n over the free n <= y.  By inclusion-exclusion
+        over the basis (Lemma 2), H_free(y) is the sum over subsets S of
+        sign_S H(y // d_S) / d_S, d_S the lcm of S and H the harmonic number.
+        ``_harmonic_bounds`` encloses each 2^K H(z) in integers; a + term
+        adds the floor of the lower end over d_S to the lower sum and the
+        ceiling of the upper end to the upper sum, a - term subtracts them
+        crosswise.  Then 2^K/m lies between its floor and its ceiling, the
+        products of the bounds bracket 2^2K times the reciprocal sum in
+        integers, and both ends are divided by the same ln x as the exact
+        value.  No free part is listed: the work is O(#smooth * 2^s).
         """
         x = self._horizon(x)
         if x < 2:
             return None
         one = 1 << FIXED_POINT_BITS
-        prefix = self._reciprocal_prefix
+        terms = _signed_subset_lcms(self.basis.basis)
+        bounds: dict[int, tuple[int, int]] = {}  # z -> bounds of 2^K H(z)
         low = high = 0
-        for m, c in zip(self.smooth_parts, self._cuts(x)):
+        for m in self.smooth_parts:
+            if m > x:
+                break  # the parts ascend
+            y = x // m
+            free_low = free_high = 0  # bounds of 2^K H_free(y)
+            for sign, d in terms:
+                z = y // d
+                if z not in bounds:
+                    bounds[z] = _harmonic_bounds(z)
+                h_low, h_high = bounds[z]
+                if sign > 0:
+                    free_low += h_low // d
+                    free_high -= -h_high // d
+                else:
+                    free_low += -h_high // d
+                    free_high -= h_low // d
             floor, rest = divmod(one, m)
-            low += floor * prefix[c]
-            high += (floor + (rest > 0)) * (prefix[c] + c)
+            low += floor * free_low
+            high += (floor + (rest > 0)) * free_high
         scale = _ln_fraction(x) * (one * one)
         return DensityBracket(
             low / scale, high / scale, "fixed-point-reciprocal-sum",
             {"bits": FIXED_POINT_BITS},
         )
+
+
+@cache
+def _harmonic_table() -> tuple[int, ...]:
+    """T[z]: the sum of floor(2^K / n) over n <= z, for z <= HARMONIC_TABLE_MAX."""
+    one = 1 << FIXED_POINT_BITS
+    return tuple(accumulate((one // n for n in range(1, HARMONIC_TABLE_MAX + 1)), initial=0))
+
+
+@cache
+def _euler_gamma_bounds(bits: int) -> tuple[int, int]:
+    """Floor and ceiling of 2^bits times Euler's constant gamma < 1."""
+    return (
+        to_fixed(mpf_euler(bits, round_floor), bits),
+        -to_fixed(mpf_neg(mpf_euler(bits, round_ceiling)), bits),
+    )
+
+
+def _harmonic_bounds(z: int) -> tuple[int, int]:
+    """Integers lo <= 2^K H(z) <= hi, H(z) the z-th harmonic number, z >= 0.
+
+    Up to ``HARMONIC_TABLE_MAX`` from the table: each 2^K/n lies in
+    [floor(2^K/n), floor(2^K/n) + 1), so 2^K H(z) lies in [T[z], T[z] + z].
+    Above it from ``_euler_maclaurin_bounds`` at 2^(K + G), the lower end
+    floored and the upper end ceiled to 2^K.
+    """
+    if z <= HARMONIC_TABLE_MAX:
+        head = _harmonic_table()[z]
+        return head, head + z
+    low, high = _euler_maclaurin_bounds(z, FIXED_POINT_BITS + _HARMONIC_GUARD_BITS)
+    return low >> _HARMONIC_GUARD_BITS, -(-high >> _HARMONIC_GUARD_BITS)
+
+
+def _euler_maclaurin_bounds(z: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits H(z) <= hi for z >= 1, by Euler-Maclaurin.
+
+    H(z) = ln z + gamma + 1/(2z) - 1/(12z^2) + 1/(120z^4) - 1/(252z^6) + r
+    with 0 < r < 1/(240z^8), the first term left out (the series encloses
+    H(z) between consecutive partial sums).  ln z and gamma are rounded
+    down and up by ``mpmath.libmp`` and the rational terms floored and
+    ceiled, all at 2^-bits, so hi - lo is a few units.
+    """
+    # ln z < 2^e, e the bit length of z's bit length, so its ulp is at most 2^-bits
+    prec = bits + z.bit_length().bit_length()
+    x = from_int(z)
+    ln_low = to_fixed(mpf_log(x, prec, round_floor), bits)
+    ln_high = -to_fixed(mpf_neg(mpf_log(x, prec, round_ceiling)), bits)
+    gamma_low, gamma_high = _euler_gamma_bounds(bits)
+    z2 = z * z
+    # 1/(2z) - 1/(12z^2) + 1/(120z^4) - 1/(252z^6) = num / (2520 z^6)
+    num = ((1260 * z - 210) * z2 + 21) * z2 - 10
+    rational_low = (num << bits) // (2520 * z2 * z2 * z2)
+    # the same plus 1/(240z^8) = (2 num z^2 + 21) / (5040 z^8)
+    rational_high = -(-((2 * num * z2 + 21) << bits) // (5040 * z2 * z2 * z2 * z2))
+    return ln_low + gamma_low + rational_low, ln_high + gamma_high + rational_high
 
 
 def _ln_fraction(x: int) -> Fraction:
@@ -451,7 +552,7 @@ def construct_dense_set(
         smooth_parts = [v for v, e in seq.entries() if sum(e) % 2 == 0]
     else:
         smooth_parts = [v for v, e in seq.entries() if e in chosen]
-    return DenseSetSample(x, tuple(smooth_parts), bytes(coprime_part_mask(basis, x)))
+    return DenseSetSample(x, tuple(smooth_parts), basis)
 
 
 def _grouped_reciprocal_sum(

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import comb, prod
 from operator import add, itemgetter
@@ -517,7 +518,7 @@ def gamma_bracket(
             f"truncation region has {count} points, exceeding cap {cap}; "
             f"largest feasible depth is {max_feasible_depth(s, cap)}"
         )
-    points = simplex_points(SimplexSpec.of((1,) * s, depth)).points
+    points = _unit_simplex_points(s, depth)
     # integer weights over scale = prod b**depth: u weighs prod b**(depth - u_i)
     powers = [[b**k for k in range(depth + 1)] for b in basis.basis]
     scale = prod(row[depth] for row in powers)
@@ -528,6 +529,12 @@ def gamma_bracket(
     # the truncated region is exactly the solved points
     tail = total_weight_mass(basis.basis) - Fraction(sum(weights), scale)
     return GammaBracket(lower, lower + tail, depth, witness)
+
+
+@lru_cache(maxsize=64)
+def _unit_simplex_points(s: int, depth: int) -> tuple[Point, ...]:
+    """The points of the unit simplex x_1 + ... + x_s <= depth, x >= 0, in lex order."""
+    return simplex_points(SimplexSpec.of((1,) * s, depth)).points
 
 
 def white_weight_value(values: Sequence[int]) -> Fraction:

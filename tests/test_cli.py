@@ -756,6 +756,49 @@ class TestDensityTables:
             assert code == 0
             assert len(out.splitlines()) == 4
             assert "members" not in samples[-1].__dict__
+            assert "free_mask" not in samples[-1].__dict__
+
+    def test_densities_up_to_ten_to_the_eighteen(self, capsys, monkeypatch):
+        samples = []
+
+        def recording(*args, **kwargs):
+            samples.append(density.construct_dense_set(*args, **kwargs))
+            return samples[-1]
+
+        monkeypatch.setattr(cli, "construct_dense_set", recording)
+        checkpoints = (1000, 10**12, 10**18)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "densities", "--a", "2,3", "--checkpoints",
+                             ",".join(map(str, checkpoints)), "--csv")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        sample, = samples
+        assert "free_mask" not in sample.__dict__ and "members" not in sample.__dict__
+        basis = quotientfree.CoprimeBasis.from_coprime_integers((2, 3))
+        even = [v for v, e in quotientfree.enumerate_smooth(basis, 10**18).entries()
+                if sum(e) % 2 == 0]
+        rows = out.splitlines()[1:]
+        for x, row in zip(checkpoints, rows):
+            count = sum(quotientfree.count_coprime_part(basis, x // m) for m in even if m <= x)
+            assert row.split(",")[:2] == [str(x), str(count)]
+            assert row.split(",")[4]
+        assert rows[0] == "1000,580,29/50,0.58,0.652723072427"
+
+    @pytest.mark.parametrize("argv", [
+        ("densities", "--a", "2,3", "--checkpoints", "1000,1000000000000", "--csv"),
+        ("dense-set", "--a", "2,3", "--x", "1000000000000"),
+    ])
+    def test_an_undecided_bracket_above_the_exact_bound_is_a_budget_error(
+            self, capsys, monkeypatch, argv):
+        # a bracket across the half-even tie 0.1234567890125 needs the exact
+        # value, an O(X) rational sum that is refused at X = 10^12
+        tie, eps = Fraction(1234567890125, 10**13), Fraction(1, 2**100)
+        monkeypatch.setattr(density.DenseSetSample, "log_density_bracket",
+                            lambda self, x=None: _bracket(tie - eps, tie + eps))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"error: the exact log density at x = {10**12} is an O(x) rational sum; "
+                       f"it is computed up to x = {density.EXACT_LOG_DENSITY_MAX_X}\n")
 
 
 # set bits at block edges, and at the 10^6 and 10^7 edges

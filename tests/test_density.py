@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,8 +14,10 @@ from quotientfree import (
     DomainError,
     SelfCheckError,
     construct_dense_set,
+    coprime_part_list,
     empirical_densities,
     enumerate_smooth,
+    exact_sum,
     gamma_bracket,
     max_subset_count,
     max_subset_mask,
@@ -411,9 +414,10 @@ class TestMemberSieve:
         # one set of chosen smooth parts up to 2000 at every horizon x <= 2000,
         # so most horizons see chosen parts above x
         top = construct_dense_set(list(a_set), 2000)
+        free_parts = coprime_part_list(top.basis, 2000)
         for x in range(1, 2001):
-            sample = density.DenseSetSample(x, top.smooth_parts, top.free_mask[:x + 1])
-            expected = extend_then_sort_members(x, top.smooth_parts, top.free_parts)
+            sample = density.DenseSetSample(x, top.smooth_parts, top.basis)
+            expected = extend_then_sort_members(x, top.smooth_parts, free_parts)
             assert sample.members == expected, (a_set, x)
             assert sample.count() == len(expected), (a_set, x)
 
@@ -422,7 +426,7 @@ class TestMemberSieve:
         for x in (1, 2, 12, 999, 1000, 1001, 2000):
             sample = construct_dense_set(list(a_set), x)
             assert sample.members == extend_then_sort_members(
-                x, sample.smooth_parts, sample.free_parts), (a_set, x)
+                x, sample.smooth_parts, coprime_part_list(sample.basis, x)), (a_set, x)
 
 
 
@@ -450,6 +454,13 @@ class TestLazySample:
             assert sample.count(x) == fresh.count() == len(fresh.members)
             assert sample.log_density_at(x) == fresh.log_density
             assert sample.log_density_bracket(x) == fresh.log_density_bracket()
+
+    def test_an_exact_sub_horizon_lists_only_its_own_free_parts(self):
+        # a sample at 10^12 answers the exact route at 1000 without a mask
+        # of 10^12 bytes
+        sample = construct_dense_set([2, 3], 10**12)
+        assert sample.log_density_at(1000) == construct_dense_set([2, 3], 1000).log_density
+        assert "free_mask" not in sample.__dict__
 
     @pytest.mark.parametrize("x", [0, 1001])
     def test_rejects_horizons_outside_the_sample(self, x):
@@ -481,6 +492,90 @@ class TestLogDensityBracket:
         assert 0 < bracket.width < Fraction(1, 10**24)
         assert dec12(bracket.lower) == dec12(bracket.upper) == dec12(sample.log_density)
         assert dec12(sample.log_density) == "0.622854425031"
+
+    # Euler-Maclaurin brackets H(z) above the table's last entry, so these
+    # horizons give cuts on both sides of it; {2,3,5}'s eight
+    # inclusion-exclusion terms include - terms of one and of three elements
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(a_set=st.sampled_from(BRACKET_SETS + [("2", "3", "5")]),
+           x=st.integers(density.HARMONIC_TABLE_MAX + 1, 20_000))
+    @example(a_set=("2", "3", "5"), x=density.HARMONIC_TABLE_MAX + 1)
+    @example(a_set=("2", "3", "5"), x=20_000)
+    @example(a_set=("2", "3"), x=20_000)
+    def test_contains_the_exact_log_density_above_the_table(self, a_set, x):
+        sample = construct_dense_set(list(a_set), x)
+        bracket = sample.log_density_bracket()
+        assert bracket.method == "fixed-point-reciprocal-sum"
+        assert bracket.contains(sample.log_density)
+        assert bracket.width < Fraction(1, 2**80)
+
+    def test_the_exact_route_refuses_a_horizon_above_its_bound(self):
+        x = density.EXACT_LOG_DENSITY_MAX_X + 1
+        sample = construct_dense_set([2, 3], x)
+        for read in (lambda: sample.log_density, lambda: sample.log_density_at(x)):
+            with pytest.raises(BudgetError, match=r"an O\(x\) rational sum") as info:
+                read()
+            assert info.value.achieved is None
+        assert "free_mask" not in sample.__dict__
+        assert sample.log_density_bracket().width < Fraction(1, 2**80)
+
+    def test_lists_no_free_part(self):
+        sample = construct_dense_set(["2", "3", "5"], 10**15)
+        bracket = sample.log_density_bracket()
+        assert 0 < bracket.width < Fraction(1, 2**80)
+        # 10^15 = 2^15 5^15 has an even exponent sum, so it is a member
+        assert sample.count(10**15 - 1) + 1 == sample.count()
+        for name in ("free_mask", "member_mask", "members"):
+            assert name not in sample.__dict__
+
+
+def _exact_harmonic(z):
+    return exact_sum(Fraction(1, n) for n in range(1, z + 1))
+
+
+def _encloses(low, high, value, bits):
+    """low <= 2^bits * value <= high for a Fraction value, in integers."""
+    scaled = value.numerator << bits
+    return low * value.denominator <= scaled <= high * value.denominator
+
+
+class TestHarmonicBounds:
+    Z0 = density.HARMONIC_TABLE_MAX
+    K = density.FIXED_POINT_BITS
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(z=st.integers(1, 3 * density.HARMONIC_TABLE_MAX),
+           bits=st.integers(density.FIXED_POINT_BITS - 32, density.FIXED_POINT_BITS + 40))
+    @example(z=1, bits=96)
+    @example(z=density.HARMONIC_TABLE_MAX - 1, bits=112)
+    @example(z=density.HARMONIC_TABLE_MAX, bits=112)
+    @example(z=density.HARMONIC_TABLE_MAX + 1, bits=112)
+    @example(z=3 * density.HARMONIC_TABLE_MAX, bits=112)
+    def test_encloses_the_exact_harmonic_number(self, z, bits):
+        value = _exact_harmonic(z)
+        low, high = density._harmonic_bounds(z)
+        assert _encloses(low, high, value, self.K)
+        assert high - low <= (z if z <= self.Z0 else 2)
+        # the series alone, at any scale and also where the table answers:
+        # its remainder 1/(240 z^8) is wide there, but still encloses
+        low, high = density._euler_maclaurin_bounds(z, bits)
+        assert _encloses(low, high, value, bits)
+        assert high - low <= 10 + (1 << bits) // (240 * z**8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(z=st.integers(3 * density.HARMONIC_TABLE_MAX, 10**18))
+    @example(z=10**18)
+    @example(z=2**59 + 1)
+    def test_encloses_mpmath_harmonic_up_to_ten_to_the_eighteen(self, z):
+        low, high = density._harmonic_bounds(z)
+        assert high - low <= 2
+        with mpmath.workdps(60):
+            scaled = mpmath.harmonic(z) * 2**self.K
+            assert low <= scaled <= high, z
+
+    def test_the_table_is_built_once(self):
+        assert density._harmonic_table() is density._harmonic_table()
+        assert len(density._harmonic_table()) == self.Z0 + 1
 
 
 class TestEmpiricalDensities:

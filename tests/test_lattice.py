@@ -751,6 +751,27 @@ class TestGammaBracket:
         with pytest.raises(DomainError, match="dimension must be at least 1"):
             max_feasible_depth(0, 10)
 
+    def test_unit_simplex_points_are_those_of_a_fresh_spec(self):
+        for s in range(1, 5):
+            for depth in range(0, 9):
+                fresh = simplex_points(SimplexSpec.of((1,) * s, depth)).points
+                assert lattice._unit_simplex_points(s, depth) == fresh, (s, depth)
+
+    def test_a_repeated_bracket_builds_no_spec(self, monkeypatch):
+        basis = CoprimeBasis.from_coprime_integers([2, 3, 5])
+        first = gamma_bracket(basis, 6, cap=100)
+
+        class Unbuildable:
+            @staticmethod
+            def of(*args, **kwargs):
+                raise AssertionError("a unit simplex spec was built again")
+
+        monkeypatch.setattr(lattice, "SimplexSpec", Unbuildable)
+        assert gamma_bracket(basis, 6, cap=100) == first
+        # another basis of the same size reads the same points
+        other = gamma_bracket(CoprimeBasis.from_coprime_integers([3, 4, 7]), 6, cap=100)
+        assert other.lower <= white_weight_value([3, 4, 7]) <= other.upper
+
     def test_tail_mass_closed_form(self):
         # geometric series identity for the two-base truncation
         for depth in range(0, 10):
