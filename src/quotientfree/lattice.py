@@ -11,7 +11,10 @@ is the simplex of unit coefficients listed by ``simplex_points``.
 
 Each region gets one conflict graph: its points, ascending neighbor lists
 and a side per point, found by one breadth-first search in index order
-(no side when the graph has an odd cycle).  Every solve runs on it.  The
+(no side when the graph has an odd cycle).  The neighbors are found one
+difference vector at a time: the coordinate columns are shifted by the
+vector whole and the shifted points looked up in one pass, with no tuple
+built per point in Python code.  Every solve runs on the graph.  The
 optimum is a minimum cut whenever the graph is bipartite, which it always
 is when the difference vectors are linearly independent: every
 pairwise-coprime integer set, {3/2}, {4/3, 9/8}, {2, 3/2} and the
@@ -19,14 +22,18 @@ axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
 set then weighs the total minus the maximum flow of the conflict network:
 the source feeds each side-0 point and each side-1 point drains to the
 sink, at its weight, and each side-0 point has an uncuttable arc to each
-neighbor.  The flow's arrays are laid out straight from the neighbor lists
-and the sides, one terminal arc per point.  Dinic starts from a first-fit
-flow: side-0 points by index, each pushing to its neighbors in ascending
-order.  When a parity class is optimal, as in every axis-legged triangle,
-some matching saturates the smaller color (Konig), and first-fit most
-often finds one, so Dinic's phases only confirm or repair it.  Only
-graphs with an odd cycle, from dependent vectors such as {2, 3, 6}, fall
-back to branch and bound, the one place that builds bitmasks.
+neighbor.  Dinic runs on the neighbor lists themselves: it keeps what
+remains of each point's one terminal arc and the flow each conflict arc
+carries, and since a conflict arc never saturates, a side-0 point always
+reaches its neighbors and a side-1 point reaches back along the arcs that
+carry flow.  It starts from a first-fit flow: side-0 points by index, each
+pushing to its neighbors in ascending order.  When a parity class is
+optimal, as in every axis-legged triangle, some matching saturates the
+smaller color (Konig), and first-fit most often finds one, so Dinic's
+phases only confirm or repair it.  Only graphs with an odd cycle, from
+dependent vectors such as {2, 3, 6}, fall back to branch and bound, the
+one place that builds bitmasks; its bound covers the remaining points by
+greedy cliques, so each triangle of {2, 3, 5, 6} counts once.
 
 The lexicographically least maximum set, and ``verify``'s random ones, are
 greedy completions in a visiting order, and each is one solve: every point
@@ -44,10 +51,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
+from functools import lru_cache, partial, reduce
+from itertools import islice, repeat
 from math import comb, prod
-from operator import add, itemgetter
+from operator import add, and_, itemgetter, mul
 from typing import Optional, Sequence
 
 from .arith import CoprimeBasis, _pair_prefix, _require_coprime, _require_work_bound
@@ -123,12 +130,15 @@ class _ConflictGraph:
                 f"difference vectors must have the points' dimension {len(points[0])}"
             )
         index = {p: i for i, p in enumerate(points)}
+        columns = list(zip(*points))
         # d and -d give the same conflicts: walk one of each pair
         vectors = {max(d, tuple(-c for c in d)) for d in diffs}
         nbrs: list[list[int]] = [[] for _ in points]
-        for i, p in enumerate(points):
-            for d in vectors:
-                j = index.get(tuple(map(add, p, d)))
+        for d in vectors:
+            # every point shifted by d at once, column by column, and looked up
+            shifted = zip(*[col if k == 0 else map(add, col, repeat(k))
+                            for col, k in zip(columns, d)])
+            for i, j in enumerate(map(index.get, shifted)):
                 if j is not None:
                     nbrs[i].append(j)
                     nbrs[j].append(i)
@@ -137,7 +147,9 @@ class _ConflictGraph:
         self.points = points
         self.nbrs = nbrs
         self.side = _two_sides(nbrs)
-        self.color = [sum(p) % 2 for p in points]
+        # checkerboard color: the parity of the coordinate sum, summed column-wise
+        sums = reduce(partial(map, add), columns, repeat(0, len(points)))
+        self.color = list(map(and_, sums, repeat(1)))
 
 
 def _two_sides(nbrs) -> Optional[list[int]]:
@@ -196,6 +208,12 @@ def _max_flow(graph: _ConflictGraph, weights) -> tuple[int, list[bool]]:
     the residual graph: the source side of the minimum cut, the same for
     every maximum flow.
 
+    The search runs on the neighbor lists, with no arc arrays: ``res[v]``
+    is what remains of v's one terminal arc, and ``carried[w][u]`` the flow
+    on the conflict arc from side-0 u to side-1 w.  A conflict arc never
+    saturates, so u reaches every neighbor, and w reaches u back while the
+    arc carries flow.
+
     The phases start from a first-fit flow: side-0 vertices by index, each
     pushing to its neighbors in ascending order the smaller of the two
     terminal remainders.  On unit weights that is a first-fit matching,
@@ -204,102 +222,101 @@ def _max_flow(graph: _ConflictGraph, weights) -> tuple[int, list[bool]]:
     """
     nbrs, side = graph.nbrs, graph.side
     n = len(nbrs)
-    source, sink = n, n + 1
-    uncuttable = sum(weights) + 1
-    # arc e and its residual twin e ^ 1; term[v] is v's one terminal arc,
-    # and a side-0 vertex's conflict arcs follow it, neighbors ascending.
-    # Nothing leaves the sink: the search stops there.
-    out: list[list[int]] = [[] for _ in range(n + 2)]
-    head: list[int] = []
-    cap: list = []
-    term = [0] * n
-    for v in range(n):
-        e = term[v] = len(head)
-        cap += (weights[v], 0)
-        if side[v]:
-            out[v].append(e)
-            head += (sink, v)
-            continue
-        out[source].append(e)
-        out[v].append(e + 1)
-        head += (v, source)
-        for w in nbrs[v]:
-            out[v].append(len(head))
-            out[w].append(len(head) + 1)
-            head += (w, v)
-            cap += (uncuttable, 0)
+    res = list(weights)
+    carried: list[dict] = [{} for _ in range(n)]
+    starts = [u for u in range(n) if not side[u]]
     flow = 0
-    for u in range(n):
-        if side[u]:
-            continue
-        e1 = term[u]
-        for k, w in enumerate(nbrs[u]):
-            if not cap[e1]:
+    for u in starts:
+        for w in nbrs[u]:
+            if not res[u]:
                 break
-            e3 = term[w]
-            push = cap[e3] if cap[e3] < cap[e1] else cap[e1]
+            push = res[w] if res[w] < res[u] else res[u]
             if push:
-                e2 = e1 + 2 + 2 * k
-                cap[e1] -= push
-                cap[e1 ^ 1] += push
-                cap[e2] -= push
-                cap[e2 ^ 1] += push
-                cap[e3] -= push
-                cap[e3 ^ 1] += push
+                res[u] -= push
+                res[w] -= push
+                carried[w][u] = push
                 flow += push
     while True:
-        level = [-1] * (n + 2)
-        level[source] = 0
-        queue = [source]
+        # levels from the source, which sits at level 0; the side-1
+        # vertices at level ``last`` drain to the sink, one level further
+        level = [-1] * n
+        queue = [u for u in starts if res[u]]
         for u in queue:
-            if level[sink] >= 0:  # nodes past the sink's level reach nothing
+            level[u] = 1
+        last = 0
+        for v in queue:
+            lv = level[v]
+            if last and lv >= last:  # nothing past the last level reaches the sink
                 break
-            next_level = level[u] + 1
-            for e in out[u]:
-                if cap[e]:
-                    v = head[e]
-                    if level[v] < 0:
-                        level[v] = next_level
-                        queue.append(v)
-        if level[sink] < 0:
-            return flow, [lv >= 0 for lv in level[:n]]
-        # blocking flow: advance along level-increasing arcs, retreat from
-        # dead ends, and after each augmentation resume at the first arc
-        # it saturated
-        nxt = [0] * (n + 2)
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                push = cap[path[0]]
-                for e in path:
-                    if cap[e] < push:
-                        push = cap[e]
-                first = -1
-                for k, e in enumerate(path):
-                    cap[e] -= push
-                    cap[e ^ 1] += push
-                    if first < 0 and not cap[e]:
-                        first = k
-                flow += push
-                del path[first:]
-                u = head[path[-1]] if path else source
-                continue
-            arcs_u = out[u]
-            want = level[u] + 1
-            for k in range(nxt[u], len(arcs_u)):
-                e = arcs_u[k]
-                if cap[e] and level[head[e]] == want:
-                    nxt[u] = k
-                    path.append(e)
-                    u = head[e]
-                    break
+            if side[v]:
+                if res[v]:
+                    last = lv
+                for u, c in carried[v].items():
+                    if c and level[u] < 0:
+                        level[u] = lv + 1
+                        queue.append(u)
             else:
-                if u == source:
-                    break
-                level[u] = -1
-                u = head[path.pop() ^ 1]
-                nxt[u] += 1
+                for w in nbrs[v]:
+                    if level[w] < 0:
+                        level[w] = lv + 1
+                        queue.append(w)
+        if not last:
+            return flow, [lv >= 0 for lv in level]
+        # blocking flow from each level-1 vertex in turn: advance along
+        # level-increasing arcs, retreat from dead ends, and after each
+        # augmentation resume at the tail of the first arc it saturated
+        nxt = [0] * n
+        for start in starts:
+            if level[start] != 1:
+                continue
+            path = [start]
+            while path:
+                v = path[-1]
+                lv = level[v]
+                if lv == last and res[v]:
+                    # the path alternates sides, start, w, u, ..., v: its
+                    # even steps w -> u run back along flow-carrying arcs
+                    push = res[start] if res[start] < res[v] else res[v]
+                    for k in range(2, len(path), 2):
+                        c = carried[path[k - 1]][path[k]]
+                        if c < push:
+                            push = c
+                    res[start] -= push
+                    res[v] -= push
+                    flow += push
+                    for k in range(1, len(path), 2):
+                        into = carried[path[k]]
+                        into[path[k - 1]] = into.get(path[k - 1], 0) + push
+                    cut = len(path)
+                    for k in range(2, len(path), 2):
+                        into = carried[path[k - 1]]
+                        into[path[k]] -= push
+                        if not into[path[k]] and cut == len(path):
+                            cut = k
+                    if not res[start]:
+                        break
+                    del path[cut:]
+                    continue
+                row = nbrs[v]
+                k = len(row)
+                if lv < last:
+                    k = nxt[v]
+                    want = lv + 1
+                    if side[v]:
+                        into = carried[v]
+                        while k < len(row) and not (level[row[k]] == want and into.get(row[k])):
+                            k += 1
+                    else:
+                        while k < len(row) and level[row[k]] != want:
+                            k += 1
+                    nxt[v] = k
+                if k < len(row):
+                    path.append(row[k])
+                else:
+                    level[v] = -1
+                    path.pop()
+                    if path:
+                        nxt[path[-1]] += 1
 
 
 def _min_cut_optimum(graph: _ConflictGraph, weights):
@@ -331,14 +348,14 @@ def _branch_and_bound(graph: _ConflictGraph, weights):
 
     Vertices in descending weight order, include-branch first, on an
     explicit stack; incumbent seeded with the best conflict-free color
-    class (else a greedy set), and a greedy-matching clique bound (each
-    matched pair contributes only its heavier endpoint).  The search works
-    on rank bits built here from the neighbor lists: bit r stands for the
-    vertex at place r of the weight order, so the next vertex to branch on
-    is the lowest set bit, and the bound pairs it with its lowest set
-    neighbor bit, a neighbor no heavier than itself.  Any valid bound
-    returns the same optimum, the first in search order.  Returns (weight,
-    indices).
+    class (else a greedy set), and a greedy clique-cover bound (each clique
+    contributes only its heaviest point).  The search works on rank bits
+    built here from the neighbor lists: bit r stands for the vertex at
+    place r of the weight order, so the next vertex to branch on is the
+    lowest set bit, and the bound grows a clique from it, adding in turn
+    the lowest set bit adjacent to the whole clique, each no heavier than
+    the first.  Any valid bound returns the same optimum, the first in
+    search order.  Returns (weight, indices).
     """
     points, nbrs = graph.points, graph.nbrs
     order = sorted(range(len(points)), key=lambda i: (-weights[i], points[i]))
@@ -360,9 +377,12 @@ def _branch_and_bound(graph: _ConflictGraph, weights):
             r = low.bit_length() - 1
             rem ^= low
             nb = adj[r] & rem
-            if nb:
-                # a clique pair: it contributes at most weight[r]
-                rem ^= nb & -nb
+            while nb:
+                # grow a clique on r from the lowest common neighbors: it
+                # contributes at most weight[r], its heaviest point
+                low = nb & -nb
+                rem ^= low
+                nb &= adj[low.bit_length() - 1]
             total += weight[r]
         return total
 
@@ -519,10 +539,12 @@ def gamma_bracket(
             f"largest feasible depth is {max_feasible_depth(s, cap)}"
         )
     points = _unit_simplex_points(s, depth)
-    # integer weights over scale = prod b**depth: u weighs prod b**(depth - u_i)
-    powers = [[b**k for k in range(depth + 1)] for b in basis.basis]
-    scale = prod(row[depth] for row in powers)
-    weights = [prod(row[depth - e] for row, e in zip(powers, p)) for p in points]
+    # integer weights over scale = prod b**depth: u weighs prod b**(depth - u_i),
+    # multiplied up column by column from each coordinate's falling powers
+    falling = [[b**k for k in range(depth, -1, -1)] for b in basis.basis]
+    scale = prod(row[0] for row in falling)
+    factors = [map(row.__getitem__, col) for row, col in zip(falling, zip(*points))]
+    weights = list(reduce(partial(map, mul), factors))
     best, chosen = _solve(_ConflictGraph(points, basis.diffs), weights)
     witness = tuple(points[i] for i in chosen)
     lower = Fraction(best, scale)

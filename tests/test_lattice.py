@@ -349,8 +349,11 @@ class TestMinCutOptimum:
 
 
 # The (quotient set, depth) schedule of the bench's search workload, family
-# by family, and four rational sets at depth 6: gamma_bracket's lower, upper
-# and witness on each, pinned so that a change of arithmetic cannot move them
+# by family, four rational sets at depth 6, and the dependent four-element
+# set {2,3,5,6} at depth 10, where the odd cycles are triangles and the
+# branch-and-bound bound covers them by cliques: gamma_bracket's lower, upper
+# and witness on each, pinned so that a change of arithmetic or of the bound
+# cannot move them
 SEARCH_SCHEDULE = {
     "four-primes-a": [(a, 8) for a in ("2,3,5,7", "2,3,5,11", "2,3,5,13", "2,3,7,11",
                                        "2,5,7,11", "3,5,7,11")],
@@ -363,6 +366,7 @@ SEARCH_SCHEDULE = {
     "integer-and-rational": [(a, d) for a in ("2,3/2", "2,5/2", "3,5/3") for d in (18, 20)],
     "dependent": [(a, d) for a in ("2,3,6", "2,5,10", "3,5,15") for d in (15, 16)],
     "rationals-depth-6": [(a, 6) for a in ("3/2", "4/3", "2,3/2", "4/9,6")],
+    "dependent-four": [("2,3,5,6", 10)],
 }
 
 PINNED_BRACKETS = {
@@ -384,6 +388,8 @@ PINNED_BRACKETS = {
         "59ac40e47dda2dc5c58c0a2fb9ce1c5de360de5686abfe96797a5e5696d55aa6",
     "rationals-depth-6":
         "8328f997cde649fb03415344758a849b7a2a6a1bbf80258d49e22665ffe38558",
+    "dependent-four":
+        "cae734d34051615499698681aded9223fe588d5c9e941de429af293c36e63d1e",
 }
 
 # the shapes of TestMinCutOptimum.test_value_and_witness_match_branch_and_bound,
@@ -497,6 +503,36 @@ def conflict_networks(draw):
     return points, diffs, weights
 
 
+def assert_flow_matches_networkx(graph, weights):
+    """``_max_flow``'s value and source side equal those of networkx's flow."""
+    nx = pytest.importorskip("networkx")
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(["s", "t", *range(len(graph.points))])
+    for v, w in enumerate(weights):
+        if graph.side[v]:
+            digraph.add_edge(v, "t", capacity=w)
+        else:
+            digraph.add_edge("s", v, capacity=w)
+            # no capacity: networkx takes a conflict arc as uncuttable
+            digraph.add_edges_from((v, u) for u in graph.nbrs[v])
+    value, reached = _max_flow(graph, weights)
+    nx_value, flow = nx.maximum_flow(digraph, "s", "t")
+    assert value == nx_value
+    # the nodes the source reaches in the residual graph of networkx's flow
+    residual = {u: set() for u in digraph}
+    for u, v, capacity in digraph.edges(data="capacity", default=inf):
+        if flow[u][v] < capacity:
+            residual[u].add(v)
+        if flow[u][v] > 0:
+            residual[v].add(u)
+    seen, stack = {"s"}, ["s"]
+    while stack:
+        for v in residual[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    assert {v for v in range(len(graph.points)) if reached[v]} == seen - {"s"}
+
+
 class TestMaxFlow:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(network=conflict_networks())
@@ -504,34 +540,23 @@ class TestMaxFlow:
     # reverse a greedy push: first-fit gives 1, the maximum is 2
     @example(network=([(0, 0), (0, 1), (0, 2), (1, 0)], AXIS_DIFFS, [1, 1, 1, 1]))
     def test_value_and_source_side_match_networkx(self, network):
-        nx = pytest.importorskip("networkx")
         points, diffs, weights = network
-        graph = _ConflictGraph(points, diffs)
-        digraph = nx.DiGraph()
-        digraph.add_nodes_from(["s", "t", *range(len(points))])
-        for v, w in enumerate(weights):
-            if graph.side[v]:
-                digraph.add_edge(v, "t", capacity=w)
-            else:
-                digraph.add_edge("s", v, capacity=w)
-                # no capacity: networkx takes a conflict arc as uncuttable
-                digraph.add_edges_from((v, u) for u in graph.nbrs[v])
-        value, reached = _max_flow(graph, weights)
-        nx_value, flow = nx.maximum_flow(digraph, "s", "t")
-        assert value == nx_value
-        # the nodes the source reaches in the residual graph of networkx's flow
-        residual = {u: set() for u in digraph}
-        for u, v, capacity in digraph.edges(data="capacity", default=inf):
-            if flow[u][v] < capacity:
-                residual[u].add(v)
-            if flow[u][v] > 0:
-                residual[v].add(u)
-        seen, stack = {"s"}, ["s"]
-        while stack:
-            for v in residual[stack.pop()] - seen:
-                seen.add(v)
-                stack.append(v)
-        assert {v for v in range(len(points)) if reached[v]} == seen - {"s"}
+        assert_flow_matches_networkx(_ConflictGraph(points, diffs), weights)
+
+    # the 2-D to 4-D networks that rho-general cuts, under gamma_bracket's
+    # integer geometric weights and max_difference_free's lexicographic ones
+    @pytest.mark.parametrize("kind", ["geometric", "lexicographic"])
+    @pytest.mark.parametrize("a,depth", [shape for shape in SCALED_SHAPES if shape[0] != "2,3,6"])
+    def test_bracket_networks_match_networkx(self, a, depth, kind):
+        _, weights, graph = _gamma_problem(a, depth)
+        assert graph.side is not None
+        n = len(weights)
+        if kind == "geometric":
+            scale = lcm(*(w.denominator for w in weights))
+            weights = [int(w * scale) for w in weights]
+        else:
+            weights = [2**n + 2 ** (n - 1 - r) for r in range(n)]
+        assert_flow_matches_networkx(graph, weights)
 
 
 class TestConflictGraph:
@@ -557,6 +582,34 @@ class TestConflictGraph:
         assert (graph.side is None) == (coloring is None) == (a == "2,3,6")
         if coloring is not None:
             assert graph.side == [coloring[i] for i in range(len(points))]
+
+    # the column shift's edge cases: no points, one coordinate, and vectors
+    # with zero and negative entries, whose kept sign (d or -d, the larger)
+    # still has negative or zero coordinates to shift
+    @pytest.mark.parametrize(
+        "points,diffs",
+        [
+            ([], ((1, 0),)),
+            ([(k,) for k in range(12)], ((3,), (-2,))),
+            ([(x, y) for x in range(6) for y in range(6)], ((-3, 2), (2, -1))),
+            ([(x, y) for x in range(5) for y in range(5) if (x * y) % 3 != 1],
+             ((0, -2), (-1, 0), (1, -1))),
+            ([(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+             ((0, 0, -1), (1, -2, 0), (0, 1, 1))),
+        ],
+        ids=["empty", "one-dimensional", "negative", "zero-and-negative", "three-dimensional"],
+    )
+    def test_column_shifts_match_masks_and_coloring(self, points, diffs):
+        graph = _ConflictGraph(points, diffs)
+        adj = conflict_masks(points, diffs)
+        assert graph.nbrs == [list(iter_bits(mask)) for mask in adj]
+        assert graph.color == [sum(p) % 2 for p in points]
+        coloring = two_coloring(adj, (1 << len(points)) - 1)
+        if coloring is None:
+            assert graph.side is None
+        else:
+            assert graph.side == [coloring[i] for i in range(len(points))]
+        assert any(graph.nbrs) == bool(points)
 
     @pytest.mark.parametrize("diff", [(1, 0, 5), (1,)])
     def test_rejects_a_difference_vector_of_another_dimension(self, diff):
