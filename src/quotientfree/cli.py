@@ -2,8 +2,8 @@
 
 One subcommand per library operation, JSON/CSV/text output, reproducible
 verification suites.  Exit codes: 0 success, 1 usage (or stdout closed
-early by its reader), 2 domain error, 3 budget or precision error,
-4 verification-suite or self-check failure.
+early by its reader), 2 domain error, 3 budget, precision or memory
+error, 4 verification-suite or self-check failure.
 """
 
 from __future__ import annotations
@@ -511,17 +511,17 @@ def _monochromatize(args) -> _Output:
           _arg("--alphas", required=True,
                help="comma-separated coefficients, e.g. 1,2 or ln2,ln3 or 1,sqrt2"),
           _arg("--c", required=True, help="bound, e.g. 4 or ln12 or 3/2"),
-          _arg("--counts-only", action="store_true"))
+          _arg("--counts-only", action="store_true",
+               help="print only the white and black counts, not the points"))
 def _simplex(args) -> _Output:
     alphas = _parse_alphas(args.alphas)
     spec = SimplexSpec.of(alphas, args.c)
     if args.counts_only:
-        # the order of the alphas leaves the parity counts as they are, and the
-        # rows walk all coordinates but the last, so the smallest alpha goes last
-        smallest = min(spec.alphas, key=ExactReal.sort_key)
-        rest = list(spec.alphas)
-        rest.remove(smallest)
-        counts, listing = simplex_color_counts(SimplexSpec((*rest, smallest), spec.c)), {}
+        # the order of the alphas leaves the parity counts as they are; the
+        # count walks all coordinates but the last two (all but the last when
+        # an alpha is below 2**-64), so the smallest alphas go last
+        descending = sorted(spec.alphas, key=ExactReal.sort_key, reverse=True)
+        counts, listing = simplex_color_counts(SimplexSpec(tuple(descending), spec.c)), {}
     else:
         config = simplex_points(spec)
         counts = ColorCount.of(config.points)
@@ -686,6 +686,10 @@ def _run(argv) -> int:
     except SelfCheckError as exc:
         print(f"error: self-check failed: {exc}", file=sys.stderr)
         return EXIT_SUITE_FAILED
+    except MemoryError:
+        # an answer too large to hold, such as a member list past 10**12
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

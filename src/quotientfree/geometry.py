@@ -5,24 +5,28 @@ under an exact linear constraint alpha . x <= c, whose coefficients may be
 rationals, logarithms of integers, or square roots of integers, and whose
 bound may be a sum of such terms.  The paper's axis-legged triangles are
 its two-dimensional case: p^x q^y <= n is ln p, ln q under ln n.
-The region is walked by rows, one row-end decision each: ``simplex_points``
-lists the rows' points and ``simplex_color_counts`` tallies their colors
-in closed form.  This module also holds
-the point types (``Point``, ``LatticeConfig``, ``ColorCount``), counts
-checkerboard colors, scans thresholds for a black majority, and tabulates
-the white-minus-black profile for integer slopes.  Comparisons are decided
-exactly where the atoms allow it, by integer enclosures taken once per
-atom where those suffice, and by certified interval refinement
-otherwise; an undecided comparison is an error, never a guess.
+``simplex_points`` walks the region by rows, one row-length decision
+each, and lists their points.  ``simplex_color_counts`` walks it by
+slabs, the last two coordinates left free, and counts each slab's
+checkerboard colors in bulk: floor sums for rational coefficients, one
+power-table pass for logarithms, and floor sums on integer enclosures
+for the rest.  This module also holds the point types (``Point``,
+``LatticeConfig``, ``ColorCount``), scans thresholds for a black
+majority, and tabulates the white-minus-black profile for integer slopes.
+Comparisons are decided exactly where the atoms allow it, by integer
+enclosures taken once per atom where those suffice, and by certified
+interval refinement otherwise; an undecided comparison is an error,
+never a guess.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, pairwise
+from itertools import chain, islice, pairwise, repeat, takewhile
 from math import ceil, floor, isqrt, lcm, prod
 from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
@@ -385,27 +389,28 @@ class SimplexSpec:
         terms += bound
         return _sign_of_terms(terms, f"membership of point {tuple(point)}") <= 0
 
-    def _row_end(self, head: list[int]) -> int:
-        """Largest z with ``head + [z]`` in the region, or -1 when there is none.
+    def _row_length(self, head: list[int]) -> int:
+        """Number of points ``head + [z]`` in the region, 0 when there is none.
 
-        ``head`` fixes every coordinate but the last.  Rational coefficients
-        give z by one integer division and logarithms by an integer loop on
-        the product; the signs route narrows z with its enclosures to one
-        or two candidates and tests them with ``contains``, or without
+        ``head`` fixes every coordinate but the last, and the row's points
+        are z = 0..length - 1.  Rational coefficients give the length by one
+        integer division and logarithms by an integer loop on the product;
+        the signs route narrows the row end with its enclosures to one or
+        two candidates and tests them with ``contains``, or without
         enclosures finds the last member by doubling z and then bisecting,
         O(log z) tests.
         """
         route, coeffs, bound = self._route
         if route == "dot":
             room = bound - sum(map(mul, coeffs, head))
-            return room // coeffs[-1] if room >= 0 else -1
+            return room // coeffs[-1] + 1 if room >= 0 else 0
         if route == "log":
             room = bound // prod(map(pow, coeffs, head))
-            z, power = -1, 1
+            length, power = 0, 1
             while power <= room:
                 power *= coeffs[-1]
-                z += 1
-            return z
+                length += 1
+            return length
         if coeffs is None:
             # membership falls as z grows, since alpha's last coordinate is positive
             inside, outside = -1, 0
@@ -417,14 +422,14 @@ class SimplexSpec:
                     inside = mid
                 else:
                     outside = mid
-            return inside
+            return inside + 1
         lo, hi, c_lo, c_hi = coeffs
         # every z above `top` fails the filter, every z up to `sure` passes it
         top = (c_hi - sum(map(mul, lo, head))) // lo[-1]
         sure = max((c_lo - sum(map(mul, hi, head))) // hi[-1], -1)
         while top > sure and not self.contains(head + [top]):
             top -= 1
-        return max(top, -1)
+        return max(top + 1, 0)
 
 
 def _require_positive(alphas: Sequence[ExactReal]) -> None:
@@ -441,66 +446,209 @@ def _as_exact(value) -> ExactReal:
     return ExactReal.of(value)
 
 
-def _rows(spec: SimplexSpec):
-    """(head, end) for each row of the region that holds a point, in lex order.
+def _walk(measure, head: list[int], fixed: int = 0):
+    """(head, measure(head)) for each head whose measure is nonzero, in lex order.
 
-    A row fixes every coordinate but the last, ``head``, and holds the
-    points ``(*head, z)`` for z = 0..end, where end is the row end (see
-    ``SimplexSpec._row_end``).  The last coordinate of the head grows until
-    its row is empty; then it drops to zero and the coordinate before it
-    grows, so each row costs one row-end decision, plus one per empty row
-    that ends a run.  ``head`` is the walk's own list, changed when the
-    next row is drawn.
+    ``head`` is the walk's own list, changed when the next head is drawn:
+    its first ``fixed`` coordinates stay as given, and the rest start at
+    zero.  The last coordinate grows until the measure reads zero (an
+    empty part of the region); then it drops to zero and the coordinate
+    before it grows, so each head costs one measure, plus one per empty
+    head that ends a run.  Measuring rows (``SimplexSpec._row_length``)
+    walks all coordinates but the last; measuring slabs walks all but the
+    last two.
     """
-    head = [0] * (len(spec.alphas) - 1)
-    row_end = spec._row_end
-    coords = range(len(head) - 1, -1, -1)
-    end = row_end(head)
-    while end >= 0:
-        yield head, end
+    coords = range(len(head) - 1, fixed - 1, -1)
+    value = measure(head)
+    while value:
+        yield head, value
         for i in coords:
             head[i] += 1
-            end = row_end(head)
-            if end >= 0:
+            value = measure(head)
+            if value:
                 break
             head[i] = 0
         else:
             return
 
 
+def _tally(rows, limit: Optional[int] = None) -> tuple[int, int]:
+    """(total, white) of the rows (head, length) that ``_walk`` yields.
+
+    A row's last coordinates are 0..length - 1, so its color split is
+    closed-form.  With ``limit``, only the rows up to the one that brings
+    the total to ``limit`` or more are counted.
+    """
+    total = white = 0
+    for head, length in rows:
+        total += length
+        white += (length + 1 - sum(head) % 2) // 2  # last coordinates of head's parity
+        if limit is not None and total >= limit:
+            break
+    return total, white
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b) / m) over i = 0..n-1, for n, a, b >= 0 and m >= 1.
+
+    The Euclid-like reduction of the AtCoder Library's ``floor_sum``: strip
+    the whole parts of a/m and b/m, then count the lattice points under
+    the line with the roles of m and a swapped.  It stops once the last
+    term left is zero, not once the line's end is, so the steps are
+    O(log n) however long the continued fraction of a/m runs.
+    """
+    total = 0
+    while True:
+        whole_a, a = divmod(a, m)
+        whole_b, b = divmod(b, m)
+        total += n * (n - 1) // 2 * whole_a + n * whole_b
+        end = a * n + b
+        if end - a < m:  # the largest term left, floor((a*(n-1) + b)/m), is zero
+            return total
+        n, b = divmod(end, m)
+        m, a = a, m
+
+
+def _line_total(a: int, b: int, room: int) -> int:
+    """Number of points a*y + b*z <= room with y, z >= 0, for positive integers a, b.
+
+    Row y holds floor((room - a*y)/b) + 1 points; read from the last row
+    up, room - a*y runs through room % a + a*i.
+    """
+    if room < 0:
+        return 0
+    rows = room // a + 1
+    return _floor_sum(rows, b, a, room % a) + rows
+
+
+def _line_white(a: int, b: int, room: int, parity: int) -> int:
+    """White points of a*y + b*z <= room (room >= 0) behind a head of the given parity.
+
+    Row y has u = room - a*y and E = floor(u/b).  It holds floor(E/2) + 1
+    white points when parity + y is even and floor((E + 1)/2) when it is
+    odd, and since floor(floor(u/b)/2) = floor(u/(2b)) those are
+    floor(u/(2b)) + 1 and floor((u + b)/(2b)).  Each parity class of y is
+    then one floor sum in steps of 2a.
+    """
+    white = 0
+    rows = room // a + 1
+    for first in (0, 1):
+        n = (rows - first + 1) // 2  # the rows y = first, first + 2, ...
+        odd = (parity + first) % 2
+        low = room - a * (first + 2 * (n - 1))  # u at the last of them
+        white += _floor_sum(n, 2 * b, 2 * a, low + odd * b) + n - odd * n
+    return white
+
+
+def _powers(base: int, bound: int) -> list[int]:
+    """base**k for k = 0, 1, ... while it is at most bound (>= 1)."""
+    powers = [1]
+    while powers[-1] * base <= bound:
+        powers.append(powers[-1] * base)
+    return powers
+
+
+def _slab_counter(spec: SimplexSpec):
+    """The (total, white) of a slab as a function of its head, or None.
+
+    A slab fixes every coordinate but the last two, ``head``, and the
+    function reads 0 when it holds no point.  The ``dot`` route counts a
+    slab by floor sums (``_line_total``, ``_line_white``).  The ``log``
+    route divides the bound by the head's product once, then finds every
+    row end by ``bisect_right`` on a power table of the last base.  The
+    ``signs`` route runs the floor sums on its two integer enclosures of
+    the slab: sure <= end <= top holds row by row, so equal totals certify
+    every row end, and only a slab where they differ (an exact tie, say)
+    is walked row by row with ``_row_length``.  None when the spec has no
+    enclosures (an alpha below 2**-64): its rows are walked one by one.
+    """
+    route, coeffs, bound = spec._route
+    if route == "dot":
+        *rest, a, b = coeffs
+
+        def dot_slab(head):
+            room = bound - sum(map(mul, rest, head))
+            return room >= 0 and (_line_total(a, b, room), _line_white(a, b, room, sum(head) % 2))
+
+        return dot_slab
+    if route == "log":
+        *rest, y_base, z_base = coeffs
+        y_powers, z_powers = _powers(y_base, bound), _powers(z_base, bound)
+        even_z, odd_z = z_powers[::2], z_powers[1::2]
+
+        def log_slab(head):
+            room = bound // prod(map(pow, rest, head))
+            # what is left of the bound in each row y: room // y_base**y
+            rooms = list(map(room.__floordiv__, takewhile(room.__ge__, y_powers)))
+            total = sum(map(bisect_right, repeat(z_powers), rooms))
+            # white z are even in the rows of the head's parity, odd in the others
+            parity = sum(head) % 2
+            white = (sum(map(bisect_right, repeat(even_z), rooms[parity::2]))
+                     + sum(map(bisect_right, repeat(odd_z), rooms[1 - parity::2])))
+            return total and (total, white)
+
+        return log_slab
+    if coeffs is None:
+        return None
+    lo, hi, c_lo, c_hi = coeffs
+    *lo_rest, lo_y, lo_z = lo
+    *hi_rest, hi_y, hi_z = hi
+
+    def signs_slab(head):
+        top = _line_total(lo_y, lo_z, c_hi - sum(map(mul, lo_rest, head)))
+        if not top:
+            return 0
+        room = c_lo - sum(map(mul, hi_rest, head))
+        if _line_total(hi_y, hi_z, room) == top:
+            return top, _line_white(hi_y, hi_z, room, sum(head) % 2)
+        # some row end lies between the enclosures: decide the slab's rows
+        tally = _tally(_walk(spec._row_length, [*head, 0], len(head)))
+        return tally[0] and tally
+
+    return signs_slab
+
+
 def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeConfig:
     """All nonnegative integer points of the region, in lex order.
 
-    The points are read off the rows of ``_rows``: one row-end decision
-    per row, not one membership test per point.  With ``limit``, the
-    listing stops once it holds ``limit`` points, the last row cut short
-    before it is built.
+    The points are read off the rows that ``_walk`` draws: one row-length
+    decision per row, not one membership test per point.  With ``limit``,
+    the listing stops once it holds ``limit`` points, the last row cut
+    short before it is built.
     """
     points: list[Point] = []
-    for head, end in _rows(spec):
-        if limit is not None and limit - len(points) <= end + 1:
+    for head, length in _walk(spec._row_length, [0] * (len(spec.alphas) - 1)):
+        if limit is not None and limit - len(points) <= length:
             points += [(*head, z) for z in range(limit - len(points))]
             break
-        points += [(*head, z) for z in range(end + 1)]
+        points += [(*head, z) for z in range(length)]
     # distinct, nonnegative and in lex order by construction
     return LatticeConfig._trusted(tuple(points))
 
 
 def simplex_color_counts(spec: SimplexSpec, limit: Optional[int] = None) -> ColorCount:
-    """Checkerboard tallies of the simplex lattice points, row by row.
+    """Checkerboard tallies of the simplex lattice points, slab by slab.
 
-    The rows are those of ``_rows``, the walk ``simplex_points`` lists: a
-    row's last coordinates are 0..end, so its color split is closed-form,
-    and the cost is one row-end decision per row, not one membership test
-    per point.  With ``limit``, it counts only the rows up to the one that
-    brings the total to ``limit`` or more.
+    A slab fixes every coordinate but the last two, and ``_walk`` draws
+    the slabs that hold a point, so only the first r - 2 coordinates are
+    walked.  Each slab is counted in bulk by its route (``_slab_counter``):
+    floor sums in O(log) steps for rational coefficients, one power-table
+    pass for logarithms, and floor sums on the integer enclosures for the
+    rest, with the slab's rows decided one by one only where the
+    enclosures disagree.  One dimension, specs without enclosures (an
+    alpha below 2**-64) and every ``limit`` count by rows instead, one
+    row-length decision per row: with ``limit``, only the rows up to the
+    one that brings the total to ``limit`` or more are counted.
     """
-    white = total = 0
-    for head, end in _rows(spec):
-        total += end + 1
-        white += (end + 2 - sum(head) % 2) // 2  # last coordinates of head's parity
-        if limit is not None and total >= limit:
-            break
+    r = len(spec.alphas)
+    slab = None if limit is not None or r == 1 else _slab_counter(spec)
+    if slab is None:
+        total, white = _tally(_walk(spec._row_length, [0] * (r - 1)), limit)
+    else:
+        total = white = 0
+        for _, (slab_total, slab_white) in _walk(slab, [0] * (r - 2)):
+            total += slab_total
+            white += slab_white
     return ColorCount(white, total - white)
 
 

@@ -145,15 +145,26 @@ class TestBasicCommands:
         assert code == 0
         assert out == "points = 5000150001\nwhite = 2500100001\nblack = 2500050000\n"
 
-    @pytest.mark.parametrize("alphas,c", [("1,2", "9"), ("ln2,ln3,ln5", "ln900"),
-                                          ("1,sqrt2,sqrt3", "sqrt50"), ("sqrt2", "1/3")])
+    @pytest.mark.parametrize("alphas,c", [
+        ("1,2", "9"), ("ln2,ln3,ln5", "ln900"), ("1,sqrt2,sqrt3", "sqrt50"), ("sqrt2", "1/3"),
+        # the benchmark's simplex families, each at the low and the high end of its range
+        ("1,sqrt2,sqrt3", "1000/100"), ("1,sqrt2,sqrt3", "2000/100"),
+        ("ln2,ln3,sqrt2", "800/100"), ("ln2,ln3,sqrt2", "1500/100"),
+        ("sqrt2,sqrt3,sqrt5,sqrt7", "800/100"), ("sqrt2,sqrt3,sqrt5,sqrt7", "1500/100"),
+        ("1/2,sqrt5", "3000/100"), ("1/2,sqrt5", "10000/100"),
+        ("ln2,ln3,ln5,ln7", "ln100000000"), ("ln2,ln3,ln5,ln7", "ln1000000000000"),
+    ])
     def test_simplex_counts_only_matches_the_listing(self, capsys, alphas, c):
         _, listed, _ = run(capsys, "simplex", "--alphas", alphas, "--c", c, "--json")
         _, counted, _ = run(capsys, "simplex", "--alphas", alphas, "--c", c, "--json",
                             "--counts-only")
-        listed, counted = json.loads(listed), json.loads(counted)
-        del listed["result"]["points"]
-        assert counted == listed
+        # the counts, byte for byte, are those of the listed points tallied here
+        listed = json.loads(listed)
+        points = listed["result"].pop("points")
+        black = sum(sum(p) % 2 for p in points)
+        listed["result"].update(white=len(points) - black, black=black)
+        assert counted == json.dumps(listed, sort_keys=True) + "\n"
+        counted = json.loads(counted)
         for fmt in ((), ("--counts-only",)):
             _, text, _ = run(capsys, "simplex", "--alphas", alphas, "--c", c, *fmt)
             assert text.splitlines() == [
@@ -188,6 +199,36 @@ class TestBasicCommands:
         assert proc.returncode == 0
         assert proc.stdout.decode() == (
             f"points = {white + black}\nwhite = {white}\nblack = {black}\n")
+
+    @pytest.mark.parametrize("alphas", ["1,1", "1,2"])
+    def test_simplex_counts_a_rational_triangle_at_ten_to_the_300(self, alphas):
+        # x + a*y <= n: n + 1 rows, counted by floor sums, not one by one;
+        # a separate process, so that a row walk fails instead of hanging
+        n = 10**300
+        src = os.path.dirname(os.path.dirname(quotientfree.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quotientfree.cli", "simplex", "--alphas", alphas,
+             "--c", str(n), "--counts-only"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0
+        k = n // 2
+        if alphas == "1,1":
+            total, white = (n + 1) * (n + 2) // 2, (k + 1) ** 2
+        else:
+            # row y holds x = 0..n - 2y, n even: those of y's parity are white
+            total, white = (k + 1) * (n + 1 - k), k * (k + 1) // 2 + k // 2 + 1
+        assert proc.stdout.decode() == (
+            f"points = {total}\nwhite = {white}\nblack = {total - white}\n")
+
+    def test_simplex_counts_ten_million_rows_at_once(self, capsys):
+        # 3x + 7y <= 10**7 has 3,333,334 rows along x, and 1,428,572 along y
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "simplex", "--alphas", "3,7", "--c", "10000000",
+                           "--counts-only")
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert out == "points = 2380955000001\nwhite = 1190477619048\nblack = 1190477380953\n"
 
     def test_simplex_radicand_past_the_trial_divisors(self, capsys):
         # trial division stops at 10**4, so a 21-digit radicand parses at once
@@ -1080,6 +1121,17 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "error: self-check failed: witness of 61 elements, block sum 72\n"
+
+    def test_out_of_memory_exits_3_in_one_line(self, capsys, monkeypatch):
+        # a member mask too large to allocate, as at dense-set --x 10**12
+        def exhausted(basis, x):
+            raise MemoryError
+
+        monkeypatch.setattr(density, "coprime_part_mask", exhausted)
+        code, out, err = run(capsys, "dense-set", "--a", "2,3", "--x", "1000", "--json")
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory in dense-set\n"
 
     @pytest.mark.parametrize("name,argv", [
         ("ln", ("simplex", "--alphas", "ln2,ln3", "--c", "ln(" + "7" * 5001 + ")")),

@@ -1,9 +1,10 @@
 import hashlib
+import math
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quotientfree import (
     ColorCount,
@@ -404,6 +405,119 @@ class TestFilterMemo:
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
+# a point of the region (or just past it) lies on c's boundary: alpha . x
+# shifted by one of these, far inside the enclosures' 2**-64 width
+_BOUNDARY_SHIFTS = (Fraction(0), Fraction(-1, 10**25), Fraction(1, 10**25))
+# the largest c (or, for logarithms, N in c = ln N) drawn per dimension,
+# so that every region holds at most a few thousand points
+_DOT_BOUNDS = {1: 40, 2: 30, 3: 12, 4: 7}
+_LOG_BOUNDS = {1: 10**6, 2: 10**5, 3: 10**4, 4: 3000}
+
+
+@st.composite
+def _slab_regions(draw):
+    """(alphas, c) of a 1- to 4-D region on the dot, log or signs route.
+
+    c is drawn outright, or put through a drawn point x so that x lies on
+    the boundary: c = alpha . x exactly on the dot and log routes (N the
+    smooth number prod k_i**x_i), and alpha . x plus a tiny shift on the
+    signs route, where the two enclosures then disagree on x's slab.
+    """
+    route = draw(st.sampled_from(["dot", "log", "signs"]))
+    dim = draw(st.integers(1, 4))
+    on_boundary = draw(st.booleans())
+    x = draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+    if route == "dot":
+        alphas = tuple(ExactReal.of(f) for f in draw(st.lists(
+            st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)),
+            min_size=dim, max_size=dim)))
+        if on_boundary:
+            bound = sum(a.rational * k for a, k in zip(alphas, x))
+        else:
+            bound = Fraction(draw(st.integers(-1, 3 * _DOT_BOUNDS[dim])), 3)
+        return alphas, ExactReal.of(bound)
+    if route == "log":
+        args = draw(st.lists(st.integers(2, 12), min_size=dim, max_size=dim))
+        if on_boundary:
+            n = 1
+            for k, e in zip(args, x):
+                n *= k**e
+        else:
+            n = draw(st.integers(1, _LOG_BOUNDS[dim]))
+        return tuple(map(ExactReal.log, args)), ExactReal.log(n)
+    texts = draw(st.lists(st.one_of(_RATIONAL_ATOMS, _LOG_ATOMS, _SQRT_ATOMS),
+                          min_size=dim, max_size=dim))
+    texts[draw(st.integers(0, dim - 1))] = draw(_SQRT_ATOMS)  # off the other routes
+    alphas = tuple(map(ExactReal.parse, texts))
+    if on_boundary:
+        shift = draw(st.sampled_from(_BOUNDARY_SHIFTS))
+        c = tuple(zip(alphas, map(Fraction, x))) + ((ExactReal.of(shift), Fraction(1)),)
+    else:
+        c = ExactReal.of(Fraction(draw(st.integers(-1, 4 * _DOT_BOUNDS[dim])), 4))
+    return alphas, c
+
+
+def _parsed(alphas, c):
+    return tuple(map(ExactReal.parse, alphas)), ExactReal.parse(c)
+
+
+class TestSlabCounts:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(region=_slab_regions())
+    # forced ties: an integer c with alpha 1, c = ln N for a smooth N, and
+    # a signs region whose bound meets the point (5, 0) exactly
+    @example(region=_parsed(["1", "2", "3"], "6"))
+    @example(region=_parsed(["1", "1"], "9"))
+    @example(region=_parsed(["ln2", "ln3"], "ln72"))
+    @example(region=_parsed(["ln3", "ln2", "ln5"], "ln(3600)"))
+    @example(region=_parsed(["1", "sqrt2"], "5"))
+    def test_slabs_match_the_point_tally(self, region):
+        spec = SimplexSpec(*region)
+        assert simplex_color_counts(spec) == tallied_color_counts(spec)
+
+    @pytest.mark.parametrize("shift", _BOUNDARY_SHIFTS)
+    def test_a_tie_decides_its_slab_by_rows(self, shift, monkeypatch):
+        # c = 3 + 4*sqrt(2) + shift puts (3, 4) within the enclosures' width
+        # of the boundary: that slab's rows are decided one by one
+        rows = []
+        row_length = SimplexSpec._row_length
+        monkeypatch.setattr(SimplexSpec, "_row_length",
+                            lambda spec, head: rows.append(tuple(head)) or row_length(spec, head))
+        alphas = (ExactReal.of(1), ExactReal.sqrt(2))
+        spec = SimplexSpec(alphas, ((alphas[0], Fraction(3)), (alphas[1], Fraction(4)),
+                                    (ExactReal.of(shift), Fraction(1))))
+        assert simplex_color_counts(spec) == tallied_color_counts(spec)
+        # the fallback walks the slab's rows x = 0, 1, 2, ... to its first empty one
+        assert rows == [(x,) for x in range(10)]
+
+    def test_a_tie_free_signs_region_needs_no_membership_test(self, monkeypatch):
+        def refuse(self, point):
+            raise AssertionError(f"membership of {point} was tested")
+
+        spec = SimplexSpec.of(["1", "sqrt2", "sqrt3"], Fraction(39, 2))
+        expected = tallied_color_counts(spec)
+        monkeypatch.setattr(SimplexSpec, "contains", refuse)
+        assert simplex_color_counts(spec) == expected
+
+    def test_three_unit_alphas_at_ten_to_the_fifth(self):
+        # 10**5 + 1 slabs, one per x: the triangles y + z <= k, k = n - x
+        n = 10**5
+        counts = simplex_color_counts(SimplexSpec.of([1, 1, 1], n))
+        assert counts.total == math.comb(n + 3, 3)
+        # a triangle of size k has (k//2 + 1)**2 points with y + z even
+        # among its (k + 1)(k + 2)/2, and an odd x swaps the two colors
+        assert counts.white - counts.black == sum(
+            (-1) ** (n - k) * (2 * (k // 2 + 1) ** 2 - (k + 1) * (k + 2) // 2)
+            for k in range(n + 1))
+
+    def test_floor_sum_matches_the_term_by_term_sum(self):
+        rng = CounterRng(7)
+        for _ in range(500):
+            n, m = rng.randint(0, 40), rng.randint(1, 10**rng.randint(1, 22))
+            a, b = rng.randint(0, 10**rng.randint(1, 22)), rng.randint(0, 10**rng.randint(1, 22))
+            assert geometry._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
 class TestFindBlackMajority:
     @pytest.mark.parametrize("alphas, budget", [
         *(pytest.param(alphas, 64, id=f"alphas{i}")
@@ -556,6 +670,14 @@ class TestRationalSlopeProfile:
                 row = rational_slope_profile(a1, a2, c)[-1]
                 counts = simplex_color_counts(SimplexSpec.of([a1, a2], c))
                 assert (row.white, row.black) == (counts.white, counts.black)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a1=st.integers(1, 12), a2=st.integers(1, 12), c_max=st.integers(1, 200))
+    def test_every_row_matches_the_slab_count(self, a1, a2, c_max):
+        # two routes: the recurrences, and floor sums over the triangle
+        for row in rational_slope_profile(a1, a2, c_max):
+            counts = simplex_color_counts(SimplexSpec.of([a1, a2], row.c))
+            assert (row.white, row.black) == (counts.white, counts.black), row
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
