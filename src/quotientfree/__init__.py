@@ -23,7 +23,7 @@ from .density import (
     construct_dense_set,
     empirical_densities,
     max_subset_count,
-    max_subset_mask,
+    max_subset_witness,
     rho_closed_form,
     rho_general,
     sigma_series,

@@ -26,7 +26,7 @@ from .density import (
     DensityBracket,
     construct_dense_set,
     max_subset_count,
-    max_subset_mask,
+    max_subset_witness,
     rho_closed_form,
     rho_general,
     sigma_series,
@@ -344,8 +344,8 @@ def _gap(args) -> _Output:
           _P, _Q, _arg("--n", type=int, required=True), _arg("--witness", action="store_true"))
 def _max_subset(args) -> _Output:
     if args.witness:
-        mask = max_subset_mask(args.p, args.q, args.n)
-        result = {"count": mask.count(1), "witness": _MaskList(mask)}
+        count, mask = max_subset_witness(args.p, args.q, args.n)
+        result = {"count": count, "witness": _MaskList(mask)}
     else:
         result = {"count": max_subset_count(args.p, args.q, args.n)}
     return _Output({"p": args.p, "q": args.q, "n": args.n}, result,
@@ -376,13 +376,16 @@ def _dense_set(args) -> _Output:
         }
 
     def lines():
+        # the member line is rendered before the first line is printed, so a
+        # mask too large to allocate leaves stdout empty
+        members = f"members = {_MaskList(sample.member_mask)}" if args.members else None
         yield f"x = {sample.x}"
         yield f"count = {count}"
         yield f"counting density = {_with_dec(args, sample.counting_density)}"
         if log_dec is not None:
             yield f"log density ~ {log_dec}"
-        if args.members:
-            yield f"members = {_MaskList(sample.member_mask)}"
+        if members is not None:
+            yield members
 
     return _Output({"a": [frac_str(f) for f in a_set.elements], "x": args.x,
                     "depth": args.depth}, result, lines())

@@ -12,7 +12,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, compress, islice, takewhile
+from itertools import accumulate, compress, groupby, islice, takewhile
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from mpmath.libmp import (
@@ -246,28 +247,30 @@ def max_subset_count(
     representatives up to n // m_t (inclusion-exclusion) summed over the t
     at which ``_pair_prefix``, which alone decides the majority and its
     ties, reports a gain: O(#smooth <= n * 2^s) work.  The witness comes
-    from ``max_subset_mask``, and with it the count is the witness's
+    from ``max_subset_witness``, and with it the count is the witness's
     length, checked against the block sum.
     """
     if with_witness:
-        witness = tuple(compress(range(n + 1), max_subset_mask(p, q, n)))
+        witness = tuple(compress(range(n + 1), max_subset_witness(p, q, n)[1]))
         return len(witness), witness
     return _block_sum(p, q, n)[1]
 
 
-def max_subset_mask(p: int, q: int, n: int) -> bytearray:
-    """mask[k] = 1 exactly for the k <= n in ``max_subset_count``'s witness.
+def max_subset_witness(p: int, q: int, n: int) -> tuple[int, bytearray]:
+    """(size, mask) of ``max_subset_count``'s witness: mask[k] = 1 exactly
+    for the k <= n in it.
 
     A sieve by smooth parts (see ``_witness_mask``): about n * p/(p-1)
-    * q/(q-1) byte writes done in C, plus O(#smooth * #runs) Python steps.
-    Its number of ones is checked against the block sum.
+    * q/(q-1) + 2n byte writes done in C, plus O(#smooth + #runs) Python
+    steps.  The size is the mask's number of ones, checked against the
+    block sum.
     """
     prefix, total = _block_sum(p, q, n)
     mask = _witness_mask(prefix, n)
     size = mask.count(1)
     if size != total:
         raise SelfCheckError(f"witness of {size} elements, block sum {total}")
-    return mask
+    return size, mask
 
 
 def _block_sum(p: int, q: int, n: int) -> tuple[list[tuple[int, int, int, bool, bool]], int]:
@@ -288,33 +291,30 @@ def _witness_mask(prefix: Sequence[tuple[int, int, int, bool, bool]], n: int) ->
     k = m_i * r, with m_i its smooth part and r free, is kept when m_i has
     the class ``kept_t`` that the stream, which alone decides the majority
     and its ties, keeps for the first t(r) = #{smooth <= n // r} values.
-    For each m_i, ascending, the sieve writes that verdict at every multiple
-    m_i * r, r <= n // m_i, free or not: the last write to k comes from its
-    largest smooth divisor, its smooth part, so the verdicts for r that are
-    not free are all overwritten.  The r with t(r) = t fill (n // m_{t+1},
-    n // m_t], so a run of t with one kept class is one slice assignment per
-    smooth value.
+    So the verdict for r depends on m_i's class c alone: table c holds, at
+    each r <= n, whether c is the class kept for t(r).  For each m_i,
+    ascending, the sieve copies its class's table to every multiple m_i * r,
+    r <= n // m_i, free or not, in one slice: the last write to k comes from
+    its largest smooth divisor, its smooth part, so the verdicts for r that
+    are not free are all overwritten.  The r with t(r) = t fill
+    (n // m_{t+1}, n // m_t], so the tables take one slice per run of t with
+    one kept class.
     """
-    # runs of the kept class over t: the 0-based first t of each run
-    firsts: list[int] = []
-    classes: list[bool] = []
-    for i, (_, _, _, _, kept) in enumerate(prefix):
-        if not classes or classes[-1] != kept:
-            firsts.append(i)
-            classes.append(kept)
-    # a run's r lie above n // (the first value after the run)
-    runs = list(zip([n // prefix[i][0] for i in firsts[1:]] + [0], classes))
-    fills = (memoryview(bytes(n)), memoryview(b"\x01" * n))
+    # kept_t = False (class 0) until a run says otherwise; r = 0 is never read
+    tables = (bytearray(b"\x01") * (n + 1), bytearray(n + 1))
+    lo = 0
+    # the runs from the last t down, so r goes up: a run's r end at
+    # n // (its least smooth value), the last entry of the reversed run
+    for kept, run in groupby(reversed(prefix), key=itemgetter(4)):
+        *_, (m, *_) = run
+        hi = n // m + 1
+        if kept:
+            tables[0][lo:hi] = bytes(hi - lo)
+            tables[1][lo:hi] = b"\x01" * (hi - lo)
+        lo = hi
     mask = bytearray(n + 1)
-    k = 0
-    for i, (m, a, b, _, _) in enumerate(prefix):
-        if k + 1 < len(firsts) and firsts[k + 1] == i:
-            k += 1
-        color = (a + b) & 1
-        hi = n // m
-        for lo, kept in runs[k:]:
-            mask[m * (lo + 1):m * hi + 1:m] = fills[kept == color][:hi - lo]
-            hi = lo
+    for m, a, b, _, _ in prefix:
+        mask[m::m] = tables[(a + b) & 1][1:n // m + 1]
     return mask
 
 

@@ -122,6 +122,33 @@ def naive_max_subset_witness(p, q, n):
     return total, tuple(sorted(witness))
 
 
+def per_run_witness_mask(prefix, n):
+    """The max-subset witness mask written one slice per pair of a smooth
+    value and a later run of the kept class: for each smooth m, ascending,
+    and each run of t with one kept class, the r with t(r) in that run get
+    mask[m * r] = 1 exactly when m's class is the kept one.  ``prefix`` is
+    ``_pair_prefix`` up to the last smooth value <= n."""
+    firsts, classes = [], []
+    for i, (_, _, _, _, kept) in enumerate(prefix):
+        if not classes or classes[-1] != kept:
+            firsts.append(i)
+            classes.append(kept)
+    # a run's r lie above n // (the first value after the run)
+    runs = list(zip([n // prefix[i][0] for i in firsts[1:]] + [0], classes))
+    fills = (bytes(n), b"\x01" * n)
+    mask = bytearray(n + 1)
+    k = 0
+    for i, (m, a, b, _, _) in enumerate(prefix):
+        if k + 1 < len(firsts) and firsts[k + 1] == i:
+            k += 1
+        color = (a + b) & 1
+        hi = n // m
+        for lo, kept in runs[k:]:
+            mask[m * (lo + 1):m * hi + 1:m] = fills[kept == color][:hi - lo]
+            hi = lo
+    return mask
+
+
 def extend_then_sort_members(x, smooth_parts, free_parts):
     """The dense set's members up to x: for each chosen smooth m <= x, the
     products m * n over the ascending free n <= x // m are appended to one

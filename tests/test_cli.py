@@ -53,6 +53,25 @@ class TestBasicCommands:
         assert payload["result"]["count"] == 7
         assert payload["result"]["witness"] == [1, 4, 5, 6, 7, 9, 11]
 
+    def test_max_subset_witness_count_is_the_checked_count(self, capsys, monkeypatch):
+        # the count comes with the mask, checked against the block sum, and
+        # the mask is not counted a second time
+        class Uncounted(bytearray):
+            def count(self, *args):
+                raise AssertionError("the witness mask was counted again")
+
+        witness = density.max_subset_witness
+
+        def checked(p, q, n):
+            count, mask = witness(p, q, n)
+            return count, Uncounted(mask)
+
+        argv = ("max-subset", "--p", "2", "--q", "3", "--n", "1000", "--witness", "--json")
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(cli, "max_subset_witness", checked)
+        assert run(capsys, *argv) == expected
+        assert json.loads(expected[1])["result"]["count"] == 612
+
     def test_rho_general(self, capsys):
         code, out, _ = run(capsys, "rho-general", "--a", "3/2", "--depth", "6", "--json")
         assert code == 0
@@ -1128,10 +1147,12 @@ class TestExitCodes:
             raise MemoryError
 
         monkeypatch.setattr(density, "coprime_part_mask", exhausted)
-        code, out, err = run(capsys, "dense-set", "--a", "2,3", "--x", "1000", "--json")
-        assert code == 3
-        assert out == ""
-        assert err == "error: out of memory in dense-set\n"
+        # text mode prints none of its lines before the member line fails
+        for mode in ("--json", "--members"):
+            code, out, err = run(capsys, "dense-set", "--a", "2,3", "--x", "1000", mode)
+            assert code == 3, mode
+            assert out == "", mode
+            assert err == "error: out of memory in dense-set\n", mode
 
     @pytest.mark.parametrize("name,argv", [
         ("ln", ("simplex", "--alphas", "ln2,ln3", "--c", "ln(" + "7" * 5001 + ")")),

@@ -1,8 +1,9 @@
 import math
 import time
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 
 import mpmath
 import pytest
@@ -20,7 +21,7 @@ from quotientfree import (
     exact_sum,
     gamma_bracket,
     max_subset_count,
-    max_subset_mask,
+    max_subset_witness,
     phi,
     rho_closed_form,
     rho_general,
@@ -41,11 +42,14 @@ from helpers import (
     naive_max_subset_witness,
     naive_sigma_brackets,
     naive_sigma_series,
+    per_run_witness_mask,
     quotient_free_violations,
     truncated_weight_mass,
 )
 
 BENCH_PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (5, 7)]
+# the bench pairs and three coprime pairs of prime powers
+SIEVE_PAIRS = BENCH_PAIRS + [(2, 9), (4, 9), (3, 8)]
 
 
 class TestRhoClosedForm:
@@ -343,8 +347,9 @@ class TestMaxSubsetCount:
     def test_mask_marks_the_witness(self, pair):
         p, q = pair
         for n in (1, 2, 12, 999, 1000, 1001, 12345):
-            mask = max_subset_mask(p, q, n)
+            count, mask = max_subset_witness(p, q, n)
             assert len(mask) == n + 1 and set(mask) <= {0, 1}, (pair, n)
+            assert count == sum(mask), (pair, n)
             assert tuple(k for k in range(n + 1) if mask[k]) == \
                 max_subset_count(p, q, n, with_witness=True)[1], (pair, n)
 
@@ -352,7 +357,25 @@ class TestMaxSubsetCount:
         counts = density.count_coprime_part
         monkeypatch.setattr(density, "count_coprime_part", lambda basis, x: counts(basis, x) - 1)
         with pytest.raises(SelfCheckError, match="^witness of 61 elements, block sum 50$"):
-            max_subset_mask(2, 3, 100)
+            max_subset_witness(2, 3, 100)
+
+    @pytest.mark.parametrize("pair", SIEVE_PAIRS)
+    def test_sieve_matches_the_per_run_sieve(self, pair):
+        prefix = list(takewhile(lambda entry: entry[0] <= 3000, density._pair_prefix(*pair)))
+        values = [entry[0] for entry in prefix]
+        for n in range(1, 3001):
+            head = prefix[:bisect_right(values, n)]
+            assert density._witness_mask(head, n) == per_run_witness_mask(head, n), (pair, n)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(pair=st.sampled_from(SIEVE_PAIRS), n=st.integers(1, 2 * 10**5))
+    @example(pair=(2, 3), n=2 * 10**5)
+    @example(pair=(4, 9), n=12345)
+    def test_sieve_matches_the_per_run_sieve_sampled(self, pair, n):
+        prefix, total = density._block_sum(*pair, n)
+        count, mask = max_subset_witness(*pair, n)
+        assert mask == per_run_witness_mask(prefix, n)
+        assert count == total == mask.count(1)
 
     def test_block_sum_at_astronomical_horizon(self):
         n = 10**30
