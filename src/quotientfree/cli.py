@@ -521,8 +521,8 @@ def _simplex(args) -> _Output:
     spec = SimplexSpec.of(alphas, args.c)
     if args.counts_only:
         # the order of the alphas leaves the parity counts as they are; the
-        # count walks all coordinates but the last two (all but the last when
-        # an alpha is below 2**-64), so the smallest alphas go last
+        # count walks all coordinates but the last two, so the smallest
+        # alphas go last
         descending = sorted(spec.alphas, key=ExactReal.sort_key, reverse=True)
         counts, listing = simplex_color_counts(SimplexSpec(tuple(descending), spec.c)), {}
     else:
@@ -678,13 +678,10 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_USAGE
     except (BudgetError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, BudgetError) and exc.achieved is not None:
-            achieved = exc.achieved
-            print(
-                f"achieved bracket: [{achieved.lower}, {achieved.upper}]",
-                file=sys.stderr,
-            )
+        achieved = getattr(exc, "achieved", None)
+        reached = "" if achieved is None else (
+            f"; achieved bracket: [{achieved.lower}, {achieved.upper}]")
+        print(f"error: {exc}{reached}", file=sys.stderr)
         return EXIT_BUDGET
     except SelfCheckError as exc:
         print(f"error: self-check failed: {exc}", file=sys.stderr)

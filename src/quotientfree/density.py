@@ -233,26 +233,17 @@ def _series_bracket(
     )
 
 
-def max_subset_count(
-    p: int,
-    q: int,
-    n: int,
-    with_witness: bool = False,
-):
+def max_subset_count(p: int, q: int, n: int) -> int:
     """Exact maximal size of a quotient-free subset of {1..n} for pair (p,q).
 
     Sums, over every n-free class representative, f(t) for the smooth
     prefix that still fits under the bound, t = #{smooth <= n/rep}.  So the
-    count alone is a sum over blocks of t; in Abel form, the number of
+    count is a sum over blocks of t; in Abel form, the number of
     representatives up to n // m_t (inclusion-exclusion) summed over the t
     at which ``_pair_prefix``, which alone decides the majority and its
-    ties, reports a gain: O(#smooth <= n * 2^s) work.  The witness comes
-    from ``max_subset_witness``, and with it the count is the witness's
-    length, checked against the block sum.
+    ties, reports a gain: O(#smooth <= n * 2^s) work.  A maximal set
+    itself comes from ``max_subset_witness``.
     """
-    if with_witness:
-        witness = tuple(compress(range(n + 1), max_subset_witness(p, q, n)[1]))
-        return len(witness), witness
     return _block_sum(p, q, n)[1]
 
 

@@ -25,7 +25,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice, pairwise, repeat, takewhile
 from math import ceil, floor, isqrt, lcm, prod
 from operator import add, mul
@@ -213,10 +213,16 @@ class ExactReal:
 
     @cached_property
     def _filter_pair(self) -> tuple[int, int]:
-        """Floor and ceiling of 2**64 times the atom, from one enclosure far finer than 2**-64."""
-        bits = 2 * _FILTER_BITS + (0 if self.is_rational else self.arg.bit_length())
-        lo, hi = self.interval(bits)
-        return floor(lo * 2**_FILTER_BITS), ceil(hi * 2**_FILTER_BITS)
+        """``_scaled_pair`` at 2**64, the scale of every spec without a tiny alpha."""
+        return self._scaled_pair(_FILTER_BITS)
+
+    def _scaled_pair(self, shift: int) -> tuple[int, int]:
+        """Floor and ceiling of 2**shift times the atom.
+
+        Both come from one enclosure far finer than 2**-shift.
+        """
+        lo, hi = self.interval(2 * shift + (0 if self.is_rational else self.arg.bit_length()))
+        return floor(lo * 2**shift), ceil(hi * 2**shift)
 
     def sort_key(self) -> Fraction:
         lo, hi = self.interval(_SORT_KEY_BITS)
@@ -316,8 +322,11 @@ class SimplexSpec:
     is rational, and certified signs of the whole combination otherwise.
     The signs route first tries integer enclosures of each alpha and of c,
     scaled by 2**64: each atom's memoized pair, and for c their integer sums
-    weighted by c's coefficients.  Two integer dot products settle every
-    point not within the enclosures' width of the boundary, in O(r) work,
+    weighted by c's coefficients.  A rational alpha below 2**-64 raises the
+    scale to 2**(64 + e), e its denominator's bits less its numerator's plus
+    one, so that it reads at least 2**64; every pair then comes from one
+    enclosure at that scale, unmemoized.  Two integer dot products settle
+    every point not within the enclosures' width of the boundary, in O(r) work,
     and only the rest (exact ties, say) refine intervals.  Every spec,
     ``of``'s too, is built this one way.
     """
@@ -325,7 +334,7 @@ class SimplexSpec:
     alphas: tuple[ExactReal, ...]
     c: Union[ExactReal, tuple[tuple[ExactReal, Fraction], ...]]
     # (route, coefficients, bound) read by ``contains``; the signs route keeps
-    # its integer enclosures (or None) where the others keep coefficients
+    # its integer enclosures where the others keep coefficients
     _route: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -350,18 +359,24 @@ class SimplexSpec:
                                   for a in self.alphas),
                      bound.numerator * (scale // bound.denominator))
         else:
-            lo, hi = zip(*(a._filter_pair for a in self.alphas))
-            # the row ends divide by lo, so an alpha below 2**-64 leaves no filter
-            box = None
-            if min(lo) > 0:
-                # k * atom lies between k times the atom's pair ends, swapped when k < 0
-                c_lo = c_hi = 0
-                for atom, k in terms:
-                    a_lo, a_hi = atom._filter_pair[::1 if k >= 0 else -1]
-                    c_lo += k.numerator * a_lo // k.denominator
-                    c_hi -= -k.numerator * a_hi // k.denominator
-                box = lo, hi, c_lo, c_hi
-            route = "signs", box, tuple((atom, -k) for atom, k in terms)
+            # the row ends divide by lo, so the scale lifts the smallest alpha
+            # to 2**64 or more; only a rational can lie below 2**-64
+            tiny = min((a.rational for a in self.alphas if a.is_rational), default=1)
+            if tiny * 2**_FILTER_BITS < 1:
+                shift = (_FILTER_BITS + 1 + tiny.denominator.bit_length()
+                         - tiny.numerator.bit_length())
+                pair = cache(lambda atom: atom._scaled_pair(shift))
+            else:
+                def pair(atom):
+                    return atom._filter_pair
+            lo, hi = zip(*map(pair, self.alphas))
+            # k * atom lies between k times the atom's pair ends, swapped when k < 0
+            c_lo = c_hi = 0
+            for atom, k in terms:
+                a_lo, a_hi = pair(atom)[::1 if k >= 0 else -1]
+                c_lo += k.numerator * a_lo // k.denominator
+                c_hi -= -k.numerator * a_hi // k.denominator
+            route = "signs", (lo, hi, c_lo, c_hi), tuple((atom, -k) for atom, k in terms)
         object.__setattr__(self, "_route", route)
 
     @classmethod
@@ -379,12 +394,11 @@ class SimplexSpec:
             return prod(map(pow, coeffs, point)) <= bound
         if route == "dot":
             return sum(map(mul, coeffs, point)) <= bound
-        if coeffs is not None:
-            lo, hi, c_lo, c_hi = coeffs
-            if sum(map(mul, hi, point)) <= c_lo:
-                return True
-            if sum(map(mul, lo, point)) > c_hi:
-                return False
+        lo, hi, c_lo, c_hi = coeffs
+        if sum(map(mul, hi, point)) <= c_lo:
+            return True
+        if sum(map(mul, lo, point)) > c_hi:
+            return False
         terms = [(a, Fraction(x)) for a, x in zip(self.alphas, point)]
         terms += bound
         return _sign_of_terms(terms, f"membership of point {tuple(point)}") <= 0
@@ -396,9 +410,7 @@ class SimplexSpec:
         are z = 0..length - 1.  Rational coefficients give the length by one
         integer division and logarithms by an integer loop on the product;
         the signs route narrows the row end with its enclosures to one or
-        two candidates and tests them with ``contains``, or without
-        enclosures finds the last member by doubling z and then bisecting,
-        O(log z) tests.
+        two candidates and tests them with ``contains``.
         """
         route, coeffs, bound = self._route
         if route == "dot":
@@ -411,18 +423,6 @@ class SimplexSpec:
                 power *= coeffs[-1]
                 length += 1
             return length
-        if coeffs is None:
-            # membership falls as z grows, since alpha's last coordinate is positive
-            inside, outside = -1, 0
-            while self.contains(head + [outside]):
-                inside, outside = outside, 2 * outside + 1
-            while outside - inside > 1:
-                mid = (inside + outside) // 2
-                if self.contains(head + [mid]):
-                    inside = mid
-                else:
-                    outside = mid
-            return inside + 1
         lo, hi, c_lo, c_hi = coeffs
         # every z above `top` fails the filter, every z up to `sure` passes it
         top = (c_hi - sum(map(mul, lo, head))) // lo[-1]
@@ -549,7 +549,7 @@ def _powers(base: int, bound: int) -> list[int]:
 
 
 def _slab_counter(spec: SimplexSpec):
-    """The (total, white) of a slab as a function of its head, or None.
+    """The (total, white) of a slab as a function of its head.
 
     A slab fixes every coordinate but the last two, ``head``, and the
     function reads 0 when it holds no point.  The ``dot`` route counts a
@@ -559,8 +559,7 @@ def _slab_counter(spec: SimplexSpec):
     ``signs`` route runs the floor sums on its two integer enclosures of
     the slab: sure <= end <= top holds row by row, so equal totals certify
     every row end, and only a slab where they differ (an exact tie, say)
-    is walked row by row with ``_row_length``.  None when the spec has no
-    enclosures (an alpha below 2**-64): its rows are walked one by one.
+    is walked row by row with ``_row_length``.
     """
     route, coeffs, bound = spec._route
     if route == "dot":
@@ -588,8 +587,6 @@ def _slab_counter(spec: SimplexSpec):
             return total and (total, white)
 
         return log_slab
-    if coeffs is None:
-        return None
     lo, hi, c_lo, c_hi = coeffs
     *lo_rest, lo_y, lo_z = lo
     *hi_rest, hi_y, hi_z = hi
@@ -635,18 +632,16 @@ def simplex_color_counts(spec: SimplexSpec, limit: Optional[int] = None) -> Colo
     floor sums in O(log) steps for rational coefficients, one power-table
     pass for logarithms, and floor sums on the integer enclosures for the
     rest, with the slab's rows decided one by one only where the
-    enclosures disagree.  One dimension, specs without enclosures (an
-    alpha below 2**-64) and every ``limit`` count by rows instead, one
-    row-length decision per row: with ``limit``, only the rows up to the
-    one that brings the total to ``limit`` or more are counted.
+    enclosures disagree.  One dimension and every ``limit`` count by rows
+    instead, one row-length decision per row: with ``limit``, only the rows
+    up to the one that brings the total to ``limit`` or more are counted.
     """
     r = len(spec.alphas)
-    slab = None if limit is not None or r == 1 else _slab_counter(spec)
-    if slab is None:
+    if limit is not None or r == 1:
         total, white = _tally(_walk(spec._row_length, [0] * (r - 1)), limit)
     else:
         total = white = 0
-        for _, (slab_total, slab_white) in _walk(slab, [0] * (r - 2)):
+        for _, (slab_total, slab_white) in _walk(_slab_counter(spec), [0] * (r - 2)):
             total += slab_total
             white += slab_white
     return ColorCount(white, total - white)

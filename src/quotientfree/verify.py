@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import CoprimeBasis, count_coprime_part, enumerate_smooth, phi
-from .density import max_subset_count, strict_gap_check
+from .density import max_subset_witness, strict_gap_check
 from .geometry import (
     ColorCount,
     SimplexSpec,
@@ -262,11 +262,13 @@ def suite_corollary(seed: int, budget: str) -> SuiteReport:
         oracles = exhaustive_max_quotient_free(p, q, n_max)
         mismatch = None
         for n in range(1, n_max + 1):
-            claimed, witness = max_subset_count(p, q, n, with_witness=True)
+            claimed, mask = max_subset_witness(p, q, n)
             oracle = oracles[n - 1]
-            member_set = set(witness)
-            valid = len(witness) == claimed and all(
-                k * r not in member_set for k in witness for r in (p, q)
+            # a k <= n // r kept together with k * r would be a quotient pair
+            valid = mask.count(1) == claimed and not any(
+                kept and multiple
+                for r in (p, q)
+                for kept, multiple in zip(mask[1:], mask[r::r])
             )
             if claimed != oracle or not valid:
                 mismatch = (n, claimed, oracle, valid)

@@ -193,8 +193,8 @@ class TestBasicCommands:
             ]
 
     def test_simplex_counts_a_long_filterless_row_at_once(self, capsys):
-        # the last alpha is 2**-70, below the filter's 2**-64, and the one
-        # row of 2**70 + 1 points is ended by doubling and bisection
+        # the last alpha is 2**-70, below 2**-64, so the enclosures are
+        # scaled by 2**135, and the one row of 2**70 + 1 points is one count
         code, out, _ = run(capsys, "simplex", "--alphas", f"sqrt2,1/{2**70}", "--c", "1",
                            "--counts-only")
         assert code == 0
@@ -941,7 +941,8 @@ class TestMaskList:
 
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 12345, 200000])
     def test_max_subset_witness_is_the_library_tuple(self, capsys, n):
-        count, witness = quotientfree.max_subset_count(2, 3, n, with_witness=True)
+        count, mask = quotientfree.max_subset_witness(2, 3, n)
+        witness = tuple(compress(range(n + 1), mask))
         argv = ("max-subset", "--p", "2", "--q", "3", "--n", str(n), "--witness")
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
@@ -1087,6 +1088,7 @@ class TestExitCodes:
                            "--tol", "1/10000000000", "--budget", "20")
         assert code == 3
         assert "achieved bracket" in err
+        assert err.count("\n") == 1
 
     def test_verify_failure_exit_code_is_distinct(self):
         # unknown suites are usage errors; actual failures exit 4 (not

@@ -3,7 +3,7 @@ import time
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import compress, islice, takewhile
 
 import mpmath
 import pytest
@@ -50,6 +50,12 @@ from helpers import (
 BENCH_PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (5, 7)]
 # the bench pairs and three coprime pairs of prime powers
 SIEVE_PAIRS = BENCH_PAIRS + [(2, 9), (4, 9), (3, 8)]
+
+
+def witness_tuple(p, q, n):
+    """``max_subset_witness`` as (size, the members in ascending order)."""
+    count, mask = max_subset_witness(p, q, n)
+    return count, tuple(compress(range(n + 1), mask))
 
 
 class TestRhoClosedForm:
@@ -269,7 +275,7 @@ class TestSigmaSeries:
 
 class TestMaxSubsetCount:
     def test_twelve(self):
-        count, witness = max_subset_count(2, 3, 12, with_witness=True)
+        count, witness = witness_tuple(2, 3, 12)
         assert count == 7
         assert witness == (1, 4, 5, 6, 7, 9, 11)
 
@@ -284,7 +290,7 @@ class TestMaxSubsetCount:
         p, q = pair
         oracles = exhaustive_max_quotient_free(p, q, 60)
         for n in range(1, 61):
-            claimed, witness = max_subset_count(p, q, n, with_witness=True)
+            claimed, witness = witness_tuple(p, q, n)
             assert claimed == oracles[n - 1], (pair, n)
             assert len(witness) == claimed
             assert not quotient_free_violations(witness, [p, q])
@@ -309,7 +315,7 @@ class TestMaxSubsetCount:
     def test_block_sum_matches_witness_route(self, pair):
         p, q = pair
         for n in range(1, 500):
-            claimed, witness = max_subset_count(p, q, n, with_witness=True)
+            claimed, witness = witness_tuple(p, q, n)
             assert max_subset_count(p, q, n) == claimed == len(witness), (pair, n)
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -317,23 +323,21 @@ class TestMaxSubsetCount:
     @example(pair=(2, 3), n=2 * 10**5)
     def test_block_sum_matches_witness_route_sampled(self, pair, n):
         p, q = pair
-        claimed, witness = max_subset_count(p, q, n, with_witness=True)
+        claimed, witness = witness_tuple(p, q, n)
         assert max_subset_count(p, q, n) == claimed == len(witness)
 
     @pytest.mark.parametrize("pair", BENCH_PAIRS)
     def test_witness_matches_per_representative_loop(self, pair):
         p, q = pair
         for n in range(1, 1500):
-            assert max_subset_count(p, q, n, with_witness=True) == \
-                naive_max_subset_witness(p, q, n), (pair, n)
+            assert witness_tuple(p, q, n) == naive_max_subset_witness(p, q, n), (pair, n)
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(pair=st.sampled_from(BENCH_PAIRS), n=st.integers(1, 2 * 10**5))
     @example(pair=(2, 3), n=2 * 10**5)
     def test_witness_matches_per_representative_loop_sampled(self, pair, n):
         p, q = pair
-        assert max_subset_count(p, q, n, with_witness=True) == \
-            naive_max_subset_witness(p, q, n)
+        assert witness_tuple(p, q, n) == naive_max_subset_witness(p, q, n)
 
     def test_witness_length_is_checked_against_the_block_sum(self, monkeypatch):
         # the count returned with a witness is the witness's length; a block
@@ -341,7 +345,7 @@ class TestMaxSubsetCount:
         counts = density.count_coprime_part
         monkeypatch.setattr(density, "count_coprime_part", lambda basis, x: counts(basis, x) + 1)
         with pytest.raises(SelfCheckError, match="^witness of 61 elements, block sum 72$"):
-            max_subset_count(2, 3, 100, with_witness=True)
+            witness_tuple(2, 3, 100)
 
     @pytest.mark.parametrize("pair", BENCH_PAIRS)
     def test_mask_marks_the_witness(self, pair):
@@ -351,7 +355,7 @@ class TestMaxSubsetCount:
             assert len(mask) == n + 1 and set(mask) <= {0, 1}, (pair, n)
             assert count == sum(mask), (pair, n)
             assert tuple(k for k in range(n + 1) if mask[k]) == \
-                max_subset_count(p, q, n, with_witness=True)[1], (pair, n)
+                naive_max_subset_witness(p, q, n)[1], (pair, n)
 
     def test_mask_is_checked_against_the_block_sum(self, monkeypatch):
         counts = density.count_coprime_part

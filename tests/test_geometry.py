@@ -63,7 +63,7 @@ class TestExactReal:
 
 
 # one to three dimensions on each route: integer division, the integer
-# product loop, and the certified signs with and without enclosures
+# product loop, and the certified signs, at 2**64 and at a tiny alpha's scale
 ROW_WALK_SPECS = [
     (["3/2"], "7"),
     (["1", "2"], "4"),
@@ -75,9 +75,8 @@ ROW_WALK_SPECS = [
     (["1", "sqrt2"], "4"),
     (["1", "sqrt2", "sqrt3"], "3"),
     (["sqrt2", "sqrt3"], "sqrt8"),  # a point on the boundary: (2, 0)
-    # an alpha below 2**-64 leaves the signs route without enclosures, so
-    # each row end is found by membership tests, doubling then bisecting:
-    # five rows of one point, then one row of five
+    # an alpha below 2**-64 raises the enclosures' scale until it reads at
+    # least 2**64: five rows of one point, then one row of five
     ([Fraction(1, 2**70), "sqrt2"], Fraction(1, 2**68)),
     (["sqrt2", Fraction(1, 2**70)], Fraction(1, 2**68)),
     (["1", "2"], "-1"),  # no points
@@ -162,8 +161,8 @@ class TestSimplexPoints:
         assert all(min(p) >= 0 and len(p) == dim for p in points)
 
     def test_a_filterless_row_takes_logarithmically_many_tests(self, monkeypatch):
-        # an alpha below 2**-64 leaves no enclosures, and the one row holds
-        # 10**6 + 1 points; its end is found by doubling and bisection
+        # an alpha below 2**-64 is enclosed at a scale that lifts it to
+        # 2**64, and the one row of 10**6 + 1 points is counted from it
         calls = []
         contains = SimplexSpec.contains
 
@@ -173,9 +172,10 @@ class TestSimplexPoints:
 
         monkeypatch.setattr(SimplexSpec, "contains", counted)
         spec = SimplexSpec.of(["sqrt2", Fraction(1, 2**70)], Fraction(10**6, 2**70))
-        assert spec._route[1] is None
+        lo, _, _, _ = spec._route[1]
+        assert min(lo) >= 2**64
         assert simplex_color_counts(spec) == ColorCount(500_001, 500_000)
-        assert 0 < len(calls) <= 2 * (10**6).bit_length() + 4
+        assert len(calls) <= 2 * (10**6).bit_length() + 4
 
     def test_rows_need_no_membership_test(self, monkeypatch):
         def refuse(self, point):
@@ -265,7 +265,7 @@ ROW_SUM_SPECS = [
     (["ln2", "ln3", "sqrt2"], 6),
     (["sqrt2", "sqrt3", "sqrt5", "sqrt7"], 9),
     (["sqrt2", "sqrt3"], "ln1000"),
-    # an alpha below 2**-64: no enclosure filter, row ends by membership tests
+    # an alpha below 2**-64: enclosures at the scale that lifts it to 2**64
     (["1/100000000000000000000000", "sqrt2"], "3/100000000000000000000000"),
 ]
 
@@ -330,6 +330,38 @@ class TestRowSums:
         assert calls == []
         assert spec.contains((0, 2))  # 2*sqrt(2) == sqrt(8)
         assert calls == ["membership of point (0, 2)"]
+
+
+class TestTinyAlphas:
+    """Rational alphas below 2**-64 against exact counts built on isqrt.
+
+    The enclosures are scaled until the tiny alpha reads at least 2**64,
+    so each region is counted by floor sums, not point by point.
+    """
+
+    @pytest.mark.parametrize("e", [70, 1000, 10**4])
+    def test_sqrt2_and_a_tiny_alpha(self, e):
+        # at c = 2, row 0 holds z <= 2**(e+1); row 1 holds z <= (2 - sqrt2) * 2**e,
+        # and sqrt2 * 2**e is irrational, so its floor is isqrt(2 * 4**e)
+        row0 = 2 ** (e + 1) + 1
+        row1 = 2 ** (e + 1) - math.isqrt(2 * 4**e)
+        white = 2**e + 1 + row1 // 2
+        spec = SimplexSpec.of(["sqrt2", Fraction(1, 2**e)], 2)
+        assert simplex_color_counts(spec) == ColorCount(white, row0 + row1 - white)
+
+    @pytest.mark.parametrize("e", [70, 1000, 10**4])
+    def test_one_sqrt2_and_a_tiny_alpha(self, e):
+        # row (x, y) with x + y*sqrt2 <= 3 holds (3 - x) * 2**e - isqrt(2 y**2 4**e)
+        # points, plus one where y = 0; its z alternate in color from x + y's
+        rows = [(x, y) for x in range(4) for y in range(3) if 2 * y * y <= (3 - x) ** 2]
+        white = black = 0
+        for x, y in rows:
+            length = (3 - x) * 2**e - math.isqrt(2 * y * y * 4**e) + (y == 0)
+            even = (length + 1 - (x + y) % 2) // 2
+            white += even
+            black += length - even
+        spec = SimplexSpec.of(["1", "sqrt2", Fraction(1, 2**e)], 3)
+        assert simplex_color_counts(spec) == ColorCount(white, black)
 
 
 # the bench's black-majority families at its six scales, and the verify inputs

@@ -10,16 +10,52 @@ decorator.  A private method of a top-level class, plain or a
 classmethod, staticmethod, property or cached_property, must be read as
 an attribute by some module outside its own body.  A private name
 assigned at module level, such as a constant, must be read by some module.
+Every module parses at the oldest Python that ``pyproject.toml``'s
+``requires-python`` admits.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quotientfree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quotientfree"
 MODULES = sorted(SRC.glob("*.py"))
+
+
+def _minimum_python() -> tuple[int, int]:
+    """The (major, minor) of ``requires-python = ">=X.Y"`` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"\s*$', text, re.MULTILINE)
+    assert match, "pyproject.toml declares no requires-python of the form >=X.Y"
+    return int(match[1]), int(match[2])
+
+
+def _syntax_errors(source: str, name: str, version: tuple[int, int]) -> list[str]:
+    """The syntax error of ``source`` under ``version``'s grammar, if any."""
+    try:
+        ast.parse(source, filename=name, feature_version=version)
+    except SyntaxError as exc:
+        return [f"{name}: {exc.msg}"]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_parses_at_the_minimum_python(path):
+    version = _minimum_python()
+    errors = _syntax_errors(path.read_text(), path.name, version)
+    assert errors == [], f"syntax newer than Python {version[0]}.{version[1]}: {errors}"
+
+
+def test_the_version_lint_sees_an_except_star():
+    assert _minimum_python() == (3, 10)
+    grouped = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert _syntax_errors(grouped, "m.py", (3, 10)) == [
+        "m.py: Exception groups are only supported in Python 3.11 and greater"]
+    assert _syntax_errors(grouped, "m.py", (3, 11)) == []
 
 
 def _tree(path: Path) -> ast.Module:

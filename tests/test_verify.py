@@ -12,6 +12,7 @@ from quotientfree import (
     lattice,
     max_difference_free,
     max_subset_count,
+    max_subset_witness,
     verify,
 )
 from quotientfree.arith import CoprimeBasis, count_coprime_part, phi
@@ -239,19 +240,40 @@ class TestCorollarySuite:
         pair, bad_n = (2, 5), 17
         true_count = max_subset_count(*pair, bad_n)
 
-        def off_count(p, q, n, with_witness):
-            count, witness = max_subset_count(p, q, n, with_witness=with_witness)
+        def off_count(p, q, n):
+            count, mask = max_subset_witness(p, q, n)
             if (p, q) == pair and n == bad_n:
                 count += 1
-            return count, witness
+            return count, mask
 
-        monkeypatch.setattr(verify, "max_subset_count", off_count)
+        monkeypatch.setattr(verify, "max_subset_witness", off_count)
         (report,) = run_suite("corollary", 0, "small")
         assert [(c.name, c.passed) for c in report.cases] == [
             ("pair=(2,3)", True), ("pair=(2,5)", False), ("pair=(3,4)", True)]
         assert report.cases[1].detail == (
             f"N={bad_n}: claimed={true_count + 1} oracle={true_count} witness_valid=False")
         assert report.cases[0].detail == "all N<=30 agree with exhaustive search"
+
+    def test_a_witness_with_a_quotient_pair_fails_only_its_pair(self, monkeypatch):
+        # the right size, but one member traded for the double of another
+        pair, bad_n = (2, 3), 20
+
+        def paired(p, q, n):
+            count, mask = max_subset_witness(p, q, n)
+            if (p, q) == pair and n == bad_n:
+                mask = bytearray(mask)
+                k = next(k for k in range(1, n // 2 + 1) if mask[k] and not mask[2 * k])
+                dropped = max(j for j in range(1, n + 1) if mask[j] and j != k)
+                mask[dropped], mask[2 * k] = 0, 1
+            return count, mask
+
+        monkeypatch.setattr(verify, "max_subset_witness", paired)
+        (report,) = run_suite("corollary", 0, "small")
+        assert [(c.name, c.passed) for c in report.cases] == [
+            ("pair=(2,3)", False), ("pair=(2,5)", True), ("pair=(3,4)", True)]
+        count = max_subset_count(*pair, bad_n)
+        assert report.cases[0].detail == (
+            f"N={bad_n}: claimed={count} oracle={count} witness_valid=False")
 
 
 class TestExhaustiveSweep:
