@@ -214,15 +214,16 @@ class ExactReal:
     @cached_property
     def _filter_pair(self) -> tuple[int, int]:
         """``_scaled_pair`` at 2**64, the scale of every spec without a tiny alpha."""
-        return self._scaled_pair(_FILTER_BITS)
+        return self._scaled_pair(1 << _FILTER_BITS)
 
-    def _scaled_pair(self, shift: int) -> tuple[int, int]:
-        """Floor and ceiling of 2**shift times the atom.
+    def _scaled_pair(self, scale: int) -> tuple[int, int]:
+        """Floor and ceiling of scale times the atom.
 
-        Both come from one enclosure far finer than 2**-shift.
+        Both come from one enclosure far finer than 1 / scale.
         """
-        lo, hi = self.interval(2 * shift + (0 if self.is_rational else self.arg.bit_length()))
-        return floor(lo * 2**shift), ceil(hi * 2**shift)
+        bits = 2 * (scale.bit_length() - 1) + (0 if self.is_rational else self.arg.bit_length())
+        lo, hi = self.interval(bits)
+        return floor(lo * scale), ceil(hi * scale)
 
     def sort_key(self) -> Fraction:
         lo, hi = self.interval(_SORT_KEY_BITS)
@@ -323,9 +324,10 @@ class SimplexSpec:
     The signs route first tries integer enclosures of each alpha and of c,
     scaled by 2**64: each atom's memoized pair, and for c their integer sums
     weighted by c's coefficients.  A rational alpha below 2**-64 raises the
-    scale to 2**(64 + e), e its denominator's bits less its numerator's plus
-    one, so that it reads at least 2**64; every pair then comes from one
-    enclosure at that scale, unmemoized.  Two integer dot products settle
+    scale to 2**64 times the rational alphas' denominators, so that each of
+    them reads an exact integer and the tiny one at least 2**64; every pair
+    then comes from one enclosure at that scale, unmemoized.  Two integer
+    dot products settle
     every point not within the enclosures' width of the boundary, in O(r) work,
     and only the rest (exact ties, say) refine intervals.  Every spec,
     ``of``'s too, is built this one way.
@@ -360,12 +362,12 @@ class SimplexSpec:
                      bound.numerator * (scale // bound.denominator))
         else:
             # the row ends divide by lo, so the scale lifts the smallest alpha
-            # to 2**64 or more; only a rational can lie below 2**-64
-            tiny = min((a.rational for a in self.alphas if a.is_rational), default=1)
-            if tiny * 2**_FILTER_BITS < 1:
-                shift = (_FILTER_BITS + 1 + tiny.denominator.bit_length()
-                         - tiny.numerator.bit_length())
-                pair = cache(lambda atom: atom._scaled_pair(shift))
+            # to 2**64 or more; only a rational can lie below 2**-64, and
+            # scaling by the denominators too makes every rational alpha exact
+            rationals = [a.rational for a in self.alphas if a.is_rational]
+            if min(rationals, default=1) * 2**_FILTER_BITS < 1:
+                scale = lcm(*(q.denominator for q in rationals)) << _FILTER_BITS
+                pair = cache(lambda atom: atom._scaled_pair(scale))
             else:
                 def pair(atom):
                     return atom._filter_pair
@@ -409,8 +411,8 @@ class SimplexSpec:
         ``head`` fixes every coordinate but the last, and the row's points
         are z = 0..length - 1.  Rational coefficients give the length by one
         integer division and logarithms by an integer loop on the product;
-        the signs route narrows the row end with its enclosures to one or
-        two candidates and tests them with ``contains``.
+        the signs route narrows the row end with its enclosures, most often
+        to one or two candidates, and bisects what is left with ``contains``.
         """
         route, coeffs, bound = self._route
         if route == "dot":
@@ -424,12 +426,17 @@ class SimplexSpec:
                 length += 1
             return length
         lo, hi, c_lo, c_hi = coeffs
-        # every z above `top` fails the filter, every z up to `sure` passes it
+        # every z above `top` fails the filter, every z up to `sure` passes it;
+        # the gap can be wide (a small alpha's one-unit pair), so bisect it
         top = (c_hi - sum(map(mul, lo, head))) // lo[-1]
         sure = max((c_lo - sum(map(mul, hi, head))) // hi[-1], -1)
-        while top > sure and not self.contains(head + [top]):
-            top -= 1
-        return max(top + 1, 0)
+        while top > sure:
+            mid = (sure + top + 1) // 2
+            if self.contains(head + [mid]):
+                sure = mid
+            else:
+                top = mid - 1
+        return sure + 1
 
 
 def _require_positive(alphas: Sequence[ExactReal]) -> None:

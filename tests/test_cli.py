@@ -194,7 +194,7 @@ class TestBasicCommands:
 
     def test_simplex_counts_a_long_filterless_row_at_once(self, capsys):
         # the last alpha is 2**-70, below 2**-64, so the enclosures are
-        # scaled by 2**135, and the one row of 2**70 + 1 points is one count
+        # scaled by 2**134, and the one row of 2**70 + 1 points is one count
         code, out, _ = run(capsys, "simplex", "--alphas", f"sqrt2,1/{2**70}", "--c", "1",
                            "--counts-only")
         assert code == 0

@@ -177,6 +177,24 @@ class TestSimplexPoints:
         assert simplex_color_counts(spec) == ColorCount(500_001, 500_000)
         assert len(calls) <= 2 * (10**6).bit_length() + 4
 
+    def test_a_wide_row_end_gap_takes_logarithmically_many_tests(self, monkeypatch):
+        # 1/(3 * 2**40) is not tiny, so it is enclosed at 2**64, one unit wide
+        # over about 2**24: the enclosures place the end of the row of
+        # 3 * 2**40 + 1 points only within some 2**19, which is bisected
+        calls = []
+        contains = SimplexSpec.contains
+
+        def counted(spec, point):
+            calls.append(tuple(point))
+            return contains(spec, point)
+
+        monkeypatch.setattr(SimplexSpec, "contains", counted)
+        spec = SimplexSpec.of(["sqrt2", Fraction(1, 3 * 2**40)], 1)
+        lo, hi, c_lo, c_hi = spec._route[1]
+        assert c_hi // lo[-1] - c_lo // hi[-1] > 2**16
+        assert simplex_color_counts(spec) == ColorCount(3 * 2**39 + 1, 3 * 2**39)
+        assert len(calls) <= 2 * (3 * 2**40).bit_length() + 4
+
     def test_rows_need_no_membership_test(self, monkeypatch):
         def refuse(self, point):
             raise AssertionError(f"membership of {point} was tested")
@@ -332,36 +350,61 @@ class TestRowSums:
         assert calls == ["membership of point (0, 2)"]
 
 
+# tiny alphas 1/(k * 2**e), dyadic and not: a power-of-two scale would leave
+# 1/(3 * 2**e) one unit wide
+TINY_DENOMINATORS = [(1, 70), (1, 1000), (1, 10**4), (3, 100), (3, 1000), (3, 10**4)]
+
+
 class TestTinyAlphas:
     """Rational alphas below 2**-64 against exact counts built on isqrt.
 
-    The enclosures are scaled until the tiny alpha reads at least 2**64,
-    so each region is counted by floor sums, not point by point.
+    The enclosures are scaled by 2**64 times the rational alphas'
+    denominators, so a tiny alpha reads an exact integer of at least 2**64,
+    dyadic or not, and each region is counted by floor sums, not point by
+    point.
     """
 
-    @pytest.mark.parametrize("e", [70, 1000, 10**4])
-    def test_sqrt2_and_a_tiny_alpha(self, e):
-        # at c = 2, row 0 holds z <= 2**(e+1); row 1 holds z <= (2 - sqrt2) * 2**e,
-        # and sqrt2 * 2**e is irrational, so its floor is isqrt(2 * 4**e)
-        row0 = 2 ** (e + 1) + 1
-        row1 = 2 ** (e + 1) - math.isqrt(2 * 4**e)
-        white = 2**e + 1 + row1 // 2
-        spec = SimplexSpec.of(["sqrt2", Fraction(1, 2**e)], 2)
-        assert simplex_color_counts(spec) == ColorCount(white, row0 + row1 - white)
+    @pytest.mark.parametrize("k,e", TINY_DENOMINATORS)
+    def test_sqrt2_and_a_tiny_alpha(self, k, e):
+        den = k * 2**e
+        # at c = 2, row 0 holds z <= 2 * den; row 1 holds z <= (2 - sqrt2) * den,
+        # and sqrt2 * den is irrational, so its floor is isqrt(2 * den**2)
+        row0 = 2 * den + 1
+        row1 = 2 * den - math.isqrt(2 * den * den)
+        first = ColorCount(den + 1, den)
+        spec = SimplexSpec.of(["sqrt2", Fraction(1, den)], 2)
+        lo, hi, _, _ = spec._route[1]
+        assert lo[-1] == hi[-1] >= 2**64
+        assert simplex_color_counts(spec) == ColorCount(
+            first.white + row1 // 2, first.black + row1 - row1 // 2)
+        # a limit stops at the row that reaches it
+        assert simplex_color_counts(spec, row0) == first
+        assert simplex_points(spec, 3).points == ((0, 0), (0, 1), (0, 2))
 
-    @pytest.mark.parametrize("e", [70, 1000, 10**4])
-    def test_one_sqrt2_and_a_tiny_alpha(self, e):
-        # row (x, y) with x + y*sqrt2 <= 3 holds (3 - x) * 2**e - isqrt(2 y**2 4**e)
+    @pytest.mark.parametrize("k,e", TINY_DENOMINATORS)
+    def test_one_sqrt2_and_a_tiny_alpha(self, k, e):
+        den = k * 2**e
+        # row (x, y) with x + y*sqrt2 <= 3 holds (3 - x) * den - isqrt(2 y**2 den**2)
         # points, plus one where y = 0; its z alternate in color from x + y's
         rows = [(x, y) for x in range(4) for y in range(3) if 2 * y * y <= (3 - x) ** 2]
         white = black = 0
         for x, y in rows:
-            length = (3 - x) * 2**e - math.isqrt(2 * y * y * 4**e) + (y == 0)
+            length = (3 - x) * den - math.isqrt(2 * y * y * den * den) + (y == 0)
             even = (length + 1 - (x + y) % 2) // 2
             white += even
             black += length - even
-        spec = SimplexSpec.of(["1", "sqrt2", Fraction(1, 2**e)], 3)
+        spec = SimplexSpec.of(["1", "sqrt2", Fraction(1, den)], 3)
         assert simplex_color_counts(spec) == ColorCount(white, black)
+
+    @pytest.mark.parametrize("k,e", TINY_DENOMINATORS)
+    def test_one_tiny_alpha_under_an_irrational_c(self, k, e):
+        den = k * 2**e
+        # z <= sqrt2 * den, whose floor is isqrt(2 * den**2)
+        spec = SimplexSpec.of([Fraction(1, den)], "sqrt2")
+        total = math.isqrt(2 * den * den) + 1
+        counts = ColorCount((total + 1) // 2, total // 2)
+        assert simplex_color_counts(spec) == counts
+        assert simplex_color_counts(spec, 1) == counts
 
 
 # the bench's black-majority families at its six scales, and the verify inputs
