@@ -25,7 +25,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, islice, pairwise, repeat, takewhile
 from math import ceil, floor, isqrt, lcm, prod
 from operator import add, mul
@@ -136,9 +136,9 @@ class ExactReal:
     atoms is then undecided (a ``PrecisionError`` once certified intervals
     reach the fixed 4096-bit ``PREC_CAP_BITS``), never a hang.
 
-    An atom memoizes its ``SimplexSpec`` filter pair, the floor and ceiling
-    of 2**64 times its value, on first use; equality, hashing and repr read
-    only the fields.
+    An atom memoizes its ``SimplexSpec`` enclosures, the floor and ceiling
+    of a scale times its value, once per scale; equality, hashing and repr
+    read only the fields.
     """
 
     kind: str  # "rational" | "log" | "sqrt"
@@ -212,18 +212,21 @@ class ExactReal:
         return self.scale * lo, self.scale * hi
 
     @cached_property
-    def _filter_pair(self) -> tuple[int, int]:
-        """``_scaled_pair`` at 2**64, the scale of every spec without a tiny alpha."""
-        return self._scaled_pair(1 << _FILTER_BITS)
+    def _scaled_pairs(self) -> dict[int, tuple[int, int]]:
+        """The memo of ``_scaled_pair``, by scale."""
+        return {}
 
     def _scaled_pair(self, scale: int) -> tuple[int, int]:
-        """Floor and ceiling of scale times the atom.
+        """Floor and ceiling of scale times the atom, memoized by scale.
 
         Both come from one enclosure far finer than 1 / scale.
         """
-        bits = 2 * (scale.bit_length() - 1) + (0 if self.is_rational else self.arg.bit_length())
-        lo, hi = self.interval(bits)
-        return floor(lo * scale), ceil(hi * scale)
+        pairs = self._scaled_pairs
+        if scale not in pairs:
+            radicand_bits = 0 if self.is_rational else self.arg.bit_length()
+            lo, hi = self.interval(2 * (scale.bit_length() - 1) + radicand_bits)
+            pairs[scale] = floor(lo * scale), ceil(hi * scale)
+        return pairs[scale]
 
     def sort_key(self) -> Fraction:
         lo, hi = self.interval(_SORT_KEY_BITS)
@@ -322,13 +325,11 @@ class SimplexSpec:
     coefficients are whole numbers, one integer dot product when every atom
     is rational, and certified signs of the whole combination otherwise.
     The signs route first tries integer enclosures of each alpha and of c,
-    scaled by 2**64: each atom's memoized pair, and for c their integer sums
-    weighted by c's coefficients.  A rational alpha below 2**-64 raises the
-    scale to 2**64 times the rational alphas' denominators, so that each of
-    them reads an exact integer and the tiny one at least 2**64; every pair
-    then comes from one enclosure at that scale, unmemoized.  Two integer
-    dot products settle
-    every point not within the enclosures' width of the boundary, in O(r) work,
+    scaled by 2**64 times the rational alphas' denominators, so that every
+    rational alpha reads an exact integer, and a tiny one at least 2**64:
+    each atom's pair at that scale, memoized, and for c their integer sums
+    weighted by c's coefficients.  Two integer dot products settle every
+    point not within the enclosures' width of the boundary, in O(r) work,
     and only the rest (exact ties, say) refine intervals.  Every spec,
     ``of``'s too, is built this one way.
     """
@@ -361,21 +362,15 @@ class SimplexSpec:
                                   for a in self.alphas),
                      bound.numerator * (scale // bound.denominator))
         else:
-            # the row ends divide by lo, so the scale lifts the smallest alpha
-            # to 2**64 or more; only a rational can lie below 2**-64, and
-            # scaling by the denominators too makes every rational alpha exact
-            rationals = [a.rational for a in self.alphas if a.is_rational]
-            if min(rationals, default=1) * 2**_FILTER_BITS < 1:
-                scale = lcm(*(q.denominator for q in rationals)) << _FILTER_BITS
-                pair = cache(lambda atom: atom._scaled_pair(scale))
-            else:
-                def pair(atom):
-                    return atom._filter_pair
-            lo, hi = zip(*map(pair, self.alphas))
+            # the denominators make every rational alpha an exact integer of
+            # at least 2**64, however small; the row ends divide by lo
+            denominators = (a.rational.denominator for a in self.alphas if a.is_rational)
+            scale = lcm(*denominators) << _FILTER_BITS
+            lo, hi = zip(*(a._scaled_pair(scale) for a in self.alphas))
             # k * atom lies between k times the atom's pair ends, swapped when k < 0
             c_lo = c_hi = 0
             for atom, k in terms:
-                a_lo, a_hi = pair(atom)[::1 if k >= 0 else -1]
+                a_lo, a_hi = atom._scaled_pair(scale)[::1 if k >= 0 else -1]
                 c_lo += k.numerator * a_lo // k.denominator
                 c_hi -= -k.numerator * a_hi // k.denominator
             route = "signs", (lo, hi, c_lo, c_hi), tuple((atom, -k) for atom, k in terms)
@@ -427,7 +422,7 @@ class SimplexSpec:
             return length
         lo, hi, c_lo, c_hi = coeffs
         # every z above `top` fails the filter, every z up to `sure` passes it;
-        # the gap can be wide (a small alpha's one-unit pair), so bisect it
+        # the gap can be wide (an irrational alpha's width under a large c), so bisect it
         top = (c_hi - sum(map(mul, lo, head))) // lo[-1]
         sure = max((c_lo - sum(map(mul, hi, head))) // hi[-1], -1)
         while top > sure:
@@ -479,19 +474,16 @@ def _walk(measure, head: list[int], fixed: int = 0):
             return
 
 
-def _tally(rows, limit: Optional[int] = None) -> tuple[int, int]:
+def _tally(rows) -> tuple[int, int]:
     """(total, white) of the rows (head, length) that ``_walk`` yields.
 
     A row's last coordinates are 0..length - 1, so its color split is
-    closed-form.  With ``limit``, only the rows up to the one that brings
-    the total to ``limit`` or more are counted.
+    closed-form.
     """
     total = white = 0
     for head, length in rows:
         total += length
         white += (length + 1 - sum(head) % 2) // 2  # last coordinates of head's parity
-        if limit is not None and total >= limit:
-            break
     return total, white
 
 
@@ -630,7 +622,7 @@ def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeCon
     return LatticeConfig._trusted(tuple(points))
 
 
-def simplex_color_counts(spec: SimplexSpec, limit: Optional[int] = None) -> ColorCount:
+def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
     """Checkerboard tallies of the simplex lattice points, slab by slab.
 
     A slab fixes every coordinate but the last two, and ``_walk`` draws
@@ -639,13 +631,12 @@ def simplex_color_counts(spec: SimplexSpec, limit: Optional[int] = None) -> Colo
     floor sums in O(log) steps for rational coefficients, one power-table
     pass for logarithms, and floor sums on the integer enclosures for the
     rest, with the slab's rows decided one by one only where the
-    enclosures disagree.  One dimension and every ``limit`` count by rows
-    instead, one row-length decision per row: with ``limit``, only the rows
-    up to the one that brings the total to ``limit`` or more are counted.
+    enclosures disagree.  One dimension counts by rows instead, one
+    row-length decision for its one row.
     """
     r = len(spec.alphas)
-    if limit is not None or r == 1:
-        total, white = _tally(_walk(spec._row_length, [0] * (r - 1)), limit)
+    if r == 1:
+        total, white = _tally(_walk(spec._row_length, []))
     else:
         total = white = 0
         for _, (slab_total, slab_white) in _walk(_slab_counter(spec), [0] * (r - 2)):

@@ -604,14 +604,12 @@ def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> N
     adjacent = _adjacent_point(pts)
     if adjacent is not None:
         raise DomainError(f"points ({adjacent[0]},{adjacent[1]}) and a neighbor are both present")
-    # the maximum is the majority color (the paper's theorem); it is at
-    # least half the points, so past 2 * cap points it exceeds the cap
-    counts = simplex_color_counts(triangle, limit=2 * cap + 1)
-    opt = counts.majority()
+    # the maximum is the majority color (the paper's theorem), counted
+    # exactly slab by slab
+    opt = simplex_color_counts(triangle).majority()
     if len(pts) != opt:
-        at_least = "at least " if counts.total > 2 * cap else ""
         raise DomainError(
-            f"input has {len(pts)} points but the maximum is {at_least}{opt}; "
+            f"input has {len(pts)} points but the maximum is {opt}; "
             "the sweep requires a maximum configuration"
         )
 

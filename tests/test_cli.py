@@ -778,6 +778,8 @@ class TestDensityTables:
     @pytest.mark.parametrize("checkpoints,message", [
         ("-5", "error: checkpoints must be positive\n"),
         ("0,10", "error: checkpoints must be positive\n"),
+        (",", "error: at least one checkpoint is required\n"),
+        ("10,x", "error: expected a comma-separated list of integers: '10,x'\n"),
     ])
     def test_bad_checkpoints(self, capsys, checkpoints, message):
         code, out, err = run(capsys, "densities", "--a", "2,3", "--checkpoints", checkpoints)
@@ -1062,21 +1064,27 @@ MALFORMED = [
       "--points", "[[0,0],[0,2],[2,1],[3,0]]", "--cap", "1"), 3),
     # a non-maximum input on a triangle past the cap: rejected, not trusted
     (("monochromatize", "--p", "2", "--q", "3", "--n", str(10**30), "--points", "[[0,0]]"), 2),
-    # 10**12 + 1 points on one row: the majority walk stops past twice the cap
+    # 10**12 + 1 diagonals: the majority is counted exactly by floor sums
     (("monochromatize", "--ta", "1", "--tb", "1", "--tc", str(10**12), "--points", "[]"), 2),
     # a coefficient's parentheses must come in pairs
     (("simplex", "--alphas", "ln(2", "--c", "1"), 2),
     (("simplex", "--alphas", "1,ln2)", "--c", "1"), 2),
     (("simplex", "--alphas", "1,sqrt(8", "--c", "4"), 2),
     (("black-majority", "--alphas", "1,sqrt8)"), 2),
+    # a mode given in part
+    (("monochromatize", "--p", "2", "--q", "3", "--points", "[]"), 2),
+    (("monochromatize", "--ta", "1", "--tb", "2", "--points", "[]"), 2),
 ]
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv,expected", MALFORMED)
     def test_contract(self, capsys, argv, expected):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == expected, err
+        if code >= 2:  # past argparse: one stderr line and nothing else
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+            assert "Traceback" not in err
 
     def test_domain_error_message_mentions_coprimality(self, capsys):
         code, _, err = run(capsys, "rho", "--a", "2,4")

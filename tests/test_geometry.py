@@ -178,9 +178,9 @@ class TestSimplexPoints:
         assert len(calls) <= 2 * (10**6).bit_length() + 4
 
     def test_a_wide_row_end_gap_takes_logarithmically_many_tests(self, monkeypatch):
-        # 1/(3 * 2**40) is not tiny, so it is enclosed at 2**64, one unit wide
-        # over about 2**24: the enclosures place the end of the row of
-        # 3 * 2**40 + 1 points only within some 2**19, which is bisected
+        # sqrt2 is enclosed one unit wide at 2**64, so under c = 10**30 the
+        # enclosures place the end of the row of about 7 * 10**29 points only
+        # within some 2.7 * 10**10, which is bisected
         calls = []
         contains = SimplexSpec.contains
 
@@ -189,11 +189,13 @@ class TestSimplexPoints:
             return contains(spec, point)
 
         monkeypatch.setattr(SimplexSpec, "contains", counted)
-        spec = SimplexSpec.of(["sqrt2", Fraction(1, 3 * 2**40)], 1)
+        spec = SimplexSpec.of(["sqrt2"], 10**30)
         lo, hi, c_lo, c_hi = spec._route[1]
         assert c_hi // lo[-1] - c_lo // hi[-1] > 2**16
-        assert simplex_color_counts(spec) == ColorCount(3 * 2**39 + 1, 3 * 2**39)
-        assert len(calls) <= 2 * (3 * 2**40).bit_length() + 4
+        # z <= 10**30 / sqrt2, whose floor is isqrt(10**60 // 2)
+        total = math.isqrt(10**60 // 2) + 1
+        assert simplex_color_counts(spec) == ColorCount((total + 1) // 2, total // 2)
+        assert len(calls) <= 2 * (10**30).bit_length() + 4
 
     def test_rows_need_no_membership_test(self, monkeypatch):
         def refuse(self, point):
@@ -369,7 +371,6 @@ class TestTinyAlphas:
         den = k * 2**e
         # at c = 2, row 0 holds z <= 2 * den; row 1 holds z <= (2 - sqrt2) * den,
         # and sqrt2 * den is irrational, so its floor is isqrt(2 * den**2)
-        row0 = 2 * den + 1
         row1 = 2 * den - math.isqrt(2 * den * den)
         first = ColorCount(den + 1, den)
         spec = SimplexSpec.of(["sqrt2", Fraction(1, den)], 2)
@@ -377,8 +378,6 @@ class TestTinyAlphas:
         assert lo[-1] == hi[-1] >= 2**64
         assert simplex_color_counts(spec) == ColorCount(
             first.white + row1 // 2, first.black + row1 - row1 // 2)
-        # a limit stops at the row that reaches it
-        assert simplex_color_counts(spec, row0) == first
         assert simplex_points(spec, 3).points == ((0, 0), (0, 1), (0, 2))
 
     @pytest.mark.parametrize("k,e", TINY_DENOMINATORS)
@@ -404,7 +403,6 @@ class TestTinyAlphas:
         total = math.isqrt(2 * den * den) + 1
         counts = ColorCount((total + 1) // 2, total // 2)
         assert simplex_color_counts(spec) == counts
-        assert simplex_color_counts(spec, 1) == counts
 
 
 # the bench's black-majority families at its six scales, and the verify inputs
@@ -470,13 +468,50 @@ class TestFilterMemo:
         assert second.contains((1, 1)) and not first.contains((1, 2))
         assert enclosed == [*alphas, c]
 
+    def test_an_atom_is_enclosed_once_per_scale(self, monkeypatch):
+        # 1/3 raises the scale to 3 * 2**64, and 1 leaves it at 2**64
+        bits = []
+        interval = ExactReal.interval
+
+        def counted(atom, prec_bits):
+            if atom is root:
+                bits.append(prec_bits)
+            return interval(atom, prec_bits)
+
+        monkeypatch.setattr(ExactReal, "interval", counted)
+        third, one, root = ExactReal.of(Fraction(1, 3)), ExactReal.of(1), ExactReal.sqrt(2)
+        # 2 * 65 fractional bits of 3 * 2**64 and 2 for the radicand, then 2 * 64 + 2
+        for c in (1, 2):
+            spec = SimplexSpec((third, root), ExactReal.of(c))
+            assert spec._route[1][0][0] == 1 << 64  # 1/3 is exact
+        assert bits == [132]
+        SimplexSpec((one, root), ExactReal.of(1))
+        assert bits == [132, 130]
+        assert set(root._scaled_pairs) == {3 << 64, 1 << 64}
+
+    def test_a_tiny_non_dyadic_alpha_beside_sqrt2_is_counted_by_floor_sums(self, monkeypatch):
+        # 1/(3 * 2**40) read at 2**64 alone is one unit wide, which left every
+        # one of its 3.3 * 10**12 rows to be walked; with the 3 in the scale it
+        # is exact, and the one slab is counted by floor sums
+        rows = []
+        row_length = SimplexSpec._row_length
+
+        def counted(spec, head):
+            rows.append(tuple(head))
+            assert len(rows) <= 64, "the slab is walked row by row"
+            return row_length(spec, head)
+
+        monkeypatch.setattr(SimplexSpec, "_row_length", counted)
+        spec = SimplexSpec.of(["1/3298534883328", "sqrt2"], 1)
+        assert simplex_color_counts(spec) == ColorCount(1649267441665, 1649267441664)
+
     @pytest.mark.parametrize("text", ["3/2", "ln10", "sqrt8", "sqrt(100000000000000000039)"])
     def test_a_filled_memo_leaves_equality_hash_and_repr_alone(self, text):
         used = ExactReal.parse(text)
         SimplexSpec((ExactReal.sqrt(3), used), used)
-        assert "_filter_pair" in vars(used)
+        assert "_scaled_pairs" in vars(used)
         fresh = ExactReal.parse(text)
-        assert "_filter_pair" not in vars(fresh)
+        assert "_scaled_pairs" not in vars(fresh)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 

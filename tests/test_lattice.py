@@ -917,6 +917,16 @@ class TestMonochromatize:
         with pytest.raises(DomainError, match="outside"):
             monochromatize(triangle, [(5, 5)])
 
+    def test_rejects_a_solid_simplex(self):
+        simplex = SimplexSpec.of([1, 2, 3], 6)
+        with pytest.raises(DomainError, match="the sweep works on plane triangles"):
+            monochromatize(simplex, [(0, 0, 0)])
+
+    def test_rejects_solid_points_in_a_triangle(self):
+        triangle = SimplexSpec.of([1, 2], 4)
+        with pytest.raises(DomainError, match="the sweep works on plane configurations"):
+            monochromatize(triangle, [(0, 0, 0)])
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_rejects_a_cap_below_one(self, cap):
         # a cap bounds the input's point count, so one below 1 is bad input
@@ -990,11 +1000,11 @@ class TestMonochromatize:
         with pytest.raises(DomainError, match="input has 2 points but the maximum is 4;"):
             monochromatize(triangle, [(0, 0), (2, 1)])
 
-    def test_majority_walk_stops_past_twice_the_cap(self):
-        # 10**12 + 1 points on the first row: the maximum is reported as a
-        # lower bound, not counted
+    def test_the_majority_of_a_huge_triangle_is_counted_exactly(self):
+        # 10**12 + 1 diagonals: the white ones hold (5 * 10**11 + 1)**2 points,
+        # counted by floor sums
         triangle = SimplexSpec.of([1, 1], 10**12)
-        with pytest.raises(DomainError, match="the maximum is at least 500000000001;"):
+        with pytest.raises(DomainError, match="the maximum is 250000000001000000000001;"):
             monochromatize(triangle, [])
 
     def test_every_maximum_configuration_of_small_triangles_sweeps(self):
