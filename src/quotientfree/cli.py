@@ -520,11 +520,7 @@ def _simplex(args) -> _Output:
     alphas = _parse_alphas(args.alphas)
     spec = SimplexSpec.of(alphas, args.c)
     if args.counts_only:
-        # the order of the alphas leaves the parity counts as they are; the
-        # count walks all coordinates but the last two, so the smallest
-        # alphas go last
-        descending = sorted(spec.alphas, key=ExactReal.sort_key, reverse=True)
-        counts, listing = simplex_color_counts(SimplexSpec(tuple(descending), spec.c)), {}
+        counts, listing = simplex_color_counts(spec), {}
     else:
         config = simplex_points(spec)
         counts = ColorCount.of(config.points)
@@ -572,7 +568,7 @@ def _slope_profile(args) -> _Output:
         lambda: [{"c": r.c, "white": r.white, "black": r.black, "diff": r.diff} for r in rows],
         (f"c={r.c} white={r.white} black={r.black} diff={r.diff}" for r in rows),
         ("c", "white", "black", "diff"),
-        ((r.c, r.white, r.black, r.diff) for r in rows),
+        rows,
     )
 
 

@@ -6,13 +6,16 @@ rationals, logarithms of integers, or square roots of integers, and whose
 bound may be a sum of such terms.  The paper's axis-legged triangles are
 its two-dimensional case: p^x q^y <= n is ln p, ln q under ln n.
 ``simplex_points`` walks the region by rows, one row-length decision
-each, and lists their points.  ``simplex_color_counts`` walks it by
-slabs, the last two coordinates left free, and counts each slab's
-checkerboard colors in bulk: floor sums for rational coefficients, one
-power-table pass for logarithms, and floor sums on integer enclosures
-for the rest.  This module also holds the point types (``Point``,
-``LatticeConfig``, ``ColorCount``), scans thresholds for a black
-majority, and tabulates the white-minus-black profile for integer slopes.
+each, and lists their points.  ``simplex_color_counts`` puts the alphas
+in descending order and walks the region by slabs, the last two
+coordinates left free, and counts each slab's checkerboard colors in
+bulk: floor sums for rational coefficients; for logarithms, one
+power-table pass per slab, or past three dimensions one lookup in a
+sorted parity table that all slabs share; and floor sums on integer
+enclosures for the rest.  This module also holds the point types
+(``Point``, ``LatticeConfig``, ``ColorCount``), scans thresholds for a
+black majority, and tabulates the white-minus-black profile for integer
+slopes by strided running sums of two power series.
 Comparisons are decided exactly where the atoms allow it, by integer
 enclosures taken once per atom where those suffice, and by certified
 interval refinement otherwise; an undecided comparison is an error,
@@ -26,10 +29,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, pairwise, repeat, takewhile
+from itertools import accumulate, chain, islice, pairwise, repeat, takewhile
 from math import ceil, floor, isqrt, lcm, prod
-from operator import add, mul
-from typing import Iterable, Optional, Sequence, Union
+from operator import add, floordiv, mul, sub
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from mpmath.libmp import from_int, mpi_log, mpi_sqrt, round_ceiling, round_floor
 
@@ -553,12 +556,19 @@ def _slab_counter(spec: SimplexSpec):
     A slab fixes every coordinate but the last two, ``head``, and the
     function reads 0 when it holds no point.  The ``dot`` route counts a
     slab by floor sums (``_line_total``, ``_line_white``).  The ``log``
-    route divides the bound by the head's product once, then finds every
-    row end by ``bisect_right`` on a power table of the last base.  The
-    ``signs`` route runs the floor sums on its two integer enclosures of
-    the slab: sure <= end <= top holds row by row, so equal totals certify
-    every row end, and only a slab where they differ (an exact tie, say)
-    is walked row by row with ``_row_length``.
+    route divides the bound by the head's product once, leaving the slab's
+    room.  With two or more head coordinates it sorts, once, the keys
+    2*y**i*z**j + ((i + j) mod 2) over the last two bases y, z up to the
+    bound, and keeps a running count of the odd keys: a slab's total is
+    then one ``bisect_right`` at 2*room + 1, and its odd points one
+    lookup, O(log S) for S keys.  With fewer there are too few slabs to
+    pay for a table of S keys (one in 2-D, and at r = 3 the table was no
+    faster than the rows), so every row end is found by ``bisect_right``
+    on a power table of the last base.  The ``signs`` route runs the floor
+    sums on its two integer enclosures of the slab: sure <= end <= top
+    holds row by row, so equal totals certify every row end, and only a
+    slab where they differ (an exact tie, say) is walked row by row with
+    ``_row_length``.
     """
     route, coeffs, bound = spec._route
     if route == "dot":
@@ -572,6 +582,20 @@ def _slab_counter(spec: SimplexSpec):
     if route == "log":
         *rest, y_base, z_base = coeffs
         y_powers, z_powers = _powers(y_base, bound), _powers(z_base, bound)
+        if len(rest) >= 2:
+            # one table for every slab: the keys 2*y**i*z**j + (i + j) % 2 of
+            # the whole bound, sorted, and how many of the first k are odd
+            keys = sorted(2 * y * z + (i + j) % 2
+                          for i, y in enumerate(y_powers)
+                          for j, z in enumerate(takewhile((bound // y).__ge__, z_powers)))
+            odd = list(accumulate(map((1).__and__, keys), initial=0))
+
+            def table_slab(head):
+                # the slab's points are the keys up to 2*room + 1
+                total = bisect_right(keys, 2 * (bound // prod(map(pow, rest, head))) + 1)
+                return total and (total, odd[total] if sum(head) % 2 else total - odd[total])
+
+            return table_slab
         even_z, odd_z = z_powers[::2], z_powers[1::2]
 
         def log_slab(head):
@@ -622,15 +646,35 @@ def simplex_points(spec: SimplexSpec, limit: Optional[int] = None) -> LatticeCon
     return LatticeConfig._trusted(tuple(points))
 
 
+def _descending(spec: SimplexSpec) -> SimplexSpec:
+    """The spec with its alphas in descending order, smallest last.
+
+    The order is read off the route's own integers: the logarithms'
+    arguments, the dot coefficients, or the upper enclosures.  Ties keep
+    their order, and a spec already in order is returned as it is; a
+    rebuilt one reuses its atoms' memoized enclosures.
+    """
+    route, coeffs, _ = spec._route
+    keys = coeffs[1] if route == "signs" else coeffs
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    if order == list(range(len(keys))):
+        return spec
+    return SimplexSpec(tuple(map(spec.alphas.__getitem__, order)), spec.c)
+
+
 def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
     """Checkerboard tallies of the simplex lattice points, slab by slab.
 
-    A slab fixes every coordinate but the last two, and ``_walk`` draws
-    the slabs that hold a point, so only the first r - 2 coordinates are
-    walked.  Each slab is counted in bulk by its route (``_slab_counter``):
-    floor sums in O(log) steps for rational coefficients, one power-table
-    pass for logarithms, and floor sums on the integer enclosures for the
-    rest, with the slab's rows decided one by one only where the
+    The color is the parity of the coordinate sum, so the order of the
+    alphas leaves the counts as they are, and the count takes them in
+    descending order (``_descending``), the smallest last.  A slab fixes
+    every coordinate but the last two, and ``_walk`` draws the slabs that
+    hold a point, so only the first r - 2 coordinates, those of the
+    largest alphas, are walked.  Each slab is counted in bulk by its route
+    (``_slab_counter``): floor sums in O(log) steps for rational
+    coefficients, one power-table pass or, past three dimensions, one
+    table lookup for logarithms, and floor sums on the integer enclosures
+    for the rest, with the slab's rows decided one by one only where the
     enclosures disagree.  One dimension counts by rows instead, one
     row-length decision for its one row.
     """
@@ -639,7 +683,7 @@ def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
         total, white = _tally(_walk(spec._row_length, []))
     else:
         total = white = 0
-        for _, (slab_total, slab_white) in _walk(_slab_counter(spec), [0] * (r - 2)):
+        for _, (slab_total, slab_white) in _walk(_slab_counter(_descending(spec)), [0] * (r - 2)):
             total += slab_total
             white += slab_white
     return ColorCount(white, total - white)
@@ -729,6 +773,10 @@ def find_black_majority_c(
     def as_terms(x):
         return tuple(zip(alpha_atoms, map(Fraction, x)))
 
+    # regions take the alphas descending, the order their count walks in, so
+    # that no spec is built twice
+    descending = alpha_atoms[::-1]
+
     # one value of lookahead: its tally counts the region up to this value,
     # and the window of a black majority ends there
     values = pairwise(islice(_attained_values(alpha_atoms), budget + 1))
@@ -736,7 +784,7 @@ def find_black_majority_c(
         if exact:
             counts = ColorCount(*tally)
         else:
-            counts = simplex_color_counts(SimplexSpec(alpha_atoms, as_terms(x)))
+            counts = simplex_color_counts(SimplexSpec(descending, as_terms(x)))
         if counts.black <= counts.white:
             continue
         if all_logs:
@@ -753,7 +801,7 @@ def find_black_majority_c(
                        if threshold is None else str(threshold))
         if bound is not None:
             # re-verify by direct recount at the canonical threshold
-            recounted = simplex_color_counts(SimplexSpec(alpha_atoms, bound))
+            recounted = simplex_color_counts(SimplexSpec(descending, bound))
             if recounted != counts:
                 raise SelfCheckError(
                     f"recount at the canonical threshold {display} gives "
@@ -795,12 +843,27 @@ def _attained_values(alpha_atoms):
         tally[sum(x) % 2] += 1
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
+    """One threshold c of ``rational_slope_profile``, with diff = white - black."""
+
     c: int
     white: int
     black: int
     diff: int
+
+
+def _divide_series(series: list[int], step: int, plus: bool) -> None:
+    """Multiply a truncated power series in place by 1/(1 - t**step), or 1/(1 + t**step).
+
+    1/(1 - t**step) makes each residue class mod step its running sums,
+    and 1/(1 + t**step) is (1 - t**step)/(1 - t**(2*step)): a difference
+    of the series with its shift by step, then running sums mod 2*step.
+    """
+    if plus:
+        series[step:] = map(sub, series[step:], series[:-step])
+        step *= 2
+    for r in range(min(step, len(series))):
+        series[r::step] = accumulate(series[r::step])
 
 
 def rational_slope_profile(a1: int, a2: int, c_max: int) -> list[ProfileRow]:
@@ -808,27 +871,23 @@ def rational_slope_profile(a1: int, a2: int, c_max: int) -> list[ProfileRow]:
 
     The points on the line a1*x + a2*y = j number n(j), the coefficient of
     t**j in 1/((1 - t**a1)(1 - t**a2)), and their white-minus-black balance
-    d(j) is the coefficient in 1/((1 + t**a1)(1 + t**a2)).  Both follow
-    three-term recurrences, and row c holds their sums over j <= c, so the
-    whole profile costs O(c_max) integer steps.
+    d(j) is the coefficient in 1/((1 + t**a1)(1 + t**a2)).  Each factor is
+    strided running sums of the series (``_divide_series``), and row c
+    holds the running sums of n and d up to c, so the whole profile costs
+    O(c_max) integer steps with no Python-level step per j.  The rows are
+    ``NamedTuple``s (c, white, black, diff).
     """
     if a1 < 1 or a2 < 1:
         raise DomainError("coefficients must be positive integers")
     if c_max < 1:
         raise DomainError("the horizon must be at least 1")
-    n = [0] * (c_max + 1)
-    d = [0] * (c_max + 1)
-    total = diff = 0
-    rows = []
-    for j in range(c_max + 1):
-        nj = dj = int(j == 0)
-        for step, sign in ((a1, 1), (a2, 1), (a1 + a2, -1)):
-            if j >= step:
-                nj += sign * n[j - step]
-                dj -= d[j - step]
-        n[j], d[j] = nj, dj
-        total += nj
-        diff += dj
-        if j:
-            rows.append(ProfileRow(j, (total + diff) // 2, (total - diff) // 2, diff))
-    return rows
+    n = [1] + [0] * c_max
+    d = n.copy()
+    for a in (a1, a2):
+        _divide_series(n, a, False)
+        _divide_series(d, a, True)
+    totals = list(accumulate(n))[1:]
+    diffs = list(accumulate(d))[1:]
+    whites = map(floordiv, map(add, totals, diffs), repeat(2))
+    blacks = map(floordiv, map(sub, totals, diffs), repeat(2))
+    return list(map(ProfileRow, range(1, c_max + 1), whites, blacks, diffs))

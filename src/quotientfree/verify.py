@@ -19,6 +19,8 @@ from .density import max_subset_witness, strict_gap_check
 from .geometry import (
     ColorCount,
     SimplexSpec,
+    _tally,
+    _walk,
     find_black_majority_c,
     rational_slope_profile,
     simplex_color_counts,
@@ -388,8 +390,11 @@ def suite_geometry(seed: int, budget: str) -> SuiteReport:
         a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         b = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         c = Fraction(rng.randint(0, 30), rng.randint(1, 3))
+        # the slab count orders the alphas itself, so the other order is
+        # counted by its rows
         straight = simplex_color_counts(SimplexSpec.of([a, b], c))
-        swapped = simplex_color_counts(SimplexSpec.of([b, a], c))
+        total, white = _tally(_walk(SimplexSpec.of([b, a], c)._row_length, [0]))
+        swapped = ColorCount(white, total - white)
         report.cases.append(
             CaseResult(
                 f"permutation[{i}]",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 from fractions import Fraction
@@ -597,8 +598,28 @@ class TestSlabCounts:
         spec = SimplexSpec(alphas, ((alphas[0], Fraction(3)), (alphas[1], Fraction(4)),
                                     (ExactReal.of(shift), Fraction(1))))
         assert simplex_color_counts(spec) == tallied_color_counts(spec)
-        # the fallback walks the slab's rows x = 0, 1, 2, ... to its first empty one
-        assert rows == [(x,) for x in range(10)]
+        # the count puts sqrt(2) first, and the fallback walks the slab's rows
+        # y = 0, 1, 2, ... to its first empty one: 7*sqrt(2) > 3 + 4*sqrt(2)
+        assert rows == [(y,) for y in range(8)]
+
+    @pytest.mark.parametrize("basis, n", [((2, 3, 5, 7), 10**15), ((2, 3, 5, 7, 11), 10**12)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_many_slab_log_counts_match_the_smooth_tally(self, basis, n, reverse):
+        # two or more head coordinates: every slab reads the one parity table
+        exponents = enumerate_smooth(basis, n).exponents
+        black = sum(sum(x) % 2 for x in exponents)
+        spec = SimplexSpec.of([f"ln{p}" for p in sorted(basis, reverse=reverse)], f"ln{n}")
+        assert simplex_color_counts(spec) == ColorCount(len(exponents) - black, black)
+
+    def test_a_tiny_alpha_listed_first_is_walked_last(self):
+        # the count puts sqrt(2) first and the tiny alpha last: two slabs,
+        # x = 0 and 1, where the order given would walk some 6.6 * 10**12
+        k = 3298534883328
+        counts = simplex_color_counts(SimplexSpec.of([f"1/{k}", "1", "sqrt2"], 2))
+        # the rows (x, y) hold z = 0..floor(k * (2 - y - sqrt(2)*x))
+        rows = {(0, 0): 2 * k + 1, (0, 1): k + 1, (0, 2): 1, (1, 0): 2 * k - math.isqrt(2 * k * k)}
+        white = sum((length + 1 - sum(head) % 2) // 2 for head, length in rows.items())
+        assert counts == ColorCount(white, sum(rows.values()) - white)
 
     def test_a_tie_free_signs_region_needs_no_membership_test(self, monkeypatch):
         def refuse(self, point):
@@ -674,7 +695,8 @@ class TestFindBlackMajority:
         enclosed = _count_filter_enclosures(monkeypatch)
         result = find_black_majority_c(["1", "sqrt2"], 2)
         assert not result.found
-        assert enclosed == [ExactReal.of(1), ExactReal.sqrt(2)]
+        # the scan's regions take the alphas descending
+        assert enclosed == [ExactReal.sqrt(2), ExactReal.of(1)]
 
     @pytest.mark.parametrize("alphas, threshold", [
         (("ln2", "ln3"), "ln(3)"),
@@ -796,9 +818,27 @@ class TestRationalSlopeProfile:
     def test_recurrence_matches_the_double_loop(self):
         for a1 in range(1, 8):
             for a2 in range(1, 8):
-                rows = [(r.c, r.white, r.black, r.diff)
-                        for r in rational_slope_profile(a1, a2, 300)]
+                rows = rational_slope_profile(a1, a2, 300)
                 assert rows == double_loop_slope_profile(a1, a2, 300), (a1, a2)
+
+    @pytest.mark.parametrize("a1, a2", [(1, 2), (3, 5), (4, 4), (7, 2)])
+    @pytest.mark.parametrize("c_max", [1, 7, 1000])
+    def test_cli_bytes_match_the_double_loop(self, a1, a2, c_max, capsys):
+        rows = double_loop_slope_profile(a1, a2, c_max)
+        params = {"a1": a1, "a2": a2, "cmax": c_max}
+        expected = {
+            "text": "".join(f"c={c} white={w} black={b} diff={d}\n" for c, w, b, d in rows),
+            "csv": "c,white,black,diff\n" + "".join(f"{c},{w},{b},{d}\n" for c, w, b, d in rows),
+            "json": json.dumps({
+                "params": params,
+                "provenance": "integer-slope-parity-profile",
+                "result": [{"c": c, "white": w, "black": b, "diff": d} for c, w, b, d in rows],
+            }, sort_keys=True) + "\n",
+        }
+        argv = ["slope-profile", "--a1", str(a1), "--a2", str(a2), "--cmax", str(c_max)]
+        for fmt, text in expected.items():
+            assert main(argv + ([] if fmt == "text" else [f"--{fmt}"])) == 0
+            assert capsys.readouterr().out == text, fmt
 
 
 class TestPrecisionHandling:
