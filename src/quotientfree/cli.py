@@ -60,6 +60,8 @@ EXIT_SUITE_FAILED = 4
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage problems."""
 
+    subcommands: dict[str, _Parser]  # set on the top-level parser: its subparsers by name
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -238,9 +240,11 @@ class _RowList(_Rendered):
 
 
 class _Output(NamedTuple):
-    """A subcommand's answer in each output mode.  ``lines`` (text) and ``rows``
-    (CSV, table subcommands only) may be generators, read only when printed;
-    ``result`` may be a function of no arguments, called only in JSON mode."""
+    """A subcommand's answer in each output mode.  Every subcommand gives
+    ``lines`` (text) as a generator, so JSON and CSV runs format no text
+    line; ``rows`` (CSV, table subcommands only) may be one too, read only
+    when printed; ``result`` may be a function of no arguments, called only
+    in JSON mode."""
 
     params: dict
     result: object
@@ -289,7 +293,7 @@ def _rho(args) -> _Output:
     values = _coprime_int_values(args.a)
     result = rho_closed_form(values)
     return _Output({"a": [str(v) for v in values]}, frac_str(result),
-                   [f"rho = {_with_dec(args, result)}"])
+                   (f"rho = {_with_dec(args, rho)}" for rho in (result,)))
 
 
 @_command("rho-general", "bracket the best density of any quotient set",
@@ -297,11 +301,16 @@ def _rho(args) -> _Output:
 def _rho_general(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
     bracket = rho_general(a_set, args.depth, args.cap)
+
+    def lines():
+        yield f"lower = {frac_str(bracket.lower)}"
+        yield f"upper = {frac_str(bracket.upper)}"
+        yield f"width = {_with_dec(args, bracket.width)}"
+
     return _Output(
         {"a": [frac_str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
         _bracket_json(bracket),
-        [f"lower = {frac_str(bracket.lower)}", f"upper = {frac_str(bracket.upper)}",
-         f"width = {_with_dec(args, bracket.width)}"],
+        lines(),
     )
 
 
@@ -310,11 +319,16 @@ def _rho_general(args) -> _Output:
           _P, _Q, _arg("--tol", default="1/10000"), _SERIES_BUDGET, _EXACT)
 def _sigma(args) -> _Output:
     bracket = sigma_series(args.p, args.q, as_fraction(args.tol), args.budget)
+
+    def lines():
+        yield f"lower = {_with_dec(args, bracket.lower)}"
+        yield f"upper = {_with_dec(args, bracket.upper)}"
+        yield f"terms = {bracket.detail['terms']}"
+
     return _Output(
         {"p": args.p, "q": args.q, "tol": str(args.tol), "budget": args.budget},
         _bracket_json(bracket),
-        [f"lower = {_with_dec(args, bracket.lower)}", f"upper = {_with_dec(args, bracket.upper)}",
-         f"terms = {bracket.detail['terms']}"],
+        lines(),
     )
 
 
@@ -331,12 +345,15 @@ def _gap(args) -> _Output:
         "gap_proven": report.gap_proven,
         "rounds": report.rounds,
     }
-    lines = [f"rho = {frac_str(report.rho)}"]
-    if report.sigma is not None:
-        show = frac_str if args.exact else dec12
-        lines.append(f"sigma in [{show(report.sigma.lower)}, {show(report.sigma.upper)}]")
-    lines.append(f"gap proven: {report.gap_proven}")
-    return _Output({"p": args.p, "q": args.q, "budget": args.budget}, result, lines)
+
+    def lines():
+        yield f"rho = {result['rho']}"
+        if report.sigma is not None:
+            show = frac_str if args.exact else dec12
+            yield f"sigma in [{show(report.sigma.lower)}, {show(report.sigma.upper)}]"
+        yield f"gap proven: {report.gap_proven}"
+
+    return _Output({"p": args.p, "q": args.q, "budget": args.budget}, result, lines())
 
 
 @_command("max-subset", "exact maximal quotient-free subset count of {1..N}",
@@ -447,7 +464,7 @@ def _enumerate(args) -> _Output:
           "checkerboard-majority", _P, _Q, _arg("--t", type=int, required=True))
 def _f(args) -> _Output:
     value = f_via_checkerboard(args.p, args.q, args.t)
-    return _Output({"p": args.p, "q": args.q, "t": args.t}, value, [f"f = {value}"])
+    return _Output({"p": args.p, "q": args.q, "t": args.t}, value, (f"f = {f}" for f in (value,)))
 
 
 @_command("gamma", "bracket the optimal difference-free weight", "truncated-weighted-search",
@@ -461,11 +478,16 @@ def _gamma(args) -> _Output:
         "depth": bracket.depth,
         "witness": [list(p) for p in bracket.witness],
     }
+
+    def lines():
+        yield f"lower = {result['lower']}"
+        yield f"upper = {result['upper']}"
+        yield f"witness size = {len(bracket.witness)}"
+
     return _Output(
         {"a": [frac_str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
         result,
-        [f"lower = {frac_str(bracket.lower)}", f"upper = {frac_str(bracket.upper)}",
-         f"witness size = {len(bracket.witness)}"],
+        lines(),
     )
 
 
@@ -502,11 +524,12 @@ def _monochromatize(args) -> _Output:
     points = _parse_points(args.points)
     recolored = [list(p) for p in monochromatize(triangle, points, cap=args.cap).points]
     color = "black" if ColorCount.of(recolored).black else "white"
-    return _Output(
-        {**params, "points": points},
-        {"points": recolored, "color": color},
-        [f"points = {recolored}", f"color = {color}"],
-    )
+
+    def lines():
+        yield f"points = {recolored}"
+        yield f"color = {color}"
+
+    return _Output({**params, "points": points}, {"points": recolored, "color": color}, lines())
 
 
 @_command("simplex", "lattice points and colors under alpha . x <= c",
@@ -525,11 +548,14 @@ def _simplex(args) -> _Output:
         config = simplex_points(spec)
         counts = ColorCount.of(config.points)
         listing = {"points": [list(p) for p in config.points]}
-    return _Output(
-        {"alphas": alphas, "c": args.c},
-        {"white": counts.white, "black": counts.black, **listing},
-        [f"points = {counts.total}", f"white = {counts.white}", f"black = {counts.black}"],
-    )
+
+    def lines():
+        yield f"points = {counts.total}"
+        yield f"white = {counts.white}"
+        yield f"black = {counts.black}"
+
+    return _Output({"alphas": alphas, "c": args.c},
+                   {"white": counts.white, "black": counts.black, **listing}, lines())
 
 
 @_command("black-majority", "scan thresholds for a black-majority simplex",
@@ -547,14 +573,15 @@ def _black_majority(args) -> _Output:
         "black": None if search.counts is None else search.counts.black,
         "candidates_tested": search.candidates_tested,
     }
-    if search.found:
-        lines = [
-            f"c = {search.threshold_display}",
-            f"white = {search.counts.white}, black = {search.counts.black}",
-        ]
-    else:
-        lines = [f"none found within budget ({search.candidates_tested} thresholds tested)"]
-    return _Output({"alphas": alphas, "budget": args.budget}, result, lines)
+
+    def lines():
+        if search.found:
+            yield f"c = {search.threshold_display}"
+            yield f"white = {search.counts.white}, black = {search.counts.black}"
+        else:
+            yield f"none found within budget ({search.candidates_tested} thresholds tested)"
+
+    return _Output({"alphas": alphas, "budget": args.budget}, result, lines())
 
 
 @_command("slope-profile", "white-minus-black per integer threshold",
@@ -585,17 +612,20 @@ def _verify(args) -> _Output:
             None, f"unknown budget tier {budget!r} in QUOTIENTFREE_BUDGET "
                   f"(choose from {', '.join(sorted(verify_mod.BUDGET_TIERS))})")
     reports = verify_mod.run_suite(args.suite, seed=args.seed, budget=budget)
-    result, lines = [], []
-    for r in reports:
-        failure = r.first_failure()
-        result.append({"suite": r.suite, "passed": r.passed, "failed": r.failed,
-                       "first_failure": None if failure is None
-                       else {"case": failure.name, "detail": failure.detail}})
-        lines.append(f"suite {r.suite}: {r.passed}/{len(r.cases)} passed "
-                     f"(seed={r.seed}, budget={r.budget})")
-        if failure is not None:
-            lines.append(f"  FIRST FAILURE {failure.name}: {failure.detail}")
-    return _Output({"suite": args.suite, "seed": args.seed, "budget": budget}, result, lines,
+    failures = [r.first_failure() for r in reports]
+    result = [{"suite": r.suite, "passed": r.passed, "failed": r.failed,
+               "first_failure": None if failure is None
+               else {"case": failure.name, "detail": failure.detail}}
+              for r, failure in zip(reports, failures)]
+
+    def lines():
+        for r, failure in zip(reports, failures):
+            yield (f"suite {r.suite}: {r.passed}/{len(r.cases)} passed "
+                   f"(seed={r.seed}, budget={r.budget})")
+            if failure is not None:
+                yield f"  FIRST FAILURE {failure.name}: {failure.detail}"
+
+    return _Output({"suite": args.suite, "seed": args.seed, "budget": budget}, result, lines(),
                    code=EXIT_OK if all(r.ok for r in reports) else EXIT_SUITE_FAILED)
 
 
@@ -610,7 +640,29 @@ def build_parser() -> _Parser:
                        default="text", help="emit a single JSON object")
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed by the subcommand's own
+    parser when argv[0] names one.
+
+    The top-level parser would hand that parser everything after argv[0]
+    and set ``command`` itself, so skipping it gives the same namespace.  It
+    still parses when there is nothing to route (no argv, ``-h``, an unknown
+    subcommand) and when the subcommand leaves an argument over, so every
+    usage message keeps its bytes and exit code.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _emit(fmt: str, provenance: str, out: _Output) -> None:
@@ -661,7 +713,7 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     command = _COMMANDS[args.command]

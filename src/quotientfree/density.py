@@ -91,13 +91,14 @@ class DensityBracket:
 def rho_closed_form(values: Sequence[int]) -> Fraction:
     """Best asymptotic density for pairwise-coprime integer quotients.
 
-    Exactly (1 + product of (a-1)/(a+1)) / 2.
+    Exactly (1 + product of (a-1)/(a+1)) / 2, built as the one fraction
+    (P(a+1) + P(a-1)) / (2 P(a+1)), P the product over the values.
     """
-    vals = _require_coprime(values)
-    product = Fraction(1)
-    for a in vals:
-        product *= Fraction(a - 1, a + 1)
-    return (1 + product) / 2
+    up = down = 1
+    for a in _require_coprime(values):
+        up *= a + 1
+        down *= a - 1
+    return Fraction(up + down, 2 * up)
 
 
 def rho_general(
@@ -157,7 +158,7 @@ def sigma_series(
     over the lower one's), so while that alone exceeds the tolerance, which
     one product with m_t decides, the cross-multiplied width test is
     skipped: it runs on a handful of terms per call.  Fractions are built only for the returned
-    (or budget-exhausted) bracket.
+    (or budget-exhausted) bracket, one per end.
     """
     _require_coprime((p, q))
     tolerance = as_fraction(tolerance)
@@ -220,14 +221,18 @@ def _series_bracket(
 
     ``partial`` and ``recip`` are the partial sum and the prefix reciprocal
     sum times ``scale``.  After the last summed prefix, at least ceil/2 of
-    each later prefix counts, at most all of it plus the harmonic remainder.
+    each later prefix counts, at most all of it plus the harmonic remainder:
+    the ends are factor * (partial/D + ceil((t+1)/2)/m) and
+    factor * (partial/D + (t+1)/m + 1/factor - recip/D), t = ``terms``,
+    m = ``value`` and D = ``scale``.  Each is one integer over
+    f_den * D * m (factor = f_num/f_den), made a ``Fraction`` once.
     """
-    head = Fraction(partial, scale)
-    tail_lower = Fraction((terms + 2) // 2, value)
-    tail_upper = Fraction(terms + 1, value) + (1 / factor - Fraction(recip, scale))
+    f_num, f_den = factor.numerator, factor.denominator
+    head = partial * value
+    den = f_den * scale * value
     return DensityBracket(
-        factor * (head + tail_lower),
-        factor * (head + tail_upper),
+        Fraction(f_num * (head + (terms + 2) // 2 * scale), den),
+        Fraction(f_num * (head + (terms + 1) * scale - recip * value) + den, den),
         "series-with-tail",
         {"terms": terms, "next_value": value},
     )

@@ -355,6 +355,103 @@ class TestDefaults:
                 geometry.DEFAULT_SCAN_BUDGET) == (40, 10**6, 64)
 
 
+# one valid argv per subcommand, each with more than its required flags
+ROUTED = [
+    ["rho", "--a", "2,3", "--exact"],
+    ["rho-general", "--a", "3/2", "--depth", "3", "--cap", "50", "--json"],
+    ["sigma", "--p", "2", "--q", "3", "--tol=1/100", "--budget", "500"],
+    ["gap", "--json", "--p", "5", "--q", "7"],
+    ["max-subset", "--p", "2", "--q", "3", "--n", "12", "--witness"],
+    ["dense-set", "--a", "2,3", "--x", "20", "--members", "--depth", "4"],
+    ["densities", "--a", "2,3", "--checkpoints", "10,100", "--csv"],
+    ["enumerate", "--a", "2,3", "--bound", "4", "--json"],
+    ["f", "--p", "2", "--q", "3", "--t", "8"],
+    ["gamma", "--a", "2,3", "--depth", "2", "--cap", "30"],
+    ["monochromatize", "--ta", "1", "--tb", "1", "--tc", "1", "--points", "[[0,1],[1,0]]"],
+    ["simplex", "--alphas", "1,sqrt2", "--c", "3/2", "--counts-only"],
+    ["black-majority", "--alphas", "1,sqrt2", "--budget", "5", "--json"],
+    ["slope-profile", "--a1", "1", "--a2", "2", "--cmax", "4", "--csv"],
+    ["verify", "--suite", "lemma2", "--budget", "small", "--seed", "3"],
+]
+
+# argvs that the top-level parser answers, or that end in a usage error
+UNROUTED = [
+    [], ["-h"], ["nope"], ["gap"],
+    ["gap", "--p", "x", "--q", "3"],
+    ["gap", "--p", "2", "--q", "3", "--zzz"],
+    ["gap", "--p", "2", "--q", "3", "extra"],
+    ["gap", "-h"],
+    ["sigma", "--p", "2", "--q", "3", "--tol"],
+    ["gap", "--p", "2", "--", "--q", "3"],
+]
+
+
+class TestDirectRouting:
+    def test_one_argv_per_subcommand(self):
+        assert [argv[0] for argv in ROUTED] == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", ROUTED, ids=[argv[0] for argv in ROUTED])
+    def test_namespace_equals_the_top_level_parse(self, argv):
+        assert cli._parse(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", UNROUTED, ids=[" ".join(argv) or "(empty)" for argv in UNROUTED])
+    def test_same_bytes_and_code_as_the_top_level_parse(self, capsys, monkeypatch, argv):
+        routed = run(capsys, *argv)
+        # with no subcommand to route to, every argv goes through the top-level parser
+        monkeypatch.setattr(build_parser(), "subcommands", {})
+        assert routed == run(capsys, *argv)
+        assert routed[0] == (0 if "-h" in argv else 1)
+
+    def test_a_valid_argv_skips_the_top_level_parser(self, capsys, monkeypatch):
+        parser, calls = build_parser(), []
+        parse = parser.parse_known_args
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", spy)
+        for argv in ROUTED:
+            run(capsys, *argv)
+        assert calls == []
+        assert run(capsys, "nope")[0] == 1
+        assert len(calls) == 1
+
+
+def _no_text(*args):
+    raise AssertionError("a text line was formatted in JSON mode")
+
+
+class TestJsonFormatsNoText:
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--a", "2,3,5,7"],
+        ["rho-general", "--a", "2,3,5", "--depth", "4"],
+        ["sigma", "--p", "5", "--q", "7", "--tol", "1/10000000000"],
+        ["gap", "--p", "2", "--q", "5"],
+        ["black-majority", "--alphas", "ln2,ln3"],
+        ["monochromatize", "--ta", "1", "--tb", "1", "--tc", "1", "--points", "[[0,1],[1,0]]"],
+    ], ids=lambda argv: argv[0])
+    def test_json_mode_runs_without_the_decimal_formatters(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "dec12", _no_text)
+        monkeypatch.setattr(cli, "_with_dec", _no_text)
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["rho", "--a", "2,3,5,7"], "rho = 13/24 = 0.541666666667\n"),
+        (["sigma", "--p", "5", "--q", "7", "--tol", "1/10000000000"],
+         "lower = 17045186217452216095992/20697725611846923828125 = 0.823529432031\n"
+         "upper = 8696523581266900998053/10560064087677001953125 = 0.823529432119\n"
+         "terms = 132\n"),
+        (["gap", "--p", "2", "--q", "5"],
+         "rho = 11/18\nsigma in [0.61971875, 0.634525]\ngap proven: True\n"),
+        (["black-majority", "--alphas", "ln2,ln3"], "c = ln(3)\nwhite = 1, black = 2\n"),
+    ], ids=["rho", "sigma", "gap", "black-majority"])
+    def test_text_mode_bytes(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_ends_quietly(self):
         # ~13,000 smooth values, far more than a pipe buffers, so the writer

@@ -92,6 +92,15 @@ class TestRhoClosedForm:
                 product *= Fraction(a - 1, a + 1)
             assert rho_closed_form(vals) == (1 + product) / 2
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(vals=st.lists(st.integers(2, 10**6), min_size=1, max_size=4, unique=True).map(sorted)
+           .filter(lambda v: all(math.gcd(a, b) == 1 for i, a in enumerate(v) for b in v[i + 1:])))
+    def test_one_fraction_equals_the_fraction_product(self, vals):
+        product = Fraction(1)
+        for a in vals:
+            product *= Fraction(a - 1, a + 1)
+        assert rho_closed_form(vals) == (1 + product) / 2
+
 
 class TestRhoGeneral:
     def test_pair_bracket_contains_closed_form(self):
@@ -261,6 +270,29 @@ class TestSigmaSeries:
     )
     def test_matches_per_term_fraction_loop_property(self, pair, tol, budget):
         assert_same_sigma_outcome(pair, tol, budget)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        factor=st.fractions(Fraction(1, 10**6), 1).filter(lambda f: f > 0),
+        terms=st.integers(0, 10**6),
+        value=st.integers(1, 10**30),
+        partial=st.integers(0, 10**40),
+        recip=st.integers(0, 10**32),
+        scale=st.integers(1, 10**30),
+    )
+    def test_integer_ends_equal_the_fraction_formulas(
+        self, factor, terms, value, partial, recip, scale
+    ):
+        head = Fraction(partial, scale)
+        lower = factor * (head + Fraction((terms + 2) // 2, value))
+        upper = factor * (head + Fraction(terms + 1, value) + 1 / factor - Fraction(recip, scale))
+        if lower > upper:  # a recip past 1/factor: no bracket, as with Fractions
+            with pytest.raises(DomainError):
+                density._series_bracket(factor, terms, value, partial, recip, scale)
+            return
+        bracket = density._series_bracket(factor, terms, value, partial, recip, scale)
+        assert (bracket.lower, bracket.upper) == (lower, upper)
+        assert bracket.detail == {"terms": terms, "next_value": value}
 
     def test_memory_stays_at_the_merge_window(self):
         # about 38,000 terms: a list of every value would take megabytes
