@@ -68,10 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def frac_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def dec12(value: Fraction) -> str:
     """12-significant-digit decimal rendering for plotting columns.
 
@@ -151,9 +147,9 @@ def _parse_points(text: str) -> list[list[int]]:
 
 def _bracket_json(bracket) -> dict:
     return {
-        "lower": frac_str(bracket.lower),
-        "upper": frac_str(bracket.upper),
-        "width": frac_str(bracket.width),
+        "lower": str(bracket.lower),
+        "upper": str(bracket.upper),
+        "width": str(bracket.width),
         "method": bracket.method,
         "detail": bracket.detail,
     }
@@ -180,7 +176,7 @@ def _log_dec(bracket: Optional[DensityBracket], exact: Callable[[], Fraction]) -
 
 def _with_dec(args, value: Fraction) -> str:
     """The exact rational, followed by its 12-digit decimal unless --exact."""
-    return frac_str(value) + ("" if args.exact else f" = {dec12(value)}")
+    return str(value) + ("" if args.exact else f" = {dec12(value)}")
 
 
 _DIGITS = tuple(map(str, range(1000)))  # "0" to "999"
@@ -292,7 +288,7 @@ _SERIES_BUDGET = _arg("--budget", type=int, default=DEFAULT_SERIES_BUDGET)
 def _rho(args) -> _Output:
     values = _coprime_int_values(args.a)
     result = rho_closed_form(values)
-    return _Output({"a": [str(v) for v in values]}, frac_str(result),
+    return _Output({"a": [str(v) for v in values]}, str(result),
                    (f"rho = {_with_dec(args, rho)}" for rho in (result,)))
 
 
@@ -303,12 +299,12 @@ def _rho_general(args) -> _Output:
     bracket = rho_general(a_set, args.depth, args.cap)
 
     def lines():
-        yield f"lower = {frac_str(bracket.lower)}"
-        yield f"upper = {frac_str(bracket.upper)}"
+        yield f"lower = {bracket.lower}"
+        yield f"upper = {bracket.upper}"
         yield f"width = {_with_dec(args, bracket.width)}"
 
     return _Output(
-        {"a": [frac_str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
+        {"a": [str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
         _bracket_json(bracket),
         lines(),
     )
@@ -338,10 +334,10 @@ def _sigma(args) -> _Output:
 def _gap(args) -> _Output:
     report = strict_gap_check(args.p, args.q, args.budget)
     result = {
-        "rho": frac_str(report.rho),
+        "rho": str(report.rho),
         "sigma": None
         if report.sigma is None
-        else {"lower": frac_str(report.sigma.lower), "upper": frac_str(report.sigma.upper)},
+        else {"lower": str(report.sigma.lower), "upper": str(report.sigma.upper)},
         "gap_proven": report.gap_proven,
         "rounds": report.rounds,
     }
@@ -349,7 +345,7 @@ def _gap(args) -> _Output:
     def lines():
         yield f"rho = {result['rho']}"
         if report.sigma is not None:
-            show = frac_str if args.exact else dec12
+            show = str if args.exact else dec12
             yield f"sigma in [{show(report.sigma.lower)}, {show(report.sigma.upper)}]"
         yield f"gap proven: {report.gap_proven}"
 
@@ -386,7 +382,7 @@ def _dense_set(args) -> _Output:
         return {
             "x": sample.x,
             "count": count,
-            "counting_density": frac_str(sample.counting_density),
+            "counting_density": str(sample.counting_density),
             "counting_density_dec": dec12(sample.counting_density),
             "log_density_dec": log_dec,
             "members": _MaskList(sample.member_mask),
@@ -404,7 +400,7 @@ def _dense_set(args) -> _Output:
         if members is not None:
             yield members
 
-    return _Output({"a": [frac_str(f) for f in a_set.elements], "x": args.x,
+    return _Output({"a": [str(f) for f in a_set.elements], "x": args.x,
                     "depth": args.depth}, result, lines())
 
 
@@ -430,12 +426,12 @@ def _densities(args) -> _Output:
         count = sample.count(x)
         density = Fraction(count, x)
         log_dec = _log_dec(sample.log_density_bracket(x), lambda: sample.log_density_at(x))
-        table.append((x, count, frac_str(density), dec12(density), log_dec or ""))
+        table.append((x, count, str(density), dec12(density), log_dec or ""))
     keys = ("x", "count", "counting_density", "counting_density_dec", "log_density_dec")
     # JSON has null where the CSV's log_density column is empty
     result = [dict(zip(keys, (*row[:4], row[4] or None))) for row in table]
     return _Output(
-        {"a": [frac_str(f) for f in a_set.elements], "checkpoints": checkpoints},
+        {"a": [str(f) for f in a_set.elements], "checkpoints": checkpoints},
         result,
         (f"X={r[0]} count={r[1]} density={r[2]} ({r[3]}) log={r[4]}" for r in table),
         # count_density is exact; the _dec12 column and log_density (a ratio
@@ -473,8 +469,8 @@ def _gamma(args) -> _Output:
     a_set = RationalSet.of(_parse_rational_list(args.a))
     bracket = gamma_bracket(derive_basis(a_set), args.depth, args.cap)
     result = {
-        "lower": frac_str(bracket.lower),
-        "upper": frac_str(bracket.upper),
+        "lower": str(bracket.lower),
+        "upper": str(bracket.upper),
         "depth": bracket.depth,
         "witness": [list(p) for p in bracket.witness],
     }
@@ -485,7 +481,7 @@ def _gamma(args) -> _Output:
         yield f"witness size = {len(bracket.witness)}"
 
     return _Output(
-        {"a": [frac_str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
+        {"a": [str(f) for f in a_set.elements], "depth": args.depth, "cap": args.cap},
         result,
         lines(),
     )

@@ -36,7 +36,11 @@ class CapError(BudgetError):
 
 
 class PrecisionError(RuntimeError):
-    """An exact comparison could not be decided at maximum precision."""
+    """An exact comparison could not be decided at maximum precision.
+
+    Also raised when finite-precision keys (the midpoints that order a
+    threshold walk) are found out of the exact order.
+    """
 
 
 class SelfCheckError(RuntimeError):

@@ -365,10 +365,8 @@ class SimplexSpec:
                                   for a in self.alphas),
                      bound.numerator * (scale // bound.denominator))
         else:
-            # the denominators make every rational alpha an exact integer of
-            # at least 2**64, however small; the row ends divide by lo
-            denominators = (a.rational.denominator for a in self.alphas if a.is_rational)
-            scale = lcm(*denominators) << _FILTER_BITS
+            # the row ends divide by lo, which is at least 2**64
+            scale = _enclosure_scale(self.alphas)
             lo, hi = zip(*(a._scaled_pair(scale) for a in self.alphas))
             # k * atom lies between k times the atom's pair ends, swapped when k < 0
             c_lo = c_hi = 0
@@ -435,6 +433,15 @@ class SimplexSpec:
             else:
                 top = mid - 1
         return sure + 1
+
+
+def _enclosure_scale(alphas: Sequence[ExactReal]) -> int:
+    """2**64 times the lcm of the rational alphas' denominators.
+
+    The scale of every integer enclosure of the alphas: each rational one
+    reads an exact integer of at least 2**64 there, however small.
+    """
+    return lcm(*(a.rational.denominator for a in alphas if a.is_rational)) << _FILTER_BITS
 
 
 def _require_positive(alphas: Sequence[ExactReal]) -> None:
@@ -744,17 +751,15 @@ def find_black_majority_c(
     """Scan attained threshold values, ascending, for a black majority.
 
     Counts only change at attained values of the form alpha . x, so the scan
-    is complete up to the budget.  When every coefficient is rational, or
-    every one is a logarithm, the walk's keys are exact, and a candidate's
-    counts are the tally that the walk yields with the next value: no
-    region is built per candidate.  Otherwise each candidate's region is
-    built and counted by ``simplex_color_counts``; every region shares the
-    scan's alpha atoms, so each alpha is enclosed once per scan.  The
-    returned threshold is canonical: the integer bound itself when every
-    coefficient is a logarithm of an integer, the attained rational for
-    rational coefficients, and otherwise the simplest rational inside the
-    black-majority window.  ``simplex_color_counts`` recounts the region at
-    a canonical threshold as a second route.
+    is complete up to the budget.  The walk of ``_attained_values`` decides
+    the order of its values exactly, so a candidate's counts are the tally
+    that the walk yields with the next value, and no region is built per
+    candidate.  The returned threshold is canonical: the integer bound
+    itself when every coefficient is a logarithm of an integer, the attained
+    rational for rational coefficients, and otherwise the simplest rational
+    inside the black-majority window.  ``simplex_color_counts`` recounts the
+    region at a canonical threshold as a second route; it shares the scan's
+    alpha atoms, so each alpha is enclosed once per scan.
     """
     _require_work_bound("budget", budget)
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
@@ -768,23 +773,15 @@ def find_black_majority_c(
 
     all_logs = all(a.kind == "log" for a in alpha_atoms)
     all_rational = all(a.is_rational for a in alpha_atoms)
-    exact = all_logs or all_rational
 
     def as_terms(x):
         return tuple(zip(alpha_atoms, map(Fraction, x)))
-
-    # regions take the alphas descending, the order their count walks in, so
-    # that no spec is built twice
-    descending = alpha_atoms[::-1]
 
     # one value of lookahead: its tally counts the region up to this value,
     # and the window of a black majority ends there
     values = pairwise(islice(_attained_values(alpha_atoms), budget + 1))
     for tested, ((key, x, _), (_, following, tally)) in enumerate(values, 1):
-        if exact:
-            counts = ColorCount(*tally)
-        else:
-            counts = simplex_color_counts(SimplexSpec(descending, as_terms(x)))
+        counts = ColorCount(*tally)
         if counts.black <= counts.white:
             continue
         if all_logs:
@@ -800,8 +797,9 @@ def find_black_majority_c(
             display = (" + ".join(f"{c}*{a}" for a, c in as_terms(x) if c) or "0"
                        if threshold is None else str(threshold))
         if bound is not None:
-            # re-verify by direct recount at the canonical threshold
-            recounted = simplex_color_counts(SimplexSpec(descending, bound))
+            # re-verify by direct recount at the canonical threshold, the
+            # alphas descending as the count takes them
+            recounted = simplex_color_counts(SimplexSpec(alpha_atoms[::-1], bound))
             if recounted != counts:
                 raise SelfCheckError(
                     f"recount at the canonical threshold {display} gives "
@@ -812,6 +810,36 @@ def find_black_majority_c(
     return BlackMajoritySearch(False, None, None, None, None, budget)
 
 
+def _step_sign(alpha_atoms):
+    """The exact sign of alpha . d, as a function of an integer vector d.
+
+    Each alpha's memoized enclosure pair at ``_enclosure_scale``, the one
+    ``SimplexSpec`` reads, bounds the value in integers: rational alphas
+    read exact integers there, so a step along them alone is decided
+    outright, and one that clears the irrational alphas' widths is too.
+    Only a step within those widths of zero (an exact tie, say) goes to
+    ``_sign_of_terms``.
+    """
+    scale = _enclosure_scale(alpha_atoms)
+    lo, hi = zip(*(a._scaled_pair(scale) for a in alpha_atoms))
+    widths = tuple(map(sub, hi, lo))
+
+    def sign(d):
+        middle = sum(map(mul, d, lo))
+        # each coordinate's share of the width widens the bound its sign points to
+        below = middle + sum(w * k for w, k in zip(widths, d) if k < 0)
+        if below > 0:
+            return 1
+        above = middle + sum(w * k for w, k in zip(widths, d) if k > 0)
+        if above < 0:
+            return -1
+        if below == above:  # no width at all: the sum is exact, and zero
+            return 0
+        return _sign_of_terms(list(zip(alpha_atoms, map(Fraction, d))), "threshold order")
+
+    return sign
+
+
 def _attained_values(alpha_atoms):
     """The distinct values alpha . x, ascending, as (key, x, tally), lazily.
 
@@ -820,12 +848,15 @@ def _attained_values(alpha_atoms):
     exactly.  Otherwise it is the sum of x_i times the 200-bit interval
     midpoint of alpha_i (``ExactReal.sort_key``), walked as an integer
     multiple of 1/L, L the lcm of the midpoints' denominators, and yielded
-    as a Fraction.  It is exact for rational alphas; for the rest the
-    midpoints are not certified, and two distinct values closer than about
-    2**-200 could swap or merge.  Each value comes with the least x
-    attaining its key and the (white, black) tally of every vector popped
-    before it.  With exact keys that tally counts the region up to the
-    previous value.
+    as a Fraction.  For rational alphas that key is the value itself.  For
+    the rest it only orders the walk, and each step is decided exactly
+    (``_step_sign``): alpha . (x - previous x) > 0 starts a new value, 0
+    merges x into the current one (3*ln 2 and ln 8, say), and < 0 raises
+    ``PrecisionError``.  Each value comes with the first x popped for it
+    and the (white, black) tally of every vector popped before it, which
+    counts the region up to the previous value.  Only steps between popped
+    vectors are checked: a vector not yet popped can hold a smaller value
+    only within the midpoints' error, about 2**-200 per unit of x.
     """
     if all(a.kind == "log" for a in alpha_atoms):
         scale, walk = None, _ascending_walk(1, tuple(a.arg for a in alpha_atoms), mul)
@@ -834,12 +865,25 @@ def _attained_values(alpha_atoms):
         scale = lcm(*(k.denominator for k in keys))
         steps = tuple(k.numerator * (scale // k.denominator) for k in keys)
         walk = _ascending_walk(0, steps, add)
+    # logarithms' and rationals' keys are the values themselves
+    step_sign = (None if scale is None or all(a.is_rational for a in alpha_atoms)
+                 else _step_sign(alpha_atoms))
     tally = [0, 0]  # white (even coordinate sum), black
-    last_key = None
+    last_key = last_x = None
     for key, x in walk:
-        if key != last_key:  # keys come in order, so equal keys are adjacent
-            last_key = key
+        if step_sign is None or last_x is None:
+            new = key != last_key  # keys come in order, so equal keys are adjacent
+        else:
+            sign = step_sign(tuple(map(sub, x, last_x)))
+            if sign < 0:
+                raise PrecisionError(
+                    f"threshold order: the walk's midpoint keys put {x} after {last_x}, "
+                    "whose value is larger"
+                )
+            new = sign > 0
+        if new:
             yield (key if scale is None else Fraction(key, scale)), x, tuple(tally)
+        last_key, last_x = key, x
         tally[sum(x) % 2] += 1
 
 

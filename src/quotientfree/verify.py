@@ -18,6 +18,7 @@ from .arith import CoprimeBasis, count_coprime_part, enumerate_smooth, phi
 from .density import max_subset_witness, strict_gap_check
 from .geometry import (
     ColorCount,
+    ExactReal,
     SimplexSpec,
     _tally,
     _walk,
@@ -375,8 +376,11 @@ def suite_geometry(seed: int, budget: str) -> SuiteReport:
         result = find_black_majority_c(raw_alphas)
         ok = result.found == expect_found
         if result.found:
-            recount = result.counts
-            ok = ok and recount.black > recount.white
+            bound = (ExactReal.log(result.integer_bound) if result.integer_bound is not None
+                     else ExactReal.of(result.threshold))
+            # a second route: the region's rows, neither the walk nor the slabs
+            recount = ColorCount.of(simplex_points(SimplexSpec.of(raw_alphas, bound)).points)
+            ok = ok and recount == result.counts and recount.black > recount.white
         report.cases.append(
             CaseResult(
                 f"black-majority{raw_alphas}",

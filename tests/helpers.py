@@ -17,6 +17,7 @@ from quotientfree.geometry import (
     ExactReal,
     SimplexSpec,
     _as_exact,
+    _sign_of_terms,
     _simplest_rational_at_least,
 )
 
@@ -488,8 +489,10 @@ def eager_black_majority(alphas, budget=64):
     All ``budget`` attained values come off a seen-set heap first (integer
     products for logarithms, midpoints otherwise), so no walk is shared
     with the library, and each count tallies the points of walked_points.
-    Otherwise the scan follows find_black_majority_c, threshold
-    canonicalization included.
+    Adjacent midpoints whose values are exactly equal, decided by
+    ``_sign_of_terms`` on their difference, are one candidate.  Otherwise
+    the scan follows find_black_majority_c, threshold canonicalization
+    included.
     """
     atoms = tuple(_as_exact(a) for a in alphas)
     if all(a.kind == "log" for a in atoms):
@@ -511,9 +514,13 @@ def eager_black_majority(alphas, budget=64):
     heap, seen, candidates, taken = [(Fraction(0), start)], {start}, [], set()
     while len(candidates) < budget:
         key, x = heapq.heappop(heap)
-        if key not in taken:
-            taken.add(key)
-            candidates.append((key, tuple(zip(atoms, map(Fraction, x)))))
+        terms = tuple(zip(atoms, map(Fraction, x)))
+        # a new midpoint whose value equals the last candidate's exactly
+        # (3*ln 2 and ln 8, say) is that candidate
+        if key not in taken and not (candidates and _sign_of_terms(
+                terms + tuple((a, -c) for a, c in candidates[-1][1]), "tie") == 0):
+            candidates.append((key, terms))
+        taken.add(key)
         for j in range(len(atoms)):
             child = x[:j] + (x[j] + 1,) + x[j + 1:]
             if child not in seen:

@@ -262,6 +262,14 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert payload["result"]["n"] == 3
 
+    def test_black_majority_merges_exactly_equal_values(self, capsys):
+        # 3*ln 2 = ln 8, so the window starts at ln 8 and ends at ln 2 + sqrt 2
+        code, out, _ = run(capsys, "black-majority", "--alphas", "ln2,sqrt2,ln8", "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["c"], result["white"], result["black"]) == ("21/10", 2, 4)
+        assert result["candidates_tested"] == 5
+
     def test_slope_profile_csv(self, capsys):
         code, out, _ = run(capsys, "slope-profile", "--a1", "1", "--a2", "2",
                            "--cmax", "8", "--csv")
@@ -1222,11 +1230,9 @@ class TestExitCodes:
 
         counts = geometry.simplex_color_counts
 
-        def disagreeing(spec):
+        def disagreeing(spec):  # the recount is the only region the scan counts
             found = counts(spec)
-            if len(spec.c) == 1:  # the recount's bound is one rational
-                return geometry.ColorCount(found.white + 1, found.black)
-            return found
+            return geometry.ColorCount(found.white + 1, found.black)
 
         monkeypatch.setattr(geometry, "simplex_color_counts", disagreeing)
         code, out, err = run(capsys, "black-majority", "--alphas", "1,sqrt2", "--json")
@@ -1234,6 +1240,20 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: self-check failed: recount at the canonical threshold 3/2")
+
+    def test_black_majority_midpoints_out_of_order_exit_3(self, capsys, monkeypatch):
+        # midpoint keys that put 1 above sqrt 2 are caught by the walk's exact
+        # steps: one stderr line, exit 3, and no count
+        from quotientfree import ExactReal
+
+        sort_key = ExactReal.sort_key
+        monkeypatch.setattr(ExactReal, "sort_key", lambda atom: (
+            Fraction(3, 2) if atom == ExactReal.of(1) else sort_key(atom)))
+        code, out, err = run(capsys, "black-majority", "--alphas", "1,sqrt2", "--json")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: threshold order: ")
 
     def test_max_subset_witness_recount_disagreement_exits_4(self, capsys, monkeypatch):
         # the witness is counted by its length and checked against the block

@@ -655,6 +655,8 @@ class TestFindBlackMajority:
           for i, alphas in enumerate(BLACK_MAJORITY_FAMILIES)),
         *(pytest.param(alphas, budget, id=f"{','.join(alphas)}-at-{budget}")
           for alphas, budget in _FOUND_AT_THE_BUDGET),
+        # 3*ln 2 = ln 8 exactly, though their midpoints differ
+        pytest.param(("ln2", "sqrt2", "ln8"), 64, id="ln2,sqrt2,ln8-tie"),
     ])
     def test_lazy_scan_matches_the_eager_one(self, alphas, budget):
         assert find_black_majority_c(alphas, budget) == eager_black_majority(alphas, budget)
@@ -676,10 +678,12 @@ class TestFindBlackMajority:
         (("ln2", "ln3"), 1),
         (("1", "3"), 1),
         (("1", "2"), 0),
+        (("1", "sqrt2"), 1),
+        (("sqrt2", "sqrt3"), 1),
     ])
-    def test_exact_scans_count_from_the_walk(self, alphas, calls, monkeypatch):
-        # with exact keys the counts come from the walk's tally, so the only
-        # region counted is the recount at a found threshold
+    def test_every_scan_counts_from_the_walk(self, alphas, calls, monkeypatch):
+        # the counts come from the walk's tally, so the only region counted
+        # is the recount at a found threshold
         regions = []
         counts = geometry.simplex_color_counts
 
@@ -692,11 +696,26 @@ class TestFindBlackMajority:
         assert len(regions) == calls
 
     def test_mixed_scans_enclose_each_alpha_once(self, monkeypatch):
+        # the walk's steps and the recount's region read one memoized pair
+        # per alpha; the recount's bound, 3/2, is enclosed too
         enclosed = _count_filter_enclosures(monkeypatch)
-        result = find_black_majority_c(["1", "sqrt2"], 2)
-        assert not result.found
-        # the scan's regions take the alphas descending
-        assert enclosed == [ExactReal.sqrt(2), ExactReal.of(1)]
+        assert find_black_majority_c(["1", "sqrt2"]).threshold == Fraction(3, 2)
+        assert sorted(map(str, enclosed)) == ["1", "3/2", "sqrt(2)"]
+
+    def test_exactly_equal_values_are_one_threshold(self):
+        # 3*ln 2 = ln 8: the window of the black majority is [ln 8, ln 2 + sqrt 2)
+        result = find_black_majority_c(["ln2", "sqrt2", "ln8"], 64)
+        assert (result.threshold, result.threshold_display) == (Fraction(21, 10), "21/10")
+        assert (result.counts.white, result.counts.black) == (2, 4)
+        assert result.candidates_tested == 5
+
+    def test_swapped_midpoints_raise(self, monkeypatch):
+        # keys that put sqrt 2 below 1 make the walk step down from sqrt 2 to 1
+        sort_key = ExactReal.sort_key
+        monkeypatch.setattr(ExactReal, "sort_key", lambda atom: (
+            Fraction(3, 2) if atom == ExactReal.of(1) else sort_key(atom)))
+        with pytest.raises(PrecisionError, match="^threshold order"):
+            find_black_majority_c(["1", "sqrt2"])
 
     @pytest.mark.parametrize("alphas, threshold", [
         (("ln2", "ln3"), "ln(3)"),
@@ -706,11 +725,9 @@ class TestFindBlackMajority:
     def test_every_route_recounts_its_threshold(self, alphas, threshold, monkeypatch):
         counts = geometry.simplex_color_counts
 
-        def off_by_one(spec):
+        def off_by_one(spec):  # the recount is the only region the scan counts
             found = counts(spec)
-            if len(spec.c) == 1:  # the recount's bound is one atom
-                return ColorCount(found.white + 1, found.black)
-            return found
+            return ColorCount(found.white + 1, found.black)
 
         monkeypatch.setattr(geometry, "simplex_color_counts", off_by_one)
         with pytest.raises(SelfCheckError, match="^recount at the canonical threshold "

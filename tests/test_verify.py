@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quotientfree import (
     AXIS_DIFFS,
+    ColorCount,
     LatticeConfig,
     lattice,
     max_difference_free,
@@ -274,6 +276,28 @@ class TestCorollarySuite:
         count = max_subset_count(*pair, bad_n)
         assert report.cases[0].detail == (
             f"N={bad_n}: claimed={count} oracle={count} witness_valid=False")
+
+
+class TestGeometrySuite:
+    def test_a_black_majority_count_off_by_one_fails_only_its_case(self, monkeypatch):
+        # the case recounts the found threshold by rows, so it does not
+        # re-read the scan's own numbers
+        scan = verify.find_black_majority_c
+
+        def off_count(alphas):
+            result = scan(alphas)
+            if tuple(alphas) == ("1", "sqrt2"):
+                white, black = result.counts.white, result.counts.black
+                return dataclasses.replace(result, counts=ColorCount(white, black + 1))
+            return result
+
+        monkeypatch.setattr(verify, "find_black_majority_c", off_count)
+        (report,) = run_suite("geometry", 0, "small")
+        assert [(c.name, c.passed) for c in report.cases if c.name.startswith("black")] == [
+            ("black-majority('ln2', 'ln3')", True),
+            ("black-majority('1', 'sqrt2')", False),
+            ("black-majority('1', '2')", True),
+        ]
 
 
 class TestExhaustiveSweep:
