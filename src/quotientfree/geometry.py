@@ -16,10 +16,10 @@ enclosures for the rest.  This module also holds the point types
 (``Point``, ``LatticeConfig``, ``ColorCount``), scans thresholds for a
 black majority, and tabulates the white-minus-black profile for integer
 slopes by strided running sums of two power series.
-Comparisons are decided exactly where the atoms allow it, by integer
-enclosures taken once per atom where those suffice, and by certified
-interval refinement otherwise; an undecided comparison is an error,
-never a guess.
+Every comparison is decided exactly: by the regions' integer filters, or
+by ``_sign_of_terms`` on the atoms' memoized integer enclosures, refined
+near a tie, with exact integer routes for logarithm products and single
+square roots.  An undecided comparison is an error, never a guess.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ Point = tuple[int, ...]
 PREC_CAP_BITS = 4096
 DEFAULT_SCAN_BUDGET = 64
 _SORT_KEY_BITS = 200
-# largest denominator tried for a canonical black-majority threshold
+# largest denominator of a canonical black-majority threshold
 _MAX_THRESHOLD_DEN = 512
 # fractional bits of the integer enclosures that decide most memberships
 _FILTER_BITS = 64
@@ -244,40 +244,67 @@ class ExactReal:
         return f"{prefix}sqrt({self.arg})"
 
 
-def _sign_of_terms(terms: Sequence[tuple[ExactReal, Fraction]], what: str) -> int:
+def _sign_of_terms(terms: Iterable[tuple[ExactReal, Fraction]], what: str) -> int:
     """Sign of a finite rational combination of exact-real atoms.
 
-    Exact routes: all-rational; all-log with zero rational part (integer
-    power comparison); a single non-square radicand (square comparison).
-    Anything else refines certified intervals up to a fixed ``PREC_CAP_BITS``
-    (4096) bits.
+    The integer pairs (``_scaled_pair``) of the terms' own atoms decide it,
+    at ``_enclosure_scale`` of the atoms, where every rational atom reads an
+    exact integer: each pair weighted by its coefficient over the common
+    denominator, its ends swapped for a negative weight, and a sum clear of
+    zero, or exact, is the sign.  A near-tie at 2**64 goes to the exact
+    routes (``_exact_sign``), and then the sums run again at 2**128,
+    2**256, ... up to 2**2048, whose pairs come from intervals of the
+    fixed ``PREC_CAP_BITS`` (4096) bits.  Each pair is memoized on its
+    atom, so it serves every later comparison on that atom.
+    """
+    terms = list(terms)
+    unit = _enclosure_scale([atom for atom, _ in terms], 0)
+    den = lcm(*(k.denominator for _, k in terms))
+    weighted = [(atom, k.numerator * (den // k.denominator)) for atom, k in terms if k]
+    bits = _FILTER_BITS
+    while bits <= PREC_CAP_BITS // 2:
+        lo = hi = 0
+        for atom, k in weighted:
+            a_lo, a_hi = atom._scaled_pair(unit << bits)[::1 if k > 0 else -1]
+            lo += k * a_lo
+            hi += k * a_hi
+        if lo > 0 or hi < 0 or lo == hi:
+            return (lo > 0) - (hi < 0)
+        if bits == _FILTER_BITS and (sign := _exact_sign(terms)) is not None:
+            return sign
+        bits *= 2
+    raise PrecisionError(
+        f"comparison undecided at {PREC_CAP_BITS} bits while testing {what}"
+    )
+
+
+def _exact_sign(terms: Sequence[tuple[ExactReal, Fraction]]) -> Optional[int]:
+    """The sign by an exact route, or None where none applies.
+
+    Equal log arguments and radicands are merged first.  The routes: no
+    irrational part left; all-log with zero rational part and integer
+    coefficients (integer power comparison); a single non-square radicand
+    (square comparison).
     """
     const = Fraction(0)
     logs: dict[int, Fraction] = {}
     sqrts: dict[int, Fraction] = {}
     for atom, coeff in terms:
-        if coeff == 0:
-            continue
         if atom.kind == "rational":
             const += coeff * atom.rational
         elif atom.kind == "log":
-            logs[atom.arg] = logs.get(atom.arg, Fraction(0)) + coeff
+            logs[atom.arg] = logs.get(atom.arg, 0) + coeff
         else:
-            sqrts[atom.arg] = sqrts.get(atom.arg, Fraction(0)) + coeff * atom.scale
+            sqrts[atom.arg] = sqrts.get(atom.arg, 0) + coeff * atom.scale
     logs = {k: c for k, c in logs.items() if c != 0}
     sqrts = {k: c for k, c in sqrts.items() if c != 0}
 
-    def sign(v: Fraction) -> int:
+    def sign(v) -> int:
         return (v > 0) - (v < 0)
 
     if not logs and not sqrts:
         return sign(const)
-    if (
-        logs
-        and not sqrts
-        and const == 0
-        and all(c.denominator == 1 for c in logs.values())
-    ):
+    if not sqrts and const == 0 and all(c.denominator == 1 for c in logs.values()):
         # sign of sum c*ln(k): compare the integer products on each side
         num = den = 1
         for k, c in logs.items():
@@ -285,37 +312,14 @@ def _sign_of_terms(terms: Sequence[tuple[ExactReal, Fraction]], what: str) -> in
                 num *= k ** c.numerator
             else:
                 den *= k ** (-c.numerator)
-        return sign(Fraction(num - den))
-    if sqrts and not logs and len(sqrts) == 1:
+        return sign(num - den)
+    if not logs and len(sqrts) == 1:
         ((k, c),) = sqrts.items()
         # sign of c*sqrt(k) + const; c*sqrt(k) is never a nonzero rational
-        if const == 0:
-            return sign(c)
-        if sign(c) == sign(const):
+        if const == 0 or sign(c) == sign(const):
             return sign(c)
         return sign(c * c * k - const * const) * sign(c)
-
-    atoms = [(ExactReal("log", arg=k), c) for k, c in logs.items()]
-    atoms += [(ExactReal("sqrt", arg=k), c) for k, c in sqrts.items()]
-    bits = 64
-    while bits <= PREC_CAP_BITS:
-        lo = hi = const
-        for atom, coeff in atoms:
-            alo, ahi = atom.interval(bits)
-            if coeff >= 0:
-                lo += coeff * alo
-                hi += coeff * ahi
-            else:
-                lo += coeff * ahi
-                hi += coeff * alo
-        if hi < 0:
-            return -1
-        if lo > 0:
-            return 1
-        bits *= 2
-    raise PrecisionError(
-        f"comparison undecided at {PREC_CAP_BITS} bits while testing {what}"
-    )
+    return None
 
 
 @dataclass(frozen=True)
@@ -333,7 +337,7 @@ class SimplexSpec:
     each atom's pair at that scale, memoized, and for c their integer sums
     weighted by c's coefficients.  Two integer dot products settle every
     point not within the enclosures' width of the boundary, in O(r) work,
-    and only the rest (exact ties, say) refine intervals.  Every spec,
+    and only the rest (exact ties, say) go to ``_sign_of_terms``.  Every spec,
     ``of``'s too, is built this one way.
     """
 
@@ -435,13 +439,13 @@ class SimplexSpec:
         return sure + 1
 
 
-def _enclosure_scale(alphas: Sequence[ExactReal]) -> int:
-    """2**64 times the lcm of the rational alphas' denominators.
+def _enclosure_scale(atoms: Sequence[ExactReal], bits: int = _FILTER_BITS) -> int:
+    """2**bits (2**64 by default) times the lcm of the rational atoms' denominators.
 
-    The scale of every integer enclosure of the alphas: each rational one
-    reads an exact integer of at least 2**64 there, however small.
+    The scale of every integer enclosure of the atoms: each rational one
+    reads an exact integer of at least 2**bits there, however small.
     """
-    return lcm(*(a.rational.denominator for a in alphas if a.is_rational)) << _FILTER_BITS
+    return lcm(*(a.rational.denominator for a in atoms if a.is_rational)) << bits
 
 
 def _require_positive(alphas: Sequence[ExactReal]) -> None:
@@ -708,41 +712,58 @@ class BlackMajoritySearch:
     candidates_tested: int
 
 
-def _rational_ceil(value_terms, mid: Fraction, den: int) -> int:
-    """Smallest integer num with num/den >= the combination value.
+def _simplest(lo: Fraction, hi: Optional[Fraction], lo_closed: bool, hi_closed: bool) -> Fraction:
+    """The fraction of least denominator, then least numerator, from lo to hi.
 
-    ``mid`` is the value's midpoint key, which proposes the first guess.
+    0 <= lo <= hi, and hi None is no upper end.  The Stern-Brocot descent
+    (Graham, Knuth and Patashnik, Concrete Mathematics, 4.5): take the
+    first integer t at or past lo; if it lies before hi, it is the answer.
+    Otherwise lo and hi share their whole part n, and the answer is n + 1/y
+    for the simplest y between 1/(hi - n) and 1/(lo - n), whose ends and
+    their closedness swap.  p0/q0 and p1/q1 are the last two convergents.
     """
-    guess = ceil(mid * den)
-    # settle the guess with exact comparisons in a short walk
-    while _sign_of_terms(
-        list(value_terms) + [(ExactReal.of(Fraction(guess, den)), Fraction(-1))],
-        "ceiling search",
-    ) > 0:
-        guess += 1
-    while guess >= 1 and _sign_of_terms(
-        list(value_terms) + [(ExactReal.of(Fraction(guess - 1, den)), Fraction(-1))],
-        "ceiling search",
-    ) <= 0:
-        guess -= 1
-    return guess
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        n = floor(lo)
+        t = n if n == lo and lo_closed else n + 1
+        if t == n or hi is None or t < hi or t == hi and hi_closed:
+            return Fraction(t * p1 + p0, t * q1 + q0)
+        lo, hi = 1 / (hi - n), None if lo == n else 1 / (lo - n)
+        lo_closed, hi_closed = hi_closed, lo_closed
+        p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
 
 
-def _simplest_rational_at_least(value_terms, strict_upper_terms, mid: Fraction):
-    """Simplest p/q with value <= p/q < next value, by denominator sweep.
+def _simplest_rational_at_least(alpha_atoms, x, following) -> Optional[Fraction]:
+    """The fraction of least denominator in [alpha . x, alpha . following).
 
-    ``mid`` is the value's midpoint key, the one the scan ordered it by.
+    None when that denominator exceeds ``_MAX_THRESHOLD_DEN``.  The alphas'
+    integer pairs at ``_enclosure_scale`` give an inner interval
+    [x . hi, following . lo), inside the window, and an outer one
+    [x . lo, following . hi), which holds it.  Between two fractions of one
+    denominator q >= 2 lies one of a smaller denominator, so each interval
+    has one fraction of least denominator.  The outer's (``_simplest``) is
+    then the window's once it lies in the inner; if its denominator
+    exceeds the cap, so does the window's.  Otherwise the scale is
+    multiplied by 2**64 and the pairs are read again.  This ends: an end
+    whose vector has an irrational coordinate is irrational, and one whose
+    vector has none reads its exact value from the pairs.  Past 2**2048,
+    the pairs of ``PREC_CAP_BITS``-bit intervals, it raises
+    ``PrecisionError``.
     """
-    for den in range(1, _MAX_THRESHOLD_DEN + 1):
-        num = _rational_ceil(value_terms, mid, den)
-        candidate = Fraction(num, den)
-        below_next = _sign_of_terms(
-            list(strict_upper_terms) + [(ExactReal.of(candidate), Fraction(-1))],
-            "simplest rational search",
-        ) > 0
-        if below_next:
-            return candidate
-    return None
+    bits = _FILTER_BITS
+    while bits <= PREC_CAP_BITS // 2:
+        scale = _enclosure_scale(alpha_atoms, bits)
+        lo, hi = zip(*(a._scaled_pair(scale) for a in alpha_atoms))
+        simplest = _simplest(Fraction(sum(map(mul, x, lo)), scale),
+                             Fraction(sum(map(mul, following, hi)), scale), True, False)
+        if simplest.denominator > _MAX_THRESHOLD_DEN:
+            return None
+        if sum(map(mul, x, hi)) <= simplest * scale < sum(map(mul, following, lo)):
+            return simplest
+        bits += _FILTER_BITS
+    raise PrecisionError(
+        f"comparison undecided at {PREC_CAP_BITS} bits while testing the threshold window"
+    )
 
 
 def find_black_majority_c(
@@ -756,8 +777,10 @@ def find_black_majority_c(
     that the walk yields with the next value, and no region is built per
     candidate.  The returned threshold is canonical: the integer bound
     itself when every coefficient is a logarithm of an integer, the attained
-    rational for rational coefficients, and otherwise the simplest rational
-    inside the black-majority window.  ``simplex_color_counts`` recounts the
+    rational for rational coefficients, and otherwise the fraction of least
+    denominator in the black-majority window, which a Stern-Brocot descent
+    finds on the alphas' integer pairs (``_simplest_rational_at_least``)
+    with no ``_sign_of_terms`` call.  ``simplex_color_counts`` recounts the
     region at a canonical threshold as a second route; it shares the scan's
     alpha atoms, so each alpha is enclosed once per scan.
     """
@@ -774,9 +797,6 @@ def find_black_majority_c(
     all_logs = all(a.kind == "log" for a in alpha_atoms)
     all_rational = all(a.is_rational for a in alpha_atoms)
 
-    def as_terms(x):
-        return tuple(zip(alpha_atoms, map(Fraction, x)))
-
     # one value of lookahead: its tally counts the region up to this value,
     # and the window of a black majority ends there
     values = pairwise(islice(_attained_values(alpha_atoms), budget + 1))
@@ -790,11 +810,11 @@ def find_black_majority_c(
             if all_rational:
                 threshold = key
             elif tested < budget:
-                threshold = _simplest_rational_at_least(as_terms(x), as_terms(following), key)
+                threshold = _simplest_rational_at_least(alpha_atoms, x, following)
             else:  # the window's end lies past the budget
                 threshold = None
             bound = None if threshold is None else ExactReal.of(threshold)
-            display = (" + ".join(f"{c}*{a}" for a, c in as_terms(x) if c) or "0"
+            display = (" + ".join(f"{c}*{a}" for a, c in zip(alpha_atoms, x) if c) or "0"
                        if threshold is None else str(threshold))
         if bound is not None:
             # re-verify by direct recount at the canonical threshold, the
@@ -810,36 +830,6 @@ def find_black_majority_c(
     return BlackMajoritySearch(False, None, None, None, None, budget)
 
 
-def _step_sign(alpha_atoms):
-    """The exact sign of alpha . d, as a function of an integer vector d.
-
-    Each alpha's memoized enclosure pair at ``_enclosure_scale``, the one
-    ``SimplexSpec`` reads, bounds the value in integers: rational alphas
-    read exact integers there, so a step along them alone is decided
-    outright, and one that clears the irrational alphas' widths is too.
-    Only a step within those widths of zero (an exact tie, say) goes to
-    ``_sign_of_terms``.
-    """
-    scale = _enclosure_scale(alpha_atoms)
-    lo, hi = zip(*(a._scaled_pair(scale) for a in alpha_atoms))
-    widths = tuple(map(sub, hi, lo))
-
-    def sign(d):
-        middle = sum(map(mul, d, lo))
-        # each coordinate's share of the width widens the bound its sign points to
-        below = middle + sum(w * k for w, k in zip(widths, d) if k < 0)
-        if below > 0:
-            return 1
-        above = middle + sum(w * k for w, k in zip(widths, d) if k > 0)
-        if above < 0:
-            return -1
-        if below == above:  # no width at all: the sum is exact, and zero
-            return 0
-        return _sign_of_terms(list(zip(alpha_atoms, map(Fraction, d))), "threshold order")
-
-    return sign
-
-
 def _attained_values(alpha_atoms):
     """The distinct values alpha . x, ascending, as (key, x, tally), lazily.
 
@@ -849,9 +839,10 @@ def _attained_values(alpha_atoms):
     midpoint of alpha_i (``ExactReal.sort_key``), walked as an integer
     multiple of 1/L, L the lcm of the midpoints' denominators, and yielded
     as a Fraction.  For rational alphas that key is the value itself.  For
-    the rest it only orders the walk, and each step is decided exactly
-    (``_step_sign``): alpha . (x - previous x) > 0 starts a new value, 0
-    merges x into the current one (3*ln 2 and ln 8, say), and < 0 raises
+    the rest it only orders the walk, and each step is decided exactly by
+    ``_sign_of_terms``, on the alphas' integer pairs at the ``SimplexSpec``
+    scale first: alpha . (x - previous x) > 0 starts a new value, 0 merges
+    x into the current one (3*ln 2 and ln 8, say), and < 0 raises
     ``PrecisionError``.  Each value comes with the first x popped for it
     and the (white, black) tally of every vector popped before it, which
     counts the region up to the previous value.  Only steps between popped
@@ -866,15 +857,14 @@ def _attained_values(alpha_atoms):
         steps = tuple(k.numerator * (scale // k.denominator) for k in keys)
         walk = _ascending_walk(0, steps, add)
     # logarithms' and rationals' keys are the values themselves
-    step_sign = (None if scale is None or all(a.is_rational for a in alpha_atoms)
-                 else _step_sign(alpha_atoms))
+    mixed = scale is not None and not all(a.is_rational for a in alpha_atoms)
     tally = [0, 0]  # white (even coordinate sum), black
     last_key = last_x = None
     for key, x in walk:
-        if step_sign is None or last_x is None:
+        if not mixed or last_x is None:
             new = key != last_key  # keys come in order, so equal keys are adjacent
         else:
-            sign = step_sign(tuple(map(sub, x, last_x)))
+            sign = _sign_of_terms(zip(alpha_atoms, map(sub, x, last_x)), "threshold order")
             if sign < 0:
                 raise PrecisionError(
                     f"threshold order: the walk's midpoint keys put {x} after {last_x}, "

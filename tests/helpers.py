@@ -9,16 +9,15 @@ import heapq
 from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import ceil
 
-from quotientfree import BudgetError, DensityBracket
+from quotientfree import BudgetError, DensityBracket, PrecisionError
 from quotientfree.geometry import (
     BlackMajoritySearch,
     ColorCount,
     ExactReal,
     SimplexSpec,
     _as_exact,
-    _sign_of_terms,
-    _simplest_rational_at_least,
 )
 
 
@@ -483,6 +482,96 @@ def double_loop_slope_profile(a1, a2, c_max):
     return rows
 
 
+def interval_sign(terms, what):
+    """Sign of a rational combination of exact-real atoms, by Fraction intervals.
+
+    Equal log arguments and radicands are merged first.  Exact routes:
+    all-rational; all-log with zero rational part and integer coefficients
+    (integer power comparison); a single radicand (square comparison).
+    Anything else sums fresh ``ExactReal.interval`` enclosures of each log
+    and sqrt, weighted in Fractions, at 64, 128, ... up to 4096 bits.
+    """
+    const = Fraction(0)
+    logs, sqrts = {}, {}
+    for atom, coeff in terms:
+        if coeff == 0:
+            continue
+        if atom.kind == "rational":
+            const += coeff * atom.rational
+        elif atom.kind == "log":
+            logs[atom.arg] = logs.get(atom.arg, Fraction(0)) + coeff
+        else:
+            sqrts[atom.arg] = sqrts.get(atom.arg, Fraction(0)) + coeff * atom.scale
+    logs = {k: c for k, c in logs.items() if c != 0}
+    sqrts = {k: c for k, c in sqrts.items() if c != 0}
+
+    def sign(v):
+        return (v > 0) - (v < 0)
+
+    if not logs and not sqrts:
+        return sign(const)
+    if logs and not sqrts and const == 0 and all(c.denominator == 1 for c in logs.values()):
+        num = den = 1
+        for k, c in logs.items():
+            if c > 0:
+                num *= k ** c.numerator
+            else:
+                den *= k ** (-c.numerator)
+        return sign(num - den)
+    if sqrts and not logs and len(sqrts) == 1:
+        ((k, c),) = sqrts.items()
+        if const == 0 or sign(c) == sign(const):
+            return sign(c)
+        return sign(c * c * k - const * const) * sign(c)
+    atoms = [(ExactReal("log", arg=k), c) for k, c in logs.items()]
+    atoms += [(ExactReal("sqrt", arg=k), c) for k, c in sqrts.items()]
+    bits = 64
+    while bits <= 4096:
+        lo = hi = const
+        for atom, coeff in atoms:
+            a_lo, a_hi = atom.interval(bits)
+            lo += coeff * (a_lo if coeff >= 0 else a_hi)
+            hi += coeff * (a_hi if coeff >= 0 else a_lo)
+        if hi < 0:
+            return -1
+        if lo > 0:
+            return 1
+        bits *= 2
+    raise PrecisionError(f"comparison undecided at 4096 bits while testing {what}")
+
+
+def swept_simplest(lo, hi, max_den):
+    """The fraction of least denominator in [lo, hi), by a sweep of the denominators.
+
+    For each denominator q up to max_den, the least numerator p with p/q >= lo
+    is tried against hi.  The arguments are Fractions; None past max_den.
+    """
+    for q in range(1, max_den + 1):
+        candidate = Fraction(ceil(lo * q), q)
+        if candidate < hi:
+            return candidate
+    return None
+
+
+def swept_threshold(terms, following_terms, mid):
+    """The fraction of least denominator in [value, following value), or None
+    past denominator 512.  For each denominator, the least numerator at or
+    above the value is settled by ``interval_sign`` in a walk from the
+    value's midpoint ``mid``, and tried against the following value."""
+    def above(terms, candidate):
+        return interval_sign(list(terms) + [(ExactReal.of(candidate), Fraction(-1))], "sweep") > 0
+
+    for den in range(1, 513):
+        num = ceil(mid * den)
+        while above(terms, Fraction(num, den)):
+            num += 1
+        while num >= 1 and not above(terms, Fraction(num - 1, den)):
+            num -= 1
+        if above(following_terms, Fraction(num, den)):
+            return Fraction(num, den)
+    return None
+
+
 def eager_black_majority(alphas, budget=64):
     """The black-majority scan with every candidate computed before any test.
 
@@ -490,9 +579,9 @@ def eager_black_majority(alphas, budget=64):
     products for logarithms, midpoints otherwise), so no walk is shared
     with the library, and each count tallies the points of walked_points.
     Adjacent midpoints whose values are exactly equal, decided by
-    ``_sign_of_terms`` on their difference, are one candidate.  Otherwise
-    the scan follows find_black_majority_c, threshold canonicalization
-    included.
+    ``interval_sign`` on their difference, are one candidate.  Otherwise
+    the scan follows find_black_majority_c, and a mixed threshold is the
+    denominator sweep of ``swept_threshold``.
     """
     atoms = tuple(_as_exact(a) for a in alphas)
     if all(a.kind == "log" for a in atoms):
@@ -517,7 +606,7 @@ def eager_black_majority(alphas, budget=64):
         terms = tuple(zip(atoms, map(Fraction, x)))
         # a new midpoint whose value equals the last candidate's exactly
         # (3*ln 2 and ln 8, say) is that candidate
-        if key not in taken and not (candidates and _sign_of_terms(
+        if key not in taken and not (candidates and interval_sign(
                 terms + tuple((a, -c) for a, c in candidates[-1][1]), "tie") == 0):
             candidates.append((key, terms))
         taken.add(key)
@@ -537,7 +626,7 @@ def eager_black_majority(alphas, budget=64):
         else:
             threshold = None
             if idx + 1 < len(candidates):
-                threshold = _simplest_rational_at_least(terms, candidates[idx + 1][1], key)
+                threshold = swept_threshold(terms, candidates[idx + 1][1], key)
             display = (" + ".join(f"{c}*{a}" for a, c in terms if c) or "0"
                        if threshold is None else str(threshold))
         return BlackMajoritySearch(True, threshold, display, None, counts, idx + 1)

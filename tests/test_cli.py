@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import random
@@ -1099,6 +1101,19 @@ class TestMaskList:
             assert out.splitlines()[1] == f"count = {count}"
 
 
+# the atom grammar around its edges: zeros, negatives, unbalanced and
+# malformed forms, padding, and square parts
+_FUZZ_VALID = ["1", "2", "3/2", "1/9", "7", " 5/4 ", "ln2", "ln(3)", "ln8", "sqrt2",
+               "sqrt(8)", "sqrt9"]
+_FUZZ_ATOMS = _FUZZ_VALID + ["0", "-1", "-3/2", "ln1", "ln(2", "sqrt0", "sqrt3)", "1/0", "x", ""]
+# drawn lists come unsorted; a second branch sorts valid ones, so scans run too
+_FUZZ_ALPHAS = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_ATOMS), min_size=1, max_size=4),
+    st.lists(st.sampled_from(_FUZZ_VALID), min_size=1, max_size=4).map(lambda texts: sorted(
+        texts, key=lambda text: quotientfree.ExactReal.parse(text).sort_key())),
+).map(",".join)
+_FUZZ_BOUNDS = ["0", "-1", "3", "5/2", "6", "ln10", "sqrt7", "ln(2", "1/0", "q"]
+
 MALFORMED = [
     (("definitely-not-a-subcommand",), 1),
     (("rho",), 1),  # missing required --a
@@ -1190,6 +1205,26 @@ class TestExitCodes:
         if code >= 2:  # past argparse: one stderr line and nothing else
             assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
             assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.tuples(st.just("black-majority"), _FUZZ_ALPHAS, st.just("--budget"),
+                  st.integers(-1, 40).map(str)),
+        st.tuples(st.just("simplex"), _FUZZ_ALPHAS, st.just("--c"),
+                  st.sampled_from(_FUZZ_BOUNDS), st.just("--counts-only")),
+    ), st.booleans())
+    def test_contract_on_fuzzed_argv(self, argv, as_json):
+        # each example gets its own buffers: a function-scoped capsys would be
+        # shared by all of them
+        command, alphas, *rest = argv
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, f"--alphas={alphas}", *rest, *(["--json"] if as_json else [])])
+        out, err = out.getvalue(), err.getvalue()
+        assert 0 <= code <= 4, err
+        assert "Traceback" not in err
+        if code >= 2:
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
 
     def test_domain_error_message_mentions_coprimality(self, capsys):
         code, _, err = run(capsys, "rho", "--a", "2,4")

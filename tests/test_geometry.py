@@ -29,6 +29,9 @@ from helpers import (
     context_interval,
     double_loop_slope_profile,
     eager_black_majority,
+    interval_sign,
+    swept_simplest,
+    swept_threshold,
     tallied_color_counts,
     walked_points,
 )
@@ -789,6 +792,115 @@ class TestFindBlackMajority:
         # threshold forever
         with pytest.raises(DomainError, match="all coefficients must be positive"):
             find_black_majority_c(alphas)
+
+
+def _outcome(sign_of_terms, terms):
+    """The sign, or "undecided" where the comparison raises ``PrecisionError``."""
+    try:
+        return sign_of_terms(terms, "test")
+    except PrecisionError:
+        return "undecided"
+
+
+def _count_intervals(monkeypatch) -> list:
+    """The working precisions of the ``ExactReal.interval`` calls, as they come."""
+    calls = []
+    interval = ExactReal.interval
+
+    def counted(atom, prec_bits):
+        calls.append(prec_bits)
+        return interval(atom, prec_bits)
+
+    monkeypatch.setattr(ExactReal, "interval", counted)
+    return calls
+
+
+class TestSignOfTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.one_of(_RATIONAL_ATOMS, _LOG_ATOMS, _SQRT_ATOMS),
+                              st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))),
+                    min_size=1, max_size=5))
+    # exact ties: equal log products, a radicand's square part, and a
+    # rational that no power of two scales to an integer
+    @example([("ln2", Fraction(3)), ("ln8", Fraction(-1))])
+    @example([("sqrt2", Fraction(2)), ("sqrt8", Fraction(-1))])
+    @example([("1/3", Fraction(3)), ("1/1", Fraction(-1))])
+    @example([("ln2", Fraction(2)), ("sqrt8", Fraction(1)), ("ln4", Fraction(-1)),
+              ("sqrt2", Fraction(-2))])
+    def test_agrees_with_the_interval_oracle(self, texts):
+        terms = [(ExactReal.parse(text), k) for text, k in texts]
+        assert _outcome(geometry._sign_of_terms, terms) == _outcome(interval_sign, terms)
+
+    def test_a_second_call_computes_no_interval(self, monkeypatch):
+        # ln 3 + sqrt 2 against a rational within 10**-33 of it: undecided at
+        # 2**64, decided at 2**128, and every pair is memoized on its atom
+        calls = _count_intervals(monkeypatch)
+        ln3, root2 = ExactReal.log(3), ExactReal.sqrt(2)
+        lo, hi = ExactReal.log(3).interval(400)
+        r_lo, r_hi = ExactReal.sqrt(2).interval(400)
+        near = ExactReal.of(Fraction(round((lo + r_lo) * 10**33), 10**33))
+        terms = [(ln3, Fraction(1)), (root2, Fraction(1)), (near, Fraction(-1))]
+        calls.clear()
+        sign = geometry._sign_of_terms(terms, "test")
+        assert sign == interval_sign(terms, "test") != 0
+        assert max(calls) >= 2 * 128
+        made = len(calls)
+        assert geometry._sign_of_terms(terms, "test") == sign
+        assert len(calls) == made
+
+    def test_the_cap_raises(self):
+        # 10007 is past the trial divisors, so this exact tie keeps two radicands
+        terms = [(ExactReal.sqrt(200280098), Fraction(1)), (ExactReal.sqrt(2), Fraction(-10007))]
+        with pytest.raises(PrecisionError,
+                           match="^comparison undecided at 4096 bits while testing tie$"):
+            geometry._sign_of_terms(terms, "tie")
+
+
+class TestThresholdWindows:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(lo=st.one_of(st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**4)),
+                        st.integers(0, 50).map(Fraction)),
+           width=st.one_of(st.builds(Fraction, st.integers(1, 50), st.integers(1, 4000)),
+                           st.integers(1, 3).map(Fraction)))
+    @example(lo=Fraction(0), width=Fraction(1, 3))
+    @example(lo=Fraction(3), width=Fraction(1))  # integer ends
+    @example(lo=Fraction(5, 2), width=Fraction(1, 2))  # an integer upper end
+    @example(lo=Fraction(1, 3), width=Fraction(1, 1000))  # narrower than 1/512
+    def test_simplest_matches_the_denominator_sweep(self, lo, width):
+        # a half-open window of width at least 1/4000 holds a fraction of
+        # denominator at most 4000, so the sweep always finds one
+        hi = lo + width
+        assert geometry._simplest(lo, hi, True, False) == swept_simplest(lo, hi, 4000)
+
+    def test_a_lower_end_that_reads_an_integer_is_refined(self):
+        # 2**64 * sqrt(2**126 + 1) lies just below 2**127 + 1: the outer
+        # window starts at 2**63 exactly, and 2**128 tells it apart
+        one, root = ExactReal.of(1), ExactReal.sqrt(2**126 + 1)
+        assert geometry._simplest_rational_at_least((one, root), (0, 1), (1, 1)) == 2**63 + 1
+        assert root._scaled_pair(1 << 64)[0] == 2**127
+        assert set(root._scaled_pairs) == {1 << 64, 1 << 128}
+
+    @pytest.mark.parametrize("tiny, expected", [(100003, Fraction(577, 408)), (1000003, None)])
+    def test_windows_above_sqrt2(self, tiny, expected):
+        # [sqrt 2, sqrt 2 + 1/tiny): 577/408 lies 2.1 * 10**-6 above sqrt 2, and
+        # the next fraction that close has denominator 2378
+        alphas = (ExactReal.of(Fraction(1, tiny)), ExactReal.sqrt(2))
+        assert geometry._simplest_rational_at_least(alphas, (0, 1), (1, 1)) == expected
+        assert swept_threshold(tuple(zip(alphas, map(Fraction, (0, 1)))),
+                               tuple(zip(alphas, map(Fraction, (1, 1)))),
+                               alphas[1].sort_key()) == expected
+
+    @pytest.mark.parametrize("alphas", [("1", "sqrt2"), ("sqrt2", "sqrt3"),
+                                        ("ln2", "sqrt2", "ln8"), ("1/2", "ln3", "sqrt5")])
+    def test_a_found_mixed_scan_compares_only_the_order(self, alphas, monkeypatch):
+        # the threshold comes from the alphas' pairs, with no comparison of its own
+        calls = set()
+        sign_of_terms = geometry._sign_of_terms
+        monkeypatch.setattr(geometry, "_sign_of_terms",
+                            lambda terms, what: calls.add(what) or sign_of_terms(terms, what))
+        result = find_black_majority_c(alphas, 64)
+        assert result.found and result.threshold is not None
+        assert calls == {"coefficient ordering", "threshold order"}
 
 
 class TestRationalSlopeProfile:
