@@ -1,9 +1,9 @@
 """Exact integer and rational foundations.
 
 Pairwise-coprime bases for sets of forbidden quotients, smooth-number
-enumeration, and counting of integers coprime to a basis.  Every membership
-and ordering decision here is made in exact integer arithmetic; floating
-point never decides anything.
+enumeration, counting of integers coprime to a basis, and integer
+enclosures of logarithms.  Every membership and ordering decision here is
+made in exact integer arithmetic; floating point never decides anything.
 """
 
 from __future__ import annotations
@@ -391,3 +391,64 @@ def phi(basis) -> Fraction:
     """
     return sum(Fraction(sign, d) for sign, d in _signed_subset_lcms(_basis_ints(basis)))
 
+
+# bits a logarithm is summed to past those of the scale and of e: the error
+# count takes under 16 of them up to the scale 2**4096, and the rest make a
+# floor in doubt, and so a retry, rare
+_LN_GUARD_BITS = 40
+
+
+def _atanh_sum(p: int, q: int, bits: int) -> tuple[int, int]:
+    """(S, E) with |S - 2**bits * atanh(p/q)| <= E, for integers 0 <= p/q <= 1/3.
+
+    S sums floor(T_j / (2j + 1)) over the fixed-point powers T_0 =
+    floor(2**bits * p/q), T_(j+1) = floor(T_j * p**2/q**2), until T_j is 0.
+    Each floor loses less than 1, and the factor y**2 <= 1/9, y = p/q,
+    damps what the powers lost before, so T_j lies within 1/(1 - y**2)
+    <= 9/8 of 2**bits * y**(2j+1), and each term within 9/8 + 1 < 3 of its
+    own.  Once T_J is 0, the terms left sum to less than (9/8)**2 < 2.  So
+    E = 3 * (the number of terms summed) + 2.
+    """
+    power = (p << bits) // q
+    p2, q2 = p * p, q * q
+    total = terms = 0
+    while power:
+        total += power // (2 * terms + 1)
+        power = power * p2 // q2
+        terms += 1
+    return total, 3 * terms + 2
+
+
+@lru_cache(maxsize=64)
+def _half_ln2(bits: int) -> tuple[int, int]:
+    """``_atanh_sum`` of 1/3, half of ln 2, memoized by bits."""
+    return _atanh_sum(1, 3, bits)
+
+
+def _ln_pair(k: int, scale: int) -> tuple[int, int]:
+    """Floor and ceiling of scale * ln(k), for integers k >= 1 and scale >= 1.
+
+    With k = 2**e * m, m in (2/3, 4/3], ln k = e * ln 2 + 2 * atanh(y) with
+    y = (k - 2**e)/(k + 2**e), |y| <= 1/5, and ln 2 = 2 * atanh(1/3)
+    (Brent and Zimmermann, Modern Computer Arithmetic, ch. 4).  Both
+    series are summed in fixed point (``_atanh_sum``), so L lies within E
+    units of 2**B * ln k.  When scale * (L - E) and scale * (L + E) share
+    their floor at 2**-B, that is the floor of scale * ln k, and the
+    ceiling is one more, since ln k is irrational for k >= 2; otherwise B
+    grows by 64 bits and the sums run again.
+    """
+    if k == 1:
+        return 0, 0
+    # 2**(e + 1) < 3k < 2**(e + 2), so m = k / 2**e lies in (2/3, 4/3)
+    e = (3 * k).bit_length() - 2
+    p, q = k - (1 << e), k + (1 << e)
+    bits = scale.bit_length() + e.bit_length() + _LN_GUARD_BITS
+    while True:
+        half_ln2, ln2_error = _half_ln2(bits)
+        atanh, atanh_error = _atanh_sum(abs(p), q, bits)
+        value = 2 * (e * half_ln2 + (atanh if p >= 0 else -atanh))
+        error = 2 * (e * ln2_error + atanh_error)
+        low = scale * (value - error) >> bits
+        if low == scale * (value + error) >> bits:
+            return low, low + 1
+        bits += 64

@@ -13,20 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, compress, groupby, islice, takewhile
+from math import log2
 from operator import itemgetter
 from typing import Optional, Sequence
-
-from mpmath.libmp import (
-    dps_to_prec,
-    from_int,
-    mpf_euler,
-    mpf_log,
-    mpf_neg,
-    round_ceiling,
-    round_floor,
-    round_nearest,
-    to_fixed,
-)
 
 from .arith import (
     CoprimeBasis,
@@ -39,17 +28,23 @@ from .arith import (
     enumerate_smooth,
     exact_sum,
     phi,
+    _ln_pair,
     _pair_prefix,
     _require_coprime,
     _require_work_bound,
     _signed_subset_lcms,
 )
 from .errors import BudgetError, DomainError, SelfCheckError
-from .geometry import _libmp_to_fraction
 from .lattice import DEFAULT_SEARCH_CAP, gamma_bracket
 
 DEFAULT_SERIES_BUDGET = 10**6
 LN_PRECISION_DIGITS = 60
+# the significant bits of LN_PRECISION_DIGITS decimal digits, as mpmath counts them
+# (dps_to_prec): 203
+_LN_PRECISION_BITS = round((LN_PRECISION_DIGITS + 1) * log2(10))
+# floor(2^256 gamma), Euler's constant to 256 bits
+_EULER_GAMMA_BITS = 256
+_EULER_GAMMA = 0x93C467E37DB0C7A4D1BE3F810152CB56A1CECC3AF65CC0190C03DF34709AFFBD
 # K: log density brackets scale each reciprocal by 2^K and round to integers
 FIXED_POINT_BITS = 96
 # Z0: harmonic numbers H(z) come from a table up to it, by Euler-Maclaurin
@@ -462,13 +457,14 @@ def _harmonic_table() -> tuple[int, ...]:
     return tuple(accumulate((one // n for n in range(1, HARMONIC_TABLE_MAX + 1)), initial=0))
 
 
-@cache
 def _euler_gamma_bounds(bits: int) -> tuple[int, int]:
-    """Floor and ceiling of 2^bits times Euler's constant gamma < 1."""
-    return (
-        to_fixed(mpf_euler(bits, round_floor), bits),
-        -to_fixed(mpf_neg(mpf_euler(bits, round_ceiling)), bits),
-    )
+    """Floor and ceiling of 2^bits times Euler's constant gamma, for bits <= 256.
+
+    Both are read off the pinned floor(2^256 gamma): its top bits are the
+    floor, and gamma < (that floor + 1) / 2^256 puts the ceiling one above.
+    """
+    low = _EULER_GAMMA >> (_EULER_GAMMA_BITS - bits)
+    return low, low + 1
 
 
 def _harmonic_bounds(z: int) -> tuple[int, int]:
@@ -491,15 +487,12 @@ def _euler_maclaurin_bounds(z: int, bits: int) -> tuple[int, int]:
 
     H(z) = ln z + gamma + 1/(2z) - 1/(12z^2) + 1/(120z^4) - 1/(252z^6) + r
     with 0 < r < 1/(240z^8), the first term left out (the series encloses
-    H(z) between consecutive partial sums).  ln z and gamma are rounded
-    down and up by ``mpmath.libmp`` and the rational terms floored and
-    ceiled, all at 2^-bits, so hi - lo is a few units.
+    H(z) between consecutive partial sums).  ln z (``arith._ln_pair``) and
+    gamma (``_euler_gamma_bounds``) are rounded down and up and the
+    rational terms floored and ceiled, all at 2^-bits, so hi - lo is a few
+    units.
     """
-    # ln z < 2^e, e the bit length of z's bit length, so its ulp is at most 2^-bits
-    prec = bits + z.bit_length().bit_length()
-    x = from_int(z)
-    ln_low = to_fixed(mpf_log(x, prec, round_floor), bits)
-    ln_high = -to_fixed(mpf_neg(mpf_log(x, prec, round_ceiling)), bits)
+    ln_low, ln_high = _ln_pair(z, 1 << bits)
     gamma_low, gamma_high = _euler_gamma_bounds(bits)
     z2 = z * z
     # 1/(2z) - 1/(12z^2) + 1/(120z^4) - 1/(252z^6) = num / (2520 z^6)
@@ -511,10 +504,14 @@ def _euler_maclaurin_bounds(z: int, bits: int) -> tuple[int, int]:
 
 
 def _ln_fraction(x: int) -> Fraction:
-    """ln(x) as an exact dyadic rational of ~LN_PRECISION_DIGITS digits, rounded to nearest."""
-    return _libmp_to_fraction(
-        mpf_log(from_int(x), dps_to_prec(LN_PRECISION_DIGITS), round_nearest)
-    )
+    """ln(x), x >= 2, rounded to nearest at ``_LN_PRECISION_BITS`` significant bits.
+
+    With 2^t <= ln x < 2^(t+1), read off floor(2 ln x), the result is
+    round(2^s ln x) / 2^s for s = bits - 1 - t, and round(v) is
+    (floor(2v) + 1) // 2, one exact floor of ``arith._ln_pair``.
+    """
+    shift = _LN_PRECISION_BITS + 1 - _ln_pair(x, 2)[0].bit_length()
+    return Fraction((_ln_pair(x, 2 << shift)[0] + 1) >> 1, 1 << shift)
 
 
 def construct_dense_set(

@@ -30,18 +30,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, pairwise, repeat, takewhile
-from math import ceil, floor, isqrt, lcm, prod
+from math import ceil, floor, gcd, isqrt, lcm, prod
 from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from mpmath.libmp import from_int, mpi_log, mpi_sqrt, round_ceiling, round_floor
-
-from .arith import _ascending_walk, _require_work_bound, as_fraction
+from .arith import _ascending_walk, _ln_pair, _require_work_bound, as_fraction
 from .errors import DomainError, PrecisionError, SelfCheckError
 
 Point = tuple[int, ...]
 
-# certified intervals are refined up to this many bits before giving up
+# comparisons refine the atoms' integer pairs up to the scale 2**(PREC_CAP_BITS // 2),
+# then give up
 PREC_CAP_BITS = 4096
 DEFAULT_SCAN_BUDGET = 64
 _SORT_KEY_BITS = 200
@@ -51,6 +50,8 @@ _MAX_THRESHOLD_DEN = 512
 _FILTER_BITS = 64
 # largest trial divisor when square factors are pulled out of a radicand
 _SQRT_TRIAL_LIMIT = 10_000
+# most keys in the sorted parity table of a log count past three dimensions
+_LOG_TABLE_MAX_KEYS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,16 +118,6 @@ class ColorCount:
         return max(self.white, self.black)
 
 
-def _libmp_to_fraction(raw) -> Fraction:
-    """Exact Fraction from a raw libmp mpf tuple (sign, man, exp, bc)."""
-    sign, man, exp, _ = raw
-    if man == 0:
-        return Fraction(0)
-    # the mantissa may be a gmpy2 integer when mpmath runs on that backend
-    value = Fraction(int(man), 1) * (Fraction(2) ** int(exp))
-    return -value if sign else value
-
-
 @dataclass(frozen=True)
 class ExactReal:
     """A nonnegative real coefficient: rational, scale*sqrt(k), or ln(k).
@@ -136,12 +127,12 @@ class ExactReal:
     a perfect square.  So sqrt atoms with equal values compare equal
     structurally, unless a radicand has a square factor whose root exceeds
     10**4 and is not all of what is left; an exact tie between two such
-    atoms is then undecided (a ``PrecisionError`` once certified intervals
-    reach the fixed 4096-bit ``PREC_CAP_BITS``), never a hang.
+    atoms is then undecided (a ``PrecisionError`` once the integer pairs
+    reach the scale 2**2048 that ``PREC_CAP_BITS`` sets), never a hang.
 
-    An atom memoizes its ``SimplexSpec`` enclosures, the floor and ceiling
-    of a scale times its value, once per scale; equality, hashing and repr
-    read only the fields.
+    An atom memoizes its enclosures, the floor and ceiling of a scale
+    times its value (``_scaled_pair``), once per scale, computed with
+    integers alone; equality, hashing and repr read only the fields.
     """
 
     kind: str  # "rational" | "log" | "sqrt"
@@ -205,14 +196,15 @@ class ExactReal:
         return self.kind == "rational"
 
     def interval(self, prec_bits: int) -> tuple[Fraction, Fraction]:
-        """Certified enclosure of the value at the given working precision."""
+        """Certified enclosure of the value, 2**-prec_bits wide at most.
+
+        The value itself for a rational atom, and otherwise the
+        ``_scaled_pair`` at 2**prec_bits read as Fractions.
+        """
         if self.kind == "rational":
             return self.rational, self.rational
-        arg = (from_int(self.arg, prec_bits, round_floor),
-               from_int(self.arg, prec_bits, round_ceiling))
-        raw_lo, raw_hi = (mpi_log if self.kind == "log" else mpi_sqrt)(arg, prec_bits)
-        lo, hi = _libmp_to_fraction(raw_lo), _libmp_to_fraction(raw_hi)
-        return self.scale * lo, self.scale * hi
+        lo, hi = self._scaled_pair(1 << prec_bits)
+        return Fraction(lo, 1 << prec_bits), Fraction(hi, 1 << prec_bits)
 
     @cached_property
     def _scaled_pairs(self) -> dict[int, tuple[int, int]]:
@@ -220,16 +212,27 @@ class ExactReal:
         return {}
 
     def _scaled_pair(self, scale: int) -> tuple[int, int]:
-        """Floor and ceiling of scale times the atom, memoized by scale.
-
-        Both come from one enclosure far finer than 1 / scale.
-        """
+        """Floor and ceiling of scale times the atom, memoized by scale (``_enclose``)."""
         pairs = self._scaled_pairs
         if scale not in pairs:
-            radicand_bits = 0 if self.is_rational else self.arg.bit_length()
-            lo, hi = self.interval(2 * (scale.bit_length() - 1) + radicand_bits)
-            pairs[scale] = floor(lo * scale), ceil(hi * scale)
+            pairs[scale] = self._enclose(scale)
         return pairs[scale]
+
+    def _enclose(self, scale: int) -> tuple[int, int]:
+        """Floor and ceiling of scale times the atom, in integers alone.
+
+        A rational divides once; scale * s * sqrt(k) has the floor
+        isqrt(k * (scale * s)**2); a logarithm sums two atanh series in
+        fixed point (``arith._ln_pair``).
+        """
+        if self.kind == "rational":
+            scaled = self.rational * scale
+            return floor(scaled), ceil(scaled)
+        if self.kind == "sqrt":
+            square = self.arg * (scale * self.scale) ** 2
+            root = isqrt(square)
+            return root, root + (root * root != square)
+        return _ln_pair(self.arg, scale)
 
     def sort_key(self) -> Fraction:
         lo, hi = self.interval(_SORT_KEY_BITS)
@@ -253,9 +256,9 @@ def _sign_of_terms(terms: Iterable[tuple[ExactReal, Fraction]], what: str) -> in
     denominator, its ends swapped for a negative weight, and a sum clear of
     zero, or exact, is the sign.  A near-tie at 2**64 goes to the exact
     routes (``_exact_sign``), and then the sums run again at 2**128,
-    2**256, ... up to 2**2048, whose pairs come from intervals of the
-    fixed ``PREC_CAP_BITS`` (4096) bits.  Each pair is memoized on its
-    atom, so it serves every later comparison on that atom.
+    2**256, ... up to 2**2048, half of the fixed ``PREC_CAP_BITS`` (4096)
+    in bits.  Each pair is memoized on its atom, so it serves every later
+    comparison on that atom.
     """
     terms = list(terms)
     unit = _enclosure_scale([atom for atom, _ in terms], 0)
@@ -282,9 +285,9 @@ def _exact_sign(terms: Sequence[tuple[ExactReal, Fraction]]) -> Optional[int]:
     """The sign by an exact route, or None where none applies.
 
     Equal log arguments and radicands are merged first.  The routes: no
-    irrational part left; all-log with zero rational part and integer
-    coefficients (integer power comparison); a single non-square radicand
-    (square comparison).
+    irrational part left; all-log with zero rational part (integer power
+    comparison, the coefficients scaled to coprime integers); a single
+    non-square radicand (square comparison).
     """
     const = Fraction(0)
     logs: dict[int, Fraction] = {}
@@ -304,14 +307,18 @@ def _exact_sign(terms: Sequence[tuple[ExactReal, Fraction]]) -> Optional[int]:
 
     if not logs and not sqrts:
         return sign(const)
-    if not sqrts and const == 0 and all(c.denominator == 1 for c in logs.values()):
-        # sign of sum c*ln(k): compare the integer products on each side
+    if not sqrts and const == 0:
+        # sign of sum c*ln(k), the coefficients made coprime integers by one
+        # positive factor: compare the integer products on each side
+        scale = lcm(*(c.denominator for c in logs.values()))
+        powers = [c.numerator * (scale // c.denominator) for c in logs.values()]
+        common = gcd(*powers)
         num = den = 1
-        for k, c in logs.items():
-            if c > 0:
-                num *= k ** c.numerator
+        for k, power in zip(logs, powers):
+            if power > 0:
+                num *= k ** (power // common)
             else:
-                den *= k ** (-c.numerator)
+                den *= k ** (-power // common)
         return sign(num - den)
     if not logs and len(sqrts) == 1:
         ((k, c),) = sqrts.items()
@@ -574,12 +581,13 @@ def _slab_counter(spec: SimplexSpec):
     then one ``bisect_right`` at 2*room + 1, and its odd points one
     lookup, O(log S) for S keys.  With fewer there are too few slabs to
     pay for a table of S keys (one in 2-D, and at r = 3 the table was no
-    faster than the rows), so every row end is found by ``bisect_right``
-    on a power table of the last base.  The ``signs`` route runs the floor
-    sums on its two integer enclosures of the slab: sure <= end <= top
-    holds row by row, so equal totals certify every row end, and only a
-    slab where they differ (an exact tie, say) is walked row by row with
-    ``_row_length``.
+    faster than the rows), and past ``_LOG_TABLE_MAX_KEYS`` keys, counted
+    before any is made, the table would hold too much memory; then every
+    row end is found by ``bisect_right`` on a power table of the last
+    base.  The ``signs`` route runs the floor sums on its two integer
+    enclosures of the slab: sure <= end <= top holds row by row, so equal
+    totals certify every row end, and only a slab where they differ (an
+    exact tie, say) is walked row by row with ``_row_length``.
     """
     route, coeffs, bound = spec._route
     if route == "dot":
@@ -593,7 +601,9 @@ def _slab_counter(spec: SimplexSpec):
     if route == "log":
         *rest, y_base, z_base = coeffs
         y_powers, z_powers = _powers(y_base, bound), _powers(z_base, bound)
-        if len(rest) >= 2:
+        if len(rest) >= 2 and sum(
+                map(bisect_right, repeat(z_powers), map(bound.__floordiv__, y_powers))
+        ) <= _LOG_TABLE_MAX_KEYS:
             # one table for every slab: the keys 2*y**i*z**j + (i + j) % 2 of
             # the whole bound, sorted, and how many of the first k are odd
             keys = sorted(2 * y * z + (i + j) % 2
@@ -747,8 +757,7 @@ def _simplest_rational_at_least(alpha_atoms, x, following) -> Optional[Fraction]
     multiplied by 2**64 and the pairs are read again.  This ends: an end
     whose vector has an irrational coordinate is irrational, and one whose
     vector has none reads its exact value from the pairs.  Past 2**2048,
-    the pairs of ``PREC_CAP_BITS``-bit intervals, it raises
-    ``PrecisionError``.
+    half of ``PREC_CAP_BITS`` in bits, it raises ``PrecisionError``.
     """
     bits = _FILTER_BITS
     while bits <= PREC_CAP_BITS // 2:

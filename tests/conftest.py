@@ -1,10 +1,10 @@
 """A guard on process-global state: every test leaves it as it found it.
 
-The library sets no global: it reads mpmath through libmp at explicit
-precisions, and decimal through local contexts.  A test that changes one
-of these settings and does not restore it would leak into every test
-after it, so each test is followed by a comparison with the snapshot
-taken before it.
+The library sets no global: it does not import mpmath, and it reads
+decimal through local contexts.  The tests use mpmath as their oracle,
+and a test that changes one of these settings and does not restore it
+would leak into every test after it, so each test is followed by a
+comparison with the snapshot taken before it.
 """
 
 import decimal

@@ -488,8 +488,8 @@ def interval_sign(terms, what):
     Equal log arguments and radicands are merged first.  Exact routes:
     all-rational; all-log with zero rational part and integer coefficients
     (integer power comparison); a single radicand (square comparison).
-    Anything else sums fresh ``ExactReal.interval`` enclosures of each log
-    and sqrt, weighted in Fractions, at 64, 128, ... up to 4096 bits.
+    Anything else sums mpmath's enclosures (``context_interval``) of each
+    log and sqrt, weighted in Fractions, at 64, 128, ... up to 4096 bits.
     """
     const = Fraction(0)
     logs, sqrts = {}, {}
@@ -523,13 +523,13 @@ def interval_sign(terms, what):
         if const == 0 or sign(c) == sign(const):
             return sign(c)
         return sign(c * c * k - const * const) * sign(c)
-    atoms = [(ExactReal("log", arg=k), c) for k, c in logs.items()]
-    atoms += [(ExactReal("sqrt", arg=k), c) for k, c in sqrts.items()]
+    atoms = [("log", k, c) for k, c in logs.items()]
+    atoms += [("sqrt", k, c) for k, c in sqrts.items()]
     bits = 64
     while bits <= 4096:
         lo = hi = const
-        for atom, coeff in atoms:
-            a_lo, a_hi = atom.interval(bits)
+        for kind, k, coeff in atoms:
+            a_lo, a_hi = context_interval(kind, k, bits)
             lo += coeff * (a_lo if coeff >= 0 else a_hi)
             hi += coeff * (a_hi if coeff >= 0 else a_lo)
         if hi < 0:

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import islice, takewhile
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,7 +25,7 @@ from quotientfree import (
     white_weight_value,
 )
 
-from quotientfree.arith import _pair_prefix
+from quotientfree.arith import _atanh_sum, _ln_pair, _pair_prefix
 
 from helpers import naive_smooth, naive_smooth_stream, seen_set_smooth_stream
 
@@ -355,3 +356,28 @@ class TestOneCoprimeValidator:
     def test_pairs(self, check, values, message):
         with pytest.raises(DomainError, match=message):
             check(*values)
+
+
+class TestLnPair:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(k=st.one_of(st.integers(1, 300), st.integers(2, 10**40)),
+           scale=st.one_of(st.integers(1, 2**80), st.integers(0, 2100).map(lambda b: 1 << b)))
+    @example(k=10**400 + 1, scale=1 << 4096)
+    @example(k=2**61 - 1, scale=3 << 64)
+    @example(k=7**90, scale=1)
+    def test_is_the_floor_and_the_ceiling(self, k, scale):
+        # mpmath at the bits of scale and k and 64 more pins the floor
+        with mpmath.workprec(scale.bit_length() + k.bit_length() + 64):
+            floor = int(mpmath.floor(mpmath.log(k) * scale))
+        assert _ln_pair(k, scale) == (floor, floor + (k > 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=st.integers(0, 10**12), extra=st.integers(1, 10**30), bits=st.integers(0, 600))
+    @example(p=1, extra=0, bits=400)  # ln 2 = 2 * atanh(1/3)
+    @example(p=1, extra=2, bits=400)  # |y| <= 1/5 after the reduction
+    def test_the_error_count_bounds_the_series(self, p, extra, bits):
+        # |S - 2**bits * atanh(p/q)| <= E for every p/q up to 1/3
+        q = 3 * p + extra
+        total, error = _atanh_sum(p, q, bits)
+        with mpmath.workprec(bits + 128):
+            assert abs(total - mpmath.atanh(mpmath.mpf(p) / q) * 2**bits) <= error

@@ -462,6 +462,18 @@ class TestJsonFormatsNoText:
         assert run(capsys, *argv) == (0, expected, "")
 
 
+class TestStartUp:
+    def test_a_built_parser_has_not_imported_mpmath(self):
+        # the library computes its enclosures with integers alone, so a fresh
+        # start pays no import of the tests' oracle
+        src = os.path.dirname(os.path.dirname(quotientfree.__file__))
+        code = ("import sys\nimport quotientfree.cli as cli\ncli.build_parser()\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_ends_quietly(self):
         # ~13,000 smooth values, far more than a pipe buffers, so the writer

@@ -637,6 +637,18 @@ class TestHarmonicBounds:
         assert len(density._harmonic_table()) == self.Z0 + 1
 
 
+class TestEulerGamma:
+    def test_the_pinned_constant_is_mpmath_s(self):
+        with mpmath.workprec(400):
+            assert density._EULER_GAMMA == int(mpmath.floor(mpmath.euler * 2**256))
+
+    @pytest.mark.parametrize("bits", [0, 1, 64, 96, 112, 136, 256])
+    def test_bounds_are_the_floor_and_the_ceiling(self, bits):
+        with mpmath.workprec(400):
+            floor = int(mpmath.floor(mpmath.euler * 2**bits))
+        assert density._euler_gamma_bounds(bits) == (floor, floor + 1)
+
+
 class TestEmpiricalDensities:
     def test_full_interval(self):
         rows = empirical_densities(list(range(1, 101)), [10, 100])

@@ -325,14 +325,15 @@ class TestRowSums:
     ], ids=["5-sqrt2", "mixed-signs", "zero-coefficient"])
     def test_box_brackets_c_whatever_the_signs(self, c_terms):
         # c's box sums k times its atoms' integer pairs, the ends swapped
-        # when k < 0; a 512-bit enclosure of c must lie inside it
+        # when k < 0; mpmath's 512-bit enclosure of c must lie inside it
         alphas = (ExactReal.of(1), ExactReal.sqrt(2))
         terms = tuple((ExactReal.parse(text), Fraction(k)) for text, k in c_terms)
         spec = SimplexSpec(alphas, terms)
         _, _, c_lo, c_hi = spec._route[1]
         lo = hi = Fraction(0)
         for atom, k in terms:
-            a_lo, a_hi = atom.interval(512)
+            a_lo, a_hi = ((atom.rational, atom.rational) if atom.is_rational
+                          else context_interval(atom.kind, atom.arg, 512))
             lo += k * (a_lo if k >= 0 else a_hi)
             hi += k * (a_hi if k >= 0 else a_lo)
         assert c_lo <= lo * 2**64 and hi * 2**64 <= c_hi
@@ -445,19 +446,18 @@ _FOUND_AT_THE_BUDGET = [(("ln2", "ln3"), 3), (("1", "3"), 4), (("1", "sqrt2"), 3
 def _count_filter_enclosures(monkeypatch) -> list:
     """The atoms whose integer filter pair is computed, as they come.
 
-    Each pair is read off one ``ExactReal.interval`` call at filter
-    precision, and those calls are what this lists.
+    Each pair is one ``ExactReal._enclose`` call at the filter scale
+    2**64, and those calls are what this lists.
     """
     enclosed = []
-    interval = ExactReal.interval
+    enclose = ExactReal._enclose
 
-    def counted(atom, prec_bits):
-        bits = 2 * geometry._FILTER_BITS + (0 if atom.is_rational else atom.arg.bit_length())
-        if prec_bits == bits:
+    def counted(atom, scale):
+        if scale == 1 << geometry._FILTER_BITS:
             enclosed.append(atom)
-        return interval(atom, prec_bits)
+        return enclose(atom, scale)
 
-    monkeypatch.setattr(ExactReal, "interval", counted)
+    monkeypatch.setattr(ExactReal, "_enclose", counted)
     return enclosed
 
 
@@ -474,23 +474,22 @@ class TestFilterMemo:
 
     def test_an_atom_is_enclosed_once_per_scale(self, monkeypatch):
         # 1/3 raises the scale to 3 * 2**64, and 1 leaves it at 2**64
-        bits = []
-        interval = ExactReal.interval
+        scales = []
+        enclose = ExactReal._enclose
 
-        def counted(atom, prec_bits):
+        def counted(atom, scale):
             if atom is root:
-                bits.append(prec_bits)
-            return interval(atom, prec_bits)
+                scales.append(scale)
+            return enclose(atom, scale)
 
-        monkeypatch.setattr(ExactReal, "interval", counted)
+        monkeypatch.setattr(ExactReal, "_enclose", counted)
         third, one, root = ExactReal.of(Fraction(1, 3)), ExactReal.of(1), ExactReal.sqrt(2)
-        # 2 * 65 fractional bits of 3 * 2**64 and 2 for the radicand, then 2 * 64 + 2
         for c in (1, 2):
             spec = SimplexSpec((third, root), ExactReal.of(c))
             assert spec._route[1][0][0] == 1 << 64  # 1/3 is exact
-        assert bits == [132]
+        assert scales == [3 << 64]
         SimplexSpec((one, root), ExactReal.of(1))
-        assert bits == [132, 130]
+        assert scales == [3 << 64, 1 << 64]
         assert set(root._scaled_pairs) == {3 << 64, 1 << 64}
 
     def test_a_tiny_non_dyadic_alpha_beside_sqrt2_is_counted_by_floor_sums(self, monkeypatch):
@@ -613,6 +612,22 @@ class TestSlabCounts:
         black = sum(sum(x) % 2 for x in exponents)
         spec = SimplexSpec.of([f"ln{p}" for p in sorted(basis, reverse=reverse)], f"ln{n}")
         assert simplex_color_counts(spec) == ColorCount(len(exponents) - black, black)
+
+    def test_a_log_table_past_the_cap_gives_way_to_the_row_pass(self, monkeypatch):
+        # the table's keys are the 3**i * 2**j up to the bound, the last two
+        # bases of the descending alphas; one key past the cap, the slabs are
+        # counted by the row pass instead, to the same counts
+        n = 10**15
+        spec = SimplexSpec.of(["ln7", "ln5", "ln3", "ln2"], f"ln{n}")
+        keys = sum(1 for i in range(32) for j in range(50) if 3**i * 2**j <= n)
+        exponents = enumerate_smooth((2, 3, 5, 7), n).exponents
+        black = sum(sum(x) % 2 for x in exponents)
+        expected = ColorCount(len(exponents) - black, black)
+        assert keys < geometry._LOG_TABLE_MAX_KEYS
+        for cap, route in ((keys, "table_slab"), (keys - 1, "log_slab")):
+            monkeypatch.setattr(geometry, "_LOG_TABLE_MAX_KEYS", cap)
+            assert geometry._slab_counter(spec).__name__ == route
+            assert simplex_color_counts(spec) == expected
 
     def test_a_tiny_alpha_listed_first_is_walked_last(self):
         # the count puts sqrt(2) first and the tiny alpha last: two slabs,
@@ -802,16 +817,16 @@ def _outcome(sign_of_terms, terms):
         return "undecided"
 
 
-def _count_intervals(monkeypatch) -> list:
-    """The working precisions of the ``ExactReal.interval`` calls, as they come."""
+def _count_enclosures(monkeypatch) -> list:
+    """The scales of the ``ExactReal._enclose`` calls, as they come."""
     calls = []
-    interval = ExactReal.interval
+    enclose = ExactReal._enclose
 
-    def counted(atom, prec_bits):
-        calls.append(prec_bits)
-        return interval(atom, prec_bits)
+    def counted(atom, scale):
+        calls.append(scale)
+        return enclose(atom, scale)
 
-    monkeypatch.setattr(ExactReal, "interval", counted)
+    monkeypatch.setattr(ExactReal, "_enclose", counted)
     return calls
 
 
@@ -834,19 +849,31 @@ class TestSignOfTerms:
     def test_a_second_call_computes_no_interval(self, monkeypatch):
         # ln 3 + sqrt 2 against a rational within 10**-33 of it: undecided at
         # 2**64, decided at 2**128, and every pair is memoized on its atom
-        calls = _count_intervals(monkeypatch)
+        calls = _count_enclosures(monkeypatch)
         ln3, root2 = ExactReal.log(3), ExactReal.sqrt(2)
-        lo, hi = ExactReal.log(3).interval(400)
-        r_lo, r_hi = ExactReal.sqrt(2).interval(400)
+        lo, _ = context_interval("log", 3, 400)
+        r_lo, _ = context_interval("sqrt", 2, 400)
         near = ExactReal.of(Fraction(round((lo + r_lo) * 10**33), 10**33))
         terms = [(ln3, Fraction(1)), (root2, Fraction(1)), (near, Fraction(-1))]
-        calls.clear()
         sign = geometry._sign_of_terms(terms, "test")
         assert sign == interval_sign(terms, "test") != 0
-        assert max(calls) >= 2 * 128
+        assert max(calls) >= 1 << 128
         made = len(calls)
         assert geometry._sign_of_terms(terms, "test") == sign
         assert len(calls) == made
+
+    @pytest.mark.parametrize("texts, sign", [
+        ((("ln2", Fraction(1, 2)), ("ln4", Fraction(-1, 4))), 0),
+        ((("ln8", Fraction(1, 3)), ("ln2", Fraction(-1))), 0),
+        ((("ln2", Fraction(1, 1000003)), ("ln4", Fraction(-1, 2000006))), 0),
+        ((("ln2", Fraction(1, 2)), ("ln4", Fraction(-1, 3))), -1),
+    ])
+    def test_fractional_log_coefficients_take_the_exact_route(self, texts, sign):
+        # an exact zero with fractional log coefficients is decided by integer
+        # powers, the coefficients scaled to coprime integers, not refined to the cap
+        terms = [(ExactReal.parse(text), k) for text, k in texts]
+        assert geometry._sign_of_terms(terms, "test") == sign
+        assert geometry._exact_sign(terms) == sign
 
     def test_the_cap_raises(self):
         # 10007 is past the trial divisors, so this exact tie keeps two radicands
@@ -1004,17 +1031,29 @@ class TestPrecisionHandling:
 BIG_ARGS = [10**12 + 39, 2**61 - 1, 3**40, 7**90, 10**400 + 1]
 
 
+def _assert_encloses_the_context_route(kind, k, prec):
+    """The in-house interval at prec is one unit of 2**-prec wide and holds mpmath's.
+
+    mpmath's precision counts significant bits, so it gets k's bits on top,
+    which leaves its interval at least 2**64 times narrower than a unit.
+    """
+    lo, hi = ExactReal(kind, arg=k).interval(prec)
+    context_lo, context_hi = context_interval(kind, k, prec + k.bit_length() + 64)
+    assert lo <= context_lo and context_hi <= hi, (kind, k, prec)
+    assert (hi - lo) * 2**prec <= 1, (kind, k, prec)
+
+
 class TestNoMpmathGlobalState:
     @pytest.mark.parametrize("prec", [53, 64, 200, 256, 1024])
     def test_interval_matches_the_context_route(self, prec):
         for k in list(range(2, 300)) + BIG_ARGS:
             for kind in ("log", "sqrt"):
-                assert ExactReal(kind, arg=k).interval(prec) == context_interval(kind, k, prec)
+                _assert_encloses_the_context_route(kind, k, prec)
 
     def test_interval_matches_the_context_route_at_the_cap(self):
         for k in list(range(2, 40)) + BIG_ARGS:
             for kind in ("log", "sqrt"):
-                assert ExactReal(kind, arg=k).interval(4096) == context_interval(kind, k, 4096)
+                _assert_encloses_the_context_route(kind, k, 4096)
 
     def test_suites_leave_the_precisions_alone(self):
         import mpmath

@@ -208,6 +208,29 @@ def test_every_private_method_is_read():
     assert orphans == [], f"private methods that no module reads: {orphans}"
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level packages that a module imports, absolute imports only."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_mpmath(path):
+    # mpmath is the tests' independent oracle, not a dependency of the library
+    assert "mpmath" not in _imported_modules(_tree(path))
+
+
+def test_the_import_lint_sees_mpmath():
+    tree = ast.parse("import mpmath.libmp as libmp\nfrom .arith import _ln_pair\n")
+    assert _imported_modules(tree) == {"mpmath"}
+    assert _imported_modules(ast.parse("from mpmath.libmp import mpf_log\n")) == {"mpmath"}
+
+
 def test_every_private_module_name_is_read():
     unread = _unread_assignments(_module_trees())
     assert unread == [], f"private module-level names that no module reads: {unread}"
