@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from . import verify as verify_mod
 from .arith import CoprimeBasis, RationalSet, as_fraction, derive_basis, smooth_exponent_rows
@@ -59,8 +59,6 @@ EXIT_SUITE_FAILED = 4
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage problems."""
-
-    subcommands: dict[str, _Parser]  # set on the top-level parser: its subparsers by name
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -269,8 +267,16 @@ def _command(name: str, help_text: str, provenance: str, *arguments):
 
 
 def _arg(*flags: str, **options):
+    """One argument: its flags, and its argparse options with ``dest`` filled
+    in by argparse's rule (the first long flag without "--", "-" turned into
+    "_"), so the parser and the flag table read the same dest."""
+    if "dest" not in options:
+        options["dest"] = next(f for f in flags if f.startswith("--"))[2:].replace("-", "_")
     return flags, options
 
+
+_JSON = _arg("--json", dest="format", action="store_const", const="json", default="text",
+             help="emit a single JSON object")
 
 _CSV = _arg("--csv", dest="format", action="store_const", const="csv", help="emit CSV")
 _EXACT = _arg("--exact", action="store_true", help="print exact rationals only in text mode")
@@ -632,33 +638,96 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--json", dest="format", action="store_const", const="json",
-                       default="text", help="emit a single JSON object")
-        for flags, options in command.arguments:
+        for flags, options in (_JSON, *command.arguments):
             p.add_argument(*flags, **options)
-    parser.subcommands = sub.choices
     return parser
 
 
-def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, parsed by the subcommand's own
-    parser when argv[0] names one.
+_VALUED = object()  # the const of a flag that takes the next token as its value
 
-    The top-level parser would hand that parser everything after argv[0]
-    and set ``command`` itself, so skipping it gives the same namespace.  It
-    still parses when there is nothing to route (no argv, ``-h``, an unknown
-    subcommand) and when the subcommand leaves an argument over, so every
-    usage message keeps its bytes and exit code.
+
+class _Flag(NamedTuple):
+    dest: str
+    const: object  # what the flag stores, or _VALUED
+    type: Optional[Callable[[str], object]]
+    choices: Optional[Collection]
+
+
+class _Grammar(NamedTuple):
+    """A subcommand's well-formed argv: its exact flags, the namespace's
+    defaults and the dests that must be given."""
+
+    flags: dict[str, _Flag]
+    defaults: dict[str, object]
+    required: frozenset[str]
+
+
+def _grammar(arguments) -> _Grammar:
+    """A subcommand's flag table, read from the options argparse is given."""
+    flags, defaults, required = {}, {}, set()
+    for names, options in (_JSON, *arguments):
+        action, dest, kind = options.get("action", "store"), options["dest"], options.get("type")
+        const = {"store": _VALUED, "store_true": True,
+                 "store_const": options.get("const")}[action]
+        default = options.get("default", False if action == "store_true" else None)
+        if isinstance(default, str) and kind is not None:
+            default = kind(default)  # as argparse converts a string default
+        defaults.setdefault(dest, default)  # a shared dest keeps its first default
+        if options.get("required"):
+            required.add(dest)
+        for name in names:
+            flags[name] = _Flag(dest, const, kind, options.get("choices"))
+    return _Grammar(flags, defaults, frozenset(required))
+
+
+_GRAMMARS = {name: _grammar(command.arguments) for name, command in _COMMANDS.items()}
+
+
+def _read(grammar: _Grammar, tokens: Iterable[str]) -> Optional[dict]:
+    """The namespace values of a well-formed argv tail; None for any other."""
+    values, given = dict(grammar.defaults), set()
+    tokens = iter(tokens)
+    for token in tokens:
+        flag = grammar.flags.get(token)
+        if flag is None or flag.dest in given:
+            return None
+        given.add(flag.dest)
+        if flag.const is not _VALUED:
+            values[flag.dest] = flag.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    return values if grammar.required <= given else None
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read from the flag table when
+    argv is well formed.
+
+    Well formed means: argv[0] names a subcommand; each later token is one
+    of its exact flags, each dest given once; a valued flag is followed by a
+    value that does not start with "-", that its ``type`` converts and its
+    ``choices`` hold; and every required flag is given.  argparse would give
+    such an argv the same namespace, so the parser is not built.  Anything
+    else (``-h``, an abbreviation, ``--flag=value``, ``--``, an unknown
+    flag, a missing or dash-led value) goes to argparse, so every help text
+    and usage message keeps its bytes and exit code.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    grammar = _GRAMMARS.get(argv[0]) if argv else None
+    values = None if grammar is None else _read(grammar, argv[1:])
+    if values is None:
+        return build_parser().parse_args(argv)
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _emit(fmt: str, provenance: str, out: _Output) -> None:

@@ -530,6 +530,10 @@ def construct_dense_set(
         a_set = RationalSet.of(a_set)
     if x < 1:
         raise DomainError("the horizon must be at least 1")
+    # gamma_bracket's checks, made here too: the coprime route never calls it
+    if depth < 0:
+        raise DomainError("depth must be nonnegative")
+    _require_work_bound("cap", cap)
 
     if a_set.is_coprime_integers():
         basis = CoprimeBasis.from_coprime_integers(

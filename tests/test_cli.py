@@ -348,6 +348,7 @@ class TestDefaults:
     ])
     def test_cli_default_is_the_library_constant(self, argv, name, constant):
         assert getattr(build_parser().parse_args(argv), name) == constant
+        assert getattr(cli._parse(argv), name) == constant
 
     @pytest.mark.parametrize("function,name,constant", [
         (density.rho_general, "cap", lattice.DEFAULT_SEARCH_CAP),
@@ -369,7 +370,7 @@ class TestDefaults:
 ROUTED = [
     ["rho", "--a", "2,3", "--exact"],
     ["rho-general", "--a", "3/2", "--depth", "3", "--cap", "50", "--json"],
-    ["sigma", "--p", "2", "--q", "3", "--tol=1/100", "--budget", "500"],
+    ["sigma", "--p", "2", "--q", "3", "--tol", "1/100", "--budget", "500"],
     ["gap", "--json", "--p", "5", "--q", "7"],
     ["max-subset", "--p", "2", "--q", "3", "--n", "12", "--witness"],
     ["dense-set", "--a", "2,3", "--x", "20", "--members", "--depth", "4"],
@@ -382,6 +383,14 @@ ROUTED = [
     ["black-majority", "--alphas", "1,sqrt2", "--budget", "5", "--json"],
     ["slope-profile", "--a1", "1", "--a2", "2", "--cmax", "4", "--csv"],
     ["verify", "--suite", "lemma2", "--budget", "small", "--seed", "3"],
+]
+
+# valid argvs that the flag table declines and argparse parses
+DECLINED = [
+    ["sigma", "--p", "2", "--q", "3", "--tol=1/100"],
+    ["sigma", "--p", "2", "--q", "3", "--to", "1/100"],
+    ["gap", "--p", "2", "--q", "5", "--p", "3"],
+    ["gap", "--p", "-3", "--q", "5"],
 ]
 
 # argvs that the top-level parser answers, or that end in a usage error
@@ -404,13 +413,27 @@ class TestDirectRouting:
     def test_namespace_equals_the_top_level_parse(self, argv):
         assert cli._parse(argv) == build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("argv", DECLINED,
+                             ids=["flag=value", "abbreviation", "repeated", "dash-led value"])
+    def test_declined_argv_equals_the_top_level_parse(self, argv):
+        assert cli._read(cli._GRAMMARS[argv[0]], argv[1:]) is None
+        assert cli._parse(argv) == build_parser().parse_args(argv)
+
     @pytest.mark.parametrize("argv", UNROUTED, ids=[" ".join(argv) or "(empty)" for argv in UNROUTED])
     def test_same_bytes_and_code_as_the_top_level_parse(self, capsys, monkeypatch, argv):
         routed = run(capsys, *argv)
-        # with no subcommand to route to, every argv goes through the top-level parser
-        monkeypatch.setattr(build_parser(), "subcommands", {})
+        # with no flag table to read, every argv goes through the top-level parser
+        monkeypatch.setattr(cli, "_GRAMMARS", {})
         assert routed == run(capsys, *argv)
         assert routed[0] == (0 if "-h" in argv else 1)
+
+    def test_a_valid_argv_never_builds_the_parser(self, capsys, monkeypatch):
+        def unbuilt():
+            raise AssertionError("the parser was built for a well-formed argv")
+
+        monkeypatch.setattr(cli, "build_parser", unbuilt)
+        for argv in ROUTED:
+            assert cli._parse(argv).command == argv[0]
 
     def test_a_valid_argv_skips_the_top_level_parser(self, capsys, monkeypatch):
         parser, calls = build_parser(), []
@@ -426,6 +449,75 @@ class TestDirectRouting:
         assert calls == []
         assert run(capsys, "nope")[0] == 1
         assert len(calls) == 1
+
+
+# the parse-level fuzz: values that argparse and the table could read apart
+# (dash-led, empty, padded, non-integers for type=int, out-of-choice tiers)
+_PARSE_VALUES = ["2", "3", "12", "0", "-3", "-1/2", "-", "", " 4", "x", "1.5", "1/100",
+                 "2,3", "3/2", "[[0,1]]", "lemma2", "all", "small", "enormous"]
+_PARSE_STRAYS = ["-h", "--", "--zzz", "-x", "extra"]
+
+
+def _flag_groups(tokens):
+    """argv tokens grouped into items, each a flag and the values after it."""
+    groups = []
+    for token in tokens:
+        if token.startswith("--"):
+            groups.append([])
+        groups[-1].append(token)
+    return groups
+
+
+def _fuzzed_argv(name):
+    arguments = (cli._JSON, *cli._COMMANDS[name].arguments)
+    flags = [flag for names, _ in arguments for flag in names]
+    flag, value = st.sampled_from(flags), st.sampled_from(_PARSE_VALUES)
+
+    def fitting(names, options):  # a flag with a value of its type and choices
+        if options.get("action", "store") != "store":
+            return st.just([names[0]])
+        values = options.get("choices") or (["2", "3", "12", " 4"] if options.get("type")
+                                            else _PARSE_VALUES)
+        return st.sampled_from(values).map(lambda v: [names[0], v])
+
+    odd = st.one_of(
+        st.tuples(flag, value).map(list),
+        flag.map(lambda f: [f]),  # a switch, or a valued flag missing its value
+        st.tuples(flag, value).map(lambda fv: ["=".join(fv)]),
+        st.tuples(flag.filter(lambda f: len(f) > 3), st.integers(3, 9), value).map(
+            lambda t: [t[0][:min(t[1], len(t[0]) - 1)], t[2]]),  # an abbreviation
+        st.sampled_from(_PARSE_STRAYS).map(lambda s: [s]),
+    )
+    item = st.one_of(st.one_of([fitting(*argument) for argument in arguments]), odd)
+    # a valid argv, one of its values swapped, or part of it; items added; in any order
+    valid = _flag_groups(next(argv for argv in ROUTED if argv[0] == name)[1:])
+    swapped = st.tuples(st.sampled_from([i for i, g in enumerate(valid) if len(g) == 2]),
+                        value).map(lambda t: [[g[0], t[1]] if i == t[0] else g
+                                              for i, g in enumerate(valid)])
+    base = st.one_of(st.just(valid), swapped,
+                     st.lists(st.sampled_from(valid), unique_by=tuple))
+    return st.tuples(base, st.lists(item, max_size=3)).flatmap(
+        lambda t: st.permutations(t[0] + t[1])).map(lambda items: [name, *sum(items, [])])
+
+
+def _parse_outcome(parse, argv):
+    """parse(argv)'s namespace, or the code, stdout and stderr it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParseFuzz:
+    # parsing only: no argv here reaches a compute function
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_parse_equals_the_top_level_parse(self, name, data):
+        argv = data.draw(_fuzzed_argv(name))
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(build_parser().parse_args, argv)
 
 
 def _no_text(*args):
@@ -472,6 +564,20 @@ class TestStartUp:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+
+    def test_a_query_builds_no_parser_and_help_builds_one(self):
+        # argparse is built only for help and usage errors, in a fresh start
+        src = os.path.dirname(os.path.dirname(quotientfree.__file__))
+        code = ("import contextlib, io\nimport quotientfree.cli as cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [cli.main(['gap', '--p', '2', '--q', '3', '--json'])]\n"
+                "    sizes = [cli.build_parser.cache_info().currsize]\n"
+                "    codes.append(cli.main(['-h']))\n"
+                "    sizes.append(cli.build_parser.cache_info().currsize)\n"
+                "print(codes, sizes)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[0, 0] [0, 1]\n", b"")
 
 
 class TestBrokenPipe:
@@ -1206,6 +1312,11 @@ MALFORMED = [
     # a mode given in part
     (("monochromatize", "--p", "2", "--q", "3", "--points", "[]"), 2),
     (("monochromatize", "--ta", "1", "--tb", "2", "--points", "[]"), 2),
+    # depth and cap are checked on the coprime route too, which runs no search
+    (("dense-set", "--a", "2,3", "--x", "10", "--depth", "-1", "--json"), 2),
+    (("dense-set", "--a", "2,3", "--x", "10", "--cap", "0"), 2),
+    (("densities", "--a", "2,3", "--checkpoints", "10", "--cap", "0"), 2),
+    (("densities", "--a", "2,3", "--checkpoints", "10", "--depth", "-1"), 2),
 ]
 
 
@@ -1237,6 +1348,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         if code >= 2:
             assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("dense-set", "--x", "10", "--depth", "-1"), "depth must be nonnegative"),
+        (("densities", "--checkpoints", "10", "--cap", "0"), "cap must be at least 1, got 0"),
+    ], ids=["depth", "cap"])
+    def test_dense_set_checks_are_the_same_on_both_routes(self, capsys, argv, message):
+        # 2,3 builds from its even-parity class, 3/2 from a gamma_bracket witness
+        for a in ("2,3", "3/2"):
+            assert run(capsys, *argv, "--a", a) == (2, "", f"error: {message}\n"), a
 
     def test_domain_error_message_mentions_coprimality(self, capsys):
         code, _, err = run(capsys, "rho", "--a", "2,4")
