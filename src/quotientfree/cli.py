@@ -670,8 +670,6 @@ def _grammar(arguments) -> _Grammar:
         const = {"store": _VALUED, "store_true": True,
                  "store_const": options.get("const")}[action]
         default = options.get("default", False if action == "store_true" else None)
-        if isinstance(default, str) and kind is not None:
-            default = kind(default)  # as argparse converts a string default
         defaults.setdefault(dest, default)  # a shared dest keeps its first default
         if options.get("required"):
             required.add(dest)

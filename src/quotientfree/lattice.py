@@ -22,18 +22,20 @@ axis-legged triangles.  By Konig-Egervary the maximum-weight conflict-free
 set then weighs the total minus the maximum flow of the conflict network:
 the source feeds each side-0 point and each side-1 point drains to the
 sink, at its weight, and each side-0 point has an uncuttable arc to each
-neighbor.  Dinic runs on the neighbor lists themselves: it keeps what
+neighbor.  The flow runs on the neighbor lists themselves: it keeps what
 remains of each point's one terminal arc and the flow each conflict arc
 carries, and since a conflict arc never saturates, a side-0 point always
 reaches its neighbors and a side-1 point reaches back along the arcs that
 carry flow.  It starts from a first-fit flow: side-0 points by index, each
 pushing to its neighbors in ascending order.  When a parity class is
 optimal, as in every axis-legged triangle, some matching saturates the
-smaller color (Konig), and first-fit most often finds one, so Dinic's
-phases only confirm or repair it.  Only graphs with an odd cycle, from
-dependent vectors such as {2, 3, 6}, fall back to branch and bound, the
-one place that builds bitmasks; its bound covers the remaining points by
-greedy cliques, so each triangle of {2, 3, 5, 6} counts once.
+smaller color (Konig), and first-fit most often finds one, so one
+breadth-first search confirms it.  Otherwise each search pushes along
+the paths of its tree, until a search finds none.  Only graphs with an
+odd cycle, from dependent vectors such as {2, 3, 6}, fall back to branch
+and bound, the one place that builds bitmasks; its bound covers the
+remaining points by greedy cliques, so each triangle of {2, 3, 5, 6}
+counts once.
 
 The lexicographically least maximum set, and ``verify``'s random ones, are
 greedy completions in a visiting order, and each is one solve: every point
@@ -199,7 +201,7 @@ def _free_parity_class(graph: _ConflictGraph, weights):
 
 
 def _max_flow(graph: _ConflictGraph, weights) -> tuple[int, list[bool]]:
-    """Dinic's maximum flow on the conflict network of a bipartite graph.
+    """Maximum flow on the conflict network of a bipartite graph.
 
     The source feeds each side-0 vertex and each side-1 vertex drains to
     the sink, at its weight; each side-0 vertex has an uncuttable arc to
@@ -214,11 +216,16 @@ def _max_flow(graph: _ConflictGraph, weights) -> tuple[int, list[bool]]:
     saturates, so u reaches every neighbor, and w reaches u back while the
     arc carries flow.
 
-    The phases start from a first-fit flow: side-0 vertices by index, each
-    pushing to its neighbors in ascending order the smaller of the two
-    terminal remainders.  On unit weights that is a first-fit matching,
-    most often already maximum, so the phases that follow only confirm it
-    or repair a few greedy choices.
+    The flow starts first-fit: side-0 vertices by index, each pushing to
+    its neighbors in ascending order the smaller of the two terminal
+    remainders.  On unit weights that is a first-fit matching, most often
+    already maximum.  Then each round searches breadth-first from the
+    source, stopping at every side-1 vertex that still drains to the sink,
+    and pushes along each tree path to such a vertex what it still holds.
+    Tree paths are shortest, and a push never shortens a residual distance,
+    so Edmonds and Karp's bound holds.  A vertex a push cuts off becomes
+    its own parent with nothing left to push, so later paths stop there.
+    The first search that meets no such vertex gives the cut.
     """
     nbrs, side = graph.nbrs, graph.side
     n = len(nbrs)
@@ -237,86 +244,51 @@ def _max_flow(graph: _ConflictGraph, weights) -> tuple[int, list[bool]]:
                 carried[w][u] = push
                 flow += push
     while True:
-        # levels from the source, which sits at level 0; the side-1
-        # vertices at level ``last`` drain to the sink, one level further
-        level = [-1] * n
+        # each vertex the source reaches records the vertex it was reached
+        # from; a side-0 vertex fed by the source records itself
+        parent = [-1] * n
         queue = [u for u in starts if res[u]]
         for u in queue:
-            level[u] = 1
-        last = 0
+            parent[u] = u
+        ends = []
         for v in queue:
-            lv = level[v]
-            if last and lv >= last:  # nothing past the last level reaches the sink
-                break
-            if side[v]:
-                if res[v]:
-                    last = lv
-                for u, c in carried[v].items():
-                    if c and level[u] < 0:
-                        level[u] = lv + 1
-                        queue.append(u)
-            else:
+            if not side[v]:
                 for w in nbrs[v]:
-                    if level[w] < 0:
-                        level[w] = lv + 1
+                    if parent[w] < 0:
+                        parent[w] = v
                         queue.append(w)
-        if not last:
-            return flow, [lv >= 0 for lv in level]
-        # blocking flow from each level-1 vertex in turn: advance along
-        # level-increasing arcs, retreat from dead ends, and after each
-        # augmentation resume at the tail of the first arc it saturated
-        nxt = [0] * n
-        for start in starts:
-            if level[start] != 1:
+            elif res[v]:
+                ends.append(v)
+            else:
+                for u, c in carried[v].items():
+                    if c and parent[u] < 0:
+                        parent[u] = v
+                        queue.append(u)
+        if not ends:
+            return flow, [p >= 0 for p in parent]
+        for end in ends:
+            path = [end]
+            while parent[path[-1]] != path[-1]:
+                path.append(parent[path[-1]])
+            # the path runs end, u, w, u, ..., start: each u -> w is a conflict
+            # arc, and each w -> u goes back along one that carries flow
+            ws, us = path[::2], path[1::2]
+            start = path[-1]
+            push = min(res[start], res[end], *[carried[w][u] for w, u in zip(ws[1:], us)])
+            if not push:
+                # an earlier push cut this path off: so are all its vertices
+                for v in path:
+                    parent[v] = v
                 continue
-            path = [start]
-            while path:
-                v = path[-1]
-                lv = level[v]
-                if lv == last and res[v]:
-                    # the path alternates sides, start, w, u, ..., v: its
-                    # even steps w -> u run back along flow-carrying arcs
-                    push = res[start] if res[start] < res[v] else res[v]
-                    for k in range(2, len(path), 2):
-                        c = carried[path[k - 1]][path[k]]
-                        if c < push:
-                            push = c
-                    res[start] -= push
-                    res[v] -= push
-                    flow += push
-                    for k in range(1, len(path), 2):
-                        into = carried[path[k]]
-                        into[path[k - 1]] = into.get(path[k - 1], 0) + push
-                    cut = len(path)
-                    for k in range(2, len(path), 2):
-                        into = carried[path[k - 1]]
-                        into[path[k]] -= push
-                        if not into[path[k]] and cut == len(path):
-                            cut = k
-                    if not res[start]:
-                        break
-                    del path[cut:]
-                    continue
-                row = nbrs[v]
-                k = len(row)
-                if lv < last:
-                    k = nxt[v]
-                    want = lv + 1
-                    if side[v]:
-                        into = carried[v]
-                        while k < len(row) and not (level[row[k]] == want and into.get(row[k])):
-                            k += 1
-                    else:
-                        while k < len(row) and level[row[k]] != want:
-                            k += 1
-                    nxt[v] = k
-                if k < len(row):
-                    path.append(row[k])
-                else:
-                    level[v] = -1
-                    path.pop()
-                    if path:
-                        nxt[path[-1]] += 1
+            res[start] -= push
+            res[end] -= push
+            flow += push
+            for w, u in zip(ws, us):
+                carried[w][u] = carried[w].get(u, 0) + push
+            for w, u in zip(ws[1:], us):
+                carried[w][u] -= push
+                if not carried[w][u]:
+                    parent[u] = u
 
 
 def _min_cut_optimum(graph: _ConflictGraph, weights):

@@ -25,6 +25,7 @@ from quotientfree import (
     white_weight_value,
 )
 
+from quotientfree import arith
 from quotientfree.arith import _atanh_sum, _ln_pair, _pair_prefix
 
 from helpers import naive_smooth, naive_smooth_stream, seen_set_smooth_stream
@@ -370,6 +371,29 @@ class TestLnPair:
         with mpmath.workprec(scale.bit_length() + k.bit_length() + 64):
             floor = int(mpmath.floor(mpmath.log(k) * scale))
         assert _ln_pair(k, scale) == (floor, floor + (k > 1))
+
+    def test_a_floor_in_doubt_is_summed_again_wider(self, monkeypatch):
+        # with no guard bits every floor is in doubt at the first width, so
+        # each pair is summed again 64 bits wider, and still exact
+        monkeypatch.setattr(arith, "_LN_GUARD_BITS", 0)
+        widths = []
+
+        def spy(p, q, bits):
+            widths.append(bits)
+            return _atanh_sum(p, q, bits)
+
+        monkeypatch.setattr(arith, "_atanh_sum", spy)
+        arith._half_ln2.cache_clear()
+        try:
+            for k in (2, 3, 5, 7, 10, 12, 100, 255, 256, 1000, 10**6, 2**61 - 1):
+                for scale in (1, 3, 2**10, 10**9, 2**64, 3 << 64, 10**30):
+                    widths.clear()
+                    with mpmath.workprec(scale.bit_length() + k.bit_length() + 64):
+                        floor = int(mpmath.floor(mpmath.log(k) * scale))
+                    assert _ln_pair(k, scale) == (floor, floor + 1)
+                    assert len(set(widths)) >= 2, (k, scale)
+        finally:
+            arith._half_ln2.cache_clear()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(p=st.integers(0, 10**12), extra=st.integers(1, 10**30), bits=st.integers(0, 600))

@@ -669,6 +669,14 @@ GOLDEN = [
      0, '{"params": {"budget": 1000000, "p": 2, "q": 3}, '
         '"provenance": "series-lower-versus-closed-form", "result": {"gap_proven": true, '
         '"rho": "7/12", "rounds": 1, "sigma": {"lower": "9307/15552", "upper": "571/864"}}}\n'),
+    # a budget too small for any bracket: no sigma, and no gap proven
+    (("gap", "--p", "2", "--q", "3", "--budget", "1"),
+     0, "rho = 7/12\n"
+        "gap proven: False\n"),
+    (("gap", "--p", "2", "--q", "3", "--budget", "1", "--json"),
+     0, '{"params": {"budget": 1, "p": 2, "q": 3}, '
+        '"provenance": "series-lower-versus-closed-form", "result": {"gap_proven": false, '
+        '"rho": "7/12", "rounds": 1, "sigma": null}}\n'),
     (("max-subset", "--p", "2", "--q", "3", "--n", "12", "--witness"),
      0, "count = 7\n"
         "witness = [1, 4, 5, 6, 7, 9, 11]\n"),

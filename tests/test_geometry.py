@@ -842,6 +842,12 @@ class TestSignOfTerms:
     @example([("1/3", Fraction(3)), ("1/1", Fraction(-1))])
     @example([("ln2", Fraction(2)), ("sqrt8", Fraction(1)), ("ln4", Fraction(-1)),
               ("sqrt2", Fraction(-2))])
+    # near ties: sqrt(2**130 + 1) - 2**65, about 2**-66, sums to [0, 1] at
+    # 2**64; sqrt 2 + 2 and its negation reach the one-radicand route with a
+    # rational part of the same sign
+    @example([(f"sqrt{2**130 + 1}", Fraction(1)), (str(2**65), Fraction(-1))])
+    @example([("sqrt2", Fraction(2**70 + 1)), ("sqrt8", Fraction(-2**69)), ("2", Fraction(1))])
+    @example([("sqrt2", Fraction(-2**70 - 1)), ("sqrt8", Fraction(2**69)), ("2", Fraction(-1))])
     def test_agrees_with_the_interval_oracle(self, texts):
         terms = [(ExactReal.parse(text), k) for text, k in texts]
         assert _outcome(geometry._sign_of_terms, terms) == _outcome(interval_sign, terms)

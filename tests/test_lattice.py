@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import time
 import tracemalloc
@@ -557,6 +558,19 @@ class TestMaxFlow:
         else:
             weights = [2**n + 2 ** (n - 1 - r) for r in range(n)]
         assert_flow_matches_networkx(graph, weights)
+
+    def test_dense_three_dimensional_witness_networks_match_networkx(self):
+        # seeded random points of a 14 x 14 x 14 box under the unit axis
+        # vectors and the witness weights: long augmenting paths, and searches
+        # whose trees hold many of them, sharing vertices
+        rng = random.Random(7)
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for draws, distinct in ((400, 377), (1500, 1175)):
+            points = sorted({tuple(rng.randrange(14) for _ in range(3)) for _ in range(draws)})
+            assert len(points) == distinct
+            n = len(points)
+            weights = [2**n + 2 ** (n - 1 - r) for r in range(n)]
+            assert_flow_matches_networkx(_ConflictGraph(points, axes), weights)
 
 
 class TestConflictGraph:
