@@ -9,13 +9,12 @@ made in exact integer arithmetic; floating point never decides anything.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError
 
@@ -85,8 +84,35 @@ def _require_coprime(values: Iterable[int]) -> tuple[int, ...]:
     return vals
 
 
-@dataclass(frozen=True)
-class RationalSet:
+class _Record:
+    """Equality, hashing and repr by the fields named in ``_fields``.
+
+    The base of the records that are plain classes rather than NamedTuples:
+    those that keep cached properties, do work at construction, or have a
+    length that is not their number of fields.  As with a frozen dataclass,
+    a record equals only a record of its own class with equal fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class RationalSet(NamedTuple):
     """A finite set of forbidden quotients, stored as reduced fractions.
 
     Elements are positive, distinct, and never 1 (a set containing 1 could
@@ -120,24 +146,29 @@ class RationalSet:
         return all(gcd(a, b) == 1 for a, b in combinations(vals, 2))
 
 
-@dataclass(frozen=True)
-class CoprimeBasis:
+class _BasisFields(NamedTuple):
+    basis: tuple[int, ...]
+    diffs: tuple[Vector, ...]
+
+
+class CoprimeBasis(_BasisFields):
     """Pairwise-coprime basis plus the exponent vectors of the quotients.
 
     ``basis`` is strictly increasing with entries > 1 and pairwise coprime;
     ``diffs`` holds one integer exponent vector per quotient, never zero.
+    Both are checked at construction.
     """
 
-    basis: tuple[int, ...]
-    diffs: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_coprime(self.basis)
-        for vec in self.diffs:
-            if len(vec) != len(self.basis):
+    def __new__(cls, basis: tuple[int, ...], diffs: tuple[Vector, ...]) -> "CoprimeBasis":
+        _require_coprime(basis)
+        for vec in diffs:
+            if len(vec) != len(basis):
                 raise DomainError("difference vector length must match basis size")
             if all(v == 0 for v in vec):
                 raise DomainError("difference vectors must be nonzero")
+        return tuple.__new__(cls, (basis, diffs))
 
     @classmethod
     def from_coprime_integers(cls, values: Sequence[int]) -> "CoprimeBasis":
@@ -189,12 +220,14 @@ def _basis_ints(basis) -> tuple[int, ...]:
     return b
 
 
-@dataclass(frozen=True)
-class SmoothSequence:
+class SmoothSequence(_Record):
     """All basis-smooth integers up to a bound, ascending, with exponents."""
 
-    values: tuple[int, ...]
-    exponents: tuple[Vector, ...]
+    __slots__ = _fields = ("values", "exponents")
+
+    def __init__(self, values: tuple[int, ...], exponents: tuple[Vector, ...]):
+        self.values = values
+        self.exponents = exponents
 
     def __len__(self) -> int:
         return len(self.values)

@@ -9,13 +9,12 @@ dense construction, and the strict-gap verdict between the two densities.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, compress, groupby, islice, takewhile
 from math import log2
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     CoprimeBasis,
@@ -28,6 +27,7 @@ from .arith import (
     enumerate_smooth,
     exact_sum,
     phi,
+    _Record,
     _ln_pair,
     _pair_prefix,
     _require_coprime,
@@ -58,22 +58,26 @@ EXACT_LOG_DENSITY_MAX_X = 500_000
 _GAP_ROUNDS = 10
 
 
-@dataclass(frozen=True)
-class DensityBracket:
-    """Exact rational enclosure of a density quantity.
-
-    ``method`` records how it was produced; closed forms collapse to a
-    single point (lower == upper).
-    """
-
+class _BracketFields(NamedTuple):
     lower: Fraction
     upper: Fraction
     method: str
     detail: dict
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+
+class DensityBracket(_BracketFields):
+    """Exact rational enclosure of a density quantity.
+
+    ``method`` records how it was produced; closed forms collapse to a
+    single point (lower == upper).  Construction checks lower <= upper.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lower: Fraction, upper: Fraction, method: str, detail: dict):
+        if lower > upper:
             raise DomainError("bracket lower bound exceeds upper bound")
+        return tuple.__new__(cls, (lower, upper, method, detail))
 
     @property
     def width(self) -> Fraction:
@@ -309,8 +313,7 @@ def _witness_mask(prefix: Sequence[tuple[int, int, int, bool, bool]], n: int) ->
     return mask
 
 
-@dataclass(frozen=True)
-class DenseSetSample:
+class DenseSetSample(_Record):
     """A horizon's worth of the explicit dense quotient-free construction.
 
     Every member is a chosen smooth part m times a free part (an integer
@@ -323,9 +326,15 @@ class DenseSetSample:
     exact log density lists the free parts up to its own horizon.
     """
 
-    x: int
-    smooth_parts: tuple[int, ...] = field(repr=False)
-    basis: CoprimeBasis = field(repr=False)
+    _fields = ("x", "smooth_parts", "basis")
+
+    def __init__(self, x: int, smooth_parts: tuple[int, ...], basis: CoprimeBasis):
+        self.x = x
+        self.smooth_parts = smooth_parts
+        self.basis = basis
+
+    def __repr__(self) -> str:
+        return f"DenseSetSample(x={self.x!r})"
 
     @cached_property
     def free_mask(self) -> bytes:
@@ -572,8 +581,7 @@ def _grouped_reciprocal_sum(
     return exact_sum(Fraction(1, m) * prefix[x // m] for m in smooth_parts)
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     x: int
     count: int
     counting_density: Fraction
@@ -607,8 +615,7 @@ def empirical_densities(
     return rows
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Outcome of the strict comparison between the two density optima."""
 
     p: int

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, pairwise, repeat, takewhile
@@ -34,7 +33,7 @@ from math import ceil, floor, gcd, isqrt, lcm, prod
 from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .arith import _ascending_walk, _ln_pair, _require_work_bound, as_fraction
+from .arith import _Record, _ascending_walk, _ln_pair, _require_work_bound, as_fraction
 from .errors import DomainError, PrecisionError, SelfCheckError
 
 Point = tuple[int, ...]
@@ -54,29 +53,27 @@ _SQRT_TRIAL_LIMIT = 10_000
 _LOG_TABLE_MAX_KEYS = 1 << 16
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+class LatticeConfig(_Record):
     """A finite set of nonnegative integer exponent vectors.
 
     Points are stored sorted lexicographically; this is the fixed point
     order referenced by witness tie-breaking.
     """
 
-    points: tuple[Point, ...]
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self):
-        pts = self.points
+    def __init__(self, points: tuple[Point, ...]):
         # exactly int: a float, string or bool coordinate is not converted
-        if not set(map(type, chain.from_iterable(pts))) <= {int}:
+        if not set(map(type, chain.from_iterable(points))) <= {int}:
             raise DomainError("coordinates must be integers")
-        if min(chain.from_iterable(pts), default=0) < 0:
+        if min(chain.from_iterable(points), default=0) < 0:
             raise DomainError("all coordinates must be nonnegative")
-        distinct = set(pts)
-        if len(distinct) != len(pts):
+        distinct = set(points)
+        if len(distinct) != len(points):
             raise DomainError("points must be distinct")
         if len(set(map(len, distinct))) > 1:
             raise DomainError("points must share one dimension")
-        object.__setattr__(self, "points", tuple(sorted(distinct)))
+        self.points = tuple(sorted(distinct))
 
     @classmethod
     def explicit(cls, points: Iterable[Sequence[int]]) -> "LatticeConfig":
@@ -89,15 +86,14 @@ class LatticeConfig:
         The points are stored as given, without the checks of construction.
         """
         config = object.__new__(cls)
-        object.__setattr__(config, "points", points)
+        config.points = points
         return config
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class ColorCount:
+class ColorCount(NamedTuple):
     """Checkerboard tallies: white = even coordinate sum, black = odd."""
 
     white: int
@@ -118,8 +114,7 @@ class ColorCount:
         return max(self.white, self.black)
 
 
-@dataclass(frozen=True)
-class ExactReal:
+class ExactReal(_Record):
     """A nonnegative real coefficient: rational, scale*sqrt(k), or ln(k).
 
     Square parts of radicands are extracted at construction: square factors
@@ -135,10 +130,14 @@ class ExactReal:
     integers alone; equality, hashing and repr read only the fields.
     """
 
-    kind: str  # "rational" | "log" | "sqrt"
-    rational: Optional[Fraction] = None
-    arg: Optional[int] = None
-    scale: int = 1
+    _fields = ("kind", "rational", "arg", "scale")
+
+    def __init__(self, kind: str, rational: Optional[Fraction] = None,
+                 arg: Optional[int] = None, scale: int = 1):
+        self.kind = kind  # "rational" | "log" | "sqrt"
+        self.rational = rational
+        self.arg = arg
+        self.scale = scale
 
     @classmethod
     def of(cls, value) -> "ExactReal":
@@ -329,8 +328,7 @@ def _exact_sign(terms: Sequence[tuple[ExactReal, Fraction]]) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
+class SimplexSpec(_Record):
     """The region alpha . x <= c over nonnegative integer vectors x.
 
     ``c`` is an exact real or a sum of (atom, rational coefficient) terms,
@@ -348,37 +346,39 @@ class SimplexSpec:
     ``of``'s too, is built this one way.
     """
 
-    alphas: tuple[ExactReal, ...]
-    c: Union[ExactReal, tuple[tuple[ExactReal, Fraction], ...]]
-    # (route, coefficients, bound) read by ``contains``; the signs route keeps
-    # its integer enclosures where the others keep coefficients
-    _route: tuple = field(init=False, repr=False, compare=False)
+    # ``_route`` is (route, coefficients, bound), read by ``contains``; the
+    # signs route keeps its integer enclosures where the others keep
+    # coefficients.  Equality, hashing and repr read alphas and c only.
+    __slots__ = ("alphas", "c", "_route")
+    _fields = ("alphas", "c")
 
-    def __post_init__(self):
-        if not self.alphas:
+    def __init__(self, alphas: tuple[ExactReal, ...],
+                 c: Union[ExactReal, tuple[tuple[ExactReal, Fraction], ...]]):
+        if not alphas:
             raise DomainError("at least one coefficient is required")
-        _require_positive(self.alphas)
-        if isinstance(self.c, ExactReal):
-            terms = ((self.c, Fraction(1)),)
+        _require_positive(alphas)
+        if isinstance(c, ExactReal):
+            terms = ((c, Fraction(1)),)
         else:
-            terms = tuple((atom, Fraction(k)) for atom, k in self.c)
-        object.__setattr__(self, "c", terms)
+            terms = tuple((atom, Fraction(k)) for atom, k in c)
+        self.alphas = alphas
+        self.c = terms
         used = [(atom, k) for atom, k in terms if k]
-        if all(a.kind == "log" for a in self.alphas) and all(
+        if all(a.kind == "log" for a in alphas) and all(
             atom.kind == "log" and k.denominator == 1 and k > 0 for atom, k in used
         ):
-            route = ("log", tuple(a.arg for a in self.alphas),
+            route = ("log", tuple(a.arg for a in alphas),
                      prod(atom.arg ** k.numerator for atom, k in used))
-        elif all(a.is_rational for a in self.alphas) and all(atom.is_rational for atom, _ in used):
+        elif all(a.is_rational for a in alphas) and all(atom.is_rational for atom, _ in used):
             bound = sum((k * atom.rational for atom, k in used), Fraction(0))
-            scale = lcm(bound.denominator, *(a.rational.denominator for a in self.alphas))
+            scale = lcm(bound.denominator, *(a.rational.denominator for a in alphas))
             route = ("dot", tuple(a.rational.numerator * (scale // a.rational.denominator)
-                                  for a in self.alphas),
+                                  for a in alphas),
                      bound.numerator * (scale // bound.denominator))
         else:
             # the row ends divide by lo, which is at least 2**64
-            scale = _enclosure_scale(self.alphas)
-            lo, hi = zip(*(a._scaled_pair(scale) for a in self.alphas))
+            scale = _enclosure_scale(alphas)
+            lo, hi = zip(*(a._scaled_pair(scale) for a in alphas))
             # k * atom lies between k times the atom's pair ends, swapped when k < 0
             c_lo = c_hi = 0
             for atom, k in terms:
@@ -386,7 +386,7 @@ class SimplexSpec:
                 c_lo += k.numerator * a_lo // k.denominator
                 c_hi -= -k.numerator * a_hi // k.denominator
             route = "signs", (lo, hi, c_lo, c_hi), tuple((atom, -k) for atom, k in terms)
-        object.__setattr__(self, "_route", route)
+        self._route = route
 
     @classmethod
     def of(cls, alphas: Iterable, c) -> "SimplexSpec":
@@ -710,8 +710,7 @@ def simplex_color_counts(spec: SimplexSpec) -> ColorCount:
     return ColorCount(white, total - white)
 
 
-@dataclass(frozen=True)
-class BlackMajoritySearch:
+class BlackMajoritySearch(NamedTuple):
     """Result of scanning thresholds for a black-majority simplex."""
 
     found: bool

@@ -51,13 +51,12 @@ points' weight sum over that denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import islice, repeat
 from math import comb, prod
 from operator import add, and_, itemgetter, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import CoprimeBasis, _pair_prefix, _require_coprime, _require_work_bound
 from .errors import CapError, DomainError, SweepError
@@ -72,16 +71,14 @@ SKEW_TRIANGLE_COUNTEREXAMPLE: tuple[Point, ...] = ((1, 0), (0, 2))
 DEFAULT_SEARCH_CAP = 40
 
 
-@dataclass(frozen=True)
-class IndependentSetResult:
+class IndependentSetResult(NamedTuple):
     """Exact maximum difference-free subset: its size and a witness."""
 
     size: int
     witness: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class GammaBracket:
+class GammaBracket(NamedTuple):
     """Exact enclosure of the optimal difference-free weight.
 
     ``lower`` is the exact optimum over the truncated region of depth

@@ -10,11 +10,11 @@ re-searching only the component that N joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple, Optional
 
-from .arith import CoprimeBasis, count_coprime_part, enumerate_smooth, phi
+from .arith import CoprimeBasis, _Record, count_coprime_part, enumerate_smooth, phi
 from .density import max_subset_witness, strict_gap_check
 from .geometry import (
     ColorCount,
@@ -67,19 +67,24 @@ BUDGET_TIERS = {
 }
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    budget: str
-    cases: list[CaseResult] = field(default_factory=list)
+class SuiteReport(_Record):
+    """A suite's cases, appended as they run; equal by fields, and unhashable."""
+
+    _fields = ("suite", "seed", "budget", "cases")
+    __hash__ = None
+
+    def __init__(self, suite: str, seed: int, budget: str,
+                 cases: Optional[list[CaseResult]] = None):
+        self.suite = suite
+        self.seed = seed
+        self.budget = budget
+        self.cases = [] if cases is None else cases
 
     @property
     def passed(self) -> int:

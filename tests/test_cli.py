@@ -555,12 +555,15 @@ class TestJsonFormatsNoText:
 
 
 class TestStartUp:
-    def test_a_built_parser_has_not_imported_mpmath(self):
+    def test_a_built_parser_has_not_imported_mpmath_or_dataclasses(self):
         # the library computes its enclosures with integers alone, so a fresh
-        # start pays no import of the tests' oracle
+        # start pays no import of the tests' oracle; and its records are
+        # NamedTuples or plain classes, so it pays for no dataclasses, nor the
+        # inspect module that dataclasses imports
         src = os.path.dirname(os.path.dirname(quotientfree.__file__))
         code = ("import sys\nimport quotientfree.cli as cli\ncli.build_parser()\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('mpmath', 'dataclasses', 'inspect')))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -288,7 +287,7 @@ class TestGeometrySuite:
             result = scan(alphas)
             if tuple(alphas) == ("1", "sqrt2"):
                 white, black = result.counts.white, result.counts.black
-                return dataclasses.replace(result, counts=ColorCount(white, black + 1))
+                return result._replace(counts=ColorCount(white, black + 1))
             return result
 
         monkeypatch.setattr(verify, "find_black_majority_c", off_count)
