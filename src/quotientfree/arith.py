@@ -14,9 +14,10 @@ from functools import lru_cache
 from itertools import combinations, compress
 from math import gcd, lcm
 from operator import itemgetter, mul
+from sys import maxsize
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 RationalLike = Union[int, str, Fraction]
 Vector = tuple[int, ...]
@@ -34,6 +35,13 @@ def _require_work_bound(name: str, value: int) -> None:
     """Reject a budget, cap or round limit below 1."""
     if value < 1:
         raise DomainError(f"{name} must be at least 1, got {value}")
+
+
+def _require_stream_bound(name: str, value: int) -> None:
+    """Also reject a term count that ``islice`` cannot take with one lookahead."""
+    _require_work_bound(name, value)
+    if value >= maxsize:
+        raise BudgetError(f"{name} = {value} is past the limit of {maxsize - 1}")
 
 
 def exact_sum(fractions: Iterable[Fraction]) -> Fraction:

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from functools import cache
 from itertools import compress
@@ -66,42 +66,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# dec12's own context, so no thread's decimal context is read
+_DEC12 = Context(prec=12, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[])
+
+
 def dec12(value: Fraction) -> str:
     """12-significant-digit decimal rendering for plotting columns.
 
     The string a 12-digit ``Decimal`` division rounding half-even gives,
     exponent included: an exact quotient keeps the exponent closest to 0
     that its digits allow (1/4 prints 0.25, 3/1 prints 3), an inexact one
-    has 12 digits.  It is computed by one integer divmod, so numerators and
-    denominators of tens of thousands of digits are never converted.
+    has 12 digits.
     """
-    num, den = value.numerator, value.denominator
-    if not num:
-        return "0"
-    sign, num = int(num < 0), abs(num)
-    # num/den >= 10**low (30103/100000 bounds log10(2) from above, and the
-    # final -1 absorbs that excess), so the quotient below has >= 13 digits
-    low = (num.bit_length() - 1 - den.bit_length()) * 30103 // 100000 - 1
-    exp = low - 12
-    if exp <= 0:
-        coeff, rest = divmod(num * 10**-exp, den)
-    else:
-        coeff, rest = divmod(num, den * 10**exp)
-    if not rest:
-        while exp < 0 and coeff % 10 == 0:
-            coeff //= 10
-            exp += 1
-    drop = len(str(coeff)) - 12
-    if drop > 0:
-        coeff, tail = divmod(coeff, 10**drop)
-        half = 5 * 10 ** (drop - 1)
-        if tail > half or (tail == half and (rest or coeff % 2)):
-            coeff += 1
-            if coeff == 10**12:
-                coeff //= 10
-                drop += 1
-        exp += drop
-    return str(Decimal(f"{'-' if sign else ''}{coeff}E{exp}"))
+    return str(_DEC12.divide(value.numerator, value.denominator))
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -797,8 +774,8 @@ def _run(argv) -> int:
     except SelfCheckError as exc:
         print(f"error: self-check failed: {exc}", file=sys.stderr)
         return EXIT_SUITE_FAILED
-    except MemoryError:
-        # an answer too large to hold, such as a member list past 10**12
+    except (MemoryError, OverflowError):
+        # an answer too large to hold, or a size past the C index range
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_BUDGET
 

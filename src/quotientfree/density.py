@@ -20,7 +20,6 @@ from .arith import (
     CoprimeBasis,
     RationalSet,
     as_fraction,
-    coprime_part_list,
     coprime_part_mask,
     count_coprime_part,
     derive_basis,
@@ -31,6 +30,7 @@ from .arith import (
     _ln_pair,
     _pair_prefix,
     _require_coprime,
+    _require_stream_bound,
     _require_work_bound,
     _signed_subset_lcms,
 )
@@ -163,7 +163,7 @@ def sigma_series(
     tolerance = as_fraction(tolerance)
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
-    _require_work_bound("budget", budget)
+    _require_stream_bound("budget", budget)
     factor = Fraction((p - 1) * (q - 1), p * q)
     f_num, f_den = factor.numerator, factor.denominator
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
@@ -321,9 +321,9 @@ class DenseSetSample(_Record):
     among the c_m = #{free <= x // m} of them, an O(2^s) inclusion-exclusion
     count.  So the sample keeps just the ascending chosen smooth parts and
     the ``CoprimeBasis``; counts and log-density brackets come from them at
-    any horizon up to ``x`` without listing the free parts.  The byte mask
-    of the free parts over 0..x is built only for the member list, and the
-    exact log density lists the free parts up to its own horizon.
+    any horizon up to ``x`` without listing the free parts.  The members'
+    byte mask is built only for the member list and, up to its own horizon,
+    for the exact log density, which sums them with ``empirical_densities``.
     """
 
     _fields = ("x", "smooth_parts", "basis")
@@ -335,11 +335,6 @@ class DenseSetSample(_Record):
 
     def __repr__(self) -> str:
         return f"DenseSetSample(x={self.x!r})"
-
-    @cached_property
-    def free_mask(self) -> bytes:
-        """mask[n] = 1 exactly for the free parts n <= x."""
-        return bytes(coprime_part_mask(self.basis, self.x))
 
     def _horizon(self, x: Optional[int]) -> int:
         if x is None:
@@ -356,22 +351,26 @@ class DenseSetSample(_Record):
         basis = self.basis
         return [count_coprime_part(basis, x // m) for m in self.smooth_parts if m <= x]
 
-    @cached_property
-    def member_mask(self) -> bytes:
+    def _mask(self, x: int) -> bytearray:
         """mask[k] = 1 exactly for the members k <= x.
 
-        For each chosen smooth part m, ascending, the free mask is written
-        at the multiples of m: mask[m * r] = free[r].  The smooth divisors
-        of k all divide its smooth part s, so the last write to k comes from
-        the largest chosen one.  That is s when s is chosen, and writes
-        free[k // s] = 1; a smaller one leaves a basis element in k // m,
-        which is not free.
+        For each chosen smooth part m, ascending, the mask of the free parts
+        up to x is written at the multiples of m: mask[m * r] = free[r].
+        The smooth divisors of k all divide its smooth part s, so the last
+        write to k comes from the largest chosen one.  That is s when s is
+        chosen, and writes free[k // s] = 1; a smaller one leaves a basis
+        element in k // m, which is not free.
         """
-        x, free = self.x, self.free_mask
+        free = coprime_part_mask(self.basis, x)
         mask = bytearray(x + 1)
         for m in self.smooth_parts:
             mask[m::m] = free[1:x // m + 1]
-        return bytes(mask)
+        return mask
+
+    @cached_property
+    def member_mask(self) -> bytearray:
+        """mask[k] = 1 exactly for the members k <= x (the horizon)."""
+        return self._mask(self.x)
 
     @cached_property
     def members(self) -> tuple[int, ...]:
@@ -394,10 +393,10 @@ class DenseSetSample(_Record):
     def log_density_at(self, x: int) -> Optional[Fraction]:
         """Exact reciprocal sum of the members up to x over ln x; None for x < 2.
 
-        The reciprocal sum is exact, and its denominator grows by about
-        1.44 x bits, so this is the slow route; ``log_density_bracket``
-        encloses the same value with integers of fixed size.  Above
-        ``EXACT_LOG_DENSITY_MAX_X`` it raises ``BudgetError`` instead.
+        ``empirical_densities`` of the masked members: the sum's denominator
+        grows by about 1.44 x bits, so this is the slow route, and
+        ``log_density_bracket`` encloses it with integers of fixed size.
+        Above ``EXACT_LOG_DENSITY_MAX_X`` it raises ``BudgetError`` instead.
         """
         x = self._horizon(x)
         if x < 2:
@@ -407,9 +406,8 @@ class DenseSetSample(_Record):
                 f"the exact log density at x = {x} is an O(x) rational sum; "
                 f"it is computed up to x = {EXACT_LOG_DENSITY_MAX_X}"
             )
-        smooth = [m for m in self.smooth_parts if m <= x]
-        free = coprime_part_list(self.basis, x)
-        return _grouped_reciprocal_sum(smooth, free, x) / _ln_fraction(x)
+        members = compress(range(x + 1), self._mask(x))
+        return empirical_densities(members, [x])[0].log_density
 
     def log_density_bracket(self, x: Optional[int] = None) -> Optional[DensityBracket]:
         """Certified enclosure of ``log_density_at(x)``; None for x < 2.
@@ -561,26 +559,6 @@ def construct_dense_set(
     return DenseSetSample(x, tuple(smooth_parts), basis)
 
 
-def _grouped_reciprocal_sum(
-    smooth_parts: Sequence[int], free_parts: Sequence[int], x: int
-) -> Fraction:
-    """Sum of 1/(m*n) over chosen m and free n with m*n <= x, exactly.
-
-    Factors through prefix harmonic sums of the free parts, evaluated once
-    per distinct cutoff via segment tree-sums.
-    """
-    cutoffs = sorted({x // m for m in smooth_parts})
-    prefix: dict[int, Fraction] = {}
-    running = Fraction(0)
-    lo = 0
-    for cut in cutoffs:
-        hi = bisect_right(free_parts, cut)
-        running += exact_sum(Fraction(1, n) for n in free_parts[lo:hi])
-        prefix[cut] = running
-        lo = hi
-    return exact_sum(Fraction(1, m) * prefix[x // m] for m in smooth_parts)
-
-
 class DensityRow(NamedTuple):
     x: int
     count: int
@@ -637,7 +615,7 @@ def strict_gap_check(
     exhaustion yields an inconclusive report, never a false positive.
     """
     rho = rho_closed_form([p, q])
-    _require_work_bound("budget", budget)
+    _require_stream_bound("budget", budget)
     tolerance = Fraction(1, 16)
     sigma: Optional[DensityBracket] = None
     for round_no in range(1, _GAP_ROUNDS + 1):

@@ -33,7 +33,7 @@ from math import ceil, floor, gcd, isqrt, lcm, prod
 from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .arith import _Record, _ascending_walk, _ln_pair, _require_work_bound, as_fraction
+from .arith import _Record, _ascending_walk, _ln_pair, _require_stream_bound, as_fraction
 from .errors import DomainError, PrecisionError, SelfCheckError
 
 Point = tuple[int, ...]
@@ -792,7 +792,7 @@ def find_black_majority_c(
     region at a canonical threshold as a second route; it shares the scan's
     alpha atoms, so each alpha is enclosed once per scan.
     """
-    _require_work_bound("budget", budget)
+    _require_stream_bound("budget", budget)
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
     if len(alpha_atoms) < 2:
         raise DomainError("at least two coefficients are required")

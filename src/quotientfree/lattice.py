@@ -58,7 +58,13 @@ from math import comb, prod
 from operator import add, and_, itemgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import CoprimeBasis, _pair_prefix, _require_coprime, _require_work_bound
+from .arith import (
+    CoprimeBasis,
+    _pair_prefix,
+    _require_coprime,
+    _require_stream_bound,
+    _require_work_bound,
+)
 from .errors import CapError, DomainError, SweepError
 from .geometry import LatticeConfig, Point, SimplexSpec, simplex_color_counts, simplex_points
 
@@ -445,8 +451,7 @@ def max_difference_free(
 def f_via_checkerboard(p: int, q: int, t: int) -> int:
     """f(t), the majority color count over the first t smooth integers: the stream's gains."""
     _require_coprime((p, q))
-    if t < 1:
-        raise DomainError("t must be at least 1")
+    _require_stream_bound("t", t)
     return sum(map(itemgetter(3), islice(_pair_prefix(p, q), t)))
 
 

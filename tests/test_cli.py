@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import hashlib
 import inspect
 import io
@@ -901,6 +902,21 @@ class TestGolden:
         assert (code, out) == (expected_code, expected_out)
 
     @pytest.mark.parametrize("fmt,expected", [
+        ((), "rho = 11/18\n"
+             "sigma in [0.60725, 0.6695]\n"
+             "gap proven: False\n"),
+        (("--json",), '{"params": {"budget": 1000000, "p": 2, "q": 5}, '
+                      '"provenance": "series-lower-versus-closed-form", "result": '
+                      '{"gap_proven": false, "rho": "11/18", "rounds": 1, '
+                      '"sigma": {"lower": "2429/4000", "upper": "1339/2000"}}}\n'),
+    ])
+    def test_gap_not_proven_when_the_rounds_run_out(self, capsys, monkeypatch, fmt, expected):
+        # one round's sigma bracket still straddles rho, so the last bracket is reported
+        monkeypatch.setattr(density, "_GAP_ROUNDS", 1)
+        code, out, err = run(capsys, "gap", "--p", "2", "--q", "5", *fmt)
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("fmt,expected", [
         ((), "suite lemma2: 1/2 passed (seed=0, budget=small)\n"
              "  FIRST FAILURE x=2: count 3 > bound\n"),
         (("--json",), '{"params": {"budget": "small", "seed": 0, "suite": "lemma2"}, '
@@ -940,6 +956,14 @@ class TestDec12:
     def test_exact_quotients_keep_the_ideal_exponent(self):
         assert dec12(Fraction(1, 4)) == "0.25"
         assert dec12(Fraction(3, 1)) == "3"
+
+    def test_ignores_the_thread_decimal_context(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.rounding = decimal.ROUND_DOWN
+            assert dec12(Fraction(2, 3)) == "0.666666666667"
+            assert dec12(Fraction(1, 4)) == "0.25"
+            assert dec12(Fraction(10**12 + 5)) == "1.00000000000E+12"
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32), num_bits=st.integers(1, 10**5),
@@ -1033,7 +1057,7 @@ class TestDensityTables:
     def test_no_exact_sum_on_bench_inputs(self, capsys, monkeypatch):
         # the fixed-point bracket decides every log density here; the exact
         # routes are fallbacks only, and densities never lists the members
-        for name in ("_grouped_reciprocal_sum", "empirical_densities", "exact_sum"):
+        for name in ("empirical_densities", "exact_sum"):
             monkeypatch.setattr(density, name, _unreachable)
         monkeypatch.setattr(density.DenseSetSample, "log_density",
                             property(_unreachable))
@@ -1054,7 +1078,7 @@ class TestDensityTables:
             assert code == 0
             assert len(out.splitlines()) == 4
             assert "members" not in samples[-1].__dict__
-            assert "free_mask" not in samples[-1].__dict__
+            assert "member_mask" not in samples[-1].__dict__
 
     def test_densities_up_to_ten_to_the_eighteen(self, capsys, monkeypatch):
         samples = []
@@ -1071,7 +1095,7 @@ class TestDensityTables:
         assert time.perf_counter() - start < 1.0
         assert (code, err) == (0, "")
         sample, = samples
-        assert "free_mask" not in sample.__dict__ and "members" not in sample.__dict__
+        assert "member_mask" not in sample.__dict__ and "members" not in sample.__dict__
         basis = quotientfree.CoprimeBasis.from_coprime_integers((2, 3))
         even = [v for v, e in quotientfree.enumerate_smooth(basis, 10**18).entries()
                 if sum(e) % 2 == 0]
@@ -1328,6 +1352,14 @@ MALFORMED = [
     (("dense-set", "--a", "2,3", "--x", "10", "--cap", "0"), 2),
     (("densities", "--a", "2,3", "--checkpoints", "10", "--cap", "0"), 2),
     (("densities", "--a", "2,3", "--checkpoints", "10", "--depth", "-1"), 2),
+    # sizes past the index range: one stderr line, not a traceback
+    (("f", "--p", "2", "--q", "3", "--t", str(10**20)), 3),
+    (("max-subset", "--p", "2", "--q", "3", "--n", str(10**20), "--witness", "--json"), 3),
+    (("dense-set", "--a", "2,3", "--x", str(10**20), "--json"), 3),
+    (("slope-profile", "--a1", "2", "--a2", "3", "--cmax", str(10**20), "--csv"), 3),
+    (("sigma", "--p", "2", "--q", "3", "--budget", str(10**20)), 3),
+    (("black-majority", "--alphas", "1,2", "--budget", str(10**20)), 3),
+    (("gap", "--p", "2", "--q", "3", "--budget", str(10**20)), 3),
 ]
 
 

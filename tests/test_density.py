@@ -519,7 +519,7 @@ class TestLazySample:
         # of 10^12 bytes
         sample = construct_dense_set([2, 3], 10**12)
         assert sample.log_density_at(1000) == construct_dense_set([2, 3], 1000).log_density
-        assert "free_mask" not in sample.__dict__
+        assert "member_mask" not in sample.__dict__
 
     @pytest.mark.parametrize("x", [0, 1001])
     def test_rejects_horizons_outside_the_sample(self, x):
@@ -575,7 +575,7 @@ class TestLogDensityBracket:
             with pytest.raises(BudgetError, match=r"an O\(x\) rational sum") as info:
                 read()
             assert info.value.achieved is None
-        assert "free_mask" not in sample.__dict__
+        assert "member_mask" not in sample.__dict__
         assert sample.log_density_bracket().width < Fraction(1, 2**80)
 
     def test_lists_no_free_part(self):
@@ -584,7 +584,7 @@ class TestLogDensityBracket:
         assert 0 < bracket.width < Fraction(1, 2**80)
         # 10^15 = 2^15 5^15 has an even exponent sum, so it is a member
         assert sample.count(10**15 - 1) + 1 == sample.count()
-        for name in ("free_mask", "member_mask", "members"):
+        for name in ("member_mask", "members"):
             assert name not in sample.__dict__
 
 
