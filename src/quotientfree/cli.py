@@ -778,6 +778,13 @@ def _run(argv) -> int:
         # an answer too large to hold, or a size past the C index range
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        # a number past the interpreter's int-to-str digit limit, a resource
+        # limit like memory; any other ValueError is a defect and propagates
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a number too long to print in {args.command}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .arith import CoprimeBasis, _Record, count_coprime_part, enumerate_smooth, phi
 from .density import max_subset_witness, strict_gap_check
@@ -197,44 +197,48 @@ def _random_optimal_configuration(rng: CounterRng, config: LatticeConfig):
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: each generates its cases from its own rng and its budget tier
 # ---------------------------------------------------------------------------
 
 
-def suite_theorem6(seed: int, budget: str) -> SuiteReport:
+_SUITES: dict[str, Callable[[CounterRng, dict], Iterator[CaseResult]]] = {}  # in run order
+
+
+def _suite(name: str):
+    """Enter the decorated case generator in the table as the suite ``name``."""
+    def register(cases):
+        _SUITES[name] = cases
+        return cases
+    return register
+
+
+@_suite("theorem6")
+def _theorem6(rng: CounterRng, tier: dict) -> Iterator[CaseResult]:
     """Exact search equals the majority color on random axis-legged triangles."""
-    report = SuiteReport("theorem6", seed, budget)
-    rng = CounterRng(seed)
-    count = BUDGET_TIERS[budget]["triangles"]
-    for i in range(count):
+    for i in range(tier["triangles"]):
         (a, b, c), config = _random_rational_triangle(rng)
         exact = _max_difference_free_size(config, AXIS_DIFFS)
         majority = ColorCount.of(config.points).majority()
-        report.cases.append(
-            CaseResult(
-                f"triangle[{i}]",
-                exact == majority,
-                f"a={a} b={b} c={c} "
-                f"points={len(config)} exact={exact} majority={majority}",
-            )
+        yield CaseResult(
+            f"triangle[{i}]",
+            exact == majority,
+            f"a={a} b={b} c={c} "
+            f"points={len(config)} exact={exact} majority={majority}",
         )
     config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
     exact = _max_difference_free_size(config, AXIS_DIFFS)
     majority = ColorCount.of(config.points).majority()
-    report.cases.append(
-        CaseResult(
-            "skew-counterexample",
-            exact == 2 and majority == 1,
-            f"exact={exact} majority={majority} (axis-leg hypothesis is necessary)",
-        )
+    yield CaseResult(
+        "skew-counterexample",
+        exact == 2 and majority == 1,
+        f"exact={exact} majority={majority} (axis-leg hypothesis is necessary)",
     )
-    return report
 
 
-def suite_lemma2(seed: int, budget: str) -> SuiteReport:
+@_suite("lemma2")
+def _lemma2(rng: CounterRng, tier: dict) -> Iterator[CaseResult]:
     """Coprime-part counts stay within 2^s of the density line, strictly."""
-    report = SuiteReport("lemma2", seed, budget)
-    x_max = BUDGET_TIERS[budget]["lemma2_x"]
+    x_max = tier["lemma2_x"]
     for values in ((2, 3), (2, 3, 5), (3, 4, 5)):
         # built once, so each count skips the per-element check
         basis = CoprimeBasis.from_coprime_integers(values)
@@ -251,21 +255,18 @@ def suite_lemma2(seed: int, budget: str) -> SuiteReport:
             if deviation >= limit * den:
                 ok = False
                 break
-        report.cases.append(
-            CaseResult(
-                f"basis={values}",
-                ok,
-                f"max |count - density*X| = {float(Fraction(worst, den)):.4f} < {limit} "
-                f"over X<={x_max}",
-            )
+        yield CaseResult(
+            f"basis={values}",
+            ok,
+            f"max |count - density*X| = {float(Fraction(worst, den)):.4f} < {limit} "
+            f"over X<={x_max}",
         )
-    return report
 
 
-def suite_corollary(seed: int, budget: str) -> SuiteReport:
+@_suite("corollary")
+def _corollary(rng: CounterRng, tier: dict) -> Iterator[CaseResult]:
     """Class-sum counts match exhaustive search; witnesses are quotient-free."""
-    report = SuiteReport("corollary", seed, budget)
-    n_max = BUDGET_TIERS[budget]["corollary_n"]
+    n_max = tier["corollary_n"]
     for p, q in ((2, 3), (2, 5), (3, 4)):
         oracles = exhaustive_max_quotient_free(p, q, n_max)
         mismatch = None
@@ -281,22 +282,19 @@ def suite_corollary(seed: int, budget: str) -> SuiteReport:
             if claimed != oracle or not valid:
                 mismatch = (n, claimed, oracle, valid)
                 break
-        report.cases.append(
-            CaseResult(
-                f"pair=({p},{q})",
-                mismatch is None,
-                f"all N<={n_max} agree with exhaustive search"
-                if mismatch is None
-                else f"N={mismatch[0]}: claimed={mismatch[1]} oracle={mismatch[2]} "
-                f"witness_valid={mismatch[3]}",
-            )
+        yield CaseResult(
+            f"pair=({p},{q})",
+            mismatch is None,
+            f"all N<={n_max} agree with exhaustive search"
+            if mismatch is None
+            else f"N={mismatch[0]}: claimed={mismatch[1]} oracle={mismatch[2]} "
+            f"witness_valid={mismatch[3]}",
         )
-    return report
 
 
-def suite_gap(seed: int, budget: str) -> SuiteReport:
+@_suite("gap")
+def _gap(rng: CounterRng, tier: dict) -> Iterator[CaseResult]:
     """The series bracket strictly exceeds the closed form for test pairs."""
-    report = SuiteReport("gap", seed, budget)
     for p, q in ((2, 3), (2, 5), (3, 5)):
         result = strict_gap_check(p, q)
         detail = f"rho={result.rho}"
@@ -305,17 +303,14 @@ def suite_gap(seed: int, budget: str) -> SuiteReport:
                 f" series_lower={float(result.sigma.lower):.6f}"
                 f" width={float(result.sigma.width):.2e}"
             )
-        report.cases.append(CaseResult(f"pair=({p},{q})", result.gap_proven, detail))
-    return report
+        yield CaseResult(f"pair=({p},{q})", result.gap_proven, detail)
 
 
-def suite_monochromatize(seed: int, budget: str) -> SuiteReport:
+@_suite("monochromatize")
+def _monochromatize(rng: CounterRng, tier: dict) -> Iterator[CaseResult]:
     """The diagonal sweep preserves size and validity and lands on one color."""
-    report = SuiteReport("monochromatize", seed, budget)
-    rng = CounterRng(seed)
-    cases = BUDGET_TIERS[budget]["mono_cases"]
     pairs = ((2, 3), (2, 5), (3, 4))
-    for i in range(cases):
+    for i in range(tier["mono_cases"]):
         p, q = pairs[rng.randint(0, len(pairs) - 1)]
         n = rng.randint(1, 200)
         triangle = SimplexSpec.of([f"ln{p}", f"ln{q}"], f"ln{n}")
@@ -330,24 +325,19 @@ def suite_monochromatize(seed: int, budget: str) -> SuiteReport:
             and all(triangle.contains(pt) for pt in out)
             and len(colors) == 1
         )
-        report.cases.append(
-            CaseResult(
-                f"case[{i}]",
-                ok,
-                f"p={p} q={q} n={n} size={target} color="
-                f"{'white' if colors == {0} else 'black' if colors == {1} else 'mixed'}",
-            )
+        yield CaseResult(
+            f"case[{i}]",
+            ok,
+            f"p={p} q={q} n={n} size={target} color="
+            f"{'white' if colors == {0} else 'black' if colors == {1} else 'mixed'}",
         )
-    return report
 
 
-def suite_geometry(seed: int, budget: str) -> SuiteReport:
+@_suite("geometry")
+def _geometry(rng: CounterRng, tier: dict) -> Iterator[CaseResult]:
     """Simplex enumeration agrees with smooth enumeration; profiles match."""
-    report = SuiteReport("geometry", seed, budget)
-    rng = CounterRng(seed)
-    cases = BUDGET_TIERS[budget]["geometry_cases"]
     done = 0
-    while done < cases:
+    while done < tier["geometry_cases"]:
         p = rng.randint(2, 12)
         q = rng.randint(2, 12)
         if p >= q or gcd(p, q) != 1:
@@ -357,24 +347,20 @@ def suite_geometry(seed: int, budget: str) -> SuiteReport:
         spec = SimplexSpec.of([f"ln{p}", f"ln{q}"], f"ln{n}")
         simplex = simplex_points(spec).points
         smooth = tuple(sorted(enumerate_smooth((p, q), n).exponents))
-        report.cases.append(
-            CaseResult(
-                f"log-mode[{done - 1}]",
-                simplex == smooth,
-                f"p={p} q={q} n={n} points={len(simplex)}",
-            )
+        yield CaseResult(
+            f"log-mode[{done - 1}]",
+            simplex == smooth,
+            f"p={p} q={q} n={n} points={len(simplex)}",
         )
 
     profile = rational_slope_profile(1, 2, 100)
     pattern_ok = all(
         row.diff == (1 if row.c % 4 == 0 else 0) for row in profile
     )
-    report.cases.append(
-        CaseResult(
-            "slope-profile-(1,2)",
-            pattern_ok,
-            "white-black is +1 at multiples of 4 and 0 otherwise, c<=100",
-        )
+    yield CaseResult(
+        "slope-profile-(1,2)",
+        pattern_ok,
+        "white-black is +1 at multiples of 4 and 0 otherwise, c<=100",
     )
 
     for raw_alphas, expect_found in ((("ln2", "ln3"), True), (("1", "sqrt2"), True), (("1", "2"), False)):
@@ -386,13 +372,11 @@ def suite_geometry(seed: int, budget: str) -> SuiteReport:
             # a second route: the region's rows, neither the walk nor the slabs
             recount = ColorCount.of(simplex_points(SimplexSpec.of(raw_alphas, bound)).points)
             ok = ok and recount == result.counts and recount.black > recount.white
-        report.cases.append(
-            CaseResult(
-                f"black-majority{raw_alphas}",
-                ok,
-                f"found={result.found} threshold={result.threshold_display} "
-                f"counts={result.counts}",
-            )
+        yield CaseResult(
+            f"black-majority{raw_alphas}",
+            ok,
+            f"found={result.found} threshold={result.threshold_display} "
+            f"counts={result.counts}",
         )
 
     for i in range(10):
@@ -404,33 +388,25 @@ def suite_geometry(seed: int, budget: str) -> SuiteReport:
         straight = simplex_color_counts(SimplexSpec.of([a, b], c))
         total, white = _tally(_walk(SimplexSpec.of([b, a], c)._row_length, [0]))
         swapped = ColorCount(white, total - white)
-        report.cases.append(
-            CaseResult(
-                f"permutation[{i}]",
-                straight == swapped,
-                f"alphas=({a},{b}) c={c} counts={straight}",
-            )
+        yield CaseResult(
+            f"permutation[{i}]",
+            straight == swapped,
+            f"alphas=({a},{b}) c={c} counts={straight}",
         )
-    return report
 
 
-_SUITE_FUNCS = {
-    "theorem6": suite_theorem6,
-    "lemma2": suite_lemma2,
-    "corollary": suite_corollary,
-    "gap": suite_gap,
-    "monochromatize": suite_monochromatize,
-    "geometry": suite_geometry,
-}
-SUITES = tuple(_SUITE_FUNCS)
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, budget: str = "default") -> list[SuiteReport]:
-    """Run one named suite, or all of them, and return their reports."""
+    """Run one named suite, or all of them in table order, and return their reports.
+
+    Each suite draws from its own ``CounterRng(seed)``, from counter 0.
+    """
     if budget not in BUDGET_TIERS:
         raise ValueError(f"unknown budget tier: {budget}")
-    if name == "all":
-        return [_SUITE_FUNCS[s](seed, budget) for s in SUITES]
-    if name not in _SUITE_FUNCS:
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite: {name}")
-    return [_SUITE_FUNCS[name](seed, budget)]
+    tier = BUDGET_TIERS[budget]
+    return [SuiteReport(suite, seed, budget, list(_SUITES[suite](CounterRng(seed), tier)))
+            for suite in (SUITES if name == "all" else (name,))]

@@ -28,11 +28,7 @@ from quotientfree import (
 )
 from quotientfree.arith import count_coprime_part
 from quotientfree.lattice import AXIS_DIFFS, SKEW_TRIANGLE_COUNTEREXAMPLE
-from quotientfree.verify import (
-    exhaustive_max_quotient_free,
-    suite_monochromatize,
-    suite_theorem6,
-)
+from quotientfree.verify import exhaustive_max_quotient_free, run_suite
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -69,7 +65,7 @@ def test_criterion_2_subset_counts_match_exhaustive_search():
 
 def test_criterion_3_triangle_equivalence_suite():
     start = time.perf_counter()
-    suite = suite_theorem6(0, "default")
+    (suite,) = run_suite("theorem6", 0, "default")
     assert suite.failed == 0
     assert len(suite.cases) == 201  # 200 triangles plus the skew guard
     config = LatticeConfig.explicit(SKEW_TRIANGLE_COUNTEREXAMPLE)
@@ -189,7 +185,7 @@ def test_criterion_8_density_convergence_logarithmic():
 
 def test_criterion_9_monochromatize_suite():
     start = time.perf_counter()
-    suite = suite_monochromatize(0, "default")
+    (suite,) = run_suite("monochromatize", 0, "default")
     assert len(suite.cases) == 100
     assert suite.failed == 0
     elapsed = time.perf_counter() - start

@@ -238,6 +238,10 @@ class TestCountCoprimePart:
         assert count_coprime_part((2, 3), 1) == 1
 
     # a list basis, too: the per-basis inclusion-exclusion terms are cached
+    def test_a_bound_below_one_is_refused(self):
+        with pytest.raises(DomainError, match="^bound must be at least 1$"):
+            count_coprime_part((2, 3), 0)
+
     @pytest.mark.parametrize("basis", [(2, 3), (2, 3, 5), (3, 4, 5), [2, 5, 7]])
     def test_matches_sieve(self, basis):
         for x in (1, 7, 50, 360, 1001):

@@ -602,6 +602,14 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) == 1
         assert err == b""
 
+    def test_a_stdout_without_a_file_descriptor_ends_quietly(self, capsys, monkeypatch):
+        # capsys's stdout has no descriptor to point at os.devnull
+        def closed(argv):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_run", closed)
+        assert run(capsys, "rho", "--a", "2,3") == (1, "", "")
+
 
 class TestDeterminism:
     def test_byte_identical_repeat_runs(self, capsys):
@@ -889,9 +897,9 @@ GOLDEN = [
 ]
 
 
-def _failing_lemma2(seed, budget):
-    cases = [verify.CaseResult("x=1", True), verify.CaseResult("x=2", False, "count 3 > bound")]
-    return verify.SuiteReport("lemma2", seed, budget, cases)
+def _failing_lemma2(rng, tier):
+    yield verify.CaseResult("x=1", True)
+    yield verify.CaseResult("x=2", False, "count 3 > bound")
 
 
 class TestGolden:
@@ -926,7 +934,7 @@ class TestGolden:
     ])
     def test_failed_suite_prints_its_report_and_exits_4(self, capsys, monkeypatch, fmt,
                                                         expected):
-        monkeypatch.setitem(verify._SUITE_FUNCS, "lemma2", _failing_lemma2)
+        monkeypatch.setitem(verify._SUITES, "lemma2", _failing_lemma2)
         code, out, err = run(capsys, "verify", "--suite", "lemma2", "--budget", "small", *fmt)
         assert (code, out, err) == (4, expected, "")
 
@@ -1360,6 +1368,16 @@ MALFORMED = [
     (("sigma", "--p", "2", "--q", "3", "--budget", str(10**20)), 3),
     (("black-majority", "--alphas", "1,2", "--budget", str(10**20)), 3),
     (("gap", "--p", "2", "--q", "3", "--budget", str(10**20)), 3),
+    # numbers past the interpreter's int-to-str digit limit: one stderr line
+    (("sigma", "--p", "2", "--q", "3", "--tol", "1e-5000", "--budget", "10"), 3),
+    (("rho", "--a", "1e-5000"), 3),
+    (("rho-general", "--a", "1e-5000", "--depth", "1", "--json"), 3),
+    (("gamma", "--a", "1e-5000", "--depth", "1", "--json"), 3),
+    (("dense-set", "--a", "1e-5000", "--x", "10", "--json"), 3),
+    (("densities", "--a", "1e-5000", "--checkpoints", "10"), 3),
+    (("enumerate", "--a", "1e-5000", "--bound", "10"), 3),
+    (("monochromatize", "--ta", "1e-5000", "--tb", "1", "--tc", "1", "--points", "[[0,0]]"), 3),
+    (("simplex", "--alphas", "1e-5000,1", "--c", "1", "--counts-only"), 3),
 ]
 
 
@@ -1400,6 +1418,15 @@ class TestExitCodes:
         # 2,3 builds from its even-parity class, 3/2 from a gamma_bracket witness
         for a in ("2,3", "3/2"):
             assert run(capsys, *argv, "--a", a) == (2, "", f"error: {message}\n"), a
+
+    @pytest.mark.parametrize("argv,message", [
+        (("simplex", "--alphas", "ln0,1", "--c", "3"),
+         "logarithm argument must be a positive integer"),
+        (("slope-profile", "--a1", "1", "--a2", "2", "--cmax", "0"),
+         "the horizon must be at least 1"),
+    ], ids=["ln0", "cmax"])
+    def test_domain_errors_print_their_message(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_domain_error_message_mentions_coprimality(self, capsys):
         code, _, err = run(capsys, "rho", "--a", "2,4")
@@ -1490,6 +1517,28 @@ class TestExitCodes:
             assert code == 3, mode
             assert out == "", mode
             assert err == "error: out of memory in dense-set\n", mode
+
+    def test_a_number_too_long_to_print_exits_3_in_one_line(self, capsys):
+        code, out, err = run(capsys, "rho", "--a", "1e-5000", "--json")
+        assert (code, out, err) == (3, "", "error: a number too long to print in rho\n")
+
+    def test_any_other_value_error_propagates(self, monkeypatch):
+        # only the digit limit is a resource limit; another ValueError is a defect
+        def broken(args):
+            raise ValueError("not a digit-limit error")
+
+        monkeypatch.setitem(cli._COMMANDS, "rho", cli._COMMANDS["rho"]._replace(compute=broken))
+        with pytest.raises(ValueError, match="^not a digit-limit error$"):
+            main(["rho", "--a", "2,3"])
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("simplex", "--alphas", "1,2", "--c", "1e-5000", "--counts-only"),
+         "points = 1\nwhite = 1\nblack = 0\n"),
+        (("black-majority", "--alphas", "1e-5000,1"),
+         "none found within budget (64 thresholds tested)\n"),
+    ], ids=["simplex", "black-majority"])
+    def test_a_tiny_number_that_is_never_printed_still_answers(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
     @pytest.mark.parametrize("name,argv", [
         ("ln", ("simplex", "--alphas", "ln2,ln3", "--c", "ln(" + "7" * 5001 + ")")),

@@ -438,6 +438,9 @@ class TestConstructDenseSet:
         assert sample.members == (1, 3, 4, 5, 7, 9, 11, 12)
         assert sample.counting_density == Fraction(2, 3)
 
+    def test_repr_names_the_horizon_only(self):
+        assert repr(construct_dense_set([2, 3], 10)) == "DenseSetSample(x=10)"
+
     def test_horizon_one(self):
         sample = construct_dense_set([2, 3], 1)
         assert sample.members == (1,)
@@ -678,6 +681,13 @@ class TestEmpiricalDensities:
     def test_rejects_members_beyond_horizon(self):
         with pytest.raises(DomainError):
             empirical_densities([1, 50], [10])
+
+    def test_no_checkpoints_give_no_rows(self):
+        assert empirical_densities([1, 2], []) == []
+
+    def test_rejects_a_checkpoint_below_one(self):
+        with pytest.raises(DomainError, match="^checkpoints must be positive$"):
+            empirical_densities([1], [0])
 
 
 class TestSeriesIdentityWindow:

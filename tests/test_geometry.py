@@ -53,6 +53,15 @@ class TestExactReal:
     def test_log_of_one_is_rational_zero(self):
         assert ExactReal.log(1).rational == 0
 
+    @pytest.mark.parametrize("atom,text", [
+        (ExactReal.of(Fraction(3, 2)), "3/2"),
+        (ExactReal.log(5), "ln(5)"),
+        (ExactReal.sqrt(2), "sqrt(2)"),
+        (ExactReal.sqrt(8), "2*sqrt(2)"),
+    ], ids=["rational", "log", "sqrt", "scaled-sqrt"])
+    def test_str_forms(self, atom, text):
+        assert str(atom) == text
+
     def test_interval_encloses_value(self):
         import math
 
@@ -91,6 +100,12 @@ class TestSimplexPoints:
     def test_rational_two_dim(self):
         config = simplex_points(SimplexSpec.of([1, 2], 4))
         assert len(config.points) == 9
+
+    def test_contains_checks_the_dimension_and_the_sign(self):
+        spec = SimplexSpec.of([1, 2], 3)
+        with pytest.raises(DomainError, match="^point dimension mismatch$"):
+            spec.contains((1,))
+        assert spec.contains((-1, 0)) is False
 
     def test_log_mode_matches_smooth_enumeration(self):
         config = simplex_points(SimplexSpec.of(["ln2", "ln3"], "ln12"))

@@ -104,6 +104,11 @@ class TestMaxDifferenceFree:
         assert result.size == 1
         assert result.witness == ((0, 0),)
 
+    def test_a_coprime_basis_gives_its_difference_vectors(self):
+        basis = CoprimeBasis.from_coprime_integers([2, 3])
+        config = first_entries((2, 3), 20)
+        assert max_difference_free(config, basis) == max_difference_free(config, basis.diffs)
+
     def test_empty_configuration_checks_its_difference_vectors(self):
         # a zero vector is rejected whatever the configuration, as with one point
         with pytest.raises(DomainError, match="difference vectors must be nonzero"):
@@ -991,6 +996,20 @@ class TestMonochromatize:
         with pytest.raises(SweepError, match="not maximum") as excinfo:
             _sweep(self.FULL_DIAGONAL_TRIANGLE, set(self.FULL_DIAGONAL_CONFIG))
         assert excinfo.value.diagonal == 3
+
+    @pytest.mark.parametrize("alphas,c,points,diagonal,message", [
+        ([1, 1], 2, {(0, 0), (1, 2)}, 3, "diagonal lies outside the triangle yet carries points"),
+        ([1, 2], 3, {(0, 0), (0, 3)}, 3, "shift target (-1,3) leaves the triangle"),
+        ([1, 1], 4, {(0, 0), (1, 0)}, 1, "shift target (0,0) is occupied"),
+        ([1, 1], 2, {(5, 5)}, None, "output leaves the triangle"),
+    ], ids=["outside", "leaves", "occupied", "output"])
+    def test_sweep_self_checks_stop_a_crafted_input(self, alphas, c, points, diagonal, message):
+        # inputs that no caller passes: points outside the triangle, or
+        # adjacent ones; the remaining self-checks hold for every input
+        with pytest.raises(SweepError) as excinfo:
+            _sweep(SimplexSpec.of(alphas, c), points)
+        assert excinfo.value.diagonal == diagonal
+        assert str(excinfo.value).endswith(f": {message}")
 
     def test_more_points_than_the_cap_is_a_cap_error(self):
         triangle = SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(12))

@@ -23,7 +23,9 @@ from quotientfree import (
     (lambda: LatticeConfig.explicit([(0, -1)]), "all coordinates must be nonnegative"),
     (lambda: SimplexSpec((), ExactReal.of(1)), "at least one coefficient is required"),
     (lambda: RationalSet.of([2, 2]), "quotients must be distinct"),
-], ids=["bracket", "basis", "distinct", "dimension", "nonnegative", "coefficients", "quotients"])
+    (lambda: ExactReal.sqrt(-1), "square root argument must be nonnegative"),
+], ids=["bracket", "basis", "distinct", "dimension", "nonnegative", "coefficients", "quotients",
+        "sqrt"])
 def test_construction_rejects_with_its_message(build, message):
     with pytest.raises(DomainError) as info:
         build()
@@ -41,3 +43,10 @@ def test_equal_fields_make_equal_records_with_equal_hashes(records):
     for other in records[1:]:
         assert other == first and not other != first
         assert hash(other) == hash(first)
+
+
+def test_a_record_is_never_equal_to_a_plain_tuple():
+    # equal field values are not enough: the other side must be the same class
+    config = LatticeConfig.explicit([(0, 0)])
+    assert config.__eq__(config._values()) is NotImplemented
+    assert config != config._values()

@@ -57,6 +57,13 @@ PINNED = {
     ("theorem6", "small", 0): "8f76c972a2c8cdda2a392cf3665797cce9aebd5aa94c94bb535e71b552b332c1",
     ("theorem6", "small", 1): "b480a13f7460e97262d8b0651761f89d244c7e033ee9c185f8e69e686eaf44ee",
     ("theorem6", "small", 2): "f1a998dc08176d78c0bb0f4c650194af6e41151ce8bfae735aaceda5588e4178",
+    ("geometry", "small", 0): "a36735a7eb20d70f749ace12ed30efe27cfff547f4048f154ce88b5834ca2ff7",
+    ("geometry", "small", 1): "42f9686111407f7723c9688884852b1a94d63212bc91d6a79b62da126ddab5df",
+    ("geometry", "small", 2): "d702624a0caa852860ddc1991660e5de056d9542f445026a42543867e0ae0629",
+    # the gap suite draws nothing at random, so every seed gives one digest
+    ("gap", "small", 0): "9bbccb355d1328fd2e2adc98601c42b6e79526ab7a08b33d9224667d10093e45",
+    ("gap", "small", 1): "9bbccb355d1328fd2e2adc98601c42b6e79526ab7a08b33d9224667d10093e45",
+    ("gap", "small", 2): "9bbccb355d1328fd2e2adc98601c42b6e79526ab7a08b33d9224667d10093e45",
 }
 
 
@@ -80,6 +87,24 @@ class TestPinnedSuites:
     def test_suite_names_and_order(self):
         assert SUITES == ("theorem6", "lemma2", "corollary", "gap", "monochromatize", "geometry")
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_all_runs_each_suite_on_its_own_stream(self, seed):
+        # each suite draws from CounterRng(seed) from counter 0, whatever ran before it
+        assert run_suite("all", seed, "small") == [
+            report for name in SUITES for report in run_suite(name, seed, "small")]
+
+    def test_an_unknown_tier_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown budget tier: huge$"):
+            run_suite("theorem6", 0, "huge")
+
+    def test_an_unknown_suite_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown suite: nope$"):
+            run_suite("nope", 0, "small")
+
+    def test_an_empty_range_is_refused(self):
+        with pytest.raises(ValueError, match="^empty range$"):
+            CounterRng(0).randint(2, 1)
+
 
 class TestMonochromatizeSuite:
     @pytest.mark.parametrize("seed", range(3))
@@ -94,7 +119,7 @@ class TestMonochromatizeSuite:
             return solve(*args)
 
         monkeypatch.setattr(lattice, "_solve", counted)
-        report = verify.suite_monochromatize(seed, "small")
+        (report,) = run_suite("monochromatize", seed, "small")
         assert report.ok
         assert len(calls) == len(report.cases) == BUDGET_TIERS["small"]["mono_cases"]
 
