@@ -42,6 +42,14 @@ greedy completions in a visiting order, and each is one solve: every point
 weighs 2**n plus a bit that falls with its place in the order, so the one
 optimum is the greedy set.
 
+The sweep decides membership by row lengths (``_plane_membership``):
+(x, y) is inside exactly when x, y >= 0 and y is below the length of row
+x, ``SimplexSpec._row_length([x])``, and each row is decided once per
+membership.  The input check builds one membership, and the sweep one
+for the diagonal ends, the shift targets and the output check, so each
+costs one decision per row it meets, and no ``contains`` call on the
+``log`` and ``dot`` routes.
+
 ``gamma_bracket`` solves on integer weights: over the common denominator
 prod b**depth, the point u weighs prod b**(depth - u_i).  Branch and bound
 and the cut then add and compare ints, one Fraction is built for the
@@ -564,16 +572,47 @@ def _adjacent_point(pts: set[Point]) -> Optional[Point]:
     return None
 
 
+def _plane_membership(triangle: SimplexSpec):
+    """Membership in a plane triangle, each row's length decided once.
+
+    (x, y) lies inside exactly when x, y >= 0 and y is below the length of
+    row x, ``SimplexSpec._row_length([x])``, which is exact on every route:
+    one integer division for rational coefficients, an integer loop for
+    logarithms, and the enclosures plus a bisection for the rest.  The
+    lengths are kept by x, so a sweep over r rows makes at most r
+    decisions, however many points it tests, and no ``contains`` call on
+    the ``log`` and ``dot`` routes.
+    """
+    lengths: dict[int, int] = {}
+
+    def inside(point: Point) -> bool:
+        x, y = point
+        if x < 0 or y < 0:
+            return False
+        if x not in lengths:
+            lengths[x] = triangle._row_length([x])
+        return y < lengths[x]
+
+    return inside
+
+
 def _validate_sweep_input(triangle: SimplexSpec, pts: set[Point], cap: int) -> None:
+    """Reject what ``monochromatize`` cannot sweep, with ``DomainError`` or ``CapError``.
+
+    Each point is checked by ``_plane_membership``, one row-length decision
+    per row the points meet, and the required size, the majority color, is
+    counted slab by slab without listing the triangle.
+    """
     _require_work_bound("cap", cap)
     if len(triangle.alphas) != 2:
         raise DomainError("the sweep works on plane triangles")
     if len(pts) > cap:
         raise CapError(f"input has {len(pts)} points, exceeding cap {cap}")
+    inside = _plane_membership(triangle)
     for p in pts:
         if len(p) != 2:
             raise DomainError("the sweep works on plane configurations")
-        if not triangle.contains(p):
+        if not inside(p):
             raise DomainError(f"point {p} lies outside the triangle")
     adjacent = _adjacent_point(pts)
     if adjacent is not None:
@@ -629,7 +668,11 @@ def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
     ``current`` is a maximum non-adjacent set of the plane triangle's
     points, and is not changed.  The points are kept by diagonal, so each
     step reads its own diagonal and which diagonals below it are occupied.
+    Membership of the diagonal ends, the shift targets and the output is
+    ``_plane_membership``: one row-length decision per row met, and no
+    ``contains`` call on the ``log`` and ``dot`` routes.
     """
+    inside = _plane_membership(triangle)
     size = len(current)
     # one past the input's largest coordinate sum: moves only go from a
     # diagonal to the one below it, so no higher diagonal is ever read
@@ -647,8 +690,8 @@ def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
         if below_colors.pop() == d % 2:
             continue
 
-        left_out = not triangle.contains((0, d))
-        right_out = not triangle.contains((d, 0))
+        left_out = not inside((0, d))
+        right_out = not inside((d, 0))
         if left_out and right_out:
             raise SweepError(d, "diagonal lies outside the triangle yet carries points")
 
@@ -669,7 +712,7 @@ def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
             px = vacant[0]
         targets = [(x, y - 1) if x < px else (x - 1, y) for x, y in diag]
         for nx, ny in targets:
-            if not triangle.contains((nx, ny)):
+            if not inside((nx, ny)):
                 raise SweepError(d, f"shift target ({nx},{ny}) leaves the triangle")
             if (nx, ny) in diagonals[d - 1]:
                 raise SweepError(d, f"shift target ({nx},{ny}) is occupied")
@@ -681,7 +724,7 @@ def _sweep(triangle: SimplexSpec, current: set[Point]) -> LatticeConfig:
     result = sorted(p for diag in diagonals for p in diag)
     if len(result) != size:
         raise SweepError(None, "output size differs from input size")
-    if any(not triangle.contains(p) for p in result):
+    if not all(map(inside, result)):
         raise SweepError(None, "output leaves the triangle")
     if _adjacent_point(set(result)) is not None:
         raise SweepError(None, "output contains adjacent points")

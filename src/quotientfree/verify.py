@@ -20,6 +20,7 @@ from .geometry import (
     ColorCount,
     ExactReal,
     SimplexSpec,
+    _line_total,
     _tally,
     _walk,
     find_black_majority_c,
@@ -173,14 +174,22 @@ def _component_maximum(component: list[int], neighbors: dict[int, list[int]]) ->
 
 
 def _random_rational_triangle(rng: CounterRng):
-    """A random axis-legged triangle with 1.._TRIANGLE_POINTS lattice points."""
+    """A random axis-legged triangle with 1.._TRIANGLE_POINTS lattice points.
+
+    A draw is six integers, a = an/ad, b = bn/bd and c = cn/cd, and is
+    counted in integers before any region is built: over the common
+    denominator ad*bd*cd the triangle is A*x + B*y <= C, whose points
+    ``geometry._line_total`` counts exactly by one floor sum.  The origin
+    is always inside (c > 0), so only the cap rejects a draw.  The
+    Fractions, the ``SimplexSpec`` and its points are built for the
+    accepted draw alone.
+    """
     while True:
-        a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        c = Fraction(rng.randint(1, 48), rng.randint(1, 4))
-        config = simplex_points(SimplexSpec.of([a, b], c), limit=_TRIANGLE_POINTS + 1)
-        if 1 <= len(config) <= _TRIANGLE_POINTS:
-            return (a, b, c), config
+        an, ad, bn, bd = (rng.randint(1, 12) for _ in range(4))
+        cn, cd = rng.randint(1, 48), rng.randint(1, 4)
+        if _line_total(an * bd * cd, bn * ad * cd, cn * ad * bd) <= _TRIANGLE_POINTS:
+            a, b, c = Fraction(an, ad), Fraction(bn, bd), Fraction(cn, cd)
+            return (a, b, c), simplex_points(SimplexSpec.of([a, b], c))
 
 
 def _random_optimal_configuration(rng: CounterRng, config: LatticeConfig):
@@ -313,7 +322,7 @@ def _monochromatize(rng: CounterRng, tier: dict) -> Iterator[CaseResult]:
     for i in range(tier["mono_cases"]):
         p, q = pairs[rng.randint(0, len(pairs) - 1)]
         n = rng.randint(1, 200)
-        triangle = SimplexSpec.of([f"ln{p}", f"ln{q}"], f"ln{n}")
+        triangle = SimplexSpec((ExactReal.log(p), ExactReal.log(q)), ExactReal.log(n))
         chosen, target = _random_optimal_configuration(rng, simplex_points(triangle))
         # the greedy completion is a maximum configuration, so the sweep
         # needs no check of its input

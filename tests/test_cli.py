@@ -1275,6 +1275,61 @@ _FUZZ_ALPHAS = st.one_of(
 ).map(",".join)
 _FUZZ_BOUNDS = ["0", "-1", "3", "5/2", "6", "ln10", "sqrt7", "ln(2", "1/0", "q"]
 
+@st.composite
+def _fuzzed_monochromatize(draw):
+    """A monochromatize argv on a small triangle, and how its points were made.
+
+    The triangle's rows are measured here by the defining inequality, and
+    the input starts from its majority class: kept whole, which is a
+    maximum, or spoiled by one point off the triangle, a negative one, a
+    neighbor, a repeat or a removal.  Returns (argv, kind, whether a
+    maximum input must sweep).
+    """
+    if draw(st.booleans()):
+        p, q, n = draw(st.integers(2, 5)), draw(st.integers(2, 7)), draw(st.integers(1, 300))
+        flags = ["--p", str(p), "--q", str(q), "--n", str(n)]
+
+        def inside(x, y):
+            return p**x * q**y <= n
+        valid = p < q
+    else:
+        a, b = (Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 3))) for _ in "ab")
+        c = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+        flags = ["--ta", str(a), "--tb", str(b), "--tc", str(c)]
+
+        def inside(x, y):
+            return a * x + b * y <= c
+        valid = True
+    rows = []  # row x holds the points (x, 0), ..., (x, rows[x] - 1)
+    while inside(len(rows), 0):
+        y = 1
+        while inside(len(rows), y):
+            y += 1
+        rows.append(y)
+    points = [(x, y) for x, length in enumerate(rows) for y in range(length)]
+    classes = ([pt for pt in points if sum(pt) % 2 == 0], [pt for pt in points if sum(pt) % 2])
+    chosen = list(max(classes, key=len))
+    kind = draw(st.sampled_from(
+        ["maximum", "off-triangle", "negative", "adjacent", "duplicate", "non-maximum"]))
+    if kind != "maximum":
+        at = draw(st.integers(0, len(chosen) - 1))
+        x, y = chosen[at]
+        if kind == "off-triangle":
+            chosen[at] = (x, rows[x] + draw(st.integers(0, 2)))
+        elif kind == "negative":
+            chosen[at] = (-1, y) if draw(st.booleans()) else (x, -1)
+        elif kind == "adjacent":
+            chosen.append((x + 1, y) if inside(x + 1, y) else (x, y + 1))
+        elif kind == "duplicate":
+            chosen.append((x, y))
+        else:
+            del chosen[at]
+    chosen = draw(st.permutations(chosen))
+    cap = draw(st.sampled_from([[], ["--cap", "5000"]]))
+    argv = ["monochromatize", *flags, "--points", json.dumps(chosen), *cap, "--json"]
+    return argv, kind, valid and (bool(cap) or len(chosen) <= lattice.DEFAULT_SEARCH_CAP)
+
+
 MALFORMED = [
     (("definitely-not-a-subcommand",), 1),
     (("rho",), 1),  # missing required --a
@@ -1409,6 +1464,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         if code >= 2:
             assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_fuzzed_monochromatize())
+    def test_monochromatize_contract_on_fuzzed_points(self, case):
+        argv, kind, sweepable = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert 0 <= code <= 4, err
+        assert "Traceback" not in err
+        if code >= 2:
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+        if kind == "maximum" and sweepable:
+            assert code == 0, err
+        if code == 0:
+            given_points = json.loads(argv[argv.index("--points") + 1])
+            result = json.loads(out)["result"]
+            assert len(result["points"]) == len(given_points)
+            assert len({sum(pt) % 2 for pt in result["points"]}) <= 1
 
     @pytest.mark.parametrize("argv,message", [
         (("dense-set", "--x", "10", "--depth", "-1"), "depth must be nonnegative"),

@@ -40,6 +40,7 @@ from quotientfree.lattice import (
     _max_difference_free_size,
     _max_flow,
     _min_cut_optimum,
+    _plane_membership,
     _solve,
     _sweep,
     max_feasible_depth,
@@ -1088,6 +1089,54 @@ class TestMonochromatize:
             assert len({sum(pt) % 2 for pt in out_set}) == 1
             parity = min(map(sum, result.witness)) % 2
             assert out.points == tuple(pt for pt in pts if sum(pt) % 2 == parity)
+
+
+class TestPlaneMembership:
+    # the signs route: 3 + 2*sqrt(2) puts (3, 2) exactly on the boundary
+    SQRT_TRIANGLE = SimplexSpec(
+        (ExactReal.of(1), ExactReal.sqrt(2)),
+        ((ExactReal.of(1), Fraction(3)), (ExactReal.sqrt(2), Fraction(2))),
+    )
+
+    @pytest.mark.parametrize("triangle,route", [
+        (SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(200)), "log"),
+        (SimplexSpec.of([Fraction(3, 2), Fraction(5, 3)], Fraction(47, 4)), "dot"),
+        (SQRT_TRIANGLE, "signs"),
+    ], ids=["log", "rational", "signs"])
+    def test_row_lengths_agree_with_contains(self, triangle, route):
+        assert triangle._route[0] == route
+        inside = _plane_membership(triangle)
+        # a box past every row end, with negative coordinates and empty rows
+        box = [(x, y) for x in range(-2, 12) for y in range(-2, 12)]
+        assert [inside(p) for p in box] == [triangle.contains(p) for p in box]
+        assert inside((0, 0)) and not inside((11, 0)) and not inside((0, 11))
+
+    def test_a_boundary_point_is_inside(self):
+        inside = _plane_membership(self.SQRT_TRIANGLE)
+        assert inside((3, 2)) and self.SQRT_TRIANGLE.contains((3, 2))
+        assert not inside((4, 2)) and not inside((3, 3))
+
+    @pytest.mark.parametrize("triangle", [
+        SimplexSpec((ExactReal.log(2), ExactReal.log(3)), ExactReal.log(10**6)),
+        SimplexSpec.of([Fraction(3, 2), Fraction(5, 3)], Fraction(49, 4)),
+    ], ids=["log", "rational"])
+    def test_monochromatize_makes_no_contains_call(self, monkeypatch, triangle):
+        # a maximum set of both colors, so the sweep shifts diagonals
+        graph = _ConflictGraph(simplex_points(triangle).points, AXIS_DIFFS)
+        order = list(range(len(graph.points)))
+        random.Random(5).shuffle(order)
+        mixed = [graph.points[i] for i in _greedy_optimum(graph, order)]
+        assert {sum(p) % 2 for p in mixed} == {0, 1}
+
+        def forbidden(self, point):
+            raise AssertionError("membership must come from row lengths")
+
+        monkeypatch.setattr(SimplexSpec, "contains", forbidden)
+        result = monochromatize(triangle, mixed, cap=200)
+        assert len(result.points) == len(mixed)
+        assert len({sum(p) % 2 for p in result.points}) == 1
+        with pytest.raises(DomainError, match="outside"):
+            monochromatize(triangle, [(100, 0)])
 
 
 class TestTriangleEquivalence:

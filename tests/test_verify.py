@@ -10,13 +10,16 @@ from quotientfree import (
     AXIS_DIFFS,
     ColorCount,
     LatticeConfig,
+    SimplexSpec,
     lattice,
     max_difference_free,
     max_subset_count,
     max_subset_witness,
+    simplex_points,
     verify,
 )
 from quotientfree.arith import CoprimeBasis, count_coprime_part, phi
+from quotientfree.geometry import _line_total
 from quotientfree.lattice import _conflict_graph, _greedy_optimum
 from quotientfree.rng import CounterRng
 from quotientfree.verify import (
@@ -203,6 +206,34 @@ class TestGreedyCompletion:
             witness = tuple(points[i] for i in sorted(_greedy_optimum(graph, range(len(points)))))
             assert witness == max_difference_free(config, diffs).witness
             assert witness == min(brute_force_all_optima(pts, diffs))
+
+
+class TestTriangleDraw:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(an=st.integers(1, 12), ad=st.integers(1, 12), bn=st.integers(1, 12),
+           bd=st.integers(1, 12), cn=st.integers(1, 48), cd=st.integers(1, 4))
+    def test_integer_count_matches_the_listed_points(self, an, ad, bn, bd, cn, cd):
+        # the suite's draw ranges; past the cap only "more than 30" matters
+        a, b, c = Fraction(an, ad), Fraction(bn, bd), Fraction(cn, cd)
+        listed = len(simplex_points(SimplexSpec.of([a, b], c), limit=31))
+        counted = _line_total(an * bd * cd, bn * ad * cd, cn * ad * bd)
+        assert min(counted, 31) == listed
+
+    def test_theorem6_builds_one_region_per_triangle_case(self, monkeypatch):
+        built = []
+        init = SimplexSpec.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(SimplexSpec, "__init__", counted)
+        for seed in range(3):
+            built.clear()
+            (report,) = run_suite("theorem6", seed, "small")
+            triangles = [c for c in report.cases if c.name.startswith("triangle[")]
+            assert len(triangles) == BUDGET_TIERS["small"]["triangles"]
+            assert len(built) == len(triangles)
 
 
 # the corollary suite draws nothing at random either
