@@ -38,8 +38,8 @@ from .geometry import (
     ColorCount,
     ExactReal,
     SimplexSpec,
+    _slope_columns,
     find_black_majority_c,
-    rational_slope_profile,
     simplex_color_counts,
     simplex_points,
 )
@@ -568,13 +568,13 @@ def _black_majority(args) -> _Output:
           _arg("--a1", type=int, required=True), _arg("--a2", type=int, required=True),
           _arg("--cmax", type=int, required=True), _CSV)
 def _slope_profile(args) -> _Output:
-    rows = rational_slope_profile(args.a1, args.a2, args.cmax)
+    columns = (range(1, args.cmax + 1), *_slope_columns(args.a1, args.a2, args.cmax))
     return _Output(
         {"a1": args.a1, "a2": args.a2, "cmax": args.cmax},
-        lambda: [{"c": r.c, "white": r.white, "black": r.black, "diff": r.diff} for r in rows],
-        (f"c={r.c} white={r.white} black={r.black} diff={r.diff}" for r in rows),
+        lambda: [{"c": c, "white": w, "black": b, "diff": d} for c, w, b, d in zip(*columns)],
+        map("c={} white={} black={} diff={}".format, *columns),
         ("c", "white", "black", "diff"),
-        rows,
+        zip(*columns),
     )
 
 

@@ -15,7 +15,13 @@ sorted parity table that all slabs share; and floor sums on integer
 enclosures for the rest.  This module also holds the point types
 (``Point``, ``LatticeConfig``, ``ColorCount``), scans thresholds for a
 black majority, and tabulates the white-minus-black profile for integer
-slopes by strided running sums of two power series.
+slopes.  The profile and the scan of rational alphas read one
+generating-function series (``_color_series``): strided running sums give
+the coefficients of prod 1/(1 - t**s), points per level, and
+prod 1/(1 + t**s), their white-minus-black balance.  Other alphas, and
+rationals whose smallest integer step is too large for the series to pay
+or whose lead lies past the series' term bound, are scanned by a walk over
+the lattice points in ascending value.
 Every comparison is decided exactly: by the regions' integer filters, or
 by ``_sign_of_terms`` on the atoms' memoized integer enclosures, refined
 near a tie, with exact integer routes for logarithm products and single
@@ -28,7 +34,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice, pairwise, repeat, takewhile
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat, takewhile
 from math import ceil, floor, gcd, isqrt, lcm, prod
 from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -51,6 +57,19 @@ _FILTER_BITS = 64
 _SQRT_TRIAL_LIMIT = 10_000
 # most keys in the sorted parity table of a log count past three dimensions
 _LOG_TABLE_MAX_KEYS = 1 << 16
+# the cost rule of a rational black-majority scan: the color series holds about
+# the smallest integer step's number of terms per candidate, so past this step
+# the point walk, which pops about one point per candidate where the values are
+# that sparse, is the cheaper route; up to it the series keeps dense scans,
+# such as (2, 4, 8, 1001), off the walk's budget**r points
+_SERIES_MAX_STEP = 8
+# candidates that a rational scan's first color series reaches at least; its
+# length then doubles until a lead or the budget
+_SERIES_FIRST_CANDIDATES = 8
+# most terms a rational scan's color series holds: a process peaks at about
+# 50 MB with three steps; a scan that they leave undecided goes to the walk,
+# whose heap stays small
+_SERIES_MAX_TERMS = 1 << 18
 
 
 class LatticeConfig(_Record):
@@ -780,17 +799,27 @@ def find_black_majority_c(
     """Scan attained threshold values, ascending, for a black majority.
 
     Counts only change at attained values of the form alpha . x, so the scan
-    is complete up to the budget.  The walk of ``_attained_values`` decides
+    is complete up to the budget.  Two routes find the candidates and their
+    counts, and neither builds a region per candidate.  Rational alphas,
+    scaled to coprime integer steps, go to their generating functions
+    (``_series_lead``): the candidates are the levels with a point, and a
+    running sum of the color series is each one's white-minus-black
+    balance.  That costs about budget times the smallest step in series
+    terms, so a smallest step past ``_SERIES_MAX_STEP`` (sparse values such
+    as 100000, 100001) goes to the walk instead, and so does a scan that
+    ``_SERIES_MAX_TERMS`` terms leave undecided, which the series would
+    otherwise hold in memory all at once.  Logarithms, mixed alphas and
+    those rationals take the walk of ``_attained_values``, which decides
     the order of its values exactly, so a candidate's counts are the tally
-    that the walk yields with the next value, and no region is built per
-    candidate.  The returned threshold is canonical: the integer bound
-    itself when every coefficient is a logarithm of an integer, the attained
-    rational for rational coefficients, and otherwise the fraction of least
-    denominator in the black-majority window, which a Stern-Brocot descent
-    finds on the alphas' integer pairs (``_simplest_rational_at_least``)
-    with no ``_sign_of_terms`` call.  ``simplex_color_counts`` recounts the
-    region at a canonical threshold as a second route; it shares the scan's
-    alpha atoms, so each alpha is enclosed once per scan.
+    that the walk yields with the next value.  The returned
+    threshold is canonical: the integer bound itself when every coefficient
+    is a logarithm of an integer, the attained rational for rational
+    coefficients, and otherwise the fraction of least denominator in the
+    black-majority window, which a Stern-Brocot descent finds on the alphas'
+    integer pairs (``_simplest_rational_at_least``) with no
+    ``_sign_of_terms`` call.  ``simplex_color_counts`` recounts the region
+    at a canonical threshold as a second route; it shares the scan's alpha
+    atoms, so each alpha is enclosed once per scan.
     """
     _require_stream_bound("budget", budget)
     alpha_atoms = tuple(_as_exact(a) for a in alphas)
@@ -804,6 +833,20 @@ def find_black_majority_c(
 
     all_logs = all(a.kind == "log" for a in alpha_atoms)
     all_rational = all(a.is_rational for a in alpha_atoms)
+    if all_rational:
+        # alpha . x = (steps . x) * common / den, for coprime integer steps
+        den = lcm(*(a.rational.denominator for a in alpha_atoms))
+        steps = [a.rational.numerator * (den // a.rational.denominator) for a in alpha_atoms]
+        common = gcd(*steps)
+        steps = [s // common for s in steps]
+        lead = _series_lead(steps, budget) if steps[0] <= _SERIES_MAX_STEP else False
+        if lead is None:
+            return BlackMajoritySearch(False, None, None, None, None, budget)
+        if lead:
+            tested, level, counts = lead
+            threshold = Fraction(level * common, den)
+            _recount(alpha_atoms, ExactReal.of(threshold), str(threshold), counts)
+            return BlackMajoritySearch(True, threshold, str(threshold), None, counts, tested)
 
     # one value of lookahead: its tally counts the region up to this value,
     # and the window of a black majority ends there
@@ -825,17 +868,79 @@ def find_black_majority_c(
             display = (" + ".join(f"{c}*{a}" for a, c in zip(alpha_atoms, x) if c) or "0"
                        if threshold is None else str(threshold))
         if bound is not None:
-            # re-verify by direct recount at the canonical threshold, the
-            # alphas descending as the count takes them
-            recounted = simplex_color_counts(SimplexSpec(alpha_atoms[::-1], bound))
-            if recounted != counts:
-                raise SelfCheckError(
-                    f"recount at the canonical threshold {display} gives "
-                    f"{recounted}, the scan gave {counts}"
-                )
+            _recount(alpha_atoms, bound, display, counts)
         integer_bound = key if all_logs else None
         return BlackMajoritySearch(True, threshold, display, integer_bound, counts, tested)
     return BlackMajoritySearch(False, None, None, None, None, budget)
+
+
+def _recount(alpha_atoms, bound: ExactReal, display: str, counts: ColorCount) -> None:
+    """Re-verify a scan's counts by direct recount at its canonical threshold.
+
+    ``simplex_color_counts`` counts the region under ``bound``, the alphas
+    descending as the count takes them, and a count that differs from the
+    scan's raises ``SelfCheckError``.
+    """
+    recounted = simplex_color_counts(SimplexSpec(alpha_atoms[::-1], bound))
+    if recounted != counts:
+        raise SelfCheckError(
+            f"recount at the canonical threshold {display} gives "
+            f"{recounted}, the scan gave {counts}"
+        )
+
+
+def _color_series(steps: Sequence[int], length: int) -> tuple[list[int], list[int]]:
+    """The first ``length`` coefficients of prod 1/(1 - t**s) and prod 1/(1 + t**s).
+
+    Over the positive integer steps s: the coefficient n(j) of t**j in the
+    first is the number of points x >= 0 with steps . x = j, and d(j) in
+    the second is their white-minus-black balance, since each point adds
+    (-1)**(x_1 + ... + x_r) (Stanley, Enumerative Combinatorics I, 4.4).
+    Each factor is one ``_divide_series`` pass.
+    """
+    n = [1] + [0] * (length - 1)
+    d = n.copy()
+    for s in steps:
+        _divide_series(n, s, False)
+        _divide_series(d, s, True)
+    return n, d
+
+
+def _series_lead(steps: Sequence[int],
+                 budget: int) -> Union[tuple[int, int, ColorCount], None, bool]:
+    """(candidates tested, level, counts) of the first black majority, None, or False.
+
+    The candidates are the levels j with a point, n(j) > 0 (``_color_series``),
+    ascending, and the region up to level j holds the running sums of n and
+    d, d's sum being white minus black.  d(j) is nonzero only at a level
+    with a point, so the running balance first turns negative at a
+    candidate.  The levels 0, s, 2s, ... of the smallest step s all hold a
+    point, so the budget-th candidate lies at or below (budget - 1) * s;
+    the series starts long enough for ``_SERIES_FIRST_CANDIDATES`` of them
+    and doubles up to that length, so an early lead stays cheap.  None when
+    the first budget candidates hold no black majority, and False when
+    ``_SERIES_MAX_TERMS`` terms decide neither way.
+    """
+    step = min(steps)
+    full = (budget - 1) * step + 1
+    length = min(full, _SERIES_FIRST_CANDIDATES * step + 1, _SERIES_MAX_TERMS)
+    while True:
+        n, d = _color_series(steps, length)
+        balance = list(accumulate(d))
+        lead = next(compress(count(), map((0).__gt__, balance)), None)
+        if lead is None:
+            if length - n.count(0) >= budget:
+                return None
+            if length == _SERIES_MAX_TERMS:
+                return False
+        else:
+            tested = lead + 1 - n[:lead + 1].count(0)
+            if tested > budget:
+                return None
+            total = sum(n[:lead + 1])
+            white = (total + balance[lead]) // 2
+            return tested, lead, ColorCount(white, total - white)
+        length = min(2 * length, full, _SERIES_MAX_TERMS)
 
 
 def _attained_values(alpha_atoms):
@@ -908,28 +1013,32 @@ def _divide_series(series: list[int], step: int, plus: bool) -> None:
         series[r::step] = accumulate(series[r::step])
 
 
-def rational_slope_profile(a1: int, a2: int, c_max: int) -> list[ProfileRow]:
-    """White-minus-black per integer threshold for integer coefficients.
+def _slope_columns(a1: int, a2: int, c_max: int) -> tuple[list[int], list[int], list[int]]:
+    """White, black and white-minus-black per integer threshold c = 1..c_max, as columns.
 
-    The points on the line a1*x + a2*y = j number n(j), the coefficient of
-    t**j in 1/((1 - t**a1)(1 - t**a2)), and their white-minus-black balance
-    d(j) is the coefficient in 1/((1 + t**a1)(1 + t**a2)).  Each factor is
-    strided running sums of the series (``_divide_series``), and row c
-    holds the running sums of n and d up to c, so the whole profile costs
-    O(c_max) integer steps with no Python-level step per j.  The rows are
-    ``NamedTuple``s (c, white, black, diff).
+    The points on the line a1*x + a2*y = j and their white-minus-black
+    balance are the coefficients of t**j in 1/((1 - t**a1)(1 - t**a2)) and
+    1/((1 + t**a1)(1 + t**a2)) (``_color_series``), and threshold c holds
+    their running sums up to c, so the whole profile costs O(c_max) integer
+    steps with no Python-level step per c.  ``slope-profile`` prints these
+    columns without a record per row.
     """
     if a1 < 1 or a2 < 1:
         raise DomainError("coefficients must be positive integers")
     if c_max < 1:
         raise DomainError("the horizon must be at least 1")
-    n = [1] + [0] * c_max
-    d = n.copy()
-    for a in (a1, a2):
-        _divide_series(n, a, False)
-        _divide_series(d, a, True)
+    n, d = _color_series((a1, a2), c_max + 1)
     totals = list(accumulate(n))[1:]
     diffs = list(accumulate(d))[1:]
-    whites = map(floordiv, map(add, totals, diffs), repeat(2))
-    blacks = map(floordiv, map(sub, totals, diffs), repeat(2))
-    return list(map(ProfileRow, range(1, c_max + 1), whites, blacks, diffs))
+    whites = list(map(floordiv, map(add, totals, diffs), repeat(2)))
+    blacks = list(map(sub, totals, whites))
+    return whites, blacks, diffs
+
+
+def rational_slope_profile(a1: int, a2: int, c_max: int) -> list[ProfileRow]:
+    """White-minus-black per integer threshold for integer coefficients.
+
+    The rows are ``NamedTuple``s (c, white, black, diff), c = 1..c_max,
+    read off the columns of ``_slope_columns``.
+    """
+    return list(map(ProfileRow, count(1), *_slope_columns(a1, a2, c_max)))

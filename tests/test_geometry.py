@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quotientfree import (
     ColorCount,
@@ -453,9 +454,20 @@ _ALPHA_LISTS = st.one_of(
 )
 
 
+# rational atoms p/q with p <= 12 and q <= 5; a list may repeat one
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 5))
+# (1, 2), (1, 4) and (1, 2, 4) times a rational: families whose black
+# majority never comes, so the scan runs its whole budget
+_NEVER_LEADING = st.builds(lambda q, shape: [q * k for k in shape],
+                           st.builds(Fraction, st.integers(1, 3), st.integers(1, 5)),
+                           st.sampled_from([(1, 2), (1, 4), (1, 2, 4)]))
+
+
 # scans that find their black majority at the budget-th candidate, whose
-# lookahead value lies past the budget
-_FOUND_AT_THE_BUDGET = [(("ln2", "ln3"), 3), (("1", "3"), 4), (("1", "sqrt2"), 3)]
+# lookahead value lies past the budget; one short of the budget, the color
+# series of (2, 5) still reaches the lead, at level 6, its fifth candidate
+_FOUND_AT_THE_BUDGET = [(("ln2", "ln3"), 3), (("1", "3"), 4), (("1", "sqrt2"), 3),
+                        (("2", "5"), 5)]
 
 
 def _count_filter_enclosures(monkeypatch) -> list:
@@ -715,8 +727,8 @@ class TestFindBlackMajority:
         (("sqrt2", "sqrt3"), 1),
     ])
     def test_every_scan_counts_from_the_walk(self, alphas, calls, monkeypatch):
-        # the counts come from the walk's tally, so the only region counted
-        # is the recount at a found threshold
+        # the counts come from the walk's tally or the color series, so the
+        # only region counted is the recount at a found threshold
         regions = []
         counts = geometry.simplex_color_counts
 
@@ -773,6 +785,89 @@ class TestFindBlackMajority:
         alphas = sorted(map(ExactReal.parse, texts), key=ExactReal.sort_key)
         assert (find_black_majority_c(alphas, budget)
                 == eager_black_majority(alphas, budget))
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.one_of(st.lists(_SMALL_RATIONALS, min_size=2, max_size=4).map(sorted),
+                     _NEVER_LEADING),
+           st.integers(1, 300))
+    @example([Fraction(1, 2), Fraction(1)], 100)  # never found: steps (1, 2)
+    @example([Fraction(3), Fraction(6), Fraction(12)], 40)  # never found: steps (1, 2, 4)
+    @example([Fraction(2, 3), Fraction(2), Fraction(10, 3)], 60)  # found: steps (1, 3, 5)
+    @example([Fraction(12, 5), Fraction(12, 5)], 300)  # equal alphas
+    @example([Fraction(12, 5), Fraction(11, 4)], 40)  # steps (48, 55): the walk
+    def test_rational_scans_match_the_eager_one(self, atoms, budget):
+        # the eager scan pops every point up to the budget-th value and
+        # recounts each candidate point by point; the points up to
+        # (budget - 1) * alpha_1, where the budget-th value lies at the
+        # latest, bound its work
+        assume(simplex_color_counts(SimplexSpec.of(atoms, (budget - 1) * atoms[0])).total
+               <= 3000)
+        alphas = [str(a) for a in atoms]
+        assert find_black_majority_c(alphas, budget) == eager_black_majority(alphas, budget)
+
+    @pytest.mark.parametrize("alphas, series", [
+        (("8", "9"), True),
+        (("8/3", "3"), True),  # the steps of 8/3 and 3 are 8 and 9
+        (("2/17", "1"), True),  # steps (2, 17)
+        (("9", "10"), False),
+        (("17", "18"), False),
+        (("1000", "1001"), False),
+        (("100000", "100001"), False),
+        (("1", "2"), True),
+    ])
+    def test_the_cost_rule_sends_sparse_steps_to_the_walk(self, alphas, series, monkeypatch):
+        calls = []
+        color_series = geometry._color_series
+        monkeypatch.setattr(geometry, "_color_series",
+                            lambda steps, length: calls.append(steps) or color_series(steps, length))
+        assert find_black_majority_c(alphas) == eager_black_majority(alphas)
+        assert bool(calls) == series
+
+    @pytest.mark.parametrize("alphas", [("1000", "1001"), ("100000", "100001")])
+    def test_sparse_steps_answer_in_milliseconds(self, alphas):
+        # the series would hold 8 * 100000 terms before its first lead
+        start = time.perf_counter()
+        result = find_black_majority_c(alphas)
+        elapsed = time.perf_counter() - start
+        assert result == eager_black_majority(alphas)
+        assert (result.threshold, result.counts, result.candidates_tested) == (
+            Fraction(alphas[1]), ColorCount(1, 2), 3)
+        assert elapsed < 0.1, elapsed
+
+    @pytest.mark.parametrize("alphas, budget, bound", [
+        (("1", "2049"), 3000, 1024),  # the lead lies at level 2049
+        (("1", "2", "4"), 60, 32),  # never found
+    ])
+    def test_a_scan_past_the_term_bound_goes_to_the_walk(self, alphas, budget, bound,
+                                                          monkeypatch):
+        expected = find_black_majority_c(alphas, budget)
+        lengths, walks = [], []
+        color_series, attained_values = geometry._color_series, geometry._attained_values
+        monkeypatch.setattr(geometry, "_SERIES_MAX_TERMS", bound)
+        monkeypatch.setattr(geometry, "_color_series",
+                            lambda steps, length: lengths.append(length)
+                            or color_series(steps, length))
+        monkeypatch.setattr(geometry, "_attained_values",
+                            lambda atoms: walks.append(atoms) or attained_values(atoms))
+        assert find_black_majority_c(alphas, budget) == expected
+        assert (max(lengths), len(walks)) == (bound, 1)
+
+    def test_an_early_lead_takes_no_walk_under_any_budget(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_attained_values", None)
+        result = find_black_majority_c(["1", "3"], 10**9)
+        assert (result.threshold, result.counts, result.candidates_tested) == (
+            3, ColorCount(2, 3), 4)
+
+    def test_a_dense_never_found_scan_takes_no_walk(self, capsys):
+        # about budget**3 / 48 points lie below the budget-th value of
+        # (1, 2, 4), which the walk would pop one by one
+        start = time.perf_counter()
+        code = main(["black-majority", "--alphas", "1,2,4", "--budget", "1600", "--json"])
+        elapsed = time.perf_counter() - start
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0
+        assert (result["found"], result["candidates_tested"]) == (False, 1600)
+        assert elapsed < 1.0, elapsed
 
     def test_log_pair_finds_three(self):
         result = find_black_majority_c(["ln2", "ln3"])
@@ -997,6 +1092,41 @@ class TestRationalSlopeProfile:
             for a2 in range(1, 8):
                 rows = rational_slope_profile(a1, a2, 300)
                 assert rows == double_loop_slope_profile(a1, a2, 300), (a1, a2)
+
+    def test_the_cli_columns_are_the_rows(self):
+        rows = double_loop_slope_profile(2, 3, 50)
+        assert list(zip(range(1, 51), *geometry._slope_columns(2, 3, 50))) == rows
+
+    def test_the_cli_builds_no_row_record(self, monkeypatch, capsys):
+        def refuse(*row):
+            raise AssertionError("a ProfileRow was built")
+
+        monkeypatch.setattr(geometry, "ProfileRow", refuse)
+        for fmt in ([], ["--csv"], ["--json"]):
+            assert main(["slope-profile", "--a1", "2", "--a2", "3", "--cmax", "40", *fmt]) == 0
+        assert capsys.readouterr().out.count("\n") == 40 + 41 + 1
+
+    # sha256 of slope-profile's stdout in text, CSV and JSON, pinned before
+    # the CLI read the profile's columns
+    @pytest.mark.parametrize("a1, a2, c_max, digests", [
+        (1, 2, 100, ("ad5927541b775dc22aafe2eda798e7cbb079afc94b691f4627a46f8339ba2fa7",
+                     "67614a7249194a9800979596b33bc20fbd1c72afb000d402e53154f2077ed447",
+                     "99230622f61f1d6cb667d793d33ccc45015f1892f6d437432f4c947496b86e4a")),
+        (2, 3, 700, ("1219d169028d822c93aed72e6c04476fe4eb4caaf8faee3608fc5d3f92b82bb8",
+                     "c752c90b24c3eda85f270bea00b8223362e84d6c30d8d9d3e869816f8a097955",
+                     "17e40f1b7a2a31ccd6abc90d471f7b9fa234ca26a8c47f191ba587afebb2b783")),
+        (3, 5, 1, ("70378e5139093017a245a7554288e8024e156f26276f3b6120a86c386034dc5b",
+                   "d45b8ffbd76af0beca104a3ab29cafb58184aec49eb8843a461ff4b71938c1ee",
+                   "33801aa03da910c094953a1b6879031b552b2caa6748b96f7364b476a700d04b")),
+        (4, 4, 33, ("a646f5ff295a8f415d3840602cf8eda17f391047763755690516284fbc0ac175",
+                    "d287053416b344257edcc9de61e954346a415994b8f5384c448cbfbdad9276fd",
+                    "fa9e54268a0b7021217504a78d0463d37915dd11deaad1e7bbda13f47fdc446d")),
+    ])
+    def test_cli_output_digests(self, a1, a2, c_max, digests, capsys):
+        argv = ["slope-profile", "--a1", str(a1), "--a2", str(a2), "--cmax", str(c_max)]
+        for fmt, digest in zip(([], ["--csv"], ["--json"]), digests):
+            assert main(argv + fmt) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
 
     @pytest.mark.parametrize("a1, a2", [(1, 2), (3, 5), (4, 4), (7, 2)])
     @pytest.mark.parametrize("c_max", [1, 7, 1000])
